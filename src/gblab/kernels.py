@@ -7,7 +7,11 @@ the Riemannian volume and approach 1/volume as t grows.
 Exact constructions:
 
 * flat disk / ball: eigenexpansion over Bessel (spherical Bessel) modes
-  with Neumann zeros;
+  with Neumann zeros.  The diagonal K0(t; x, x) depends only on rho = |x|:
+  a batch reads it from a Chebyshev table in (rho/r)^2 built inside each
+  call on 33, 65, 129, ... nodes, until the trailing coefficients are below
+  1e-14 of the largest.  A batch smaller than the next grid the table would
+  need (all one-point calls among them) is summed point by point instead;
 * interval and circle: method of images / wrapped Gaussian, switching to
   the cosine eigenseries for large times;
 * hemisphere: reflection doubling of the closed-sphere series;
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import special
 
 from .errors import SeriesConvergenceError
@@ -29,6 +34,10 @@ from .geometry import FlatBall, FlatCylinder, ManifoldModel, SphereBall, SphereC
 
 _TAIL_LOG = 46.0  # truncate series once the exponential factor is below e^-46
 _MAX_DIMLESS_FREQ = 320.0  # largest lambda * r supported by the mode tables
+
+_CHEB_FIRST_INTERVALS = 32  # the first radial table grid has 33 nodes
+_CHEB_TAIL = 8  # trailing coefficients that must be negligible
+_CHEB_TOL = 1e-14  # ... relative to the largest coefficient
 
 _MODE_CACHE: dict = {}
 
@@ -197,29 +206,27 @@ def _ball3_modes(radius, lam_max):
         return cached
     x_max_build = max(x_max, 60.0)
     grid = np.arange(0.2, x_max_build + 0.5, 0.02)
-    orders = []
+    # bracket the zeros of j_l' by a sign scan, one order at a time
+    bracket_orders, bracket_lo = [], []
     for l in range(0, int(x_max_build) + 2):
         vals = special.spherical_jn(l, grid, derivative=True)
         sgn = np.sign(vals)
         flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if flips.size == 0:
-            if l > 0:
-                break
-            orders.append((l, np.array([]), np.array([])))
-            continue
-        roots = []
-        from scipy.optimize import brentq
-
-        for i in flips:
-            root = brentq(
-                lambda x: special.spherical_jn(l, x, derivative=True), grid[i], grid[i + 1]
-            )
-            roots.append(root)
-        roots = np.array(roots)
-        roots = roots[roots <= x_max_build]
-        lam = roots / radius
-        jval = special.spherical_jn(l, roots)
-        norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / roots**2) * jval**2
+        if flips.size == 0 and l > 0:
+            break
+        bracket_orders.append(np.full(flips.size, l))
+        bracket_lo.append(flips)
+    ls = np.concatenate(bracket_orders)
+    flips = np.concatenate(bracket_lo)
+    roots = _bisect_roots(
+        lambda x: special.spherical_jn(ls, x, derivative=True), grid[flips], grid[flips + 1]
+    )
+    orders = []
+    for l in range(len(bracket_orders)):
+        zeros = roots[(ls == l) & (roots <= x_max_build)]
+        lam = zeros / radius
+        jval = special.spherical_jn(l, zeros)
+        norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / zeros**2) * jval**2
         weight = (2 * l + 1) / (4.0 * math.pi * norm)
         orders.append((l, lam, weight))
     cached = {"x_max": x_max_build, "orders": orders, "radius": radius}
@@ -227,8 +234,37 @@ def _ball3_modes(radius, lam_max):
     return cached
 
 
+def _bisect_roots(f, lo, hi):
+    """Roots of the vectorised f inside the sign-change brackets [lo, hi].
+
+    Bisects every bracket at once until no midpoint lies strictly inside
+    it, i.e. to full double precision.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    f_lo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return mid
+        f_mid = f(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)  # the root lies in [mid, hi]
+        lo = np.where(left, mid, lo)
+        f_lo = np.where(left, f_mid, f_lo)
+        hi = np.where(left, hi, mid)
+
+
 def _lambda_max(t):
     return math.sqrt(2.0 * _TAIL_LOG / t)
+
+
+def _active_modes(modes, t):
+    """(order, lambda, weight * exp(-lambda^2 t / 2)) of each order's modes above the tail cut."""
+    for order, lam, weight in modes["orders"]:
+        keep = lam * lam * t / 2.0 <= _TAIL_LOG
+        lam = lam[keep]
+        if lam.size:
+            yield order, lam, weight[keep] * np.exp(-lam * lam * t / 2.0)
 
 
 def _disk_kernel(model: FlatBall, t, x, y):
@@ -238,17 +274,11 @@ def _disk_kernel(model: FlatBall, t, x, y):
     rho_y = np.linalg.norm(y, axis=-1)
     dphi = np.arctan2(x[:, 1], x[:, 0]) - np.arctan2(y[:, 1], y[:, 0])
     out = np.full(x.shape[0], 1.0 / (math.pi * r * r))
-    for m, lam, weight in modes["orders"]:
-        keep = lam * lam * t / 2.0 <= _TAIL_LOG
-        lam = lam[keep]
-        if lam.size == 0:
-            continue
-        w = weight[keep]
-        decay = np.exp(-lam * lam * t / 2.0)
+    for m, lam, coeff in _active_modes(modes, t):
         jx = special.jv(m, lam[:, None] * rho_x[None, :])
         jy = special.jv(m, lam[:, None] * rho_y[None, :])
         ang = np.cos(m * dphi)[None, :] if m > 0 else 1.0
-        out = out + np.einsum("k,kp->p", w * decay, jx * jy * (ang if m > 0 else 1.0))
+        out = out + np.einsum("k,kp->p", coeff, jx * jy * (ang if m > 0 else 1.0))
     # eigen-series noise floor: the density is positive
     return np.maximum(out, 0.0)
 
@@ -264,18 +294,80 @@ def _ball3_kernel(model: FlatBall, t, x, y):
     out = np.full(x.shape[0], 1.0 / model.volume)
     lmax_used = max((entry[0] for entry in modes["orders"]), default=0)
     legendre = _legendre_table(cosg, lmax_used)
-    for l, lam, weight in modes["orders"]:
-        keep = lam * lam * t / 2.0 <= _TAIL_LOG
-        lam = lam[keep]
-        if lam.size == 0:
-            continue
-        w = weight[keep]
-        decay = np.exp(-lam * lam * t / 2.0)
+    for l, lam, coeff in _active_modes(modes, t):
         jx = special.spherical_jn(l, lam[:, None] * rho_x[None, :])
         jy = special.spherical_jn(l, lam[:, None] * rho_y[None, :])
-        out = out + np.einsum("k,kp->p", w * decay, jx * jy) * legendre[l]
+        out = out + np.einsum("k,kp->p", coeff, jx * jy) * legendre[l]
     # eigen-series noise floor: the density is positive
     return np.maximum(out, 0.0)
+
+
+def _ball_diag_series(model: FlatBall, t, rho):
+    """K0(t; x, x) of the flat disk or 3-ball at radii rho, summed mode by mode.
+
+    On the diagonal the angular factor is cos(0) = P_l(1) = 1, so each
+    mode contributes weight * decay * R(lambda rho)^2.
+    """
+    r = model.radius
+    if model.dimension == 2:
+        modes = _disk_modes(r, _lambda_max(t))
+        radial = special.jv
+        out = np.full(rho.shape[0], 1.0 / (math.pi * r * r))
+    else:
+        modes = _ball3_modes(r, _lambda_max(t))
+        radial = special.spherical_jn
+        out = np.full(rho.shape[0], 1.0 / model.volume)
+    for order, lam, coeff in _active_modes(modes, t):
+        j = radial(order, lam[:, None] * rho[None, :])
+        out = out + np.einsum("k,kp->p", coeff, j * j)
+    return np.maximum(out, 0.0)
+
+
+def _ball_diag(model: FlatBall, t, x):
+    """K0(t; x, x) of the flat disk or 3-ball from a Chebyshev table in (rho/r)^2.
+
+    The diagonal is even in rho, so it is interpolated in u = 2 (rho/r)^2 - 1
+    on nested Chebyshev-Lobatto grids of 33, 65, 129, ... nodes.  Doubling
+    stops once the trailing coefficients are below _CHEB_TOL of the largest;
+    if the next grid would need more nodes than the batch has points, the
+    batch is summed point by point instead.
+    """
+    r = model.radius
+    rho = np.linalg.norm(x, axis=-1)
+    n = _CHEB_FIRST_INTERVALS
+    if rho.shape[0] < n + 1:
+        return _ball_diag_series(model, t, rho)
+    vals = _ball_diag_series(model, t, _lobatto_radii(r, np.arange(n + 1), n))
+    while True:
+        coeffs = _lobatto_coefficients(vals)
+        tail = np.abs(coeffs[-_CHEB_TAIL:]).max()
+        if tail <= _CHEB_TOL * np.abs(coeffs).max():
+            break
+        if 2 * n + 1 > rho.shape[0]:
+            return _ball_diag_series(model, t, rho)
+        # the old nodes are the even nodes of the doubled grid
+        fresh = _ball_diag_series(model, t, _lobatto_radii(r, 2 * np.arange(n) + 1, 2 * n))
+        merged = np.empty(2 * n + 1)
+        merged[0::2] = vals
+        merged[1::2] = fresh
+        vals = merged
+        n *= 2
+    return chebyshev.chebval(2.0 * (rho / r) ** 2 - 1.0, coeffs)
+
+
+def _lobatto_radii(r, j, n):
+    """Radii of the Chebyshev-Lobatto nodes u_j = cos(pi j / n), u = 2 (rho/r)^2 - 1."""
+    return r * np.sqrt(0.5 * (1.0 + np.cos(np.pi * j / n)))
+
+
+def _lobatto_coefficients(vals):
+    """Chebyshev coefficients of the interpolant through values at cos(pi j / n)."""
+    n = vals.shape[0] - 1
+    # a type-I discrete cosine transform, as the real FFT of the even extension
+    coeffs = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+    coeffs[0] *= 0.5
+    coeffs[-1] *= 0.5
+    return coeffs
 
 
 def _legendre_table(x, lmax):
@@ -356,9 +448,17 @@ def kernel_info(model: ManifoldModel, t: float) -> dict:
     return info
 
 
+def _check_time(t):
+    if not (t > 0 and math.isfinite(t)):
+        raise SeriesConvergenceError(f"heat kernel requires a finite t > 0, got t={t}")
+
+
 def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
     """K0(t; x, x) for a batch of points."""
+    _check_time(t)
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(model, FlatBall) and model.dimension in (2, 3):
+        return _ball_diag(model, t, x)
     if isinstance(model, SphereCap) and model.is_hemisphere:
         # doubling: diagonal plus the mirrored-point term
         gamma_m = 2.0 * model.boundary_distance(x) / model.radius
@@ -375,8 +475,7 @@ def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
 
 def neumann_heat_kernel(model: ManifoldModel, t: float, x, y) -> float:
     """Neumann heat kernel K0(t; x, y) of a single point pair."""
-    if t <= 0:
-        raise SeriesConvergenceError("heat kernel requires t > 0")
+    _check_time(t)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     y = np.asarray(y, dtype=float).reshape(1, -1)
     return float(_pairs(model, t, x, y)[0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gblab import geometry as geo
 from gblab import kernels as hk
@@ -176,3 +177,102 @@ class TestValidityAndErrors:
         x = model.sample_volume(np.random.default_rng(4), 5)
         vals = hk.heat_kernel_diag(model, 0.05, x)
         assert np.all(vals > 0)
+
+
+def radial_models():
+    return [
+        geo.model_catalog("ball", dimension=2),
+        geo.model_catalog("ball", dimension=3),
+        geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
+    ]
+
+
+def radial_points(model, count):
+    """Points whose ball factor sits at rho = 0, at rho = r (on an axis) and in between."""
+    x = model.sample_volume(np.random.default_rng(7), count)
+    ball = model._ball if isinstance(model, geo.SphereBall) else model
+    cols = slice(x.shape[1] - ball.dimension, None)
+    x[0, cols] = 0.0
+    if count > 1:
+        x[1, cols] = 0.0
+        x[1, -1] = ball.radius
+    return x
+
+
+class TestRadialDiagonal:
+    # batch sizes on both sides of the table / direct-series crossover: a
+    # batch under 33 points, or too small for the next grid the table needs
+    # (65 nodes at t = 0.01, 129 at t = 0.002), is summed point by point
+    SIZES = {0.002: (1, 130), 0.01: (1, 32, 33, 64, 65), 0.1: (1, 32, 33), 1.0: (1, 32, 33)}
+    CHECKED = 16  # leading points of each batch compared with the pair series
+
+    @pytest.mark.parametrize("t", sorted(SIZES))
+    @pytest.mark.parametrize("model", radial_models(), ids=lambda m: repr(m))
+    def test_matches_pair_series(self, model, t):
+        x = radial_points(model, max(self.SIZES[t]))
+        ref = hk._pairs(model, t, x[: self.CHECKED], x[: self.CHECKED])
+        for size in self.SIZES[t]:
+            vals = hk.heat_kernel_diag(model, t, x[:size])[: self.CHECKED]
+            assert np.abs(vals / ref[: vals.size] - 1.0).max() < 1e-12, size
+
+    def test_table_is_built_once_per_batch(self, monkeypatch):
+        # a 1500-point 3-ball batch at t = 0.01 sums the series only at the
+        # 65 nodes of its table
+        model = geo.model_catalog("ball", dimension=3)
+        summed = []
+        series = hk._ball_diag_series
+
+        def counting(model, t, rho):
+            summed.append(rho.shape[0])
+            return series(model, t, rho)
+
+        monkeypatch.setattr(hk, "_ball_diag_series", counting)
+        hk.heat_kernel_diag(model, 0.01, model.sample_volume(np.random.default_rng(8), 1500))
+        assert sum(summed) == 65
+
+    def test_tiny_time_raises_through_table(self):
+        model = geo.model_catalog("ball", dimension=2)
+        x = model.sample_volume(np.random.default_rng(9), 200)
+        with pytest.raises(SeriesConvergenceError) as err:
+            hk.heat_kernel_diag(model, 5e-5, x)
+        assert err.value.required_terms > 0
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("model", models_with_exact_kernels()[:4], ids=lambda m: repr(m))
+    def test_invalid_time_raises(self, model, t):
+        x = model.sample_volume(np.random.default_rng(10), 3)
+        with pytest.raises(SeriesConvergenceError):
+            hk.heat_kernel_diag(model, t, x)
+
+
+class TestBall3NeumannZeros:
+    T = 0.01
+
+    @pytest.fixture
+    def modes(self, monkeypatch):
+        # a fresh table built for t = 0.01, not a larger cached one
+        monkeypatch.setattr(hk, "_MODE_CACHE", {})
+        return hk._ball3_modes(1.0, hk._lambda_max(self.T))
+
+    def test_roots_are_zeros_of_the_derivative(self, modes):
+        for l, lam, _ in modes["orders"]:
+            assert np.abs(special.spherical_jn(l, lam, derivative=True)).max(initial=0.0) <= 1e-12
+
+    def test_root_count_matches_sign_scan(self, modes):
+        # zeros of j_l' lie more than 2 apart, so a 0.01 scan misses none
+        grid = np.append(np.arange(0.2, modes["x_max"], 0.01), modes["x_max"])
+        for l, lam, _ in modes["orders"]:
+            sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
+            assert lam.size == np.count_nonzero(sgn[:-1] * sgn[1:] < 0), l
+
+    def test_diagonal_matches_brentq_roots(self):
+        # K0(0.01; x, x) at rho = 0, .25, .5, .75, .9, .97, 1 from the mode
+        # table whose roots were refined one by one with scipy's brentq
+        brentq_ref = np.array([
+            63.49363593424063, 63.49363593424098, 63.49363593424077, 63.49396061359404,
+            73.62273748072805, 123.86872555826515, 135.57718489716555,
+        ])
+        x = np.zeros((7, 3))
+        x[:, 2] = [0.0, 0.25, 0.5, 0.75, 0.9, 0.97, 1.0]
+        vals = hk.heat_kernel_diag(geo.model_catalog("ball", dimension=3), self.T, x)
+        assert np.abs(vals / brentq_ref - 1.0).max() <= 1e-12
