@@ -50,10 +50,6 @@ def _parse_bool(s):
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _parse_float_list(s):
-    return [float(v) for v in s.split(",") if v.strip()]
-
-
 def _parse_int_list(s):
     return [int(v) for v in s.split(",") if v.strip()]
 
@@ -64,7 +60,7 @@ def _parse_str_list(s):
 
 CONFIG_SCHEMA = {
     "experiment": (str, _ALL, (), None),
-    "seed": (int, _ALL, _ALL, None),
+    "seed": (lambda s: est.check_integer("seed", int(s), 0, 2**64), _ALL, _ALL, None),
     "output_dir": (str, _ALL, (), "out"),
     "formats": (_parse_str_list, _ALL, (), ["json"]),
     "workers": (int, _ALL, (), 0),
@@ -78,16 +74,20 @@ CONFIG_SCHEMA = {
     "model.ball_radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "model.length": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "model.circumference": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "t": (float, ("estimate-chi",), ("estimate-chi",), None),
-    "t_sequence": (_parse_float_list, ("local-limit",), ("local-limit",), None),
-    "base_points": (int, ("estimate-chi",), ("estimate-chi",), None),
-    "bridges": (int, ("estimate-chi", "local-limit"), ("estimate-chi", "local-limit"), None),
-    "steps": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
+    "t": (lambda s: est.check_lifetime(float(s)), ("estimate-chi",), ("estimate-chi",), None),
+    "t_sequence": (lambda s: [est.check_lifetime(float(v)) for v in s.split(",") if v.strip()],
+                   ("local-limit",), ("local-limit",), None),
+    "base_points": (lambda s: est.check_integer("base_points", int(s), 2),
+                    ("estimate-chi",), ("estimate-chi",), None),
+    "bridges": (lambda s: est.check_integer("bridges", int(s), 1),
+                ("estimate-chi", "local-limit"), ("estimate-chi", "local-limit"), None),
+    "steps": (lambda s: est.check_integer("steps", int(s), 2),
+              ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "stratify": (_parse_bool, ("estimate-chi",), (), True),
     "drift": (str, ("estimate-chi", "local-limit"), (), "reflected"),
     "lam_scale": (float, ("estimate-chi", "local-limit", "diagnostics"), (), st.DEFAULT_LAM_SCALE),
     "point": (str, ("local-limit",), (), "interior"),
-    "depth_nodes": (int, ("local-limit",), (), 10),
+    "depth_nodes": (lambda s: est.check_integer("depth_nodes", int(s), 1), ("local-limit",), (), 10),
     "dimension": (int, ("calibrate",), ("calibrate",), None),
     "dims": (_parse_int_list, ("cancellation-suite",), (), [2, 3, 4, 5, 6]),
     "instances": (int, ("cancellation-suite",), (), 100),

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import exterior as ext
 from . import kernels as hk
-from .errors import CalibrationRankError, ResampleRateError
+from .errors import CalibrationRankError, ConfigError, ResampleRateError
 from .geometry import ManifoldModel, boundary_geometry, model_catalog
 from .stochastic import DEFAULT_LAM_SCALE, RngStream, simulate_bridges
 
@@ -394,6 +394,20 @@ def _stratified_points(model: ManifoldModel, count: int, t: float, rng, stratify
     return pts, 1.0 / density
 
 
+def check_lifetime(t):
+    """Return t if it is finite and > 0; raise ConfigError otherwise."""
+    if not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"t must be finite and > 0, got {t!r}")
+    return t
+
+
+def check_integer(name, value, low, high=math.inf):
+    """Return value if it is an integer in [low, high); raise ConfigError otherwise."""
+    if not (isinstance(value, (int, np.integer)) and low <= value < high):
+        raise ConfigError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return value
+
+
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream, mode, eps, drift, lam_scale):
     """Per-anchor bridge means for one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
@@ -423,7 +437,11 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     model's exact Euler characteristic.
     """
     started = time.perf_counter()
-    steps = steps or DEFAULT_STEPS_PER_UNIT_TIME
+    check_lifetime(t)
+    check_integer("seed", seed, 0, 2**64)
+    check_integer("base_points", base_points, 2)
+    check_integer("bridges", bridges, 1)
+    steps = check_integer("steps", steps or DEFAULT_STEPS_PER_UNIT_TIME, 2)
     point_rng = RngStream(seed, 0).generator()
     pts, weights = _stratified_points(model, base_points, t, point_rng, stratify, collar_factor)
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
@@ -532,6 +550,12 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     (Gauss-Legendre in the normal direction) and compare with the
     boundary integrand.  The ratio column approaches one as t decreases.
     """
+    for t in t_sequence:
+        check_lifetime(t)
+    check_integer("seed", seed, 0, 2**64)
+    check_integer("bridges", bridges, 1)
+    check_integer("steps", steps, 2)
+    check_integer("depth_nodes", depth_nodes, 1)
     constants = constants or calibrate_constants(model.dimension)
     point = np.asarray(point, dtype=float)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9

@@ -54,6 +54,14 @@ def _unit(v, axis=-1):
     return v / np.where(norm == 0.0, 1.0, norm)
 
 
+def _rowdot(a, b):
+    """Sum of a[..., k] * b[..., k] over the last axis, column by column (beats einsum for k <= 4)."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 def _sphere_step(p, u, v_amb, r):
     """Exact great-circle step and parallel transport on a round sphere.
 
@@ -61,14 +69,14 @@ def _sphere_step(p, u, v_amb, r):
     or None; v_amb: (P, d) tangent step vectors.  Returns the new points
     and transported frame.
     """
-    s = np.sqrt(np.einsum("pd,pd->p", v_amb, v_amb))
+    s = np.sqrt(_rowdot(v_amb, v_amb))
     vhat = v_amb / np.maximum(s, 1e-300)[:, None]
     phat = p / r
     c = np.cos(s / r)[:, None]
     si = np.sin(s / r)[:, None]
     p2 = c * p + si * r * vhat
     # renormalize against roundoff drift
-    p2 *= r / np.sqrt(np.einsum("pd,pd->p", p2, p2))[:, None]
+    p2 *= r / np.sqrt(_rowdot(p2, p2))[:, None]
     if u is None:
         return p2, None
     wv = np.einsum("pdk,pd->pk", u, vhat)
@@ -255,11 +263,12 @@ class FlatBall(ManifoldModel):
         return x + xi, u
 
     def boundary_distance(self, x):
-        return self.radius - np.sqrt(np.einsum("...d,...d->...", x, x))
+        return self.radius - np.sqrt(_rowdot(x, x))
 
     def collar_data(self, x, u):
-        rho = np.sqrt(np.einsum("pd,pd->p", x, x))
-        nu = -x / np.maximum(rho, 1e-300)[:, None]
+        rho = np.sqrt(_rowdot(x, x))
+        # -rho, not -x: numpy runs a broadcast divide into a negated temporary ~3x slower
+        nu = x / -np.maximum(rho, 1e-300)[:, None]
         return self.radius - rho, nu
 
     def reflect(self, x, u):
@@ -346,7 +355,7 @@ class FlatBall(ManifoldModel):
 
 
 def _unit_or_zero(x):
-    norm = np.sqrt(np.einsum("...d,...d->...", x, x))[..., None]
+    norm = np.sqrt(_rowdot(x, x))[..., None]
     return x / np.maximum(norm, 1e-300)
 
 
@@ -464,7 +473,7 @@ class SphereCap(ManifoldModel):
 
     def log_frame(self, x, u, y):
         r = self.radius
-        cosg = np.clip(np.einsum("pd,pd->p", x, y) / r**2, -1.0, 1.0)
+        cosg = np.clip(_rowdot(x, y) / r**2, -1.0, 1.0)
         gamma = np.arccos(cosg)
         perp = y - cosg[:, None] * x
         dirhat = _unit_or_zero(perp)
@@ -668,9 +677,6 @@ class FlatCylinder(ManifoldModel):
         nu[:, 0] = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
         return nu
 
-    def collar_data(self, x, u):
-        return self.boundary_distance(x), self.normal_frame(x, u)
-
     def shape_frame(self, x, u):
         return np.zeros((x.shape[0], 2, 2))
 
@@ -851,41 +857,29 @@ class SphereBall(ManifoldModel):
         return np.concatenate([ps2, pb2], axis=-1), u2
 
     def boundary_distance(self, x):
-        _, pb = self._split(x)
-        return self.ball_radius - np.linalg.norm(pb, axis=-1)
+        return self._ball.boundary_distance(self._split(x)[1])
 
     def reflect(self, x, u):
         ps, pb = self._split(x)
-        rho = np.linalg.norm(pb, axis=-1)
-        depth = rho - self.ball_radius
-        pb2 = pb * ((self.ball_radius - depth) / rho)[:, None]
+        pb2, _, depth = self._ball.reflect(pb, None)
         return np.concatenate([ps, pb2], axis=-1), u, depth
 
     def normal_frame(self, x, u):
-        _, pb = self._split(x)
-        nu = np.zeros((x.shape[0], self.dimension))
-        nu[:, self.sphere_dim :] = -_unit_or_zero(pb)
-        return nu
+        return self.collar_data(x, u)[1]
 
     def collar_data(self, x, u):
-        _, pb = self._split(x)
-        rho = np.sqrt(np.einsum("pd,pd->p", pb, pb))
+        d, nu_b = self._ball.collar_data(self._split(x)[1], None)
         nu = np.zeros((x.shape[0], self.dimension))
-        nu[:, self.sphere_dim :] = -pb / np.maximum(rho, 1e-300)[:, None]
-        return self.ball_radius - rho, nu
+        nu[:, self.sphere_dim :] = nu_b
+        return d, nu
 
     def shape_frame(self, x, u):
-        _, pb = self._split(x)
-        xhat = _unit_or_zero(pb)
-        m = self.ball_dim
-        block = (np.eye(m)[None, :, :] - xhat[:, :, None] * xhat[:, None, :]) / self.ball_radius
         A = np.zeros((x.shape[0], self.dimension, self.dimension))
-        A[:, self.sphere_dim :, self.sphere_dim :] = block
+        A[:, self.sphere_dim :, self.sphere_dim :] = self._ball.shape_frame(self._split(x)[1], None)
         return A
 
     def boundary_data(self, x, u):
-        _, pb = self._split(x)
-        return -_unit_or_zero(pb), np.full(x.shape[0], 1.0 / self.ball_radius)
+        return self._ball.boundary_data(self._split(x)[1], None)
 
     def log_frame(self, x, u, y):
         l = self.sphere_dim
@@ -919,9 +913,7 @@ class SphereBall(ManifoldModel):
 
     def offset_from_boundary(self, z, depth):
         zs, zb = self._split(z)
-        zhat = _unit_or_zero(zb)
-        zb2 = zhat * (self.ball_radius - np.asarray(depth))[:, None]
-        return np.concatenate([zs, zb2], axis=-1)
+        return np.concatenate([zs, self._ball.offset_from_boundary(zb, depth)], axis=-1)
 
     def mirror_point(self, x):
         xs, xb = self._split(x)

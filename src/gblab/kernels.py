@@ -206,12 +206,14 @@ def _ball3_modes(radius, lam_max):
         return cached
     x_max_build = max(x_max, 60.0)
     grid = np.arange(0.2, x_max_build + 0.5, 0.02)
-    # bracket the zeros of j_l' by a sign scan, one order at a time
+    # bracket the zeros of j_l' by a sign scan per order, from just below sqrt(l(l+1)):
+    # at the first critical point of j_l, j_l > 0 >= j_l'', which the Bessel ODE
+    # x^2 j'' + 2x j' + (x^2 - l(l+1)) j = 0 allows only for x^2 >= l(l+1).
     bracket_orders, bracket_lo = [], []
     for l in range(0, int(x_max_build) + 2):
-        vals = special.spherical_jn(l, grid, derivative=True)
-        sgn = np.sign(vals)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        start = max(int(np.searchsorted(grid, math.sqrt(l * (l + 1)))) - 1, 0)
+        sgn = np.sign(special.spherical_jn(l, grid[start:], derivative=True))
+        flips = start + np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if flips.size == 0 and l > 0:
             break
         bracket_orders.append(np.full(flips.size, l))

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import exterior as ext
 from .errors import NumericalAbortError
-from .geometry import ManifoldModel
+from .geometry import ManifoldModel, _rowdot
 
 DEFAULT_LAM_SCALE = 2.0  # Skorokhod increment per crossing = 2 x penetration depth
 
@@ -119,36 +119,32 @@ def _orthonormalize(frames):
     return out
 
 
+def _finish_step(model, state, x2, u2, contact, dlam):
+    """Move the state to (x2, u2) and return the step's contact data (normal, shape coefficient)."""
+    nu = np.zeros((x2.shape[0], model.bounded_factor.dim))
+    coeff = np.zeros(x2.shape[0])
+    if contact.any():
+        idx = np.nonzero(contact)[0]
+        nu[idx], coeff[idx] = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+    state.x = x2
+    state.frames = None if u2 is None else _orthonormalize(u2)
+    state.alive &= model.simulation_valid(x2)
+    return ContactInfo(contact=contact, dlam=dlam, nu=nu, coeff=coeff)
+
+
 def _apply_increment(model, state, xi, lam_scale):
     """Move every path by the frame increment xi, reflecting at the boundary."""
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    d2 = model.boundary_distance(x2)
-    contact = d2 <= 0.0
-    P = state.x.shape[0]
-    n_b = model.bounded_factor.dim
-    dlam = np.zeros(P)
-    nu = np.zeros((P, n_b))
-    coeff = np.zeros(P)
+    contact = model.boundary_distance(x2) <= 0.0
+    dlam = np.zeros(x2.shape[0])
     if contact.any():
         idx = np.nonzero(contact)[0]
-        if u2 is None:
-            xr, ur, depth = model.reflect(x2[idx], None)
-            x2[idx] = xr
-        else:
-            xr, ur, depth = model.reflect(x2[idx], u2[idx])
-            x2[idx] = xr
+        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
+        if u2 is not None:
             u2[idx] = ur
-        nu_c, a_c = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
         dlam[idx] = lam_scale * np.maximum(depth, 0.0)
-        nu[idx] = nu_c
-        coeff[idx] = a_c
         state.lam[idx] += dlam[idx]
-    if u2 is not None:
-        u2 = _orthonormalize(u2)
-    state.x = x2
-    state.frames = u2
-    state.alive &= model.simulation_valid(x2)
-    return ContactInfo(contact=contact, dlam=dlam, nu=nu, coeff=coeff)
+    return _finish_step(model, state, x2, u2, contact, dlam)
 
 
 def step_reflected_bm(model, state: WalkState, h: float, rng, lam_scale=DEFAULT_LAM_SCALE) -> ContactInfo:
@@ -174,10 +170,14 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
     so the drift satisfies the Neumann condition on the boundary and
     reduces to the direct drift in the deep interior.  The image sits
     across the tangent plane of the nearest boundary point at normal
-    separation d_z + d_anchor; the tangent-plane image (rather than the
+    separation g = d_z + d_anchor; the tangent-plane image (rather than the
     exact geodesic mirror) slightly overweights the image pull for convex
     boundaries, which empirically matches the mean-curvature enhancement
-    of the true reflected kernel.
+    of the true reflected kernel.  With ell the log map, nu the inward
+    normal, ell_nu = ell . nu and s the remaining time, the two-well
+    average is exactly ell / s - rho (ell_nu + g) / ((1 + rho) s) nu, with
+    image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0)),
+    because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
     """
     ell = model.log_frame(state.x, state.frames, anchor)
     if kind == "varadhan":
@@ -186,7 +186,7 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
             d, nu = model.collar_data(state.x, state.frames)
             near = d < math.sqrt(h)
             if near.any():
-                comp = np.einsum("pk,pk->p", drift, nu)
+                comp = _rowdot(drift, nu)
                 drift = drift - np.where(near, comp, 0.0)[:, None] * nu
         return drift
     if kind != "reflected":
@@ -194,15 +194,11 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
     d_z, nu = model.collar_data(state.x, state.frames)
     if d_anchor is None:
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
-    ell_nu = np.einsum("pk,pk->p", ell, nu)
-    ell_tan = ell - ell_nu[:, None] * nu
-    mirror_gap = d_z + d_anchor
-    direct_sq = np.einsum("pk,pk->p", ell, ell)
-    image_sq = np.einsum("pk,pk->p", ell_tan, ell_tan) + mirror_gap**2
-    log_ratio = np.clip(-(image_sq - direct_sq) / (2.0 * remaining), -60.0, 0.0)
-    rho = np.exp(log_ratio)
-    ell_img = ell_tan - mirror_gap[:, None] * nu
-    return (ell + rho[:, None] * ell_img) / ((1.0 + rho) * remaining)[:, None]
+    ell_nu = _rowdot(ell, nu)
+    gap = d_z + d_anchor
+    rho = np.exp(np.clip((ell_nu - gap) * (ell_nu + gap) / (2.0 * remaining), -60.0, 0.0))
+    pull = rho * (ell_nu + gap) / ((1.0 + rho) * remaining)
+    return ell / remaining - pull[:, None] * nu
 
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
@@ -227,23 +223,8 @@ def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE)
     """
     xi = model.log_frame(state.x, state.frames, anchor)
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    P = state.x.shape[0]
-    n_b = model.bounded_factor.dim
-    d2 = model.boundary_distance(x2)
-    contact = d2 <= 1e-12
-    nu = np.zeros((P, n_b))
-    coeff = np.zeros(P)
-    if contact.any():
-        idx = np.nonzero(contact)[0]
-        nu_c, a_c = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
-        nu[idx] = nu_c
-        coeff[idx] = a_c
-    if u2 is not None:
-        u2 = _orthonormalize(u2)
-    state.x = x2
-    state.frames = u2
-    state.alive &= model.simulation_valid(x2)
-    return ContactInfo(contact=contact, dlam=np.zeros(P), nu=nu, coeff=coeff)
+    contact = model.boundary_distance(x2) <= 1e-12
+    return _finish_step(model, state, x2, u2, contact, np.zeros(x2.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gblab import cli
 from gblab.errors import ConfigError
@@ -210,3 +215,108 @@ class TestMainEntry:
 
     def test_unreadable_config_exits_two(self, capsys):
         assert cli.run("/nonexistent/path.cfg", "calibrate") == 2
+
+
+def run_main(argv):
+    """cli.main with stdout and stderr captured: (exit code, stdout lines, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue()
+
+
+ESTIMATE_SMALL = {"model": "ball", "model.dimension": "2", "t": "0.1", "base_points": "2",
+                  "bridges": "2", "steps": "4", "seed": "1", "workers": "1"}
+LOCAL_SMALL = {"model": "ball", "model.dimension": "2", "point": "boundary",
+               "t_sequence": "0.06", "bridges": "4", "steps": "4", "depth_nodes": "2", "seed": "1"}
+
+
+def config_file(directory, entries):
+    path = Path(directory) / "run.cfg"
+    lines = [f"{k} = {v}" for k, v in entries.items()]
+    path.write_text("\n".join(lines + [f"output_dir = {Path(directory) / 'out'}"]) + "\n")
+    return path
+
+
+class TestRangeValidation:
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("estimate-chi", "t", "0"),
+        ("estimate-chi", "t", "-1"),
+        ("estimate-chi", "t", "nan"),
+        ("estimate-chi", "t", "inf"),
+        ("estimate-chi", "seed", "-3"),
+        ("estimate-chi", "seed", str(2**64)),
+        ("estimate-chi", "base_points", "1"),
+        ("estimate-chi", "bridges", "0"),
+        ("estimate-chi", "steps", "1"),
+        ("local-limit", "t_sequence", "0.06,0"),
+        ("local-limit", "t_sequence", "-1"),
+        ("local-limit", "seed", "-3"),
+        ("local-limit", "bridges", "0"),
+        ("local-limit", "steps", "1"),
+        ("local-limit", "depth_nodes", "0"),
+        ("cancellation-suite", "seed", "-1"),
+        ("diagnostics", "seed", str(2**64)),
+    ])
+    def test_out_of_range_exits_two(self, tmp_path, experiment, key, value):
+        base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL}.get(experiment, {})
+        cfg = config_file(tmp_path, {**base, "seed": "1", key: value})
+        code, out, err = run_main([experiment, str(cfg)])
+        assert code == 2
+        assert len(out) == 1
+        error = json.loads(out[0])["error"]
+        assert error["kind"] == "validation"
+        assert key.split("_")[0] in error["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+    def test_largest_seeds_still_run(self, tmp_path, seed):
+        cfg = config_file(tmp_path, {**ESTIMATE_SMALL, "seed": str(seed)})
+        code, out, _ = run_main(["estimate-chi", str(cfg)])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "estimate-chi.json").read_text())
+        assert report["seed"] == seed
+        jsonschema.validate(report, SCHEMA)
+
+
+VALID = {
+    "model": st.sampled_from([("ball", "2"), ("hemisphere", "2")]),
+    # 1e-6 lies below the disk and sphere series floors: a numerical abort, exit 3
+    "t": st.sampled_from(["0.05", "0.2", "1e-6"]),
+    "seed": st.one_of(st.integers(0, 3), st.integers(2**64 - 2, 2**64 - 1)),
+    "base_points": st.integers(2, 4),
+    "bridges": st.integers(1, 3),
+    "steps": st.integers(2, 5),
+}
+OUT_OF_RANGE = {
+    "t": st.sampled_from(["0", "-0.1", "nan", "inf", "-inf"]),
+    "seed": st.sampled_from([-3, -1, 2**64, 2**64 + 1]),
+    "base_points": st.integers(-1, 1),
+    "bridges": st.integers(-1, 0),
+    "steps": st.integers(-1, 1),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cfg=st.fixed_dictionaries(VALID), broken=st.lists(st.sampled_from(list(OUT_OF_RANGE)),
+                                                          max_size=2, unique=True),
+       data=st.data())
+def test_fuzz_estimate_config(cfg, broken, data):
+    # zero, one or two keys out of range; the exit code must say which case it is
+    for key in broken:
+        cfg[key] = data.draw(OUT_OF_RANGE[key], label=key)
+    cfg = {**cfg, "model": cfg["model"][0], "model.dimension": cfg["model"][1], "workers": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_main(["estimate-chi", str(config_file(tmp, cfg))])
+        assert code in (0, 2, 3)
+        assert len(out) == 1
+        summary = json.loads(out[0])
+        assert "Traceback" not in err
+        if broken:
+            assert code == 2 and summary["error"]["kind"] == "validation"
+        else:
+            assert code == (3 if cfg["t"] == "1e-6" else 0)
+        for name in summary.get("files", []):
+            jsonschema.validate(json.loads(Path(name).read_text()), SCHEMA)
+        assert (code == 0) == bool(summary.get("files"))

@@ -5,7 +5,7 @@ import pytest
 
 from gblab import estimator as est
 from gblab import geometry as geo
-from gblab.errors import CalibrationRankError, ResampleRateError
+from gblab.errors import CalibrationRankError, ConfigError, ResampleRateError
 from gblab.stochastic import RngStream
 
 
@@ -299,6 +299,28 @@ class TestLocalLimit:
             constants3.d_odd * (-2.0), rel=1e-12
         )
         assert 0.80 < row["ratio"] < 1.15
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("kwargs", [
+        {"t": 0.0}, {"t": -1.0}, {"t": math.nan}, {"t": math.inf},
+        {"seed": -3}, {"seed": 2**64}, {"seed": 1.0},
+        {"base_points": 1}, {"base_points": 0}, {"bridges": 0}, {"steps": 1},
+    ])
+    def test_estimate_chi_rejects(self, kwargs):
+        args = {"t": 0.1, "base_points": 4, "bridges": 2, "seed": 1, "steps": 4, **kwargs}
+        with pytest.raises(ConfigError):
+            est.estimate_chi(geo.model_catalog("ball", dimension=2), **args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_sequence": [0.05, 0.0]}, {"t_sequence": [-1.0]}, {"t_sequence": [math.nan]},
+        {"seed": -3}, {"seed": 2**64}, {"bridges": 0}, {"steps": 1}, {"depth_nodes": 0},
+    ])
+    def test_local_limit_check_rejects(self, kwargs, constants2):
+        model = geo.model_catalog("ball", dimension=2)
+        args = {"t_sequence": [0.05], "bridges": 4, "seed": 1, "steps": 4, **kwargs}
+        with pytest.raises(ConfigError):
+            est.local_limit_check(model, model.boundary_point(), constants=constants2, **args)
 
 
 class TestNotes:

@@ -265,6 +265,22 @@ class TestBall3NeumannZeros:
             sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
             assert lam.size == np.count_nonzero(sgn[:-1] * sgn[1:] < 0), l
 
+    def test_brackets_match_full_grid_scan(self, modes):
+        # the scan of each order starts just below sqrt(l(l+1)); scanning the
+        # whole grid finds the same brackets, hence bitwise the same roots
+        grid = np.arange(0.2, modes["x_max"] + 0.5, 0.02)
+        for l, lam, _ in modes["orders"]:
+            sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
+            flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+            roots = hk._bisect_roots(lambda x: special.spherical_jn(l, x, derivative=True),
+                                     grid[flips], grid[flips + 1])
+            roots = roots[roots <= modes["x_max"]]
+            assert np.array_equal(np.searchsorted(grid, lam) - 1, flips[: lam.size]), l
+            assert np.array_equal(lam, roots), l
+        # the first order left out of the table has no bracket either
+        sgn = np.sign(special.spherical_jn(len(modes["orders"]), grid, derivative=True))
+        assert not np.any(sgn[:-1] * sgn[1:] < 0)
+
     def test_diagonal_matches_brentq_roots(self):
         # K0(0.01; x, x) at rho = 0, .25, .5, .75, .9, .97, 1 from the mode
         # table whose roots were refined one by one with scipy's brentq

@@ -252,6 +252,116 @@ class TestBridge:
         assert 0.6 < ratios[0] / ratios[1] < 1.6
 
 
+def two_well_drift(model, state, anchor, remaining, d_anchor=None):
+    """Reference: the reflected drift as an explicit two-well average.
+
+    The direct well pulls toward the anchor, the image well toward the
+    anchor's tangent-plane mirror image; each is weighted by its Gaussian
+    factor exp(-squared distance / 2s).
+    """
+    ell = model.log_frame(state.x, state.frames, anchor)
+    d_z, nu = model.collar_data(state.x, state.frames)
+    if d_anchor is None:
+        d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
+    ell_nu = np.einsum("pk,pk->p", ell, nu)
+    ell_tan = ell - ell_nu[:, None] * nu
+    mirror_gap = d_z + d_anchor
+    direct_sq = np.einsum("pk,pk->p", ell, ell)
+    image_sq = np.einsum("pk,pk->p", ell_tan, ell_tan) + mirror_gap**2
+    log_ratio = np.clip(-(image_sq - direct_sq) / (2.0 * remaining), -60.0, 0.0)
+    rho = np.exp(log_ratio)
+    ell_img = ell_tan - mirror_gap[:, None] * nu
+    return (ell + rho[:, None] * ell_img) / ((1.0 + rho) * remaining)[:, None]
+
+
+DRIFT_MODELS = {
+    "disk": disk,
+    "ball3": ball3,
+    "hemisphere": hemisphere,
+    "sphere-ball": lambda: geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
+    "cylinder": lambda: geo.model_catalog("cylinder", length=1.0),
+}
+
+
+class TestClosedFormDrift:
+    @staticmethod
+    def assert_matches_two_well(model, x, anchors, remaining, d_anchor):
+        state = st.make_walk_state(model, x)
+        new = st.bridge_drift(model, state, anchors, remaining, d_anchor=d_anchor)
+        old = two_well_drift(model, state, anchors, remaining, d_anchor=d_anchor)
+        assert new.shape == old.shape
+        err = np.linalg.norm(new - old, axis=1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(old, axis=1)), err.max()
+        return state, new
+
+    @pytest.mark.parametrize("with_d_anchor", [True, False])
+    @pytest.mark.parametrize("name", list(DRIFT_MODELS))
+    def test_matches_two_well_surrogate(self, name, with_d_anchor):
+        model = DRIFT_MODELS[name]()
+        rng = np.random.default_rng(151)
+        P = 400
+        # deep-interior and collar points; interior, collar and boundary anchors
+        x = np.concatenate([model.sample_volume(rng, P // 2),
+                            model.sample_collar(rng, P // 2, 0.1)])
+        anchors = np.concatenate([model.sample_volume(rng, P // 2),
+                                  model.sample_collar(rng, P // 4, 0.1),
+                                  model.sample_boundary(rng, P // 4)])
+        d_anchor = model.boundary_distance(anchors) if with_d_anchor else None
+        for remaining in (0.3, 0.05, 0.002):
+            self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
+
+    @pytest.mark.parametrize("with_d_anchor", [True, False])
+    def test_disk_center_and_boundary_anchor(self, with_d_anchor):
+        # at the exact center nu = 0; a boundary anchor has d_anchor = 0
+        model = disk()
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [0.9, 0.0], [0.999, 0.0]])
+        anchors = np.array([[0.3, 0.4], [1.0, 0.0], [-0.9, 0.0], [0.0, 1.0]])
+        d_anchor = model.boundary_distance(anchors) if with_d_anchor else None
+        for remaining in (0.5, 0.05):
+            state, new = self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
+            _, nu = model.collar_data(state.x, None)
+            assert np.all(nu[:2] == 0.0)
+            # no image pull at the center: the plain Euclidean bridge drift
+            assert np.array_equal(new[:2], (anchors[:2] - x[:2]) / remaining)
+
+    def test_exponent_clip(self):
+        # far apart on a short remaining time the exponent sits below -60; a
+        # point and anchor on opposite sides of the center give ell_nu > g,
+        # where the exponent is clipped at 0 (equal weights)
+        model = disk()
+        x = np.array([[0.9, 0.0], [0.9, 0.0]])
+        anchors = np.array([[0.9, 0.01], [-0.9, 0.0]])
+        d_anchor = model.boundary_distance(anchors)
+        remaining = 1e-4
+        _, new = self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
+        ell = anchors - x
+        ell_nu = np.einsum("pk,pk->p", ell, -x / np.linalg.norm(x, axis=1)[:, None])
+        gap = model.boundary_distance(x) + d_anchor
+        exponent = (ell_nu - gap) * (ell_nu + gap) / (2 * remaining)
+        assert exponent[0] < -60.0 and exponent[1] > 0.0
+        # clipped, the image weight is exactly e^-60 (e^-200 unclipped)
+        pull = math.exp(-60.0) * (ell_nu[0] + gap[0]) / ((1.0 + math.exp(-60.0)) * remaining)
+        assert new[0, 0] == pytest.approx(pull, rel=1e-12)
+        assert new[0, 1] == ell[0, 1] / remaining
+        # equal weights: the drift is the mean of the direct and image pulls
+        image = ell[1] - (ell_nu[1] + gap[1]) * (-x[1] / 0.9)
+        assert np.allclose(new[1], 0.5 * (ell[1] + image) / remaining, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rowdot_matches_einsum(n):
+    rng = np.random.default_rng(157 + n)
+    a = rng.random((50, n))
+    b = rng.random((50, n))
+    np.testing.assert_allclose(geo._rowdot(a, b), np.einsum("pk,pk->p", a, b),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(geo._rowdot(a[0], b[0]), np.einsum("k,k->", a[0], b[0]),
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(geo._rowdot(a[0], b), np.einsum("k,pk->p", a[0], b),
+                               rtol=1e-15, atol=0)
+    assert np.ndim(geo._rowdot(a[0], b[0])) == 0
+
+
 class TestTransport:
     def test_flat_transport_is_identity(self):
         model = disk()
