@@ -67,21 +67,67 @@ def _sphere_step(p, u, v_amb, r):
 
     p: (P, d) embedded points, |p| = r; u: (P, d, k) tangent frame columns
     or None; v_amb: (P, d) tangent step vectors.  Returns the new points
-    and transported frame.
+    and transported frame.  Every operation runs over one length-P column
+    (a coordinate of the points, or one entry of the frames).
     """
+    dim = p.shape[1]
     s = np.sqrt(_rowdot(v_amb, v_amb))
-    vhat = v_amb / np.maximum(s, 1e-300)[:, None]
-    phat = p / r
-    c = np.cos(s / r)[:, None]
-    si = np.sin(s / r)[:, None]
-    p2 = c * p + si * r * vhat
+    s_safe = np.maximum(s, 1e-300)
+    angle = s / r
+    c = np.cos(angle)
+    si = np.sin(angle)
+    si_r = si * r
+    vhat = [v_amb[:, d] / s_safe for d in range(dim)]
+    p2 = np.empty_like(p)
+    for d in range(dim):
+        col = p2[:, d]
+        np.multiply(c, p[:, d], out=col)
+        col += si_r * vhat[d]
     # renormalize against roundoff drift
-    p2 *= r / np.sqrt(_rowdot(p2, p2))[:, None]
+    scale = r / np.sqrt(_rowdot(p2, p2))
+    for d in range(dim):
+        p2[:, d] *= scale
     if u is None:
         return p2, None
-    wv = np.einsum("pdk,pd->pk", u, vhat)
-    u2 = u + vhat[:, :, None] * ((c - 1.0) * wv)[:, None, :] - phat[:, :, None] * (si * wv)[:, None, :]
+    # u2 = u + (cos - 1)(u . vhat) vhat - sin (u . vhat) phat, per frame column
+    c1 = c - 1.0
+    phat = [p[:, d] / r for d in range(dim)]
+    u2 = np.empty_like(u)
+    for a in range(u.shape[2]):
+        w = u[:, 0, a] * vhat[0]
+        for d in range(1, dim):
+            w += u[:, d, a] * vhat[d]
+        cw = c1 * w
+        sw = si * w
+        for d in range(dim):
+            col = u2[:, d, a]
+            np.multiply(vhat[d], cw, out=col)
+            col += u[:, d, a]
+            col -= phat[d] * sw
     return p2, u2
+
+
+def _frame_vector(u, xi):
+    """Ambient vectors u xi of frame components xi: (P, d, k), (P, k) -> (P, d), per coordinate."""
+    out = np.empty(u.shape[:2])
+    for d in range(u.shape[1]):
+        out[:, d] = _rowdot(u[:, d], xi)
+    return out
+
+
+def _sphere_log(x, y, r):
+    """Ambient log map log_x(y) on the round sphere of radius r, per coordinate."""
+    cosg = np.clip(_rowdot(x, y) / r**2, -1.0, 1.0)
+    length = r * np.arccos(cosg)
+    perp = [y[:, d] - cosg * x[:, d] for d in range(x.shape[1])]
+    norm = perp[0] * perp[0]
+    for q in perp[1:]:
+        norm += q * q
+    norm = np.maximum(np.sqrt(norm), 1e-300)
+    out = np.empty_like(x)
+    for d, q in enumerate(perp):
+        np.multiply(length, q / norm, out=out[:, d])
+    return out
 
 
 def _rotation_from_pole(phat, axis_index):
@@ -206,10 +252,13 @@ class ManifoldModel:
 
     # --- generic boundary helpers ----------------------------------------
     def frame_components(self, x, u, v_amb):
-        """Components of ambient tangent vectors in the moving frame."""
+        """Components u^T v of ambient tangent vectors in the moving frame, per frame column."""
         if u is None:
             return v_amb
-        return np.einsum("pdk,pd->pk", u, v_amb)
+        out = np.empty((u.shape[0], u.shape[2]))
+        for k in range(u.shape[2]):
+            out[:, k] = _rowdot(u[:, :, k], v_amb)
+        return out
 
     def collar_data(self, x, u):
         """Boundary distance and inward normal together (hot path)."""
@@ -414,13 +463,20 @@ class SphereCap(ManifoldModel):
         return np.arccos(np.clip(x[..., self._axis] / self.radius, -1.0, 1.0))
 
     def _meridian_at(self, x, theta):
-        """Unit tangent toward increasing colatitude, reusing the colatitude."""
-        axis_part = np.zeros_like(x)
-        axis_part[..., self._axis] = 1.0
-        horiz = x.copy()
-        horiz[..., self._axis] = 0.0
-        ehat = _unit_or_zero(horiz)
-        return np.cos(theta)[..., None] * ehat - np.sin(theta)[..., None] * axis_part
+        """Unit tangent toward increasing colatitude, reusing the colatitude.
+
+        cos(theta) times the unit horizontal direction (0 at the apex), and
+        -sin(theta) along the axis; built one coordinate at a time.
+        """
+        axis = self._axis
+        horiz = x[:, :axis]
+        norm = np.maximum(np.sqrt(_rowdot(horiz, horiz)), 1e-300)
+        cos = np.cos(theta)
+        out = np.empty_like(x)
+        for d in range(axis):
+            np.multiply(cos, x[:, d] / norm, out=out[:, d])
+        np.negative(np.sin(theta), out=out[:, axis])
+        return out
 
     def _meridian(self, x):
         return self._meridian_at(x, self.colatitude(x))
@@ -437,17 +493,15 @@ class SphereCap(ManifoldModel):
         return R[:, :, : self.dimension]
 
     def geodesic_step(self, x, u, xi):
-        v_amb = np.einsum("pdk,pk->pd", u, xi)
-        return _sphere_step(x, u, v_amb, self.radius)
+        return _sphere_step(x, u, _frame_vector(u, xi), self.radius)
 
     def boundary_distance(self, x):
         return self.radius * (self.aperture - self.colatitude(x))
 
     def reflect(self, x, u):
         theta = self.colatitude(x)
-        over = theta - self.aperture
-        depth = self.radius * over
-        v_amb = -2.0 * depth[:, None] * self._meridian(x)
+        depth = self.radius * (theta - self.aperture)
+        v_amb = -2.0 * depth[:, None] * self._meridian_at(x, theta)
         x2, u2 = _sphere_step(x, u, v_amb, self.radius)
         return x2, u2, depth
 
@@ -467,33 +521,26 @@ class SphereCap(ManifoldModel):
         return np.einsum("pda,pde,pek->pak", u, A_amb, u)
 
     def boundary_data(self, x, u):
-        nu = self.normal_frame(x, u)
-        nu = _unit(nu)
-        return nu, np.full(x.shape[0], self.shape_coefficient)
+        return _unit(self.normal_frame(x, u)), np.full(x.shape[0], self.shape_coefficient)
 
     def log_frame(self, x, u, y):
-        r = self.radius
-        cosg = np.clip(_rowdot(x, y) / r**2, -1.0, 1.0)
-        gamma = np.arccos(cosg)
-        perp = y - cosg[:, None] * x
-        dirhat = _unit_or_zero(perp)
-        v_amb = (r * gamma)[:, None] * dirhat
-        return self.frame_components(x, u, v_amb)
+        return self.frame_components(x, u, _sphere_log(x, y, self.radius))
 
     def distance(self, x, y):
-        cosg = np.clip(np.einsum("...d,...d->...", x, y) / self.radius**2, -1.0, 1.0)
+        cosg = np.clip(_rowdot(x, y) / self.radius**2, -1.0, 1.0)
         return self.radius * np.arccos(cosg)
 
     def offset_from_boundary(self, z, depth):
         theta = self.colatitude(z)
-        v_amb = -np.asarray(depth)[:, None] * self._meridian(z)
+        v_amb = -np.asarray(depth)[:, None] * self._meridian_at(z, theta)
         z2, _ = _sphere_step(z, None, v_amb, self.radius)
         return z2
 
     def mirror_point(self, x):
         # colatitude theta -> 2 alpha - theta along the meridian
-        d = self.boundary_distance(x)
-        v_amb = 2.0 * d[:, None] * self._meridian(x)
+        theta = self.colatitude(x)
+        d = self.radius * (self.aperture - theta)
+        v_amb = 2.0 * d[:, None] * self._meridian_at(x, theta)
         x2, _ = _sphere_step(x, None, v_amb, self.radius)
         return x2
 
@@ -848,11 +895,12 @@ class SphereBall(ManifoldModel):
                 raise RuntimeError("curved sphere factor requires frames")
             u2 = None
         else:
+            # only the sphere block of the block frame moves
             us = u[:, : l + 1, :l]
-            v_amb = np.einsum("pdk,pk->pd", us, xi_s)
-            ps2, us2 = _sphere_step(ps, us, v_amb, self.sphere_radius)
-            u2 = u.copy()
-            u2[:, : l + 1, :l] = us2
+            u2 = np.empty_like(u)
+            u2[:, l + 1 :] = u[:, l + 1 :]
+            u2[:, : l + 1, l:] = u[:, : l + 1, l:]
+            ps2, u2[:, : l + 1, :l] = _sphere_step(ps, us, _frame_vector(us, xi_s), self.sphere_radius)
         pb2 = pb + xi_b
         return np.concatenate([ps2, pb2], axis=-1), u2
 
@@ -889,24 +937,17 @@ class SphereBall(ManifoldModel):
         out[:, l:] = yb - xb
         r = self.sphere_radius
         if l == 1:
-            dphi = np.arctan2(
-                xs[:, 0] * ys[:, 1] - xs[:, 1] * ys[:, 0], np.einsum("pd,pd->p", xs, ys)
-            )
+            dphi = np.arctan2(xs[:, 0] * ys[:, 1] - xs[:, 1] * ys[:, 0], _rowdot(xs, ys))
             out[:, 0] = r * dphi
         else:
-            cosg = np.clip(np.einsum("pd,pd->p", xs, ys) / r**2, -1.0, 1.0)
-            gamma = np.arccos(cosg)
-            perp = ys - cosg[:, None] * xs
-            v_amb = (r * gamma)[:, None] * _unit_or_zero(perp)
-            us = u[:, : l + 1, :l]
-            out[:, :l] = np.einsum("pdk,pd->pk", us, v_amb)
+            out[:, :l] = self.frame_components(xs, u[:, : l + 1, :l], _sphere_log(xs, ys, r))
         return out
 
     def distance(self, x, y):
         xs, xb = self._split(x)
         ys, yb = self._split(y)
         r = self.sphere_radius
-        cosg = np.clip(np.einsum("pd,pd->p", xs, ys) / r**2, -1.0, 1.0)
+        cosg = np.clip(_rowdot(xs, ys) / r**2, -1.0, 1.0)
         ds = r * np.arccos(cosg)
         db = np.linalg.norm(yb - xb, axis=-1)
         return np.hypot(ds, db)

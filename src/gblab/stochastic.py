@@ -106,16 +106,28 @@ def make_walk_state(model: ManifoldModel, x0) -> WalkState:
 
 
 def _orthonormalize(frames):
-    """Modified Gram-Schmidt over the frame columns (batched)."""
-    out = frames.copy()
-    k = out.shape[2]
-    for a in range(k):
-        v = out[:, :, a]
+    """Modified Gram-Schmidt over the frame columns (batched).
+
+    Works on one length-P column (one coordinate of one frame column) at a
+    time; a zero column stays zero.
+    """
+    out = np.empty_like(frames)
+    dim = frames.shape[1]
+    for a in range(frames.shape[2]):
+        v = [frames[:, d, a] for d in range(dim)]
         for b in range(a):
-            proj = np.einsum("pd,pd->p", v, out[:, :, b])
-            v = v - proj[:, None] * out[:, :, b]
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        out[:, :, a] = v / np.where(norm == 0.0, 1.0, norm)
+            q = [out[:, d, b] for d in range(dim)]
+            proj = v[0] * q[0]
+            for d in range(1, dim):
+                proj += v[d] * q[d]
+            v = [v[d] - proj * q[d] for d in range(dim)]
+        norm = v[0] * v[0]
+        for d in range(1, dim):
+            norm += v[d] * v[d]
+        norm = np.sqrt(norm)
+        norm[norm == 0.0] = 1.0
+        for d in range(dim):
+            np.divide(v[d], norm, out=out[:, d, a])
     return out
 
 

@@ -330,3 +330,22 @@ class TestNotes:
         assert "heat semigroup" in note
         assert "Euler characteristic" in note
         assert "not computed" in note
+
+
+# estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr) of the
+# broadcast cap stepping code, before its columnwise rewrite
+FIXED_SEED_REPORTS = [
+    (geo.SphereCap(2), 1.0220240117420898, 0.023585802570662524),
+    (geo.SphereCap(3), 1.0358830227238778, 0.09823019522709776),
+    (geo.SphereCap(2, aperture=1.0), 0.9246448746905164, 0.04316596943015947),
+    (geo.SphereBall(2, 1), 2.0205478262269385, 0.233120458925288),
+]
+
+
+@pytest.mark.parametrize("model, estimate, stderr", FIXED_SEED_REPORTS,
+                         ids=["cap2", "cap3", "cap2-aperture1", "sphere-ball2+1"])
+def test_fixed_seed_curved_reports(model, estimate, stderr):
+    # the columnwise rewrite only reorders sums over 3 or 4 terms
+    report = est.estimate_chi(model, 0.1, 200, 6, 1311, steps=100)
+    assert report.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
+    assert report.stderr == pytest.approx(stderr, rel=1e-12, abs=0)

@@ -385,3 +385,186 @@ class TestBoundaryGeometryType:
         model = geo.model_catalog("cap", dimension=3, aperture=alpha)
         bg = geo.boundary_geometry(model, model.boundary_point())
         assert np.allclose(bg.shape_tangential, math.cos(alpha) / math.sin(alpha) * np.eye(2), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# columnwise hot path against the broadcast formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def broadcast_sphere_step(p, u, v_amb, r):
+    """Reference: great-circle step and transport with (P, d, k) broadcasts."""
+    s = np.sqrt(geo._rowdot(v_amb, v_amb))
+    vhat = v_amb / np.maximum(s, 1e-300)[:, None]
+    phat = p / r
+    c = np.cos(s / r)[:, None]
+    si = np.sin(s / r)[:, None]
+    p2 = c * p + si * r * vhat
+    p2 *= r / np.sqrt(geo._rowdot(p2, p2))[:, None]
+    if u is None:
+        return p2, None
+    wv = np.einsum("pdk,pd->pk", u, vhat)
+    u2 = u + vhat[:, :, None] * ((c - 1.0) * wv)[:, None, :] - phat[:, :, None] * (si * wv)[:, None, :]
+    return p2, u2
+
+
+def broadcast_meridian_at(model, x, theta):
+    """Reference: unit tangent toward increasing colatitude on a cap."""
+    axis_part = np.zeros_like(x)
+    axis_part[..., model._axis] = 1.0
+    horiz = x.copy()
+    horiz[..., model._axis] = 0.0
+    ehat = geo._unit_or_zero(horiz)
+    return np.cos(theta)[..., None] * ehat - np.sin(theta)[..., None] * axis_part
+
+
+def broadcast_frame_components(u, v_amb):
+    """Reference: frame components by einsum."""
+    return np.einsum("pdk,pd->pk", u, v_amb)
+
+
+def broadcast_orthonormalize(frames):
+    """Reference: modified Gram-Schmidt with einsum, norm and broadcasts."""
+    out = frames.copy()
+    k = out.shape[2]
+    for a in range(k):
+        v = out[:, :, a]
+        for b in range(a):
+            proj = np.einsum("pd,pd->p", v, out[:, :, b])
+            v = v - proj[:, None] * out[:, :, b]
+        norm = np.linalg.norm(v, axis=1, keepdims=True)
+        out[:, :, a] = v / np.where(norm == 0.0, 1.0, norm)
+    return out
+
+
+def broadcast_sphere_log(x, y, r):
+    cosg = np.clip(geo._rowdot(x, y) / r**2, -1.0, 1.0)
+    perp = y - cosg[:, None] * x
+    return (r * np.arccos(cosg))[:, None] * geo._unit_or_zero(perp)
+
+
+COLUMNWISE_TOL = 1e-15
+
+
+def sphere_factor_cases():
+    """(name, points, frames, radius, cap model or None) on the sphere factors the
+    stepping path moves: cap dimension 2, cap dimension 3 with aperture 1.0, and
+    the sphere factor of sphere-ball (2 + 1).  Each batch includes the apex."""
+    rng = RNG(41)
+    cases = []
+    for name, model in [("cap2", geo.model_catalog("hemisphere", dimension=2)),
+                        ("cap3", geo.model_catalog("cap", dimension=3, aperture=1.0))]:
+        x = np.concatenate([model.sample_volume(rng, 200), model.sample_collar(rng, 100, 0.1),
+                            model.interior_point()[None, :].repeat(4, axis=0)])
+        cases.append((name, x, model.initial_frames(x), model.radius, model))
+    model = geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1)
+    x = model.sample_volume(rng, 300)
+    x[:4, :3] = [0.0, 0.0, 1.0]
+    u = model.initial_frames(x)
+    cases.append(("sphere-ball", x[:, :3], u[:, :3, :2], model.sphere_radius, None))
+    return cases
+
+
+SPHERE_CASES = sphere_factor_cases()
+
+
+def _close(new, old):
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= COLUMNWISE_TOL
+
+
+class TestColumnwiseAgainstBroadcast:
+    @pytest.mark.parametrize("case", SPHERE_CASES, ids=lambda c: c[0])
+    def test_sphere_step(self, case):
+        _, x, u, r, _ = case
+        rng = RNG(42)
+        xi = 0.1 * rng.standard_normal((x.shape[0], u.shape[2]))
+        xi[:10] = 0.0  # zero steps, the apex among them
+        v = broadcast_frame_components(np.transpose(u, (0, 2, 1)), xi)
+        _close(geo._frame_vector(u, xi), v)
+        for frames in (u, None):
+            p_new, u_new = geo._sphere_step(x, frames, v, r)
+            p_old, u_old = broadcast_sphere_step(x, frames, v, r)
+            _close(p_new, p_old)
+            if frames is None:
+                assert u_new is None
+            else:
+                _close(u_new, u_old)
+        # a zero step leaves points (up to the renormalization) and frames where they were
+        p0, u0 = geo._sphere_step(x[:10], u[:10], np.zeros((10, x.shape[1])), r)
+        _close(p0, x[:10])
+        assert np.array_equal(u0, u[:10])
+
+    @pytest.mark.parametrize("case", SPHERE_CASES, ids=lambda c: c[0])
+    def test_frame_components_and_log(self, case):
+        _, x, u, r, _ = case
+        rng = RNG(43)
+        y = x[rng.permutation(x.shape[0])]
+        y[:4] = x[:4]  # log of the point itself
+        v = geo._sphere_log(x, y, r)
+        _close(v, broadcast_sphere_log(x, y, r))
+        model = geo.model_catalog("hemisphere", dimension=2)
+        _close(model.frame_components(x, u, v), broadcast_frame_components(u, v))
+        assert model.frame_components(x, None, v) is v
+
+    @pytest.mark.parametrize("case", [c for c in SPHERE_CASES if c[4] is not None], ids=lambda c: c[0])
+    def test_meridian_and_cap_methods(self, case):
+        _, x, u, r, model = case
+        theta = model.colatitude(x)
+        m = model._meridian_at(x, theta)
+        _close(m, broadcast_meridian_at(model, x, theta))
+        # at the apex the horizontal part is zero and the meridian is -sin(0) e_axis = 0
+        assert np.array_equal(m[-4:], np.zeros((4, x.shape[1])))
+        nu_old = broadcast_frame_components(u, -broadcast_meridian_at(model, x, theta))
+        d, nu = model.collar_data(x, u)
+        _close(nu, nu_old)
+        _close(model.normal_frame(x, u), nu_old)
+        nu_b, coeff = model.boundary_data(x[:-4], u[:-4])
+        _close(nu_b, geo._unit(nu_old[:-4]))
+        assert np.all(coeff == model.shape_coefficient)
+        # reflect: a point pushed past the boundary steps back along the meridian
+        z = model.sample_boundary(RNG(44), 50)
+        uz = model.initial_frames(z)
+        out, u_out = broadcast_sphere_step(z, uz, -0.01 * broadcast_meridian_at(model, z, model.colatitude(z)), r)
+        x2, u2, depth = model.reflect(out, u_out)
+        theta_out = model.colatitude(out)
+        depth_old = r * (theta_out - model.aperture)
+        x_old, u_old = broadcast_sphere_step(
+            out, u_out, -2.0 * depth_old[:, None] * broadcast_meridian_at(model, out, theta_out), r)
+        _close(depth, depth_old)
+        _close(x2, x_old)
+        _close(u2, u_old)
+
+    @pytest.mark.parametrize("case", SPHERE_CASES, ids=lambda c: c[0])
+    def test_orthonormalize(self, case):
+        from gblab.stochastic import _orthonormalize
+
+        _, _, u, _, _ = case
+        rng = RNG(45)
+        frames = u + 1e-3 * rng.standard_normal(u.shape)
+        frames[:5, :, 0] = 0.0  # a zero first column stays zero
+        frames[5:10, :, -1] = 0.0  # and so does a zero last column
+        new = _orthonormalize(frames)
+        _close(new, broadcast_orthonormalize(frames))
+        assert np.array_equal(new[:5, :, 0], np.zeros((5, u.shape[1])))
+        assert new is not frames and not np.shares_memory(new, frames)
+
+    def test_sphere_ball_factor(self):
+        model = geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1)
+        rng = RNG(46)
+        x = model.sample_volume(rng, 200)
+        u = model.initial_frames(x)
+        xi = 0.1 * rng.standard_normal((200, 3))
+        x2, u2 = model.geodesic_step(x, u, xi)
+        us = u[:, :3, :2]
+        ps_old, us_old = broadcast_sphere_step(x[:, :3], us, np.einsum("pdk,pk->pd", us, xi[:, :2]), 1.0)
+        _close(x2[:, :3], ps_old)
+        _close(u2[:, :3, :2], us_old)
+        assert np.array_equal(x2[:, 3:], x[:, 3:] + xi[:, 2:])
+        # the ball block and the zero blocks of the frame carry over unchanged
+        assert np.array_equal(u2[:, 3:], u[:, 3:])
+        assert np.array_equal(u2[:, :3, 2:], u[:, :3, 2:])
+        y = model.sample_volume(rng, 200)
+        ell = model.log_frame(x, u, y)
+        _close(ell[:, :2], broadcast_frame_components(us, broadcast_sphere_log(x[:, :3], y[:, :3], 1.0)))
+        assert np.array_equal(ell[:, 2:], y[:, 3:] - x[:, 3:])
