@@ -62,6 +62,14 @@ def _rowdot(a, b):
     return out
 
 
+def _scale_columns(x, w, op):
+    """op(x[:, k], w) for every column k, written into a new array shaped like x."""
+    out = np.empty_like(x)
+    for k in range(x.shape[1]):
+        op(x[:, k], w, out=out[:, k])
+    return out
+
+
 def _sphere_step(p, u, v_amb, r):
     """Exact great-circle step and parallel transport on a round sphere.
 
@@ -316,14 +324,14 @@ class FlatBall(ManifoldModel):
 
     def collar_data(self, x, u):
         rho = np.sqrt(_rowdot(x, x))
-        # -rho, not -x: numpy runs a broadcast divide into a negated temporary ~3x slower
-        nu = x / -np.maximum(rho, 1e-300)[:, None]
+        # negate rho (P values), not x (P * n values)
+        nu = _scale_columns(x, -np.maximum(rho, 1e-300), np.divide)
         return self.radius - rho, nu
 
     def reflect(self, x, u):
-        rho = np.linalg.norm(x, axis=-1)
+        rho = np.sqrt(_rowdot(x, x))
         depth = rho - self.radius
-        x2 = x * ((self.radius - depth) / rho)[:, None]
+        x2 = _scale_columns(x, (self.radius - depth) / rho, np.multiply)
         return x2, u, depth
 
     def normal_frame(self, x, u):

@@ -18,6 +18,12 @@ the drift satisfies the Neumann condition at the boundary; both reduce
 to the exact Euclidean bridge drift away from the boundary.  The final
 step snaps to the anchor.
 
+simulate_bridges steps a batch as equal row tiles of at most TILE_ROWS
+paths, so each step's temporaries stay cache-sized and the allocator
+reuses them.  The tiles are a memory layout and never change a draw: every
+step visits them in row order, so they take exactly the numbers of one
+draw for the whole batch, and every path is bitwise the same as untiled.
+
 The multiplicative functional starts at the identity, decays through
 the curvature operator during interior evolution, and at every boundary
 contact is multiplied by exp(-DA * dlam) followed by the tangential
@@ -42,6 +48,10 @@ from .errors import NumericalAbortError
 from .geometry import ManifoldModel, _rowdot
 
 DEFAULT_LAM_SCALE = 2.0  # Skorokhod increment per crossing = 2 x penetration depth
+# Row cap of the lockstep tiles simulate_bridges splits a batch into: a
+# memory layout that keeps each step's temporaries cache-sized and reused,
+# never a change of any draw.
+TILE_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -87,10 +97,12 @@ class WalkState:
 
 @dataclass
 class ContactInfo:
-    contact: np.ndarray           # (P,) bool
-    dlam: np.ndarray              # (P,)
-    nu: np.ndarray                # (P, d_bounded) bounded-factor normal components
-    coeff: np.ndarray             # (P,) umbilic shape coefficient at contact
+    """The contact rows of one step: every array is indexed like ``idx``."""
+
+    idx: np.ndarray               # (C,) indices of the paths in contact
+    dlam: np.ndarray              # (C,) local-time increments
+    nu: np.ndarray                # (C, d_bounded) bounded-factor normal components
+    coeff: np.ndarray             # (C,) umbilic shape coefficient
 
 
 def make_walk_state(model: ManifoldModel, x0) -> WalkState:
@@ -131,32 +143,30 @@ def _orthonormalize(frames):
     return out
 
 
-def _finish_step(model, state, x2, u2, contact, dlam):
-    """Move the state to (x2, u2) and return the step's contact data (normal, shape coefficient)."""
-    nu = np.zeros((x2.shape[0], model.bounded_factor.dim))
-    coeff = np.zeros(x2.shape[0])
-    if contact.any():
-        idx = np.nonzero(contact)[0]
-        nu[idx], coeff[idx] = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+def _finish_step(model, state, x2, u2, idx, dlam):
+    """Move the state to (x2, u2); return the contact rows idx with normal and shape coefficient."""
+    if idx.size:
+        nu, coeff = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+    else:
+        nu, coeff = np.empty((0, model.bounded_factor.dim)), np.empty(0)
     state.x = x2
     state.frames = None if u2 is None else _orthonormalize(u2)
     state.alive &= model.simulation_valid(x2)
-    return ContactInfo(contact=contact, dlam=dlam, nu=nu, coeff=coeff)
+    return ContactInfo(idx=idx, dlam=dlam, nu=nu, coeff=coeff)
 
 
 def _apply_increment(model, state, xi, lam_scale):
     """Move every path by the frame increment xi, reflecting at the boundary."""
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    contact = model.boundary_distance(x2) <= 0.0
-    dlam = np.zeros(x2.shape[0])
-    if contact.any():
-        idx = np.nonzero(contact)[0]
+    idx = np.flatnonzero(model.boundary_distance(x2) <= 0.0)
+    dlam = np.empty(0)
+    if idx.size:
         x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
         if u2 is not None:
             u2[idx] = ur
-        dlam[idx] = lam_scale * np.maximum(depth, 0.0)
-        state.lam[idx] += dlam[idx]
-    return _finish_step(model, state, x2, u2, contact, dlam)
+        dlam = lam_scale * np.maximum(depth, 0.0)
+        state.lam[idx] += dlam
+    return _finish_step(model, state, x2, u2, idx, dlam)
 
 
 def step_reflected_bm(model, state: WalkState, h: float, rng, lam_scale=DEFAULT_LAM_SCALE) -> ContactInfo:
@@ -192,14 +202,13 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
     because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
     """
     ell = model.log_frame(state.x, state.frames, anchor)
+    drift = ell / remaining
     if kind == "varadhan":
-        drift = ell / remaining
         if h is not None:
             d, nu = model.collar_data(state.x, state.frames)
             near = d < math.sqrt(h)
             if near.any():
-                comp = _rowdot(drift, nu)
-                drift = drift - np.where(near, comp, 0.0)[:, None] * nu
+                _sub_columns(drift, np.where(near, _rowdot(drift, nu), 0.0), nu)
         return drift
     if kind != "reflected":
         raise ValueError(f"unknown drift kind {kind!r}")
@@ -208,9 +217,26 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = _rowdot(ell, nu)
     gap = d_z + d_anchor
-    rho = np.exp(np.clip((ell_nu - gap) * (ell_nu + gap) / (2.0 * remaining), -60.0, 0.0))
-    pull = rho * (ell_nu + gap) / ((1.0 + rho) * remaining)
-    return ell / remaining - pull[:, None] * nu
+    plus = ell_nu + gap
+    rho = ell_nu - gap  # becomes the image weight, in place
+    rho *= plus
+    rho /= 2.0 * remaining
+    np.clip(rho, -60.0, 0.0, out=rho)
+    np.exp(rho, out=rho)
+    pull = rho * plus
+    rho += 1.0
+    rho *= remaining
+    pull /= rho
+    _sub_columns(drift, pull, nu)
+    return drift
+
+
+def _sub_columns(out, w, nu):
+    """out[:, k] -= w * nu[:, k] for every column k, in place."""
+    tmp = np.empty_like(w)
+    for k in range(out.shape[1]):
+        np.multiply(w, nu[:, k], out=tmp)
+        out[:, k] -= tmp
 
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
@@ -235,8 +261,8 @@ def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE)
     """
     xi = model.log_frame(state.x, state.frames, anchor)
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    contact = model.boundary_distance(x2) <= 1e-12
-    return _finish_step(model, state, x2, u2, contact, np.zeros(x2.shape[0]))
+    idx = np.flatnonzero(model.boundary_distance(x2) <= 1e-12)
+    return _finish_step(model, state, x2, u2, idx, np.zeros(idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +272,12 @@ def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE)
 
 def _jump_update(m, info: ContactInfo, mode: str, eps: float | None):
     """Apply boundary jumps to the bounded-factor matrices in place."""
-    idx = np.nonzero(info.contact)[0]
+    idx = info.idx
     if idx.size == 0:
         return
-    nu = info.nu[idx]
-    a = info.coeff[idx]
-    dl = info.dlam[idx]
+    nu = info.nu
+    a = info.coeff
+    dl = info.dlam
     sub = m[idx]
     mnu = np.einsum("cij,cj->ci", sub, nu)
     tangential = sub - mnu[:, :, None] * nu[:, None, :]
@@ -334,12 +360,11 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     """Simulate reflected Brownian bridge loops pinned at the given anchors.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
-    t / steps and ends exactly at its anchor.
+    t / steps and ends exactly at its anchor.  The rows step as lockstep
+    tiles of at most TILE_ROWS paths (see the module docstring).
     """
     gen = _as_generator(rng)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    state = make_walk_state(model, anchors)
-    frames0 = None if state.frames is None else state.frames.copy()
     P = anchors.shape[0]
     h = t / steps
     d_anchor = model.boundary_distance(anchors)
@@ -347,33 +372,51 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
     excursion = np.zeros(P) if track_excursion else None
+    tiles = _row_tiles(P)
+    states = [make_walk_state(model, anchors[rows]) for rows in tiles]
+    frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     positions = None
     if record_positions:
         positions = np.empty((steps + 1, P, model.state_dim))
-        positions[0] = state.x
+        positions[0] = anchors
     for k in range(steps):
         remaining = t - k * h
-        if k == steps - 1:
-            info = snap_to_anchor(model, state, anchors, lam_scale)
-        else:
-            info = step_bridge(model, state, remaining, anchors, h, gen,
-                               drift=drift, lam_scale=lam_scale, d_anchor=d_anchor)
-        _jump_update(m, info, mode, eps)
-        contacts += info.contact
-        if track_excursion:
-            np.maximum(excursion, model.distance(state.x, anchors), out=excursion)
-        if record_positions:
-            positions[k + 1] = state.x
+        for rows, state in zip(tiles, states):
+            if k == steps - 1:
+                info = snap_to_anchor(model, state, anchors[rows], lam_scale)
+            else:
+                info = step_bridge(model, state, remaining, anchors[rows], h, gen,
+                                   drift=drift, lam_scale=lam_scale, d_anchor=d_anchor[rows])
+            _jump_update(m[rows], info, mode, eps)
+            contacts[rows][info.idx] += 1
+            if track_excursion:
+                np.maximum(excursion[rows], model.distance(state.x, anchors[rows]),
+                           out=excursion[rows])
+            if record_positions:
+                positions[k + 1, rows] = state.x
+    frames = None if frames0 is None else _join([s.frames for s in states])
     factor_m = {}
     factor_O = {}
     for spec in model.factors:
         factor_m[spec.name] = m if spec.bounded else None
-        factor_O[spec.name] = model.holonomy(frames0, state.frames, spec)
+        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
     return BridgeBatch(
-        model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
-        contacts=contacts, alive=state.alive.copy(), factor_m=factor_m,
+        model=model, t=t, steps=steps, anchors=anchors,
+        lam=_join([s.lam for s in states]), contacts=contacts,
+        alive=_join([s.alive for s in states]), factor_m=factor_m,
         factor_O=factor_O, max_excursion=excursion, positions=positions,
     )
+
+
+def _row_tiles(P):
+    """Row slices of the fewest equal tiles of at most TILE_ROWS rows covering P rows."""
+    count = max(1, -(-P // TILE_ROWS))
+    return [slice(i * P // count, (i + 1) * P // count) for i in range(count)]
+
+
+def _join(parts):
+    """The row concatenation of per-tile arrays; the array itself for one tile."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng, *,
@@ -392,7 +435,7 @@ def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng,
     lam_at = {}
     for k in range(steps):
         info = step_reflected_bm(model, state, h, gen, lam_scale)
-        touched |= info.contact
+        touched[info.idx] = True
         if (k + 1) in checkpoints:
             lam_at[k + 1] = state.lam.copy()
     return state, lam_at, touched
@@ -470,9 +513,9 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
         if frames is not None:
             frames[k + 1] = state.frames[0]
         lam[k + 1] = state.lam[0]
-        contact[k] = info.contact[0]
-        dlam[k] = info.dlam[0]
-        if info.contact[0]:
+        if info.idx.size:
+            contact[k] = True
+            dlam[k] = info.dlam[0]
             nu_frame[k, cols] = info.nu[0]
             shape_coeff[k] = info.coeff[0]
     return PathSample(

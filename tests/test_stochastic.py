@@ -81,7 +81,9 @@ class TestReflectedWalk:
         for _ in range(200):
             info = st.step_reflected_bm(model, state, 1e-4, gen)
             assert np.all(state.lam >= prev - 1e-15)
-            interior_dlam += np.abs(info.dlam[~info.contact]).sum()
+            interior = np.ones(len(prev), dtype=bool)
+            interior[info.idx] = False
+            interior_dlam += np.abs(state.lam[interior] - prev[interior]).sum()
             prev = state.lam.copy()
         assert interior_dlam == 0.0
 
@@ -602,3 +604,285 @@ class TestResampleSignal:
         anchors = np.broadcast_to(np.array([0.5, 0.0]), (64, 2)).copy()
         batch = st.simulate_bridges(model, anchors, 0.02, 40, st.RngStream(149))
         assert batch.alive.all()
+
+
+# ---------------------------------------------------------------------------
+# lockstep row tiles, contact rows and the columnwise flat hot path, each
+# against the code it replaced
+# ---------------------------------------------------------------------------
+
+
+def single_batch_bridges(model, anchors, t, steps, rng, *, mode="exact-jump", eps=None,
+                         drift="reflected", lam_scale=st.DEFAULT_LAM_SCALE):
+    """Reference: the untiled stepping loop, one WalkState for the whole batch."""
+    gen = st._as_generator(rng)
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    state = st.make_walk_state(model, anchors)
+    frames0 = None if state.frames is None else state.frames.copy()
+    P = anchors.shape[0]
+    h = t / steps
+    d_anchor = model.boundary_distance(anchors)
+    bounded = model.bounded_factor
+    m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
+    contacts = np.zeros(P, dtype=np.int64)
+    excursion = np.zeros(P)
+    positions = np.empty((steps + 1, P, model.state_dim))
+    positions[0] = state.x
+    for k in range(steps):
+        remaining = t - k * h
+        if k == steps - 1:
+            info = st.snap_to_anchor(model, state, anchors, lam_scale)
+        else:
+            info = st.step_bridge(model, state, remaining, anchors, h, gen,
+                                  drift=drift, lam_scale=lam_scale, d_anchor=d_anchor)
+        st._jump_update(m, info, mode, eps)
+        contacts[info.idx] += 1
+        np.maximum(excursion, model.distance(state.x, anchors), out=excursion)
+        positions[k + 1] = state.x
+    factor_m = {}
+    factor_O = {}
+    for spec in model.factors:
+        factor_m[spec.name] = m if spec.bounded else None
+        factor_O[spec.name] = model.holonomy(frames0, state.frames, spec)
+    return st.BridgeBatch(
+        model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
+        contacts=contacts, alive=state.alive.copy(), factor_m=factor_m,
+        factor_O=factor_O, max_excursion=excursion, positions=positions,
+    )
+
+
+TILE_MODELS = {**DRIFT_MODELS, "cap3-aperture1": lambda: geo.SphereCap(3, aperture=1.0)}
+
+
+def mixed_anchors(model, count, seed):
+    """Interior, collar and boundary base points, three bridges each."""
+    rng = np.random.default_rng(seed)
+    k = -(-count // 9)
+    pts = np.concatenate([model.sample_volume(rng, k), model.sample_collar(rng, k, 0.2),
+                          model.sample_boundary(rng, k)])
+    return np.repeat(pts, 3, axis=0)[:count]
+
+
+def assert_batches_equal(a, b):
+    for field in ("lam", "contacts", "alive", "positions", "max_excursion"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for factors in ("factor_m", "factor_O"):
+        fa, fb = getattr(a, factors), getattr(b, factors)
+        assert fa.keys() == fb.keys()
+        for name in fa:
+            assert (fa[name] is None) == (fb[name] is None), (factors, name)
+            if fa[name] is not None:
+                assert np.array_equal(fa[name], fb[name]), (factors, name)
+    assert np.array_equal(a.supertraces(), b.supertraces())
+
+
+class TestTiledBridges:
+    @pytest.mark.parametrize("drift", ["reflected", "varadhan"])
+    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
+    @pytest.mark.parametrize("name", list(TILE_MODELS))
+    def test_bitwise_equal_to_single_batch(self, name, mode, drift, monkeypatch):
+        model = TILE_MODELS[name]()
+        eps = 0.05 if mode == "epsilon" else None
+        kw = dict(mode=mode, eps=eps, drift=drift)
+        anchors = mixed_anchors(model, 131, 167)
+        ref = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2), **kw)
+        assert ref.contacts.sum() > 0
+        # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
+        # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
+        cases = [(st.TILE_ROWS, 131), (64, 131), (5, 5), (5, 13), (5, 131)]
+        for tile_rows, P in cases:
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            tiled = st.simulate_bridges(model, anchors[:P], 0.05, 30, st.RngStream(173, 2),
+                                        track_excursion=True, record_positions=True, **kw)
+            expected = ref if P == 131 else single_batch_bridges(
+                model, anchors[:P], 0.05, 30, st.RngStream(173, 2), **kw)
+            assert_batches_equal(tiled, expected)
+
+    @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
+                                                   (64, 131, [43, 44, 44]), (64, 128, [64, 64])])
+    def test_row_tiles(self, tile_rows, P, sizes, monkeypatch):
+        monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+        tiles = st._row_tiles(P)
+        assert [s.stop - s.start for s in tiles] == sizes
+        assert tiles[0].start == 0 and tiles[-1].stop == P
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+
+
+def full_contact_step(model, state, xi, lam_scale=st.DEFAULT_LAM_SCALE):
+    """Reference: one increment with full-size contact arrays, zero off contact."""
+    x2, u2 = model.geodesic_step(state.x, state.frames, xi)
+    contact = model.boundary_distance(x2) <= 0.0
+    dlam = np.zeros(x2.shape[0])
+    if contact.any():
+        idx = np.nonzero(contact)[0]
+        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
+        if u2 is not None:
+            u2[idx] = ur
+        dlam[idx] = lam_scale * np.maximum(depth, 0.0)
+    return (contact, dlam) + full_boundary_data(model, x2, u2, contact)
+
+
+def full_boundary_data(model, x2, u2, contact):
+    """Reference: full-size normal and shape-coefficient arrays, zero off contact."""
+    nu = np.zeros((x2.shape[0], model.bounded_factor.dim))
+    coeff = np.zeros(x2.shape[0])
+    if contact.any():
+        idx = np.nonzero(contact)[0]
+        nu[idx], coeff[idx] = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+    return nu, coeff
+
+
+def full_jump_update(m, contact, dlam, nu, coeff, mode, eps):
+    """Reference: the jump update reading contact rows out of full-size arrays."""
+    idx = np.nonzero(contact)[0]
+    if idx.size == 0:
+        return
+    nu = nu[idx]
+    a = coeff[idx]
+    dl = dlam[idx]
+    sub = m[idx]
+    mnu = np.einsum("cij,cj->ci", sub, nu)
+    tangential = sub - mnu[:, :, None] * nu[:, None, :]
+    decay = np.exp(-a * dl)[:, None, None]
+    if mode == "exact-jump":
+        m[idx] = decay * tangential
+    else:
+        keep = np.exp(-dl / eps)[:, None, None]
+        m[idx] = decay * tangential + keep * (mnu[:, :, None] * nu[:, None, :])
+
+
+class TestContactRows:
+    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
+    @pytest.mark.parametrize("name", list(TILE_MODELS))
+    def test_rows_match_full_arrays(self, name, mode):
+        model = TILE_MODELS[name]()
+        anchors = mixed_anchors(model, 120, 179)
+        xi = 0.08 * np.random.default_rng(181).standard_normal((120, model.dimension))
+        xi[:6] = 0.0  # zero steps, boundary points among the anchors stay in contact
+        new_state = st.make_walk_state(model, anchors)
+        old_state = st.make_walk_state(model, anchors)
+        info = st._apply_increment(model, new_state, xi, st.DEFAULT_LAM_SCALE)
+        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi)
+        assert 0 < info.idx.size < 120
+        assert np.array_equal(info.idx, np.flatnonzero(contact))
+        assert np.array_equal(info.dlam, dlam[contact])
+        assert np.array_equal(info.nu, nu[contact])
+        assert np.array_equal(info.coeff, coeff[contact])
+        assert np.array_equal(new_state.lam[contact], dlam[contact])
+        assert not new_state.lam[~contact].any()
+        m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
+        m_old = m_new.copy()
+        st._jump_update(m_new, info, mode, 0.05)
+        full_jump_update(m_old, contact, dlam, nu, coeff, mode, 0.05)
+        assert np.array_equal(m_new, m_old)
+
+    @pytest.mark.parametrize("name", list(TILE_MODELS))
+    def test_snap_rows(self, name):
+        model = TILE_MODELS[name]()
+        anchors = mixed_anchors(model, 60, 193)
+        state = st.make_walk_state(model, anchors)
+        xi = model.log_frame(state.x, state.frames, anchors)
+        x2, u2 = model.geodesic_step(state.x, state.frames, xi)
+        contact = model.boundary_distance(x2) <= 1e-12
+        nu, coeff = full_boundary_data(model, x2, u2, contact)
+        info = st.snap_to_anchor(model, state, anchors)
+        assert contact.any()
+        assert np.array_equal(info.idx, np.flatnonzero(contact))
+        assert np.array_equal(info.dlam, np.zeros(contact.sum()))
+        assert np.array_equal(info.nu, nu[contact])
+        assert np.array_equal(info.coeff, coeff[contact])
+
+    def test_no_contact_gives_empty_rows(self):
+        model = hemisphere()
+        x = np.broadcast_to(model.interior_point(), (7, 3)).copy()
+        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 2)), 2.0)
+        assert info.idx.size == info.dlam.size == info.coeff.size == 0
+        assert info.nu.shape == (0, model.bounded_factor.dim)
+
+
+def broadcast_collar_data(model, x):
+    """Reference: FlatBall.collar_data with the per-path [:, None] divide."""
+    rho = np.sqrt(geo._rowdot(x, x))
+    return model.radius - rho, x / -np.maximum(rho, 1e-300)[:, None]
+
+
+def broadcast_reflect(model, x, u):
+    """Reference: FlatBall.reflect with np.linalg.norm and a [:, None] scale."""
+    rho = np.linalg.norm(x, axis=-1)
+    depth = rho - model.radius
+    x2 = x * ((model.radius - depth) / rho)[:, None]
+    return x2, u, depth
+
+
+def broadcast_flat_drift(model, x, anchor, remaining, *, kind, h=None, d_anchor=None):
+    """Reference: bridge_drift on a flat ball with per-path [:, None] broadcasts."""
+    ell = anchor - x
+    if kind == "varadhan":
+        drift = ell / remaining
+        if h is not None:
+            d, nu = broadcast_collar_data(model, x)
+            near = d < math.sqrt(h)
+            if near.any():
+                comp = geo._rowdot(drift, nu)
+                drift = drift - np.where(near, comp, 0.0)[:, None] * nu
+        return drift
+    d_z, nu = broadcast_collar_data(model, x)
+    if d_anchor is None:
+        d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
+    ell_nu = geo._rowdot(ell, nu)
+    gap = d_z + d_anchor
+    rho = np.exp(np.clip((ell_nu - gap) * (ell_nu + gap) / (2.0 * remaining), -60.0, 0.0))
+    pull = rho * (ell_nu + gap) / ((1.0 + rho) * remaining)
+    return ell / remaining - pull[:, None] * nu
+
+
+def flat_points(model, seed):
+    """Interior and collar points, boundary points, the centre, and the contact
+    rows of one step (points pushed past the boundary, and boundary points
+    after a zero step)."""
+    rng = np.random.default_rng(seed)
+    n = model.dimension
+    inside = np.concatenate([model.sample_volume(rng, 100), model.sample_collar(rng, 100, 0.05),
+                             model.sample_boundary(rng, 20), np.zeros((2, n))])
+    x2 = model.sample_collar(rng, 300, 0.05) + 0.05 * rng.standard_normal((300, n))
+    x2 = np.concatenate([x2, model.sample_boundary(rng, 10) + np.zeros((10, n))])
+    contact = x2[model.boundary_distance(x2) <= 0.0]
+    return inside, contact
+
+
+class TestFlatColumnwise:
+    @pytest.mark.parametrize("make", [disk, ball3], ids=["disk", "ball3"])
+    def test_collar_data_and_reflect(self, make):
+        model = make()
+        inside, contact = flat_points(model, 197)
+        assert contact.shape[0] > 20
+        for x in (inside, contact):
+            d, nu = model.collar_data(x, None)
+            d_old, nu_old = broadcast_collar_data(model, x)
+            assert np.array_equal(d, d_old) and np.array_equal(nu, nu_old)
+        centre_nu = model.collar_data(inside[-2:], None)[1]
+        assert np.array_equal(centre_nu, np.zeros((2, model.dimension)))
+        x2, u2, depth = model.reflect(contact, None)
+        x_old, _, depth_old = broadcast_reflect(model, contact, None)
+        assert u2 is None
+        assert np.array_equal(x2, x_old) and np.array_equal(depth, depth_old)
+        assert np.any(depth == 0.0) and np.all(depth >= 0.0)
+
+    @pytest.mark.parametrize("kind,h", [("reflected", None), ("varadhan", 1e-3),
+                                        ("varadhan", None)])
+    @pytest.mark.parametrize("make", [disk, ball3], ids=["disk", "ball3"])
+    def test_drift(self, make, kind, h):
+        model = make()
+        inside, _ = flat_points(model, 199)
+        rng = np.random.default_rng(211)
+        anchors = inside[rng.permutation(inside.shape[0])]
+        anchors[:10] = inside[:10]  # zero log: the anchor is the point itself
+        anchors[-1] = inside[-1]    # the centre, anchored at itself
+        state = st.make_walk_state(model, inside)
+        for d_anchor in (None, model.boundary_distance(anchors)):
+            for remaining in (0.3, 0.002):
+                new = st.bridge_drift(model, state, anchors, remaining, kind=kind, h=h,
+                                      d_anchor=d_anchor)
+                old = broadcast_flat_drift(model, inside, anchors, remaining, kind=kind, h=h,
+                                           d_anchor=d_anchor)
+                assert np.array_equal(new, old)
