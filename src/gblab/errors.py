@@ -13,10 +13,6 @@ class InvariantViolationError(GblabError):
     """A constructed value violates one of its declared invariants."""
 
 
-class ChartDomainError(GblabError):
-    """A point left the valid region of a model's chart."""
-
-
 class SeriesConvergenceError(GblabError):
     """An eigenfunction series cannot reach the requested accuracy.
 

@@ -351,6 +351,24 @@ def _masked_mean_std(values, alive):
     return mean, np.sqrt(var / counts_safe), counts
 
 
+def _node_expectations(batch, nodes: int, t: float, max_resample_rate: float):
+    """Per-node mean and standard error of Str(M_t V_t); node i owns the i-th equal row block.
+
+    Raises ResampleRateError when any node lost more than the allowed share
+    of its bridges.
+    """
+    alive = batch.alive.reshape(nodes, -1)
+    for rate in 1.0 - alive.mean(axis=1):
+        if rate > max_resample_rate:
+            raise ResampleRateError(
+                f"{rate:.1%} of bridges left the valid region at t={t} "
+                f"(limit {max_resample_rate:.0%}); refine steps or shrink t",
+                rate=rate,
+            )
+    mean, se, _ = _masked_mean_std(batch.supertraces().reshape(nodes, -1), alive)
+    return mean, se
+
+
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
                            steps: int | None = None, mode="exact-jump", eps=None,
                            drift="reflected", lam_scale=DEFAULT_LAM_SCALE,
@@ -361,16 +379,7 @@ def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng,
     anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
     batch = simulate_bridges(model, anchors, t, steps, rng, mode=mode, eps=eps,
                              drift=drift, lam_scale=lam_scale)
-    alive = batch.alive
-    rate = 1.0 - alive.mean()
-    if rate > max_resample_rate:
-        raise ResampleRateError(
-            f"{rate:.1%} of bridges left the valid region at t={t} "
-            f"(limit {max_resample_rate:.0%}); refine steps or shrink t",
-            rate=rate,
-        )
-    vals = batch.supertraces()[None, :]
-    mean, se, _ = _masked_mean_std(vals, alive[None, :])
+    mean, se = _node_expectations(batch, 1, t, max_resample_rate)
     return float(mean[0]), float(se[0])
 
 
@@ -518,6 +527,19 @@ def _confinement_scale(model) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Row cap of the lockstep batches local_limit_check packs its depth nodes
+# into.  Larger batches cost less dispatch per path-step, but from about
+# 8 000 rows glibc may trim and re-fault the per-step temporaries (the cap
+# sweep is in BENCH_local_limit.json).
+LOCKSTEP_ROWS = 6_000
+
+
+def _lockstep_groups(nodes: int, bridges: int):
+    """Node ranges of the fewest equal batches of whole nodes within LOCKSTEP_ROWS rows."""
+    count = -(-nodes // max(1, LOCKSTEP_ROWS // bridges))
+    return [range(i * nodes // count, (i + 1) * nodes // count) for i in range(count)]
+
+
 @dataclass
 class LocalLimitTable:
     """Scaled supertrace expectations against the analytic integrand."""
@@ -549,6 +571,10 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     boundary points integrate the same quantity across the collar depth
     (Gauss-Legendre in the normal direction) and compare with the
     boundary integrand.  The ratio column approaches one as t decreases.
+    Within a lifetime the depth nodes step together, as few lockstep
+    batches of whole nodes as LOCKSTEP_ROWS allows; node j of lifetime it
+    keeps its own stream RngStream(seed, 1000 it + j), so the batching
+    never changes a draw.
     """
     for t in t_sequence:
         check_lifetime(t)
@@ -568,26 +594,30 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
             width = min(collar_factor * math.sqrt(t), 0.9 * _confinement_scale(model))
             depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
+            points = [model.offset_from_boundary(point[None, :], np.array([d]))[0] for d in depths]
+        else:
+            points = [point]
+        k0 = [float(hk.heat_kernel_diag(model, t, x[None, :])[0]) for x in points]
+        means = []
+        ses = []
+        for group in _lockstep_groups(len(points), bridges):
+            anchors = np.repeat(np.array([points[j] for j in group]), bridges, axis=0)
+            gens = [RngStream(seed, 1000 * it + j).generator() for j in group]
+            batch = simulate_bridges(model, anchors, t, steps, gens, drift=drift,
+                                     lam_scale=lam_scale)
+            mean, se = _node_expectations(batch, len(group), t, max_resample_rate=0.05)
+            means.extend(mean.tolist())
+            ses.extend(se.tolist())
+        if on_boundary:
             value = 0.0
             var = 0.0
-            for j, (d, w) in enumerate(zip(depths, dweights)):
-                xj = model.offset_from_boundary(point[None, :], np.array([d]))[0]
-                k0 = float(hk.heat_kernel_diag(model, t, xj[None, :])[0])
-                mean, se = supertrace_expectation(
-                    model, xj, t, bridges, RngStream(seed, 1000 * it + j),
-                    steps=steps, drift=drift, lam_scale=lam_scale,
-                )
-                value += w * k0 * mean
-                var += (w * k0 * se) ** 2
+            for w, k, mean, se in zip(dweights, k0, means, ses):
+                value += w * k * mean
+                var += (w * k * se) ** 2
             stderr = math.sqrt(var)
         else:
-            k0 = float(hk.heat_kernel_diag(model, t, point[None, :])[0])
-            mean, se = supertrace_expectation(
-                model, point, t, bridges, RngStream(seed, 1000 * it),
-                steps=steps, drift=drift, lam_scale=lam_scale,
-            )
-            value = k0 * mean
-            stderr = k0 * se
+            value = k0[0] * means[0]
+            stderr = k0[0] * ses[0]
         ratio = value / analytic if analytic != 0.0 else None
         rows.append(
             {"t": t, "value": value, "stderr": stderr, "analytic": analytic, "ratio": ratio}

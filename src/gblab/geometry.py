@@ -125,7 +125,9 @@ def _frame_vector(u, xi):
 
 def _sphere_log(x, y, r):
     """Ambient log map log_x(y) on the round sphere of radius r, per coordinate."""
-    cosg = np.clip(_rowdot(x, y) / r**2, -1.0, 1.0)
+    cosg = _rowdot(x, y) / r**2
+    np.maximum(cosg, -1.0, out=cosg)
+    np.minimum(cosg, 1.0, out=cosg)
     length = r * np.arccos(cosg)
     perp = [y[:, d] - cosg * x[:, d] for d in range(x.shape[1])]
     norm = perp[0] * perp[0]
@@ -468,7 +470,7 @@ class SphereCap(ManifoldModel):
         return CurvatureTensor.constant_curvature(self.dimension, self.constant_curvature)
 
     def colatitude(self, x):
-        return np.arccos(np.clip(x[..., self._axis] / self.radius, -1.0, 1.0))
+        return np.arccos(np.minimum(np.maximum(x[..., self._axis] / self.radius, -1.0), 1.0))
 
     def _meridian_at(self, x, theta):
         """Unit tangent toward increasing colatitude, reusing the colatitude.

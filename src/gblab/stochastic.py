@@ -18,11 +18,14 @@ the drift satisfies the Neumann condition at the boundary; both reduce
 to the exact Euclidean bridge drift away from the boundary.  The final
 step snaps to the anchor.
 
-simulate_bridges steps a batch as equal row tiles of at most TILE_ROWS
-paths, so each step's temporaries stay cache-sized and the allocator
-reuses them.  The tiles are a memory layout and never change a draw: every
-step visits them in row order, so they take exactly the numbers of one
-draw for the whole batch, and every path is bitwise the same as untiled.
+simulate_bridges draws its noise from one generator or from a sequence of
+G generators, one stream per equal contiguous row group, and steps the
+batch as equal row tiles of at most TILE_ROWS paths, so each step's
+temporaries stay cache-sized and the allocator reuses them.  Tiles and
+groups never change a draw: every step visits the tiles in row order and
+each tile fills its rows group by group, so every group takes exactly the
+numbers its own stream gives a separate batch of its rows, and every path
+is bitwise the same as in that separate, untiled batch.
 
 The multiplicative functional starts at the identity, decays through
 the curvature operator during interior evolution, and at every boundary
@@ -77,6 +80,38 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return RngStream(int(rng)).generator()
+
+
+@dataclass(frozen=True)
+class _RowStreams:
+    """Generators that own consecutive row groups: gens[i] fills rows bounds[i]:bounds[i + 1]."""
+
+    gens: tuple
+    bounds: tuple
+
+    def tile(self, rows: slice) -> "_RowStreams":
+        """The groups' parts inside a row tile, with rows counted from the tile's start."""
+        parts = [(g, max(a, rows.start), min(b, rows.stop))
+                 for g, a, b in zip(self.gens, self.bounds, self.bounds[1:])]
+        parts = [(g, a - rows.start, b - rows.start) for g, a, b in parts if a < b]
+        return _RowStreams(tuple(g for g, _, _ in parts),
+                           (0,) + tuple(b for _, _, b in parts))
+
+    def fill(self, xi):
+        """Fill the rows of xi with standard normals, group by group in row order."""
+        for gen, a, b in zip(self.gens, self.bounds, self.bounds[1:]):
+            gen.standard_normal(out=xi[a:b])
+
+
+def _row_streams(rng, rows: int) -> _RowStreams:
+    """One generator for all rows, or G generators splitting them into equal groups."""
+    if isinstance(rng, _RowStreams):
+        return rng
+    gens = [_as_generator(r) for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    if not gens or rows % len(gens):
+        raise ValueError(f"{len(gens)} generators cannot split {rows} rows into equal groups")
+    size = rows // len(gens)
+    return _RowStreams(tuple(gens), tuple(i * size for i in range(len(gens) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +193,7 @@ def _finish_step(model, state, x2, u2, idx, dlam):
 def _apply_increment(model, state, xi, lam_scale):
     """Move every path by the frame increment xi, reflecting at the boundary."""
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    idx = np.flatnonzero(model.boundary_distance(x2) <= 0.0)
+    idx = (model.boundary_distance(x2) <= 0.0).nonzero()[0]
     dlam = np.empty(0)
     if idx.size:
         x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
@@ -221,7 +256,8 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
     rho = ell_nu - gap  # becomes the image weight, in place
     rho *= plus
     rho /= 2.0 * remaining
-    np.clip(rho, -60.0, 0.0, out=rho)
+    np.maximum(rho, -60.0, out=rho)
+    np.minimum(rho, 0.0, out=rho)
     np.exp(rho, out=rho)
     pull = rho * plus
     rho += 1.0
@@ -241,10 +277,15 @@ def _sub_columns(out, w, nu):
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
                 drift="reflected", lam_scale=DEFAULT_LAM_SCALE, d_anchor=None) -> ContactInfo:
-    """One step of the reflected Brownian bridge toward the anchor."""
-    gen = _as_generator(rng)
+    """One step of the reflected Brownian bridge toward the anchor.
+
+    rng is one generator, or a sequence of G generators that split the
+    rows into G equal contiguous groups (ValueError otherwise).
+    """
+    streams = _row_streams(rng, state.x.shape[0])
     g = bridge_drift(model, state, anchor, remaining, kind=drift, h=h, d_anchor=d_anchor)
-    xi = gen.standard_normal((state.x.shape[0], model.dimension))
+    xi = np.empty((state.x.shape[0], model.dimension))
+    streams.fill(xi)
     xi *= math.sqrt(h)
     g *= h
     xi += g
@@ -261,7 +302,7 @@ def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE)
     """
     xi = model.log_frame(state.x, state.frames, anchor)
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    idx = np.flatnonzero(model.boundary_distance(x2) <= 1e-12)
+    idx = (model.boundary_distance(x2) <= 1e-12).nonzero()[0]
     return _finish_step(model, state, x2, u2, idx, np.zeros(idx.size))
 
 
@@ -360,12 +401,15 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     """Simulate reflected Brownian bridge loops pinned at the given anchors.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
-    t / steps and ends exactly at its anchor.  The rows step as lockstep
+    t / steps and ends exactly at its anchor.  rng is one generator, or a
+    sequence of G generators that split the P rows into G equal contiguous
+    groups (ValueError otherwise); group i draws exactly what a separate
+    batch of its rows draws from generator i.  The rows step as lockstep
     tiles of at most TILE_ROWS paths (see the module docstring).
     """
-    gen = _as_generator(rng)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
+    streams = _row_streams(rng, P)
     h = t / steps
     d_anchor = model.boundary_distance(anchors)
     bounded = model.bounded_factor
@@ -373,6 +417,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     contacts = np.zeros(P, dtype=np.int64)
     excursion = np.zeros(P) if track_excursion else None
     tiles = _row_tiles(P)
+    tile_streams = [streams.tile(rows) for rows in tiles]
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     positions = None
@@ -381,11 +426,11 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
         positions[0] = anchors
     for k in range(steps):
         remaining = t - k * h
-        for rows, state in zip(tiles, states):
+        for rows, state, noise in zip(tiles, states, tile_streams):
             if k == steps - 1:
                 info = snap_to_anchor(model, state, anchors[rows], lam_scale)
             else:
-                info = step_bridge(model, state, remaining, anchors[rows], h, gen,
+                info = step_bridge(model, state, remaining, anchors[rows], h, noise,
                                    drift=drift, lam_scale=lam_scale, d_anchor=d_anchor[rows])
             _jump_update(m[rows], info, mode, eps)
             contacts[rows][info.idx] += 1

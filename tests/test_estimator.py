@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gblab import estimator as est
 from gblab import geometry as geo
+from gblab import kernels as hk
+from gblab import stochastic as st
 from gblab.errors import CalibrationRankError, ConfigError, ResampleRateError
 from gblab.stochastic import RngStream
 
@@ -299,6 +302,93 @@ class TestLocalLimit:
             constants3.d_odd * (-2.0), rel=1e-12
         )
         assert 0.80 < row["ratio"] < 1.15
+
+
+def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes,
+                  collar_factor=5.0):
+    """Reference: local_limit_check's (t, value, stderr) rows, one bridge batch per node."""
+    point = np.asarray(point, dtype=float)
+    on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
+    rows = []
+    for it, t in enumerate(sorted(t_sequence, reverse=True)):
+        if on_boundary:
+            nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
+            width = min(collar_factor * math.sqrt(t), 0.9 * est._confinement_scale(model))
+            depths = 0.5 * width * (nodes + 1.0)
+            dweights = 0.5 * width * gl_weights
+            value = 0.0
+            var = 0.0
+            for j, (d, w) in enumerate(zip(depths, dweights)):
+                xj = model.offset_from_boundary(point[None, :], np.array([d]))[0]
+                k0 = float(hk.heat_kernel_diag(model, t, xj[None, :])[0])
+                mean, se = est.supertrace_expectation(
+                    model, xj, t, bridges, RngStream(seed, 1000 * it + j), steps=steps,
+                )
+                value += w * k0 * mean
+                var += (w * k0 * se) ** 2
+            stderr = math.sqrt(var)
+        else:
+            k0 = float(hk.heat_kernel_diag(model, t, point[None, :])[0])
+            mean, se = est.supertrace_expectation(
+                model, point, t, bridges, RngStream(seed, 1000 * it), steps=steps,
+            )
+            value = k0 * mean
+            stderr = k0 * se
+        rows.append((t, value, stderr))
+    return rows
+
+
+LOCKSTEP_CASES = {
+    "disk-boundary": (lambda: geo.model_catalog("ball", dimension=2), "boundary"),
+    "ball3-boundary": (lambda: geo.model_catalog("ball", dimension=3), "boundary"),
+    "hemisphere-boundary": (lambda: geo.model_catalog("hemisphere", dimension=2), "boundary"),
+    "hemisphere-interior": (lambda: geo.model_catalog("hemisphere", dimension=2), "interior"),
+}
+
+
+class TestLockstepNodes:
+    # the default cap puts all five 40-bridge nodes in one batch; 80 rows
+    # gives batches of 1, 2 and 2 nodes, and 9-row tiles split an 80-row
+    # batch at 35, 44, ..., so the tile of rows 35-43 holds rows of two nodes
+    @pytest.mark.parametrize("cap, tile_rows", [(est.LOCKSTEP_ROWS, None), (80, 9)])
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_equal_to_per_node_loop(self, case, cap, tile_rows, constants2, constants3,
+                                    monkeypatch):
+        make, kind = LOCKSTEP_CASES[case]
+        model = make()
+        point = model.boundary_point() if kind == "boundary" else model.interior_point()
+        constants = constants2 if model.dimension == 2 else constants3
+        ref = per_node_rows(model, point, [0.03, 0.015], 40, 233, steps=24, depth_nodes=5)
+        monkeypatch.setattr(est, "LOCKSTEP_ROWS", cap)
+        if tile_rows is not None:
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+        table = est.local_limit_check(model, point, [0.015, 0.03], 40, 233, steps=24,
+                                      constants=constants, depth_nodes=5)
+        assert table.point_kind == kind
+        assert [(r["t"], r["value"], r["stderr"]) for r in table.rows] == ref
+        assert any(r[1] != 0.0 for r in ref)
+
+    @pytest.mark.parametrize("nodes, bridges, cap, sizes", [
+        (8, 2000, 8000, [4, 4]), (10, 2000, 8000, [3, 3, 4]), (8, 9000, 8000, [1] * 8),
+        (1, 2000, 8000, [1]), (5, 40, 80, [1, 2, 2]), (5, 300, 8000, [5]),
+    ])
+    def test_lockstep_groups(self, nodes, bridges, cap, sizes, monkeypatch):
+        monkeypatch.setattr(est, "LOCKSTEP_ROWS", cap)
+        groups = est._lockstep_groups(nodes, bridges)
+        assert [len(g) for g in groups] == sizes
+        assert [j for g in groups for j in g] == list(range(nodes))
+
+    def test_resample_check_is_per_node(self):
+        # node 1 loses 4 of its 20 bridges: 10 % of the batch, 20 % of the node
+        alive = np.ones(40, dtype=bool)
+        alive[20:24] = False
+        batch = SimpleNamespace(alive=alive, supertraces=lambda: np.arange(40.0))
+        with pytest.raises(ResampleRateError) as err:
+            est._node_expectations(batch, 2, 0.01, 0.15)
+        assert err.value.rate == pytest.approx(0.2)
+        mean, se = est._node_expectations(batch, 2, 0.01, 0.25)
+        assert mean.tolist() == [9.5, 31.5]
+        assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
 
 
 class TestArgumentRanges:

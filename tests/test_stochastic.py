@@ -886,3 +886,83 @@ class TestFlatColumnwise:
                 old = broadcast_flat_drift(model, inside, anchors, remaining, kind=kind, h=h,
                                            d_anchor=d_anchor)
                 assert np.array_equal(new, old)
+
+
+def concat_batches(parts):
+    """The row concatenation of separate bridge batches, as one batch."""
+    first = parts[0]
+
+    def join(field):
+        return np.concatenate([getattr(p, field) for p in parts])
+
+    def join_factors(field):
+        return {name: None if first_value is None else
+                np.concatenate([getattr(p, field)[name] for p in parts])
+                for name, first_value in getattr(first, field).items()}
+
+    return st.BridgeBatch(
+        model=first.model, t=first.t, steps=first.steps, anchors=join("anchors"),
+        lam=join("lam"), contacts=join("contacts"), alive=join("alive"),
+        factor_m=join_factors("factor_m"), factor_O=join_factors("factor_O"),
+        max_excursion=join("max_excursion"),
+        positions=np.concatenate([p.positions for p in parts], axis=1),
+    )
+
+
+class TestGroupedStreams:
+    @pytest.mark.parametrize("drift", ["reflected", "varadhan"])
+    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
+    @pytest.mark.parametrize("name", list(DRIFT_MODELS))
+    def test_bitwise_equal_to_separate_batches(self, name, mode, drift, monkeypatch):
+        model = DRIFT_MODELS[name]()
+        eps = 0.05 if mode == "epsilon" else None
+        kw = dict(mode=mode, eps=eps, drift=drift, track_excursion=True, record_positions=True)
+        anchors = mixed_anchors(model, 87, 193)
+        streams = [st.RngStream(197, 10 + j) for j in range(3)]
+        separate = concat_batches([
+            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s, **kw)
+            for j, s in enumerate(streams)
+        ])
+        assert separate.contacts.sum() > 0
+        # one tile at the default cap; 64 rows -> tiles of 43 and 44, so the
+        # second 29-row group straddles them; 5 rows -> 18 tiles of 4 or 5
+        for tile_rows in (st.TILE_ROWS, 64, 5):
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            grouped = st.simulate_bridges(model, anchors, 0.05, 30,
+                                          [s.generator() for s in streams], **kw)
+            assert_batches_equal(grouped, separate)
+
+    def test_single_generator_in_a_sequence(self):
+        model = disk()
+        anchors = mixed_anchors(model, 40, 199)
+        one = st.simulate_bridges(model, anchors, 0.05, 20, st.RngStream(211, 3))
+        seq = st.simulate_bridges(model, anchors, 0.05, 20, [st.RngStream(211, 3)])
+        assert np.array_equal(one.lam, seq.lam)
+        assert np.array_equal(one.supertraces(), seq.supertraces())
+
+    @pytest.mark.parametrize("rows, count", [(5, 2), (13, 3), (4, 0)])
+    def test_unequal_split_raises(self, rows, count):
+        model = disk()
+        anchors = np.broadcast_to(np.array([0.5, 0.0]), (rows, 2)).copy()
+        gens = [st.RngStream(223, j).generator() for j in range(count)]
+        with pytest.raises(ValueError):
+            st.simulate_bridges(model, anchors, 0.05, 10, gens)
+        state = st.make_walk_state(model, anchors)
+        with pytest.raises(ValueError):
+            st.step_bridge(model, state, 0.05, anchors, 0.005, gens)
+
+    def test_step_bridge_groups(self):
+        model = hemisphere()
+        anchors = mixed_anchors(model, 24, 227)
+        grouped = st.make_walk_state(model, anchors)
+        gens = [st.RngStream(229, j).generator() for j in range(2)]
+        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, gens)
+        parts = []
+        for j in range(2):
+            state = st.make_walk_state(model, anchors[12 * j:12 * (j + 1)])
+            part = st.step_bridge(model, state, 0.05, anchors[12 * j:12 * (j + 1)], 0.01,
+                                  st.RngStream(229, j).generator())
+            parts.append((state, part.idx + 12 * j))
+        assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
+        assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
+        assert np.array_equal(info.idx, np.concatenate([idx for _, idx in parts]))
