@@ -58,12 +58,36 @@ def _parse_str_list(s):
     return [v.strip() for v in s.split(",") if v.strip()]
 
 
+def _positive_float(name):
+    """Parser of a float that must be finite and > 0."""
+    def parse(s):
+        value = float(s)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        return value
+    return parse
+
+
+def _integer(name, low):
+    """Parser of an integer that must be >= low."""
+    return lambda s: est.check_integer(name, int(s), low)
+
+
+def _choice(name, options):
+    """Parser of a word that must be one of options."""
+    def parse(s):
+        if s not in options:
+            raise ConfigError(f"{name} must be one of {', '.join(options)}; got {s!r}")
+        return s
+    return parse
+
+
 CONFIG_SCHEMA = {
     "experiment": (str, _ALL, (), None),
     "seed": (lambda s: est.check_integer("seed", int(s), 0, 2**64), _ALL, _ALL, None),
     "output_dir": (str, _ALL, (), "out"),
     "formats": (_parse_str_list, _ALL, (), ["json"]),
-    "workers": (int, _ALL, (), 0),
+    "workers": (_integer("workers", 0), _ALL, (), 0),
     "model": (str, ("estimate-chi", "local-limit", "diagnostics"), ("estimate-chi", "local-limit"), None),
     "model.dimension": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "model.radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
@@ -77,22 +101,22 @@ CONFIG_SCHEMA = {
     "t": (lambda s: est.check_lifetime(float(s)), ("estimate-chi",), ("estimate-chi",), None),
     "t_sequence": (lambda s: [est.check_lifetime(float(v)) for v in s.split(",") if v.strip()],
                    ("local-limit",), ("local-limit",), None),
-    "base_points": (lambda s: est.check_integer("base_points", int(s), 2),
-                    ("estimate-chi",), ("estimate-chi",), None),
-    "bridges": (lambda s: est.check_integer("bridges", int(s), 1),
+    "base_points": (_integer("base_points", 2), ("estimate-chi",), ("estimate-chi",), None),
+    "bridges": (_integer("bridges", 1),
                 ("estimate-chi", "local-limit"), ("estimate-chi", "local-limit"), None),
-    "steps": (lambda s: est.check_integer("steps", int(s), 2),
-              ("estimate-chi", "local-limit", "diagnostics"), (), None),
+    "steps": (_integer("steps", 2), ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "stratify": (_parse_bool, ("estimate-chi",), (), True),
-    "drift": (str, ("estimate-chi", "local-limit"), (), "reflected"),
-    "lam_scale": (float, ("estimate-chi", "local-limit", "diagnostics"), (), st.DEFAULT_LAM_SCALE),
-    "point": (str, ("local-limit",), (), "interior"),
-    "depth_nodes": (lambda s: est.check_integer("depth_nodes", int(s), 1), ("local-limit",), (), 10),
+    "drift": (_choice("drift", ("reflected", "varadhan")),
+              ("estimate-chi", "local-limit"), (), "reflected"),
+    "lam_scale": (_positive_float("lam_scale"), ("estimate-chi", "local-limit", "diagnostics"), (),
+                  st.DEFAULT_LAM_SCALE),
+    "point": (_choice("point", ("interior", "boundary")), ("local-limit",), (), "interior"),
+    "depth_nodes": (_integer("depth_nodes", 1), ("local-limit",), (), 10),
     "dimension": (int, ("calibrate",), ("calibrate",), None),
     "dims": (_parse_int_list, ("cancellation-suite",), (), [2, 3, 4, 5, 6]),
-    "instances": (int, ("cancellation-suite",), (), 100),
-    "tolerance": (float, ("cancellation-suite",), (), 1e-10),
-    "samples": (int, ("diagnostics",), (), 2000),
+    "instances": (_integer("instances", 1), ("cancellation-suite",), (), 100),
+    "tolerance": (_positive_float("tolerance"), ("cancellation-suite",), (), 1e-10),
+    "samples": (_integer("samples", 1), ("diagnostics",), (), 2000),
 }
 
 _MODEL_PARAM_KEYS = [k for k in CONFIG_SCHEMA if k.startswith("model.")]
@@ -272,13 +296,11 @@ def _run_local_limit(cfg):
     model = build_model(cfg)
     if cfg["point"] == "boundary":
         point = model.boundary_point()
-    elif cfg["point"] == "interior":
+    else:
         point = model.interior_point() if hasattr(model, "interior_point") else None
         if point is None:
             pts = model.sample_volume(st.RngStream(cfg["seed"], 9999).generator(), 256)
             point = pts[np.argmax(model.boundary_distance(pts))]
-    else:
-        raise ConfigError("config key 'point' must be 'interior' or 'boundary'")
     constants = est.calibrate_constants(model.dimension)
     _progress(f"local-limit: {model!r} at {cfg['point']} point, t in {cfg['t_sequence']}")
     table = est.local_limit_check(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -461,6 +460,8 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         jobs.append((model, pts[lo:hi], t, steps, bridges, RngStream(seed, ci + 1),
                      mode, eps, drift, lam_scale))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays the import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chi_chunk_star, jobs))
     else:

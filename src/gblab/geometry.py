@@ -70,13 +70,19 @@ def _scale_columns(x, w, op):
     return out
 
 
+def _column_buffer(rows, cols):
+    """An uninitialised (rows, cols) array whose columns are contiguous."""
+    return np.empty((cols, rows)).T
+
+
 def _sphere_step(p, u, v_amb, r):
     """Exact great-circle step and parallel transport on a round sphere.
 
     p: (P, d) embedded points, |p| = r; u: (P, d, k) tangent frame columns
     or None; v_amb: (P, d) tangent step vectors.  Returns the new points
-    and transported frame.  Every operation runs over one length-P column
-    (a coordinate of the points, or one entry of the frames).
+    and transported frame in the layouts of p and u.  Every operation runs
+    over one length-P column (a coordinate of the points, or one entry of
+    the frames), which is contiguous in the column-major walk state.
     """
     dim = p.shape[1]
     s = np.sqrt(_rowdot(v_amb, v_amb))
@@ -97,27 +103,27 @@ def _sphere_step(p, u, v_amb, r):
         p2[:, d] *= scale
     if u is None:
         return p2, None
-    # u2 = u + (cos - 1)(u . vhat) vhat - sin (u . vhat) phat, per frame column
+    # u2 = u + (cos - 1)(u . vhat) vhat - (sin / r)(u . vhat) p, per frame column
     c1 = c - 1.0
-    phat = [p[:, d] / r for d in range(dim)]
+    si_over_r = si / r
     u2 = np.empty_like(u)
     for a in range(u.shape[2]):
         w = u[:, 0, a] * vhat[0]
         for d in range(1, dim):
             w += u[:, d, a] * vhat[d]
         cw = c1 * w
-        sw = si * w
+        sw = si_over_r * w
         for d in range(dim):
             col = u2[:, d, a]
             np.multiply(vhat[d], cw, out=col)
             col += u[:, d, a]
-            col -= phat[d] * sw
+            col -= p[:, d] * sw
     return p2, u2
 
 
 def _frame_vector(u, xi):
     """Ambient vectors u xi of frame components xi: (P, d, k), (P, k) -> (P, d), per coordinate."""
-    out = np.empty(u.shape[:2])
+    out = _column_buffer(*u.shape[:2])
     for d in range(u.shape[1]):
         out[:, d] = _rowdot(u[:, d], xi)
     return out
@@ -230,6 +236,8 @@ class ManifoldModel:
         if u0 is None or not factor.needs_frame:
             return None
         c = factor.cols
+        # einsum's summation order follows the memory layout: fix it to C order
+        u0, u = np.ascontiguousarray(u0), np.ascontiguousarray(u)
         return np.einsum("pda,pdb->pab", u0[:, :, c], u[:, :, c])
 
     # --- hooks subclasses must provide -----------------------------------
@@ -265,7 +273,7 @@ class ManifoldModel:
         """Components u^T v of ambient tangent vectors in the moving frame, per frame column."""
         if u is None:
             return v_amb
-        out = np.empty((u.shape[0], u.shape[2]))
+        out = _column_buffer(u.shape[0], u.shape[2])
         for k in range(u.shape[2]):
             out[:, k] = _rowdot(u[:, :, k], v_amb)
         return out
@@ -472,28 +480,30 @@ class SphereCap(ManifoldModel):
     def colatitude(self, x):
         return np.arccos(np.minimum(np.maximum(x[..., self._axis] / self.radius, -1.0), 1.0))
 
-    def _meridian_at(self, x, theta):
-        """Unit tangent toward increasing colatitude, reusing the colatitude.
+    def _meridian_at(self, x, theta=None):
+        """Unit tangent toward increasing colatitude theta, built one coordinate at a time.
 
         cos(theta) times the unit horizontal direction (0 at the apex), and
-        -sin(theta) along the axis; built one coordinate at a time.
+        -sin(theta) along the axis.  Both come from the coordinates without
+        trigonometry: cos(theta) = x_axis / r and sin(theta) = |x_horizontal| / r,
+        so a colatitude the caller already has is not needed.
         """
         axis = self._axis
         horiz = x[:, :axis]
-        norm = np.maximum(np.sqrt(_rowdot(horiz, horiz)), 1e-300)
-        cos = np.cos(theta)
+        norm = np.sqrt(_rowdot(horiz, horiz))
+        scale = x[:, axis] / self.radius  # cos(theta), then cos(theta) / |x_horizontal|
+        scale /= np.maximum(norm, 1e-300)
         out = np.empty_like(x)
         for d in range(axis):
-            np.multiply(cos, x[:, d] / norm, out=out[:, d])
-        np.negative(np.sin(theta), out=out[:, axis])
+            np.multiply(x[:, d], scale, out=out[:, d])
+        np.divide(norm, -self.radius, out=out[:, axis])
         return out
-
-    def _meridian(self, x):
-        return self._meridian_at(x, self.colatitude(x))
 
     def collar_data(self, x, u):
         theta = self.colatitude(x)
-        nu = self.frame_components(x, u, -self._meridian_at(x, theta))
+        # minus the meridian's components: negating the k components is exact
+        nu = self.frame_components(x, u, self._meridian_at(x))
+        np.negative(nu, out=nu)
         return self.radius * (self.aperture - theta), nu
 
     def initial_frames(self, x):
@@ -511,15 +521,15 @@ class SphereCap(ManifoldModel):
     def reflect(self, x, u):
         theta = self.colatitude(x)
         depth = self.radius * (theta - self.aperture)
-        v_amb = -2.0 * depth[:, None] * self._meridian_at(x, theta)
+        v_amb = -2.0 * depth[:, None] * self._meridian_at(x)
         x2, u2 = _sphere_step(x, u, v_amb, self.radius)
         return x2, u2, depth
 
     def normal_frame(self, x, u):
-        return self.frame_components(x, u, -self._meridian(x))
+        return self.frame_components(x, u, -self._meridian_at(x))
 
     def shape_frame(self, x, u):
-        nu_amb = -self._meridian(x)
+        nu_amb = -self._meridian_at(x)
         phat = x / self.radius
         eye = np.eye(self.state_dim)
         proj = (
@@ -541,8 +551,7 @@ class SphereCap(ManifoldModel):
         return self.radius * np.arccos(cosg)
 
     def offset_from_boundary(self, z, depth):
-        theta = self.colatitude(z)
-        v_amb = -np.asarray(depth)[:, None] * self._meridian_at(z, theta)
+        v_amb = -np.asarray(depth)[:, None] * self._meridian_at(z)
         z2, _ = _sphere_step(z, None, v_amb, self.radius)
         return z2
 
@@ -550,7 +559,7 @@ class SphereCap(ManifoldModel):
         # colatitude theta -> 2 alpha - theta along the meridian
         theta = self.colatitude(x)
         d = self.radius * (self.aperture - theta)
-        v_amb = 2.0 * d[:, None] * self._meridian_at(x, theta)
+        v_amb = 2.0 * d[:, None] * self._meridian_at(x)
         x2, _ = _sphere_step(x, None, v_amb, self.radius)
         return x2
 
@@ -897,10 +906,11 @@ class SphereBall(ManifoldModel):
         l = self.sphere_dim
         ps, pb = self._split(x)
         xi_s, xi_b = xi[:, :l], xi[:, l:]
+        x2 = np.empty_like(x)  # keeps the layout of the walk state
         if u is None:
             if l == 1:
                 v_amb = xi_s[:, 0][:, None] * self._circle_tangent(ps)
-                ps2, _ = _sphere_step(ps, None, v_amb, self.sphere_radius)
+                x2[:, : l + 1], _ = _sphere_step(ps, None, v_amb, self.sphere_radius)
             else:  # pragma: no cover - l >= 2 always carries frames
                 raise RuntimeError("curved sphere factor requires frames")
             u2 = None
@@ -910,9 +920,10 @@ class SphereBall(ManifoldModel):
             u2 = np.empty_like(u)
             u2[:, l + 1 :] = u[:, l + 1 :]
             u2[:, : l + 1, l:] = u[:, : l + 1, l:]
-            ps2, u2[:, : l + 1, :l] = _sphere_step(ps, us, _frame_vector(us, xi_s), self.sphere_radius)
-        pb2 = pb + xi_b
-        return np.concatenate([ps2, pb2], axis=-1), u2
+            x2[:, : l + 1], u2[:, : l + 1, :l] = _sphere_step(
+                ps, us, _frame_vector(us, xi_s), self.sphere_radius)
+        np.add(pb, xi_b, out=x2[:, l + 1 :])
+        return x2, u2
 
     def boundary_distance(self, x):
         return self._ball.boundary_distance(self._split(x)[1])

@@ -27,6 +27,14 @@ each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
 is bitwise the same as in that separate, untiled batch.
 
+Walks of models that carry frames keep x and the frames column-major (the
+logical shapes (P, d) and (P, d, k) laid out as (d, P) and (d, k, P)), because
+their steps run column by column over length-P columns; flat walks keep
+C-order rows.  The layout never changes a draw: the noise fills C-order rows
+and is added to the drift in the drift's layout.  Nor does it change a
+result, since the only layout-dependent arithmetic, einsum's summation
+order, runs on C-order copies.
+
 The multiplicative functional starts at the identity, decays through
 the curvature operator during interior evolution, and at every boundary
 contact is multiplied by exp(-DA * dlam) followed by the tangential
@@ -123,8 +131,8 @@ def _row_streams(rng, rows: int) -> _RowStreams:
 class WalkState:
     """Batched state of reflected walks (positions, frames, local time)."""
 
-    x: np.ndarray                 # (P, state_dim)
-    frames: np.ndarray | None     # (P, state_dim, n) or None for trivial transport
+    x: np.ndarray                 # (P, state_dim); column-major when frames are carried
+    frames: np.ndarray | None     # (P, state_dim, n) laid out (state_dim, n, P), or None
     lam: np.ndarray               # (P,)
     time: float
     alive: np.ndarray             # (P,) validity mask
@@ -140,9 +148,28 @@ class ContactInfo:
     coeff: np.ndarray             # (C,) umbilic shape coefficient
 
 
+def _columns_contiguous(a):
+    """A copy of a with its row axis last in memory, so every a[:, i] or a[:, i, j] is contiguous."""
+    return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+
+
+def _walk_rows(model: ManifoldModel, x):
+    """Rows of points in the layout the walks of the model keep (see make_walk_state)."""
+    return _columns_contiguous(x) if model.needs_frames else x
+
+
 def make_walk_state(model: ManifoldModel, x0) -> WalkState:
+    """Walks starting at x0.
+
+    Frame-carrying models keep x and the frames column-major, because their
+    steps run column by column; flat walks keep C-order rows.  The frames are
+    built from C-order points, so the layout never changes a value.
+    """
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    frames = model.initial_frames(x) if model.needs_frames else None
+    frames = None
+    if model.needs_frames:
+        frames = _columns_contiguous(model.initial_frames(x))
+        x = _columns_contiguous(x)
     return WalkState(
         x=x,
         frames=frames,
@@ -288,8 +315,8 @@ def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng
     streams.fill(xi)
     xi *= math.sqrt(h)
     g *= h
-    xi += g
-    info = _apply_increment(model, state, xi, lam_scale)
+    g += xi  # the increment, in the drift's layout: the draws fill C-order rows
+    info = _apply_increment(model, state, g, lam_scale)
     state.time += h
     return info
 
@@ -316,7 +343,7 @@ def _jump_update(m, info: ContactInfo, mode: str, eps: float | None):
     idx = info.idx
     if idx.size == 0:
         return
-    nu = info.nu
+    nu = np.ascontiguousarray(info.nu)  # einsum's summation order follows the layout
     a = info.coeff
     dl = info.dlam
     sub = m[idx]
@@ -419,6 +446,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     tiles = _row_tiles(P)
     tile_streams = [streams.tile(rows) for rows in tiles]
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
+    tile_anchors = [_walk_rows(model, anchors[rows]) for rows in tiles]
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     positions = None
     if record_positions:
@@ -426,16 +454,16 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
         positions[0] = anchors
     for k in range(steps):
         remaining = t - k * h
-        for rows, state, noise in zip(tiles, states, tile_streams):
+        for rows, state, noise, anchor in zip(tiles, states, tile_streams, tile_anchors):
             if k == steps - 1:
-                info = snap_to_anchor(model, state, anchors[rows], lam_scale)
+                info = snap_to_anchor(model, state, anchor, lam_scale)
             else:
-                info = step_bridge(model, state, remaining, anchors[rows], h, noise,
+                info = step_bridge(model, state, remaining, anchor, h, noise,
                                    drift=drift, lam_scale=lam_scale, d_anchor=d_anchor[rows])
             _jump_update(m[rows], info, mode, eps)
             contacts[rows][info.idx] += 1
             if track_excursion:
-                np.maximum(excursion[rows], model.distance(state.x, anchors[rows]),
+                np.maximum(excursion[rows], model.distance(state.x, anchor),
                            out=excursion[rows])
             if record_positions:
                 positions[k + 1, rows] = state.x

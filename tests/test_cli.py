@@ -249,14 +249,30 @@ class TestRangeValidation:
         ("estimate-chi", "base_points", "1"),
         ("estimate-chi", "bridges", "0"),
         ("estimate-chi", "steps", "1"),
+        ("estimate-chi", "drift", "bogus"),
+        ("estimate-chi", "lam_scale", "nan"),
+        ("estimate-chi", "lam_scale", "-1"),
+        ("estimate-chi", "workers", "-3"),
         ("local-limit", "t_sequence", "0.06,0"),
         ("local-limit", "t_sequence", "-1"),
         ("local-limit", "seed", "-3"),
         ("local-limit", "bridges", "0"),
         ("local-limit", "steps", "1"),
         ("local-limit", "depth_nodes", "0"),
+        ("local-limit", "drift", "bogus"),
+        ("local-limit", "lam_scale", "0"),
+        ("local-limit", "point", "corner"),
         ("cancellation-suite", "seed", "-1"),
+        ("cancellation-suite", "instances", "-4"),
+        ("cancellation-suite", "instances", "0"),
+        ("cancellation-suite", "tolerance", "nan"),
+        ("cancellation-suite", "tolerance", "-1e-10"),
+        ("cancellation-suite", "tolerance", "0"),
+        ("cancellation-suite", "workers", "-1"),
         ("diagnostics", "seed", str(2**64)),
+        ("diagnostics", "samples", "0"),
+        ("diagnostics", "samples", "-5"),
+        ("diagnostics", "lam_scale", "inf"),
     ])
     def test_out_of_range_exits_two(self, tmp_path, experiment, key, value):
         base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL}.get(experiment, {})
@@ -295,6 +311,9 @@ OUT_OF_RANGE = {
     "base_points": st.integers(-1, 1),
     "bridges": st.integers(-1, 0),
     "steps": st.integers(-1, 1),
+    "drift": st.sampled_from(["bogus", "Reflected", "reflected,varadhan"]),
+    "lam_scale": st.sampled_from(["0", "-1", "nan", "inf", "-inf"]),
+    "workers": st.integers(-5, -1),
 }
 
 
@@ -304,9 +323,9 @@ OUT_OF_RANGE = {
        data=st.data())
 def test_fuzz_estimate_config(cfg, broken, data):
     # zero, one or two keys out of range; the exit code must say which case it is
+    cfg = {**cfg, "model": cfg["model"][0], "model.dimension": cfg["model"][1], "workers": 1}
     for key in broken:
         cfg[key] = data.draw(OUT_OF_RANGE[key], label=key)
-    cfg = {**cfg, "model": cfg["model"][0], "model.dimension": cfg["model"][1], "workers": 1}
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = run_main(["estimate-chi", str(config_file(tmp, cfg))])
         assert code in (0, 2, 3)

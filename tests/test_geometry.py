@@ -535,6 +535,17 @@ class TestColumnwiseAgainstBroadcast:
         _close(x2, x_old)
         _close(u2, u_old)
 
+    @pytest.mark.parametrize("dimension, aperture", [(2, math.pi / 2), (3, 1.0), (3, 2.0)])
+    def test_trig_free_meridian_at_radius(self, dimension, aperture):
+        # cos and sin of the colatitude come from the coordinates, not from trig
+        model = geo.SphereCap(dimension, radius=2.5, aperture=aperture)
+        rng = RNG(47)
+        x = np.concatenate([model.sample_volume(rng, 200), model.sample_boundary(rng, 50),
+                            model.boundary_point()[None, :], model.interior_point()[None, :]])
+        m = model._meridian_at(x)
+        _close(m, broadcast_meridian_at(model, x, model.colatitude(x)))
+        assert np.array_equal(m[-1], np.zeros(x.shape[1]))  # the apex
+
     @pytest.mark.parametrize("case", SPHERE_CASES, ids=lambda c: c[0])
     def test_orthonormalize(self, case):
         from gblab.stochastic import _orthonormalize

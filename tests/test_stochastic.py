@@ -966,3 +966,115 @@ class TestGroupedStreams:
         assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
         assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
         assert np.array_equal(info.idx, np.concatenate([idx for _, idx in parts]))
+
+
+# ---------------------------------------------------------------------------
+# the column-major walk state of frame-carrying models
+# ---------------------------------------------------------------------------
+
+
+LAYOUT_MODELS = {
+    **{f"cap{n}-aperture{a:.2f}": (lambda n=n, a=a: geo.SphereCap(n, aperture=a))
+       for n in (2, 3) for a in (1.0, math.pi / 2, 2.0)},
+    "sphere-ball-2+1": lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+    "sphere-ball-2+2": lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=2),
+}
+FLAT_MODELS = {
+    "disk": disk,
+    "ball3": ball3,
+    "cylinder": lambda: geo.model_catalog("cylinder", length=1.0),
+    "sphere-ball-1+2": lambda: geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
+}
+
+
+def assert_columns_contiguous(state):
+    """Every coordinate column of x and every entry column of the frames is contiguous."""
+    for d in range(state.x.shape[1]):
+        assert state.x[:, d].flags.c_contiguous, ("x", d, state.x.strides)
+        for a in range(state.frames.shape[2]):
+            assert state.frames[:, d, a].flags.c_contiguous, ("frames", d, a, state.frames.strides)
+
+
+class TestWalkLayout:
+    @pytest.mark.parametrize("name", list(LAYOUT_MODELS))
+    def test_make_walk_state(self, name):
+        model = LAYOUT_MODELS[name]()
+        anchors = mixed_anchors(model, 30, 233)
+        state = st.make_walk_state(model, anchors)
+        assert_columns_contiguous(state)
+        # the layout changes no value: the frames are those of the C-order points
+        assert np.array_equal(state.x, anchors)
+        assert np.array_equal(state.frames, model.initial_frames(anchors))
+
+    @pytest.mark.parametrize("tile_rows", [None, 5])
+    @pytest.mark.parametrize("name", list(LAYOUT_MODELS))
+    def test_kept_through_steps_reflections_and_snap(self, name, tile_rows, monkeypatch):
+        model = LAYOUT_MODELS[name]()
+        if tile_rows is not None:
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+        checked = {"step_bridge": 0, "snap_to_anchor": 0}
+
+        def checking(fn):
+            def step(model, state, *args, **kwargs):
+                info = fn(model, state, *args, **kwargs)
+                assert_columns_contiguous(state)
+                checked[fn.__name__] += 1
+                return info
+            return step
+
+        for fn in (st.step_bridge, st.snap_to_anchor):
+            monkeypatch.setattr(st, fn.__name__, checking(fn))
+        tiles = len(st._row_tiles(30))
+        batch = st.simulate_bridges(model, mixed_anchors(model, 30, 239), 0.05, 12,
+                                    st.RngStream(241))
+        assert batch.contacts.sum() > 0  # reflections happened on the way
+        assert checked == {"step_bridge": 11 * tiles, "snap_to_anchor": tiles}
+
+    @pytest.mark.parametrize("name", list(FLAT_MODELS))
+    def test_flat_walks_keep_c_order(self, name):
+        model = FLAT_MODELS[name]()
+        state = st.make_walk_state(model, mixed_anchors(model, 20, 251))
+        assert state.frames is None and state.x.flags.c_contiguous
+        st.step_bridge(model, state, 0.05, mixed_anchors(model, 20, 251), 0.01, st.RngStream(257))
+        assert state.x.flags.c_contiguous
+
+
+class TestLayoutEquivalence:
+    """A run on row-major walk state gives what the column-major run gives."""
+
+    @staticmethod
+    def row_major_run(model, anchors, monkeypatch, **kw):
+        make = st.make_walk_state
+
+        def row_major_state(model, x0):
+            state = make(model, x0)
+            state.x = np.ascontiguousarray(state.x)
+            if state.frames is not None:
+                state.frames = np.ascontiguousarray(state.frames)
+            return state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(st, "make_walk_state", row_major_state)
+            patch.setattr(st, "_walk_rows", lambda model, x: x)
+            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263), **kw)
+
+    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
+    @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
+    def test_row_major_matches(self, name, mode, monkeypatch):
+        model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
+        kw = dict(mode=mode, eps=0.05 if mode == "epsilon" else None)
+        anchors = mixed_anchors(model, 60, 269)
+        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263), **kw)
+        old = self.row_major_run(model, anchors, monkeypatch, **kw)
+        assert new.contacts.sum() > 0
+        assert np.array_equal(new.contacts, old.contacts)
+        pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
+        for field in ("factor_m", "factor_O"):
+            a, b = getattr(new, field), getattr(old, field)
+            assert a.keys() == b.keys()
+            pairs += [(a[k], b[k]) for k in a if a[k] is not None or b[k] is not None]
+        for a, b in pairs:
+            if name in FLAT_MODELS:
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
