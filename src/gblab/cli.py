@@ -323,36 +323,12 @@ def _run_calibrate(cfg):
 
 
 def _run_cancellation_suite(cfg):
-    rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tolerance"]
-    cases = 0
-    failures = 0
-    worst = 0.0
-    for n in cfg["dims"]:
-        for algebra_dim, bound in ((n, n), (n - 1, n - 1)):
-            if algebra_dim < 1:
-                continue
-            for i in range(0, algebra_dim // 2 + 1):
-                for j in range(0, bound - 2 * i):
-                    if i == 0 and j == 0:
-                        continue
-                    for _ in range(cfg["instances"]):
-                        op = ext.GradedOperator.identity(algebra_dim)
-                        for _k in range(i):
-                            T = rng.standard_normal((algebra_dim, algebra_dim))
-                            U = rng.standard_normal((algebra_dim, algebra_dim))
-                            T /= np.linalg.norm(T)
-                            U /= np.linalg.norm(U)
-                            op = op @ ext.pair_extend([(T, U, 1.0)])
-                        for _k in range(j):
-                            B = rng.standard_normal((algebra_dim, algebra_dim))
-                            B = (B - B.T) / np.linalg.norm(B)
-                            op = op @ ext.derivation_extend(B)
-                        val = abs(ext.supertrace(op))
-                        cases += 1
-                        worst = max(worst, val)
-                        if val > tol:
-                            failures += 1
+    values = ext.cancellation_battery(cfg["dims"], cfg["instances"],
+                                      np.random.default_rng(cfg["seed"]))
+    cases = len(values)
+    failures = sum(v > tol for v in values)
+    worst = max(values, default=0.0)
     summary = f"{failures} failures"
     _progress(f"cancellation-suite: {cases} cases, {summary}, worst |Str| = {worst:.3e}")
     return {

@@ -482,8 +482,8 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     # the kernel series converges and pinned loops stay local
     validity = {
         "kernel": info,
-        "t_min_series": info.get("t_min", 0.0),
-        "t_max_confinement": (0.5 * _confinement_scale(model)) ** 2,
+        "t_min_series": info["t_min"],
+        "t_max_confinement": (0.5 * model.confinement_scale()) ** 2,
         "step_size": t / steps,
     }
     report = EstimateReport(
@@ -508,19 +508,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         wall_time_seconds=time.perf_counter() - started,
     )
     return report
-
-
-def _confinement_scale(model) -> float:
-    """Length scale below which pinned loops stay local (validity reporting)."""
-    if model.name == "ball":
-        return model.radius
-    if model.name == "cap":
-        return model.radius * min(model.aperture, math.pi / 2)
-    if model.name == "cylinder":
-        return 0.5 * model.length
-    if model.name == "sphere-ball":
-        return min(model.ball_radius, math.pi * model.sphere_radius)
-    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +579,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
-            width = min(collar_factor * math.sqrt(t), 0.9 * _confinement_scale(model))
+            width = min(collar_factor * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
             points = [model.offset_from_boundary(point[None, :], np.array([d]))[0] for d in depths]
@@ -635,22 +622,4 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         point=point.tolist(),
         rows=rows,
         observed_order=order,
-    )
-
-
-def mckean_singer_note() -> str:
-    """Background note tying the estimator to the spectral index identity."""
-    return (
-        "The Euler characteristic of a compact manifold with boundary equals "
-        "the supertrace of the heat semigroup of the form Laplacian under "
-        "absolute boundary conditions, at every positive time: eigenspaces at "
-        "positive energy pair up across the even/odd grading and cancel, so "
-        "only the harmonic kernel survives, and the alternating sum of its "
-        "dimensions is the Euler characteristic by Hodge theory.  This "
-        "package verifies the path-integral form of that identity, in which "
-        "the diagonal heat kernel is factored into the scalar Neumann kernel "
-        "times a bridge expectation of the supertraced multiplicative "
-        "functional; the spectral decomposition itself (harmonic spaces, "
-        "paired eigenspaces, the Dirac-type pairing operators) is documented "
-        "background and is deliberately not computed here."
     )

@@ -206,20 +206,12 @@ class MultiVector:
     def __neg__(self):
         return MultiVector(self.n, -self.coeffs)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     def __repr__(self):
         terms = []
         for s in np.nonzero(self.coeffs)[0]:
             label = "1" if s == 0 else "e" + "".join(str(i) for i in range(self.n) if s >> i & 1)
             terms.append(f"{self.coeffs[s]:+g}*{label}")
         return f"MultiVector(n={self.n}, {' '.join(terms) if terms else '0'})"
-
-
-def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Exterior product of two multivectors."""
-    return a.wedge(b)
 
 
 class GradedOperator:
@@ -274,9 +266,6 @@ class GradedOperator:
     def __neg__(self):
         return GradedOperator(self.n, -self.mat)
 
-    def adjoint(self) -> "GradedOperator":
-        return GradedOperator(self.n, self.mat.T)
-
     def apply(self, mv: MultiVector) -> MultiVector:
         if mv.n != self.n:
             raise DimensionMismatchError("operator and multivector dimension differ")
@@ -296,9 +285,6 @@ class GradedOperator:
         if not mask.any():
             return 0.0
         return float(np.abs(self.mat[mask]).max(initial=0.0))
-
-    def is_degree_preserving(self, tol: float = 1e-12) -> bool:
-        return self.off_block_norm() <= tol
 
     def trace(self) -> float:
         return float(np.trace(self.mat))
@@ -480,9 +466,6 @@ class CurvatureTensor:
 
     __rmul__ = __mul__
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.components).max())
-
 
 def curvature_to_operator(R: CurvatureTensor) -> GradedOperator:
     """Curvature operator on Lambda(R^n) entering the Weitzenboeck identity.
@@ -523,6 +506,37 @@ def parity(n: int) -> GradedOperator:
 def supertrace(op: GradedOperator) -> float:
     """Alternating sum of degree-block traces: trace composed with parity."""
     return op.supertrace()
+
+
+def cancellation_battery(dims, instances: int, rng: np.random.Generator) -> list:
+    """|Str| of random operator products below top degree, which cancel (Berezin-Patodi).
+
+    For each n in dims, on Lambda(R^m) for m = n (interior) and m = n - 1
+    (boundary): ``instances`` products of i paired and j derivation
+    extensions of random matrices of unit Frobenius norm, for every
+    (i, j) != (0, 0) with 2 i + j < m.
+    """
+    values = []
+    for n in dims:
+        for m in (n, n - 1):
+            for i in range(0, m // 2 + 1):
+                for j in range(0, m - 2 * i):
+                    if i == 0 and j == 0:
+                        continue
+                    for _ in range(instances):
+                        op = GradedOperator.identity(m)
+                        for _k in range(i):
+                            T = rng.standard_normal((m, m))
+                            U = rng.standard_normal((m, m))
+                            T /= np.linalg.norm(T)
+                            U /= np.linalg.norm(U)
+                            op = op @ pair_extend([(T, U, 1.0)])
+                        for _k in range(j):
+                            B = rng.standard_normal((m, m))
+                            B = (B - B.T) / np.linalg.norm(B)
+                            op = op @ derivation_extend(B)
+                        values.append(abs(supertrace(op)))
+    return values
 
 
 def boundary_projections(nu) -> tuple[GradedOperator, GradedOperator]:

@@ -10,10 +10,11 @@ ground-truth Euler characteristic.
 Models are built from one or two isotropic factors (round sphere or cap,
 flat ball, interval, circle); the factor metadata drives the fast
 supertrace assembly in the stochastic engine.  Points of spherical
-factors are stored embedded (which keeps stepping and transport exact);
-every model still exposes a single global chart with metric and
-Christoffel symbols for validation, with a small exclusion zone around
-chart poles.
+factors are stored embedded (which keeps stepping and transport exact).
+Each model also owns its analytic data: its Neumann heat kernel (built
+from the series, table and image functions of the kernels module), the
+kernel's exactness and validity metadata, the confinement scale of its
+pinned loops, and the curvature of its boundary.
 
 All models are immutable and all operations are pure, so instances can be
 shared freely across worker processes.
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels as hk
 from .errors import ConfigError
 from .exterior import CurvatureTensor
 
-_POLE_EXCLUSION = 1e-6  # chart-singularity zone radius (radians)
+_POLE_EXCLUSION = 1e-6  # samplers keep this far (radians) from the cap apex
 
 
 @dataclass(frozen=True)
@@ -182,25 +184,6 @@ def _householder_to_last(nu):
     return -H if H[:, -1] @ nu < 0 else H
 
 
-def diagonal_metric_christoffel(g_diag, dg_diag):
-    """Christoffel symbols of a diagonal metric.
-
-    g_diag: (P, n) diagonal entries; dg_diag: (P, n, n) with
-    dg_diag[:, i, k] the k-th partial of g_ii.  Returns (P, n, n, n)
-    indexed Gamma[p, k, i, j].
-    """
-    P, n = g_diag.shape
-    gamma = np.zeros((P, n, n, n))
-    inv = 1.0 / g_diag
-    for i in range(n):
-        for k in range(n):
-            if k != i:
-                gamma[:, k, i, i] = -0.5 * inv[:, k] * dg_diag[:, i, k]
-            gamma[:, i, i, k] = 0.5 * inv[:, i] * dg_diag[:, i, k]
-            gamma[:, i, k, i] = gamma[:, i, i, k]
-    return gamma
-
-
 class ManifoldModel:
     """Shared behaviour for the catalog models; subclasses fill in geometry."""
 
@@ -244,20 +227,9 @@ class ManifoldModel:
     # dimension, state_dim, euler_characteristic, volume, boundary_area,
     # factors, frame_curvature(), geodesic_step, boundary_distance,
     # reflect, normal_frame, shape_frame, boundary_data, log_frame,
-    # distance, valid, samplers, chart surface.
-
-    def curvature(self, x=None) -> CurvatureTensor:
-        """Curvature tensor at a point, in orthonormal frame components.
-
-        Every catalog model is a product of isotropic factors, so the
-        components are the same at every point of the (block) frame
-        bundle; the argument is accepted for interface uniformity.
-        """
-        return self.frame_curvature()
-
-    def valid(self, x):
-        """Chart-domain validity (samplers and chart calls stay inside)."""
-        return np.ones(x.shape[0], dtype=bool)
+    # distance, the samplers (sample_volume, sample_collar, collar_volume,
+    # sample_boundary), and the analytic data: heat_kernel_spec(),
+    # confinement_scale() and boundary_curvature_parts().
 
     def simulation_valid(self, x):
         """Validity of the simulation state itself.
@@ -282,19 +254,15 @@ class ManifoldModel:
         """Boundary distance and inward normal together (hot path)."""
         return self.boundary_distance(x), self.normal_frame(x, u)
 
-    def mirror_point(self, x):
-        """Geodesic reflection of x across the boundary (depth d -> -d)."""
-        raise NotImplementedError
+    # --- Neumann heat kernel ---------------------------------------------
+    def neumann_kernel(self, t, x, y):
+        """K0(t; x_p, y_p) of point pairs; this default is the Gaussian parametrix."""
+        return hk.parametrix(t, self.dimension, self.distance(x, y),
+                             self.boundary_distance(x), self.boundary_distance(y))
 
-    def collar_volume(self, width: float) -> float:
-        raise NotImplementedError
-
-    def sample_collar(self, rng, count, width):
-        raise NotImplementedError
-
-    def heat_kernel_spec(self) -> dict:
-        """Hints for the Neumann kernel builder (overridden per model)."""
-        return {"exact": False}
+    def neumann_diag(self, t, x):
+        """K0(t; x_p, x_p) of a batch of points."""
+        return self.neumann_kernel(t, x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +333,6 @@ class FlatBall(ManifoldModel):
         zhat = _unit_or_zero(z)
         return zhat * (self.radius - np.asarray(depth))[:, None]
 
-    def mirror_point(self, x):
-        rho = np.sqrt(np.einsum("pd,pd->p", x, x))
-        direction = x / np.maximum(rho, 1e-300)[:, None]
-        # at the exact center the mirror direction is arbitrary (the image
-        # weight is then negligible anyway)
-        direction[rho < 1e-12, 0] = 1.0
-        return direction * (2.0 * self.radius - rho)[:, None]
-
     # samplers ------------------------------------------------------------
     def sample_volume(self, rng, count):
         n = self.dimension
@@ -402,23 +362,37 @@ class FlatBall(ManifoldModel):
         z[0] = self.radius
         return z
 
-    # chart surface --------------------------------------------------------
-    def chart(self, x):
-        return np.array(x, copy=True)
+    # analytic data ---------------------------------------------------------
+    def neumann_kernel(self, t, x, y):
+        r = self.radius
+        if self.dimension == 1:
+            return hk.interval_kernel(t, 2 * r, x[:, 0] + r, y[:, 0] + r)
+        if self.dimension == 2:
+            return hk.disk_kernel(t, r, x, y)
+        if self.dimension == 3:
+            return hk.ball3_kernel(t, r, self.volume, x, y)
+        return super().neumann_kernel(t, x, y)
 
-    def chart_point(self, c):
-        return np.array(c, copy=True)
-
-    def metric(self, c):
-        P = c.shape[0]
-        return np.broadcast_to(np.eye(self.dimension), (P, self.dimension, self.dimension)).copy()
-
-    def christoffel(self, c):
-        P, n = c.shape
-        return np.zeros((P, n, n, n))
+    def neumann_diag(self, t, x):
+        if self.dimension in (2, 3):
+            return hk.ball_diag(t, self.radius, self.volume, x)
+        return self.neumann_kernel(t, x, x)
 
     def heat_kernel_spec(self):
-        return {"exact": self.dimension in (1, 2, 3), "kind": "ball"}
+        return {"exact": self.dimension in (1, 2, 3), "kind": "ball",
+                "t_min": hk.ball_series_t_min(self.radius)}
+
+    def confinement_scale(self):
+        """Length scale below which pinned loops stay local."""
+        return self.radius
+
+    def boundary_curvature_parts(self, tan):
+        """(kappa, projection) pairs whose Kulkarni-Nomizu sum is the boundary curvature.
+
+        tan holds the adapted tangent basis of the boundary in frame
+        components, one column per direction.
+        """
+        return [(1.0 / self.radius**2, tan.T @ tan)]
 
 
 def _unit_or_zero(x):
@@ -555,18 +529,6 @@ class SphereCap(ManifoldModel):
         z2, _ = _sphere_step(z, None, v_amb, self.radius)
         return z2
 
-    def mirror_point(self, x):
-        # colatitude theta -> 2 alpha - theta along the meridian
-        theta = self.colatitude(x)
-        d = self.radius * (self.aperture - theta)
-        v_amb = 2.0 * d[:, None] * self._meridian_at(x)
-        x2, _ = _sphere_step(x, None, v_amb, self.radius)
-        return x2
-
-    def valid(self, x):
-        # colatitude > exclusion without the arccos
-        return x[:, self._axis] < self.radius * math.cos(_POLE_EXCLUSION)
-
     # samplers ------------------------------------------------------------
     def _sample_theta(self, rng, count, theta_min, theta_max):
         if self.dimension == 2:
@@ -627,61 +589,36 @@ class SphereCap(ManifoldModel):
         z[self._axis] = self.radius
         return z
 
-    # chart surface --------------------------------------------------------
-    def chart(self, x):
-        theta = self.colatitude(x)
-        if self.dimension == 2:
-            phi = np.arctan2(x[:, 1], x[:, 0])
-            return np.stack([theta, phi], axis=-1)
-        omega = _unit(x[:, :3])
-        phi1 = np.arccos(np.clip(omega[:, 2], -1.0, 1.0))
-        phi2 = np.arctan2(omega[:, 1], omega[:, 0])
-        return np.stack([theta, phi1, phi2], axis=-1)
+    # analytic data ---------------------------------------------------------
+    def neumann_kernel(self, t, x, y):
+        if not self.is_hemisphere:
+            return super().neumann_kernel(t, x, y)
+        # reflection doubling: the closed-sphere kernel plus its mirror image
+        n, r = self.dimension, self.radius
+        gamma = self.distance(x, y) / r
+        y_mirror = y.copy()
+        y_mirror[:, self._axis] *= -1.0
+        gamma_m = self.distance(x, y_mirror) / r
+        return hk.sphere_kernel(t, n, r, gamma) + hk.sphere_kernel(t, n, r, gamma_m)
 
-    def chart_point(self, c):
-        r = self.radius
-        theta = c[:, 0]
-        if self.dimension == 2:
-            phi = c[:, 1]
-            return r * np.stack(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-            )
-        phi1, phi2 = c[:, 1], c[:, 2]
-        omega = np.stack(
-            [np.sin(phi1) * np.cos(phi2), np.sin(phi1) * np.sin(phi2), np.cos(phi1)], axis=-1
-        )
-        return r * np.concatenate([np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1)
-
-    def metric(self, c):
-        P = c.shape[0]
-        r2 = self.radius**2
-        g = np.zeros((P, self.dimension, self.dimension))
-        theta = c[:, 0]
-        g[:, 0, 0] = r2
-        g[:, 1, 1] = r2 * np.sin(theta) ** 2
-        if self.dimension == 3:
-            g[:, 2, 2] = r2 * np.sin(theta) ** 2 * np.sin(c[:, 1]) ** 2
-        return g
-
-    def christoffel(self, c):
-        P = c.shape[0]
-        n = self.dimension
-        r2 = self.radius**2
-        theta = c[:, 0]
-        g = np.zeros((P, n))
-        dg = np.zeros((P, n, n))
-        g[:, 0] = r2
-        g[:, 1] = r2 * np.sin(theta) ** 2
-        dg[:, 1, 0] = r2 * np.sin(2 * theta)
-        if n == 3:
-            phi1 = c[:, 1]
-            g[:, 2] = r2 * np.sin(theta) ** 2 * np.sin(phi1) ** 2
-            dg[:, 2, 0] = r2 * np.sin(2 * theta) * np.sin(phi1) ** 2
-            dg[:, 2, 1] = r2 * np.sin(theta) ** 2 * np.sin(2 * phi1)
-        return diagonal_metric_christoffel(g, dg)
+    def neumann_diag(self, t, x):
+        if not self.is_hemisphere:
+            return self.neumann_kernel(t, x, x)
+        # doubling: diagonal plus the mirrored-point term
+        n, r = self.dimension, self.radius
+        gamma_m = 2.0 * self.boundary_distance(x) / r
+        return hk.sphere_kernel(t, n, r, np.zeros(x.shape[0])) + hk.sphere_kernel(t, n, r, gamma_m)
 
     def heat_kernel_spec(self):
-        return {"exact": self.is_hemisphere, "kind": "cap"}
+        return {"exact": self.is_hemisphere, "kind": "cap",
+                "t_min": hk.sphere_series_t_min(self.radius)}
+
+    def confinement_scale(self):
+        return self.radius * min(self.aperture, math.pi / 2)
+
+    def boundary_curvature_parts(self, tan):
+        # the boundary is a round (n-1)-sphere of radius r sin(alpha)
+        return [(1.0 / (self.radius * math.sin(self.aperture)) ** 2, tan.T @ tan)]
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +655,9 @@ class FlatCylinder(ManifoldModel):
     def frame_curvature(self) -> CurvatureTensor:
         return CurvatureTensor.zero(2)
 
-    def _wrap(self, y):
-        return np.mod(y, self.circumference)
-
     def geodesic_step(self, x, u, xi):
         out = x + xi
-        out[:, 1] = self._wrap(out[:, 1])
+        out[:, 1] = np.mod(out[:, 1], self.circumference)
         return out, u
 
     def boundary_distance(self, x):
@@ -767,12 +701,6 @@ class FlatCylinder(ManifoldModel):
         out[:, 0] = z[:, 0] + inward * np.asarray(depth)
         return out
 
-    def mirror_point(self, x):
-        out = np.array(x, copy=True)
-        s = x[:, 0]
-        out[:, 0] = np.where(s < 0.5 * self.length, -s, 2.0 * self.length - s)
-        return out
-
     # samplers ------------------------------------------------------------
     def sample_volume(self, rng, count):
         s = rng.uniform(0.0, self.length, size=count)
@@ -799,25 +727,20 @@ class FlatCylinder(ManifoldModel):
     def boundary_point(self):
         return np.array([0.0, 0.0])
 
-    # chart surface --------------------------------------------------------
-    def chart(self, x):
-        return np.array(x, copy=True)
-
-    def chart_point(self, c):
-        out = np.array(c, copy=True)
-        out[:, 1] = self._wrap(out[:, 1])
-        return out
-
-    def metric(self, c):
-        P = c.shape[0]
-        return np.broadcast_to(np.eye(2), (P, 2, 2)).copy()
-
-    def christoffel(self, c):
-        P = c.shape[0]
-        return np.zeros((P, 2, 2, 2))
+    # analytic data ---------------------------------------------------------
+    def neumann_kernel(self, t, x, y):
+        ds = hk.interval_kernel(t, self.length, x[:, 0], y[:, 0])
+        dy = x[:, 1] - y[:, 1]
+        return ds * hk.circle_kernel(t, self.circumference, dy)
 
     def heat_kernel_spec(self):
-        return {"exact": True, "kind": "cylinder"}
+        return {"exact": True, "kind": "cylinder", "t_min": 0.0}
+
+    def confinement_scale(self):
+        return 0.5 * self.length
+
+    def boundary_curvature_parts(self, tan):
+        return [(0.0, np.eye(self.dimension - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -907,12 +830,9 @@ class SphereBall(ManifoldModel):
         ps, pb = self._split(x)
         xi_s, xi_b = xi[:, :l], xi[:, l:]
         x2 = np.empty_like(x)  # keeps the layout of the walk state
-        if u is None:
-            if l == 1:
-                v_amb = xi_s[:, 0][:, None] * self._circle_tangent(ps)
-                x2[:, : l + 1], _ = _sphere_step(ps, None, v_amb, self.sphere_radius)
-            else:  # pragma: no cover - l >= 2 always carries frames
-                raise RuntimeError("curved sphere factor requires frames")
+        if u is None:  # only a circle factor (l == 1) moves without frames
+            v_amb = xi_s[:, 0][:, None] * self._circle_tangent(ps)
+            x2[:, : l + 1], _ = _sphere_step(ps, None, v_amb, self.sphere_radius)
             u2 = None
         else:
             # only the sphere block of the block frame moves
@@ -977,18 +897,6 @@ class SphereBall(ManifoldModel):
         zs, zb = self._split(z)
         return np.concatenate([zs, self._ball.offset_from_boundary(zb, depth)], axis=-1)
 
-    def mirror_point(self, x):
-        xs, xb = self._split(x)
-        xb2 = self._ball.mirror_point(xb)
-        return np.concatenate([xs, xb2], axis=-1)
-
-    def valid(self, x):
-        if self.sphere_dim == 1:
-            return np.ones(x.shape[0], dtype=bool)
-        ps, _ = self._split(x)
-        colat = np.arccos(np.clip(ps[:, -1] / self.sphere_radius, -1.0, 1.0))
-        return (colat > _POLE_EXCLUSION) & (colat < math.pi - _POLE_EXCLUSION)
-
     # samplers ------------------------------------------------------------
     def _sample_sphere(self, rng, count):
         return self.sphere_radius * _unit(rng.standard_normal((count, self.sphere_dim + 1)))
@@ -1017,75 +925,36 @@ class SphereBall(ManifoldModel):
         z[self.sphere_dim + 1] = self.ball_radius
         return z
 
-    # chart surface --------------------------------------------------------
-    def chart(self, x):
-        ps, pb = self._split(x)
-        l, r = self.sphere_dim, self.sphere_radius
-        if l == 1:
-            angle = np.arctan2(ps[:, 1], ps[:, 0])[:, None]
-            return np.concatenate([angle, pb], axis=-1)
-        theta = np.arccos(np.clip(ps[:, l] / r, -1.0, 1.0))[:, None]
-        phi = np.arctan2(ps[:, 1], ps[:, 0])[:, None]
-        if l == 2:
-            return np.concatenate([theta, phi, pb], axis=-1)
-        omega = _unit(ps[:, :3])
-        phi1 = np.arccos(np.clip(omega[:, 2], -1.0, 1.0))[:, None]
-        phi2 = np.arctan2(omega[:, 1], omega[:, 0])[:, None]
-        return np.concatenate([theta, phi1, phi2, pb], axis=-1)
+    # analytic data ---------------------------------------------------------
+    def neumann_kernel(self, t, x, y):
+        xs, xb = self._split(x)
+        ys, yb = self._split(y)
+        r = self.sphere_radius
+        cosg = np.clip(np.einsum("pd,pd->p", xs, ys) / r**2, -1.0, 1.0)
+        gamma = np.arccos(cosg)
+        return hk.sphere_kernel(t, self.sphere_dim, r, gamma) * self._ball.neumann_kernel(t, xb, yb)
 
-    def chart_point(self, c):
-        l, r = self.sphere_dim, self.sphere_radius
-        if l == 1:
-            ps = r * np.stack([np.cos(c[:, 0]), np.sin(c[:, 0])], axis=-1)
-            return np.concatenate([ps, c[:, 1:]], axis=-1)
-        if l == 2:
-            theta, phi = c[:, 0], c[:, 1]
-            ps = r * np.stack(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-            )
-            return np.concatenate([ps, c[:, 2:]], axis=-1)
-        theta, phi1, phi2 = c[:, 0], c[:, 1], c[:, 2]
-        omega = np.stack(
-            [np.sin(phi1) * np.cos(phi2), np.sin(phi1) * np.sin(phi2), np.cos(phi1)], axis=-1
-        )
-        ps = r * np.concatenate([np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1)
-        return np.concatenate([ps, c[:, 3:]], axis=-1)
-
-    def metric(self, c):
-        P = c.shape[0]
-        n, l, r = self.dimension, self.sphere_dim, self.sphere_radius
-        g = np.zeros((P, n, n))
-        if l == 1:
-            g[:, 0, 0] = r**2
-        elif l == 2:
-            g[:, 0, 0] = r**2
-            g[:, 1, 1] = r**2 * np.sin(c[:, 0]) ** 2
-        else:
-            g[:, 0, 0] = r**2
-            g[:, 1, 1] = r**2 * np.sin(c[:, 0]) ** 2
-            g[:, 2, 2] = r**2 * np.sin(c[:, 0]) ** 2 * np.sin(c[:, 1]) ** 2
-        for j in range(self.ball_dim):
-            g[:, l + j, l + j] = 1.0
-        return g
-
-    def christoffel(self, c):
-        P = c.shape[0]
-        n, l, r = self.dimension, self.sphere_dim, self.sphere_radius
-        g = np.ones((P, n))
-        dg = np.zeros((P, n, n))
-        if l >= 1:
-            g[:, 0] = r**2
-        if l >= 2:
-            g[:, 1] = r**2 * np.sin(c[:, 0]) ** 2
-            dg[:, 1, 0] = r**2 * np.sin(2 * c[:, 0])
-        if l >= 3:
-            g[:, 2] = r**2 * np.sin(c[:, 0]) ** 2 * np.sin(c[:, 1]) ** 2
-            dg[:, 2, 0] = r**2 * np.sin(2 * c[:, 0]) * np.sin(c[:, 1]) ** 2
-            dg[:, 2, 1] = r**2 * np.sin(c[:, 0]) ** 2 * np.sin(2 * c[:, 1])
-        return diagonal_metric_christoffel(g, dg)
+    def neumann_diag(self, t, x):
+        k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(x.shape[0]))
+        return k_s * self._ball.neumann_diag(t, self._split(x)[1])
 
     def heat_kernel_spec(self):
-        return {"exact": self.ball_dim in (1, 2, 3), "kind": "sphere-ball"}
+        return {"exact": self.ball_dim in (1, 2, 3), "kind": "sphere-ball",
+                "t_min": hk.ball_series_t_min(self.ball_radius)}
+
+    def confinement_scale(self):
+        return min(self.ball_radius, math.pi * self.sphere_radius)
+
+    def boundary_curvature_parts(self, tan):
+        # sphere block with its curvature; the ball block's boundary sphere when m >= 3
+        n, l = self.dimension, self.sphere_dim
+        Ps = np.zeros((n, n))
+        Ps[:l, :l] = np.eye(l)
+        parts = [(self.kappa_sphere, tan.T @ Ps @ tan)]
+        if self.ball_dim >= 3:
+            Pb = np.eye(n) - Ps
+            parts.append((1.0 / self.ball_radius**2, tan.T @ Pb @ tan))
+        return parts
 
 
 # ---------------------------------------------------------------------------
@@ -1150,33 +1019,6 @@ class BoundaryGeometry:
     induced_curvature: CurvatureTensor
 
 
-def _analytic_boundary_curvature(model, Q):
-    """Closed-form curvature of the boundary in the adapted tangent basis."""
-    n = model.dimension
-    tan = Q[:, : n - 1]
-    if isinstance(model, FlatBall):
-        kappa = 1.0 / model.radius**2
-        proj = tan.T @ tan
-        return kappa, [(kappa, proj)]
-    if isinstance(model, SphereCap):
-        kappa_z = 1.0 / (model.radius * math.sin(model.aperture)) ** 2
-        proj = tan.T @ tan
-        return kappa_z, [(kappa_z, proj)]
-    if isinstance(model, SphereBall):
-        parts = []
-        l, m = model.sphere_dim, model.ball_dim
-        Ps = np.zeros((n, n))
-        Ps[:l, :l] = np.eye(l)
-        parts.append((model.kappa_sphere, tan.T @ Ps @ tan))
-        if m >= 3:
-            Pb = np.eye(n) - Ps
-            parts.append((1.0 / model.ball_radius**2, tan.T @ Pb @ tan))
-        return None, parts
-    if isinstance(model, FlatCylinder):
-        return 0.0, [(0.0, np.eye(n - 1))]
-    raise ConfigError(f"no boundary curvature data for model {model.name}")
-
-
 def _kulkarni(proj):
     return np.einsum("ac,bd->abcd", proj, proj) - np.einsum("ad,bc->abcd", proj, proj)
 
@@ -1196,9 +1038,8 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
     R_frame = model.frame_curvature().rotate(Q)
     R_tan = R_frame.restrict(range(n - 1))
     gauss = CurvatureTensor.from_symmetric_generator(A_tan)
-    _, parts = _analytic_boundary_curvature(model, Q)
     comp = np.zeros((n - 1,) * 4)
-    for kappa, proj in parts:
+    for kappa, proj in model.boundary_curvature_parts(Q[:, : n - 1]):
         if kappa != 0.0:
             comp += kappa * _kulkarni(proj)
     r_z = CurvatureTensor(n - 1, comp)

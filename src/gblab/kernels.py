@@ -1,5 +1,8 @@
 """Neumann heat kernels for the catalog models.
 
+Each model in geometry.py picks its own construction from the pure
+series, table and image functions here; heat_kernel_diag,
+neumann_heat_kernel and kernel_info check t and call into the model.
 All kernels are transition densities of normally reflected Brownian
 motion (generator = half the Laplacian), so they integrate to one against
 the Riemannian volume and approach 1/volume as t grows.
@@ -17,23 +20,27 @@ Exact constructions:
 * hemisphere: reflection doubling of the closed-sphere series;
 * products: product of the factor kernels.
 
-Non-hemisphere caps fall back to a Gaussian parametrix and are flagged
-as approximate.
+Other caps and the 4-ball use a Gaussian parametrix and are flagged as
+approximate.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import special
 
 from .errors import SeriesConvergenceError
-from .geometry import FlatBall, FlatCylinder, ManifoldModel, SphereBall, SphereCap
+
+if TYPE_CHECKING:
+    from .geometry import ManifoldModel
 
 _TAIL_LOG = 46.0  # truncate series once the exponential factor is below e^-46
 _MAX_DIMLESS_FREQ = 320.0  # largest lambda * r supported by the mode tables
+_SPHERE_MAX_TERMS = 4000  # largest degree the closed-sphere series sums
 
 _CHEB_FIRST_INTERVALS = 32  # the first radial table grid has 33 nodes
 _CHEB_TAIL = 8  # trailing coefficients that must be negligible
@@ -107,12 +114,14 @@ def sphere_kernel(t, dim, radius, gamma):
     r2 = radius * radius
     if dim == 1:
         return circle_kernel(t, 2.0 * math.pi * radius, gamma * radius)
+    if dim not in (2, 3):
+        raise SeriesConvergenceError(f"no sphere series for dimension {dim}")
+    lmax = _sphere_lmax(t, radius, dim - 1)
+    if lmax > _SPHERE_MAX_TERMS:
+        raise SeriesConvergenceError(
+            f"sphere series needs {lmax} terms at t={t}", required_terms=lmax
+        )
     if dim == 2:
-        lmax = _sphere_lmax(t, radius, 1)
-        if lmax > 4000:
-            raise SeriesConvergenceError(
-                f"sphere series needs {lmax} terms at t={t}", required_terms=lmax
-            )
         x = np.cos(gamma)
         out = np.zeros(gamma.shape)
         p_prev = np.ones_like(x)
@@ -125,26 +134,19 @@ def sphere_kernel(t, dim, radius, gamma):
         # the alternating series cannot resolve the exponentially small far
         # tail; floor the (positive) density at the roundoff noise level
         return np.maximum(out, 0.0)
-    if dim == 3:
-        lmax = _sphere_lmax(t, radius, 2)
-        if lmax > 4000:
-            raise SeriesConvergenceError(
-                f"sphere series needs {lmax} terms at t={t}", required_terms=lmax
-            )
-        out = np.zeros(gamma.shape)
-        vol = 2.0 * math.pi**2 * radius**3
-        sin_g = np.sin(gamma)
-        small = np.abs(sin_g) < 1e-8
-        for l in range(lmax + 1):
-            # Chebyshev-U_l(cos gamma) = sin((l+1) gamma) / sin(gamma)
-            u = np.where(
-                small,
-                (l + 1.0) * np.cos((l + 1) * gamma) / np.where(small, np.cos(gamma), 1.0),
-                np.sin((l + 1) * gamma) / np.where(small, 1.0, sin_g),
-            )
-            out += (l + 1) * u / vol * math.exp(-l * (l + 2) * t / (2 * r2))
-        return np.maximum(out, 0.0)
-    raise SeriesConvergenceError(f"no sphere series for dimension {dim}")
+    out = np.zeros(gamma.shape)
+    vol = 2.0 * math.pi**2 * radius**3
+    sin_g = np.sin(gamma)
+    small = np.abs(sin_g) < 1e-8
+    for l in range(lmax + 1):
+        # Chebyshev-U_l(cos gamma) = sin((l+1) gamma) / sin(gamma)
+        u = np.where(
+            small,
+            (l + 1.0) * np.cos((l + 1) * gamma) / np.where(small, np.cos(gamma), 1.0),
+            np.sin((l + 1) * gamma) / np.where(small, 1.0, sin_g),
+        )
+        out += (l + 1) * u / vol * math.exp(-l * (l + 2) * t / (2 * r2))
+    return np.maximum(out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +154,34 @@ def sphere_kernel(t, dim, radius, gamma):
 # ---------------------------------------------------------------------------
 
 
-def _disk_modes(radius, lam_max):
-    """Neumann modes (m, lambda, weight) of the unit-normalized disk series.
+def _ball_modes(dim, radius, lam_max):
+    """Neumann modes (order, lambda, weight) of the disk (dim 2) or 3-ball series.
 
-    weight multiplies exp(-lambda^2 t / 2) * J_m(lambda rho_x) *
-    J_m(lambda rho_y) * cos(m dphi) in the kernel sum.
+    weight multiplies exp(-lambda^2 t / 2) R(lambda rho_x) R(lambda rho_y)
+    and the angular factor (cos(m dphi) on the disk, P_l(cos gamma) on the
+    ball) in the kernel sum.  A cached table covering lam_max is reused;
+    otherwise one is built up to lambda * r = max(lam_max * r, 60).
     """
-    key = ("disk", round(radius, 12))
-    cached = _MODE_CACHE.get(key)
+    kind = "disk" if dim == 2 else "ball"
     x_max = lam_max * radius
     if x_max > _MAX_DIMLESS_FREQ:
         need = int(x_max * x_max / (2 * math.pi))
         raise SeriesConvergenceError(
-            f"disk Neumann series needs modes up to lambda*r = {x_max:.1f} "
+            f"{kind} Neumann series needs modes up to lambda*r = {x_max:.1f} "
             f"(~{need} terms); reduce lambda_max or increase t",
             required_terms=need,
         )
-    if cached is not None and cached["x_max"] >= x_max:
-        return cached
-    x_max_build = max(x_max, 60.0)
+    key = (kind, round(radius, 12))
+    cached = _MODE_CACHE.get(key)
+    if cached is None or cached["x_max"] < x_max:
+        x_max_build = max(x_max, 60.0)
+        orders = (_disk_orders if dim == 2 else _ball3_orders)(radius, x_max_build)
+        cached = {"x_max": x_max_build, "orders": orders, "radius": radius}
+        _MODE_CACHE[key] = cached
+    return cached
+
+
+def _disk_orders(radius, x_max_build):
     per_order = int(x_max_build / math.pi) + 3
     orders = []
     for m in range(0, int(x_max_build) + 2):
@@ -185,26 +196,10 @@ def _disk_modes(radius, lam_max):
         norm = (radius**2 / 2.0) * (1.0 - (m / zeros) ** 2) * jval**2
         weight = (1.0 if m == 0 else 2.0) / (2.0 * math.pi * norm)
         orders.append((m, lam, weight))
-    cached = {"x_max": x_max_build, "orders": orders, "radius": radius}
-    _MODE_CACHE[key] = cached
-    return cached
+    return orders
 
 
-def _ball3_modes(radius, lam_max):
-    """Neumann modes (l, lambda, weight) of the 3-ball series."""
-    key = ("ball3", round(radius, 12))
-    cached = _MODE_CACHE.get(key)
-    x_max = lam_max * radius
-    if x_max > _MAX_DIMLESS_FREQ:
-        need = int(x_max * x_max / (2 * math.pi))
-        raise SeriesConvergenceError(
-            f"ball Neumann series needs modes up to lambda*r = {x_max:.1f} "
-            f"(~{need} terms); reduce lambda_max or increase t",
-            required_terms=need,
-        )
-    if cached is not None and cached["x_max"] >= x_max:
-        return cached
-    x_max_build = max(x_max, 60.0)
+def _ball3_orders(radius, x_max_build):
     grid = np.arange(0.2, x_max_build + 0.5, 0.02)
     # bracket the zeros of j_l' by a sign scan per order, from just below sqrt(l(l+1)):
     # at the first critical point of j_l, j_l > 0 >= j_l'', which the Bessel ODE
@@ -231,9 +226,7 @@ def _ball3_modes(radius, lam_max):
         norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / zeros**2) * jval**2
         weight = (2 * l + 1) / (4.0 * math.pi * norm)
         orders.append((l, lam, weight))
-    cached = {"x_max": x_max_build, "orders": orders, "radius": radius}
-    _MODE_CACHE[key] = cached
-    return cached
+    return orders
 
 
 def _bisect_roots(f, lo, hi):
@@ -269,13 +262,13 @@ def _active_modes(modes, t):
             yield order, lam, weight[keep] * np.exp(-lam * lam * t / 2.0)
 
 
-def _disk_kernel(model: FlatBall, t, x, y):
-    r = model.radius
-    modes = _disk_modes(r, _lambda_max(t))
+def disk_kernel(t, radius, x, y):
+    """Neumann kernel of the flat disk of the given radius at point pairs (x_p, y_p)."""
+    modes = _ball_modes(2, radius, _lambda_max(t))
     rho_x = np.linalg.norm(x, axis=-1)
     rho_y = np.linalg.norm(y, axis=-1)
     dphi = np.arctan2(x[:, 1], x[:, 0]) - np.arctan2(y[:, 1], y[:, 0])
-    out = np.full(x.shape[0], 1.0 / (math.pi * r * r))
+    out = np.full(x.shape[0], 1.0 / (math.pi * radius * radius))
     for m, lam, coeff in _active_modes(modes, t):
         jx = special.jv(m, lam[:, None] * rho_x[None, :])
         jy = special.jv(m, lam[:, None] * rho_y[None, :])
@@ -285,15 +278,15 @@ def _disk_kernel(model: FlatBall, t, x, y):
     return np.maximum(out, 0.0)
 
 
-def _ball3_kernel(model: FlatBall, t, x, y):
-    r = model.radius
-    modes = _ball3_modes(r, _lambda_max(t))
+def ball3_kernel(t, radius, volume, x, y):
+    """Neumann kernel of the flat 3-ball of the given radius and volume at point pairs."""
+    modes = _ball_modes(3, radius, _lambda_max(t))
     rho_x = np.linalg.norm(x, axis=-1)
     rho_y = np.linalg.norm(y, axis=-1)
     denom = np.where(rho_x * rho_y == 0.0, 1.0, rho_x * rho_y)
     cosg = np.clip(np.einsum("pd,pd->p", x, y) / denom, -1.0, 1.0)
     cosg = np.where(rho_x * rho_y == 0.0, 1.0, cosg)
-    out = np.full(x.shape[0], 1.0 / model.volume)
+    out = np.full(x.shape[0], 1.0 / volume)
     lmax_used = max((entry[0] for entry in modes["orders"]), default=0)
     legendre = _legendre_table(cosg, lmax_used)
     for l, lam, coeff in _active_modes(modes, t):
@@ -304,51 +297,52 @@ def _ball3_kernel(model: FlatBall, t, x, y):
     return np.maximum(out, 0.0)
 
 
-def _ball_diag_series(model: FlatBall, t, rho):
-    """K0(t; x, x) of the flat disk or 3-ball at radii rho, summed mode by mode.
+def _ball_diag_series(t, dim, radius, volume, rho):
+    """K0(t; x, x) of the flat disk (dim 2) or 3-ball at radii rho, summed mode by mode.
 
     On the diagonal the angular factor is cos(0) = P_l(1) = 1, so each
     mode contributes weight * decay * R(lambda rho)^2.
     """
-    r = model.radius
-    if model.dimension == 2:
-        modes = _disk_modes(r, _lambda_max(t))
+    modes = _ball_modes(dim, radius, _lambda_max(t))
+    if dim == 2:
         radial = special.jv
-        out = np.full(rho.shape[0], 1.0 / (math.pi * r * r))
+        out = np.full(rho.shape[0], 1.0 / (math.pi * radius * radius))
     else:
-        modes = _ball3_modes(r, _lambda_max(t))
         radial = special.spherical_jn
-        out = np.full(rho.shape[0], 1.0 / model.volume)
+        out = np.full(rho.shape[0], 1.0 / volume)
     for order, lam, coeff in _active_modes(modes, t):
         j = radial(order, lam[:, None] * rho[None, :])
         out = out + np.einsum("k,kp->p", coeff, j * j)
     return np.maximum(out, 0.0)
 
 
-def _ball_diag(model: FlatBall, t, x):
+def ball_diag(t, radius, volume, x):
     """K0(t; x, x) of the flat disk or 3-ball from a Chebyshev table in (rho/r)^2.
 
-    The diagonal is even in rho, so it is interpolated in u = 2 (rho/r)^2 - 1
-    on nested Chebyshev-Lobatto grids of 33, 65, 129, ... nodes.  Doubling
-    stops once the trailing coefficients are below _CHEB_TOL of the largest;
-    if the next grid would need more nodes than the batch has points, the
-    batch is summed point by point instead.
+    The ball dimension is x.shape[1].  The diagonal is even in rho, so it
+    is interpolated in u = 2 (rho/r)^2 - 1 on nested Chebyshev-Lobatto
+    grids of 33, 65, 129, ... nodes.  Doubling stops once the trailing
+    coefficients are below _CHEB_TOL of the largest; if the next grid would
+    need more nodes than the batch has points, the batch is summed point by
+    point instead.
     """
-    r = model.radius
+    r = radius
+    dim = x.shape[1]
     rho = np.linalg.norm(x, axis=-1)
     n = _CHEB_FIRST_INTERVALS
     if rho.shape[0] < n + 1:
-        return _ball_diag_series(model, t, rho)
-    vals = _ball_diag_series(model, t, _lobatto_radii(r, np.arange(n + 1), n))
+        return _ball_diag_series(t, dim, r, volume, rho)
+    vals = _ball_diag_series(t, dim, r, volume, _lobatto_radii(r, np.arange(n + 1), n))
     while True:
         coeffs = _lobatto_coefficients(vals)
         tail = np.abs(coeffs[-_CHEB_TAIL:]).max()
         if tail <= _CHEB_TOL * np.abs(coeffs).max():
             break
         if 2 * n + 1 > rho.shape[0]:
-            return _ball_diag_series(model, t, rho)
+            return _ball_diag_series(t, dim, r, volume, rho)
         # the old nodes are the even nodes of the doubled grid
-        fresh = _ball_diag_series(model, t, _lobatto_radii(r, 2 * np.arange(n) + 1, 2 * n))
+        fresh = _ball_diag_series(t, dim, r, volume,
+                                  _lobatto_radii(r, 2 * np.arange(n) + 1, 2 * n))
         merged = np.empty(2 * n + 1)
         merged[0::2] = vals
         merged[1::2] = fresh
@@ -381,71 +375,36 @@ def _legendre_table(x, lmax):
     return table
 
 
-# ---------------------------------------------------------------------------
-# per-model dispatch
-# ---------------------------------------------------------------------------
+def ball_series_t_min(radius):
+    """Smallest t whose disk or 3-ball mode table stays below _MAX_DIMLESS_FREQ."""
+    return 2.0 * _TAIL_LOG * (radius / _MAX_DIMLESS_FREQ) ** 2
 
 
-def _pairs(model: ManifoldModel, t, x, y):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if isinstance(model, FlatBall):
-        if model.dimension == 1:
-            return interval_kernel(t, 2 * model.radius, x[:, 0] + model.radius, y[:, 0] + model.radius)
-        if model.dimension == 2:
-            return _disk_kernel(model, t, x, y)
-        if model.dimension == 3:
-            return _ball3_kernel(model, t, x, y)
-        return _parametrix(model, t, x, y)
-    if isinstance(model, SphereCap):
-        if model.is_hemisphere:
-            gamma = model.distance(x, y) / model.radius
-            y_mirror = y.copy()
-            y_mirror[:, model._axis] *= -1.0
-            gamma_m = model.distance(x, y_mirror) / model.radius
-            return sphere_kernel(t, model.dimension, model.radius, gamma) + sphere_kernel(
-                t, model.dimension, model.radius, gamma_m
-            )
-        return _parametrix(model, t, x, y)
-    if isinstance(model, FlatCylinder):
-        ds = interval_kernel(t, model.length, x[:, 0], y[:, 0])
-        dy = x[:, 1] - y[:, 1]
-        return ds * circle_kernel(t, model.circumference, dy)
-    if isinstance(model, SphereBall):
-        xs, xb = model._split(x)
-        ys, yb = model._split(y)
-        r = model.sphere_radius
-        cosg = np.clip(np.einsum("pd,pd->p", xs, ys) / r**2, -1.0, 1.0)
-        gamma = np.arccos(cosg)
-        k_s = sphere_kernel(t, model.sphere_dim, r, gamma)
-        k_b = _pairs(model._ball, t, xb, yb)
-        return k_s * k_b
-    return _parametrix(model, t, x, y)
+def sphere_series_t_min(radius):
+    """Smallest t the closed-sphere series sums within about _SPHERE_MAX_TERMS terms."""
+    return 2.0 * _TAIL_LOG * radius**2 / _SPHERE_MAX_TERMS**2
 
 
-def _parametrix(model, t, x, y):
-    """Gaussian parametrix with a single boundary image (approximate)."""
-    n = model.dimension
-    d = model.distance(x, y)
-    dx = model.boundary_distance(x)
-    dy = model.boundary_distance(y)
+def parametrix(t, dim, d, dx, dy):
+    """Gaussian parametrix with a single boundary image (approximate).
+
+    d is the distance between the points of each pair, dx and dy their
+    distances to the boundary.
+    """
     tan_sq = np.maximum(d**2 - (dx - dy) ** 2, 0.0)
     image_sq = tan_sq + (dx + dy) ** 2
-    pref = (2.0 * math.pi * t) ** (-n / 2.0)
+    pref = (2.0 * math.pi * t) ** (-dim / 2.0)
     return pref * (np.exp(-(d**2) / (2 * t)) + np.exp(-image_sq / (2 * t)))
+
+
+# ---------------------------------------------------------------------------
+# model entry points
+# ---------------------------------------------------------------------------
 
 
 def kernel_info(model: ManifoldModel, t: float) -> dict:
     """Exactness and validity metadata for the model's kernel at time t."""
-    spec = model.heat_kernel_spec()
-    info = {"exact": bool(spec.get("exact", False)), "kind": spec.get("kind", "parametrix")}
-    if isinstance(model, (FlatBall, SphereBall)):
-        r = model.radius if isinstance(model, FlatBall) else model.ball_radius
-        info["t_min"] = 2.0 * _TAIL_LOG * (r / _MAX_DIMLESS_FREQ) ** 2
-    elif isinstance(model, SphereCap):
-        info["t_min"] = 2.0 * _TAIL_LOG * model.radius**2 / 4000.0**2
-    else:
-        info["t_min"] = 0.0
+    info = model.heat_kernel_spec()
     info["valid"] = t >= info["t_min"]
     return info
 
@@ -458,21 +417,7 @@ def _check_time(t):
 def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
     """K0(t; x, x) for a batch of points."""
     _check_time(t)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(model, FlatBall) and model.dimension in (2, 3):
-        return _ball_diag(model, t, x)
-    if isinstance(model, SphereCap) and model.is_hemisphere:
-        # doubling: diagonal plus the mirrored-point term
-        gamma_m = 2.0 * model.boundary_distance(x) / model.radius
-        return sphere_kernel(t, model.dimension, model.radius, np.zeros(x.shape[0])) + sphere_kernel(
-            t, model.dimension, model.radius, gamma_m
-        )
-    if isinstance(model, SphereBall):
-        xs, xb = model._split(x)
-        k_s = sphere_kernel(t, model.sphere_dim, model.sphere_radius, np.zeros(x.shape[0]))
-        k_b = heat_kernel_diag(model._ball, t, xb)
-        return k_s * k_b
-    return _pairs(model, t, x, x)
+    return model.neumann_diag(t, np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def neumann_heat_kernel(model: ManifoldModel, t: float, x, y) -> float:
@@ -480,4 +425,4 @@ def neumann_heat_kernel(model: ManifoldModel, t: float, x, y) -> float:
     _check_time(t)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     y = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(_pairs(model, t, x, y)[0])
+    return float(model.neumann_kernel(t, x, y)[0])

@@ -78,9 +78,6 @@ class RngStream:
         bitgen = np.random.Philox(counter=np.array([self.counter, 0, 0, 0], dtype=np.uint64), key=key)
         return np.random.Generator(bitgen)
 
-    def child(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream, self.counter)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):

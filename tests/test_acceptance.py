@@ -76,36 +76,14 @@ def constants3():
 
 def test_criterion_1_berezin_patodi_cancellations():
     started = time.perf_counter()
-    rng = np.random.default_rng(7001)
+    values = ext.cancellation_battery((2, 3, 4, 5, 6), 100, np.random.default_rng(7001))
     tol = 1e-10
-    worst = 0.0
-    cases = 0
-    for n in (2, 3, 4, 5, 6):
-        for algebra_dim, bound in ((n, n), (n - 1, n - 1)):
-            if algebra_dim < 2:
-                continue
-            for i in range(0, algebra_dim // 2 + 1):
-                for j in range(0, bound - 2 * i):
-                    if i == 0 and j == 0:
-                        continue
-                    for _ in range(100):
-                        op = ext.GradedOperator.identity(algebra_dim)
-                        for _k in range(i):
-                            T = rng.standard_normal((algebra_dim, algebra_dim))
-                            U = rng.standard_normal((algebra_dim, algebra_dim))
-                            T /= np.linalg.norm(T)
-                            U /= np.linalg.norm(U)
-                            op = op @ ext.pair_extend([(T, U, 1.0)])
-                        for _k in range(j):
-                            B = rng.standard_normal((algebra_dim, algebra_dim))
-                            B = (B - B.T) / np.linalg.norm(B)
-                            op = op @ ext.derivation_extend(B)
-                        cases += 1
-                        worst = max(worst, abs(ext.supertrace(op)))
+    cases = len(values)
+    worst = max(values)
     elapsed = time.perf_counter() - started
     _verdict(
         1,
-        worst < tol and elapsed < 60.0,
+        cases == 4500 and worst < tol and elapsed < 60.0,
         f"supertrace cancellation below total degree: {cases} cases "
         f"(interior bound n, boundary bound n-1), worst |Str| = {worst:.2e} < 1e-10, "
         f"runtime {elapsed:.1f}s < 60s",

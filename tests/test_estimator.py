@@ -313,7 +313,7 @@ def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
-            width = min(collar_factor * math.sqrt(t), 0.9 * est._confinement_scale(model))
+            width = min(collar_factor * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
             value = 0.0
@@ -411,15 +411,6 @@ class TestArgumentRanges:
         args = {"t_sequence": [0.05], "bridges": 4, "seed": 1, "steps": 4, **kwargs}
         with pytest.raises(ConfigError):
             est.local_limit_check(model, model.boundary_point(), constants=constants2, **args)
-
-
-class TestNotes:
-    def test_mckean_singer_note_mentions_the_bridge(self):
-        note = est.mckean_singer_note()
-        assert "supertrace" in note
-        assert "heat semigroup" in note
-        assert "Euler characteristic" in note
-        assert "not computed" in note
 
 
 # estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr) of the

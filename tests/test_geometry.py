@@ -6,6 +6,8 @@ import pytest
 from gblab import geometry as geo
 from gblab.errors import ConfigError
 
+import polar_charts
+
 RNG = lambda s: np.random.default_rng(s)
 
 
@@ -206,18 +208,6 @@ class TestBoundary:
         x = model.offset_from_boundary(z, depth)
         assert np.abs(model.boundary_distance(x) - 0.07).max() < 1e-10
 
-    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
-    def test_mirror_point_negates_depth(self, model):
-        rng = RNG(11)
-        x = model.sample_collar(rng, 16, 0.1)
-        d = model.boundary_distance(x)
-        mirrored = model.mirror_point(x)
-        assert np.abs(model.boundary_distance(mirrored) + d).max() < 1e-9
-        # mirroring a boundary point is the identity
-        z = model.sample_boundary(rng, 8)
-        assert np.abs(model.boundary_distance(model.mirror_point(z))).max() < 1e-9
-
-
 class TestGaussEquation:
     def test_flat_ball_three(self):
         assert geo.gauss_equation_check(geo.model_catalog("ball", dimension=3)) < 1e-10
@@ -243,27 +233,8 @@ class TestGaussEquation:
 
 class TestInvariants:
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
-    def test_metric_spd_everywhere(self, model):
-        rng = RNG(11)
-        x = model.sample_volume(rng, 1000)
-        keep = model.valid(x)
-        c = model.chart(x[keep])
-        g = model.metric(c)
-        evals = np.linalg.eigvalsh(g)
-        assert evals.min() > 0.0
-
-    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_frame_curvature_valid(self, model):
         model.frame_curvature().validate()
-
-    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
-    def test_chart_roundtrip(self, model):
-        rng = RNG(12)
-        x = model.sample_volume(rng, 128)
-        keep = model.valid(x)
-        x = x[keep]
-        back = model.chart_point(model.chart(x))
-        assert np.abs(back - x).max() < 1e-9
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_collar_sampler_in_range(self, model):
@@ -305,7 +276,7 @@ class TestChartConsistency:
     def test_christoffel_matches_metric_derivatives(self, model):
         rng = RNG(15)
         x = model.sample_volume(rng, 8)
-        c = model.chart(x)
+        c = polar_charts.chart(model, x)
         # keep away from coordinate degeneracies
         c[:, 0] = np.clip(c[:, 0], 0.3, None)
         if model.dimension >= 3:
@@ -318,8 +289,8 @@ class TestChartConsistency:
             cm = c.copy()
             cp[:, k] += eps
             cm[:, k] -= eps
-            dg[..., k] = (model.metric(cp) - model.metric(cm)) / (2 * eps)
-        g = model.metric(c)
+            dg[..., k] = (polar_charts.metric(model, cp) - polar_charts.metric(model, cm)) / (2 * eps)
+        g = polar_charts.metric(model, c)
         ginv = np.linalg.inv(g)
         gamma_fd = np.zeros((8, n, n, n))
         for k in range(n):
@@ -331,20 +302,30 @@ class TestChartConsistency:
                             dg[:, j, l, i] + dg[:, i, l, j] - dg[:, i, j, l]
                         )
                     gamma_fd[:, k, i, j] = 0.5 * term
-        gamma = model.christoffel(c)
+        gamma = polar_charts.christoffel(model, c)
         assert np.abs(gamma - gamma_fd).max() < 1e-5
 
-    def test_chart_curvature_matches_frame_curvature(self):
-        # finite-difference curvature of the polar chart of the unit
-        # 2-sphere cap reproduces sectional curvature one
-        model = geo.model_catalog("cap", dimension=2, aperture=1.3)
-        c = np.array([[0.9, 0.4]])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            geo.model_catalog("cap", dimension=2, aperture=1.3),
+            geo.model_catalog("cap", dimension=3, radius=2.0, aperture=1.0),
+            geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+            geo.model_catalog("sphere-ball", sphere_dim=3, ball_dim=1, sphere_radius=1.5),
+        ],
+        ids=lambda m: repr(m),
+    )
+    def test_chart_curvature_matches_frame_curvature(self, model):
+        # finite-difference curvature of the polar chart: the sectional
+        # curvature of every coordinate plane equals the model's frame
+        # curvature on the matching frame plane (sphere block first)
+        n = model.dimension
+        c = np.array([[0.9, 1.1, 0.4, 0.2][:n]])
         eps = 1e-5
 
         def gamma_at(cc):
-            return model.christoffel(cc)[0]
+            return polar_charts.christoffel(model, cc)[0]
 
-        n = 2
         dgamma = np.zeros((n, n, n, n))  # index [i, k, j, l] = d_i Gamma^k_{jl}
         for i in range(n):
             cp = c.copy()
@@ -363,11 +344,12 @@ class TestChartConsistency:
                         for a in range(n):
                             val += gam[k, i, a] * gam[a, j, l] - gam[k, j, a] * gam[a, i, l]
                         riem[k, l, i, j] = val
-        g = model.metric(c)[0]
-        # sectional curvature of the coordinate plane
-        r_1212 = g[0] @ riem[:, 1, 0, 1]
-        denom = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-        assert abs(r_1212 / denom - 1.0) < 1e-4
+        g = polar_charts.metric(model, c)[0]
+        frame = model.frame_curvature().components
+        for i in range(n):
+            for j in range(i + 1, n):
+                sectional = g[i] @ riem[:, j, i, j] / (g[i, i] * g[j, j])
+                assert abs(sectional - frame[i, j, i, j]) < 1e-4, (i, j)
 
 
 class TestBoundaryGeometryType:

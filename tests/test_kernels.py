@@ -86,7 +86,7 @@ class TestNormalization:
         total = 0.0
         for r_i, w_i in zip(rho, wr):
             pts = np.stack([r_i * np.cos(phi), r_i * np.sin(phi)], axis=-1)
-            vals = hk._pairs(model, t, np.broadcast_to(x, pts.shape).copy(), pts)
+            vals = model.neumann_kernel(t, np.broadcast_to(x, pts.shape).copy(), pts)
             total += w_i * r_i * vals.sum() * (2 * math.pi / nphi)
         assert abs(total - 1.0) < 1e-3
 
@@ -99,7 +99,7 @@ class TestNormalization:
         y = (np.arange(ny) + 0.5) / ny * model.circumference
         S, Y = np.meshgrid(s, y, indexing="ij")
         pts = np.stack([S.ravel(), Y.ravel()], axis=-1)
-        vals = hk._pairs(model, t, np.broadcast_to(x, pts.shape).copy(), pts)
+        vals = model.neumann_kernel(t, np.broadcast_to(x, pts.shape).copy(), pts)
         mass = vals.sum() * (model.length / ns) * (model.circumference / ny)
         assert abs(mass - 1.0) < 1e-3
 
@@ -118,8 +118,8 @@ class TestChapmanKolmogorov:
         acc = 0.0
         for r_i, w_i in zip(rho, wr):
             pts = np.stack([r_i * np.cos(phi), r_i * np.sin(phi)], axis=-1)
-            k1 = hk._pairs(model, s, np.broadcast_to(x, pts.shape).copy(), pts)
-            k2 = hk._pairs(model, t, pts, np.broadcast_to(y, pts.shape).copy())
+            k1 = model.neumann_kernel(s, np.broadcast_to(x, pts.shape).copy(), pts)
+            k2 = model.neumann_kernel(t, pts, np.broadcast_to(y, pts.shape).copy())
             acc += w_i * r_i * (k1 * k2).sum() * (2 * math.pi / nphi)
         direct = hk.neumann_heat_kernel(model, s + t, x, y)
         assert abs(acc - direct) < 1e-4 * max(1.0, direct)
@@ -134,8 +134,8 @@ class TestChapmanKolmogorov:
         yy = (np.arange(ny) + 0.5) / ny * model.circumference
         S, Y = np.meshgrid(ss, yy, indexing="ij")
         pts = np.stack([S.ravel(), Y.ravel()], axis=-1)
-        k1 = hk._pairs(model, s, np.broadcast_to(x, pts.shape).copy(), pts)
-        k2 = hk._pairs(model, t, pts, np.broadcast_to(y, pts.shape).copy())
+        k1 = model.neumann_kernel(s, np.broadcast_to(x, pts.shape).copy(), pts)
+        k2 = model.neumann_kernel(t, pts, np.broadcast_to(y, pts.shape).copy())
         acc = (k1 * k2).sum() * (model.length / ns) * (model.circumference / ny)
         direct = hk.neumann_heat_kernel(model, s + t, x, y)
         assert abs(acc - direct) < 1e-4 * max(1.0, direct)
@@ -210,7 +210,7 @@ class TestRadialDiagonal:
     @pytest.mark.parametrize("model", radial_models(), ids=lambda m: repr(m))
     def test_matches_pair_series(self, model, t):
         x = radial_points(model, max(self.SIZES[t]))
-        ref = hk._pairs(model, t, x[: self.CHECKED], x[: self.CHECKED])
+        ref = model.neumann_kernel(t, x[: self.CHECKED], x[: self.CHECKED])
         for size in self.SIZES[t]:
             vals = hk.heat_kernel_diag(model, t, x[:size])[: self.CHECKED]
             assert np.abs(vals / ref[: vals.size] - 1.0).max() < 1e-12, size
@@ -222,13 +222,31 @@ class TestRadialDiagonal:
         summed = []
         series = hk._ball_diag_series
 
-        def counting(model, t, rho):
+        def counting(t, dim, radius, volume, rho):
             summed.append(rho.shape[0])
-            return series(model, t, rho)
+            return series(t, dim, radius, volume, rho)
 
         monkeypatch.setattr(hk, "_ball_diag_series", counting)
         hk.heat_kernel_diag(model, 0.01, model.sample_volume(np.random.default_rng(8), 1500))
         assert sum(summed) == 65
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("model", [
+        geo.model_catalog("hemisphere", dimension=2),
+        geo.model_catalog("hemisphere", dimension=3),
+        geo.model_catalog("cylinder", length=1.0),
+        geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+    ], ids=lambda m: repr(m))
+    def test_special_diagonal_matches_pair_kernel(self, model, t):
+        # each model's diagonal against its own pair kernel at interior,
+        # collar and boundary points; the pair kernel's arccos of x . x / r^2
+        # leaves an angle of about 1e-8 instead of 0, hence 1e-10
+        rng = np.random.default_rng(11)
+        x = np.concatenate([model.sample_volume(rng, 8), model.sample_collar(rng, 8, 0.05),
+                            model.sample_boundary(rng, 4)])
+        vals = hk.heat_kernel_diag(model, t, x)
+        ref = model.neumann_kernel(t, x, x)
+        assert np.abs(vals / ref - 1.0).max() < 1e-10
 
     def test_tiny_time_raises_through_table(self):
         model = geo.model_catalog("ball", dimension=2)
@@ -252,7 +270,7 @@ class TestBall3NeumannZeros:
     def modes(self, monkeypatch):
         # a fresh table built for t = 0.01, not a larger cached one
         monkeypatch.setattr(hk, "_MODE_CACHE", {})
-        return hk._ball3_modes(1.0, hk._lambda_max(self.T))
+        return hk._ball_modes(3, 1.0, hk._lambda_max(self.T))
 
     def test_roots_are_zeros_of_the_derivative(self, modes):
         for l, lam, _ in modes["orders"]:
