@@ -1,29 +1,48 @@
-"""Polar charts of the curved catalog factors, for checks against finite differences.
+"""Polar charts of the catalog models, for checks against finite differences.
 
-A point of a spherical cap or of a sphere-ball product with a curved
-sphere factor (dimension 2 or 3) maps to the colatitude theta, the
-azimuth phi (dimension 2) or the polar angles phi1, phi2 (dimension 3),
-and then the flat ball coordinates unchanged.  The metric is diagonal:
-r^2, r^2 sin^2 theta, r^2 sin^2 theta sin^2 phi1 on the sphere block and
-ones on the ball block.
+A point maps to the chart of its sphere factor, then the flat coordinates
+unchanged.  The sphere factor of a spherical cap or of a sphere-ball
+product is charted by the angle phi (dimension 1), the colatitude theta
+and the azimuth phi (dimension 2), or theta and the polar angles phi1,
+phi2 (dimension 3).  Flat balls and the cylinder have no sphere factor:
+their chart is the identity.  The metric is diagonal: r^2, r^2 sin^2 theta,
+r^2 sin^2 theta sin^2 phi1 on the sphere block and ones on the flat block.
 """
 
 import numpy as np
 
 from gblab import geometry as geo
 
+# chart-singularity zone around the poles of the colatitude (radians)
+POLE_EXCLUSION = 1e-6
+
 
 def _sphere_factor(model):
-    """(radius, dimension) of the curved sphere factor."""
+    """(radius, dimension) of the sphere factor; dimension 0 when there is none."""
     if isinstance(model, geo.SphereBall):
         return model.sphere_radius, model.sphere_dim
-    return model.radius, model.dimension
+    if isinstance(model, geo.SphereCap):
+        return model.radius, model.dimension
+    return 1.0, 0
+
+
+def valid(model, x):
+    """Points of x away from the polar axis, where the chart is regular."""
+    r, l = _sphere_factor(model)
+    if l < 2:
+        return np.ones(x.shape[0], dtype=bool)
+    theta = np.arccos(np.clip(x[:, l] / r, -1.0, 1.0))
+    return (theta > POLE_EXCLUSION) & (theta < np.pi - POLE_EXCLUSION)
 
 
 def chart(model, x):
     """Polar coordinates of embedded points x (P, state_dim) -> (P, dimension)."""
     r, l = _sphere_factor(model)
+    if l == 0:
+        return np.array(x, copy=True)
     ps, flat = x[:, : l + 1], x[:, l + 1 :]
+    if l == 1:
+        return np.column_stack([np.arctan2(ps[:, 1], ps[:, 0]), flat])
     theta = np.arccos(np.clip(ps[:, l] / r, -1.0, 1.0))
     if l == 2:
         angles = [np.arctan2(ps[:, 1], ps[:, 0])]
@@ -33,14 +52,38 @@ def chart(model, x):
     return np.column_stack([theta, *angles, flat])
 
 
+def chart_point(model, c):
+    """Embedded points of chart points c (P, dimension) -> (P, state_dim)."""
+    r, l = _sphere_factor(model)
+    if l == 0:
+        return np.array(c, copy=True)
+    if l == 1:
+        ps = r * np.column_stack([np.cos(c[:, 0]), np.sin(c[:, 0])])
+    else:
+        theta = c[:, 0]
+        if l == 2:
+            omega = np.column_stack([np.cos(c[:, 1]), np.sin(c[:, 1])])
+        else:
+            phi1, phi2 = c[:, 1], c[:, 2]
+            omega = np.column_stack(
+                [np.sin(phi1) * np.cos(phi2), np.sin(phi1) * np.sin(phi2), np.cos(phi1)]
+            )
+        ps = r * np.column_stack([np.sin(theta)[:, None] * omega, np.cos(theta)])
+    return np.column_stack([ps, c[:, l:]])
+
+
 def _diagonal_metric(model, c):
     """Diagonal g[:, i] = g_ii and its partials dg[:, i, k] = d_k g_ii."""
     r, l = _sphere_factor(model)
     P, n = c.shape
     g = np.ones((P, n))
     dg = np.zeros((P, n, n))
-    theta = c[:, 0]
+    if l == 0:
+        return g, dg
     g[:, 0] = r**2
+    if l == 1:
+        return g, dg
+    theta = c[:, 0]
     g[:, 1] = r**2 * np.sin(theta) ** 2
     dg[:, 1, 0] = r**2 * np.sin(2 * theta)
     if l == 3:

@@ -208,6 +208,21 @@ class TestBoundary:
         x = model.offset_from_boundary(z, depth)
         assert np.abs(model.boundary_distance(x) - 0.07).max() < 1e-10
 
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_mirror_point_negates_depth(self, model):
+        # reflect is the geodesic mirror across the boundary: depth d -> -d
+        rng = RNG(11)
+        x = model.sample_collar(rng, 16, 0.1)
+        d = model.boundary_distance(x)
+        mirrored, _, depth = model.reflect(x, model.initial_frames(x))
+        assert np.abs(depth + d).max() < 1e-9
+        assert np.abs(model.boundary_distance(mirrored) + d).max() < 1e-9
+        # mirroring a boundary point is the identity
+        z = model.sample_boundary(rng, 8)
+        mirrored, _, _ = model.reflect(z, model.initial_frames(z))
+        assert np.abs(mirrored - z).max() < 1e-9
+
+
 class TestGaussEquation:
     def test_flat_ball_three(self):
         assert geo.gauss_equation_check(geo.model_catalog("ball", dimension=3)) < 1e-10
@@ -233,8 +248,36 @@ class TestGaussEquation:
 
 class TestInvariants:
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_metric_spd_everywhere(self, model):
+        rng = RNG(11)
+        x = model.sample_volume(rng, 1000)
+        c = polar_charts.chart(model, x[polar_charts.valid(model, x)])
+        g = polar_charts.metric(model, c)
+        evals = np.linalg.eigvalsh(g)
+        assert evals.min() > 0.0
+        # and it is the metric that the embedding induces: J^T J
+        eps = 1e-6
+        jac = np.zeros((c.shape[0], model.state_dim, model.dimension))
+        for k in range(model.dimension):
+            cp = c.copy()
+            cm = c.copy()
+            cp[:, k] += eps
+            cm[:, k] -= eps
+            diff = polar_charts.chart_point(model, cp) - polar_charts.chart_point(model, cm)
+            jac[:, :, k] = diff / (2 * eps)
+        assert np.abs(np.einsum("pdi,pdj->pij", jac, jac) - g).max() < 1e-7
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_frame_curvature_valid(self, model):
         model.frame_curvature().validate()
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_chart_roundtrip(self, model):
+        rng = RNG(12)
+        x = model.sample_volume(rng, 128)
+        x = x[polar_charts.valid(model, x)]
+        back = polar_charts.chart_point(model, polar_charts.chart(model, x))
+        assert np.abs(back - x).max() < 1e-9
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_collar_sampler_in_range(self, model):
@@ -305,17 +348,23 @@ class TestChartConsistency:
         gamma = polar_charts.christoffel(model, c)
         assert np.abs(gamma - gamma_fd).max() < 1e-5
 
+    def test_chart_curvature_matches_frame_curvature(self):
+        self.check_chart_curvature(geo.model_catalog("cap", dimension=2, aperture=1.3))
+
     @pytest.mark.parametrize(
         "model",
         [
-            geo.model_catalog("cap", dimension=2, aperture=1.3),
             geo.model_catalog("cap", dimension=3, radius=2.0, aperture=1.0),
             geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
             geo.model_catalog("sphere-ball", sphere_dim=3, ball_dim=1, sphere_radius=1.5),
         ],
         ids=lambda m: repr(m),
     )
-    def test_chart_curvature_matches_frame_curvature(self, model):
+    def test_chart_curvature_matches_frame_curvature_in_higher_dimensions(self, model):
+        self.check_chart_curvature(model)
+
+    @staticmethod
+    def check_chart_curvature(model):
         # finite-difference curvature of the polar chart: the sectional
         # curvature of every coordinate plane equals the model's frame
         # curvature on the matching frame plane (sphere block first)
