@@ -106,8 +106,6 @@ CONFIG_SCHEMA = {
                 ("estimate-chi", "local-limit"), ("estimate-chi", "local-limit"), None),
     "steps": (_integer("steps", 2), ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "stratify": (_parse_bool, ("estimate-chi",), (), True),
-    "drift": (_choice("drift", ("reflected", "varadhan")),
-              ("estimate-chi", "local-limit"), (), "reflected"),
     "lam_scale": (_positive_float("lam_scale"), ("estimate-chi", "local-limit", "diagnostics"), (),
                   st.DEFAULT_LAM_SCALE),
     "point": (_choice("point", ("interior", "boundary")), ("local-limit",), (), "interior"),
@@ -287,7 +285,7 @@ def _run_estimate_chi(cfg):
     report = est.estimate_chi(
         model, cfg["t"], cfg["base_points"], cfg["bridges"], cfg["seed"],
         steps=cfg.get("steps"), stratify=cfg["stratify"], workers=workers,
-        drift=cfg["drift"], lam_scale=cfg["lam_scale"], config=cfg,
+        lam_scale=cfg["lam_scale"], config=cfg,
     )
     return report.to_dict()
 
@@ -306,7 +304,7 @@ def _run_local_limit(cfg):
     table = est.local_limit_check(
         model, point, cfg["t_sequence"], cfg["bridges"], cfg["seed"],
         steps=cfg.get("steps") or 400, constants=constants,
-        depth_nodes=cfg["depth_nodes"], drift=cfg["drift"], lam_scale=cfg["lam_scale"],
+        depth_nodes=cfg["depth_nodes"], lam_scale=cfg["lam_scale"],
     )
     return table.to_dict()
 

@@ -306,7 +306,6 @@ class EstimateReport:
     seed: int
     resample_rate: float
     stratified: bool
-    drift: str
     lam_scale: float
     validity: dict
     config: dict
@@ -328,7 +327,6 @@ class EstimateReport:
             "seed": self.seed,
             "resample_rate": self.resample_rate,
             "stratified": self.stratified,
-            "drift": self.drift,
             "lam_scale": self.lam_scale,
             "validity": dict(self.validity),
             "config": dict(self.config),
@@ -369,15 +367,13 @@ def _node_expectations(batch, nodes: int, t: float, max_resample_rate: float):
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
-                           steps: int | None = None, mode="exact-jump", eps=None,
-                           drift="reflected", lam_scale=DEFAULT_LAM_SCALE,
+                           steps: int | None = None, lam_scale=DEFAULT_LAM_SCALE,
                            max_resample_rate: float = 0.05):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
     steps = steps or DEFAULT_STEPS_PER_UNIT_TIME
     x = np.asarray(x, dtype=float)
     anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
-    batch = simulate_bridges(model, anchors, t, steps, rng, mode=mode, eps=eps,
-                             drift=drift, lam_scale=lam_scale)
+    batch = simulate_bridges(model, anchors, t, steps, rng, lam_scale=lam_scale)
     mean, se = _node_expectations(batch, 1, t, max_resample_rate)
     return float(mean[0]), float(se[0])
 
@@ -416,12 +412,11 @@ def check_integer(name, value, low, high=math.inf):
     return value
 
 
-def _chi_chunk(model, anchors_block, t, steps, bridges, stream, mode, eps, drift, lam_scale):
+def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
     """Per-anchor bridge means for one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
     tiled = np.repeat(anchors_block, bridges, axis=0)
-    batch = simulate_bridges(model, tiled, t, steps, stream.generator(), mode=mode,
-                             eps=eps, drift=drift, lam_scale=lam_scale)
+    batch = simulate_bridges(model, tiled, t, steps, stream.generator(), lam_scale=lam_scale)
     vals = batch.supertraces().reshape(n_anchor, bridges)
     alive = batch.alive.reshape(n_anchor, bridges)
     mean, se, counts = _masked_mean_std(vals, alive)
@@ -434,8 +429,7 @@ def _chi_chunk_star(args):
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
                  steps: int | None = None, stratify: bool = True, collar_factor: float = 3.0,
-                 workers: int = 1, mode="exact-jump", eps=None, drift="reflected",
-                 lam_scale=DEFAULT_LAM_SCALE, max_resample_rate: float = 0.05,
+                 workers: int = 1, lam_scale=DEFAULT_LAM_SCALE, max_resample_rate: float = 0.05,
                  config: dict | None = None) -> EstimateReport:
     """Estimate the Euler characteristic from bridge loops at sampled base points.
 
@@ -457,8 +451,7 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     jobs = []
     for ci, lo in enumerate(range(0, base_points, chunk_anchors)):
         hi = min(lo + chunk_anchors, base_points)
-        jobs.append((model, pts[lo:hi], t, steps, bridges, RngStream(seed, ci + 1),
-                     mode, eps, drift, lam_scale))
+        jobs.append((model, pts[lo:hi], t, steps, bridges, RngStream(seed, ci + 1), lam_scale))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays the import
 
@@ -501,7 +494,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         seed=seed,
         resample_rate=rate,
         stratified=stratify,
-        drift=drift,
         lam_scale=lam_scale,
         validity=validity,
         config=dict(config or {}),
@@ -552,7 +544,7 @@ class LocalLimitTable:
 def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, seed: int, *,
                       steps: int = 400, constants: ConstantTable | None = None,
                       depth_nodes: int = 10, collar_factor: float = 5.0,
-                      drift="reflected", lam_scale=DEFAULT_LAM_SCALE) -> LocalLimitTable:
+                      lam_scale=DEFAULT_LAM_SCALE) -> LocalLimitTable:
     """Track the kernel-weighted supertrace expectation along shrinking lifetimes.
 
     Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand;
@@ -591,8 +583,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         for group in _lockstep_groups(len(points), bridges):
             anchors = np.repeat(np.array([points[j] for j in group]), bridges, axis=0)
             gens = [RngStream(seed, 1000 * it + j).generator() for j in group]
-            batch = simulate_bridges(model, anchors, t, steps, gens, drift=drift,
-                                     lam_scale=lam_scale)
+            batch = simulate_bridges(model, anchors, t, steps, gens, lam_scale=lam_scale)
             mean, se = _node_expectations(batch, len(group), t, max_resample_rate=0.05)
             means.extend(mean.tolist())
             ses.extend(se.tolist())

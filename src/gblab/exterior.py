@@ -9,8 +9,8 @@ The module provides the operator constructions used throughout the
 package: derivation extensions of endomorphisms, paired extensions of
 rank-4 tensors, the curvature operator entering the Weitzenboeck
 identity, tangential/normal boundary projections, shape-operator
-extensions with an optional penalty term, parity and supertrace, and the
-multiplicative ("algebra map") lift of an n x n matrix.
+extensions, parity and supertrace, and the multiplicative ("algebra
+map") lift of an n x n matrix.
 
 Everything here supports n <= 8; all experiments live in n <= 4 and the
 property tests in n <= 6.  Values are immutable after construction and
@@ -85,19 +85,9 @@ def _tables(n: int) -> dict:
     return table
 
 
-def basis_degrees(n: int) -> np.ndarray:
-    """Degree (subset cardinality) of each basis index."""
-    return _tables(n)["degrees"]
-
-
 def parity_signs(n: int) -> np.ndarray:
     """(-1)**degree per basis index."""
     return _tables(n)["parity"]
-
-
-def degree_indices(n: int, p: int) -> np.ndarray:
-    """Indices of the degree-p basis forms."""
-    return np.nonzero(basis_degrees(n) == p)[0]
 
 
 def _as_matrix(mat, n=None):
@@ -153,20 +143,6 @@ class MultiVector:
         c = np.zeros(1 << n)
         c[mask] = 1.0
         return cls(n, c)
-
-    @classmethod
-    def from_vector(cls, v) -> "MultiVector":
-        v = np.asarray(v, dtype=float)
-        n = v.shape[0]
-        _check_dimension(n)
-        c = np.zeros(1 << n)
-        for i in range(n):
-            c[1 << i] = v[i]
-        return cls(n, c)
-
-    def degree_component(self, p: int) -> "MultiVector":
-        keep = basis_degrees(self.n) == p
-        return MultiVector(self.n, np.where(keep, self.coeffs, 0.0))
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         if self.n != other.n:
@@ -274,21 +250,6 @@ class GradedOperator:
     def power(self, k: int) -> "GradedOperator":
         return GradedOperator(self.n, np.linalg.matrix_power(self.mat, k))
 
-    def degree_block(self, p: int) -> np.ndarray:
-        idx = degree_indices(self.n, p)
-        return self.mat[np.ix_(idx, idx)]
-
-    def off_block_norm(self) -> float:
-        """Largest matrix entry connecting different degrees."""
-        deg = basis_degrees(self.n)
-        mask = deg[:, None] != deg[None, :]
-        if not mask.any():
-            return 0.0
-        return float(np.abs(self.mat[mask]).max(initial=0.0))
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat))
-
     def supertrace(self) -> float:
         return float(parity_signs(self.n) @ np.diag(self.mat))
 
@@ -315,14 +276,6 @@ def contraction_operator(v) -> GradedOperator:
     annihilate = _tables(n)["annihilate"]
     mat = sum(v[i] * annihilate[i] for i in range(n))
     return GradedOperator(n, mat)
-
-
-def contract(v, a: MultiVector) -> MultiVector:
-    """Interior product v -| a (degree-lowering antiderivation)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (a.n,):
-        raise DimensionMismatchError("vector and multivector dimension differ")
-    return contraction_operator(v).apply(a)
 
 
 def derivation_extend(B) -> GradedOperator:
@@ -566,15 +519,6 @@ def shape_operator_extension(A, nu) -> GradedOperator:
     if np.abs(A @ nu).max() > 1e-12 * scale:
         raise InvariantViolationError("shape operator must annihilate the normal vector")
     return derivation_extend(A)
-
-
-def penalized_shape_extension(A, nu, eps: float) -> GradedOperator:
-    """Shape extension plus the normal-projection penalty (1/eps) Pi_nor."""
-    if eps <= 0:
-        raise InvariantViolationError(f"penalty parameter must be positive, got {eps}")
-    da = shape_operator_extension(A, nu)
-    _, pi_nor = boundary_projections(nu)
-    return da + (1.0 / eps) * pi_nor
 
 
 def algebra_lift(m) -> GradedOperator:

@@ -131,6 +131,13 @@ def _frame_vector(u, xi):
     return out
 
 
+def _sphere_angle(x, y):
+    """Angle between points of equal norm as 2 atan2(|x - y|, |x + y|): exactly 0 at x = y."""
+    d = x - y
+    s = x + y
+    return 2.0 * np.arctan2(np.sqrt(_rowdot(d, d)), np.sqrt(_rowdot(s, s)))
+
+
 def _sphere_log(x, y, r):
     """Ambient log map log_x(y) on the round sphere of radius r, per coordinate."""
     cosg = _rowdot(x, y) / r**2
@@ -454,13 +461,12 @@ class SphereCap(ManifoldModel):
     def colatitude(self, x):
         return np.arccos(np.minimum(np.maximum(x[..., self._axis] / self.radius, -1.0), 1.0))
 
-    def _meridian_at(self, x, theta=None):
+    def _meridian_at(self, x):
         """Unit tangent toward increasing colatitude theta, built one coordinate at a time.
 
         cos(theta) times the unit horizontal direction (0 at the apex), and
         -sin(theta) along the axis.  Both come from the coordinates without
-        trigonometry: cos(theta) = x_axis / r and sin(theta) = |x_horizontal| / r,
-        so a colatitude the caller already has is not needed.
+        trigonometry: cos(theta) = x_axis / r and sin(theta) = |x_horizontal| / r.
         """
         axis = self._axis
         horiz = x[:, :axis]
@@ -521,8 +527,7 @@ class SphereCap(ManifoldModel):
         return self.frame_components(x, u, _sphere_log(x, y, self.radius))
 
     def distance(self, x, y):
-        cosg = np.clip(_rowdot(x, y) / self.radius**2, -1.0, 1.0)
-        return self.radius * np.arccos(cosg)
+        return self.radius * _sphere_angle(x, y)
 
     def offset_from_boundary(self, z, depth):
         v_amb = -np.asarray(depth)[:, None] * self._meridian_at(z)
@@ -887,9 +892,7 @@ class SphereBall(ManifoldModel):
     def distance(self, x, y):
         xs, xb = self._split(x)
         ys, yb = self._split(y)
-        r = self.sphere_radius
-        cosg = np.clip(_rowdot(xs, ys) / r**2, -1.0, 1.0)
-        ds = r * np.arccos(cosg)
+        ds = self.sphere_radius * _sphere_angle(xs, ys)
         db = np.linalg.norm(yb - xb, axis=-1)
         return np.hypot(ds, db)
 
@@ -929,10 +932,9 @@ class SphereBall(ManifoldModel):
     def neumann_kernel(self, t, x, y):
         xs, xb = self._split(x)
         ys, yb = self._split(y)
-        r = self.sphere_radius
-        cosg = np.clip(np.einsum("pd,pd->p", xs, ys) / r**2, -1.0, 1.0)
-        gamma = np.arccos(cosg)
-        return hk.sphere_kernel(t, self.sphere_dim, r, gamma) * self._ball.neumann_kernel(t, xb, yb)
+        gamma = _sphere_angle(xs, ys)
+        return (hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, gamma)
+                * self._ball.neumann_kernel(t, xb, yb))
 
     def neumann_diag(self, t, x):
         k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(x.shape[0]))
@@ -1054,23 +1056,3 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
         induced_curvature=r_z,
     )
 
-
-def gauss_equation_check(model: ManifoldModel, samples: int = 32, rng=None) -> float:
-    """Max deviation of (ambient restriction + Gauss form - induced curvature).
-
-    For n = 2 the boundary curvature is trivial and the check returns 0.
-    """
-    if model.dimension < 3:
-        return 0.0
-    rng = rng or np.random.default_rng(0)
-    zs = model.sample_boundary(rng, samples)
-    worst = 0.0
-    for i in range(samples):
-        bg = boundary_geometry(model, zs[i])
-        dev = np.abs(
-            bg.ambient_restriction.components
-            + bg.gauss_form.components
-            - bg.induced_curvature.components
-        ).max()
-        worst = max(worst, float(dev))
-    return worst

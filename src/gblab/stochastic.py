@@ -10,13 +10,11 @@ the Skorokhod decomposition of the reflected chain (one step from the
 boundary then reproduces the flat half-space law E[lam] = sqrt(2h/pi)
 exactly).
 
-Bridges add the logarithmic heat-kernel drift toward the anchor.  Two
-surrogates are available: "varadhan" (pure squared-distance gradient,
-with the normal component suppressed inside a sqrt(h) collar) and the
-default "reflected", which augments it with a single boundary image so
-the drift satisfies the Neumann condition at the boundary; both reduce
-to the exact Euclidean bridge drift away from the boundary.  The final
-step snaps to the anchor.
+Bridges add the logarithmic heat-kernel drift toward the anchor: a
+two-well surrogate that augments the squared-distance gradient with a
+single boundary image, so the drift satisfies the Neumann condition at
+the boundary and reduces to the exact Euclidean bridge drift away from
+it.  The final step snaps to the anchor.
 
 simulate_bridges draws its noise from one generator or from a sequence of
 G generators, one stream per equal contiguous row group, and steps the
@@ -38,13 +36,14 @@ order, runs on C-order copies.
 The multiplicative functional starts at the identity, decays through
 the curvature operator during interior evolution, and at every boundary
 contact is multiplied by exp(-DA * dlam) followed by the tangential
-projection (exact-jump mode) or by the penalty form
-exp(-(DA + Pi_nor/eps) * dlam) (epsilon mode).  All catalog models are
+projection (absolute boundary conditions).  All catalog models are
 products of isotropic factors, so the batch engine tracks one small
 n x n matrix per bounded factor and assembles supertraces from
-elementary symmetric polynomials; the general 2**n-dimensional operator
-route is kept in evolve_functional / evolve_transport and is verified
-against the fast path on coupled noise.
+elementary symmetric polynomials.  The general 2**n-dimensional
+functional of one recorded path is kept in evolve_functional, the
+reference the fast path is checked against on coupled noise; it alone
+also offers the penalty form exp(-(DA + Pi_nor/eps) * dlam) (epsilon
+mode), whose eps -> 0 limit is the exact jump.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior as ext
-from .errors import NumericalAbortError
 from .geometry import ManifoldModel, _rowdot
 
 DEFAULT_LAM_SCALE = 2.0  # Skorokhod increment per crossing = 2 x penetration depth
@@ -131,7 +129,6 @@ class WalkState:
     x: np.ndarray                 # (P, state_dim); column-major when frames are carried
     frames: np.ndarray | None     # (P, state_dim, n) laid out (state_dim, n, P), or None
     lam: np.ndarray               # (P,)
-    time: float
     alive: np.ndarray             # (P,) validity mask
 
 
@@ -171,7 +168,6 @@ def make_walk_state(model: ManifoldModel, x0) -> WalkState:
         x=x,
         frames=frames,
         lam=np.zeros(x.shape[0]),
-        time=0.0,
         alive=np.ones(x.shape[0], dtype=bool),
     )
 
@@ -235,20 +231,16 @@ def step_reflected_bm(model, state: WalkState, h: float, rng, lam_scale=DEFAULT_
     """
     gen = _as_generator(rng)
     xi = math.sqrt(h) * gen.standard_normal((state.x.shape[0], model.dimension))
-    info = _apply_increment(model, state, xi, lam_scale)
-    state.time += h
-    return info
+    return _apply_increment(model, state, xi, lam_scale)
 
 
-def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="reflected",
-                 h=None, d_anchor=None):
+def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=None):
     """Logarithmic heat-kernel drift toward the anchor (frame components).
 
-    "varadhan": squared-distance gradient toward the anchor with the
-    normal component suppressed inside a sqrt(h) collar of the boundary.
-    "reflected": two-well surrogate that also pulls toward a boundary
-    image of the anchor, Gaussian-weighted by the two squared distances,
-    so the drift satisfies the Neumann condition on the boundary and
+    A two-well surrogate: the squared-distance gradient toward the anchor
+    plus a pull toward a boundary image of the anchor, Gaussian-weighted
+    by the two squared distances, so the drift satisfies the Neumann
+    condition on the boundary and
     reduces to the direct drift in the deep interior.  The image sits
     across the tangent plane of the nearest boundary point at normal
     separation g = d_z + d_anchor; the tangent-plane image (rather than the
@@ -262,15 +254,6 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, kind="ref
     """
     ell = model.log_frame(state.x, state.frames, anchor)
     drift = ell / remaining
-    if kind == "varadhan":
-        if h is not None:
-            d, nu = model.collar_data(state.x, state.frames)
-            near = d < math.sqrt(h)
-            if near.any():
-                _sub_columns(drift, np.where(near, _rowdot(drift, nu), 0.0), nu)
-        return drift
-    if kind != "reflected":
-        raise ValueError(f"unknown drift kind {kind!r}")
     d_z, nu = model.collar_data(state.x, state.frames)
     if d_anchor is None:
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
@@ -300,22 +283,20 @@ def _sub_columns(out, w, nu):
 
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
-                drift="reflected", lam_scale=DEFAULT_LAM_SCALE, d_anchor=None) -> ContactInfo:
+                lam_scale=DEFAULT_LAM_SCALE, d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor.
 
     rng is one generator, or a sequence of G generators that split the
     rows into G equal contiguous groups (ValueError otherwise).
     """
     streams = _row_streams(rng, state.x.shape[0])
-    g = bridge_drift(model, state, anchor, remaining, kind=drift, h=h, d_anchor=d_anchor)
+    g = bridge_drift(model, state, anchor, remaining, d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     streams.fill(xi)
     xi *= math.sqrt(h)
     g *= h
     g += xi  # the increment, in the drift's layout: the draws fill C-order rows
-    info = _apply_increment(model, state, g, lam_scale)
-    state.time += h
-    return info
+    return _apply_increment(model, state, g, lam_scale)
 
 
 def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE) -> ContactInfo:
@@ -335,8 +316,8 @@ def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE)
 # ---------------------------------------------------------------------------
 
 
-def _jump_update(m, info: ContactInfo, mode: str, eps: float | None):
-    """Apply boundary jumps to the bounded-factor matrices in place."""
+def _jump_update(m, info: ContactInfo):
+    """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place."""
     idx = info.idx
     if idx.size == 0:
         return
@@ -347,15 +328,7 @@ def _jump_update(m, info: ContactInfo, mode: str, eps: float | None):
     mnu = np.einsum("cij,cj->ci", sub, nu)
     tangential = sub - mnu[:, :, None] * nu[:, None, :]
     decay = np.exp(-a * dl)[:, None, None]
-    if mode == "exact-jump":
-        m[idx] = decay * tangential
-    elif mode == "epsilon":
-        if eps is None or eps <= 0:
-            raise ValueError("epsilon mode requires a positive eps")
-        keep = np.exp(-dl / eps)[:, None, None]
-        m[idx] = decay * tangential + keep * (mnu[:, :, None] * nu[:, None, :])
-    else:
-        raise ValueError(f"unknown functional mode {mode!r}")
+    m[idx] = decay * tangential
 
 
 def _elementary_symmetric(B, d):
@@ -391,7 +364,6 @@ class BridgeBatch:
     factor_m: dict                       # factor name -> (P, d, d) or None
     factor_O: dict                       # factor name -> (P, d, d) or None
     max_excursion: np.ndarray | None = None
-    positions: np.ndarray | None = None  # (steps + 1, P, state_dim) when recorded
 
     def supertraces(self) -> np.ndarray:
         """Per-path supertrace of (functional x inverse transport)."""
@@ -419,9 +391,7 @@ class BridgeBatch:
 
 
 def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *,
-                     mode="exact-jump", eps=None, drift="reflected",
-                     lam_scale=DEFAULT_LAM_SCALE, track_excursion=False,
-                     record_positions=False) -> BridgeBatch:
+                     lam_scale=DEFAULT_LAM_SCALE, track_excursion=False) -> BridgeBatch:
     """Simulate reflected Brownian bridge loops pinned at the given anchors.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
@@ -445,10 +415,6 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     tile_anchors = [_walk_rows(model, anchors[rows]) for rows in tiles]
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
-    positions = None
-    if record_positions:
-        positions = np.empty((steps + 1, P, model.state_dim))
-        positions[0] = anchors
     for k in range(steps):
         remaining = t - k * h
         for rows, state, noise, anchor in zip(tiles, states, tile_streams, tile_anchors):
@@ -456,14 +422,12 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
                 info = snap_to_anchor(model, state, anchor, lam_scale)
             else:
                 info = step_bridge(model, state, remaining, anchor, h, noise,
-                                   drift=drift, lam_scale=lam_scale, d_anchor=d_anchor[rows])
-            _jump_update(m[rows], info, mode, eps)
+                                   lam_scale=lam_scale, d_anchor=d_anchor[rows])
+            _jump_update(m[rows], info)
             contacts[rows][info.idx] += 1
             if track_excursion:
                 np.maximum(excursion[rows], model.distance(state.x, anchor),
                            out=excursion[rows])
-            if record_positions:
-                positions[k + 1, rows] = state.x
     frames = None if frames0 is None else _join([s.frames for s in states])
     factor_m = {}
     factor_O = {}
@@ -474,7 +438,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
         model=model, t=t, steps=steps, anchors=anchors,
         lam=_join([s.lam for s in states]), contacts=contacts,
         alive=_join([s.alive for s in states]), factor_m=factor_m,
-        factor_O=factor_O, max_excursion=excursion, positions=positions,
+        factor_O=factor_O, max_excursion=excursion,
     )
 
 
@@ -550,7 +514,7 @@ class PathSample:
 
 
 def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
-                  anchor=None, drift="reflected", lam_scale=DEFAULT_LAM_SCALE) -> PathSample:
+                  anchor=None, lam_scale=DEFAULT_LAM_SCALE) -> PathSample:
     """Simulate and record a single path (a bridge loop when anchored)."""
     gen = _as_generator(rng)
     x0 = np.asarray(x0, dtype=float)
@@ -577,8 +541,7 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
         elif k == steps - 1:
             info = snap_to_anchor(model, state, anchor_arr, lam_scale)
         else:
-            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen,
-                               drift=drift, lam_scale=lam_scale)
+            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen, lam_scale=lam_scale)
         positions[k + 1] = state.x[0]
         if frames is not None:
             frames[k + 1] = state.frames[0]
@@ -594,33 +557,6 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
         shape_coeff=shape_coeff, valid=bool(state.alive[0]),
         anchor=None if anchor is None else np.asarray(anchor, dtype=float),
     )
-
-
-def _development(path: PathSample, start: int, stop: int) -> np.ndarray:
-    """Frame development u_start^T u_stop as an n x n matrix."""
-    n = path.model.dimension
-    if path.frames is None:
-        return np.eye(n)
-    u0 = path.frames[start]
-    u1 = path.frames[stop]
-    return u0.T @ u1
-
-
-def evolve_transport(path: PathSample, start: int = 0, stop: int | None = None,
-                     tol: float = 1e-6):
-    """Transport U and its inverse V on forms over [start, stop].
-
-    Raises NumericalAbortError when the frame development drifts from
-    orthogonality by more than tol (a resample signal).
-    """
-    stop = path.steps if stop is None else stop
-    O = _development(path, start, stop)
-    drift = np.abs(O.T @ O - np.eye(path.model.dimension)).max()
-    if drift > tol:
-        raise NumericalAbortError(f"transport orthogonality drift {drift:.2e} exceeds {tol}")
-    U = ext.algebra_lift(O)
-    V = ext.algebra_lift(O.T)
-    return U, V
 
 
 def _contact_jump_matrix(model, nu, a, dl, mode, eps):
@@ -666,9 +602,3 @@ def evolve_functional(path: PathSample, mode: str = "exact-jump", eps: float | N
             M = M @ ext.algebra_lift(jump).mat
     return ext.GradedOperator(n, M)
 
-
-def path_supertrace(path: PathSample, mode: str = "exact-jump", eps: float | None = None) -> float:
-    """Supertrace of (functional x inverse transport) via the operator route."""
-    M = evolve_functional(path, mode=mode, eps=eps)
-    _, V = evolve_transport(path)
-    return (M @ V).supertrace()

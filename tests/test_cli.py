@@ -249,7 +249,7 @@ class TestRangeValidation:
         ("estimate-chi", "base_points", "1"),
         ("estimate-chi", "bridges", "0"),
         ("estimate-chi", "steps", "1"),
-        ("estimate-chi", "drift", "bogus"),
+        ("estimate-chi", "drift", "reflected"),  # a removed key: unknown
         ("estimate-chi", "lam_scale", "nan"),
         ("estimate-chi", "lam_scale", "-1"),
         ("estimate-chi", "workers", "-3"),
@@ -259,7 +259,6 @@ class TestRangeValidation:
         ("local-limit", "bridges", "0"),
         ("local-limit", "steps", "1"),
         ("local-limit", "depth_nodes", "0"),
-        ("local-limit", "drift", "bogus"),
         ("local-limit", "lam_scale", "0"),
         ("local-limit", "point", "corner"),
         ("cancellation-suite", "seed", "-1"),
@@ -311,7 +310,6 @@ OUT_OF_RANGE = {
     "base_points": st.integers(-1, 1),
     "bridges": st.integers(-1, 0),
     "steps": st.integers(-1, 1),
-    "drift": st.sampled_from(["bogus", "Reflected", "reflected,varadhan"]),
     "lam_scale": st.sampled_from(["0", "-1", "nan", "inf", "-inf"]),
     "workers": st.integers(-5, -1),
 }

@@ -413,19 +413,23 @@ class TestArgumentRanges:
             est.local_limit_check(model, model.boundary_point(), constants=constants2, **args)
 
 
-# estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr) of the
-# broadcast cap stepping code, before its columnwise rewrite
+# estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr).  The
+# curved models' values come from the broadcast cap stepping code, before its
+# columnwise rewrite; the flat models' from the batch engine that still offered
+# the varadhan drift and the epsilon jump, before the single bridge law.
 FIXED_SEED_REPORTS = [
     (geo.SphereCap(2), 1.0220240117420898, 0.023585802570662524),
     (geo.SphereCap(3), 1.0358830227238778, 0.09823019522709776),
     (geo.SphereCap(2, aperture=1.0), 0.9246448746905164, 0.04316596943015947),
     (geo.SphereBall(2, 1), 2.0205478262269385, 0.233120458925288),
+    (geo.FlatBall(2), 0.9410465724070326, 0.08802060326477812),
+    (geo.FlatBall(3), 0.893501175825788, 0.0783973528885926),
 ]
 
 
 @pytest.mark.parametrize("model, estimate, stderr", FIXED_SEED_REPORTS,
-                         ids=["cap2", "cap3", "cap2-aperture1", "sphere-ball2+1"])
-def test_fixed_seed_curved_reports(model, estimate, stderr):
+                         ids=["cap2", "cap3", "cap2-aperture1", "sphere-ball2+1", "disk", "ball3"])
+def test_fixed_seed_reports(model, estimate, stderr):
     # the columnwise rewrite only reorders sums over 3 or 4 terms
     report = est.estimate_chi(model, 0.1, 200, 6, 1311, steps=100)
     assert report.estimate == pytest.approx(estimate, rel=1e-12, abs=0)

@@ -7,6 +7,7 @@ from gblab import geometry as geo
 from gblab.errors import ConfigError
 
 import polar_charts
+from oracles import gauss_equation_check
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -98,6 +99,19 @@ class TestGeodesics:
         x2, u2 = model.geodesic_step(x, u, xi)
         d = model.distance(x, x2)
         assert np.abs(d - np.linalg.norm(xi, axis=-1)).max() < 1e-8
+
+    @pytest.mark.parametrize("model", [
+        geo.model_catalog("hemisphere", dimension=2),
+        geo.model_catalog("cap", dimension=2, aperture=1.0),
+        geo.model_catalog("cap", dimension=3, aperture=1.0),
+        geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+        geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
+    ], ids=lambda m: repr(m))
+    def test_distance_to_itself_is_zero(self, model):
+        # the sphere angle 2 atan2(|x - y|, |x + y|) is exactly 0 at x = y,
+        # where an arccos of x . y / r^2 leaves up to 3e-8 on a fifth of the points
+        x = model.sample_volume(RNG(5), 2000)
+        assert np.array_equal(model.distance(x, x), np.zeros(2000))
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_log_inverts_step(self, model):
@@ -225,25 +239,25 @@ class TestBoundary:
 
 class TestGaussEquation:
     def test_flat_ball_three(self):
-        assert geo.gauss_equation_check(geo.model_catalog("ball", dimension=3)) < 1e-10
+        assert gauss_equation_check(geo.model_catalog("ball", dimension=3)) < 1e-10
 
     def test_hemisphere_three(self):
-        assert geo.gauss_equation_check(geo.model_catalog("hemisphere", dimension=3)) < 1e-10
+        assert gauss_equation_check(geo.model_catalog("hemisphere", dimension=3)) < 1e-10
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
     def test_cap_three(self, alpha):
         model = geo.model_catalog("cap", dimension=3, aperture=alpha)
-        assert geo.gauss_equation_check(model) < 1e-10
+        assert gauss_equation_check(model) < 1e-10
 
     def test_products(self):
         for l, m in [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
             model = geo.model_catalog("sphere-ball", sphere_dim=l, ball_dim=m)
             if model.dimension < 3:
                 continue
-            assert geo.gauss_equation_check(model) < 1e-10
+            assert gauss_equation_check(model) < 1e-10
 
     def test_two_dim_is_trivial(self):
-        assert geo.gauss_equation_check(geo.model_catalog("ball", dimension=2)) == 0.0
+        assert gauss_equation_check(geo.model_catalog("ball", dimension=2)) == 0.0
 
 
 class TestInvariants:
@@ -542,7 +556,7 @@ class TestColumnwiseAgainstBroadcast:
     def test_meridian_and_cap_methods(self, case):
         _, x, u, r, model = case
         theta = model.colatitude(x)
-        m = model._meridian_at(x, theta)
+        m = model._meridian_at(x)
         _close(m, broadcast_meridian_at(model, x, theta))
         # at the apex the horizontal part is zero and the meridian is -sin(0) e_axis = 0
         assert np.array_equal(m[-4:], np.zeros((4, x.shape[1])))

@@ -239,14 +239,14 @@ class TestRadialDiagonal:
     ], ids=lambda m: repr(m))
     def test_special_diagonal_matches_pair_kernel(self, model, t):
         # each model's diagonal against its own pair kernel at interior,
-        # collar and boundary points; the pair kernel's arccos of x . x / r^2
-        # leaves an angle of about 1e-8 instead of 0, hence 1e-10
+        # collar and boundary points; the pair kernel's sphere angle at
+        # (x, x) is exactly 0, so they agree to rounding
         rng = np.random.default_rng(11)
         x = np.concatenate([model.sample_volume(rng, 8), model.sample_collar(rng, 8, 0.05),
                             model.sample_boundary(rng, 4)])
         vals = hk.heat_kernel_diag(model, t, x)
         ref = model.neumann_kernel(t, x, x)
-        assert np.abs(vals / ref - 1.0).max() < 1e-10
+        assert np.abs(vals / ref - 1.0).max() < 2e-15
 
     def test_tiny_time_raises_through_table(self):
         model = geo.model_catalog("ball", dimension=2)

@@ -9,6 +9,8 @@ from gblab import kernels as hk
 from gblab import stochastic as st
 from gblab.errors import NumericalAbortError
 
+from oracles import evolve_transport, path_supertrace
+
 
 def disk():
     return geo.model_catalog("ball", dimension=2)
@@ -141,11 +143,10 @@ class TestBridge:
         model = disk()
         anchor = np.array([0.5, 0.0])
         anchors = np.broadcast_to(anchor, (2000, 2)).copy()
-        batch = st.simulate_bridges(model, anchors, 0.08, 100, st.RngStream(37),
-                                    record_positions=True)
+        _, positions = single_batch_bridges(model, anchors, 0.08, 100, st.RngStream(37))
         times = np.linspace(0, 0.08, 101)
         for k in range(1, 101):
-            d2 = ((batch.positions[k] - anchor) ** 2).sum(axis=1).mean()
+            d2 = ((positions[k] - anchor) ** 2).sum(axis=1).mean()
             assert d2 <= 4.0 * model.dimension * times[k] + 1e-9
 
     def test_drift_magnitude_bound_against_exact_kernel(self):
@@ -177,7 +178,7 @@ class TestBridge:
                 bound = model.distance(z, x)[0] / s + 1.0 / math.sqrt(s)
                 worst_exact = max(worst_exact, np.linalg.norm(grad) / bound)
                 state = st.make_walk_state(model, z)
-                g = st.bridge_drift(model, state, x, s, kind="reflected")
+                g = st.bridge_drift(model, state, x, s)
                 worst_surrogate = max(worst_surrogate, np.linalg.norm(g[0]) / bound)
         assert 0 < worst_exact < 4.0
         assert 0 < worst_surrogate < 4.0
@@ -219,7 +220,7 @@ class TestBridge:
                 continue
             checked += 1
             state = st.make_walk_state(model, z)
-            g = st.bridge_drift(model, state, x, s, kind="reflected")[0]
+            g = st.bridge_drift(model, state, x, s)[0]
             scale = np.linalg.norm(grad) + 1.0 / math.sqrt(s)
             rels.append(np.linalg.norm(g - grad) / scale)
         assert checked >= 12
@@ -229,16 +230,6 @@ class TestBridge:
         assert np.median(rels) < 0.06
         assert rels.max() < 0.35
 
-    def test_varadhan_mode_suppresses_normal_component_in_collar(self):
-        model = disk()
-        h = 1e-4
-        z = np.array([[1.0 - 0.5 * math.sqrt(h), 0.0]])
-        state = st.make_walk_state(model, z)
-        anchor = np.array([[0.5, 0.0]])
-        g = st.bridge_drift(model, state, anchor, 0.05, kind="varadhan", h=h)
-        nu = model.normal_frame(z, None)
-        assert abs(np.einsum("pk,pk->p", g, nu)[0]) < 1e-12
-
     def test_boundary_pinned_normal_displacement_scales_like_sqrt_t(self):
         # mean distance to the boundary along a boundary-pinned loop is
         # O(sqrt(t)) (the collar-factor property)
@@ -246,9 +237,8 @@ class TestBridge:
         ratios = []
         for t, seed in [(0.02, 43), (0.08, 47)]:
             anchors = np.broadcast_to(np.array([1.0, 0.0]), (1500, 2)).copy()
-            batch = st.simulate_bridges(model, anchors, t, 120, st.RngStream(seed),
-                                        record_positions=True)
-            dist = model.boundary_distance(batch.positions.reshape(-1, 2))
+            _, positions = single_batch_bridges(model, anchors, t, 120, st.RngStream(seed))
+            dist = model.boundary_distance(positions.reshape(-1, 2))
             ratios.append(np.abs(dist).mean() / math.sqrt(t))
         assert 0.05 < ratios[0] < 2.0
         assert 0.6 < ratios[0] / ratios[1] < 1.6
@@ -369,7 +359,7 @@ class TestTransport:
         model = disk()
         path = st.simulate_path(model, np.array([0.2, 0.1]), 0.05, 50, st.RngStream(53),
                                 anchor=np.array([0.2, 0.1]))
-        U, V = st.evolve_transport(path)
+        U, V = evolve_transport(path)
         assert np.array_equal(U.mat, np.eye(4))
         assert np.array_equal(V.mat, np.eye(4))
 
@@ -377,7 +367,7 @@ class TestTransport:
         model = hemisphere()
         anchor = model.interior_point()
         path = st.simulate_path(model, anchor, 0.05, 200, st.RngStream(59), anchor=anchor)
-        U, V = st.evolve_transport(path)
+        U, V = evolve_transport(path)
         assert np.abs((V @ U).mat - np.eye(4)).max() < 1e-8
 
     def test_ambient_transport_composition(self):
@@ -489,7 +479,7 @@ class TestFunctional:
             M = st.evolve_functional(path)
             assert M.mat[0, 0] == 1.0
             assert np.abs(M.mat[0, 1:]).max() < 1e-14
-            _, V = st.evolve_transport(path)
+            _, V = evolve_transport(path)
             assert (M @ V).mat[0, 0] == 1.0
 
 
@@ -516,21 +506,9 @@ class TestFastPathAgainstOperators:
             path = st.simulate_path(m, anchor, 0.05, 60, stream, anchor=anchor)
             batch = st.simulate_bridges(m, anchor[None, :], 0.05, 60, stream)
             fast = batch.supertraces()[0]
-            slow = st.path_supertrace(path)
+            slow = path_supertrace(path)
             assert abs(fast - slow) < 1e-9
             assert abs(batch.lam[0] - path.lam[-1]) < 1e-12
-
-    def test_epsilon_mode_agreement(self):
-        m = disk()
-        anchor = m.boundary_point()
-        stream = st.RngStream(103, 0)
-        path = st.simulate_path(m, anchor, 0.05, 60, stream, anchor=anchor)
-        batch = st.simulate_bridges(m, anchor[None, :], 0.05, 60, stream,
-                                    mode="epsilon", eps=0.05)
-        M = st.evolve_functional(path, mode="epsilon", eps=0.05)
-        _, V = st.evolve_transport(path)
-        slow = (M @ V).supertrace()
-        assert abs(batch.supertraces()[0] - slow) < 1e-9
 
 
 class TestFlatSanity:
@@ -597,7 +575,7 @@ class TestResampleSignal:
         path = st.simulate_path(model, anchor, 0.02, 30, st.RngStream(139), anchor=anchor)
         path.frames[-1][:, 0] *= 1.01  # corrupt the frame
         with pytest.raises(NumericalAbortError):
-            st.evolve_transport(path)
+            evolve_transport(path)
 
     def test_validity_tracked(self):
         model = disk()
@@ -612,9 +590,11 @@ class TestResampleSignal:
 # ---------------------------------------------------------------------------
 
 
-def single_batch_bridges(model, anchors, t, steps, rng, *, mode="exact-jump", eps=None,
-                         drift="reflected", lam_scale=st.DEFAULT_LAM_SCALE):
-    """Reference: the untiled stepping loop, one WalkState for the whole batch."""
+def single_batch_bridges(model, anchors, t, steps, rng, *, lam_scale=st.DEFAULT_LAM_SCALE):
+    """Reference: the untiled stepping loop, one WalkState for the whole batch.
+
+    Returns the batch and the positions it visited, (steps + 1, P, state_dim).
+    """
     gen = st._as_generator(rng)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     state = st.make_walk_state(model, anchors)
@@ -634,8 +614,8 @@ def single_batch_bridges(model, anchors, t, steps, rng, *, mode="exact-jump", ep
             info = st.snap_to_anchor(model, state, anchors, lam_scale)
         else:
             info = st.step_bridge(model, state, remaining, anchors, h, gen,
-                                  drift=drift, lam_scale=lam_scale, d_anchor=d_anchor)
-        st._jump_update(m, info, mode, eps)
+                                  lam_scale=lam_scale, d_anchor=d_anchor)
+        st._jump_update(m, info)
         contacts[info.idx] += 1
         np.maximum(excursion, model.distance(state.x, anchors), out=excursion)
         positions[k + 1] = state.x
@@ -644,11 +624,12 @@ def single_batch_bridges(model, anchors, t, steps, rng, *, mode="exact-jump", ep
     for spec in model.factors:
         factor_m[spec.name] = m if spec.bounded else None
         factor_O[spec.name] = model.holonomy(frames0, state.frames, spec)
-    return st.BridgeBatch(
+    batch = st.BridgeBatch(
         model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
         contacts=contacts, alive=state.alive.copy(), factor_m=factor_m,
-        factor_O=factor_O, max_excursion=excursion, positions=positions,
+        factor_O=factor_O, max_excursion=excursion,
     )
+    return batch, positions
 
 
 TILE_MODELS = {**DRIFT_MODELS, "cap3-aperture1": lambda: geo.SphereCap(3, aperture=1.0)}
@@ -664,7 +645,7 @@ def mixed_anchors(model, count, seed):
 
 
 def assert_batches_equal(a, b):
-    for field in ("lam", "contacts", "alive", "positions", "max_excursion"):
+    for field in ("lam", "contacts", "alive", "max_excursion"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for factors in ("factor_m", "factor_O"):
         fa, fb = getattr(a, factors), getattr(b, factors)
@@ -677,15 +658,11 @@ def assert_batches_equal(a, b):
 
 
 class TestTiledBridges:
-    @pytest.mark.parametrize("drift", ["reflected", "varadhan"])
-    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_bitwise_equal_to_single_batch(self, name, mode, drift, monkeypatch):
+    def test_bitwise_equal_to_single_batch(self, name, monkeypatch):
         model = TILE_MODELS[name]()
-        eps = 0.05 if mode == "epsilon" else None
-        kw = dict(mode=mode, eps=eps, drift=drift)
         anchors = mixed_anchors(model, 131, 167)
-        ref = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2), **kw)
+        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2))
         assert ref.contacts.sum() > 0
         # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
         # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
@@ -693,9 +670,9 @@ class TestTiledBridges:
         for tile_rows, P in cases:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             tiled = st.simulate_bridges(model, anchors[:P], 0.05, 30, st.RngStream(173, 2),
-                                        track_excursion=True, record_positions=True, **kw)
+                                        track_excursion=True)
             expected = ref if P == 131 else single_batch_bridges(
-                model, anchors[:P], 0.05, 30, st.RngStream(173, 2), **kw)
+                model, anchors[:P], 0.05, 30, st.RngStream(173, 2))[0]
             assert_batches_equal(tiled, expected)
 
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
@@ -732,7 +709,7 @@ def full_boundary_data(model, x2, u2, contact):
     return nu, coeff
 
 
-def full_jump_update(m, contact, dlam, nu, coeff, mode, eps):
+def full_jump_update(m, contact, dlam, nu, coeff):
     """Reference: the jump update reading contact rows out of full-size arrays."""
     idx = np.nonzero(contact)[0]
     if idx.size == 0:
@@ -744,17 +721,12 @@ def full_jump_update(m, contact, dlam, nu, coeff, mode, eps):
     mnu = np.einsum("cij,cj->ci", sub, nu)
     tangential = sub - mnu[:, :, None] * nu[:, None, :]
     decay = np.exp(-a * dl)[:, None, None]
-    if mode == "exact-jump":
-        m[idx] = decay * tangential
-    else:
-        keep = np.exp(-dl / eps)[:, None, None]
-        m[idx] = decay * tangential + keep * (mnu[:, :, None] * nu[:, None, :])
+    m[idx] = decay * tangential
 
 
 class TestContactRows:
-    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_rows_match_full_arrays(self, name, mode):
+    def test_rows_match_full_arrays(self, name):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 120, 179)
         xi = 0.08 * np.random.default_rng(181).standard_normal((120, model.dimension))
@@ -772,8 +744,8 @@ class TestContactRows:
         assert not new_state.lam[~contact].any()
         m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
         m_old = m_new.copy()
-        st._jump_update(m_new, info, mode, 0.05)
-        full_jump_update(m_old, contact, dlam, nu, coeff, mode, 0.05)
+        st._jump_update(m_new, info)
+        full_jump_update(m_old, contact, dlam, nu, coeff)
         assert np.array_equal(m_new, m_old)
 
     @pytest.mark.parametrize("name", list(TILE_MODELS))
@@ -814,18 +786,9 @@ def broadcast_reflect(model, x, u):
     return x2, u, depth
 
 
-def broadcast_flat_drift(model, x, anchor, remaining, *, kind, h=None, d_anchor=None):
+def broadcast_flat_drift(model, x, anchor, remaining, *, d_anchor=None):
     """Reference: bridge_drift on a flat ball with per-path [:, None] broadcasts."""
     ell = anchor - x
-    if kind == "varadhan":
-        drift = ell / remaining
-        if h is not None:
-            d, nu = broadcast_collar_data(model, x)
-            near = d < math.sqrt(h)
-            if near.any():
-                comp = geo._rowdot(drift, nu)
-                drift = drift - np.where(near, comp, 0.0)[:, None] * nu
-        return drift
     d_z, nu = broadcast_collar_data(model, x)
     if d_anchor is None:
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
@@ -868,10 +831,8 @@ class TestFlatColumnwise:
         assert np.array_equal(x2, x_old) and np.array_equal(depth, depth_old)
         assert np.any(depth == 0.0) and np.all(depth >= 0.0)
 
-    @pytest.mark.parametrize("kind,h", [("reflected", None), ("varadhan", 1e-3),
-                                        ("varadhan", None)])
     @pytest.mark.parametrize("make", [disk, ball3], ids=["disk", "ball3"])
-    def test_drift(self, make, kind, h):
+    def test_drift(self, make):
         model = make()
         inside, _ = flat_points(model, 199)
         rng = np.random.default_rng(211)
@@ -881,10 +842,8 @@ class TestFlatColumnwise:
         state = st.make_walk_state(model, inside)
         for d_anchor in (None, model.boundary_distance(anchors)):
             for remaining in (0.3, 0.002):
-                new = st.bridge_drift(model, state, anchors, remaining, kind=kind, h=h,
-                                      d_anchor=d_anchor)
-                old = broadcast_flat_drift(model, inside, anchors, remaining, kind=kind, h=h,
-                                           d_anchor=d_anchor)
+                new = st.bridge_drift(model, state, anchors, remaining, d_anchor=d_anchor)
+                old = broadcast_flat_drift(model, inside, anchors, remaining, d_anchor=d_anchor)
                 assert np.array_equal(new, old)
 
 
@@ -905,22 +864,18 @@ def concat_batches(parts):
         lam=join("lam"), contacts=join("contacts"), alive=join("alive"),
         factor_m=join_factors("factor_m"), factor_O=join_factors("factor_O"),
         max_excursion=join("max_excursion"),
-        positions=np.concatenate([p.positions for p in parts], axis=1),
     )
 
 
 class TestGroupedStreams:
-    @pytest.mark.parametrize("drift", ["reflected", "varadhan"])
-    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_bitwise_equal_to_separate_batches(self, name, mode, drift, monkeypatch):
+    def test_bitwise_equal_to_separate_batches(self, name, monkeypatch):
         model = DRIFT_MODELS[name]()
-        eps = 0.05 if mode == "epsilon" else None
-        kw = dict(mode=mode, eps=eps, drift=drift, track_excursion=True, record_positions=True)
         anchors = mixed_anchors(model, 87, 193)
         streams = [st.RngStream(197, 10 + j) for j in range(3)]
         separate = concat_batches([
-            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s, **kw)
+            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s,
+                                track_excursion=True)
             for j, s in enumerate(streams)
         ])
         assert separate.contacts.sum() > 0
@@ -929,7 +884,7 @@ class TestGroupedStreams:
         for tile_rows in (st.TILE_ROWS, 64, 5):
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             grouped = st.simulate_bridges(model, anchors, 0.05, 30,
-                                          [s.generator() for s in streams], **kw)
+                                          [s.generator() for s in streams], track_excursion=True)
             assert_batches_equal(grouped, separate)
 
     def test_single_generator_in_a_sequence(self):
@@ -1043,7 +998,7 @@ class TestLayoutEquivalence:
     """A run on row-major walk state gives what the column-major run gives."""
 
     @staticmethod
-    def row_major_run(model, anchors, monkeypatch, **kw):
+    def row_major_run(model, anchors, monkeypatch):
         make = st.make_walk_state
 
         def row_major_state(model, x0):
@@ -1056,16 +1011,14 @@ class TestLayoutEquivalence:
         with monkeypatch.context() as patch:
             patch.setattr(st, "make_walk_state", row_major_state)
             patch.setattr(st, "_walk_rows", lambda model, x: x)
-            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263), **kw)
+            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
 
-    @pytest.mark.parametrize("mode", ["exact-jump", "epsilon"])
     @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
-    def test_row_major_matches(self, name, mode, monkeypatch):
+    def test_row_major_matches(self, name, monkeypatch):
         model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
-        kw = dict(mode=mode, eps=0.05 if mode == "epsilon" else None)
         anchors = mixed_anchors(model, 60, 269)
-        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263), **kw)
-        old = self.row_major_run(model, anchors, monkeypatch, **kw)
+        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
+        old = self.row_major_run(model, anchors, monkeypatch)
         assert new.contacts.sum() > 0
         assert np.array_equal(new.contacts, old.contacts)
         pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
