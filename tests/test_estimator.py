@@ -414,9 +414,9 @@ class TestArgumentRanges:
 
 
 # estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr).  The
-# curved models' values come from the broadcast cap stepping code, before its
-# columnwise rewrite; the flat models' from the batch engine that still offered
-# the varadhan drift and the epsilon jump, before the single bridge law.
+# first four values come from the broadcast cap stepping code, before its
+# columnwise rewrite; the rest from the batch engine that still offered the
+# varadhan drift and the epsilon jump, before the single bridge law.
 FIXED_SEED_REPORTS = [
     (geo.SphereCap(2), 1.0220240117420898, 0.023585802570662524),
     (geo.SphereCap(3), 1.0358830227238778, 0.09823019522709776),
@@ -424,13 +424,44 @@ FIXED_SEED_REPORTS = [
     (geo.SphereBall(2, 1), 2.0205478262269385, 0.233120458925288),
     (geo.FlatBall(2), 0.9410465724070326, 0.08802060326477812),
     (geo.FlatBall(3), 0.893501175825788, 0.0783973528885926),
+    (geo.SphereCap(3, aperture=2.0), 1.1096606204483732, 0.1412721338423638),
+    (geo.SphereBall(2, 2), 2.210005519510819, 0.19202432993657312),
 ]
 
 
 @pytest.mark.parametrize("model, estimate, stderr", FIXED_SEED_REPORTS,
-                         ids=["cap2", "cap3", "cap2-aperture1", "sphere-ball2+1", "disk", "ball3"])
+                         ids=["cap2", "cap3", "cap2-aperture1", "sphere-ball2+1", "disk", "ball3",
+                              "cap3-aperture2", "sphere-ball2+2"])
 def test_fixed_seed_reports(model, estimate, stderr):
     # the columnwise rewrite only reorders sums over 3 or 4 terms
     report = est.estimate_chi(model, 0.1, 200, 6, 1311, steps=100)
     assert report.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
     assert report.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
+# local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
+# depth_nodes=4): (t, value, stderr) rows of the batch engine that still
+# offered the varadhan drift and the epsilon jump, before the single bridge law
+FIXED_SEED_LOCAL_LIMIT = {
+    "disk-boundary": [(0.03, 0.16691994051766088, 0.01852313426570702),
+                      (0.015, 0.19685588138507423, 0.022701400755926575)],
+    "ball3-boundary": [(0.03, 0.07665977597358335, 0.016012906479437976),
+                       (0.015, 0.10068069912685648, 0.018923079715998613)],
+    "hemisphere-boundary": [(0.03, 0.140470974294633, 0.0011802620527437912),
+                            (0.015, 0.09779094134839281, 0.0007521698560758964)],
+    "hemisphere-interior": [(0.03, 0.1591622531366704, 7.485956480193188e-05),
+                            (0.015, 0.1591137645038968, 2.715686982421182e-05)],
+}
+
+
+@pytest.mark.parametrize("case", list(FIXED_SEED_LOCAL_LIMIT))
+def test_fixed_seed_local_limit_rows(case, constants2, constants3):
+    # flat and hemisphere stepping is unchanged bit for bit
+    make, kind = LOCKSTEP_CASES[case]
+    model = make()
+    point = model.boundary_point() if kind == "boundary" else model.interior_point()
+    constants = constants2 if model.dimension == 2 else constants3
+    table = est.local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
+                                  constants=constants, depth_nodes=4)
+    assert table.point_kind == kind
+    assert [(r["t"], r["value"], r["stderr"]) for r in table.rows] == FIXED_SEED_LOCAL_LIMIT[case]

@@ -657,12 +657,19 @@ def assert_batches_equal(a, b):
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
+# the default Skorokhod scale and a smaller one, which changes every local-time
+# increment and so every boundary jump's decay factor
+LAM_SCALES = [st.DEFAULT_LAM_SCALE, 0.5]
+
+
 class TestTiledBridges:
+    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_bitwise_equal_to_single_batch(self, name, monkeypatch):
+    def test_bitwise_equal_to_single_batch(self, name, lam_scale, monkeypatch):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 131, 167)
-        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2))
+        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2),
+                                      lam_scale=lam_scale)
         assert ref.contacts.sum() > 0
         # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
         # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
@@ -670,9 +677,9 @@ class TestTiledBridges:
         for tile_rows, P in cases:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             tiled = st.simulate_bridges(model, anchors[:P], 0.05, 30, st.RngStream(173, 2),
-                                        track_excursion=True)
+                                        lam_scale=lam_scale, track_excursion=True)
             expected = ref if P == 131 else single_batch_bridges(
-                model, anchors[:P], 0.05, 30, st.RngStream(173, 2))[0]
+                model, anchors[:P], 0.05, 30, st.RngStream(173, 2), lam_scale=lam_scale)[0]
             assert_batches_equal(tiled, expected)
 
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
@@ -683,6 +690,24 @@ class TestTiledBridges:
         assert [s.stop - s.start for s in tiles] == sizes
         assert tiles[0].start == 0 and tiles[-1].stop == P
         assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+
+
+class TestBridgePaths:
+    """The positions a bridge visits, read off the reference stepping loop."""
+
+    @pytest.mark.parametrize("name", list(TILE_MODELS))
+    def test_loops_close_stay_inside_and_give_the_excursion(self, name):
+        model = TILE_MODELS[name]()
+        anchors = mixed_anchors(model, 60, 271)
+        ref, positions = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(277))
+        assert ref.contacts.sum() > 0
+        assert np.abs(positions[-1] - anchors).max() < 1e-9
+        assert model.boundary_distance(positions.reshape(-1, model.state_dim)).min() >= -1e-12
+        # the engine's excursion is the largest distance to the anchor along the path
+        batch = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(277),
+                                    track_excursion=True)
+        dist = np.stack([model.distance(p, anchors) for p in positions])
+        assert np.array_equal(batch.max_excursion, dist.max(axis=0))
 
 
 def full_contact_step(model, state, xi, lam_scale=st.DEFAULT_LAM_SCALE):
@@ -725,16 +750,17 @@ def full_jump_update(m, contact, dlam, nu, coeff):
 
 
 class TestContactRows:
+    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_rows_match_full_arrays(self, name):
+    def test_rows_match_full_arrays(self, name, lam_scale):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 120, 179)
         xi = 0.08 * np.random.default_rng(181).standard_normal((120, model.dimension))
         xi[:6] = 0.0  # zero steps, boundary points among the anchors stay in contact
         new_state = st.make_walk_state(model, anchors)
         old_state = st.make_walk_state(model, anchors)
-        info = st._apply_increment(model, new_state, xi, st.DEFAULT_LAM_SCALE)
-        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi)
+        info = st._apply_increment(model, new_state, xi, lam_scale)
+        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi, lam_scale)
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, dlam[contact])
@@ -868,14 +894,15 @@ def concat_batches(parts):
 
 
 class TestGroupedStreams:
+    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_bitwise_equal_to_separate_batches(self, name, monkeypatch):
+    def test_bitwise_equal_to_separate_batches(self, name, lam_scale, monkeypatch):
         model = DRIFT_MODELS[name]()
         anchors = mixed_anchors(model, 87, 193)
         streams = [st.RngStream(197, 10 + j) for j in range(3)]
         separate = concat_batches([
             st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s,
-                                track_excursion=True)
+                                lam_scale=lam_scale, track_excursion=True)
             for j, s in enumerate(streams)
         ])
         assert separate.contacts.sum() > 0
@@ -884,7 +911,8 @@ class TestGroupedStreams:
         for tile_rows in (st.TILE_ROWS, 64, 5):
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             grouped = st.simulate_bridges(model, anchors, 0.05, 30,
-                                          [s.generator() for s in streams], track_excursion=True)
+                                          [s.generator() for s in streams],
+                                          lam_scale=lam_scale, track_excursion=True)
             assert_batches_equal(grouped, separate)
 
     def test_single_generator_in_a_sequence(self):
@@ -998,7 +1026,7 @@ class TestLayoutEquivalence:
     """A run on row-major walk state gives what the column-major run gives."""
 
     @staticmethod
-    def row_major_run(model, anchors, monkeypatch):
+    def row_major_run(model, anchors, lam_scale, monkeypatch):
         make = st.make_walk_state
 
         def row_major_state(model, x0):
@@ -1011,14 +1039,17 @@ class TestLayoutEquivalence:
         with monkeypatch.context() as patch:
             patch.setattr(st, "make_walk_state", row_major_state)
             patch.setattr(st, "_walk_rows", lambda model, x: x)
-            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
+            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263),
+                                       lam_scale=lam_scale)
 
+    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
-    def test_row_major_matches(self, name, monkeypatch):
+    def test_row_major_matches(self, name, lam_scale, monkeypatch):
         model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
         anchors = mixed_anchors(model, 60, 269)
-        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
-        old = self.row_major_run(model, anchors, monkeypatch)
+        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263),
+                                  lam_scale=lam_scale)
+        old = self.row_major_run(model, anchors, lam_scale, monkeypatch)
         assert new.contacts.sum() > 0
         assert np.array_equal(new.contacts, old.contacts)
         pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
