@@ -25,6 +25,17 @@ each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
 is bitwise the same as in that separate, untiled batch.
 
+Which process draws never changes a number either.  A batch of at least
+noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1), hands its generators
+to a helper process forked on first use; the helper makes the same fill
+calls in the same order into a shared ring of tile-sized slots, step_bridge
+copies each tile's normals out of its slot, and the helper's final generator
+states are copied back into the caller's generators.  A draw depends only
+on a generator's state and the calls made on it (Philox is counter-based),
+so paths, reports and the generators' end states are bitwise those of an
+inline batch.  Smaller batches, processes with one usable CPU and
+multiprocessing pool workers draw inline (see the noise module).
+
 Walks of models that carry frames keep x and the frames column-major (the
 logical shapes (P, d) and (P, d, k) laid out as (d, P) and (d, k, P)), because
 their steps run column by column over length-P columns; flat walks keep
@@ -55,6 +66,7 @@ import numpy as np
 
 from . import exterior as ext
 from .geometry import ManifoldModel, _rowdot
+from .noise import _RowStreams, batch_noise
 
 DEFAULT_LAM_SCALE = 2.0  # Skorokhod increment per crossing = 2 x penetration depth
 # Row cap of the lockstep tiles simulate_bridges splits a batch into: a
@@ -85,30 +97,12 @@ def _as_generator(rng) -> np.random.Generator:
     return RngStream(int(rng)).generator()
 
 
-@dataclass(frozen=True)
-class _RowStreams:
-    """Generators that own consecutive row groups: gens[i] fills rows bounds[i]:bounds[i + 1]."""
-
-    gens: tuple
-    bounds: tuple
-
-    def tile(self, rows: slice) -> "_RowStreams":
-        """The groups' parts inside a row tile, with rows counted from the tile's start."""
-        parts = [(g, max(a, rows.start), min(b, rows.stop))
-                 for g, a, b in zip(self.gens, self.bounds, self.bounds[1:])]
-        parts = [(g, a - rows.start, b - rows.start) for g, a, b in parts if a < b]
-        return _RowStreams(tuple(g for g, _, _ in parts),
-                           (0,) + tuple(b for _, _, b in parts))
-
-    def fill(self, xi):
-        """Fill the rows of xi with standard normals, group by group in row order."""
-        for gen, a, b in zip(self.gens, self.bounds, self.bounds[1:]):
-            gen.standard_normal(out=xi[a:b])
-
-
 def _row_streams(rng, rows: int) -> _RowStreams:
-    """One generator for all rows, or G generators splitting them into equal groups."""
-    if isinstance(rng, _RowStreams):
+    """One generator for all rows, or G generators splitting them into equal groups.
+
+    A noise source that already has fill(xi) (see noise.batch_noise) passes through.
+    """
+    if hasattr(rng, "fill"):
         return rng
     gens = [_as_generator(r) for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
     if not gens or rows % len(gens):
@@ -286,8 +280,9 @@ def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng
                 lam_scale=DEFAULT_LAM_SCALE, d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor.
 
-    rng is one generator, or a sequence of G generators that split the
-    rows into G equal contiguous groups (ValueError otherwise).
+    rng is one generator, a sequence of G generators that split the rows
+    into G equal contiguous groups (ValueError otherwise), or a noise source
+    of noise.batch_noise.
     """
     streams = _row_streams(rng, state.x.shape[0])
     g = bridge_drift(model, state, anchor, remaining, d_anchor=d_anchor)
@@ -411,23 +406,24 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     contacts = np.zeros(P, dtype=np.int64)
     excursion = np.zeros(P) if track_excursion else None
     tiles = _row_tiles(P)
-    tile_streams = [streams.tile(rows) for rows in tiles]
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     tile_anchors = [_walk_rows(model, anchors[rows]) for rows in tiles]
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
-    for k in range(steps):
-        remaining = t - k * h
-        for rows, state, noise, anchor in zip(tiles, states, tile_streams, tile_anchors):
-            if k == steps - 1:
-                info = snap_to_anchor(model, state, anchor, lam_scale)
-            else:
-                info = step_bridge(model, state, remaining, anchor, h, noise,
-                                   lam_scale=lam_scale, d_anchor=d_anchor[rows])
-            _jump_update(m[rows], info)
-            contacts[rows][info.idx] += 1
-            if track_excursion:
-                np.maximum(excursion[rows], model.distance(state.x, anchor),
-                           out=excursion[rows])
+    with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
+                     steps - 1) as tile_noise:
+        for k in range(steps):
+            remaining = t - k * h
+            for rows, state, noise, anchor in zip(tiles, states, tile_noise, tile_anchors):
+                if k == steps - 1:
+                    info = snap_to_anchor(model, state, anchor, lam_scale)
+                else:
+                    info = step_bridge(model, state, remaining, anchor, h, noise,
+                                       lam_scale=lam_scale, d_anchor=d_anchor[rows])
+                _jump_update(m[rows], info)
+                contacts[rows][info.idx] += 1
+                if track_excursion:
+                    np.maximum(excursion[rows], model.distance(state.x, anchor),
+                               out=excursion[rows])
     frames = None if frames0 is None else _join([s.frames for s in states])
     factor_m = {}
     factor_O = {}

@@ -6,6 +6,7 @@ import pytest
 from gblab import exterior as ext
 from gblab import geometry as geo
 from gblab import kernels as hk
+from gblab import noise
 from gblab import stochastic as st
 from gblab.errors import NumericalAbortError
 
@@ -1062,3 +1063,36 @@ class TestLayoutEquivalence:
                 assert np.array_equal(a, b)
             else:
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+# ---------------------------------------------------------------------------
+# the same equivalences with every batch drawing through the noise helper
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def through_helper(monkeypatch):
+    """Every bridge batch draws its normals in the helper process, however small."""
+    if not noise._can_fork_helper():
+        pytest.skip("this process cannot fork a noise helper")
+    monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+
+
+@pytest.mark.usefixtures("through_helper")
+class TestTiledBridgesThroughHelper(TestTiledBridges):
+    pass
+
+
+@pytest.mark.usefixtures("through_helper")
+class TestGroupedStreamsThroughHelper(TestGroupedStreams):
+    pass
+
+
+@pytest.mark.usefixtures("through_helper")
+class TestLayoutEquivalenceThroughHelper(TestLayoutEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("through_helper")
+class TestContactRowsThroughHelper(TestContactRows):
+    pass
