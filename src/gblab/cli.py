@@ -82,12 +82,21 @@ def _choice(name, options):
     return parse
 
 
+def _serial_workers(s):
+    """Parser of the workers key, which only 1 passes: every run is serial."""
+    value = int(s)
+    if value != 1:
+        raise ConfigError(f"workers must be 1, got {value!r}: the process pool was removed "
+                          "and every experiment runs in one process")
+    return value
+
+
 CONFIG_SCHEMA = {
     "experiment": (str, _ALL, (), None),
     "seed": (lambda s: est.check_integer("seed", int(s), 0, 2**64), _ALL, _ALL, None),
     "output_dir": (str, _ALL, (), "out"),
     "formats": (_parse_str_list, _ALL, (), ["json"]),
-    "workers": (_integer("workers", 0), _ALL, (), 0),
+    "workers": (_serial_workers, _ALL, (), None),
     "model": (str, ("estimate-chi", "local-limit", "diagnostics"), ("estimate-chi", "local-limit"), None),
     "model.dimension": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
     "model.radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
@@ -279,12 +288,11 @@ def _progress(msg: str) -> None:
 
 def _run_estimate_chi(cfg):
     model = build_model(cfg)
-    workers = cfg["workers"] if cfg["workers"] > 0 else (os.cpu_count() or 1)
     _progress(f"estimate-chi: {model!r} t={cfg['t']} base_points={cfg['base_points']} "
-              f"bridges={cfg['bridges']} workers={workers}")
+              f"bridges={cfg['bridges']}")
     report = est.estimate_chi(
         model, cfg["t"], cfg["base_points"], cfg["bridges"], cfg["seed"],
-        steps=cfg.get("steps"), stratify=cfg["stratify"], workers=workers,
+        steps=cfg.get("steps"), stratify=cfg["stratify"],
         lam_scale=cfg["lam_scale"], config=cfg,
     )
     return report.to_dict()

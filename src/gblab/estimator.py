@@ -412,6 +412,12 @@ def check_integer(name, value, low, high=math.inf):
     return value
 
 
+# Paths per estimate_chi chunk: it bounds the arrays of one bridge batch.
+# Chunk i draws from RngStream(seed, i + 1), so the chunking is part of a
+# seed's result.
+CHUNK_PATHS = 250_000
+
+
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
     """Per-anchor bridge means for one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
@@ -423,13 +429,9 @@ def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
     return mean, se, counts, alive.size - alive.sum()
 
 
-def _chi_chunk_star(args):
-    return _chi_chunk(*args)
-
-
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
                  steps: int | None = None, stratify: bool = True, collar_factor: float = 3.0,
-                 workers: int = 1, lam_scale=DEFAULT_LAM_SCALE, max_resample_rate: float = 0.05,
+                 lam_scale=DEFAULT_LAM_SCALE, max_resample_rate: float = 0.05,
                  config: dict | None = None) -> EstimateReport:
     """Estimate the Euler characteristic from bridge loops at sampled base points.
 
@@ -447,18 +449,12 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     point_rng = RngStream(seed, 0).generator()
     pts, weights = _stratified_points(model, base_points, t, point_rng, stratify, collar_factor)
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
-    chunk_anchors = max(1, int(250_000 // max(bridges, 1)))
-    jobs = []
-    for ci, lo in enumerate(range(0, base_points, chunk_anchors)):
-        hi = min(lo + chunk_anchors, base_points)
-        jobs.append((model, pts[lo:hi], t, steps, bridges, RngStream(seed, ci + 1), lam_scale))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays the import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chi_chunk_star, jobs))
-    else:
-        results = [_chi_chunk(*job) for job in jobs]
+    chunk_anchors = max(1, CHUNK_PATHS // bridges)
+    results = [
+        _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, RngStream(seed, ci + 1),
+                   lam_scale)
+        for ci, lo in enumerate(range(0, base_points, chunk_anchors))
+    ]
     means = np.concatenate([r[0] for r in results])
     dead = sum(r[3] for r in results)
     rate = dead / float(base_points * bridges)

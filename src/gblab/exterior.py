@@ -8,13 +8,12 @@ operators are dense 2**n x 2**n matrices acting on those coefficients.
 The module provides the operator constructions used throughout the
 package: derivation extensions of endomorphisms, paired extensions of
 rank-4 tensors, the curvature operator entering the Weitzenboeck
-identity, tangential/normal boundary projections, shape-operator
-extensions, parity and supertrace, and the multiplicative ("algebra
-map") lift of an n x n matrix.
+identity, the supertrace, and the multiplicative ("algebra map") lift of
+an n x n matrix.
 
 Everything here supports n <= 8; all experiments live in n <= 4 and the
 property tests in n <= 6.  Values are immutable after construction and
-safe to share between workers.
+safe to share.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def _check_dimension(n: int) -> None:
 
 
 def _tables(n: int) -> dict:
-    """Cached per-dimension index tables (degrees, parity, wedge signs)."""
+    """Cached per-dimension index tables (parity signs, creation and annihilation operators)."""
     _check_dimension(n)
     if n in _TABLES:
         return _TABLES[n]
@@ -47,17 +46,6 @@ def _tables(n: int) -> dict:
     idx = np.arange(dim)
     degrees = np.array([bin(s).count("1") for s in range(dim)], dtype=np.int64)
     parity = np.where(degrees % 2 == 0, 1.0, -1.0)
-
-    # wedge_sign[s, t] = sign of e_s ^ e_t when s, t are disjoint, else 0.
-    s_grid = idx[:, None]
-    t_grid = idx[None, :]
-    crossings = np.zeros((dim, dim), dtype=np.int64)
-    for j in range(n):
-        in_t = (t_grid >> j) & 1
-        above = degrees[s_grid >> (j + 1)]
-        crossings += in_t * above
-    sign = np.where(crossings % 2 == 0, 1.0, -1.0)
-    sign[(s_grid & t_grid) != 0] = 0.0
 
     # Creation operators: create[i] is "wedge by e_i" on coefficients.
     create = []
@@ -72,12 +60,9 @@ def _tables(n: int) -> dict:
         create.append(mat)
     annihilate = [m.T for m in create]
 
-    for arr in (degrees, parity, sign):
-        arr.setflags(write=False)
+    parity.setflags(write=False)
     table = {
-        "degrees": degrees,
         "parity": parity,
-        "wedge_sign": sign,
         "create": tuple(create),
         "annihilate": tuple(annihilate),
     }
@@ -97,97 +82,6 @@ def _as_matrix(mat, n=None):
     if n is not None and a.shape[0] != n:
         raise DimensionMismatchError(f"expected a {n}x{n} matrix, got {a.shape}")
     return a
-
-
-class MultiVector:
-    """Element of Lambda(R^n) with one real coefficient per basis subset."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs=None):
-        _check_dimension(n)
-        dim = 1 << n
-        if coeffs is None:
-            c = np.zeros(dim)
-        else:
-            c = np.array(coeffs, dtype=float)
-            if c.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"coefficients must have length {dim}, got {c.shape}"
-                )
-        c.setflags(write=False)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiVector is immutable")
-
-    @classmethod
-    def scalar(cls, n: int, value: float = 1.0) -> "MultiVector":
-        c = np.zeros(1 << n)
-        c[0] = value
-        return cls(n, c)
-
-    @classmethod
-    def basis(cls, n: int, indices) -> "MultiVector":
-        """Basis form e_{i1} ^ ... ^ e_{ip} for 0-based ascending indices."""
-        mask = 0
-        prev = -1
-        for i in indices:
-            if not 0 <= i < n:
-                raise DimensionMismatchError(f"basis index {i} out of range for n={n}")
-            if i <= prev:
-                raise InvariantViolationError("basis indices must be strictly ascending")
-            prev = i
-            mask |= 1 << i
-        c = np.zeros(1 << n)
-        c[mask] = 1.0
-        return cls(n, c)
-
-    def wedge(self, other: "MultiVector") -> "MultiVector":
-        if self.n != other.n:
-            raise DimensionMismatchError("wedge operands have different dimension")
-        sign = _tables(self.n)["wedge_sign"]
-        dim = 1 << self.n
-        out = np.zeros(dim)
-        idx = np.arange(dim)
-        union = idx[:, None] | idx[None, :]
-        contrib = sign * np.outer(self.coeffs, other.coeffs)
-        np.add.at(out, union.ravel(), contrib.ravel())
-        return MultiVector(self.n, out)
-
-    def inner(self, other: "MultiVector") -> float:
-        if self.n != other.n:
-            raise DimensionMismatchError("inner-product operands have different dimension")
-        return float(self.coeffs @ other.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("sum operands have different dimension")
-        return MultiVector(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("difference operands have different dimension")
-        return MultiVector(self.n, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return MultiVector(self.n, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return MultiVector(self.n, -self.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for s in np.nonzero(self.coeffs)[0]:
-            label = "1" if s == 0 else "e" + "".join(str(i) for i in range(self.n) if s >> i & 1)
-            terms.append(f"{self.coeffs[s]:+g}*{label}")
-        return f"MultiVector(n={self.n}, {' '.join(terms) if terms else '0'})"
 
 
 class GradedOperator:
@@ -242,11 +136,6 @@ class GradedOperator:
     def __neg__(self):
         return GradedOperator(self.n, -self.mat)
 
-    def apply(self, mv: MultiVector) -> MultiVector:
-        if mv.n != self.n:
-            raise DimensionMismatchError("operator and multivector dimension differ")
-        return MultiVector(self.n, self.mat @ mv.coeffs)
-
     def power(self, k: int) -> "GradedOperator":
         return GradedOperator(self.n, np.linalg.matrix_power(self.mat, k))
 
@@ -258,24 +147,6 @@ class GradedOperator:
 
     def __repr__(self):
         return f"GradedOperator(n={self.n})"
-
-
-def wedge_operator(v) -> GradedOperator:
-    """Operator wedging on the left by the vector v."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    create = _tables(n)["create"]
-    mat = sum(v[i] * create[i] for i in range(n))
-    return GradedOperator(n, mat)
-
-
-def contraction_operator(v) -> GradedOperator:
-    """Interior product by v; the inner-product adjoint of wedge_operator(v)."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    annihilate = _tables(n)["annihilate"]
-    mat = sum(v[i] * annihilate[i] for i in range(n))
-    return GradedOperator(n, mat)
 
 
 def derivation_extend(B) -> GradedOperator:
@@ -451,11 +322,6 @@ def curvature_to_operator(R: CurvatureTensor) -> GradedOperator:
     return GradedOperator(n, mat)
 
 
-def parity(n: int) -> GradedOperator:
-    """Grading operator: +1 on even-degree forms, -1 on odd-degree forms."""
-    return GradedOperator(n, np.diag(parity_signs(n)))
-
-
 def supertrace(op: GradedOperator) -> float:
     """Alternating sum of degree-block traces: trace composed with parity."""
     return op.supertrace()
@@ -490,35 +356,6 @@ def cancellation_battery(dims, instances: int, rng: np.random.Generator) -> list
                             op = op @ derivation_extend(B)
                         values.append(abs(supertrace(op)))
     return values
-
-
-def boundary_projections(nu) -> tuple[GradedOperator, GradedOperator]:
-    """Orthogonal projections onto tangential and normal parts at a unit normal.
-
-    Uses the splitting I = (nu -| nu ^) + (nu ^ -| nu); the first summand is
-    the tangential projection.
-    """
-    nu = np.asarray(nu, dtype=float)
-    n = nu.shape[0]
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-        raise InvariantViolationError(
-            f"normal vector must be unit length, |nu| = {np.linalg.norm(nu):.15f}"
-        )
-    w = wedge_operator(nu)
-    c = contraction_operator(nu)
-    pi_tan = GradedOperator(n, c.mat @ w.mat)
-    pi_nor = GradedOperator(n, np.eye(1 << n) - pi_tan.mat)
-    return pi_tan, pi_nor
-
-
-def shape_operator_extension(A, nu) -> GradedOperator:
-    """Derivation extension of a shape operator (requires A nu = 0)."""
-    A = _as_matrix(A)
-    nu = np.asarray(nu, dtype=float)
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A @ nu).max() > 1e-12 * scale:
-        raise InvariantViolationError("shape operator must annihilate the normal vector")
-    return derivation_extend(A)
 
 
 def algebra_lift(m) -> GradedOperator:

@@ -16,8 +16,8 @@ from the series, table and image functions of the kernels module), the
 kernel's exactness and validity metadata, the confinement scale of its
 pinned loops, and the curvature of its boundary.
 
-All models are immutable and all operations are pure, so instances can be
-shared freely across worker processes.
+All models are immutable and all operations are pure, so one instance can
+serve every batch and call of a run.
 """
 
 from __future__ import annotations
@@ -90,7 +90,12 @@ def _sphere_step(p, u, v_amb, r):
     s = np.sqrt(_rowdot(v_amb, v_amb))
     s_safe = np.maximum(s, 1e-300)
     angle = s / r
-    c = np.cos(angle)
+    # cos a - 1 as -2 sin^2(a/2): exact to rounding at small angles, where
+    # cos a - 1 cancels
+    c1 = np.sin(0.5 * angle)
+    c1 *= c1
+    c1 *= -2.0
+    c = c1 + 1.0
     si = np.sin(angle)
     si_r = si * r
     vhat = [v_amb[:, d] / s_safe for d in range(dim)]
@@ -106,7 +111,6 @@ def _sphere_step(p, u, v_amb, r):
     if u is None:
         return p2, None
     # u2 = u + (cos - 1)(u . vhat) vhat - (sin / r)(u . vhat) p, per frame column
-    c1 = c - 1.0
     si_over_r = si / r
     u2 = np.empty_like(u)
     for a in range(u.shape[2]):

@@ -24,9 +24,8 @@ on inline, so a lost helper changes no number either.
 
 Drawing stays inline for batches below HELPER_MIN_NORMALS normals, for tiles
 whose slot does not fit the ring, in processes that can use only one CPU or
-run other Python threads (fork is unsafe there), in multiprocessing workers
-(a `workers > 1` pool already keeps every CPU busy), and where os.fork or the
-x86 store order the counters rely on is missing.  A process forked from the
+run other Python threads (fork is unsafe there), and where os.fork or the x86
+store order the counters rely on is missing.  A process forked from the
 helper's owner never uses the owner's ring (the owner's pid is checked).
 """
 
@@ -39,7 +38,6 @@ import os
 import pickle
 import select
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -324,10 +322,7 @@ def _can_fork_helper() -> bool:
     if not hasattr(os, "fork") or os.uname().machine.lower() not in ("x86_64", "amd64"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2 or threading.active_count() > 1:
-        return False
-    mp = sys.modules.get("multiprocessing")
-    return mp is None or mp.parent_process() is None
+    return (cpus or 1) >= 2 and threading.active_count() == 1
 
 
 def _stop_at_exit():

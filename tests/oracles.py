@@ -2,10 +2,15 @@
 
 The Gauss-equation check of the boundary data; the transport half of the
 operator route and the operator-route supertrace of one recorded path;
-and exterior-algebra helpers: basis degrees, the interior product of a
-vector with a multivector, a vector as a degree-1 multivector, degree
-components and degree blocks, and the penalized shape-operator extension.
+and the multivector side of the exterior algebra: multivectors with their
+wedge and inner products, an operator applied to a multivector, wedge and
+contraction operators, boundary projections, shape-operator extensions
+(plain and penalized), the parity operator, basis degrees and wedge signs,
+the interior product of a vector with a multivector, a vector as a
+degree-1 multivector, degree components and degree blocks.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,12 +66,169 @@ def evolve_transport(path):
     return ext.algebra_lift(O), ext.algebra_lift(O.T)
 
 
+@lru_cache(maxsize=None)
 def basis_degrees(n: int) -> np.ndarray:
     """Degree (subset cardinality) of each basis index."""
-    return ext._tables(n)["degrees"]
+    ext._check_dimension(n)
+    degrees = np.array([bin(s).count("1") for s in range(1 << n)], dtype=np.int64)
+    degrees.setflags(write=False)
+    return degrees
 
 
-def from_vector(v) -> ext.MultiVector:
+@lru_cache(maxsize=None)
+def wedge_signs(n: int) -> np.ndarray:
+    """sign[s, t] of e_s ^ e_t = sign * e_(s|t) for disjoint s, t; 0 where they overlap."""
+    idx = np.arange(1 << n)
+    s_grid = idx[:, None]
+    t_grid = idx[None, :]
+    degrees = basis_degrees(n)
+    crossings = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    for j in range(n):
+        crossings += ((t_grid >> j) & 1) * degrees[s_grid >> (j + 1)]
+    sign = np.where(crossings % 2 == 0, 1.0, -1.0)
+    sign[(s_grid & t_grid) != 0] = 0.0
+    sign.setflags(write=False)
+    return sign
+
+
+class MultiVector:
+    """Element of Lambda(R^n) with one real coefficient per basis subset."""
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs=None):
+        ext._check_dimension(n)
+        dim = 1 << n
+        if coeffs is None:
+            c = np.zeros(dim)
+        else:
+            c = np.array(coeffs, dtype=float)
+            if c.shape != (dim,):
+                raise DimensionMismatchError(
+                    f"coefficients must have length {dim}, got {c.shape}"
+                )
+        c.setflags(write=False)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiVector is immutable")
+
+    @classmethod
+    def scalar(cls, n: int, value: float = 1.0) -> "MultiVector":
+        c = np.zeros(1 << n)
+        c[0] = value
+        return cls(n, c)
+
+    @classmethod
+    def basis(cls, n: int, indices) -> "MultiVector":
+        """Basis form e_{i1} ^ ... ^ e_{ip} for 0-based ascending indices."""
+        mask = 0
+        prev = -1
+        for i in indices:
+            if not 0 <= i < n:
+                raise DimensionMismatchError(f"basis index {i} out of range for n={n}")
+            if i <= prev:
+                raise InvariantViolationError("basis indices must be strictly ascending")
+            prev = i
+            mask |= 1 << i
+        c = np.zeros(1 << n)
+        c[mask] = 1.0
+        return cls(n, c)
+
+    def _require_same(self, other, what):
+        if self.n != other.n:
+            raise DimensionMismatchError(f"{what} operands have different dimension")
+
+    def wedge(self, other: "MultiVector") -> "MultiVector":
+        self._require_same(other, "wedge")
+        dim = 1 << self.n
+        out = np.zeros(dim)
+        idx = np.arange(dim)
+        union = idx[:, None] | idx[None, :]
+        contrib = wedge_signs(self.n) * np.outer(self.coeffs, other.coeffs)
+        np.add.at(out, union.ravel(), contrib.ravel())
+        return MultiVector(self.n, out)
+
+    def inner(self, other: "MultiVector") -> float:
+        self._require_same(other, "inner-product")
+        return float(self.coeffs @ other.coeffs)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
+
+    def __add__(self, other):
+        self._require_same(other, "sum")
+        return MultiVector(self.n, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        self._require_same(other, "difference")
+        return MultiVector(self.n, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar):
+        return MultiVector(self.n, self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return MultiVector(self.n, -self.coeffs)
+
+
+def apply(op: ext.GradedOperator, mv: MultiVector) -> MultiVector:
+    """The operator applied to the multivector."""
+    if mv.n != op.n:
+        raise DimensionMismatchError("operator and multivector dimension differ")
+    return MultiVector(op.n, op.mat @ mv.coeffs)
+
+
+def wedge_operator(v) -> ext.GradedOperator:
+    """Operator wedging on the left by the vector v."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[0]
+    create = ext._tables(n)["create"]
+    return ext.GradedOperator(n, sum(v[i] * create[i] for i in range(n)))
+
+
+def contraction_operator(v) -> ext.GradedOperator:
+    """Interior product by v; the inner-product adjoint of wedge_operator(v)."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[0]
+    annihilate = ext._tables(n)["annihilate"]
+    return ext.GradedOperator(n, sum(v[i] * annihilate[i] for i in range(n)))
+
+
+def parity(n: int) -> ext.GradedOperator:
+    """Grading operator: +1 on even-degree forms, -1 on odd-degree forms."""
+    return ext.GradedOperator(n, np.diag(ext.parity_signs(n)))
+
+
+def boundary_projections(nu):
+    """Orthogonal projections (tangential, normal) onto the parts of forms at a unit normal.
+
+    Uses the splitting I = (nu -| nu ^) + (nu ^ -| nu); the first summand is
+    the tangential projection.
+    """
+    nu = np.asarray(nu, dtype=float)
+    n = nu.shape[0]
+    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
+        raise InvariantViolationError(
+            f"normal vector must be unit length, |nu| = {np.linalg.norm(nu):.15f}"
+        )
+    pi_tan = contraction_operator(nu) @ wedge_operator(nu)
+    return pi_tan, ext.GradedOperator.identity(n) - pi_tan
+
+
+def shape_operator_extension(A, nu) -> ext.GradedOperator:
+    """Derivation extension of a shape operator (requires A nu = 0)."""
+    A = np.asarray(A, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    scale = max(1.0, float(np.abs(A).max()))
+    if np.abs(A @ nu).max() > 1e-12 * scale:
+        raise InvariantViolationError("shape operator must annihilate the normal vector")
+    return ext.derivation_extend(A)
+
+
+def from_vector(v) -> MultiVector:
     """The vector v as a degree-1 multivector."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -74,13 +236,13 @@ def from_vector(v) -> ext.MultiVector:
     c = np.zeros(1 << n)
     for i in range(n):
         c[1 << i] = v[i]
-    return ext.MultiVector(n, c)
+    return MultiVector(n, c)
 
 
-def degree_component(mv: ext.MultiVector, p: int) -> ext.MultiVector:
+def degree_component(mv: MultiVector, p: int) -> MultiVector:
     """The degree-p part of a multivector."""
     keep = basis_degrees(mv.n) == p
-    return ext.MultiVector(mv.n, np.where(keep, mv.coeffs, 0.0))
+    return MultiVector(mv.n, np.where(keep, mv.coeffs, 0.0))
 
 
 def degree_block(op: ext.GradedOperator, p: int) -> np.ndarray:
@@ -98,18 +260,18 @@ def off_block_norm(op: ext.GradedOperator) -> float:
     return float(np.abs(op.mat[mask]).max(initial=0.0))
 
 
-def contract(v, a: ext.MultiVector) -> ext.MultiVector:
+def contract(v, a: MultiVector) -> MultiVector:
     """Interior product v -| a (degree-lowering antiderivation)."""
     v = np.asarray(v, dtype=float)
     if v.shape != (a.n,):
         raise DimensionMismatchError("vector and multivector dimension differ")
-    return ext.contraction_operator(v).apply(a)
+    return apply(contraction_operator(v), a)
 
 
 def penalized_shape_extension(A, nu, eps: float) -> ext.GradedOperator:
     """Shape extension plus the normal-projection penalty (1/eps) Pi_nor."""
     if eps <= 0:
         raise InvariantViolationError(f"penalty parameter must be positive, got {eps}")
-    da = ext.shape_operator_extension(A, nu)
-    _, pi_nor = ext.boundary_projections(nu)
+    da = shape_operator_extension(A, nu)
+    _, pi_nor = boundary_projections(nu)
     return da + (1.0 / eps) * pi_nor

@@ -68,6 +68,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.resolve_config(raw, "calibrate")
 
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_serial_workers_accepted_by_every_experiment(self, experiment):
+        required = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL,
+                    "calibrate": {"dimension": "2"}}.get(experiment, {})
+        raw = {**required, "seed": "1"}
+        assert "workers" not in cli.resolve_config(raw, experiment)  # no default to echo
+        assert cli.resolve_config({**raw, "workers": "1"}, experiment)["workers"] == 1
+
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
@@ -226,7 +234,7 @@ def run_main(argv):
 
 
 ESTIMATE_SMALL = {"model": "ball", "model.dimension": "2", "t": "0.1", "base_points": "2",
-                  "bridges": "2", "steps": "4", "seed": "1", "workers": "1"}
+                  "bridges": "2", "steps": "4", "seed": "1"}
 LOCAL_SMALL = {"model": "ball", "model.dimension": "2", "point": "boundary",
                "t_sequence": "0.06", "bridges": "4", "steps": "4", "depth_nodes": "2", "seed": "1"}
 
@@ -253,6 +261,9 @@ class TestRangeValidation:
         ("estimate-chi", "lam_scale", "nan"),
         ("estimate-chi", "lam_scale", "-1"),
         ("estimate-chi", "workers", "-3"),
+        ("estimate-chi", "workers", "0"),  # the removed pool's "one per CPU"
+        ("estimate-chi", "workers", "2"),
+        ("local-limit", "workers", "2"),
         ("local-limit", "t_sequence", "0.06,0"),
         ("local-limit", "t_sequence", "-1"),
         ("local-limit", "seed", "-3"),
@@ -311,7 +322,7 @@ OUT_OF_RANGE = {
     "bridges": st.integers(-1, 0),
     "steps": st.integers(-1, 1),
     "lam_scale": st.sampled_from(["0", "-1", "nan", "inf", "-inf"]),
-    "workers": st.integers(-5, -1),
+    "workers": st.one_of(st.integers(-5, 0), st.integers(2, 9)),
 }
 
 

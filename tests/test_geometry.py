@@ -136,6 +136,32 @@ class TestGeodesics:
         gram = np.einsum("pda,pdb->pab", u, u)
         assert np.abs(gram - np.eye(model.dimension)).max() < 1e-10
 
+    def test_sphere_step_against_longdouble(self):
+        # from the pole e0 along (e1 + e2) / sqrt 2, frame column e1 gains
+        # (cos a - 1) / 2 on e2 and nothing else there; cos a - 1 computed as
+        # cos(a) - 1 cancels at small a (its relative error reaches 1 at
+        # a = 1e-8), the half-angle form -2 sin^2(a/2) keeps it to rounding
+        angles = np.logspace(-8, -1, 400)
+        p = np.zeros((angles.size, 3))
+        p[:, 0] = 1.0
+        u = np.zeros((angles.size, 3, 2))
+        u[:, 1, 0] = 1.0
+        u[:, 2, 1] = 1.0
+        v = np.zeros((angles.size, 3))
+        v[:, 1] = v[:, 2] = angles / math.sqrt(2.0)
+        p2, u2 = geo._sphere_step(p, u, v, 1.0)
+        L = np.longdouble
+        a = np.sqrt((v.astype(L) ** 2).sum(axis=1))
+        vhat = v.astype(L) / a[:, None]
+        cos_m1 = -2.0 * np.sin(a / 2.0) ** 2
+        ref_p = (1.0 + cos_m1)[:, None] * p + np.sin(a)[:, None] * vhat
+        w = np.einsum("pdk,pd->pk", u.astype(L), vhat)
+        ref_u = (u + cos_m1[:, None, None] * vhat[:, :, None] * w[:, None, :]
+                 - np.sin(a)[:, None, None] * p[:, :, None] * w[:, None, :])
+        assert (np.abs(u2[:, 2, 0] - ref_u[:, 2, 0]) / np.abs(cos_m1)).max() <= 4e-16
+        assert np.abs(p2 - ref_p).max() <= 4e-16
+        assert np.abs(u2 - ref_u).max() <= 4e-16
+
     def test_sphere_triangle_holonomy(self):
         # Parallel transport around a geodesic triangle with three right
         # angles on the unit sphere rotates tangent vectors by pi/2

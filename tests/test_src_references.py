@@ -28,18 +28,6 @@ ALLOWED = {
     "kernels.neumann_heat_kernel",
     # wrap points of the benchmark tracer (perfbench/tracer.py)
     "estimator.supertrace_expectation",
-    # the exterior algebra's multivector surface, which the tests exercise
-    "exterior.MultiVector",
-    "exterior.MultiVector.basis",
-    "exterior.MultiVector.wedge",
-    "exterior.MultiVector.scalar",
-    "exterior.MultiVector.inner",
-    "exterior.GradedOperator.apply",
-    "exterior.wedge_operator",
-    "exterior.contraction_operator",
-    "exterior.boundary_projections",
-    "exterior.shape_operator_extension",
-    "exterior.parity",
 }
 
 

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gblab import exterior as ext
 from gblab import geometry as geo
 from gblab import kernels as hk
 from gblab import noise
 from gblab import stochastic as st
 from gblab.errors import NumericalAbortError
 
-from oracles import evolve_transport, path_supertrace
+from oracles import boundary_projections, evolve_transport, path_supertrace
 
 
 def disk():
@@ -381,6 +380,33 @@ class TestTransport:
         rhs = u_end @ u0.T
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    @pytest.mark.parametrize("model", [geo.SphereCap(3, aperture=1.0), hemisphere()],
+                             ids=["cap3-aperture1", "hemisphere"])
+    def test_frames_drift_little_without_per_step_orthonormalization(self, model, monkeypatch):
+        # the exact transport keeps 20 000 steps of frames orthonormal to
+        # 1e-12 with no Gram-Schmidt on the way; the one final pass, where the
+        # holonomy reads them, brings them back to rounding
+        calls = []
+        orthonormalize = st._orthonormalize
+
+        def spy(frames):
+            out = orthonormalize(frames)
+            calls.append((frames, out))
+            return out
+
+        monkeypatch.setattr(st, "_orthonormalize", spy)
+        anchors = mixed_anchors(model, 8, 29)
+        st.simulate_bridges(model, anchors, 0.1, 20_000, st.RngStream(31))
+        assert len(calls) == 1
+
+        def drift(u):
+            gram = np.einsum("pda,pdb->pab", u, u)
+            return np.abs(gram - np.eye(model.dimension)).max()
+
+        before, after = calls[0]
+        assert drift(before) <= 1e-12
+        assert drift(after) <= 1e-14
+
     def test_holonomy_slope_near_one(self):
         # pinned-loop holonomy shrinks linearly with lifetime on the sphere
         model = hemisphere()
@@ -435,7 +461,7 @@ class TestFunctional:
         assert hits.size > 0
         for k in hits:
             M = st.evolve_functional(path, stop=k + 1)
-            _, pi_nor = ext.boundary_projections(path.nu_frame[k])
+            _, pi_nor = boundary_projections(path.nu_frame[k])
             assert np.abs((M @ pi_nor).mat).max() < 1e-10
 
     def test_epsilon_mode_converges_monotonically(self):
@@ -622,9 +648,10 @@ def single_batch_bridges(model, anchors, t, steps, rng, *, lam_scale=st.DEFAULT_
         positions[k + 1] = state.x
     factor_m = {}
     factor_O = {}
+    frames = None if state.frames is None else st._orthonormalize(state.frames)
     for spec in model.factors:
         factor_m[spec.name] = m if spec.bounded else None
-        factor_O[spec.name] = model.holonomy(frames0, state.frames, spec)
+        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
     batch = st.BridgeBatch(
         model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
         contacts=contacts, alive=state.alive.copy(), factor_m=factor_m,
