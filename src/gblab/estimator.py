@@ -419,14 +419,14 @@ CHUNK_PATHS = 250_000
 
 
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
-    """Per-anchor bridge means for one chunk (deterministic given the stream)."""
+    """Per-anchor bridge means and dead-path count of one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
     tiled = np.repeat(anchors_block, bridges, axis=0)
     batch = simulate_bridges(model, tiled, t, steps, stream.generator(), lam_scale=lam_scale)
     vals = batch.supertraces().reshape(n_anchor, bridges)
     alive = batch.alive.reshape(n_anchor, bridges)
-    mean, se, counts = _masked_mean_std(vals, alive)
-    return mean, se, counts, alive.size - alive.sum()
+    mean, _, _ = _masked_mean_std(vals, alive)
+    return mean, alive.size - alive.sum()
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
@@ -456,7 +456,7 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         for ci, lo in enumerate(range(0, base_points, chunk_anchors))
     ]
     means = np.concatenate([r[0] for r in results])
-    dead = sum(r[3] for r in results)
+    dead = sum(r[1] for r in results)
     rate = dead / float(base_points * bridges)
     if rate > max_resample_rate:
         raise ResampleRateError(
