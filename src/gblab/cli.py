@@ -40,14 +40,7 @@ OUTPUT_DIR_ENV = "GBLAB_OUTPUT_DIR"
 
 # key -> (parser, experiments that accept it, required-for, default)
 _ALL = EXPERIMENTS
-
-
-def _parse_bool(s):
-    if s.lower() in ("true", "1", "yes", "on"):
-        return True
-    if s.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+_MODEL_EXPERIMENTS = ("estimate-chi", "local-limit")  # the experiments that build a model
 
 
 def _parse_int_list(s):
@@ -97,26 +90,22 @@ CONFIG_SCHEMA = {
     "output_dir": (str, _ALL, (), "out"),
     "formats": (_parse_str_list, _ALL, (), ["json"]),
     "workers": (_serial_workers, _ALL, (), None),
-    "model": (str, ("estimate-chi", "local-limit", "diagnostics"), ("estimate-chi", "local-limit"), None),
-    "model.dimension": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.aperture": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.sphere_dim": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.ball_dim": (int, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.sphere_radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.ball_radius": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.length": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "model.circumference": (float, ("estimate-chi", "local-limit", "diagnostics"), (), None),
+    "model": (str, _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
+    "model.dimension": (int, _MODEL_EXPERIMENTS, (), None),
+    "model.radius": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.aperture": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.sphere_dim": (int, _MODEL_EXPERIMENTS, (), None),
+    "model.ball_dim": (int, _MODEL_EXPERIMENTS, (), None),
+    "model.sphere_radius": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.ball_radius": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.length": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.circumference": (float, _MODEL_EXPERIMENTS, (), None),
     "t": (lambda s: est.check_lifetime(float(s)), ("estimate-chi",), ("estimate-chi",), None),
     "t_sequence": (lambda s: [est.check_lifetime(float(v)) for v in s.split(",") if v.strip()],
                    ("local-limit",), ("local-limit",), None),
     "base_points": (_integer("base_points", 2), ("estimate-chi",), ("estimate-chi",), None),
-    "bridges": (_integer("bridges", 1),
-                ("estimate-chi", "local-limit"), ("estimate-chi", "local-limit"), None),
-    "steps": (_integer("steps", 2), ("estimate-chi", "local-limit", "diagnostics"), (), None),
-    "stratify": (_parse_bool, ("estimate-chi",), (), True),
-    "lam_scale": (_positive_float("lam_scale"), ("estimate-chi", "local-limit", "diagnostics"), (),
-                  st.DEFAULT_LAM_SCALE),
+    "bridges": (_integer("bridges", 1), _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
+    "steps": (_integer("steps", 2), _MODEL_EXPERIMENTS, (), None),
     "point": (_choice("point", ("interior", "boundary")), ("local-limit",), (), "interior"),
     "depth_nodes": (_integer("depth_nodes", 1), ("local-limit",), (), 10),
     "dimension": (int, ("calibrate",), ("calibrate",), None),
@@ -292,27 +281,19 @@ def _run_estimate_chi(cfg):
               f"bridges={cfg['bridges']}")
     report = est.estimate_chi(
         model, cfg["t"], cfg["base_points"], cfg["bridges"], cfg["seed"],
-        steps=cfg.get("steps"), stratify=cfg["stratify"],
-        lam_scale=cfg["lam_scale"], config=cfg,
+        steps=cfg.get("steps"), config=cfg,
     )
     return report.to_dict()
 
 
 def _run_local_limit(cfg):
     model = build_model(cfg)
-    if cfg["point"] == "boundary":
-        point = model.boundary_point()
-    else:
-        point = model.interior_point() if hasattr(model, "interior_point") else None
-        if point is None:
-            pts = model.sample_volume(st.RngStream(cfg["seed"], 9999).generator(), 256)
-            point = pts[np.argmax(model.boundary_distance(pts))]
+    point = model.boundary_point() if cfg["point"] == "boundary" else model.interior_point()
     constants = est.calibrate_constants(model.dimension)
     _progress(f"local-limit: {model!r} at {cfg['point']} point, t in {cfg['t_sequence']}")
     table = est.local_limit_check(
         model, point, cfg["t_sequence"], cfg["bridges"], cfg["seed"],
-        steps=cfg.get("steps") or 400, constants=constants,
-        depth_nodes=cfg["depth_nodes"], lam_scale=cfg["lam_scale"],
+        steps=cfg.get("steps"), constants=constants, depth_nodes=cfg["depth_nodes"],
     )
     return table.to_dict()
 

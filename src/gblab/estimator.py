@@ -4,10 +4,10 @@ The estimator evaluates the path-integral identity
 
     chi(X) = integral over X of  K0(t; x, x) * E[ Str(M_t V_t) ]  dX
 
-by volume Monte Carlo over base points (stratified toward the boundary
-collar, where the integrand concentrates) and bridge Monte Carlo for the
-inner expectation.  The identity holds at every lifetime t, which the
-Witten-index constancy check exploits.
+by volume Monte Carlo over base points (half of them drawn from the
+COLLAR_FACTOR sqrt(t) boundary collar, where the integrand concentrates)
+and bridge Monte Carlo for the inner expectation.  The identity holds at
+every lifetime t, which the Witten-index constancy check exploits.
 
 The analytic side: supertrace integrands built from the curvature and
 shape operators.  In even dimension the bulk field is a multiple of
@@ -32,9 +32,13 @@ from . import exterior as ext
 from . import kernels as hk
 from .errors import CalibrationRankError, ConfigError, ResampleRateError
 from .geometry import ManifoldModel, boundary_geometry, model_catalog
-from .stochastic import DEFAULT_LAM_SCALE, RngStream, simulate_bridges
+from .stochastic import RngStream, simulate_bridges
 
-DEFAULT_STEPS_PER_UNIT_TIME = 2000  # default grid: h = t / 2000
+DEFAULT_STEPS = 2000  # default grid of estimate_chi: h = t / 2000
+LOCAL_LIMIT_STEPS = 400  # default grid of local_limit_check: h = t / 400
+COLLAR_FACTOR = 3.0  # base-point sampling collar width, in units of sqrt(t)
+DEPTH_COLLAR_FACTOR = 5.0  # local-limit depth quadrature width, in units of sqrt(t)
+MAX_RESAMPLE_RATE = 0.05  # largest share of a node's bridges that may leave the valid region
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +309,6 @@ class EstimateReport:
     steps: int
     seed: int
     resample_rate: float
-    stratified: bool
-    lam_scale: float
     validity: dict
     config: dict
     wall_time_seconds: float = 0.0
@@ -326,8 +328,6 @@ class EstimateReport:
             "steps": self.steps,
             "seed": self.seed,
             "resample_rate": self.resample_rate,
-            "stratified": self.stratified,
-            "lam_scale": self.lam_scale,
             "validity": dict(self.validity),
             "config": dict(self.config),
         }
@@ -348,7 +348,7 @@ def _masked_mean_std(values, alive):
     return mean, np.sqrt(var / counts_safe), counts
 
 
-def _node_expectations(batch, nodes: int, t: float, max_resample_rate: float):
+def _node_expectations(batch, nodes: int, t: float):
     """Per-node mean and standard error of Str(M_t V_t); node i owns the i-th equal row block.
 
     Raises ResampleRateError when any node lost more than the allowed share
@@ -356,10 +356,10 @@ def _node_expectations(batch, nodes: int, t: float, max_resample_rate: float):
     """
     alive = batch.alive.reshape(nodes, -1)
     for rate in 1.0 - alive.mean(axis=1):
-        if rate > max_resample_rate:
+        if rate > MAX_RESAMPLE_RATE:
             raise ResampleRateError(
                 f"{rate:.1%} of bridges left the valid region at t={t} "
-                f"(limit {max_resample_rate:.0%}); refine steps or shrink t",
+                f"(limit {MAX_RESAMPLE_RATE:.0%}); refine steps or shrink t",
                 rate=rate,
             )
     mean, se, _ = _masked_mean_std(batch.supertraces().reshape(nodes, -1), alive)
@@ -367,23 +367,26 @@ def _node_expectations(batch, nodes: int, t: float, max_resample_rate: float):
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
-                           steps: int | None = None, lam_scale=DEFAULT_LAM_SCALE,
-                           max_resample_rate: float = 0.05):
+                           steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
-    steps = steps or DEFAULT_STEPS_PER_UNIT_TIME
+    steps = steps or DEFAULT_STEPS
     x = np.asarray(x, dtype=float)
     anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
-    batch = simulate_bridges(model, anchors, t, steps, rng, lam_scale=lam_scale)
-    mean, se = _node_expectations(batch, 1, t, max_resample_rate)
+    batch = simulate_bridges(model, anchors, t, steps, rng)
+    mean, se = _node_expectations(batch, 1, t)
     return float(mean[0]), float(se[0])
 
 
-def _stratified_points(model: ManifoldModel, count: int, t: float, rng, stratify: bool,
-                       collar_factor: float):
-    """Base points with their mixture-density importance weights."""
-    width = collar_factor * math.sqrt(t)
+def _stratified_points(model: ManifoldModel, count: int, t: float, rng):
+    """Base points with their mixture-density importance weights.
+
+    Half the points come from the COLLAR_FACTOR sqrt(t) boundary collar and
+    half from the whole volume; once the collar covers 99.9 percent of the
+    volume, all of them come from the whole volume.
+    """
+    width = COLLAR_FACTOR * math.sqrt(t)
     v_col = model.collar_volume(width)
-    if not stratify or v_col >= model.volume * 0.999:
+    if v_col >= model.volume * 0.999:
         pts = model.sample_volume(rng, count)
         return pts, np.full(count, model.volume)
     n_col = count // 2
@@ -418,11 +421,11 @@ def check_integer(name, value, low, high=math.inf):
 CHUNK_PATHS = 250_000
 
 
-def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
+def _chi_chunk(model, anchors_block, t, steps, bridges, stream):
     """Per-anchor bridge means and dead-path count of one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
     tiled = np.repeat(anchors_block, bridges, axis=0)
-    batch = simulate_bridges(model, tiled, t, steps, stream.generator(), lam_scale=lam_scale)
+    batch = simulate_bridges(model, tiled, t, steps, stream.generator())
     vals = batch.supertraces().reshape(n_anchor, bridges)
     alive = batch.alive.reshape(n_anchor, bridges)
     mean, _, _ = _masked_mean_std(vals, alive)
@@ -430,9 +433,7 @@ def _chi_chunk(model, anchors_block, t, steps, bridges, stream, lam_scale):
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
-                 steps: int | None = None, stratify: bool = True, collar_factor: float = 3.0,
-                 lam_scale=DEFAULT_LAM_SCALE, max_resample_rate: float = 0.05,
-                 config: dict | None = None) -> EstimateReport:
+                 steps: int | None = None, config: dict | None = None) -> EstimateReport:
     """Estimate the Euler characteristic from bridge loops at sampled base points.
 
     Every base point contributes an independent unbiased sample
@@ -445,22 +446,21 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     check_integer("seed", seed, 0, 2**64)
     check_integer("base_points", base_points, 2)
     check_integer("bridges", bridges, 1)
-    steps = check_integer("steps", steps or DEFAULT_STEPS_PER_UNIT_TIME, 2)
+    steps = check_integer("steps", steps or DEFAULT_STEPS, 2)
     point_rng = RngStream(seed, 0).generator()
-    pts, weights = _stratified_points(model, base_points, t, point_rng, stratify, collar_factor)
+    pts, weights = _stratified_points(model, base_points, t, point_rng)
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
     chunk_anchors = max(1, CHUNK_PATHS // bridges)
     results = [
-        _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, RngStream(seed, ci + 1),
-                   lam_scale)
+        _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, RngStream(seed, ci + 1))
         for ci, lo in enumerate(range(0, base_points, chunk_anchors))
     ]
     means = np.concatenate([r[0] for r in results])
     dead = sum(r[1] for r in results)
     rate = dead / float(base_points * bridges)
-    if rate > max_resample_rate:
+    if rate > MAX_RESAMPLE_RATE:
         raise ResampleRateError(
-            f"{rate:.1%} of bridges left the valid region (limit {max_resample_rate:.0%})",
+            f"{rate:.1%} of bridges left the valid region (limit {MAX_RESAMPLE_RATE:.0%})",
             rate=rate,
         )
     samples = weights * kernel_diag * means
@@ -489,8 +489,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         steps=steps,
         seed=seed,
         resample_rate=rate,
-        stratified=stratify,
-        lam_scale=lam_scale,
         validity=validity,
         config=dict(config or {}),
         wall_time_seconds=time.perf_counter() - started,
@@ -538,14 +536,14 @@ class LocalLimitTable:
 
 
 def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, seed: int, *,
-                      steps: int = 400, constants: ConstantTable | None = None,
-                      depth_nodes: int = 10, collar_factor: float = 5.0,
-                      lam_scale=DEFAULT_LAM_SCALE) -> LocalLimitTable:
+                      steps: int | None = None, constants: ConstantTable | None = None,
+                      depth_nodes: int = 10) -> LocalLimitTable:
     """Track the kernel-weighted supertrace expectation along shrinking lifetimes.
 
     Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand;
-    boundary points integrate the same quantity across the collar depth
-    (Gauss-Legendre in the normal direction) and compare with the
+    boundary points integrate the same quantity across a collar of depth
+    DEPTH_COLLAR_FACTOR sqrt(t) (Gauss-Legendre in the normal direction,
+    capped at 0.9 times the confinement scale) and compare with the
     boundary integrand.  The ratio column approaches one as t decreases.
     Within a lifetime the depth nodes step together, as few lockstep
     batches of whole nodes as LOCKSTEP_ROWS allows; node j of lifetime it
@@ -556,7 +554,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)
     check_integer("bridges", bridges, 1)
-    check_integer("steps", steps, 2)
+    steps = check_integer("steps", steps or LOCAL_LIMIT_STEPS, 2)
     check_integer("depth_nodes", depth_nodes, 1)
     constants = constants or calibrate_constants(model.dimension)
     point = np.asarray(point, dtype=float)
@@ -567,7 +565,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
-            width = min(collar_factor * math.sqrt(t), 0.9 * model.confinement_scale())
+            width = min(DEPTH_COLLAR_FACTOR * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
             points = [model.offset_from_boundary(point[None, :], np.array([d]))[0] for d in depths]
@@ -579,8 +577,8 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         for group in _lockstep_groups(len(points), bridges):
             anchors = np.repeat(np.array([points[j] for j in group]), bridges, axis=0)
             gens = [RngStream(seed, 1000 * it + j).generator() for j in group]
-            batch = simulate_bridges(model, anchors, t, steps, gens, lam_scale=lam_scale)
-            mean, se = _node_expectations(batch, len(group), t, max_resample_rate=0.05)
+            batch = simulate_bridges(model, anchors, t, steps, gens)
+            mean, se = _node_expectations(batch, len(group), t)
             means.extend(mean.tolist())
             ses.extend(se.tolist())
         if on_boundary:

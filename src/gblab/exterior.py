@@ -140,6 +140,7 @@ class GradedOperator:
         return GradedOperator(self.n, np.linalg.matrix_power(self.mat, k))
 
     def supertrace(self) -> float:
+        """Alternating sum of degree-block traces: trace composed with parity."""
         return float(parity_signs(self.n) @ np.diag(self.mat))
 
     def norm(self) -> float:
@@ -322,11 +323,6 @@ def curvature_to_operator(R: CurvatureTensor) -> GradedOperator:
     return GradedOperator(n, mat)
 
 
-def supertrace(op: GradedOperator) -> float:
-    """Alternating sum of degree-block traces: trace composed with parity."""
-    return op.supertrace()
-
-
 def cancellation_battery(dims, instances: int, rng: np.random.Generator) -> list:
     """|Str| of random operator products below top degree, which cancel (Berezin-Patodi).
 
@@ -354,7 +350,7 @@ def cancellation_battery(dims, instances: int, rng: np.random.Generator) -> list
                             B = rng.standard_normal((m, m))
                             B = (B - B.T) / np.linalg.norm(B)
                             op = op @ derivation_extend(B)
-                        values.append(abs(supertrace(op)))
+                        values.append(abs(op.supertrace()))
     return values
 
 

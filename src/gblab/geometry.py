@@ -239,7 +239,8 @@ class ManifoldModel:
     # factors, frame_curvature(), geodesic_step, boundary_distance,
     # reflect, normal_frame, shape_frame, boundary_data, log_frame,
     # distance, the samplers (sample_volume, sample_collar, collar_volume,
-    # sample_boundary), and the analytic data: heat_kernel_spec(),
+    # sample_boundary), boundary_point(), interior_point() (a point
+    # farthest from the boundary), and the analytic data: heat_kernel_spec(),
     # confinement_scale() and boundary_curvature_parts().
 
     def simulation_valid(self, x):
@@ -372,6 +373,10 @@ class FlatBall(ManifoldModel):
         z = np.zeros(self.state_dim)
         z[0] = self.radius
         return z
+
+    def interior_point(self):
+        """The center."""
+        return np.zeros(self.state_dim)
 
     # analytic data ---------------------------------------------------------
     def neumann_kernel(self, t, x, y):
@@ -736,6 +741,10 @@ class FlatCylinder(ManifoldModel):
     def boundary_point(self):
         return np.array([0.0, 0.0])
 
+    def interior_point(self):
+        """A point of the middle circle s = L/2."""
+        return np.array([0.5 * self.length, 0.0])
+
     # analytic data ---------------------------------------------------------
     def neumann_kernel(self, t, x, y):
         ds = hk.interval_kernel(t, self.length, x[:, 0], y[:, 0])
@@ -930,6 +939,12 @@ class SphereBall(ManifoldModel):
         z = np.zeros(self.state_dim)
         z[0] = self.sphere_radius
         z[self.sphere_dim + 1] = self.ball_radius
+        return z
+
+    def interior_point(self):
+        """A sphere point times the center of the ball."""
+        z = np.zeros(self.state_dim)
+        z[0] = self.sphere_radius
         return z
 
     # analytic data ---------------------------------------------------------

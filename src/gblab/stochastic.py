@@ -8,8 +8,10 @@ that crosses the boundary is reflected back along the inward normal; the
 local time picks up twice the penetration depth per crossing, which is
 the Skorokhod decomposition of the reflected chain (one step from the
 boundary then reproduces the flat half-space law E[lam] = sqrt(2h/pi)
-exactly).  The transport is exact, so the frames stay orthonormal up to
-rounding (their drift stays below 1e-12 over 20 000 steps) and are never
+exactly).  The factor 2 is fixed: it is the normalization of the local
+time that the absolute-boundary functional runs on, not a tuning knob.
+The transport is exact, so the frames stay orthonormal up to rounding
+(their drift stays below 1e-12 over 20 000 steps) and are never
 re-orthonormalized on the way; simulate_bridges orthonormalizes the final
 frames once, where the holonomy reads them.
 
@@ -71,7 +73,6 @@ from . import exterior as ext
 from .geometry import ManifoldModel, _rowdot
 from .noise import _RowStreams, batch_noise
 
-DEFAULT_LAM_SCALE = 2.0  # Skorokhod increment per crossing = 2 x penetration depth
 # Row cap of the lockstep tiles simulate_bridges splits a batch into: a
 # memory layout that keeps each step's temporaries cache-sized and reused,
 # never a change of any draw.
@@ -207,7 +208,7 @@ def _finish_step(model, state, x2, u2, idx, dlam):
     return ContactInfo(idx=idx, dlam=dlam, nu=nu, coeff=coeff)
 
 
-def _apply_increment(model, state, xi, lam_scale):
+def _apply_increment(model, state, xi):
     """Move every path by the frame increment xi, reflecting at the boundary."""
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
     idx = (model.boundary_distance(x2) <= 0.0).nonzero()[0]
@@ -216,19 +217,21 @@ def _apply_increment(model, state, xi, lam_scale):
         x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
         if u2 is not None:
             u2[idx] = ur
-        dlam = lam_scale * np.maximum(depth, 0.0)
+        # Skorokhod decomposition X = W + nu L: the reflection pushes the step
+        # back along the normal by twice its penetration, and that push is dL
+        dlam = 2.0 * np.maximum(depth, 0.0)
         state.lam[idx] += dlam
     return _finish_step(model, state, x2, u2, idx, dlam)
 
 
-def step_reflected_bm(model, state: WalkState, h: float, rng, lam_scale=DEFAULT_LAM_SCALE) -> ContactInfo:
+def step_reflected_bm(model, state: WalkState, h: float, rng) -> ContactInfo:
     """One Euler-Maruyama step of normally reflected Brownian motion.
 
     Mutates the state in place and returns the contact data of the step.
     """
     gen = _as_generator(rng)
     xi = math.sqrt(h) * gen.standard_normal((state.x.shape[0], model.dimension))
-    return _apply_increment(model, state, xi, lam_scale)
+    return _apply_increment(model, state, xi)
 
 
 def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=None):
@@ -280,7 +283,7 @@ def _sub_columns(out, w, nu):
 
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
-                lam_scale=DEFAULT_LAM_SCALE, d_anchor=None) -> ContactInfo:
+                d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor.
 
     rng is one generator, a sequence of G generators that split the rows
@@ -294,10 +297,10 @@ def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng
     xi *= math.sqrt(h)
     g *= h
     g += xi  # the increment, in the drift's layout: the draws fill C-order rows
-    return _apply_increment(model, state, g, lam_scale)
+    return _apply_increment(model, state, g)
 
 
-def snap_to_anchor(model, state: WalkState, anchor, lam_scale=DEFAULT_LAM_SCALE) -> ContactInfo:
+def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
     """Deterministic final bridge step: land exactly on the anchor.
 
     An anchor lying on the boundary counts as a (zero-local-time) contact,
@@ -389,7 +392,7 @@ class BridgeBatch:
 
 
 def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *,
-                     lam_scale=DEFAULT_LAM_SCALE, track_excursion=False) -> BridgeBatch:
+                     track_excursion=False) -> BridgeBatch:
     """Simulate reflected Brownian bridge loops pinned at the given anchors.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
@@ -418,10 +421,10 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
             remaining = t - k * h
             for rows, state, noise, anchor in zip(tiles, states, tile_noise, tile_anchors):
                 if k == steps - 1:
-                    info = snap_to_anchor(model, state, anchor, lam_scale)
+                    info = snap_to_anchor(model, state, anchor)
                 else:
                     info = step_bridge(model, state, remaining, anchor, h, noise,
-                                       lam_scale=lam_scale, d_anchor=d_anchor[rows])
+                                       d_anchor=d_anchor[rows])
                 _jump_update(m[rows], info)
                 contacts[rows][info.idx] += 1
                 if track_excursion:
@@ -453,7 +456,7 @@ def _join(parts):
 
 
 def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng, *,
-                        lam_scale=DEFAULT_LAM_SCALE, checkpoints=()):
+                        checkpoints=()):
     """Reflected Brownian motion without conditioning.
 
     Returns (state, lam_at, touched): the final state, the local time
@@ -467,7 +470,7 @@ def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng,
     touched = np.zeros(P, dtype=bool)
     lam_at = {}
     for k in range(steps):
-        info = step_reflected_bm(model, state, h, gen, lam_scale)
+        info = step_reflected_bm(model, state, h, gen)
         touched[info.idx] = True
         if (k + 1) in checkpoints:
             lam_at[k + 1] = state.lam.copy()
@@ -513,7 +516,7 @@ class PathSample:
 
 
 def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
-                  anchor=None, lam_scale=DEFAULT_LAM_SCALE) -> PathSample:
+                  anchor=None) -> PathSample:
     """Simulate and record a single path (a bridge loop when anchored)."""
     gen = _as_generator(rng)
     x0 = np.asarray(x0, dtype=float)
@@ -536,11 +539,11 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
     cols = model.bounded_factor.cols
     for k in range(steps):
         if anchor_arr is None:
-            info = step_reflected_bm(model, state, h, gen, lam_scale)
+            info = step_reflected_bm(model, state, h, gen)
         elif k == steps - 1:
-            info = snap_to_anchor(model, state, anchor_arr, lam_scale)
+            info = snap_to_anchor(model, state, anchor_arr)
         else:
-            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen, lam_scale=lam_scale)
+            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen)
         positions[k + 1] = state.x[0]
         if frames is not None:
             frames[k + 1] = state.frames[0]

@@ -257,9 +257,10 @@ class TestRangeValidation:
         ("estimate-chi", "base_points", "1"),
         ("estimate-chi", "bridges", "0"),
         ("estimate-chi", "steps", "1"),
-        ("estimate-chi", "drift", "reflected"),  # a removed key: unknown
+        ("estimate-chi", "drift", "reflected"),  # removed keys: unknown
         ("estimate-chi", "lam_scale", "nan"),
         ("estimate-chi", "lam_scale", "-1"),
+        ("estimate-chi", "stratify", "false"),
         ("estimate-chi", "workers", "-3"),
         ("estimate-chi", "workers", "0"),  # the removed pool's "one per CPU"
         ("estimate-chi", "workers", "2"),
@@ -283,6 +284,10 @@ class TestRangeValidation:
         ("diagnostics", "samples", "0"),
         ("diagnostics", "samples", "-5"),
         ("diagnostics", "lam_scale", "inf"),
+        # keys of other experiments, which diagnostics never reads
+        ("diagnostics", "model", "ball"),
+        ("diagnostics", "model.radius", "-5"),
+        ("diagnostics", "steps", "40"),
     ])
     def test_out_of_range_exits_two(self, tmp_path, experiment, key, value):
         base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL}.get(experiment, {})
@@ -304,6 +309,53 @@ class TestRangeValidation:
         report = json.loads((tmp_path / "out" / "estimate-chi.json").read_text())
         assert report["seed"] == seed
         jsonschema.validate(report, SCHEMA)
+
+
+# a small value for every key that some experiment, but not every one, accepts
+# (the model.* family aside); a new such key needs a value here
+KEY_VALUES = {
+    "model": "ball", "t": "0.1", "t_sequence": "0.06", "base_points": "2", "bridges": "2",
+    "steps": "4", "point": "boundary", "depth_nodes": "2", "dimension": "2", "dims": "2",
+    "instances": "1", "tolerance": "1e-10", "samples": "20",
+}
+
+
+class ReadRecorder(dict):
+    """A resolved config that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_accepted_key_is_read(experiment, tmp_path, monkeypatch):
+    # a key an experiment accepts but never reads is silently ignored
+    keys = [key for key, (_, accepted, _, _) in cli.CONFIG_SCHEMA.items()
+            if experiment in accepted and accepted != cli.EXPERIMENTS
+            and not key.startswith("model.")]
+    assert not set(keys) - set(KEY_VALUES), "give the new keys a value in KEY_VALUES"
+    resolve, render = cli.resolve_config, cli.report_render
+    read = []
+
+    def render_spy(payload, outdir, stem, formats, cfg):
+        read.append(set(cfg.read))  # the reads of the run, before rendering echoes every key
+        return render(payload, outdir, stem, formats, cfg)
+
+    monkeypatch.setattr(cli, "resolve_config", lambda raw, kind: ReadRecorder(resolve(raw, kind)))
+    monkeypatch.setattr(cli, "report_render", render_spy)
+    cfg = config_file(tmp_path, {**{key: KEY_VALUES[key] for key in keys}, "seed": "1"})
+    code, out, _ = run_main([experiment, str(cfg)])
+    assert code == 0, out
+    assert not set(keys) - read[0], f"{experiment} ignores {sorted(set(keys) - read[0])}"
 
 
 VALID = {

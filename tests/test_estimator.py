@@ -220,7 +220,7 @@ class TestSupertraceExpectation:
 class TestEstimateChi:
     def test_report_structure_and_determinism(self):
         model = geo.model_catalog("ball", dimension=2)
-        kwargs = dict(steps=80, stratify=True)
+        kwargs = dict(steps=80)
         r1 = est.estimate_chi(model, 0.08, 24, 60, seed=99, **kwargs)
         r2 = est.estimate_chi(model, 0.08, 24, 60, seed=99, **kwargs)
         assert r1.estimate == r2.estimate
@@ -260,9 +260,15 @@ class TestEstimateChi:
             assert rep.stderr == 0.0
 
     def test_stratified_and_plain_sampling_agree(self):
+        # on the unit disk the 3 sqrt(t) collar covers 99.997 % of the area at
+        # t = 0.11, so every base point comes from the whole disk; at t = 0.1
+        # it covers 99.74 %, and half of them come from the collar
         model = geo.model_catalog("ball", dimension=2)
-        r_strat = est.estimate_chi(model, 0.1, 500, 260, seed=31, steps=120, stratify=True)
-        r_plain = est.estimate_chi(model, 0.1, 500, 260, seed=32, steps=120, stratify=False)
+        rng = np.random.default_rng(0)
+        assert np.all(est._stratified_points(model, 50, 0.11, rng)[1] == model.volume)
+        assert np.all(est._stratified_points(model, 50, 0.1, rng)[1] != model.volume)
+        r_strat = est.estimate_chi(model, 0.1, 500, 260, seed=31, steps=120)
+        r_plain = est.estimate_chi(model, 0.11, 500, 260, seed=32, steps=120)
         gap = abs(r_strat.estimate - r_plain.estimate)
         assert gap < 3.0 * math.hypot(r_strat.stderr, r_plain.stderr)
 
@@ -315,8 +321,7 @@ class TestLocalLimit:
         assert 0.80 < row["ratio"] < 1.15
 
 
-def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes,
-                  collar_factor=5.0):
+def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes):
     """Reference: local_limit_check's (t, value, stderr) rows, one bridge batch per node."""
     point = np.asarray(point, dtype=float)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
@@ -324,7 +329,7 @@ def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
-            width = min(collar_factor * math.sqrt(t), 0.9 * model.confinement_scale())
+            width = min(5.0 * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
             value = 0.0
@@ -389,15 +394,17 @@ class TestLockstepNodes:
         assert [len(g) for g in groups] == sizes
         assert [j for g in groups for j in g] == list(range(nodes))
 
-    def test_resample_check_is_per_node(self):
+    def test_resample_check_is_per_node(self, monkeypatch):
         # node 1 loses 4 of its 20 bridges: 10 % of the batch, 20 % of the node
         alive = np.ones(40, dtype=bool)
         alive[20:24] = False
         batch = SimpleNamespace(alive=alive, supertraces=lambda: np.arange(40.0))
+        monkeypatch.setattr(est, "MAX_RESAMPLE_RATE", 0.15)
         with pytest.raises(ResampleRateError) as err:
-            est._node_expectations(batch, 2, 0.01, 0.15)
+            est._node_expectations(batch, 2, 0.01)
         assert err.value.rate == pytest.approx(0.2)
-        mean, se = est._node_expectations(batch, 2, 0.01, 0.25)
+        monkeypatch.setattr(est, "MAX_RESAMPLE_RATE", 0.25)
+        mean, se = est._node_expectations(batch, 2, 0.01)
         assert mean.tolist() == [9.5, 31.5]
         assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
 

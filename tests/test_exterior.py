@@ -305,13 +305,13 @@ class TestCurvatureOperator:
 class TestParitySupertrace:
     def test_identity_supertrace_vanishes(self):
         for n in range(1, 7):
-            assert ext.supertrace(ext.GradedOperator.identity(n)) == 0.0
+            assert ext.GradedOperator.identity(n).supertrace() == 0.0
 
     def test_parity_squares_to_identity(self):
         for n in range(1, 6):
             eps = parity(n)
             assert np.allclose((eps @ eps).mat, np.eye(1 << n))
-            assert ext.supertrace(eps) == float(1 << n)
+            assert eps.supertrace() == float(1 << n)
 
     def test_low_degree_product_cancellation(self):
         rng = np.random.default_rng(61)
@@ -323,7 +323,7 @@ class TestParitySupertrace:
         ds = ext.pair_extend([(T, U, 1.0)])
         db = ext.derivation_extend(B)
         # one paired + one derivation factor: total degree 3 < n = 4
-        assert abs(ext.supertrace(ds @ db)) < CANCEL_TOL
+        assert abs((ds @ db).supertrace()) < CANCEL_TOL
 
 
 class TestBerezinPatodiCancellation:
@@ -343,7 +343,7 @@ class TestBerezinPatodiCancellation:
                     for _k in range(j):
                         B = rng.standard_normal((n, n))
                         op = op @ ext.derivation_extend(B - B.T)
-                    assert abs(ext.supertrace(op)) < CANCEL_TOL
+                    assert abs(op.supertrace()) < CANCEL_TOL
 
 
 class TestBoundaryProjections:
@@ -450,7 +450,7 @@ class TestAlgebraLift:
         for n in (2, 3, 4):
             m = rng.standard_normal((n, n))
             lift = ext.algebra_lift(m)
-            assert abs(ext.supertrace(lift) - np.linalg.det(np.eye(n) - m)) < 1e-10
+            assert abs(lift.supertrace() - np.linalg.det(np.eye(n) - m)) < 1e-10
 
 
 class TestPfaffianSupertrace:

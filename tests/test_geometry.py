@@ -241,6 +241,16 @@ class TestBoundary:
         assert np.all(np.isfinite(a))
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_interior_point_is_deepest(self, model):
+        # no sampled point lies farther from the boundary than interior_point()
+        x = model.interior_point()
+        assert x.shape == (model.state_dim,)
+        deepest = model.boundary_distance(x[None, :])[0]
+        assert deepest > 0.0
+        samples = model.sample_volume(RNG(12), 4000)
+        assert model.boundary_distance(samples).max() <= deepest
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_offset_from_boundary(self, model):
         rng = RNG(10)
         z = model.sample_boundary(rng, 16)

@@ -2,9 +2,9 @@
 
 Kernel, confinement and boundary-curvature data are methods of the catalog
 models in gblab/geometry.py.  This test reads every other module of the
-package and fails if one branches on a model's type or name again, or
-imports a concrete model class; importing ManifoldModel for type hints is
-fine.
+package and fails if one branches on a model's type, name or attributes
+again, or imports a concrete model class; importing ManifoldModel for type
+hints is fine.
 """
 
 import re
@@ -14,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gblab"
 MODEL_CLASSES = ("FlatBall", "SphereCap", "FlatCylinder", "SphereBall")
-DISPATCH = re.compile(r"isinstance\(model|model\.name ==")
+DISPATCH = re.compile(r"isinstance\(model|model\.name ==|hasattr\(model")
 IMPORT = re.compile(r"^\s*(from\s+\S+\s+)?import\s+(\([^)]*\)|.*)$", re.MULTILINE)
 
 
@@ -41,5 +41,6 @@ def test_guard_sees_the_old_dispatch():
     # the patterns catch the forms the dispatch chains used to take
     assert DISPATCH.search("    if isinstance(model, FlatBall):")
     assert DISPATCH.search('    if model.name == "ball":')
+    assert DISPATCH.search('    point = model.interior_point() if hasattr(model, "interior_point") else None')
     imports = IMPORT.findall("from .geometry import (\n    FlatBall,\n    ManifoldModel,\n)\n")
     assert imports and "FlatBall" in imports[0][1]

@@ -617,7 +617,7 @@ class TestResampleSignal:
 # ---------------------------------------------------------------------------
 
 
-def single_batch_bridges(model, anchors, t, steps, rng, *, lam_scale=st.DEFAULT_LAM_SCALE):
+def single_batch_bridges(model, anchors, t, steps, rng):
     """Reference: the untiled stepping loop, one WalkState for the whole batch.
 
     Returns the batch and the positions it visited, (steps + 1, P, state_dim).
@@ -638,10 +638,9 @@ def single_batch_bridges(model, anchors, t, steps, rng, *, lam_scale=st.DEFAULT_
     for k in range(steps):
         remaining = t - k * h
         if k == steps - 1:
-            info = st.snap_to_anchor(model, state, anchors, lam_scale)
+            info = st.snap_to_anchor(model, state, anchors)
         else:
-            info = st.step_bridge(model, state, remaining, anchors, h, gen,
-                                  lam_scale=lam_scale, d_anchor=d_anchor)
+            info = st.step_bridge(model, state, remaining, anchors, h, gen, d_anchor=d_anchor)
         st._jump_update(m, info)
         contacts[info.idx] += 1
         np.maximum(excursion, model.distance(state.x, anchors), out=excursion)
@@ -685,19 +684,12 @@ def assert_batches_equal(a, b):
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
-# the default Skorokhod scale and a smaller one, which changes every local-time
-# increment and so every boundary jump's decay factor
-LAM_SCALES = [st.DEFAULT_LAM_SCALE, 0.5]
-
-
 class TestTiledBridges:
-    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_bitwise_equal_to_single_batch(self, name, lam_scale, monkeypatch):
+    def test_bitwise_equal_to_single_batch(self, name, monkeypatch):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 131, 167)
-        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2),
-                                      lam_scale=lam_scale)
+        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2))
         assert ref.contacts.sum() > 0
         # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
         # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
@@ -705,9 +697,9 @@ class TestTiledBridges:
         for tile_rows, P in cases:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             tiled = st.simulate_bridges(model, anchors[:P], 0.05, 30, st.RngStream(173, 2),
-                                        lam_scale=lam_scale, track_excursion=True)
+                                        track_excursion=True)
             expected = ref if P == 131 else single_batch_bridges(
-                model, anchors[:P], 0.05, 30, st.RngStream(173, 2), lam_scale=lam_scale)[0]
+                model, anchors[:P], 0.05, 30, st.RngStream(173, 2))[0]
             assert_batches_equal(tiled, expected)
 
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
@@ -738,7 +730,7 @@ class TestBridgePaths:
         assert np.array_equal(batch.max_excursion, dist.max(axis=0))
 
 
-def full_contact_step(model, state, xi, lam_scale=st.DEFAULT_LAM_SCALE):
+def full_contact_step(model, state, xi):
     """Reference: one increment with full-size contact arrays, zero off contact."""
     x2, u2 = model.geodesic_step(state.x, state.frames, xi)
     contact = model.boundary_distance(x2) <= 0.0
@@ -748,7 +740,7 @@ def full_contact_step(model, state, xi, lam_scale=st.DEFAULT_LAM_SCALE):
         x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
         if u2 is not None:
             u2[idx] = ur
-        dlam[idx] = lam_scale * np.maximum(depth, 0.0)
+        dlam[idx] = 2.0 * np.maximum(depth, 0.0)
     return (contact, dlam) + full_boundary_data(model, x2, u2, contact)
 
 
@@ -778,17 +770,16 @@ def full_jump_update(m, contact, dlam, nu, coeff):
 
 
 class TestContactRows:
-    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_rows_match_full_arrays(self, name, lam_scale):
+    def test_rows_match_full_arrays(self, name):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 120, 179)
         xi = 0.08 * np.random.default_rng(181).standard_normal((120, model.dimension))
         xi[:6] = 0.0  # zero steps, boundary points among the anchors stay in contact
         new_state = st.make_walk_state(model, anchors)
         old_state = st.make_walk_state(model, anchors)
-        info = st._apply_increment(model, new_state, xi, lam_scale)
-        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi, lam_scale)
+        info = st._apply_increment(model, new_state, xi)
+        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi)
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, dlam[contact])
@@ -821,7 +812,7 @@ class TestContactRows:
     def test_no_contact_gives_empty_rows(self):
         model = hemisphere()
         x = np.broadcast_to(model.interior_point(), (7, 3)).copy()
-        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 2)), 2.0)
+        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 2)))
         assert info.idx.size == info.dlam.size == info.coeff.size == 0
         assert info.nu.shape == (0, model.bounded_factor.dim)
 
@@ -922,15 +913,14 @@ def concat_batches(parts):
 
 
 class TestGroupedStreams:
-    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_bitwise_equal_to_separate_batches(self, name, lam_scale, monkeypatch):
+    def test_bitwise_equal_to_separate_batches(self, name, monkeypatch):
         model = DRIFT_MODELS[name]()
         anchors = mixed_anchors(model, 87, 193)
         streams = [st.RngStream(197, 10 + j) for j in range(3)]
         separate = concat_batches([
             st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s,
-                                lam_scale=lam_scale, track_excursion=True)
+                                track_excursion=True)
             for j, s in enumerate(streams)
         ])
         assert separate.contacts.sum() > 0
@@ -940,7 +930,7 @@ class TestGroupedStreams:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             grouped = st.simulate_bridges(model, anchors, 0.05, 30,
                                           [s.generator() for s in streams],
-                                          lam_scale=lam_scale, track_excursion=True)
+                                          track_excursion=True)
             assert_batches_equal(grouped, separate)
 
     def test_single_generator_in_a_sequence(self):
@@ -1054,7 +1044,7 @@ class TestLayoutEquivalence:
     """A run on row-major walk state gives what the column-major run gives."""
 
     @staticmethod
-    def row_major_run(model, anchors, lam_scale, monkeypatch):
+    def row_major_run(model, anchors, monkeypatch):
         make = st.make_walk_state
 
         def row_major_state(model, x0):
@@ -1067,17 +1057,14 @@ class TestLayoutEquivalence:
         with monkeypatch.context() as patch:
             patch.setattr(st, "make_walk_state", row_major_state)
             patch.setattr(st, "_walk_rows", lambda model, x: x)
-            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263),
-                                       lam_scale=lam_scale)
+            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
 
-    @pytest.mark.parametrize("lam_scale", LAM_SCALES)
     @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
-    def test_row_major_matches(self, name, lam_scale, monkeypatch):
+    def test_row_major_matches(self, name, monkeypatch):
         model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
         anchors = mixed_anchors(model, 60, 269)
-        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263),
-                                  lam_scale=lam_scale)
-        old = self.row_major_run(model, anchors, lam_scale, monkeypatch)
+        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
+        old = self.row_major_run(model, anchors, monkeypatch)
         assert new.contacts.sum() > 0
         assert np.array_equal(new.contacts, old.contacts)
         pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
