@@ -41,6 +41,6 @@ def test_guard_sees_the_old_dispatch():
     # the patterns catch the forms the dispatch chains used to take
     assert DISPATCH.search("    if isinstance(model, FlatBall):")
     assert DISPATCH.search('    if model.name == "ball":')
-    assert DISPATCH.search('    point = model.interior_point() if hasattr(model, "interior_point") else None')
+    assert DISPATCH.search('point = model.interior_point() if hasattr(model, "interior_point") else None')
     imports = IMPORT.findall("from .geometry import (\n    FlatBall,\n    ManifoldModel,\n)\n")
     assert imports and "FlatBall" in imports[0][1]
