@@ -684,22 +684,30 @@ def assert_batches_equal(a, b):
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
+# bridge length and step count: fine steps, and coarse ones whose deeper
+# penetrations change every local-time increment and so every boundary jump's
+# decay factor
+REGIMES = {"fine": (0.05, 30), "coarse": (0.2, 10)}
+
+
 class TestTiledBridges:
+    @pytest.mark.parametrize("regime", list(REGIMES))
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_bitwise_equal_to_single_batch(self, name, monkeypatch):
+    def test_bitwise_equal_to_single_batch(self, name, regime, monkeypatch):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 131, 167)
-        ref, _ = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(173, 2))
+        t, steps = REGIMES[regime]
+        ref, _ = single_batch_bridges(model, anchors, t, steps, st.RngStream(173, 2))
         assert ref.contacts.sum() > 0
         # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
         # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
         cases = [(st.TILE_ROWS, 131), (64, 131), (5, 5), (5, 13), (5, 131)]
         for tile_rows, P in cases:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
-            tiled = st.simulate_bridges(model, anchors[:P], 0.05, 30, st.RngStream(173, 2),
+            tiled = st.simulate_bridges(model, anchors[:P], t, steps, st.RngStream(173, 2),
                                         track_excursion=True)
             expected = ref if P == 131 else single_batch_bridges(
-                model, anchors[:P], 0.05, 30, st.RngStream(173, 2))[0]
+                model, anchors[:P], t, steps, st.RngStream(173, 2))[0]
             assert_batches_equal(tiled, expected)
 
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
@@ -770,11 +778,12 @@ def full_jump_update(m, contact, dlam, nu, coeff):
 
 
 class TestContactRows:
+    @pytest.mark.parametrize("scale", [0.08, 0.3], ids=list(REGIMES))
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_rows_match_full_arrays(self, name):
+    def test_rows_match_full_arrays(self, name, scale):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 120, 179)
-        xi = 0.08 * np.random.default_rng(181).standard_normal((120, model.dimension))
+        xi = scale * np.random.default_rng(181).standard_normal((120, model.dimension))
         xi[:6] = 0.0  # zero steps, boundary points among the anchors stay in contact
         new_state = st.make_walk_state(model, anchors)
         old_state = st.make_walk_state(model, anchors)
@@ -913,13 +922,15 @@ def concat_batches(parts):
 
 
 class TestGroupedStreams:
+    @pytest.mark.parametrize("regime", list(REGIMES))
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_bitwise_equal_to_separate_batches(self, name, monkeypatch):
+    def test_bitwise_equal_to_separate_batches(self, name, regime, monkeypatch):
         model = DRIFT_MODELS[name]()
         anchors = mixed_anchors(model, 87, 193)
+        t, steps = REGIMES[regime]
         streams = [st.RngStream(197, 10 + j) for j in range(3)]
         separate = concat_batches([
-            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], 0.05, 30, s,
+            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], t, steps, s,
                                 track_excursion=True)
             for j, s in enumerate(streams)
         ])
@@ -928,7 +939,7 @@ class TestGroupedStreams:
         # second 29-row group straddles them; 5 rows -> 18 tiles of 4 or 5
         for tile_rows in (st.TILE_ROWS, 64, 5):
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
-            grouped = st.simulate_bridges(model, anchors, 0.05, 30,
+            grouped = st.simulate_bridges(model, anchors, t, steps,
                                           [s.generator() for s in streams],
                                           track_excursion=True)
             assert_batches_equal(grouped, separate)
@@ -1044,7 +1055,7 @@ class TestLayoutEquivalence:
     """A run on row-major walk state gives what the column-major run gives."""
 
     @staticmethod
-    def row_major_run(model, anchors, monkeypatch):
+    def row_major_run(model, anchors, t, steps, monkeypatch):
         make = st.make_walk_state
 
         def row_major_state(model, x0):
@@ -1057,14 +1068,16 @@ class TestLayoutEquivalence:
         with monkeypatch.context() as patch:
             patch.setattr(st, "make_walk_state", row_major_state)
             patch.setattr(st, "_walk_rows", lambda model, x: x)
-            return st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
+            return st.simulate_bridges(model, anchors, t, steps, st.RngStream(263))
 
+    @pytest.mark.parametrize("regime", list(REGIMES))
     @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
-    def test_row_major_matches(self, name, monkeypatch):
+    def test_row_major_matches(self, name, regime, monkeypatch):
         model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
         anchors = mixed_anchors(model, 60, 269)
-        new = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(263))
-        old = self.row_major_run(model, anchors, monkeypatch)
+        t, steps = REGIMES[regime]
+        new = st.simulate_bridges(model, anchors, t, steps, st.RngStream(263))
+        old = self.row_major_run(model, anchors, t, steps, monkeypatch)
         assert new.contacts.sum() > 0
         assert np.array_equal(new.contacts, old.contacts)
         pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
