@@ -369,7 +369,7 @@ def _node_expectations(batch, nodes: int, t: float):
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
                            steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
-    steps = steps or DEFAULT_STEPS
+    steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
     x = np.asarray(x, dtype=float)
     anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
     batch = simulate_bridges(model, anchors, t, steps, rng)
@@ -446,7 +446,7 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     check_integer("seed", seed, 0, 2**64)
     check_integer("base_points", base_points, 2)
     check_integer("bridges", bridges, 1)
-    steps = check_integer("steps", steps or DEFAULT_STEPS, 2)
+    steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
     point_rng = RngStream(seed, 0).generator()
     pts, weights = _stratified_points(model, base_points, t, point_rng)
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
@@ -554,7 +554,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)
     check_integer("bridges", bridges, 1)
-    steps = check_integer("steps", steps or LOCAL_LIMIT_STEPS, 2)
+    steps = check_integer("steps", LOCAL_LIMIT_STEPS if steps is None else steps, 2)
     check_integer("depth_nodes", depth_nodes, 1)
     constants = constants or calibrate_constants(model.dimension)
     point = np.asarray(point, dtype=float)

@@ -10,7 +10,14 @@ the Riemannian volume and approach 1/volume as t grows.
 Exact constructions:
 
 * flat disk / ball: eigenexpansion over Bessel (spherical Bessel) modes
-  with Neumann zeros.  The diagonal K0(t; x, x) depends only on rho = |x|:
+  with Neumann zeros, from a mode table built at the first call for a
+  radius and kept for later calls at the same or a larger t.  The disk's
+  zeros of J_m' come from scipy's jnp_zeros; the 3-ball's zeros of j_l'
+  are bracketed by a sign scan at spacing 0.5, which misses none because
+  consecutive zeros lie more than pi apart (DLMF 10.21), then polished by
+  Newton steps and a last bisection to full double precision.  Only these
+  Bessel constructions import scipy.special, so the other models never
+  load it.  The diagonal K0(t; x, x) depends only on rho = |x|:
   a batch reads it from a Chebyshev table in (rho/r)^2 built inside each
   call on 33, 65, 129, ... nodes, until the trailing coefficients are below
   1e-14 of the largest.  A batch smaller than the next grid the table would
@@ -31,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import special
 
 from .errors import SeriesConvergenceError
 
@@ -45,6 +51,9 @@ _SPHERE_MAX_TERMS = 4000  # largest degree the closed-sphere series sums
 _CHEB_FIRST_INTERVALS = 32  # the first radial table grid has 33 nodes
 _CHEB_TAIL = 8  # trailing coefficients that must be negligible
 _CHEB_TOL = 1e-14  # ... relative to the largest coefficient
+
+_SCAN_STEP = 0.5  # sign-scan spacing of the 3-ball Neumann zeros
+_NEWTON_STEPS = 5  # Newton steps from each bracket's midpoint
 
 _MODE_CACHE: dict = {}
 
@@ -182,10 +191,15 @@ def _ball_modes(dim, radius, lam_max):
 
 
 def _disk_orders(radius, x_max_build):
+    from scipy import special
+
     per_order = int(x_max_build / math.pi) + 3
     orders = []
     for m in range(0, int(x_max_build) + 2):
-        zeros = special.jnp_zeros(m, per_order)
+        # the first zero of J_m' is >= m and the zeros lie more than pi apart,
+        # so no more than this many of them can lie below x_max_build
+        count = min(per_order, int((x_max_build - m) / math.pi) + 3)
+        zeros = special.jnp_zeros(m, count)
         zeros = zeros[zeros <= x_max_build]
         if zeros.size == 0 and m > 0:
             break
@@ -200,24 +214,41 @@ def _disk_orders(radius, x_max_build):
 
 
 def _ball3_orders(radius, x_max_build):
-    grid = np.arange(0.2, x_max_build + 0.5, 0.02)
-    # bracket the zeros of j_l' by a sign scan per order, from just below sqrt(l(l+1)):
-    # at the first critical point of j_l, j_l > 0 >= j_l'', which the Bessel ODE
+    from scipy import special
+
+    # The zeros of j_l' lie more than pi apart (DLMF 10.21), so a sign scan
+    # at _SCAN_STEP brackets each of them alone.  Each order's scan starts at
+    # the 0.02 lattice point just below sqrt(l(l+1)): at the first critical
+    # point of j_l, j_l > 0 >= j_l'', which the Bessel ODE
     # x^2 j'' + 2x j' + (x^2 - l(l+1)) j = 0 allows only for x^2 >= l(l+1).
-    bracket_orders, bracket_lo = [], []
+    # It ends at the last point of that lattice below x_max_build + 0.5, so
+    # an order whose first zero lies just past x_max_build keeps its (empty)
+    # entry, and the first order without a zero there ends the table.
+    lattice = np.arange(0.2, x_max_build + 0.5, 0.02)
+    end = lattice[-1]
+    bracket_orders, bracket_lo, bracket_hi = [], [], []
     for l in range(0, int(x_max_build) + 2):
-        start = max(int(np.searchsorted(grid, math.sqrt(l * (l + 1)))) - 1, 0)
-        sgn = np.sign(special.spherical_jn(l, grid[start:], derivative=True))
-        flips = start + np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        start = lattice[max(int(np.searchsorted(lattice, math.sqrt(l * (l + 1)))) - 1, 0)]
+        grid = np.append(np.arange(start, end, _SCAN_STEP), end)
+        sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
+        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if flips.size == 0 and l > 0:
             break
         bracket_orders.append(np.full(flips.size, l))
-        bracket_lo.append(flips)
+        bracket_lo.append(grid[flips])
+        bracket_hi.append(grid[flips + 1])
     ls = np.concatenate(bracket_orders)
-    flips = np.concatenate(bracket_lo)
-    roots = _bisect_roots(
-        lambda x: special.spherical_jn(ls, x, derivative=True), grid[flips], grid[flips + 1]
-    )
+
+    def deriv(x):
+        return special.spherical_jn(ls, x, derivative=True)
+
+    def newton_step(x):  # j_l' / j_l'', with j_l'' from the Bessel ODE
+        d = deriv(x)
+        j = special.spherical_jn(ls, x)
+        return d / (-(2.0 / x) * d - (1.0 - ls * (ls + 1) / (x * x)) * j)
+
+    roots = _polish_roots(deriv, newton_step, np.concatenate(bracket_lo),
+                          np.concatenate(bracket_hi))
     orders = []
     for l in range(len(bracket_orders)):
         zeros = roots[(ls == l) & (roots <= x_max_build)]
@@ -227,6 +258,31 @@ def _ball3_orders(radius, x_max_build):
         weight = (2 * l + 1) / (4.0 * math.pi * norm)
         orders.append((l, lam, weight))
     return orders
+
+
+def _polish_roots(f, newton_step, lo, hi):
+    """Roots of the vectorised f inside the sign-change brackets [lo, hi].
+
+    newton_step(x) is f(x) / f'(x).  _NEWTON_STEPS Newton steps from the
+    bracket midpoints, each clipped to its bracket, come within a few ulps
+    of the root; _bisect_roots then settles the last bits on a bracket
+    around the Newton point, widened until it holds the sign change of
+    [lo, hi].  On the 3-ball tables the roots are bitwise those that
+    _bisect_roots finds on the whole brackets, at a fraction of the calls.
+    """
+    sign_lo = np.sign(f(lo))
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        x = np.clip(x - newton_step(x), lo, hi)
+    width = 4.0 * np.spacing(x)
+    while True:
+        # fmax / fmin: a NaN Newton point widens to its whole bracket
+        a = np.fmax(x - width, lo)
+        b = np.fmin(x + width, hi)
+        holds = (np.sign(f(a)) == sign_lo) & (np.sign(f(b)) == -sign_lo)
+        if holds.all():
+            return _bisect_roots(f, a, b)
+        width = np.where(holds, width, 2.0 * width)
 
 
 def _bisect_roots(f, lo, hi):
@@ -264,6 +320,8 @@ def _active_modes(modes, t):
 
 def disk_kernel(t, radius, x, y):
     """Neumann kernel of the flat disk of the given radius at point pairs (x_p, y_p)."""
+    from scipy import special
+
     modes = _ball_modes(2, radius, _lambda_max(t))
     rho_x = np.linalg.norm(x, axis=-1)
     rho_y = np.linalg.norm(y, axis=-1)
@@ -280,6 +338,8 @@ def disk_kernel(t, radius, x, y):
 
 def ball3_kernel(t, radius, volume, x, y):
     """Neumann kernel of the flat 3-ball of the given radius and volume at point pairs."""
+    from scipy import special
+
     modes = _ball_modes(3, radius, _lambda_max(t))
     rho_x = np.linalg.norm(x, axis=-1)
     rho_y = np.linalg.norm(y, axis=-1)
@@ -303,6 +363,8 @@ def _ball_diag_series(t, dim, radius, volume, rho):
     On the diagonal the angular factor is cos(0) = P_l(1) = 1, so each
     mode contributes weight * decay * R(lambda rho)^2.
     """
+    from scipy import special
+
     modes = _ball_modes(dim, radius, _lambda_max(t))
     if dim == 2:
         radial = special.jv

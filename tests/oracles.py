@@ -7,15 +7,19 @@ wedge and inner products, an operator applied to a multivector, wedge and
 contraction operators, boundary projections, shape-operator extensions
 (plain and penalized), the parity operator, basis degrees and wedge signs,
 the interior product of a vector with a multivector, a vector as a
-degree-1 multivector, degree components and degree blocks.
+degree-1 multivector, degree components and degree blocks.  Also the
+reference mode tables of the flat disk and 3-ball, built the slow way.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from gblab import exterior as ext
 from gblab import geometry as geo
+from gblab import kernels as hk
 from gblab import stochastic as st
 from gblab.errors import (
     DimensionMismatchError,
@@ -275,3 +279,54 @@ def penalized_shape_extension(A, nu, eps: float) -> ext.GradedOperator:
     da = shape_operator_extension(A, nu)
     _, pi_nor = boundary_projections(nu)
     return da + (1.0 / eps) * pi_nor
+
+
+def disk_orders_untrimmed(radius, x_max_build):
+    """The disk mode table with int(x_max / pi) + 3 zeros of J_m' asked of every order."""
+    per_order = int(x_max_build / math.pi) + 3
+    orders = []
+    for m in range(0, int(x_max_build) + 2):
+        zeros = special.jnp_zeros(m, per_order)
+        zeros = zeros[zeros <= x_max_build]
+        if zeros.size == 0 and m > 0:
+            break
+        if m == 0:
+            zeros = zeros[zeros > 1e-9]
+        lam = zeros / radius
+        jval = special.jv(m, zeros)
+        norm = (radius**2 / 2.0) * (1.0 - (m / zeros) ** 2) * jval**2
+        weight = (1.0 if m == 0 else 2.0) / (2.0 * math.pi * norm)
+        orders.append((m, lam, weight))
+    return orders
+
+
+def ball3_orders_dense(radius, x_max_build):
+    """The 3-ball mode table from a 0.02 sign scan of j_l' and full bisection of every bracket.
+
+    Each order's scan starts at the grid point just below sqrt(l(l+1)); the
+    first order without a sign change on the grid ends the table.
+    """
+    grid = np.arange(0.2, x_max_build + 0.5, 0.02)
+    bracket_orders, bracket_lo = [], []
+    for l in range(0, int(x_max_build) + 2):
+        start = max(int(np.searchsorted(grid, math.sqrt(l * (l + 1)))) - 1, 0)
+        sgn = np.sign(special.spherical_jn(l, grid[start:], derivative=True))
+        flips = start + np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        if flips.size == 0 and l > 0:
+            break
+        bracket_orders.append(np.full(flips.size, l))
+        bracket_lo.append(flips)
+    ls = np.concatenate(bracket_orders)
+    flips = np.concatenate(bracket_lo)
+    roots = hk._bisect_roots(
+        lambda x: special.spherical_jn(ls, x, derivative=True), grid[flips], grid[flips + 1]
+    )
+    orders = []
+    for l in range(len(bracket_orders)):
+        zeros = roots[(ls == l) & (roots <= x_max_build)]
+        lam = zeros / radius
+        jval = special.spherical_jn(l, zeros)
+        norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / zeros**2) * jval**2
+        weight = (2 * l + 1) / (4.0 * math.pi * norm)
+        orders.append((l, lam, weight))
+    return orders

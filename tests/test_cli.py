@@ -71,8 +71,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
     def test_serial_workers_accepted_by_every_experiment(self, experiment):
         required = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL,
-                    "calibrate": {"dimension": "2"}}.get(experiment, {})
-        raw = {**required, "seed": "1"}
+                    "calibrate": {"dimension": "2"}}.get(experiment, {"seed": "1"})
+        raw = dict(required)
         assert "workers" not in cli.resolve_config(raw, experiment)  # no default to echo
         assert cli.resolve_config({**raw, "workers": "1"}, experiment)["workers"] == 1
 
@@ -183,7 +183,7 @@ class TestLocalLimitRender:
 class TestCalibrateAndSuites:
     def test_calibrate_report(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, f"dimension = 2\nseed = 1\noutput_dir = {out}\n")
+        cfg = write_config(tmp_path, f"dimension = 2\noutput_dir = {out}\n")
         assert cli.run(cfg, "calibrate") == 0
         report = json.loads((out / "calibrate.json").read_text())
         jsonschema.validate(report, SCHEMA)
@@ -288,10 +288,12 @@ class TestRangeValidation:
         ("diagnostics", "model", "ball"),
         ("diagnostics", "model.radius", "-5"),
         ("diagnostics", "steps", "40"),
+        ("calibrate", "seed", "1"),  # calibrate is deterministic
     ])
     def test_out_of_range_exits_two(self, tmp_path, experiment, key, value):
-        base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL}.get(experiment, {})
-        cfg = config_file(tmp_path, {**base, "seed": "1", key: value})
+        base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL,
+                "calibrate": {"dimension": "2"}}.get(experiment, {"seed": "1"})
+        cfg = config_file(tmp_path, {**base, key: value})
         code, out, err = run_main([experiment, str(cfg)])
         assert code == 2
         assert len(out) == 1
@@ -316,7 +318,7 @@ class TestRangeValidation:
 KEY_VALUES = {
     "model": "ball", "t": "0.1", "t_sequence": "0.06", "base_points": "2", "bridges": "2",
     "steps": "4", "point": "boundary", "depth_nodes": "2", "dimension": "2", "dims": "2",
-    "instances": "1", "tolerance": "1e-10", "samples": "20",
+    "instances": "1", "tolerance": "1e-10", "samples": "20", "seed": "1",
 }
 
 
@@ -352,7 +354,7 @@ def test_every_accepted_key_is_read(experiment, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "resolve_config", lambda raw, kind: ReadRecorder(resolve(raw, kind)))
     monkeypatch.setattr(cli, "report_render", render_spy)
-    cfg = config_file(tmp_path, {**{key: KEY_VALUES[key] for key in keys}, "seed": "1"})
+    cfg = config_file(tmp_path, {key: KEY_VALUES[key] for key in keys})
     code, out, _ = run_main([experiment, str(cfg)])
     assert code == 0, out
     assert not set(keys) - read[0], f"{experiment} ignores {sorted(set(keys) - read[0])}"

@@ -413,7 +413,7 @@ class TestArgumentRanges:
     @pytest.mark.parametrize("kwargs", [
         {"t": 0.0}, {"t": -1.0}, {"t": math.nan}, {"t": math.inf},
         {"seed": -3}, {"seed": 2**64}, {"seed": 1.0},
-        {"base_points": 1}, {"base_points": 0}, {"bridges": 0}, {"steps": 1},
+        {"base_points": 1}, {"base_points": 0}, {"bridges": 0}, {"steps": 1}, {"steps": 0},
     ])
     def test_estimate_chi_rejects(self, kwargs):
         args = {"t": 0.1, "base_points": 4, "bridges": 2, "seed": 1, "steps": 4, **kwargs}
@@ -422,13 +422,22 @@ class TestArgumentRanges:
 
     @pytest.mark.parametrize("kwargs", [
         {"t_sequence": [0.05, 0.0]}, {"t_sequence": [-1.0]}, {"t_sequence": [math.nan]},
-        {"seed": -3}, {"seed": 2**64}, {"bridges": 0}, {"steps": 1}, {"depth_nodes": 0},
+        {"seed": -3}, {"seed": 2**64}, {"bridges": 0}, {"steps": 1}, {"steps": 0},
+        {"depth_nodes": 0},
     ])
     def test_local_limit_check_rejects(self, kwargs, constants2):
         model = geo.model_catalog("ball", dimension=2)
         args = {"t_sequence": [0.05], "bridges": 4, "seed": 1, "steps": 4, **kwargs}
         with pytest.raises(ConfigError):
             est.local_limit_check(model, model.boundary_point(), constants=constants2, **args)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2.0])
+    def test_supertrace_expectation_rejects(self, steps):
+        # steps = 0 is a bad grid, not "unset": only None means the default
+        model = geo.model_catalog("ball", dimension=2)
+        with pytest.raises(ConfigError):
+            est.supertrace_expectation(model, model.interior_point(), 0.01, 4, RngStream(1),
+                                       steps=steps)
 
 
 # estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr).  The

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,9 @@ from scipy import special
 from gblab import geometry as geo
 from gblab import kernels as hk
 from gblab.errors import SeriesConvergenceError
+from oracles import ball3_orders_dense, disk_orders_untrimmed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def models_with_exact_kernels():
@@ -310,3 +318,73 @@ class TestBall3NeumannZeros:
         x[:, 2] = [0.0, 0.25, 0.5, 0.75, 0.9, 0.97, 1.0]
         vals = hk.heat_kernel_diag(geo.model_catalog("ball", dimension=3), self.T, x)
         assert np.abs(vals / brentq_ref - 1.0).max() <= 1e-12
+
+
+def assert_same_table(orders, reference):
+    assert [o[0] for o in orders] == [o[0] for o in reference]
+    for (order, lam, weight), (_, ref_lam, ref_weight) in zip(orders, reference):
+        assert np.array_equal(lam, ref_lam), order
+        assert np.array_equal(weight, ref_weight), order
+
+
+def table_x_max(t):
+    return max(hk._lambda_max(t), 60.0)  # as _ball_modes builds it
+
+
+@pytest.fixture(scope="module")
+def small_t_tables():
+    x_max = table_x_max(0.002)  # about 214
+    return {"disk": hk._disk_orders(1.0, x_max), "ball3": hk._ball3_orders(1.0, x_max)}
+
+
+class TestModeTables:
+    @pytest.mark.parametrize("t", [0.1, 0.02, 0.01, 0.002])
+    def test_disk_table_matches_untrimmed_zeros(self, t, small_t_tables):
+        x_max = table_x_max(t)
+        orders = small_t_tables["disk"] if t == 0.002 else hk._disk_orders(1.0, x_max)
+        assert_same_table(orders, disk_orders_untrimmed(1.0, x_max))
+
+    @pytest.mark.parametrize("t", [0.1, 0.02, 0.01, 0.002])
+    def test_ball3_table_matches_dense_scan(self, t, small_t_tables):
+        # the 0.5 scan with Newton polish reproduces the 0.02 scan with full
+        # bisection bit for bit, orders, roots and weights
+        x_max = table_x_max(t)
+        orders = small_t_tables["ball3"] if t == 0.002 else hk._ball3_orders(1.0, x_max)
+        reference = ball3_orders_dense(1.0, x_max)
+        if t == 0.01:
+            # order 92's first zero lies just past x_max: it keeps an empty entry
+            assert reference[-1][0] == 92 and reference[-1][1].size == 0
+        assert_same_table(orders, reference)
+
+    @pytest.mark.parametrize("kind", ["disk", "ball3"])
+    def test_zeros_lie_more_than_six_scan_steps_apart(self, kind, small_t_tables):
+        for order, lam, _ in small_t_tables[kind]:
+            assert np.all(np.diff(lam) > 3.0), order
+
+
+def test_only_bessel_models_load_scipy_special(tmp_path):
+    configs = {
+        "estimate-chi": "t = 0.1\nbase_points = 4\nbridges = 2\n",
+        "local-limit": "point = boundary\nt_sequence = 0.05\nbridges = 4\ndepth_nodes = 2\n",
+    }
+    for experiment, text in configs.items():
+        (tmp_path / f"{experiment}.cfg").write_text(
+            "model = hemisphere\nmodel.dimension = 2\nsteps = 4\nseed = 1\n"
+            f"output_dir = {tmp_path / 'out'}\n" + text)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gblab import cli, geometry as geo, kernels as hk\n"
+        f"for experiment in {list(configs)!r}:\n"
+        f"    assert cli.main([experiment, {str(tmp_path)!r} + '/' + experiment + '.cfg']) == 0\n"
+        "hemisphere_runs = 'scipy.special' in sys.modules\n"
+        "hk.heat_kernel_diag(geo.model_catalog('ball', dimension=2), 0.1, np.zeros(2))\n"
+        "print(hemisphere_runs, 'scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False True"
+    assert json.loads((tmp_path / "out" / "local-limit.json").read_text())["rows"]
