@@ -234,8 +234,8 @@ CSV_COLUMNS = ("t", "value", "stderr", "analytic", "ratio")
 def report_render(payload: dict, outdir: Path, stem: str, formats, cfg: dict) -> list:
     """Write the report files; identical payload and config give identical bytes.
 
-    Timing fields are deliberately excluded from rendered files so reruns
-    of the same seed and config are byte-identical.
+    Payloads carry no timing, so reruns of the same seed and config are
+    byte-identical.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +245,6 @@ def report_render(payload: dict, outdir: Path, stem: str, formats, cfg: dict) ->
         "config": {k: v for k, v in cfg.items()},
     }
     body = dict(payload)
-    body.pop("wall_time_seconds", None)
     body.update(meta)
     written = []
     if "json" in formats:

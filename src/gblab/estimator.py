@@ -23,7 +23,6 @@ the closed-form supertrace integrals.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,27 +71,20 @@ def boundary_integrand_terms(model: ManifoldModel, z) -> dict:
     if nb == 0:
         return terms
     dr_tan = ext.curvature_to_operator(bg.ambient_restriction)
+    # Str(DR_tan^k X^j) over stride * k + j = top: X = DA with 2k + l = n - 1
+    # for even n, X = DGauss with k + m = (n - 1) / 2 for odd n
     if n % 2 == 0:
-        da = ext.derivation_extend(bg.shape_tangential)
-        for k in range((n - 1) // 2 + 1):
-            l = n - 1 - 2 * k
-            op = ext.GradedOperator.identity(nb)
-            for _ in range(k):
-                op = op @ dr_tan
-            for _ in range(l):
-                op = op @ da
-            terms[(k, l)] = op.supertrace()
-        return terms
-    dgauss = ext.curvature_to_operator(bg.gauss_form)
-    half = (n - 1) // 2
-    for k in range(half + 1):
-        m = half - k
+        x, top, stride = ext.derivation_extend(bg.shape_tangential), n - 1, 2
+    else:
+        x, top, stride = ext.curvature_to_operator(bg.gauss_form), (n - 1) // 2, 1
+    for k in range(top // stride + 1):
+        j = top - stride * k
         op = ext.GradedOperator.identity(nb)
         for _ in range(k):
             op = op @ dr_tan
-        for _ in range(m):
-            op = op @ dgauss
-        terms[(k, m)] = op.supertrace()
+        for _ in range(j):
+            op = op @ x
+        terms[(k, j)] = op.supertrace()
     return terms
 
 
@@ -311,10 +303,9 @@ class EstimateReport:
     resample_rate: float
     validity: dict
     config: dict
-    wall_time_seconds: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "experiment": "estimate-chi",
             "model": self.model,
             "params": dict(self.params),
@@ -331,9 +322,6 @@ class EstimateReport:
             "validity": dict(self.validity),
             "config": dict(self.config),
         }
-        if include_timing:
-            out["wall_time_seconds"] = self.wall_time_seconds
-        return out
 
 
 def _masked_mean_std(values, alive):
@@ -370,7 +358,7 @@ def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng,
                            steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
     steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
-    x = np.asarray(x, dtype=float)
+    x = check_point(model, x)
     anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
     batch = simulate_bridges(model, anchors, t, steps, rng)
     mean, se = _node_expectations(batch, 1, t)
@@ -408,6 +396,22 @@ def check_lifetime(t):
     return t
 
 
+def check_point(model: ManifoldModel, point):
+    """Return point as a float array if it is a point of the model; raise ConfigError otherwise.
+
+    It needs the model's state_dim coordinates, all finite, and may lie
+    outside the boundary by at most 1e-9.
+    """
+    x = np.asarray(point, dtype=float)
+    if x.shape != (model.state_dim,):
+        raise ConfigError(f"point must have {model.state_dim} coordinates, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"point must be finite, got {x.tolist()}")
+    if model.boundary_distance(x[None, :])[0] < -1e-9:
+        raise ConfigError(f"point {x.tolist()} lies outside the model")
+    return x
+
+
 def check_integer(name, value, low, high=math.inf):
     """Return value if it is an integer in [low, high); raise ConfigError otherwise."""
     if not (isinstance(value, (int, np.integer)) and low <= value < high):
@@ -441,7 +445,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     their mean, standard error and the 95 percent interval next to the
     model's exact Euler characteristic.
     """
-    started = time.perf_counter()
     check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)
     check_integer("base_points", base_points, 2)
@@ -491,7 +494,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         resample_rate=rate,
         validity=validity,
         config=dict(config or {}),
-        wall_time_seconds=time.perf_counter() - started,
     )
     return report
 
@@ -556,8 +558,8 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     check_integer("bridges", bridges, 1)
     steps = check_integer("steps", LOCAL_LIMIT_STEPS if steps is None else steps, 2)
     check_integer("depth_nodes", depth_nodes, 1)
+    point = check_point(model, point)
     constants = constants or calibrate_constants(model.dimension)
-    point = np.asarray(point, dtype=float)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     bulk_fn, boundary_fn = analytic_gb_integrands(model, constants)
     analytic = float(boundary_fn(point)[0] if on_boundary else bulk_fn(point)[0])

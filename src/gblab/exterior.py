@@ -143,9 +143,6 @@ class GradedOperator:
         """Alternating sum of degree-block traces: trace composed with parity."""
         return float(parity_signs(self.n) @ np.diag(self.mat))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
     def __repr__(self):
         return f"GradedOperator(n={self.n})"
 

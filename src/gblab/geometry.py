@@ -2,10 +2,15 @@
 
 Each model supplies exact geometry to the simulation and estimation
 layers: geodesic stepping with parallel frame transport, signed boundary
-distance, Skorokhod reflection with penetration depth, the inward normal
-and shape operator in moving-frame components, curvature in orthonormal
-frame components, uniform volume/collar/boundary samplers, and the
-ground-truth Euler characteristic.
+distance, Skorokhod reflection with penetration depth, one
+``collar_data`` query for that distance with the inward normal (in
+moving-frame components), curvature in orthonormal frame components,
+uniform volume/collar/boundary samplers, and the ground-truth Euler
+characteristic.  Every catalog boundary is umbilic on its bounded
+factor, so one number per model, ``shape_coefficient``, fixes the shape
+operator: it is that number times the projection onto the bounded
+factor minus nu nu^T.  ``boundary_data`` (contact rows of the walk) and
+``boundary_geometry`` (the analytic side) both derive from these two.
 
 Models are built from one or two isotropic factors (round sphere or cap,
 flat ball, interval, circle); the factor metadata drives the fast
@@ -236,9 +241,10 @@ class ManifoldModel:
 
     # --- hooks subclasses must provide -----------------------------------
     # dimension, state_dim, euler_characteristic, volume, boundary_area,
-    # factors, frame_curvature(), geodesic_step, boundary_distance,
-    # reflect, normal_frame, shape_frame, boundary_data, log_frame,
-    # distance, the samplers (sample_volume, sample_collar, collar_volume,
+    # factors, shape_coefficient (the umbilic shape operator's one number),
+    # frame_curvature(), geodesic_step, boundary_distance, collar_data
+    # (boundary distance and inward normal), reflect, log_frame, distance,
+    # the samplers (sample_volume, sample_collar, collar_volume,
     # sample_boundary), boundary_point(), interior_point() (a point
     # farthest from the boundary), and the analytic data: heat_kernel_spec(),
     # confinement_scale() and boundary_curvature_parts().
@@ -262,9 +268,10 @@ class ManifoldModel:
             out[:, k] = _rowdot(u[:, :, k], v_amb)
         return out
 
-    def collar_data(self, x, u):
-        """Boundary distance and inward normal together (hot path)."""
-        return self.boundary_distance(x), self.normal_frame(x, u)
+    def boundary_data(self, x, u):
+        """Bounded-factor inward normal and umbilic shape coefficient at contact points."""
+        nu = self.collar_data(x, u)[1]
+        return nu[:, self.bounded_factor.cols], np.full(x.shape[0], self.shape_coefficient)
 
     # --- Neumann heat kernel ---------------------------------------------
     def neumann_kernel(self, t, x, y):
@@ -296,7 +303,7 @@ class FlatBall(ManifoldModel):
         self.state_dim = self.dimension
         self.radius = float(radius)
         self.euler_characteristic = 1
-        self.constant_curvature = 0.0
+        self.shape_coefficient = 1.0 / self.radius
         n = self.dimension
         self.volume = math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1)
         self.boundary_area = 2 * math.pi ** (n / 2) * radius ** (n - 1) / math.gamma(n / 2)
@@ -323,17 +330,6 @@ class FlatBall(ManifoldModel):
         depth = rho - self.radius
         x2 = _scale_columns(x, (self.radius - depth) / rho, np.multiply)
         return x2, u, depth
-
-    def normal_frame(self, x, u):
-        return -_unit_or_zero(x)
-
-    def shape_frame(self, x, u):
-        xhat = _unit_or_zero(x)
-        eye = np.eye(self.dimension)
-        return (eye[None, :, :] - xhat[:, :, None] * xhat[:, None, :]) / self.radius
-
-    def boundary_data(self, x, u):
-        return -_unit_or_zero(x), np.full(x.shape[0], 1.0 / self.radius)
 
     def log_frame(self, x, u, y):
         return y - x
@@ -514,24 +510,6 @@ class SphereCap(ManifoldModel):
         x2, u2 = _sphere_step(x, u, v_amb, self.radius)
         return x2, u2, depth
 
-    def normal_frame(self, x, u):
-        return self.frame_components(x, u, -self._meridian_at(x))
-
-    def shape_frame(self, x, u):
-        nu_amb = -self._meridian_at(x)
-        phat = x / self.radius
-        eye = np.eye(self.state_dim)
-        proj = (
-            eye[None, :, :]
-            - phat[:, :, None] * phat[:, None, :]
-            - nu_amb[:, :, None] * nu_amb[:, None, :]
-        )
-        A_amb = self.shape_coefficient * proj
-        return np.einsum("pda,pde,pek->pak", u, A_amb, u)
-
-    def boundary_data(self, x, u):
-        return _unit(self.normal_frame(x, u)), np.full(x.shape[0], self.shape_coefficient)
-
     def log_frame(self, x, u, y):
         return self.frame_components(x, u, _sphere_log(x, y, self.radius))
 
@@ -657,7 +635,7 @@ class FlatCylinder(ManifoldModel):
         self.length = float(length)
         self.circumference = float(circumference)
         self.euler_characteristic = 0
-        self.constant_curvature = 0.0
+        self.shape_coefficient = 0.0  # the boundary circles are geodesics
         self.volume = self.length * self.circumference
         self.boundary_area = 2 * self.circumference
         self.factors = (
@@ -686,17 +664,10 @@ class FlatCylinder(ManifoldModel):
         out[:, 0] = s2
         return out, u, depth
 
-    def normal_frame(self, x, u):
+    def collar_data(self, x, u):
         nu = np.zeros_like(x)
         nu[:, 0] = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
-        return nu
-
-    def shape_frame(self, x, u):
-        return np.zeros((x.shape[0], 2, 2))
-
-    def boundary_data(self, x, u):
-        nu = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
-        return nu[:, None], np.zeros(x.shape[0])
+        return self.boundary_distance(x), nu
 
     def _dy(self, y1, y2):
         d = y2 - y1
@@ -798,10 +769,10 @@ class SphereBall(ManifoldModel):
         self.euler_characteristic = 2 if sphere_dim % 2 == 0 else 0
         kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
         self.kappa_sphere = kappa_s
-        self.constant_curvature = 0.0 if kappa_s == 0.0 else None
         l, m = self.sphere_dim, self.ball_dim
         ball = FlatBall(m, ball_radius)
         self._ball = ball
+        self.shape_coefficient = ball.shape_coefficient
         self.volume = _SPHERE_VOLUME[l](sphere_radius) * ball.volume
         self.boundary_area = _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area
         self.factors = (
@@ -871,22 +842,11 @@ class SphereBall(ManifoldModel):
         pb2, _, depth = self._ball.reflect(pb, None)
         return np.concatenate([ps, pb2], axis=-1), u, depth
 
-    def normal_frame(self, x, u):
-        return self.collar_data(x, u)[1]
-
     def collar_data(self, x, u):
         d, nu_b = self._ball.collar_data(self._split(x)[1], None)
         nu = np.zeros((x.shape[0], self.dimension))
         nu[:, self.sphere_dim :] = nu_b
         return d, nu
-
-    def shape_frame(self, x, u):
-        A = np.zeros((x.shape[0], self.dimension, self.dimension))
-        A[:, self.sphere_dim :, self.sphere_dim :] = self._ball.shape_frame(self._split(x)[1], None)
-        return A
-
-    def boundary_data(self, x, u):
-        return self._ball.boundary_data(self._split(x)[1], None)
 
     def log_frame(self, x, u, y):
         l = self.sphere_dim
@@ -1047,13 +1007,15 @@ def _kulkarni(proj):
 def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
     """Assemble boundary data (shape operator, Gauss form, curvatures) at z."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    u = model.initial_frames(z)
-    nu = model.normal_frame(z, u)[0]
+    nu = model.collar_data(z, model.initial_frames(z))[1][0]
     nu = nu / np.linalg.norm(nu)
     n = model.dimension
     Q = _householder_to_last(nu)
     # reorder: tangential columns first, normal last (householder already does)
-    A_full = model.shape_frame(z, u)[0]
+    # the umbilic shape operator a (projection onto the bounded factor - nu nu^T)
+    bounded = np.zeros(n)
+    bounded[model.bounded_factor.cols] = 1.0
+    A_full = model.shape_coefficient * (np.diag(bounded) - np.outer(nu, nu))
     A_adapted = Q.T @ A_full @ Q
     A_tan = A_adapted[: n - 1, : n - 1]
     R_frame = model.frame_curvature().rotate(Q)

@@ -439,6 +439,16 @@ class TestArgumentRanges:
             est.supertrace_expectation(model, model.interior_point(), 0.01, 4, RngStream(1),
                                        steps=steps)
 
+    @pytest.mark.parametrize("point", [[2.0, 0.0], [math.nan, 0.0], [0.3, 0.0, 0.0]],
+                             ids=["outside", "nan", "wrong-length"])
+    def test_off_model_point_rejected(self, point, constants2):
+        # outside the unit disk, not finite, or not a point of the plane
+        model = geo.model_catalog("ball", dimension=2)
+        with pytest.raises(ConfigError):
+            est.local_limit_check(model, point, [0.05], 4, 1, steps=4, constants=constants2)
+        with pytest.raises(ConfigError):
+            est.supertrace_expectation(model, point, 0.01, 4, RngStream(1), steps=4)
+
 
 # estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr).  The
 # first four values come from the broadcast cap stepping code, before its

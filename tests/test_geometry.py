@@ -52,41 +52,38 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             geo.model_catalog("ball", dimension=2, bogus=3)
 
-    def test_disk_shape_operator_sign(self):
-        # Unit disk with the inward normal: A = +Identity on the tangent
-        # line (the circle has geodesic curvature one).
-        model = geo.model_catalog("ball", dimension=2)
-        z = np.array([[1.0, 0.0]])
-        A = model.shape_frame(z, None)[0]
-        tangent = np.array([0.0, 1.0])
-        assert np.allclose(A @ tangent, tangent, atol=1e-12)
-        nu = model.normal_frame(z, None)[0]
-        assert np.allclose(A @ nu, 0.0, atol=1e-12)
-        assert np.allclose(nu, [-1.0, 0.0])
-
-    def test_hemisphere_totally_geodesic(self):
-        for n in (2, 3):
-            model = geo.model_catalog("hemisphere", dimension=n)
-            rng = RNG(1)
-            z = model.sample_boundary(rng, 8)
-            u = model.initial_frames(z)
-            A = model.shape_frame(z, u)
-            assert np.abs(A).max() < 1e-12
-
-    def test_cap_umbilic_coefficient(self):
-        alpha = 0.9
-        model = geo.model_catalog("cap", dimension=3, radius=1.0, aperture=alpha)
-        rng = RNG(2)
-        z = model.sample_boundary(rng, 4)
+    @pytest.mark.parametrize("model", catalog_models() + [
+        geo.model_catalog("ball", dimension=2, radius=2.5),
+        geo.model_catalog("cap", dimension=3, radius=1.5, aperture=0.9),
+        geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=3, ball_radius=0.5),
+    ], ids=lambda m: repr(m))
+    def test_umbilic_boundary(self, model):
+        # the shape operator is the umbilic coefficient on the bounded
+        # factor's boundary directions and 0 on the other factor's: 1/r on a
+        # ball, cot(alpha)/r on a cap (0 on the hemisphere), 0 on the cylinder
+        p = model.params
+        expected = {
+            "ball": lambda: 1.0 / p["radius"],
+            "cap": lambda: 1.0 / math.tan(p["aperture"]) / p["radius"],
+            "cylinder": lambda: 0.0,
+            "sphere-ball": lambda: 1.0 / p["ball_radius"],
+        }[model.name]()
+        assert abs(model.shape_coefficient - expected) < 1e-12
+        n, m = model.dimension, model.bounded_factor.dim
+        z = model.sample_boundary(RNG(1), 8)
+        for point in z:
+            A = geo.boundary_geometry(model, point).shape_tangential
+            if m == n:
+                assert np.allclose(A, model.shape_coefficient * np.eye(n - 1), atol=1e-12)
+            else:
+                evals = np.sort(np.linalg.eigvalsh(A))
+                want = np.sort([0.0] * (n - m) + [model.shape_coefficient] * (m - 1))
+                assert np.allclose(evals, want, atol=1e-12)
+        # the contact normal is collar_data's normal on the bounded columns
         u = model.initial_frames(z)
-        A = model.shape_frame(z, u)
-        nu = model.normal_frame(z, u)
-        for i in range(4):
-            # A annihilates the normal and acts as cot(alpha) on the rest
-            evals = np.sort(np.linalg.eigvalsh(A[i]))
-            assert abs(evals[0]) < 1e-10
-            assert np.allclose(evals[1:], 1 / math.tan(alpha), atol=1e-10)
-            assert np.abs(A[i] @ nu[i]).max() < 1e-10
+        nu_b, coeff = model.boundary_data(z, u)
+        assert np.array_equal(nu_b, model.collar_data(z, u)[1][:, model.bounded_factor.cols])
+        assert np.all(coeff == model.shape_coefficient)
 
 
 class TestGeodesics:
@@ -203,7 +200,7 @@ class TestBoundary:
         rng = RNG(7)
         z = model.sample_boundary(rng, 32)
         u = model.initial_frames(z)
-        nu = model.normal_frame(z, u)
+        nu = model.collar_data(z, u)[1]
         # push outward through the boundary
         xi = -0.01 * nu
         x_out, u_out = model.geodesic_step(z, u, xi)
@@ -220,7 +217,7 @@ class TestBoundary:
         rng = RNG(8)
         x = model.sample_collar(rng, 16, 0.2 * min(1.0, model.volume))
         u = model.initial_frames(x)
-        nu = model.normal_frame(x, u)
+        nu = model.collar_data(x, u)[1]
         eps = 1e-5
         grad = np.zeros((16, model.dimension))
         for a in range(model.dimension):
@@ -599,7 +596,6 @@ class TestColumnwiseAgainstBroadcast:
         nu_old = broadcast_frame_components(u, -broadcast_meridian_at(model, x, theta))
         d, nu = model.collar_data(x, u)
         _close(nu, nu_old)
-        _close(model.normal_frame(x, u), nu_old)
         nu_b, coeff = model.boundary_data(x[:-4], u[:-4])
         _close(nu_b, geo._unit(nu_old[:-4]))
         assert np.all(coeff == model.shape_coefficient)

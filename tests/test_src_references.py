@@ -11,7 +11,10 @@ shares a definition's name is no reference to it.  References made inside
 definitions that are themselves unreferenced do not count either; the scan
 repeats until nothing more drops out, so a chain of calls that starts in
 unused code is found whole.  Matching is by name only, so a method counts
-as used when an attribute of that name is read anywhere.  Dunder methods
+as used when an attribute of that name is read anywhere, except in an
+attribute chain rooted at a name that ``import`` or an absolute
+``from ... import`` binds: ``np.linalg.norm`` reads numpy's ``norm``, not
+a package method of that name.  Dunder methods
 are called by Python itself and are not checked.  ALLOWED lists the
 deliberate exceptions.
 """
@@ -74,27 +77,49 @@ def bound_names(scope) -> set:
     return names - declared
 
 
+def external_names(scope) -> set:
+    """The names a scope binds by import or absolute from-import (outside modules)."""
+    names = set()
+    for node in own_nodes(scope):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return names
+
+
+def chain_root(node):
+    """The innermost value of an attribute chain a.b.c (the node a)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def references(tree: ast.Module):
     """(name, line) of every variable read, attribute read and imported name in a module.
 
     A variable bound in an enclosing function, lambda or comprehension is
-    that scope's own and refers to no module-level definition.
+    that scope's own and refers to no module-level definition.  Attributes
+    read off an outside module (a chain rooted at a name an absolute import
+    binds in the innermost scope binding it) are that module's, not ours.
     """
-    def walk(node, local):
+    def walk(node, local, external):
         if isinstance(node, SCOPES):
-            local = local | bound_names(node)
+            own = bound_names(node)
+            local = local | own
+            external = (external - own) | external_names(node)
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Name):
                 if isinstance(child.ctx, ast.Load) and child.id not in local:
                     yield child.id, child.lineno
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                yield child.attr, child.lineno
+                root = chain_root(child)
+                if not (isinstance(root, ast.Name) and root.id in external):
+                    yield child.attr, child.lineno
             elif isinstance(child, ast.ImportFrom):
                 for alias in child.names:
                     yield alias.name, child.lineno
-            yield from walk(child, local)
+            yield from walk(child, local, external)
 
-    yield from walk(tree, frozenset())
+    yield from walk(tree, frozenset(), frozenset(external_names(tree)))
 
 
 def unreferenced(sources: dict) -> list:
@@ -180,3 +205,18 @@ def test_scan_follows_a_chain_from_unreferenced_code():
     # top has no reader, so what only top reaches drops out with it; shared
     # keeps a live reader at module level, leaf none outside dead code
     assert unreferenced(sources) == ["a.leaf", "a.middle", "a.top", "b.Unused", "b.Unused.run"]
+
+
+def test_scan_ignores_attributes_of_an_outside_module():
+    sources = {
+        "a": "import numpy as np\n\n\ndef norm(v):\n    return np.linalg.norm(v)\n\n\n"
+             "def total(v):\n    return v\n\n\ndef mean(v):\n    return v\n\n\n"
+             "def fill(v):\n    return v\n",
+        "b": "from . import a\nfrom scipy import special\n\n\n"
+             "def run(np):\n    return np.mean(a.norm(1)) + special.total(2)\n\n\n"
+             "def local():\n    import numpy\n    return numpy.fill(3)\n\n\n"
+             "VALUE = run(None), local()\n",
+    }
+    # special.total and numpy.fill are scipy's and numpy's; np.mean reads a
+    # parameter that shadows the module-level import, and a.norm is ours
+    assert unreferenced(sources) == ["a.total", "a.fill"]
