@@ -399,14 +399,15 @@ def check_lifetime(t):
 def check_point(model: ManifoldModel, point):
     """Return point as a float array if it is a point of the model; raise ConfigError otherwise.
 
-    It needs the model's state_dim coordinates, all finite, and may lie
-    outside the boundary by at most 1e-9.
+    It needs the model's state_dim coordinates, and must be a state of the
+    model (model.simulation_valid: finite, with each embedded sphere factor
+    on its sphere) that lies outside the boundary by at most 1e-9.
     """
     x = np.asarray(point, dtype=float)
     if x.shape != (model.state_dim,):
         raise ConfigError(f"point must have {model.state_dim} coordinates, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ConfigError(f"point must be finite, got {x.tolist()}")
+    if not model.simulation_valid(x[None, :])[0]:
+        raise ConfigError(f"point {x.tolist()} is not finite or lies off a sphere factor")
     if model.boundary_distance(x[None, :])[0] < -1e-9:
         raise ConfigError(f"point {x.tolist()} lies outside the model")
     return x

@@ -3,14 +3,24 @@
 Each model supplies exact geometry to the simulation and estimation
 layers: geodesic stepping with parallel frame transport, signed boundary
 distance, Skorokhod reflection with penetration depth, one
-``collar_data`` query for that distance with the inward normal (in
-moving-frame components), curvature in orthonormal frame components,
-uniform volume/collar/boundary samplers, and the ground-truth Euler
-characteristic.  Every catalog boundary is umbilic on its bounded
-factor, so one number per model, ``shape_coefficient``, fixes the shape
-operator: it is that number times the projection onto the bounded
-factor minus nu nu^T.  ``boundary_data`` (contact rows of the walk) and
-``boundary_geometry`` (the analytic side) both derive from these two.
+``collar_data`` query for that distance with the inward normal,
+curvature in orthonormal frame components, uniform volume/collar/boundary
+samplers, and the ground-truth Euler characteristic.  Every catalog
+boundary is umbilic on its bounded factor, so one number per model,
+``shape_coefficient``, fixes the shape operator: it is that number times
+the projection onto the bounded factor minus nu nu^T.  ``boundary_data``
+(contact rows of the walk) and ``boundary_geometry`` (the analytic side)
+both derive from these two.
+
+Walks step in walk coordinates.  A tangent vector of the walk is U xi, the
+moving frame U applied to its frame components xi: for a model that
+carries frames these are the embedding (state) coordinates of the vector,
+and for one that does not, the frame is the identity and they are the
+frame components themselves.  ``geodesic_step``, ``log_frame``,
+``collar_data`` and ``reflect`` all speak walk coordinates, so a step
+never projects onto the frame and back; frames only map the noise, give
+the frame components of contact normals (``boundary_data``) and carry the
+holonomy.
 
 Models are built from one or two isotropic factors (round sphere or cap,
 flat ball, interval, circle); the factor metadata drives the fast
@@ -37,6 +47,7 @@ from .errors import ConfigError
 from .exterior import CurvatureTensor
 
 _POLE_EXCLUSION = 1e-6  # samplers keep this far (radians) from the cap apex
+SPHERE_TOLERANCE = 1e-9  # relative distance of a valid state from an embedded sphere
 
 
 @dataclass(frozen=True)
@@ -93,51 +104,50 @@ def _sphere_step(p, u, v_amb, r):
     """
     dim = p.shape[1]
     s = np.sqrt(_rowdot(v_amb, v_amb))
-    s_safe = np.maximum(s, 1e-300)
     angle = s / r
-    # cos a - 1 as -2 sin^2(a/2): exact to rounding at small angles, where
-    # cos a - 1 cancels
-    c1 = np.sin(0.5 * angle)
-    c1 *= c1
+    # one sine per step: cos a - 1 = -2 sin^2(a/2), exact to rounding at
+    # small angles where cos a - 1 cancels, and sin a = 2 sin(a/2) cos(a/2)
+    # with cos(a/2) = sqrt(1 - sin^2(a/2)), which holds up to a half turn
+    sh = np.sin(0.5 * angle)
+    c1 = sh * sh
+    si = np.sqrt(1.0 - c1)
+    si *= sh
+    si *= 2.0
+    far = (angle > math.pi).nonzero()[0]
+    if far.size:
+        si[far] = np.sin(angle[far])
     c1 *= -2.0
+    inv_s = 1.0 / np.maximum(s, 1e-300)
+    # p2 = cos(a) p + r sin(a) v / s
     c = c1 + 1.0
-    si = np.sin(angle)
-    si_r = si * r
-    vhat = [v_amb[:, d] / s_safe for d in range(dim)]
+    k = si * r
+    k *= inv_s
     p2 = np.empty_like(p)
     for d in range(dim):
         col = p2[:, d]
         np.multiply(c, p[:, d], out=col)
-        col += si_r * vhat[d]
+        col += k * v_amb[:, d]
     # renormalize against roundoff drift
     scale = r / np.sqrt(_rowdot(p2, p2))
     for d in range(dim):
         p2[:, d] *= scale
     if u is None:
         return p2, None
-    # u2 = u + (cos - 1)(u . vhat) vhat - (sin / r)(u . vhat) p, per frame column
-    si_over_r = si / r
+    # u2 = u + (u . v) t with t = (cos a - 1) v / s^2 - sin(a) p / (r s): a
+    # frame column's part along the step turns toward -p, the rest stays
+    c1 *= inv_s
+    c1 *= inv_s
+    np.divide(si, r, out=k)
+    k *= inv_s
+    t = [c1 * v_amb[:, d] - k * p[:, d] for d in range(dim)]
     u2 = np.empty_like(u)
     for a in range(u.shape[2]):
-        w = u[:, 0, a] * vhat[0]
-        for d in range(1, dim):
-            w += u[:, d, a] * vhat[d]
-        cw = c1 * w
-        sw = si_over_r * w
+        w = _rowdot(u[:, :, a], v_amb)
         for d in range(dim):
             col = u2[:, d, a]
-            np.multiply(vhat[d], cw, out=col)
+            np.multiply(w, t[d], out=col)
             col += u[:, d, a]
-            col -= p[:, d] * sw
     return p2, u2
-
-
-def _frame_vector(u, xi):
-    """Ambient vectors u xi of frame components xi: (P, d, k), (P, k) -> (P, d), per coordinate."""
-    out = _column_buffer(*u.shape[:2])
-    for d in range(u.shape[1]):
-        out[:, d] = _rowdot(u[:, d], xi)
-    return out
 
 
 def _sphere_angle(x, y):
@@ -152,15 +162,15 @@ def _sphere_log(x, y, r):
     cosg = _rowdot(x, y) / r**2
     np.maximum(cosg, -1.0, out=cosg)
     np.minimum(cosg, 1.0, out=cosg)
-    length = r * np.arccos(cosg)
     perp = [y[:, d] - cosg * x[:, d] for d in range(x.shape[1])]
     norm = perp[0] * perp[0]
     for q in perp[1:]:
         norm += q * q
-    norm = np.maximum(np.sqrt(norm), 1e-300)
+    scale = r * np.arccos(cosg)  # then the length over |perp|
+    scale /= np.maximum(np.sqrt(norm), 1e-300)
     out = np.empty_like(x)
     for d, q in enumerate(perp):
-        np.multiply(length, q / norm, out=out[:, d])
+        np.multiply(q, scale, out=out[:, d])
     return out
 
 
@@ -242,36 +252,62 @@ class ManifoldModel:
     # --- hooks subclasses must provide -----------------------------------
     # dimension, state_dim, euler_characteristic, volume, boundary_area,
     # factors, shape_coefficient (the umbilic shape operator's one number),
-    # frame_curvature(), geodesic_step, boundary_distance, collar_data
-    # (boundary distance and inward normal), reflect, log_frame, distance,
-    # the samplers (sample_volume, sample_collar, collar_volume,
+    # frame_curvature(), and, in walk coordinates (see the module
+    # docstring): geodesic_step(x, u, v), collar_data(x) (boundary distance
+    # and inward normal), reflect(x, u, depth, nu) (from collar_data's
+    # depth and normal at x) and log_frame(x, y); then boundary_distance,
+    # distance, the samplers (sample_volume, sample_collar, collar_volume,
     # sample_boundary), boundary_point(), interior_point() (a point
     # farthest from the boundary), and the analytic data: heat_kernel_spec(),
-    # confinement_scale() and boundary_curvature_parts().
+    # confinement_scale() and boundary_curvature_parts().  A model whose
+    # state embeds round spheres lists them in embedded_spheres.
+
+    embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
 
     def simulation_valid(self, x):
-        """Validity of the simulation state itself.
+        """Rows of x that are states of the model.
 
-        The engine evolves embedded coordinates, which stay well defined
-        on the whole model, so this only fails for genuinely degenerate
-        states (the resample machinery reports such paths).
+        A state is finite, and each embedded sphere factor lies within
+        SPHERE_TOLERANCE times its radius of that radius.  The boundary is
+        not checked: a state may be a reflected walk's point outside it.
         """
-        return np.ones(x.shape[0], dtype=bool)
+        valid = np.isfinite(x).all(axis=1)
+        for cols, radius in self.embedded_spheres:
+            ps = x[:, cols]
+            valid &= np.abs(np.sqrt(_rowdot(ps, ps)) - radius) <= SPHERE_TOLERANCE * radius
+        return valid
 
-    # --- generic boundary helpers ----------------------------------------
-    def frame_components(self, x, u, v_amb):
-        """Components u^T v of ambient tangent vectors in the moving frame, per frame column."""
+    # --- frame plumbing of walk coordinates --------------------------------
+    def frame_vector(self, u, xi):
+        """Walk coordinates u xi of frame components xi, per coordinate; xi without frames.
+
+        (P, d, k) frames and (P, k) components give column-major (P, d)
+        vectors, the layout of the walk state of frame-carrying models.
+        """
         if u is None:
-            return v_amb
-        out = _column_buffer(u.shape[0], u.shape[2])
-        for k in range(u.shape[2]):
-            out[:, k] = _rowdot(u[:, :, k], v_amb)
+            return xi
+        out = _column_buffer(*u.shape[:2])
+        for d in range(u.shape[1]):
+            out[:, d] = _rowdot(u[:, d], xi)
         return out
 
-    def boundary_data(self, x, u):
-        """Bounded-factor inward normal and umbilic shape coefficient at contact points."""
-        nu = self.collar_data(x, u)[1]
-        return nu[:, self.bounded_factor.cols], np.full(x.shape[0], self.shape_coefficient)
+    def frame_components(self, u, v):
+        """Frame components u^T v of walk-coordinate tangent vectors, per frame column; v without frames."""
+        if u is None:
+            return v
+        out = _column_buffer(u.shape[0], u.shape[2])
+        for k in range(u.shape[2]):
+            out[:, k] = _rowdot(u[:, :, k], v)
+        return out
+
+    def boundary_data(self, u, nu):
+        """Bounded-factor frame components of inward normals and the umbilic shape coefficient.
+
+        nu holds collar_data's normals (walk coordinates) at contact points
+        and u their frames, so a contact costs no second boundary query.
+        """
+        nu_frame = self.frame_components(u, nu)
+        return nu_frame[:, self.bounded_factor.cols], np.full(nu.shape[0], self.shape_coefficient)
 
     # --- Neumann heat kernel ---------------------------------------------
     def neumann_kernel(self, t, x, y):
@@ -313,25 +349,25 @@ class FlatBall(ManifoldModel):
     def frame_curvature(self) -> CurvatureTensor:
         return CurvatureTensor.zero(self.dimension)
 
-    def geodesic_step(self, x, u, xi):
-        return x + xi, u
+    def geodesic_step(self, x, u, v):
+        return x + v, u
 
     def boundary_distance(self, x):
         return self.radius - np.sqrt(_rowdot(x, x))
 
-    def collar_data(self, x, u):
+    def collar_data(self, x):
         rho = np.sqrt(_rowdot(x, x))
         # negate rho (P values), not x (P * n values)
         nu = _scale_columns(x, -np.maximum(rho, 1e-300), np.divide)
         return self.radius - rho, nu
 
-    def reflect(self, x, u):
+    def reflect(self, x, u, depth, nu):
+        # radial mirror image; depth = r - |x| comes from the same |x|
         rho = np.sqrt(_rowdot(x, x))
-        depth = rho - self.radius
-        x2 = _scale_columns(x, (self.radius - depth) / rho, np.multiply)
-        return x2, u, depth
+        x2 = _scale_columns(x, (self.radius + depth) / rho, np.multiply)
+        return x2, u, -depth
 
-    def log_frame(self, x, u, y):
+    def log_frame(self, x, y):
         return y - x
 
     def distance(self, x, y):
@@ -454,6 +490,7 @@ class SphereCap(ManifoldModel):
         if abs(a - math.pi / 2) < 1e-15:
             self.shape_coefficient = 0.0
         self.factors = (FactorSpec("cap", n, self.constant_curvature, slice(0, n), True, True),)
+        self.embedded_spheres = ((slice(0, n + 1), self.radius),)
         self._params = {"dimension": dimension, "radius": radius, "aperture": aperture}
 
     @property
@@ -466,29 +503,28 @@ class SphereCap(ManifoldModel):
     def colatitude(self, x):
         return np.arccos(np.minimum(np.maximum(x[..., self._axis] / self.radius, -1.0), 1.0))
 
-    def _meridian_at(self, x):
-        """Unit tangent toward increasing colatitude theta, built one coordinate at a time.
+    def collar_data(self, x):
+        """Boundary distance and inward normal, in embedding coordinates.
 
-        cos(theta) times the unit horizontal direction (0 at the apex), and
-        -sin(theta) along the axis.  Both come from the coordinates without
-        trigonometry: cos(theta) = x_axis / r and sin(theta) = |x_horizontal| / r.
+        The normal is minus the meridian (the unit tangent toward increasing
+        colatitude theta), built one coordinate at a time: -cos(theta) times
+        the unit horizontal direction (0 at the apex), and sin(theta) along
+        the axis.  Both come from the coordinates without trigonometry:
+        cos(theta) = x_axis / r and sin(theta) = |x_horizontal| / r, and the
+        one quotient x_axis / r also gives the distance.
         """
         axis = self._axis
         horiz = x[:, :axis]
         norm = np.sqrt(_rowdot(horiz, horiz))
-        scale = x[:, axis] / self.radius  # cos(theta), then cos(theta) / |x_horizontal|
-        scale /= np.maximum(norm, 1e-300)
-        out = np.empty_like(x)
+        cos_theta = x[:, axis] / self.radius
+        theta = np.arccos(np.minimum(np.maximum(cos_theta, -1.0), 1.0))
+        scale = np.maximum(norm, 1e-300)  # then -cos(theta) / |x_horizontal|
+        np.negative(scale, out=scale)
+        np.divide(cos_theta, scale, out=scale)
+        nu = np.empty_like(x)
         for d in range(axis):
-            np.multiply(x[:, d], scale, out=out[:, d])
-        np.divide(norm, -self.radius, out=out[:, axis])
-        return out
-
-    def collar_data(self, x, u):
-        theta = self.colatitude(x)
-        # minus the meridian's components: negating the k components is exact
-        nu = self.frame_components(x, u, self._meridian_at(x))
-        np.negative(nu, out=nu)
+            np.multiply(x[:, d], scale, out=nu[:, d])
+        np.divide(norm, self.radius, out=nu[:, axis])
         return self.radius * (self.aperture - theta), nu
 
     def initial_frames(self, x):
@@ -497,27 +533,27 @@ class SphereCap(ManifoldModel):
         # tangent basis at the apex: the first n ambient directions
         return R[:, :, : self.dimension]
 
-    def geodesic_step(self, x, u, xi):
-        return _sphere_step(x, u, _frame_vector(u, xi), self.radius)
+    def geodesic_step(self, x, u, v):
+        """Great-circle step along the embedded tangent vectors v, transporting the frames u."""
+        return _sphere_step(x, u, v, self.radius)
 
     def boundary_distance(self, x):
         return self.radius * (self.aperture - self.colatitude(x))
 
-    def reflect(self, x, u):
-        theta = self.colatitude(x)
-        depth = self.radius * (theta - self.aperture)
-        v_amb = -2.0 * depth[:, None] * self._meridian_at(x)
-        x2, u2 = _sphere_step(x, u, v_amb, self.radius)
-        return x2, u2, depth
+    def reflect(self, x, u, depth, nu):
+        # step back along the inward normal by twice the penetration -depth
+        x2, u2 = _sphere_step(x, u, _scale_columns(nu, -2.0 * depth, np.multiply), self.radius)
+        return x2, u2, -depth
 
-    def log_frame(self, x, u, y):
-        return self.frame_components(x, u, _sphere_log(x, y, self.radius))
+    def log_frame(self, x, y):
+        """Log map log_x(y) in embedding coordinates."""
+        return _sphere_log(x, y, self.radius)
 
     def distance(self, x, y):
         return self.radius * _sphere_angle(x, y)
 
     def offset_from_boundary(self, z, depth):
-        v_amb = -np.asarray(depth)[:, None] * self._meridian_at(z)
+        v_amb = _scale_columns(self.collar_data(z)[1], np.asarray(depth), np.multiply)
         z2, _ = _sphere_step(z, None, v_amb, self.radius)
         return z2
 
@@ -647,15 +683,16 @@ class FlatCylinder(ManifoldModel):
     def frame_curvature(self) -> CurvatureTensor:
         return CurvatureTensor.zero(2)
 
-    def geodesic_step(self, x, u, xi):
-        out = x + xi
+    def geodesic_step(self, x, u, v):
+        out = x + v
         out[:, 1] = np.mod(out[:, 1], self.circumference)
         return out, u
 
     def boundary_distance(self, x):
         return np.minimum(x[:, 0], self.length - x[:, 0])
 
-    def reflect(self, x, u):
+    def reflect(self, x, u, depth, nu):
+        # mirror s at the nearer end, from s itself: exact, unlike s + 2 * penetration
         s = x[:, 0].copy()
         low = s <= 0.5 * self.length
         depth = np.where(low, -s, s - self.length)
@@ -664,7 +701,7 @@ class FlatCylinder(ManifoldModel):
         out[:, 0] = s2
         return out, u, depth
 
-    def collar_data(self, x, u):
+    def collar_data(self, x):
         nu = np.zeros_like(x)
         nu[:, 0] = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
         return self.boundary_distance(x), nu
@@ -674,7 +711,7 @@ class FlatCylinder(ManifoldModel):
         C = self.circumference
         return (d + 0.5 * C) % C - 0.5 * C
 
-    def log_frame(self, x, u, y):
+    def log_frame(self, x, y):
         return np.stack([y[:, 0] - x[:, 0], self._dy(x[:, 1], y[:, 1])], axis=-1)
 
     def distance(self, x, y):
@@ -746,7 +783,9 @@ class SphereBall(ManifoldModel):
     coordinates) and the ball point (m coordinates).  Frames are block
     frames: the first l columns span the sphere tangent space and the
     remaining m columns are the standard ball directions, so parallel
-    transport never mixes the factors.
+    transport never mixes the factors.  A circle factor (l = 1) carries no
+    frame, so its walk coordinate is the arclength along the circle; a
+    2- or 3-sphere's walk coordinates are its l + 1 embedding coordinates.
     """
 
     name = "sphere-ball"
@@ -779,6 +818,8 @@ class SphereBall(ManifoldModel):
             FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
             FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
         )
+        self.embedded_spheres = ((slice(0, l + 1), self.sphere_radius),)
+        self._sphere_width = l + 1 if self.needs_frames else 1  # the sphere's walk coordinates
         self._params = {
             "sphere_dim": sphere_dim,
             "ball_dim": ball_dim,
@@ -814,52 +855,52 @@ class SphereBall(ManifoldModel):
             u[:, self.sphere_dim + 1 + j, self.sphere_dim + j] = 1.0
         return u
 
-    def geodesic_step(self, x, u, xi):
-        l = self.sphere_dim
+    def geodesic_step(self, x, u, v):
+        l, w = self.sphere_dim, self._sphere_width
         ps, pb = self._split(x)
-        xi_s, xi_b = xi[:, :l], xi[:, l:]
         x2 = np.empty_like(x)  # keeps the layout of the walk state
         if u is None:  # only a circle factor (l == 1) moves without frames
-            v_amb = xi_s[:, 0][:, None] * self._circle_tangent(ps)
+            v_amb = v[:, 0][:, None] * self._circle_tangent(ps)
             x2[:, : l + 1], _ = _sphere_step(ps, None, v_amb, self.sphere_radius)
             u2 = None
         else:
             # only the sphere block of the block frame moves
-            us = u[:, : l + 1, :l]
             u2 = np.empty_like(u)
             u2[:, l + 1 :] = u[:, l + 1 :]
             u2[:, : l + 1, l:] = u[:, : l + 1, l:]
             x2[:, : l + 1], u2[:, : l + 1, :l] = _sphere_step(
-                ps, us, _frame_vector(us, xi_s), self.sphere_radius)
-        np.add(pb, xi_b, out=x2[:, l + 1 :])
+                ps, u[:, : l + 1, :l], v[:, :w], self.sphere_radius)
+        np.add(pb, v[:, w:], out=x2[:, l + 1 :])
         return x2, u2
 
     def boundary_distance(self, x):
         return self._ball.boundary_distance(self._split(x)[1])
 
-    def reflect(self, x, u):
+    def reflect(self, x, u, depth, nu):
         ps, pb = self._split(x)
-        pb2, _, depth = self._ball.reflect(pb, None)
-        return np.concatenate([ps, pb2], axis=-1), u, depth
+        pb2, _, penetration = self._ball.reflect(pb, None, depth, None)
+        return np.concatenate([ps, pb2], axis=-1), u, penetration
 
-    def collar_data(self, x, u):
-        d, nu_b = self._ball.collar_data(self._split(x)[1], None)
-        nu = np.zeros((x.shape[0], self.dimension))
-        nu[:, self.sphere_dim :] = nu_b
+    def collar_data(self, x):
+        w = self._sphere_width
+        d, nu_b = self._ball.collar_data(self._split(x)[1])
+        nu = np.zeros((x.shape[0], w + self.ball_dim))
+        nu[:, w:] = nu_b
         return d, nu
 
-    def log_frame(self, x, u, y):
-        l = self.sphere_dim
+    def log_frame(self, x, y):
+        """The sphere block in embedding coordinates (arclength on a circle), then the ball's."""
+        w = self._sphere_width
         xs, xb = self._split(x)
         ys, yb = self._split(y)
-        out = np.zeros((x.shape[0], self.dimension))
-        out[:, l:] = yb - xb
+        out = np.zeros((x.shape[0], w + self.ball_dim))
+        out[:, w:] = yb - xb
         r = self.sphere_radius
-        if l == 1:
+        if w == 1:
             dphi = np.arctan2(xs[:, 0] * ys[:, 1] - xs[:, 1] * ys[:, 0], _rowdot(xs, ys))
             out[:, 0] = r * dphi
         else:
-            out[:, :l] = self.frame_components(xs, u[:, : l + 1, :l], _sphere_log(xs, ys, r))
+            out[:, :w] = _sphere_log(xs, ys, r)
         return out
 
     def distance(self, x, y):
@@ -1007,7 +1048,7 @@ def _kulkarni(proj):
 def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
     """Assemble boundary data (shape operator, Gauss form, curvatures) at z."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    nu = model.collar_data(z, model.initial_frames(z))[1][0]
+    nu = model.frame_components(model.initial_frames(z), model.collar_data(z)[1])[0]
     nu = nu / np.linalg.norm(nu)
     n = model.dimension
     Q = _householder_to_last(nu)

@@ -2,13 +2,14 @@
 
 The simulation uses geodesic Euler-Maruyama stepping in a parallel
 orthonormal frame: each step draws a Gaussian increment in frame
-components, pushes it through the frame, and moves along the geodesic
-while transporting the frame (exactly, for the catalog models).  A step
-that crosses the boundary is reflected back along the inward normal; the
-local time picks up twice the penetration depth per crossing, which is
-the Skorokhod decomposition of the reflected chain (one step from the
-boundary then reproduces the flat half-space law E[lam] = sqrt(2h/pi)
-exactly).  The factor 2 is fixed: it is the normalization of the local
+components, pushes it through the frame into walk coordinates (the
+embedding coordinates of a frame-carrying model, see the geometry
+module), and moves along the geodesic while transporting the frame
+(exactly, for the catalog models).  A step that crosses the boundary is
+reflected back along the inward normal; the local time picks up twice
+the penetration depth per crossing, which is the Skorokhod decomposition
+of the reflected chain (one step from the boundary then reproduces the
+flat half-space law E[lam] = sqrt(2h/pi) exactly).  The factor 2 is fixed: it is the normalization of the local
 time that the absolute-boundary functional runs on, not a tuning knob.
 The transport is exact, so the frames stay orthonormal up to rounding
 (their drift stays below 1e-12 over 20 000 steps) and are never
@@ -19,7 +20,18 @@ Bridges add the logarithmic heat-kernel drift toward the anchor: a
 two-well surrogate that augments the squared-distance gradient with a
 single boundary image, so the drift satisfies the Neumann condition at
 the boundary and reduces to the exact Euclidean bridge drift away from
-it.  The final step snaps to the anchor.
+it.  The drift and the increment are built in walk coordinates, so a
+curved step never projects onto its frame and back.  The final step
+snaps to the anchor.
+
+Each step asks the model for its boundary data once: the walk state
+carries the boundary distance and inward normal of its current point,
+one collar_data call at the new point refreshes them (plus one on the
+reflected rows), and that one call serves the contact test, the
+reflection, the contact normals and the next step's drift.  The validity
+of the states (simulation_valid) is read once, on a batch's final states:
+a non-finite coordinate stays non-finite through every later step, and
+the sphere steps renormalize onto their spheres.
 
 simulate_bridges draws its noise from one generator or from a sequence of
 G generators, one stream per equal contiguous row group, and steps the
@@ -122,12 +134,13 @@ def _row_streams(rng, rows: int) -> _RowStreams:
 
 @dataclass
 class WalkState:
-    """Batched state of reflected walks (positions, frames, local time)."""
+    """Batched state of reflected walks: positions, frames, local time and boundary data."""
 
     x: np.ndarray                 # (P, state_dim); column-major when frames are carried
     frames: np.ndarray | None     # (P, state_dim, n) laid out (state_dim, n, P), or None
     lam: np.ndarray               # (P,)
-    alive: np.ndarray             # (P,) validity mask
+    depth: np.ndarray             # (P,) boundary distance of x
+    nu: np.ndarray                # (P, w) inward normal at x, in walk coordinates
 
 
 @dataclass
@@ -162,12 +175,8 @@ def make_walk_state(model: ManifoldModel, x0) -> WalkState:
     if model.needs_frames:
         frames = _columns_contiguous(model.initial_frames(x))
         x = _columns_contiguous(x)
-    return WalkState(
-        x=x,
-        frames=frames,
-        lam=np.zeros(x.shape[0]),
-        alive=np.ones(x.shape[0], dtype=bool),
-    )
+    depth, nu = model.collar_data(x)
+    return WalkState(x=x, frames=frames, lam=np.zeros(x.shape[0]), depth=depth, nu=nu)
 
 
 def _orthonormalize(frames):
@@ -196,32 +205,40 @@ def _orthonormalize(frames):
     return out
 
 
-def _finish_step(model, state, x2, u2, idx, dlam):
-    """Move the state to (x2, u2); return the contact rows idx with normal and shape coefficient."""
+def _finish_step(model, state, x2, u2, depth, nu, idx, dlam):
+    """Move the state to (x2, u2) with its boundary data; return the contact rows idx.
+
+    The contact rows get the frame components of their normals and their
+    shape coefficient.
+    """
     if idx.size:
-        nu, coeff = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+        nu_c, coeff = model.boundary_data(None if u2 is None else u2[idx], nu[idx])
     else:
-        nu, coeff = np.empty((0, model.bounded_factor.dim)), np.empty(0)
+        nu_c, coeff = np.empty((0, model.bounded_factor.dim)), np.empty(0)
     state.x = x2
     state.frames = u2
-    state.alive &= model.simulation_valid(x2)
-    return ContactInfo(idx=idx, dlam=dlam, nu=nu, coeff=coeff)
+    state.depth = depth
+    state.nu = nu
+    return ContactInfo(idx=idx, dlam=dlam, nu=nu_c, coeff=coeff)
 
 
-def _apply_increment(model, state, xi):
-    """Move every path by the frame increment xi, reflecting at the boundary."""
-    x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    idx = (model.boundary_distance(x2) <= 0.0).nonzero()[0]
+def _apply_increment(model, state, v):
+    """Move every path by the walk-coordinate increment v, reflecting at the boundary."""
+    x2, u2 = model.geodesic_step(state.x, state.frames, v)
+    depth, nu = model.collar_data(x2)
+    idx = (depth <= 0.0).nonzero()[0]
     dlam = np.empty(0)
     if idx.size:
-        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
+        x2[idx], ur, penetration = model.reflect(x2[idx], None if u2 is None else u2[idx],
+                                                 depth[idx], nu[idx])
         if u2 is not None:
             u2[idx] = ur
+        depth[idx], nu[idx] = model.collar_data(x2[idx])
         # Skorokhod decomposition X = W + nu L: the reflection pushes the step
         # back along the normal by twice its penetration, and that push is dL
-        dlam = 2.0 * np.maximum(depth, 0.0)
+        dlam = 2.0 * np.maximum(penetration, 0.0)
         state.lam[idx] += dlam
-    return _finish_step(model, state, x2, u2, idx, dlam)
+    return _finish_step(model, state, x2, u2, depth, nu, idx, dlam)
 
 
 def step_reflected_bm(model, state: WalkState, h: float, rng) -> ContactInfo:
@@ -231,11 +248,11 @@ def step_reflected_bm(model, state: WalkState, h: float, rng) -> ContactInfo:
     """
     gen = _as_generator(rng)
     xi = math.sqrt(h) * gen.standard_normal((state.x.shape[0], model.dimension))
-    return _apply_increment(model, state, xi)
+    return _apply_increment(model, state, model.frame_vector(state.frames, xi))
 
 
 def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=None):
-    """Logarithmic heat-kernel drift toward the anchor (frame components).
+    """Logarithmic heat-kernel drift toward the anchor, in walk coordinates.
 
     A two-well surrogate: the squared-distance gradient toward the anchor
     plus a pull toward a boundary image of the anchor, Gaussian-weighted
@@ -251,10 +268,12 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=
     average is exactly ell / s - rho (ell_nu + g) / ((1 + rho) s) nu, with
     image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0)),
     because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
+    The boundary distance d_z and the normal nu are the ones the walk state
+    carries for its current point.
     """
-    ell = model.log_frame(state.x, state.frames, anchor)
+    ell = model.log_frame(state.x, anchor)
     drift = ell / remaining
-    d_z, nu = model.collar_data(state.x, state.frames)
+    d_z, nu = state.depth, state.nu
     if d_anchor is None:
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = _rowdot(ell, nu)
@@ -296,7 +315,8 @@ def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng
     streams.fill(xi)
     xi *= math.sqrt(h)
     g *= h
-    g += xi  # the increment, in the drift's layout: the draws fill C-order rows
+    # the increment, in the drift's layout: the draws fill C-order rows
+    g += model.frame_vector(state.frames, xi)
     return _apply_increment(model, state, g)
 
 
@@ -306,10 +326,11 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
     An anchor lying on the boundary counts as a (zero-local-time) contact,
     so the functional receives its final tangential projection there.
     """
-    xi = model.log_frame(state.x, state.frames, anchor)
-    x2, u2 = model.geodesic_step(state.x, state.frames, xi)
-    idx = (model.boundary_distance(x2) <= 1e-12).nonzero()[0]
-    return _finish_step(model, state, x2, u2, idx, np.zeros(idx.size))
+    v = model.log_frame(state.x, anchor)
+    x2, u2 = model.geodesic_step(state.x, state.frames, v)
+    depth, nu = model.collar_data(x2)
+    idx = (depth <= 1e-12).nonzero()[0]
+    return _finish_step(model, state, x2, u2, depth, nu, idx, np.zeros(idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +382,7 @@ class BridgeBatch:
     anchors: np.ndarray
     lam: np.ndarray
     contacts: np.ndarray                 # contact-step counts per path
-    alive: np.ndarray
+    alive: np.ndarray                    # simulation_valid of the final states
     factor_m: dict                       # factor name -> (P, d, d) or None
     factor_O: dict                       # factor name -> (P, d, d) or None
     max_excursion: np.ndarray | None = None
@@ -439,7 +460,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     return BridgeBatch(
         model=model, t=t, steps=steps, anchors=anchors,
         lam=_join([s.lam for s in states]), contacts=contacts,
-        alive=_join([s.alive for s in states]), factor_m=factor_m,
+        alive=model.simulation_valid(_join([s.x for s in states])), factor_m=factor_m,
         factor_O=factor_O, max_excursion=excursion,
     )
 
@@ -536,6 +557,7 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
     if frames is not None:
         frames[0] = state.frames[0]
     anchor_arr = None if anchor is None else np.asarray(anchor, dtype=float)[None, :]
+    d_anchor = None if anchor is None else model.boundary_distance(anchor_arr)
     cols = model.bounded_factor.cols
     for k in range(steps):
         if anchor_arr is None:
@@ -543,7 +565,7 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
         elif k == steps - 1:
             info = snap_to_anchor(model, state, anchor_arr)
         else:
-            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen)
+            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen, d_anchor=d_anchor)
         positions[k + 1] = state.x[0]
         if frames is not None:
             frames[k + 1] = state.frames[0]
@@ -556,7 +578,7 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
     return PathSample(
         model=model, t=t, steps=steps, times=times, positions=positions,
         frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
-        shape_coeff=shape_coeff, valid=bool(state.alive[0]),
+        shape_coeff=shape_coeff, valid=bool(model.simulation_valid(state.x)[0]),
         anchor=None if anchor is None else np.asarray(anchor, dtype=float),
     )
 

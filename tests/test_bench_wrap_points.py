@@ -2,15 +2,23 @@
 
 perfbench/tracer.py wraps gblab functions and model methods by name and
 silently drops the metric of any wrap point that no longer resolves; this
-test makes such a loss fail loudly instead.  The tracer is only imported.
+test makes such a loss fail loudly instead.  Its work counters read
+arguments and fields by name too (``anchors`` and ``steps`` of
+simulate_bridges, ``contacts`` and ``alive`` of BridgeBatch, one supertrace
+per path), so their contract is checked on a real batch.  The tracer is
+only imported.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gblab import geometry as geo
+from gblab import stochastic as st
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +46,22 @@ def test_geometry_method_is_wrapped(cls, method):
     assert owner is not None, f"{cls.__name__} has no {method}"
     owners = [o for o, _, _ in tracer._resolve("gblab.geometry", f"*.{method}")]
     assert owner in owners
+
+
+def test_bridge_counters_read_a_real_batch():
+    model = geo.model_catalog("hemisphere", dimension=2)
+    anchors = model.sample_collar(np.random.default_rng(3), 12, 0.2)
+    args = (model, anchors, 0.2, 10, st.RngStream(5))
+    bound = inspect.signature(st.simulate_bridges).bind(*args)
+    bound.apply_defaults()
+    assert {"anchors", "steps"} <= bound.arguments.keys()
+    assert {"contacts", "alive"} <= {f.name for f in dataclasses.fields(st.BridgeBatch)}
+    batch = st.simulate_bridges(*args)
+    counts = tracer._count_bridges(bound.arguments, batch)
+    assert counts == {"paths": 12, "path_steps": 120, "steps": 10,
+                      "contact_steps": int(batch.contacts.sum()),
+                      "touched": int((batch.contacts > 0).sum()), "alive": 12}
+    assert counts["contact_steps"] > 0
+    supertraces = batch.supertraces()
+    assert supertraces.shape == (12,)
+    assert tracer._count_supertraces({}, supertraces) == {"supertrace_paths": 12}

@@ -206,9 +206,10 @@ class TestSupertraceExpectation:
         assert se == 0.0
 
     def test_resample_breach_raises(self, monkeypatch):
+        # the one-row input check passes; every final state of the bridge batch is invalid
         model = geo.model_catalog("hemisphere", dimension=2)
         monkeypatch.setattr(
-            type(model), "simulation_valid", lambda self, x: np.zeros(x.shape[0], dtype=bool)
+            type(model), "simulation_valid", lambda self, x: np.full(x.shape[0], x.shape[0] == 1)
         )
         with pytest.raises(ResampleRateError) as err:
             est.supertrace_expectation(
@@ -448,6 +449,30 @@ class TestArgumentRanges:
             est.local_limit_check(model, point, [0.05], 4, 1, steps=4, constants=constants2)
         with pytest.raises(ConfigError):
             est.supertrace_expectation(model, point, 0.01, 4, RngStream(1), steps=4)
+
+    @pytest.mark.parametrize("model, point", [
+        (geo.SphereCap(2), [0.0, 0.0, 2.0]),
+        (geo.SphereCap(2, aperture=1.0), [0.0, 0.0, 1.0 + 1e-6]),
+        (geo.SphereCap(3, aperture=1.0), [0.0, 0.0, 0.0, math.inf]),
+        (geo.SphereBall(2, 1), [0.0, 0.0, 0.5, 0.2]),
+        (geo.SphereBall(2, 1), [0.0, 0.0, 1.0, math.nan]),
+    ], ids=["hemisphere-off", "cap-off", "cap3-inf", "sphere-ball-off", "sphere-ball-nan"])
+    def test_point_off_the_sphere_rejected(self, model, point, constants2, constants3):
+        # the colatitude clips x_axis / r, so the boundary distance alone
+        # would accept a point off the embedded sphere
+        constants = constants2 if model.dimension == 2 else constants3
+        with pytest.raises(ConfigError, match="off a sphere factor"):
+            est.local_limit_check(model, point, [0.05], 50, 1, steps=20, constants=constants)
+        with pytest.raises(ConfigError, match="off a sphere factor"):
+            est.supertrace_expectation(model, point, 0.01, 4, RngStream(1), steps=4)
+
+    @pytest.mark.parametrize("model, point", [
+        (geo.FlatBall(2), [0.3, -0.4]),
+        (geo.FlatBall(3, radius=2.0), [0.0, 1.5, 0.0]),
+        (geo.FlatCylinder(), [0.25, 1.0]),
+    ], ids=["disk", "ball3", "cylinder"])
+    def test_flat_points_unaffected(self, model, point):
+        assert est.check_point(model, point).tolist() == point
 
 
 # estimate_chi(model, 0.1, 200, 6, 1311, steps=100): (estimate, stderr).  The

@@ -79,11 +79,18 @@ class TestCatalog:
                 evals = np.sort(np.linalg.eigvalsh(A))
                 want = np.sort([0.0] * (n - m) + [model.shape_coefficient] * (m - 1))
                 assert np.allclose(evals, want, atol=1e-12)
-        # the contact normal is collar_data's normal on the bounded columns
+        # the contact normal is the frame components of collar_data's normal
+        # on the bounded columns
         u = model.initial_frames(z)
-        nu_b, coeff = model.boundary_data(z, u)
-        assert np.array_equal(nu_b, model.collar_data(z, u)[1][:, model.bounded_factor.cols])
+        nu = model.collar_data(z)[1]
+        nu_b, coeff = model.boundary_data(u, nu)
+        assert np.array_equal(nu_b, model.frame_components(u, nu)[:, model.bounded_factor.cols])
         assert np.all(coeff == model.shape_coefficient)
+
+
+def frame_step(model, x, u, xi):
+    """A geodesic step along the frame components xi (mapped to walk coordinates)."""
+    return model.geodesic_step(x, u, model.frame_vector(u, xi))
 
 
 class TestGeodesics:
@@ -93,7 +100,7 @@ class TestGeodesics:
         x = model.sample_volume(rng, 64)
         u = model.initial_frames(x)
         xi = 0.05 * rng.standard_normal((64, model.dimension))
-        x2, u2 = model.geodesic_step(x, u, xi)
+        x2, u2 = frame_step(model, x, u, xi)
         d = model.distance(x, x2)
         assert np.abs(d - np.linalg.norm(xi, axis=-1)).max() < 1e-8
 
@@ -112,13 +119,17 @@ class TestGeodesics:
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_log_inverts_step(self, model):
+        # both speak walk coordinates: the log of a step is the step, and its
+        # frame components are the frame components the step was built from
         rng = RNG(4)
         x = model.sample_volume(rng, 32)
         u = model.initial_frames(x)
         xi = 0.1 * rng.standard_normal((32, model.dimension))
-        y, _ = model.geodesic_step(x, u, xi)
-        back = model.log_frame(x, u, y)
-        assert np.abs(back - xi).max() < 1e-8
+        v = model.frame_vector(u, xi)
+        y, _ = model.geodesic_step(x, u, v)
+        back = model.log_frame(x, y)
+        assert np.abs(back - v).max() < 1e-8
+        assert np.abs(model.frame_components(u, back) - xi).max() < 1e-8
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_frames_stay_orthonormal(self, model):
@@ -129,7 +140,7 @@ class TestGeodesics:
         u = model.initial_frames(x)
         for _ in range(50):
             xi = 0.05 * rng.standard_normal((16, model.dimension))
-            x, u = model.geodesic_step(x, u, xi)
+            x, u = frame_step(model, x, u, xi)
         gram = np.einsum("pda,pdb->pab", u, u)
         assert np.abs(gram - np.eye(model.dimension)).max() < 1e-10
 
@@ -159,6 +170,25 @@ class TestGeodesics:
         assert np.abs(p2 - ref_p).max() <= 4e-16
         assert np.abs(u2 - ref_u).max() <= 4e-16
 
+    def test_sphere_step_beyond_a_half_turn(self):
+        # sin a comes from sin(a/2) and cos(a/2) = sqrt(1 - sin^2(a/2)) up to a
+        # half turn; longer steps take their own sine, and every row still
+        # lands at (cos a, sin a) with its frame turned by a
+        angles = np.array([0.3, 3.0, math.pi, 3.5, 5.0, 2 * math.pi, 7.0])
+        p = np.zeros((angles.size, 3))
+        p[:, 0] = 2.0
+        u = np.zeros((angles.size, 3, 2))
+        u[:, 1, 0] = 1.0
+        u[:, 2, 1] = 1.0
+        v = np.zeros((angles.size, 3))
+        v[:, 1] = 2.0 * angles
+        p2, u2 = geo._sphere_step(p, u, v, 2.0)
+        assert np.abs(p2[:, 0] - 2.0 * np.cos(angles)).max() < 1e-14
+        assert np.abs(p2[:, 1] - 2.0 * np.sin(angles)).max() < 1e-14
+        assert np.abs(u2[:, 0, 0] + np.sin(angles)).max() < 1e-14
+        assert np.abs(u2[:, 1, 0] - np.cos(angles)).max() < 1e-14
+        assert np.array_equal(u2[:, :, 1], u[:, :, 1])
+
     def test_sphere_triangle_holonomy(self):
         # Parallel transport around a geodesic triangle with three right
         # angles on the unit sphere rotates tangent vectors by pi/2
@@ -176,16 +206,64 @@ class TestGeodesics:
         ]
         for target in vertices:
             for _ in range(steps):
-                # re-derive the geodesic direction in the current frame
-                xi = model.log_frame(x, u, target)
-                xi *= (quarter / steps) / np.linalg.norm(xi, axis=-1, keepdims=True)
-                x, u = model.geodesic_step(x, u, xi)
+                # re-derive the geodesic direction at the current point
+                v = model.log_frame(x, target)
+                v *= (quarter / steps) / np.linalg.norm(v, axis=-1, keepdims=True)
+                x, u = model.geodesic_step(x, u, v)
             # land exactly on the vertex
-            xi = model.log_frame(x, u, target)
-            x, u = model.geodesic_step(x, u, xi)
+            x, u = model.geodesic_step(x, u, model.log_frame(x, target))
         O = np.einsum("pda,pdb->pab", u0, u)[0]
         angle = math.atan2(O[1, 0], O[0, 0])
         assert abs(abs(angle) - math.pi / 2) < 1e-3
+
+
+SPHERE_MODELS = [
+    geo.model_catalog("hemisphere", dimension=2),
+    geo.model_catalog("cap", dimension=3, aperture=1.0),
+    geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+    geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2, sphere_radius=2.0),
+]
+FLAT_MODELS = [
+    geo.model_catalog("ball", dimension=2),
+    geo.model_catalog("ball", dimension=3, radius=2.0),
+    geo.model_catalog("cylinder", length=1.0),
+]
+
+
+class TestSimulationValid:
+    @staticmethod
+    def points(model):
+        return np.concatenate([model.sample_volume(RNG(13), 20), model.sample_boundary(RNG(14), 4)])
+
+    @pytest.mark.parametrize("model", SPHERE_MODELS, ids=lambda m: repr(m))
+    def test_each_check_fires_on_sphere_factors(self, model):
+        x = self.points(model)
+        assert model.simulation_valid(x).all()
+        cols, radius = model.embedded_spheres[0]
+        bad = x.copy()
+        bad[0, 0] = np.nan
+        bad[1, -1] = np.inf
+        bad[2, cols] *= 1.0 + 2e-9  # off the sphere by 2e-9 r
+        bad[3, cols] *= 1.0 - 2e-9
+        bad[4, cols] *= 1.0 + 5e-10  # within the tolerance
+        bad[5, cols] = 0.0  # the centre of the sphere
+        assert model.simulation_valid(bad).tolist() == [False] * 4 + [True, False] + [True] * 18
+        if model.name == "sphere-ball":
+            # the ball factor is free: a state outside the boundary is valid
+            far = x.copy()
+            far[:, model.sphere_dim + 1:] *= 10.0
+            assert model.simulation_valid(far).all()
+
+    @pytest.mark.parametrize("model", FLAT_MODELS, ids=lambda m: repr(m))
+    def test_flat_models_check_finiteness_only(self, model):
+        assert model.embedded_spheres == ()
+        x = self.points(model)
+        assert model.simulation_valid(x).all()
+        assert model.simulation_valid(10.0 * x).all()  # outside the boundary, still a state
+        bad = x.copy()
+        bad[0, 0] = np.nan
+        bad[1, -1] = -np.inf
+        assert model.simulation_valid(bad).tolist() == [False, False] + [True] * 22
 
 
 class TestBoundary:
@@ -200,40 +278,42 @@ class TestBoundary:
         rng = RNG(7)
         z = model.sample_boundary(rng, 32)
         u = model.initial_frames(z)
-        nu = model.collar_data(z, u)[1]
+        nu = model.collar_data(z)[1]
         # push outward through the boundary
-        xi = -0.01 * nu
-        x_out, u_out = model.geodesic_step(z, u, xi)
-        d = model.boundary_distance(x_out)
+        x_out, u_out = model.geodesic_step(z, u, -0.01 * nu)
+        d, nu_out = model.collar_data(x_out)
         assert np.all(d < 0)
-        x_in, _, depth = model.reflect(x_out, u_out)
+        assert np.array_equal(d, model.boundary_distance(x_out))
+        x_in, _, depth = model.reflect(x_out, u_out, d, nu_out)
         assert np.allclose(depth, 0.01, atol=1e-9)
         assert np.allclose(model.boundary_distance(x_in), 0.01, atol=1e-9)
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_normal_is_distance_gradient(self, model):
         # directional derivatives of the boundary distance along the frame
-        # recover the inward normal components
+        # recover the inward normal's frame components; collar_data's
+        # distance is boundary_distance
         rng = RNG(8)
         x = model.sample_collar(rng, 16, 0.2 * min(1.0, model.volume))
         u = model.initial_frames(x)
-        nu = model.collar_data(x, u)[1]
+        d, nu = model.collar_data(x)
+        assert np.array_equal(d, model.boundary_distance(x))
         eps = 1e-5
         grad = np.zeros((16, model.dimension))
         for a in range(model.dimension):
             xi = np.zeros((16, model.dimension))
             xi[:, a] = eps
-            xp, _ = model.geodesic_step(x, u, xi)
-            xm, _ = model.geodesic_step(x, u, -xi)
+            xp, _ = frame_step(model, x, u, xi)
+            xm, _ = frame_step(model, x, u, -xi)
             grad[:, a] = (model.boundary_distance(xp) - model.boundary_distance(xm)) / (2 * eps)
-        assert np.abs(grad - nu).max() < 1e-8
+        assert np.abs(grad - model.frame_components(u, nu)).max() < 1e-8
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_boundary_data_unit_normal(self, model):
         rng = RNG(9)
         z = model.sample_boundary(rng, 16)
         u = model.initial_frames(z)
-        nu_b, a = model.boundary_data(z, u)
+        nu_b, a = model.boundary_data(u, model.collar_data(z)[1])
         assert np.abs(np.linalg.norm(nu_b, axis=-1) - 1.0).max() < 1e-10
         assert np.all(np.isfinite(a))
 
@@ -260,13 +340,13 @@ class TestBoundary:
         # reflect is the geodesic mirror across the boundary: depth d -> -d
         rng = RNG(11)
         x = model.sample_collar(rng, 16, 0.1)
-        d = model.boundary_distance(x)
-        mirrored, _, depth = model.reflect(x, model.initial_frames(x))
+        d, nu = model.collar_data(x)
+        mirrored, _, depth = model.reflect(x, model.initial_frames(x), d, nu)
         assert np.abs(depth + d).max() < 1e-9
         assert np.abs(model.boundary_distance(mirrored) + d).max() < 1e-9
         # mirroring a boundary point is the identity
         z = model.sample_boundary(rng, 8)
-        mirrored, _, _ = model.reflect(z, model.initial_frames(z))
+        mirrored, _, _ = model.reflect(z, model.initial_frames(z), *model.collar_data(z))
         assert np.abs(mirrored - z).max() < 1e-9
 
 
@@ -559,7 +639,7 @@ class TestColumnwiseAgainstBroadcast:
         xi = 0.1 * rng.standard_normal((x.shape[0], u.shape[2]))
         xi[:10] = 0.0  # zero steps, the apex among them
         v = broadcast_frame_components(np.transpose(u, (0, 2, 1)), xi)
-        _close(geo._frame_vector(u, xi), v)
+        _close(geo.SphereCap(2).frame_vector(u, xi), v)
         for frames in (u, None):
             p_new, u_new = geo._sphere_step(x, frames, v, r)
             p_old, u_old = broadcast_sphere_step(x, frames, v, r)
@@ -582,28 +662,29 @@ class TestColumnwiseAgainstBroadcast:
         v = geo._sphere_log(x, y, r)
         _close(v, broadcast_sphere_log(x, y, r))
         model = geo.model_catalog("hemisphere", dimension=2)
-        _close(model.frame_components(x, u, v), broadcast_frame_components(u, v))
-        assert model.frame_components(x, None, v) is v
+        _close(model.frame_components(u, v), broadcast_frame_components(u, v))
+        assert model.frame_components(None, v) is v
+        assert model.frame_vector(None, v) is v
 
     @pytest.mark.parametrize("case", [c for c in SPHERE_CASES if c[4] is not None], ids=lambda c: c[0])
     def test_meridian_and_cap_methods(self, case):
         _, x, u, r, model = case
         theta = model.colatitude(x)
-        m = model._meridian_at(x)
-        _close(m, broadcast_meridian_at(model, x, theta))
+        # the normal is minus the meridian, in embedding coordinates
+        d, nu = model.collar_data(x)
+        _close(nu, -broadcast_meridian_at(model, x, theta))
+        assert np.array_equal(d, model.boundary_distance(x))
         # at the apex the horizontal part is zero and the meridian is -sin(0) e_axis = 0
-        assert np.array_equal(m[-4:], np.zeros((4, x.shape[1])))
+        assert np.array_equal(nu[-4:], np.zeros((4, x.shape[1])))
         nu_old = broadcast_frame_components(u, -broadcast_meridian_at(model, x, theta))
-        d, nu = model.collar_data(x, u)
-        _close(nu, nu_old)
-        nu_b, coeff = model.boundary_data(x[:-4], u[:-4])
+        nu_b, coeff = model.boundary_data(u[:-4], nu[:-4])
         _close(nu_b, geo._unit(nu_old[:-4]))
         assert np.all(coeff == model.shape_coefficient)
         # reflect: a point pushed past the boundary steps back along the meridian
         z = model.sample_boundary(RNG(44), 50)
         uz = model.initial_frames(z)
         out, u_out = broadcast_sphere_step(z, uz, -0.01 * broadcast_meridian_at(model, z, model.colatitude(z)), r)
-        x2, u2, depth = model.reflect(out, u_out)
+        x2, u2, depth = model.reflect(out, u_out, *model.collar_data(out))
         theta_out = model.colatitude(out)
         depth_old = r * (theta_out - model.aperture)
         x_old, u_old = broadcast_sphere_step(
@@ -619,9 +700,9 @@ class TestColumnwiseAgainstBroadcast:
         rng = RNG(47)
         x = np.concatenate([model.sample_volume(rng, 200), model.sample_boundary(rng, 50),
                             model.boundary_point()[None, :], model.interior_point()[None, :]])
-        m = model._meridian_at(x)
-        _close(m, broadcast_meridian_at(model, x, model.colatitude(x)))
-        assert np.array_equal(m[-1], np.zeros(x.shape[1]))  # the apex
+        nu = model.collar_data(x)[1]
+        _close(nu, -broadcast_meridian_at(model, x, model.colatitude(x)))
+        assert np.array_equal(nu[-1], np.zeros(x.shape[1]))  # the apex
 
     @pytest.mark.parametrize("case", SPHERE_CASES, ids=lambda c: c[0])
     def test_orthonormalize(self, case):
@@ -643,7 +724,10 @@ class TestColumnwiseAgainstBroadcast:
         x = model.sample_volume(rng, 200)
         u = model.initial_frames(x)
         xi = 0.1 * rng.standard_normal((200, 3))
-        x2, u2 = model.geodesic_step(x, u, xi)
+        v = model.frame_vector(u, xi)
+        # the walk coordinates are the sphere's embedding coordinates and the ball's
+        assert np.array_equal(v[:, 3:], xi[:, 2:])
+        x2, u2 = model.geodesic_step(x, u, v)
         us = u[:, :3, :2]
         ps_old, us_old = broadcast_sphere_step(x[:, :3], us, np.einsum("pdk,pk->pd", us, xi[:, :2]), 1.0)
         _close(x2[:, :3], ps_old)
@@ -653,6 +737,6 @@ class TestColumnwiseAgainstBroadcast:
         assert np.array_equal(u2[:, 3:], u[:, 3:])
         assert np.array_equal(u2[:, :3, 2:], u[:, :3, 2:])
         y = model.sample_volume(rng, 200)
-        ell = model.log_frame(x, u, y)
-        _close(ell[:, :2], broadcast_frame_components(us, broadcast_sphere_log(x[:, :3], y[:, :3], 1.0)))
-        assert np.array_equal(ell[:, 2:], y[:, 3:] - x[:, 3:])
+        ell = model.log_frame(x, y)
+        _close(ell[:, :3], broadcast_sphere_log(x[:, :3], y[:, :3], 1.0))
+        assert np.array_equal(ell[:, 3:], y[:, 3:] - x[:, 3:])

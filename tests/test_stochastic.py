@@ -251,8 +251,8 @@ def two_well_drift(model, state, anchor, remaining, d_anchor=None):
     anchor's tangent-plane mirror image; each is weighted by its Gaussian
     factor exp(-squared distance / 2s).
     """
-    ell = model.log_frame(state.x, state.frames, anchor)
-    d_z, nu = model.collar_data(state.x, state.frames)
+    ell = model.log_frame(state.x, anchor)
+    d_z, nu = model.collar_data(state.x)
     if d_anchor is None:
         d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = np.einsum("pk,pk->p", ell, nu)
@@ -311,7 +311,7 @@ class TestClosedFormDrift:
         d_anchor = model.boundary_distance(anchors) if with_d_anchor else None
         for remaining in (0.5, 0.05):
             state, new = self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
-            _, nu = model.collar_data(state.x, None)
+            _, nu = model.collar_data(state.x)
             assert np.all(nu[:2] == 0.0)
             # no image pull at the center: the plain Euclidean bridge drift
             assert np.array_equal(new[:2], (anchors[:2] - x[:2]) / remaining)
@@ -653,7 +653,7 @@ def single_batch_bridges(model, anchors, t, steps, rng):
         factor_O[spec.name] = model.holonomy(frames0, frames, spec)
     batch = st.BridgeBatch(
         model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
-        contacts=contacts, alive=state.alive.copy(), factor_m=factor_m,
+        contacts=contacts, alive=model.simulation_valid(state.x), factor_m=factor_m,
         factor_O=factor_O, max_excursion=excursion,
     )
     return batch, positions
@@ -738,14 +738,15 @@ class TestBridgePaths:
         assert np.array_equal(batch.max_excursion, dist.max(axis=0))
 
 
-def full_contact_step(model, state, xi):
+def full_contact_step(model, state, v):
     """Reference: one increment with full-size contact arrays, zero off contact."""
-    x2, u2 = model.geodesic_step(state.x, state.frames, xi)
+    x2, u2 = model.geodesic_step(state.x, state.frames, v)
     contact = model.boundary_distance(x2) <= 0.0
     dlam = np.zeros(x2.shape[0])
     if contact.any():
         idx = np.nonzero(contact)[0]
-        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx])
+        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx],
+                                           *model.collar_data(x2[idx]))
         if u2 is not None:
             u2[idx] = ur
         dlam[idx] = 2.0 * np.maximum(depth, 0.0)
@@ -758,7 +759,8 @@ def full_boundary_data(model, x2, u2, contact):
     coeff = np.zeros(x2.shape[0])
     if contact.any():
         idx = np.nonzero(contact)[0]
-        nu[idx], coeff[idx] = model.boundary_data(x2[idx], None if u2 is None else u2[idx])
+        nu[idx], coeff[idx] = model.boundary_data(None if u2 is None else u2[idx],
+                                                  model.collar_data(x2[idx])[1])
     return nu, coeff
 
 
@@ -787,8 +789,9 @@ class TestContactRows:
         xi[:6] = 0.0  # zero steps, boundary points among the anchors stay in contact
         new_state = st.make_walk_state(model, anchors)
         old_state = st.make_walk_state(model, anchors)
-        info = st._apply_increment(model, new_state, xi)
-        contact, dlam, nu, coeff = full_contact_step(model, old_state, xi)
+        v = model.frame_vector(new_state.frames, xi)
+        info = st._apply_increment(model, new_state, v)
+        contact, dlam, nu, coeff = full_contact_step(model, old_state, v)
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, dlam[contact])
@@ -796,6 +799,10 @@ class TestContactRows:
         assert np.array_equal(info.coeff, coeff[contact])
         assert np.array_equal(new_state.lam[contact], dlam[contact])
         assert not new_state.lam[~contact].any()
+        # the state carries the boundary data of its new points, reflected ones included
+        depth, nu_walk = model.collar_data(new_state.x)
+        assert np.array_equal(new_state.depth, depth)
+        assert np.array_equal(new_state.nu, nu_walk)
         m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
         m_old = m_new.copy()
         st._jump_update(m_new, info)
@@ -807,8 +814,8 @@ class TestContactRows:
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 60, 193)
         state = st.make_walk_state(model, anchors)
-        xi = model.log_frame(state.x, state.frames, anchors)
-        x2, u2 = model.geodesic_step(state.x, state.frames, xi)
+        v = model.log_frame(state.x, anchors)
+        x2, u2 = model.geodesic_step(state.x, state.frames, v)
         contact = model.boundary_distance(x2) <= 1e-12
         nu, coeff = full_boundary_data(model, x2, u2, contact)
         info = st.snap_to_anchor(model, state, anchors)
@@ -821,7 +828,7 @@ class TestContactRows:
     def test_no_contact_gives_empty_rows(self):
         model = hemisphere()
         x = np.broadcast_to(model.interior_point(), (7, 3)).copy()
-        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 2)))
+        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 3)))
         assert info.idx.size == info.dlam.size == info.coeff.size == 0
         assert info.nu.shape == (0, model.bounded_factor.dim)
 
@@ -874,12 +881,12 @@ class TestFlatColumnwise:
         inside, contact = flat_points(model, 197)
         assert contact.shape[0] > 20
         for x in (inside, contact):
-            d, nu = model.collar_data(x, None)
+            d, nu = model.collar_data(x)
             d_old, nu_old = broadcast_collar_data(model, x)
             assert np.array_equal(d, d_old) and np.array_equal(nu, nu_old)
-        centre_nu = model.collar_data(inside[-2:], None)[1]
+        centre_nu = model.collar_data(inside[-2:])[1]
         assert np.array_equal(centre_nu, np.zeros((2, model.dimension)))
-        x2, u2, depth = model.reflect(contact, None)
+        x2, u2, depth = model.reflect(contact, None, *model.collar_data(contact))
         x_old, _, depth_old = broadcast_reflect(model, contact, None)
         assert u2 is None
         assert np.array_equal(x2, x_old) and np.array_equal(depth, depth_old)
@@ -978,6 +985,67 @@ class TestGroupedStreams:
         assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
         assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
         assert np.array_equal(info.idx, np.concatenate([idx for _, idx in parts]))
+
+
+# ---------------------------------------------------------------------------
+# one boundary query per bridge step
+# ---------------------------------------------------------------------------
+
+
+GEOMETRY_QUERIES = ("geodesic_step", "boundary_distance", "collar_data", "log_frame", "reflect",
+                    "boundary_data", "frame_components", "frame_vector")
+
+
+def spy_on_geometry(model, calls):
+    """Record (query, rows) for every geometry query made on this model instance.
+
+    The rows are those of the first array argument; the spies shadow the
+    class methods on the instance, so calls one model method makes to
+    another are recorded too.
+    """
+    for name in GEOMETRY_QUERIES:
+        def spy(*args, _method=getattr(model, name), _name=name):
+            rows = next(a.shape[0] for a in args if isinstance(a, np.ndarray))
+            calls.append((_name, rows))
+            return _method(*args)
+        setattr(model, name, spy)
+
+
+class TestGeometryQueriesPerStep:
+    @pytest.mark.parametrize("name", ["disk", "hemisphere", "sphere-ball-2+1"])
+    def test_one_collar_query_per_step(self, name, monkeypatch):
+        model = {"disk": disk, "hemisphere": hemisphere,
+                 "sphere-ball-2+1": lambda: geo.SphereBall(2, 1)}[name]()
+        calls, steps_seen = [], []
+        spy_on_geometry(model, calls)
+        step = st.step_bridge
+
+        def recording(model, state, *args, **kwargs):
+            calls.clear()
+            info = step(model, state, *args, **kwargs)
+            steps_seen.append((state.x.shape[0], info.idx.size, list(calls)))
+            return info
+
+        monkeypatch.setattr(st, "step_bridge", recording)
+        st.simulate_bridges(model, mixed_anchors(model, 60, 281), 0.2, 20, st.RngStream(283))
+        assert len(steps_seen) == 19
+        assert sum(contacts for _, contacts, _ in steps_seen) > 0
+        for rows, contacts, made in steps_seen:
+            assert contacts < rows
+            full = sorted(q for q, r in made if r == rows)
+            # the drift's log map, the noise mapped into walk coordinates, the
+            # step, and one collar query at the new points; no boundary_distance
+            # and no frame_components on the whole batch
+            assert full == ["collar_data", "frame_vector", "geodesic_step", "log_frame"]
+            on_contacts = sorted(q for q, r in made if r != rows)
+            if contacts:
+                # reflect from that query's data, refresh it on the reflected
+                # rows, and take the contact normals' frame components there
+                assert {r for q, r in made if r != rows} == {contacts}
+                assert on_contacts == ["boundary_data", "collar_data", "frame_components",
+                                       "reflect"]
+            else:
+                assert on_contacts == []
 
 
 # ---------------------------------------------------------------------------
