@@ -695,11 +695,9 @@ class FlatCylinder(ManifoldModel):
         # mirror s at the nearer end, from s itself: exact, unlike s + 2 * penetration
         s = x[:, 0].copy()
         low = s <= 0.5 * self.length
-        depth = np.where(low, -s, s - self.length)
-        s2 = np.where(low, -s, 2 * self.length - s)
         out = x.copy()
-        out[:, 0] = s2
-        return out, u, depth
+        out[:, 0] = np.where(low, -s, 2 * self.length - s)
+        return out, u, np.where(low, -s, s - self.length)
 
     def collar_data(self, x):
         nu = np.zeros_like(x)
