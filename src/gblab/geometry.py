@@ -541,7 +541,7 @@ class SphereCap(ManifoldModel):
         return self.radius * (self.aperture - self.colatitude(x))
 
     def reflect(self, x, u, depth, nu):
-        # step back along the inward normal by twice the penetration -depth
+        """Step back along collar_data's inward normal nu (embedding coordinates) by twice -depth."""
         x2, u2 = _sphere_step(x, u, _scale_columns(nu, -2.0 * depth, np.multiply), self.radius)
         return x2, u2, -depth
 
@@ -854,6 +854,7 @@ class SphereBall(ManifoldModel):
         return u
 
     def geodesic_step(self, x, u, v):
+        """Step along v in walk coordinates: the sphere block's, then the ball's."""
         l, w = self.sphere_dim, self._sphere_width
         ps, pb = self._split(x)
         x2 = np.empty_like(x)  # keeps the layout of the walk state
@@ -880,6 +881,7 @@ class SphereBall(ManifoldModel):
         return np.concatenate([ps, pb2], axis=-1), u, penetration
 
     def collar_data(self, x):
+        """The ball's distance and normal; the normal is 0 on the sphere block of walk coordinates."""
         w = self._sphere_width
         d, nu_b = self._ball.collar_data(self._split(x)[1])
         nu = np.zeros((x.shape[0], w + self.ball_dim))

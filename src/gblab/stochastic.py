@@ -9,8 +9,9 @@ module), and moves along the geodesic while transporting the frame
 reflected back along the inward normal; the local time picks up twice
 the penetration depth per crossing, which is the Skorokhod decomposition
 of the reflected chain (one step from the boundary then reproduces the
-flat half-space law E[lam] = sqrt(2h/pi) exactly).  The factor 2 is fixed: it is the normalization of the local
-time that the absolute-boundary functional runs on, not a tuning knob.
+flat half-space law E[lam] = sqrt(2h/pi) exactly).  The factor 2 is
+fixed: it is the normalization of the local time that the
+absolute-boundary functional runs on, not a tuning knob.
 The transport is exact, so the frames stay orthonormal up to rounding
 (their drift stays below 1e-12 over 20 000 steps) and are never
 re-orthonormalized on the way; simulate_bridges orthonormalizes the final
@@ -206,11 +207,7 @@ def _orthonormalize(frames):
 
 
 def _finish_step(model, state, x2, u2, depth, nu, idx, dlam):
-    """Move the state to (x2, u2) with its boundary data; return the contact rows idx.
-
-    The contact rows get the frame components of their normals and their
-    shape coefficient.
-    """
+    """Move the state to (x2, u2) and its boundary data; return the contact rows idx."""
     if idx.size:
         nu_c, coeff = model.boundary_data(None if u2 is None else u2[idx], nu[idx])
     else:
