@@ -43,14 +43,17 @@ _ALL = EXPERIMENTS
 _MODEL_EXPERIMENTS = ("estimate-chi", "local-limit")  # the experiments that build a model
 # the experiments that draw random numbers; calibrate is deterministic
 _SEEDED = ("estimate-chi", "local-limit", "cancellation-suite", "diagnostics")
+_CSV_EXPERIMENTS = ("local-limit",)  # the experiments whose report has csv rows
 
 
-def _parse_int_list(s):
-    return [int(v) for v in s.split(",") if v.strip()]
-
-
-def _parse_str_list(s):
-    return [v.strip() for v in s.split(",") if v.strip()]
+def _list_of(name, parse_item):
+    """Parser of a comma-separated list that must hold at least one item."""
+    def parse(s):
+        values = [parse_item(v.strip()) for v in s.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"{name} must list at least one value, got {s!r}")
+        return values
+    return parse
 
 
 def _positive_float(name):
@@ -63,9 +66,9 @@ def _positive_float(name):
     return parse
 
 
-def _integer(name, low):
-    """Parser of an integer that must be >= low."""
-    return lambda s: est.check_integer(name, int(s), low)
+def _integer(name, low, high=math.inf):
+    """Parser of an integer that must lie in [low, high)."""
+    return lambda s: est.check_integer(name, int(s), low, high)
 
 
 def _choice(name, options):
@@ -88,9 +91,9 @@ def _serial_workers(s):
 
 CONFIG_SCHEMA = {
     "experiment": (str, _ALL, (), None),
-    "seed": (lambda s: est.check_integer("seed", int(s), 0, 2**64), _SEEDED, _SEEDED, None),
+    "seed": (_integer("seed", 0, 2**64), _SEEDED, _SEEDED, None),
     "output_dir": (str, _ALL, (), "out"),
-    "formats": (_parse_str_list, _ALL, (), ["json"]),
+    "formats": (_list_of("formats", _choice("formats", ("json", "csv"))), _ALL, (), ["json"]),
     "workers": (_serial_workers, _ALL, (), None),
     "model": (str, _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
     "model.dimension": (int, _MODEL_EXPERIMENTS, (), None),
@@ -103,7 +106,7 @@ CONFIG_SCHEMA = {
     "model.length": (float, _MODEL_EXPERIMENTS, (), None),
     "model.circumference": (float, _MODEL_EXPERIMENTS, (), None),
     "t": (lambda s: est.check_lifetime(float(s)), ("estimate-chi",), ("estimate-chi",), None),
-    "t_sequence": (lambda s: [est.check_lifetime(float(v)) for v in s.split(",") if v.strip()],
+    "t_sequence": (_list_of("t_sequence", lambda v: est.check_lifetime(float(v))),
                    ("local-limit",), ("local-limit",), None),
     "base_points": (_integer("base_points", 2), ("estimate-chi",), ("estimate-chi",), None),
     "bridges": (_integer("bridges", 1), _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
@@ -111,7 +114,9 @@ CONFIG_SCHEMA = {
     "point": (_choice("point", ("interior", "boundary")), ("local-limit",), (), "interior"),
     "depth_nodes": (_integer("depth_nodes", 1), ("local-limit",), (), 10),
     "dimension": (int, ("calibrate",), ("calibrate",), None),
-    "dims": (_parse_int_list, ("cancellation-suite",), (), [2, 3, 4, 5, 6]),
+    # below 2 a dimension has no cancellation case; above MAX_DIMENSION no algebra
+    "dims": (_list_of("dims", _integer("dims", 2, ext.MAX_DIMENSION + 1)),
+             ("cancellation-suite",), (), [2, 3, 4, 5, 6]),
     "instances": (_integer("instances", 1), ("cancellation-suite",), (), 100),
     "tolerance": (_positive_float("tolerance"), ("cancellation-suite",), (), 1e-10),
     "samples": (_integer("samples", 1), ("diagnostics",), (), 2000),
@@ -172,6 +177,9 @@ def resolve_config(raw: dict, experiment: str | None) -> dict:
             raise ConfigError(f"missing required key: {key}")
         if experiment in accepted and default is not None:
             cfg[key] = default
+    if "csv" in cfg["formats"] and experiment not in _CSV_EXPERIMENTS:
+        raise ConfigError(f"formats: {experiment} writes no csv table; only "
+                          f"{', '.join(_CSV_EXPERIMENTS)} does")
     return cfg
 
 
@@ -251,7 +259,7 @@ def report_render(payload: dict, outdir: Path, stem: str, formats, cfg: dict) ->
         path = outdir / f"{stem}.json"
         path.write_text(canonical_json(body) + "\n", encoding="utf-8")
         written.append(path)
-    if "csv" in formats and "rows" in payload:
+    if "csv" in formats:
         path = outdir / f"{stem}.csv"
         lines = [f"# gblab {__version__} config_sha256={meta['config_sha256']}"]
         lines.append(",".join(CSV_COLUMNS))
@@ -423,9 +431,6 @@ def run(config_path, experiment: str | None = None, output_dir=None) -> int:
         return 2
     except (NumericalAbortError, SeriesConvergenceError) as exc:
         detail = {"kind": "numerical", "message": str(exc)}
-        rate = getattr(exc, "rate", None)
-        if rate is not None:
-            detail["resample_rate"] = rate
         terms = getattr(exc, "required_terms", None)
         if terms is not None:
             detail["required_terms"] = terms

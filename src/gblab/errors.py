@@ -29,17 +29,6 @@ class NumericalAbortError(GblabError):
     """A Monte Carlo run breached one of its numerical guard rails."""
 
 
-class ResampleRateError(NumericalAbortError):
-    """Too many sampled paths had to be discarded.
-
-    Carries ``rate``, the observed fraction of discarded paths.
-    """
-
-    def __init__(self, message, rate=None):
-        super().__init__(message)
-        self.rate = rate
-
-
 class CalibrationRankError(GblabError):
     """The calibration design matrix does not determine all constants."""
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import exterior as ext
 from . import kernels as hk
-from .errors import CalibrationRankError, ConfigError, ResampleRateError
+from .errors import CalibrationRankError, ConfigError, NumericalAbortError
 from .geometry import ManifoldModel, boundary_geometry, model_catalog
 from .stochastic import RngStream, simulate_bridges
 
@@ -37,7 +37,6 @@ DEFAULT_STEPS = 2000  # default grid of estimate_chi: h = t / 2000
 LOCAL_LIMIT_STEPS = 400  # default grid of local_limit_check: h = t / 400
 COLLAR_FACTOR = 3.0  # base-point sampling collar width, in units of sqrt(t)
 DEPTH_COLLAR_FACTOR = 5.0  # local-limit depth quadrature width, in units of sqrt(t)
-MAX_RESAMPLE_RATE = 0.05  # largest share of a node's bridges that may leave the valid region
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +173,20 @@ def _design_row(model: ManifoldModel, keys):
     return row
 
 
-def pfaffian_ratio(n: int, samples: int = 20, seed: int = 7) -> tuple[float, float]:
+PFAFFIAN_SAMPLES = 20  # random curvature tensors behind pfaffian_ratio
+PFAFFIAN_SEED = 7
+
+
+def pfaffian_ratio(n: int) -> tuple[float, float]:
     """Ratio Str DR^(n/2) / delta-contraction over random curvature tensors.
 
-    Returns (mean ratio, coefficient of variation); the ratio is the
-    dimensional constant tying the supertrace form to the Pfaffian.
+    Returns (mean ratio, coefficient of variation) over PFAFFIAN_SAMPLES
+    tensors; the ratio is the dimensional constant tying the supertrace
+    form to the Pfaffian.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PFAFFIAN_SEED)
     ratios = []
-    while len(ratios) < samples:
+    while len(ratios) < PFAFFIAN_SAMPLES:
         R = ext.CurvatureTensor.random(n, rng)
         denom = ext.delta_contraction(R)
         if abs(denom) < 1e-8:
@@ -300,7 +304,6 @@ class EstimateReport:
     bridges: int
     steps: int
     seed: int
-    resample_rate: float
     validity: dict
     config: dict
 
@@ -318,40 +321,30 @@ class EstimateReport:
             "bridges": self.bridges,
             "steps": self.steps,
             "seed": self.seed,
-            "resample_rate": self.resample_rate,
             "validity": dict(self.validity),
             "config": dict(self.config),
         }
 
 
-def _masked_mean_std(values, alive):
-    """Mean and standard error over the alive paths of each anchor row."""
-    counts = alive.sum(axis=1)
-    counts_safe = np.maximum(counts, 1)
-    vals = np.where(alive, values, 0.0)
-    mean = vals.sum(axis=1) / counts_safe
-    var = (np.where(alive, (values - mean[:, None]) ** 2, 0.0)).sum(axis=1) / np.maximum(
-        counts_safe - 1, 1
-    )
-    return mean, np.sqrt(var / counts_safe), counts
-
-
 def _node_expectations(batch, nodes: int, t: float):
     """Per-node mean and standard error of Str(M_t V_t); node i owns the i-th equal row block.
 
-    Raises ResampleRateError when any node lost more than the allowed share
-    of its bridges.
+    Every bridge is one sample of the integrand, so none is dropped: raises
+    NumericalAbortError when any bridge ended in an invalid state or with a
+    non-finite supertrace.
     """
-    alive = batch.alive.reshape(nodes, -1)
-    for rate in 1.0 - alive.mean(axis=1):
-        if rate > MAX_RESAMPLE_RATE:
-            raise ResampleRateError(
-                f"{rate:.1%} of bridges left the valid region at t={t} "
-                f"(limit {MAX_RESAMPLE_RATE:.0%}); refine steps or shrink t",
-                rate=rate,
-            )
-    mean, se, _ = _masked_mean_std(batch.supertraces().reshape(nodes, -1), alive)
-    return mean, se
+    values = batch.supertraces()
+    bad = int(np.count_nonzero(~(batch.alive & np.isfinite(values))))
+    if bad:
+        raise NumericalAbortError(
+            f"{bad} of {values.size} bridges at t={t} ended in an invalid state or with a "
+            "non-finite supertrace; refine steps or shrink t"
+        )
+    values = values.reshape(nodes, -1)
+    count = values.shape[1]
+    mean = values.sum(axis=1) / count
+    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(count - 1, 1)
+    return mean, np.sqrt(var / count)
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
@@ -427,14 +420,11 @@ CHUNK_PATHS = 250_000
 
 
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream):
-    """Per-anchor bridge means and dead-path count of one chunk (deterministic given the stream)."""
+    """Per-anchor bridge means of one chunk (deterministic given the stream)."""
     n_anchor = anchors_block.shape[0]
     tiled = np.repeat(anchors_block, bridges, axis=0)
     batch = simulate_bridges(model, tiled, t, steps, stream.generator())
-    vals = batch.supertraces().reshape(n_anchor, bridges)
-    alive = batch.alive.reshape(n_anchor, bridges)
-    mean, _, _ = _masked_mean_std(vals, alive)
-    return mean, alive.size - alive.sum()
+    return _node_expectations(batch, n_anchor, t)[0]
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
@@ -455,18 +445,10 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     pts, weights = _stratified_points(model, base_points, t, point_rng)
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
     chunk_anchors = max(1, CHUNK_PATHS // bridges)
-    results = [
+    means = np.concatenate([
         _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, RngStream(seed, ci + 1))
         for ci, lo in enumerate(range(0, base_points, chunk_anchors))
-    ]
-    means = np.concatenate([r[0] for r in results])
-    dead = sum(r[1] for r in results)
-    rate = dead / float(base_points * bridges)
-    if rate > MAX_RESAMPLE_RATE:
-        raise ResampleRateError(
-            f"{rate:.1%} of bridges left the valid region (limit {MAX_RESAMPLE_RATE:.0%})",
-            rate=rate,
-        )
+    ])
     samples = weights * kernel_diag * means
     estimate = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(base_points))
@@ -492,7 +474,6 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         bridges=bridges,
         steps=steps,
         seed=seed,
-        resample_rate=rate,
         validity=validity,
         config=dict(config or {}),
     )
@@ -553,6 +534,8 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     keeps its own stream RngStream(seed, 1000 it + j), so the batching
     never changes a draw.
     """
+    if len(t_sequence) == 0:
+        raise ConfigError("t_sequence must hold at least one lifetime")
     for t in t_sequence:
         check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)

@@ -495,13 +495,16 @@ def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng,
     return state, lam_at, touched
 
 
+CONFINEMENT_STEPS = 200  # grid of the bridge loops behind confinement_fraction
+
+
 def confinement_fraction(model: ManifoldModel, x, rho: float, t: float, samples: int,
-                         rng, steps: int = 200) -> float:
+                         rng) -> float:
     """Fraction of bridge loops pinned at x that stay inside B_rho(x)."""
     if rho <= 0:
         raise ValueError("confinement radius must be positive")
     anchors = np.broadcast_to(np.asarray(x, dtype=float), (samples, model.state_dim)).copy()
-    batch = simulate_bridges(model, anchors, t, steps, rng, track_excursion=True)
+    batch = simulate_bridges(model, anchors, t, CONFINEMENT_STEPS, rng, track_excursion=True)
     return float(np.mean(batch.max_excursion <= rho))
 
 
@@ -517,7 +520,6 @@ class PathSample:
     model: ManifoldModel
     t: float
     steps: int
-    times: np.ndarray                 # (steps + 1,)
     positions: np.ndarray             # (steps + 1, state_dim)
     frames: np.ndarray | None         # (steps + 1, state_dim, n)
     lam: np.ndarray                   # (steps + 1,)
@@ -526,11 +528,6 @@ class PathSample:
     nu_frame: np.ndarray              # (steps, n) full-frame normal components
     shape_coeff: np.ndarray           # (steps,)
     valid: bool
-    anchor: np.ndarray | None = None
-
-    @property
-    def dimension(self):
-        return self.model.dimension
 
 
 def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
@@ -542,7 +539,6 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
     h = t / steps
     n = model.dimension
     sd = model.state_dim
-    times = np.linspace(0.0, t, steps + 1)
     positions = np.empty((steps + 1, sd))
     frames = None if state.frames is None else np.empty((steps + 1, sd, n))
     lam = np.zeros(steps + 1)
@@ -573,10 +569,9 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
             nu_frame[k, cols] = info.nu[0]
             shape_coeff[k] = info.coeff[0]
     return PathSample(
-        model=model, t=t, steps=steps, times=times, positions=positions,
+        model=model, t=t, steps=steps, positions=positions,
         frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
         shape_coeff=shape_coeff, valid=bool(model.simulation_valid(state.x)[0]),
-        anchor=None if anchor is None else np.asarray(anchor, dtype=float),
     )
 
 

@@ -60,7 +60,7 @@ def evolve_transport(path):
 
     The lifts of the frame development u_0^T u_t and of its transpose.
     Raises NumericalAbortError when the development drifts from orthogonality
-    by more than 1e-6 (a resample signal).
+    by more than 1e-6.
     """
     n = path.model.dimension
     O = np.eye(n) if path.frames is None else path.frames[0].T @ path.frames[-1]

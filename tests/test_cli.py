@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gblab import cli
+from gblab import estimator as est
 from gblab.errors import ConfigError
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -266,6 +267,7 @@ class TestRangeValidation:
         ("estimate-chi", "workers", "2"),
         ("local-limit", "workers", "2"),
         ("local-limit", "t_sequence", "0.06,0"),
+        ("local-limit", "t_sequence", ","),
         ("local-limit", "t_sequence", "-1"),
         ("local-limit", "seed", "-3"),
         ("local-limit", "bridges", "0"),
@@ -280,6 +282,14 @@ class TestRangeValidation:
         ("cancellation-suite", "tolerance", "-1e-10"),
         ("cancellation-suite", "tolerance", "0"),
         ("cancellation-suite", "workers", "-1"),
+        ("cancellation-suite", "dims", ","),
+        ("cancellation-suite", "dims", "1"),  # no case to check: "passes" with 0 cases
+        ("cancellation-suite", "dims", "2,40"),
+        # formats that write no file, or a csv table the experiment does not have
+        ("local-limit", "formats", "xml"),
+        ("calibrate", "formats", ","),
+        ("estimate-chi", "formats", "csv"),
+        ("estimate-chi", "formats", "json,csv"),
         ("diagnostics", "seed", str(2**64)),
         ("diagnostics", "samples", "0"),
         ("diagnostics", "samples", "-5"),
@@ -303,6 +313,35 @@ class TestRangeValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, base, spoil", [
+        # 1 of 50 bridges: under the 5 % the former resample limit let through
+        ("estimate-chi", {**ESTIMATE_SMALL, "bridges": "25"}, "alive"),
+        ("local-limit", LOCAL_SMALL, "supertrace"),
+    ])
+    def test_invalid_bridge_exits_three(self, tmp_path, monkeypatch, experiment, base, spoil):
+        # the run's first bridge batch gets one invalid final state or one NaN supertrace
+        simulate, batches = est.simulate_bridges, []
+
+        def spoiled(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            if not batches:
+                if spoil == "alive":
+                    batch.alive[0] = False
+                else:
+                    values = batch.supertraces()
+                    values[-1] = math.nan
+                    batch.supertraces = lambda: values
+            batches.append(batch)
+            return batch
+
+        monkeypatch.setattr(est, "simulate_bridges", spoiled)
+        code, out, err = run_main([experiment, str(config_file(tmp_path, base))])
+        assert code == 3
+        assert len(out) == 1
+        assert json.loads(out[0])["error"]["kind"] == "numerical"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
     def test_largest_seeds_still_run(self, tmp_path, seed):
         cfg = config_file(tmp_path, {**ESTIMATE_SMALL, "seed": str(seed)})
@@ -311,6 +350,28 @@ class TestRangeValidation:
         report = json.loads((tmp_path / "out" / "estimate-chi.json").read_text())
         assert report["seed"] == seed
         jsonschema.validate(report, SCHEMA)
+
+
+def schema_properties(experiment):
+    """Top-level and per-experiment report keys the schema declares, and its row keys."""
+    branch = next(b["then"] for b in SCHEMA["allOf"]
+                  if b["if"]["properties"]["experiment"]["const"] == experiment)
+    rows = branch["properties"].get("rows", {}).get("items", {}).get("properties", {})
+    return set(SCHEMA["properties"]) | set(branch["properties"]), set(rows)
+
+
+@pytest.mark.parametrize("experiment, base", [
+    ("estimate-chi", ESTIMATE_SMALL), ("local-limit", LOCAL_SMALL),
+])
+def test_report_keys_match_schema(tmp_path, experiment, base):
+    # every emitted key is declared and every declared key is emitted
+    code, out, _ = run_main([experiment, str(config_file(tmp_path, base))])
+    assert code == 0, out
+    report = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())
+    declared, row_keys = schema_properties(experiment)
+    assert set(report) == declared
+    for row in report.get("rows", []):
+        assert set(row) == row_keys
 
 
 # a small value for every key that some experiment, but not every one, accepts

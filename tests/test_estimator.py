@@ -8,7 +8,7 @@ from gblab import estimator as est
 from gblab import geometry as geo
 from gblab import kernels as hk
 from gblab import stochastic as st
-from gblab.errors import CalibrationRankError, ConfigError, ResampleRateError
+from gblab.errors import CalibrationRankError, ConfigError, NumericalAbortError
 from gblab.stochastic import RngStream
 
 
@@ -205,17 +205,16 @@ class TestSupertraceExpectation:
         assert mean == 0.0
         assert se == 0.0
 
-    def test_resample_breach_raises(self, monkeypatch):
+    def test_invalid_final_states_abort(self, monkeypatch):
         # the one-row input check passes; every final state of the bridge batch is invalid
         model = geo.model_catalog("hemisphere", dimension=2)
         monkeypatch.setattr(
             type(model), "simulation_valid", lambda self, x: np.full(x.shape[0], x.shape[0] == 1)
         )
-        with pytest.raises(ResampleRateError) as err:
+        with pytest.raises(NumericalAbortError, match="100 of 100 bridges"):
             est.supertrace_expectation(
                 model, model.interior_point(), 0.01, 100, RngStream(5), steps=30
             )
-        assert err.value.rate == 1.0
 
 
 class TestEstimateChi:
@@ -395,18 +394,26 @@ class TestLockstepNodes:
         assert [len(g) for g in groups] == sizes
         assert [j for g in groups for j in g] == list(range(nodes))
 
-    def test_resample_check_is_per_node(self, monkeypatch):
-        # node 1 loses 4 of its 20 bridges: 10 % of the batch, 20 % of the node
+    @pytest.mark.parametrize("nodes, dead, bad_value", [
+        (2, [20, 21, 22, 23], None),  # node 1 loses 4 of its 20 bridges
+        (1, [39], None),  # 2.5 %: a rate the former 5 % resample limit let through
+        (2, [], math.nan),
+        (2, [], -math.inf),
+    ])
+    def test_any_invalid_bridge_aborts(self, nodes, dead, bad_value):
         alive = np.ones(40, dtype=bool)
-        alive[20:24] = False
-        batch = SimpleNamespace(alive=alive, supertraces=lambda: np.arange(40.0))
-        monkeypatch.setattr(est, "MAX_RESAMPLE_RATE", 0.15)
-        with pytest.raises(ResampleRateError) as err:
-            est._node_expectations(batch, 2, 0.01)
-        assert err.value.rate == pytest.approx(0.2)
-        monkeypatch.setattr(est, "MAX_RESAMPLE_RATE", 0.25)
+        alive[dead] = False
+        values = np.arange(40.0)
+        if bad_value is not None:
+            values[7] = bad_value
+        batch = SimpleNamespace(alive=alive, supertraces=lambda: values)
+        with pytest.raises(NumericalAbortError, match="of 40 bridges at t=0.01"):
+            est._node_expectations(batch, nodes, 0.01)
+
+    def test_node_expectations_of_valid_bridges(self):
+        batch = SimpleNamespace(alive=np.ones(40, dtype=bool), supertraces=lambda: np.arange(40.0))
         mean, se = est._node_expectations(batch, 2, 0.01)
-        assert mean.tolist() == [9.5, 31.5]
+        assert mean.tolist() == [9.5, 29.5]
         assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
 
 
@@ -422,7 +429,8 @@ class TestArgumentRanges:
             est.estimate_chi(geo.model_catalog("ball", dimension=2), **args)
 
     @pytest.mark.parametrize("kwargs", [
-        {"t_sequence": [0.05, 0.0]}, {"t_sequence": [-1.0]}, {"t_sequence": [math.nan]},
+        {"t_sequence": []}, {"t_sequence": [0.05, 0.0]}, {"t_sequence": [-1.0]},
+        {"t_sequence": [math.nan]},
         {"seed": -3}, {"seed": 2**64}, {"bridges": 0}, {"steps": 1}, {"steps": 0},
         {"depth_nodes": 0},
     ])

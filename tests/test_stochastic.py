@@ -439,7 +439,6 @@ class TestFunctional:
         steps = 3
         path = st.PathSample(
             model=model, t=0.03, steps=steps,
-            times=np.linspace(0, 0.03, steps + 1),
             positions=np.zeros((steps + 1, 2)),
             frames=None,
             lam=np.array([0.0, 0.3, 0.3, 0.3]),
@@ -595,7 +594,7 @@ class TestConfinement:
             st.confinement_fraction(disk(), np.array([0.0, 0.0]), -1.0, 0.01, 10, st.RngStream(1))
 
 
-class TestResampleSignal:
+class TestAbortSignals:
     def test_orthogonality_abort(self):
         model = hemisphere()
         anchor = model.interior_point()
