@@ -413,9 +413,10 @@ def check_integer(name, value, low, high=math.inf):
     return value
 
 
-# Paths per estimate_chi chunk: it bounds the arrays of one bridge batch.
-# Chunk i draws from RngStream(seed, i + 1), so the chunking is part of a
-# seed's result.
+# Rows of one bridge batch: estimate_chi's chunks and local_limit_check's
+# lockstep batches hold at most this many paths, which bounds the arrays of
+# a batch.  Chunk i of estimate_chi draws from RngStream(seed, i + 1), so
+# its chunking is part of a seed's result.
 CHUNK_PATHS = 250_000
 
 
@@ -485,16 +486,9 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
 # ---------------------------------------------------------------------------
 
 
-# Row cap of the lockstep batches local_limit_check packs its depth nodes
-# into.  Larger batches cost less dispatch per path-step, but from about
-# 8 000 rows glibc may trim and re-fault the per-step temporaries (the cap
-# sweep is in BENCH_local_limit.json).
-LOCKSTEP_ROWS = 6_000
-
-
 def _lockstep_groups(nodes: int, bridges: int):
-    """Node ranges of the fewest equal batches of whole nodes within LOCKSTEP_ROWS rows."""
-    count = -(-nodes // max(1, LOCKSTEP_ROWS // bridges))
+    """Node ranges of the fewest equal batches of whole nodes within CHUNK_PATHS rows."""
+    count = -(-nodes // max(1, CHUNK_PATHS // bridges))
     return [range(i * nodes // count, (i + 1) * nodes // count) for i in range(count)]
 
 
@@ -530,7 +524,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     capped at 0.9 times the confinement scale) and compare with the
     boundary integrand.  The ratio column approaches one as t decreases.
     Within a lifetime the depth nodes step together, as few lockstep
-    batches of whole nodes as LOCKSTEP_ROWS allows; node j of lifetime it
+    batches of whole nodes as CHUNK_PATHS allows; node j of lifetime it
     keeps its own stream RngStream(seed, 1000 it + j), so the batching
     never changes a draw.
     """

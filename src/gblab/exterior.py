@@ -106,10 +106,12 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, n: int) -> "GradedOperator":
+        _check_dimension(n)
         return cls(n, np.eye(1 << n))
 
     @classmethod
     def zero(cls, n: int) -> "GradedOperator":
+        _check_dimension(n)
         return cls(n, np.zeros((1 << n, 1 << n)))
 
     def _require_same(self, other):

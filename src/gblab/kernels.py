@@ -18,10 +18,12 @@ Exact constructions:
   Newton steps and a last bisection to full double precision.  Only these
   Bessel constructions import scipy.special, so the other models never
   load it.  The diagonal K0(t; x, x) depends only on rho = |x|:
-  a batch reads it from a Chebyshev table in (rho/r)^2 built inside each
-  call on 33, 65, 129, ... nodes, until the trailing coefficients are below
-  1e-14 of the largest.  A batch smaller than the next grid the table would
-  need (all one-point calls among them) is summed point by point instead;
+  a batch reads it from a Chebyshev table in (rho/r)^2 built on 33, 65,
+  129, ... nodes, until the trailing coefficients are below 1e-14 of the
+  largest.  The table is built once per (model, t) and kept with the mode
+  table, so a later batch at that t costs one Chebyshev evaluation.  A
+  batch smaller than the next grid the table would need (all one-point
+  calls among them) is summed point by point instead;
 * interval and circle: method of images / wrapped Gaussian, switching to
   the cosine eigenseries for large times;
 * hemisphere: reflection doubling of the closed-sphere series;
@@ -169,7 +171,10 @@ def _ball_modes(dim, radius, lam_max):
     weight multiplies exp(-lambda^2 t / 2) R(lambda rho_x) R(lambda rho_y)
     and the angular factor (cos(m dphi) on the disk, P_l(cos gamma) on the
     ball) in the kernel sum.  A cached table covering lam_max is reused;
-    otherwise one is built up to lambda * r = max(lam_max * r, 60).
+    otherwise one is built up to lambda * r = max(lam_max * r, 60).  The
+    entry's "diag" maps t to the (node count, coefficients) of the
+    diagonal's converged Chebyshev table (see ball_diag); a new entry
+    starts with none.
     """
     kind = "disk" if dim == 2 else "ball"
     x_max = lam_max * radius
@@ -185,7 +190,7 @@ def _ball_modes(dim, radius, lam_max):
     if cached is None or cached["x_max"] < x_max:
         x_max_build = max(x_max, 60.0)
         orders = (_disk_orders if dim == 2 else _ball3_orders)(radius, x_max_build)
-        cached = {"x_max": x_max_build, "orders": orders, "radius": radius}
+        cached = {"x_max": x_max_build, "orders": orders, "radius": radius, "diag": {}}
         _MODE_CACHE[key] = cached
     return cached
 
@@ -387,6 +392,12 @@ def ball_diag(t, radius, volume, x):
     coefficients are below _CHEB_TOL of the largest; if the next grid would
     need more nodes than the batch has points, the batch is summed point by
     point instead.
+
+    The converged table is kept with the mode table it was summed from, and
+    a later batch at the same t with at least its node count reads it.  A
+    cold build for such a batch converges to the same coefficients, and a
+    smaller batch builds or sums as if cold, so no value depends on
+    earlier calls.
     """
     r = radius
     dim = x.shape[1]
@@ -394,6 +405,9 @@ def ball_diag(t, radius, volume, x):
     n = _CHEB_FIRST_INTERVALS
     if rho.shape[0] < n + 1:
         return _ball_diag_series(t, dim, r, volume, rho)
+    tables = _ball_modes(dim, r, _lambda_max(t))["diag"]
+    if t in tables and tables[t][0] <= rho.shape[0]:
+        return chebyshev.chebval(2.0 * (rho / r) ** 2 - 1.0, tables[t][1])
     vals = _ball_diag_series(t, dim, r, volume, _lobatto_radii(r, np.arange(n + 1), n))
     while True:
         coeffs = _lobatto_coefficients(vals)
@@ -410,6 +424,7 @@ def ball_diag(t, radius, volume, x):
         merged[1::2] = fresh
         vals = merged
         n *= 2
+    tables[t] = (n + 1, coeffs)
     return chebyshev.chebval(2.0 * (rho / r) ** 2 - 1.0, coeffs)
 
 

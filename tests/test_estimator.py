@@ -366,7 +366,7 @@ class TestLockstepNodes:
     # the default cap puts all five 40-bridge nodes in one batch; 80 rows
     # gives batches of 1, 2 and 2 nodes, and 9-row tiles split an 80-row
     # batch at 35, 44, ..., so the tile of rows 35-43 holds rows of two nodes
-    @pytest.mark.parametrize("cap, tile_rows", [(est.LOCKSTEP_ROWS, None), (80, 9)])
+    @pytest.mark.parametrize("cap, tile_rows", [(est.CHUNK_PATHS, None), (80, 9)])
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
     def test_equal_to_per_node_loop(self, case, cap, tile_rows, constants2, constants3,
                                     monkeypatch):
@@ -375,7 +375,7 @@ class TestLockstepNodes:
         point = model.boundary_point() if kind == "boundary" else model.interior_point()
         constants = constants2 if model.dimension == 2 else constants3
         ref = per_node_rows(model, point, [0.03, 0.015], 40, 233, steps=24, depth_nodes=5)
-        monkeypatch.setattr(est, "LOCKSTEP_ROWS", cap)
+        monkeypatch.setattr(est, "CHUNK_PATHS", cap)
         if tile_rows is not None:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
         table = est.local_limit_check(model, point, [0.015, 0.03], 40, 233, steps=24,
@@ -389,7 +389,7 @@ class TestLockstepNodes:
         (1, 2000, 8000, [1]), (5, 40, 80, [1, 2, 2]), (5, 300, 8000, [5]),
     ])
     def test_lockstep_groups(self, nodes, bridges, cap, sizes, monkeypatch):
-        monkeypatch.setattr(est, "LOCKSTEP_ROWS", cap)
+        monkeypatch.setattr(est, "CHUNK_PATHS", cap)
         groups = est._lockstep_groups(nodes, bridges)
         assert [len(g) for g in groups] == sizes
         assert [j for g in groups for j in g] == list(range(nodes))

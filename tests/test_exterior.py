@@ -307,6 +307,22 @@ class TestParitySupertrace:
         for n in range(1, 7):
             assert ext.GradedOperator.identity(n).supertrace() == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1, 9, 13, 40, 2.5])
+    @pytest.mark.parametrize("make", ["identity", "zero"])
+    def test_dimension_checked_before_allocating(self, make, n, monkeypatch):
+        # identity(13) would otherwise fill a 0.5 GB matrix before rejecting n
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before checking the dimension")
+
+        monkeypatch.setattr(np, "eye", forbidden)
+        monkeypatch.setattr(np, "zeros", forbidden)
+        with pytest.raises(DimensionMismatchError):
+            getattr(ext.GradedOperator, make)(n)
+
+    def test_battery_rejects_unsupported_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            ext.cancellation_battery([40], 1, np.random.default_rng(0))
+
     def test_parity_squares_to_identity(self):
         for n in range(1, 6):
             eps = parity(n)

@@ -225,7 +225,11 @@ class TestRadialDiagonal:
 
     def test_table_is_built_once_per_batch(self, monkeypatch):
         # a 1500-point 3-ball batch at t = 0.01 sums the series only at the
-        # 65 nodes of its table
+        # 65 nodes of its table, and a second one reads the kept table, as
+        # does a 65-point batch; a 40- or 64-point batch sums the 33 nodes of
+        # the first grid and then its own points, before the table is kept
+        # and after
+        monkeypatch.setattr(hk, "_MODE_CACHE", {})
         model = geo.model_catalog("ball", dimension=3)
         summed = []
         series = hk._ball_diag_series
@@ -235,8 +239,13 @@ class TestRadialDiagonal:
             return series(t, dim, radius, volume, rho)
 
         monkeypatch.setattr(hk, "_ball_diag_series", counting)
-        hk.heat_kernel_diag(model, 0.01, model.sample_volume(np.random.default_rng(8), 1500))
-        assert sum(summed) == 65
+        x = model.sample_volume(np.random.default_rng(8), 1500)
+        counts = []
+        for size in (40, 1500, 1500, 40, 64, 65):
+            summed.clear()
+            hk.heat_kernel_diag(model, 0.01, x[:size])
+            counts.append(sum(summed))
+        assert counts == [33 + 40, 65, 0, 33 + 40, 33 + 64, 0]
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("model", [
@@ -269,6 +278,58 @@ class TestRadialDiagonal:
         x = model.sample_volume(np.random.default_rng(10), 3)
         with pytest.raises(SeriesConvergenceError):
             hk.heat_kernel_diag(model, t, x)
+
+
+class TestKeptDiagonalTables:
+    # ball_diag keeps each converged table with its mode table; no value may
+    # depend on which calls came before
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_extended_mode_table_keeps_its_modes(self, dim, monkeypatch):
+        # a table rebuilt for a smaller t holds the zeros and weights of the
+        # smaller table bit for bit, so a diagonal table summed from either
+        # is the same
+        orders = {}
+        for x_max in (60.0, 120.0):
+            monkeypatch.setattr(hk, "_MODE_CACHE", {})
+            orders[x_max] = hk._ball_modes(dim, 1.0, x_max)["orders"]
+        small, large = orders[60.0], orders[120.0]
+        for (order, lam, weight), (large_order, large_lam, large_weight) in zip(small, large):
+            keep = large_lam <= 60.0
+            assert order == large_order
+            assert np.array_equal(lam, large_lam[keep]), order
+            assert np.array_equal(weight, large_weight[keep]), order
+        assert all(np.all(lam > 60.0) for _, lam, _ in large[len(small):])
+
+    @pytest.mark.parametrize("model", radial_models()[:2], ids=lambda m: repr(m))
+    def test_same_bits_after_mode_table_extension(self, model, monkeypatch):
+        # a 1500-point batch at t = 0.1 cold, from its kept table, and from a
+        # table rebuilt after a t = 0.004 call replaced the mode table
+        monkeypatch.setattr(hk, "_MODE_CACHE", {})
+        x = model.sample_volume(np.random.default_rng(12), 1500)
+        cold = hk.heat_kernel_diag(model, 0.1, x)
+        (entry,) = hk._MODE_CACHE.values()
+        assert list(entry["diag"]) == [0.1]
+        warm = hk.heat_kernel_diag(model, 0.1, x)
+        hk.heat_kernel_diag(model, 0.004, x[:1])
+        (extended,) = hk._MODE_CACHE.values()
+        assert extended["x_max"] > entry["x_max"] and extended["diag"] == {}
+        rebuilt = hk.heat_kernel_diag(model, 0.1, x)
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(rebuilt, cold)
+
+    @pytest.mark.parametrize("model", radial_models(), ids=lambda m: repr(m))
+    def test_warm_batch_makes_no_bessel_call(self, model, monkeypatch):
+        monkeypatch.setattr(hk, "_MODE_CACHE", {})
+        x = model.sample_volume(np.random.default_rng(13), 1500)
+        cold = hk.heat_kernel_diag(model, 0.01, x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm batch evaluated a Bessel function")
+
+        monkeypatch.setattr(special, "jv", forbidden)
+        monkeypatch.setattr(special, "spherical_jn", forbidden)
+        assert np.array_equal(hk.heat_kernel_diag(model, 0.01, x), cold)
 
 
 class TestBall3NeumannZeros:
