@@ -348,10 +348,16 @@ def _run_diagnostics(cfg):
     z = np.broadcast_to(np.array([1.0, 0.0]), (samples, 2)).copy()
     ts = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
     total_steps = 2000
-    marks = [int(round(total_steps * ti / ts[-1])) for ti in ts]
-    _, lam_at, _ = st.simulate_free_walks(disk, z, ts[-1], total_steps,
-                                          st.RngStream(seed, 1), checkpoints=set(marks))
-    means = np.array([lam_at[m].mean() for m in marks])
+    marks = {int(round(total_steps * ti / ts[-1])): i for i, ti in enumerate(ts)}
+    lam_at = np.empty((len(ts), samples))  # the local time of every walk at each mark
+
+    def record(k, rows, state, info):
+        if k + 1 in marks:
+            lam_at[marks[k + 1], rows] = state.lam
+
+    st.simulate_bridges(disk, z, ts[-1], total_steps, st.RngStream(seed, 1), pinned=False,
+                        on_step=record)
+    means = np.array([row.mean() for row in lam_at])
     slope = float(np.polyfit(np.log(ts), np.log(means), 1)[0])
     checks.append({"name": "local_time_exponent", "value": slope,
                    "target": 0.5, "tolerance": 0.05, "passed": abs(slope - 0.5) < 0.05})

@@ -44,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A batch of P paths and `steps` steps needs P * n * (steps - 1) normals.
-# From this many on it draws through the helper.  Handing a batch over costs
-# about 1.7 ms (a 20-path, 40-step disk batch: 5.7 ms through the helper,
-# 4.1 ms inline), against 27 ms to draw 1e6 Philox normals inline; so the
-# handshake stays under a tenth of the draw it overlaps, and the many small
-# batches of the tests keep drawing inline.
+# A batch of P paths and `steps` steps needs P * n * (steps - 1) normals
+# (P * n * steps for free walks).  From this many on it draws through the
+# helper.  Handing a batch over costs about 1.7 ms (a 20-path, 40-step disk
+# batch: 5.7 ms through the helper, 4.1 ms inline), against 27 ms to draw 1e6
+# Philox normals inline; so the handshake stays under a tenth of the draw it
+# overlaps, and the many small batches of the tests keep drawing inline.
 HELPER_MIN_NORMALS = 1_000_000
 # The slot area of the ring: 4-8 tile slots on the benchmarks.  More slots ride
 # out longer scheduling gaps, but every slot the stepping reads stays in its

@@ -23,7 +23,7 @@ single boundary image, so the drift satisfies the Neumann condition at
 the boundary and reduces to the exact Euclidean bridge drift away from
 it.  The drift and the increment are built in walk coordinates, so a
 curved step never projects onto its frame and back.  The final step
-snaps to the anchor.
+snaps to the anchor.  Free walks step on the noise alone and never snap.
 
 Each step asks the model for its boundary data once: the walk state
 carries the boundary distance and inward normal of its current point,
@@ -34,21 +34,22 @@ of the states (simulation_valid) is read once, on a batch's final states:
 a non-finite coordinate stays non-finite through every later step, and
 the sphere steps renormalize onto their spheres.
 
-simulate_bridges draws its noise from one generator or from a sequence of
-G generators, one stream per equal contiguous row group, and steps the
-batch as equal row tiles of at most TILE_ROWS paths, so each step's
-temporaries stay cache-sized and the allocator reuses them.  Tiles and
+simulate_bridges, the one stepping loop, draws its noise from one
+generator or from a sequence of G generators, one stream per equal
+contiguous row group, and steps the batch as equal row tiles of at most
+TILE_ROWS paths, so each step's temporaries stay cache-sized and the
+allocator reuses them.  Tiles and
 groups never change a draw: every step visits the tiles in row order and
 each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
 is bitwise the same as in that separate, untiled batch.
 
 Which process draws never changes a number either.  A batch of at least
-noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1), hands its generators
-to a helper process forked on first use; the helper makes the same fill
-calls in the same order into a shared ring of tile-sized slots, step_bridge
-copies each tile's normals out of its slot, and the helper's final generator
-states are copied back into the caller's generators.  A draw depends only
+noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1) (steps for free walks),
+hands its generators to a helper process forked on first use; the helper
+makes the same fill calls in the same order into a shared ring of tile-sized
+slots, step_bridge copies each tile's normals out of its slot, and the
+helper's final generator states are copied back into the caller's generators.  A draw depends only
 on a generator's state and the calls made on it (Philox is counter-based),
 so paths, reports and the generators' end states are bitwise those of an
 inline batch.  Smaller batches and processes with one usable CPU draw inline
@@ -72,7 +73,8 @@ elementary symmetric polynomials.  The general 2**n-dimensional
 functional of one recorded path is kept in evolve_functional, the
 reference the fast path is checked against on coupled noise; it alone
 also offers the penalty form exp(-(DA + Pi_nor/eps) * dlam) (epsilon
-mode), whose eps -> 0 limit is the exact jump.
+mode), whose eps -> 0 limit is the exact jump.  simulate_path records that
+path step by step through the on_step hook of a one-row simulate_bridges.
 """
 
 from __future__ import annotations
@@ -107,11 +109,7 @@ class RngStream:
 
 
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return RngStream(int(rng)).generator()
+    return rng.generator() if isinstance(rng, RngStream) else rng
 
 
 def _row_streams(rng, rows: int) -> _RowStreams:
@@ -238,17 +236,7 @@ def _apply_increment(model, state, v):
     return _finish_step(model, state, x2, u2, depth, nu, idx, dlam)
 
 
-def step_reflected_bm(model, state: WalkState, h: float, rng) -> ContactInfo:
-    """One Euler-Maruyama step of normally reflected Brownian motion.
-
-    Mutates the state in place and returns the contact data of the step.
-    """
-    gen = _as_generator(rng)
-    xi = math.sqrt(h) * gen.standard_normal((state.x.shape[0], model.dimension))
-    return _apply_increment(model, state, model.frame_vector(state.frames, xi))
-
-
-def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=None):
+def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor):
     """Logarithmic heat-kernel drift toward the anchor, in walk coordinates.
 
     A two-well surrogate: the squared-distance gradient toward the anchor
@@ -266,13 +254,11 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor=
     image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0)),
     because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
     The boundary distance d_z and the normal nu are the ones the walk state
-    carries for its current point.
+    carries for its current point; d_anchor is the anchors' boundary distance.
     """
     ell = model.log_frame(state.x, anchor)
     drift = ell / remaining
     d_z, nu = state.depth, state.nu
-    if d_anchor is None:
-        d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = _rowdot(ell, nu)
     gap = d_z + d_anchor
     plus = ell_nu + gap
@@ -300,17 +286,22 @@ def _sub_columns(out, w, nu):
 
 def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
                 d_anchor=None) -> ContactInfo:
-    """One step of the reflected Brownian bridge toward the anchor.
+    """One step of the reflected Brownian bridge toward the anchor, or a free step.
 
-    rng is one generator, a sequence of G generators that split the rows
-    into G equal contiguous groups (ValueError otherwise), or a noise source
-    of noise.batch_noise.
+    With anchor None the step is free: the scaled noise alone, no drift.  A
+    bridge step needs the anchors' boundary distance d_anchor.  rng is one
+    generator, a sequence of G generators that split the rows into G equal
+    contiguous groups (ValueError otherwise), or a noise source of
+    noise.batch_noise.
     """
     streams = _row_streams(rng, state.x.shape[0])
-    g = bridge_drift(model, state, anchor, remaining, d_anchor=d_anchor)
+    g = None if anchor is None else bridge_drift(model, state, anchor, remaining,
+                                                 d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     streams.fill(xi)
     xi *= math.sqrt(h)
+    if g is None:
+        return _apply_increment(model, state, model.frame_vector(state.frames, xi))
     g *= h
     # the increment, in the drift's layout: the draws fill C-order rows
     g += model.frame_vector(state.frames, xi)
@@ -371,18 +362,15 @@ def _elementary_symmetric(B, d):
 
 @dataclass
 class BridgeBatch:
-    """Final state of a batch of bridge loops, ready for supertraces."""
+    """Final state of a batch of bridge loops (or free walks), ready for supertraces."""
 
     model: ManifoldModel
     t: float
-    steps: int
-    anchors: np.ndarray
     lam: np.ndarray
     contacts: np.ndarray                 # contact-step counts per path
     alive: np.ndarray                    # simulation_valid of the final states
     factor_m: dict                       # factor name -> (P, d, d) or None
     factor_O: dict                       # factor name -> (P, d, d) or None
-    max_excursion: np.ndarray | None = None
 
     def supertraces(self) -> np.ndarray:
         """Per-path supertrace of (functional x inverse transport)."""
@@ -410,44 +398,49 @@ class BridgeBatch:
 
 
 def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *,
-                     track_excursion=False) -> BridgeBatch:
-    """Simulate reflected Brownian bridge loops pinned at the given anchors.
+                     pinned=True, on_step=None) -> BridgeBatch:
+    """Simulate reflected Brownian bridge loops pinned at the given anchors, or free walks.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
-    t / steps and ends exactly at its anchor.  rng is one generator, or a
+    t / steps and ends exactly at its anchor, or, with pinned=False, only
+    starts there and takes `steps` free steps.  rng is one generator, or a
     sequence of G generators that split the P rows into G equal contiguous
     groups (ValueError otherwise); group i draws exactly what a separate
     batch of its rows draws from generator i.  The rows step as lockstep
     tiles of at most TILE_ROWS paths (see the module docstring).
+    on_step(k, rows, state, info) runs after step k of the tile of the
+    batch rows `rows`; info.idx counts from the tile's first row.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
     streams = _row_streams(rng, P)
     h = t / steps
-    d_anchor = model.boundary_distance(anchors)
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
-    excursion = np.zeros(P) if track_excursion else None
     tiles = _row_tiles(P)
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
-    tile_anchors = [_walk_rows(model, anchors[rows]) for rows in tiles]
+    # per tile: the anchors in walk layout and their boundary distance, or none
+    targets = [(None, None)] * len(tiles)
+    if pinned:
+        d_anchor = model.boundary_distance(anchors)
+        targets = [(_walk_rows(model, anchors[rows]), d_anchor[rows]) for rows in tiles]
+    noise_steps = steps - 1 if pinned else steps
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
-                     steps - 1) as tile_noise:
+                     noise_steps) as tile_noise:
         for k in range(steps):
             remaining = t - k * h
-            for rows, state, noise, anchor in zip(tiles, states, tile_noise, tile_anchors):
-                if k == steps - 1:
+            for rows, state, noise, (anchor, d_rows) in zip(tiles, states, tile_noise, targets):
+                if k == noise_steps:
                     info = snap_to_anchor(model, state, anchor)
                 else:
                     info = step_bridge(model, state, remaining, anchor, h, noise,
-                                       d_anchor=d_anchor[rows])
+                                       d_anchor=d_rows)
                 _jump_update(m[rows], info)
                 contacts[rows][info.idx] += 1
-                if track_excursion:
-                    np.maximum(excursion[rows], model.distance(state.x, anchor),
-                               out=excursion[rows])
+                if on_step is not None:
+                    on_step(k, rows, state, info)
     frames = None if frames0 is None else _orthonormalize(_join([s.frames for s in states]))
     factor_m = {}
     factor_O = {}
@@ -455,10 +448,9 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
         factor_m[spec.name] = m if spec.bounded else None
         factor_O[spec.name] = model.holonomy(frames0, frames, spec)
     return BridgeBatch(
-        model=model, t=t, steps=steps, anchors=anchors,
-        lam=_join([s.lam for s in states]), contacts=contacts,
+        model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
         alive=model.simulation_valid(_join([s.x for s in states])), factor_m=factor_m,
-        factor_O=factor_O, max_excursion=excursion,
+        factor_O=factor_O,
     )
 
 
@@ -473,28 +465,6 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def simulate_free_walks(model: ManifoldModel, starts, t: float, steps: int, rng, *,
-                        checkpoints=()):
-    """Reflected Brownian motion without conditioning.
-
-    Returns (state, lam_at, touched): the final state, the local time
-    recorded at the requested step indices, and a flag marking paths that
-    ever contacted the boundary.
-    """
-    gen = _as_generator(rng)
-    state = make_walk_state(model, starts)
-    h = t / steps
-    P = state.x.shape[0]
-    touched = np.zeros(P, dtype=bool)
-    lam_at = {}
-    for k in range(steps):
-        info = step_reflected_bm(model, state, h, gen)
-        touched[info.idx] = True
-        if (k + 1) in checkpoints:
-            lam_at[k + 1] = state.lam.copy()
-    return state, lam_at, touched
-
-
 CONFINEMENT_STEPS = 200  # grid of the bridge loops behind confinement_fraction
 
 
@@ -504,8 +474,13 @@ def confinement_fraction(model: ManifoldModel, x, rho: float, t: float, samples:
     if rho <= 0:
         raise ValueError("confinement radius must be positive")
     anchors = np.broadcast_to(np.asarray(x, dtype=float), (samples, model.state_dim)).copy()
-    batch = simulate_bridges(model, anchors, t, CONFINEMENT_STEPS, rng, track_excursion=True)
-    return float(np.mean(batch.max_excursion <= rho))
+    excursion = np.zeros(samples)  # the largest distance from x along each loop
+
+    def track(k, rows, state, info):
+        np.maximum(excursion[rows], model.distance(state.x, anchors[rows]), out=excursion[rows])
+
+    simulate_bridges(model, anchors, t, CONFINEMENT_STEPS, rng, on_step=track)
+    return float(np.mean(excursion <= rho))
 
 
 # ---------------------------------------------------------------------------
@@ -527,38 +502,27 @@ class PathSample:
     dlam: np.ndarray                  # (steps,)
     nu_frame: np.ndarray              # (steps, n) full-frame normal components
     shape_coeff: np.ndarray           # (steps,)
-    valid: bool
 
 
 def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
-                  anchor=None) -> PathSample:
-    """Simulate and record a single path (a bridge loop when anchored)."""
-    gen = _as_generator(rng)
+                  pinned=False) -> PathSample:
+    """Record one free path from x0 (a bridge loop back to x0 when pinned)."""
     x0 = np.asarray(x0, dtype=float)
-    state = make_walk_state(model, x0[None, :])
-    h = t / steps
     n = model.dimension
     sd = model.state_dim
     positions = np.empty((steps + 1, sd))
-    frames = None if state.frames is None else np.empty((steps + 1, sd, n))
+    frames = np.empty((steps + 1, sd, n)) if model.needs_frames else None
     lam = np.zeros(steps + 1)
     contact = np.zeros(steps, dtype=bool)
     dlam = np.zeros(steps)
     nu_frame = np.zeros((steps, n))
     shape_coeff = np.zeros(steps)
-    positions[0] = state.x[0]
+    positions[0] = x0
     if frames is not None:
-        frames[0] = state.frames[0]
-    anchor_arr = None if anchor is None else np.asarray(anchor, dtype=float)[None, :]
-    d_anchor = None if anchor is None else model.boundary_distance(anchor_arr)
+        frames[0] = model.initial_frames(x0[None, :])[0]
     cols = model.bounded_factor.cols
-    for k in range(steps):
-        if anchor_arr is None:
-            info = step_reflected_bm(model, state, h, gen)
-        elif k == steps - 1:
-            info = snap_to_anchor(model, state, anchor_arr)
-        else:
-            info = step_bridge(model, state, t - k * h, anchor_arr, h, gen, d_anchor=d_anchor)
+
+    def record(k, rows, state, info):
         positions[k + 1] = state.x[0]
         if frames is not None:
             frames[k + 1] = state.frames[0]
@@ -568,10 +532,12 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
             dlam[k] = info.dlam[0]
             nu_frame[k, cols] = info.nu[0]
             shape_coeff[k] = info.coeff[0]
+
+    simulate_bridges(model, x0[None, :], t, steps, rng, pinned=pinned, on_step=record)
     return PathSample(
         model=model, t=t, steps=steps, positions=positions,
         frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
-        shape_coeff=shape_coeff, valid=bool(model.simulation_valid(state.x)[0]),
+        shape_coeff=shape_coeff,
     )
 
 

@@ -224,10 +224,16 @@ def test_criterion_8_stochastic_properties():
     z = np.broadcast_to(np.array([1.0, 0.0]), (6000, 2)).copy()
     ts = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
     total_steps = 2500
-    marks = [int(round(total_steps * ti / ts[-1])) for ti in ts]
-    _, lam_at, _ = st.simulate_free_walks(disk, z, ts[-1], total_steps,
-                                          RngStream(1801), checkpoints=set(marks))
-    means = np.array([lam_at[m].mean() for m in marks])
+    marks = {int(round(total_steps * ti / ts[-1])): i for i, ti in enumerate(ts)}
+    lam_at = np.empty((len(ts), 6000))
+
+    def record(k, rows, state, info):
+        if k + 1 in marks:
+            lam_at[marks[k + 1], rows] = state.lam
+
+    st.simulate_bridges(disk, z, ts[-1], total_steps, RngStream(1801), pinned=False,
+                        on_step=record)
+    means = lam_at.mean(axis=1)
     slope_lam = float(np.polyfit(np.log(ts), np.log(means), 1)[0])
     ok_lam = abs(slope_lam - 0.5) < 0.05
 

@@ -106,15 +106,20 @@ class TestRunEstimate:
         assert "wall_time_seconds" not in report
         jsonschema.validate(report, SCHEMA)
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("experiment, text", [
+        ("estimate-chi", ESTIMATE_CFG),
+        # the free walks and recorded paths of diagnostics
+        ("diagnostics", "samples = 60\nseed = 11\noutput_dir = {out}\n"),
+    ], ids=["estimate-chi", "diagnostics"])
+    def test_byte_identical_reruns(self, tmp_path, experiment, text):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
-        cfg1 = write_config(tmp_path, ESTIMATE_CFG.format(out=out1), "a.cfg")
-        cfg2 = write_config(tmp_path, ESTIMATE_CFG.format(out=out1), "b.cfg")
-        assert cli.run(cfg1, "estimate-chi") == 0
-        first = (out1 / "estimate-chi.json").read_bytes()
-        assert cli.run(cfg2, "estimate-chi", output_dir=out2) == 0
-        second = (out2 / "estimate-chi.json").read_bytes()
+        cfg1 = write_config(tmp_path, text.format(out=out1), "a.cfg")
+        cfg2 = write_config(tmp_path, text.format(out=out1), "b.cfg")
+        assert cli.run(cfg1, experiment) == 0
+        first = (out1 / f"{experiment}.json").read_bytes()
+        assert cli.run(cfg2, experiment, output_dir=out2) == 0
+        second = (out2 / f"{experiment}.json").read_bytes()
         assert first == second
 
     def test_missing_seed_exits_two(self, tmp_path, capsys):

@@ -49,12 +49,13 @@ def assert_same(a, b):
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
-def run(model, x, rng, through_helper, steps=30):
+def run(model, x, rng, through_helper, steps=30, pinned=True):
     """One batch drawn inline or through the helper; (batch, the generators)."""
     gens = [rng()] if callable(rng) else [r() for r in rng]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "HELPER_MIN_NORMALS", 0 if through_helper else 10**18)
-        batch = st.simulate_bridges(model, x, 0.05, steps, gens if len(gens) > 1 else gens[0])
+        batch = st.simulate_bridges(model, x, 0.05, steps, gens if len(gens) > 1 else gens[0],
+                                    pinned=pinned)
     return batch, gens
 
 
@@ -74,11 +75,14 @@ class TestGeneratorStates:
         lambda: st.RngStream(401, 3).generator(),
         lambda: np.random.default_rng(409),
     ], ids=["philox", "pcg64"])
-    def test_caller_generator_ends_like_inline(self, make):
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    def test_caller_generator_ends_like_inline(self, make, pinned):
+        # a free walk draws on every step, a bridge on all but its snap; a
+        # helper asked for the wrong count would stall and be dropped
         model = disk()
         x = anchors(model, 64, 419)
-        inline, (g_inline,) = run(model, x, make, False)
-        helped, (g_helped,) = run(model, x, make, True)
+        inline, (g_inline,) = run(model, x, make, False, pinned=pinned)
+        helped, (g_helped,) = run(model, x, make, True, pinned=pinned)
         assert noise._HELPER is not None and noise._HELPER.alive()
         assert_same(helped, inline)
         assert state_bytes(g_helped) == state_bytes(g_inline)

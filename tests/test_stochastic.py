@@ -42,8 +42,8 @@ class TestRngStream:
     def test_path_reproducibility(self):
         model = disk()
         x0 = np.array([0.8, 0.0])
-        p1 = st.simulate_path(model, x0, 0.05, 60, st.RngStream(5, 1), anchor=x0)
-        p2 = st.simulate_path(model, x0, 0.05, 60, st.RngStream(5, 1), anchor=x0)
+        p1 = st.simulate_path(model, x0, 0.05, 60, st.RngStream(5, 1), pinned=True)
+        p2 = st.simulate_path(model, x0, 0.05, 60, st.RngStream(5, 1), pinned=True)
         assert np.array_equal(p1.positions, p2.positions)
         assert np.array_equal(p1.lam, p2.lam)
         assert np.array_equal(p1.dlam, p2.dlam)
@@ -51,13 +51,22 @@ class TestRngStream:
 
 class TestReflectedWalk:
     def test_flat_mean_square_displacement(self):
-        # Brownian scaling E|x_t - x_0|^2 = n t before the boundary is felt
+        # Brownian scaling E|x_t - x_0|^2 = n t before the boundary is felt;
+        # 40 000 walks step as several row tiles
         model = ball3()
         t, steps, P = 0.01, 100, 40_000
         starts = np.zeros((P, 3))
-        state, _, touched = st.simulate_free_walks(model, starts, t, steps, st.RngStream(11))
-        assert touched.mean() == 0.0
-        msd = np.einsum("pd,pd->p", state.x, state.x)
+        x = np.empty_like(starts)
+
+        def record_ends(k, rows, state, info):
+            if k == steps - 1:
+                x[rows] = state.x
+
+        batch = st.simulate_bridges(model, starts, t, steps, st.RngStream(11), pinned=False,
+                                    on_step=record_ends)
+        assert len(st._row_tiles(P)) > 1
+        assert batch.contacts.max() == 0
+        msd = np.einsum("pd,pd->p", x, x)
         se = msd.std() / math.sqrt(P)
         assert abs(msd.mean() - 3 * t) < 3 * se
 
@@ -65,7 +74,7 @@ class TestReflectedWalk:
         # recorded trajectories: lam nondecreasing and increments flagged
         model = disk()
         anchor = np.array([1.0, 0.0])
-        path = st.simulate_path(model, anchor, 0.05, 150, st.RngStream(211), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.05, 150, st.RngStream(211), pinned=True)
         dlam = np.diff(path.lam)
         assert np.all(dlam >= -1e-15)
         assert np.all(dlam[~path.contact] == 0.0)
@@ -76,18 +85,20 @@ class TestReflectedWalk:
     def test_local_time_monotone_and_interior_flat(self):
         model = disk()
         starts = np.broadcast_to(np.array([0.97, 0.0]), (200, 2)).copy()
-        gen = st.RngStream(13).generator()
-        state = st.make_walk_state(model, starts)
-        prev = state.lam.copy()
-        interior_dlam = 0.0
-        for _ in range(200):
-            info = st.step_reflected_bm(model, state, 1e-4, gen)
-            assert np.all(state.lam >= prev - 1e-15)
-            interior = np.ones(len(prev), dtype=bool)
+        prev = np.zeros(200)
+        interior_dlam = []
+
+        def check(k, rows, state, info):
+            assert np.all(state.lam >= prev[rows] - 1e-15)
+            interior = np.ones(len(state.lam), dtype=bool)
             interior[info.idx] = False
-            interior_dlam += np.abs(state.lam[interior] - prev[interior]).sum()
-            prev = state.lam.copy()
-        assert interior_dlam == 0.0
+            interior_dlam.append(np.abs(state.lam[interior] - prev[rows][interior]).sum())
+            prev[rows] = state.lam
+
+        batch = st.simulate_bridges(model, starts, 0.02, 200, st.RngStream(13), pinned=False,
+                                    on_step=check)
+        assert len(interior_dlam) == 200 and sum(interior_dlam) == 0.0
+        assert batch.contacts.sum() > 0
 
     def test_local_time_level_matches_half_space_law(self):
         # straight boundary: E[lam_t] from a boundary start must match the
@@ -97,9 +108,9 @@ class TestReflectedWalk:
         t, steps, P = 0.04, 2000, 20_000
         starts = np.zeros((P, 2))
         starts[:, 1] = 1.0
-        state, _, _ = st.simulate_free_walks(model, starts, t, steps, st.RngStream(17))
+        batch = st.simulate_bridges(model, starts, t, steps, st.RngStream(17), pinned=False)
         target = math.sqrt(2 * t / math.pi)
-        ratio = state.lam.mean() / target
+        ratio = batch.lam.mean() / target
         assert abs(ratio - 1.0) < 0.06
 
     def test_local_time_exponent(self):
@@ -109,10 +120,15 @@ class TestReflectedWalk:
         ts = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
         steps_total = 2500
         checkpoints = [int(round(steps_total * ti / ts[-1])) for ti in ts]
-        _, lam_at, _ = st.simulate_free_walks(
-            model, z, ts[-1], steps_total, st.RngStream(19), checkpoints=set(checkpoints)
-        )
-        means = np.array([lam_at[c].mean() for c in checkpoints])
+        lam_at = np.empty((len(checkpoints), 6000))
+
+        def record(k, rows, state, info):
+            if k + 1 in checkpoints:
+                lam_at[checkpoints.index(k + 1), rows] = state.lam
+
+        st.simulate_bridges(model, z, ts[-1], steps_total, st.RngStream(19), pinned=False,
+                            on_step=record)
+        means = lam_at.mean(axis=1)
         slope = np.polyfit(np.log(ts), np.log(means), 1)[0]
         assert abs(slope - 0.5) < 0.05
 
@@ -121,21 +137,21 @@ class TestReflectedWalk:
         d = 0.5
         t = d * d / 100.0
         starts = np.broadcast_to(np.array([1.0 - d, 0.0]), (5000, 2)).copy()
-        _, _, touched = st.simulate_free_walks(model, starts, t, 50, st.RngStream(23))
-        assert touched.mean() < 0.01
+        batch = st.simulate_bridges(model, starts, t, 50, st.RngStream(23), pinned=False)
+        assert (batch.contacts > 0).mean() < 0.01
 
 
 class TestBridge:
     def test_flat_endpoint_snaps_to_anchor(self):
         model = disk()
         anchor = np.array([0.3, -0.2])
-        path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(29), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(29), pinned=True)
         assert np.abs(path.positions[-1] - anchor).max() < 1e-12
 
     def test_sphere_endpoint_snaps_to_anchor(self):
         model = hemisphere()
         anchor = model.interior_point()
-        path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(31), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(31), pinned=True)
         assert np.abs(path.positions[-1] - anchor).max() < 1e-9
 
     def test_bridge_displacement_bound(self):
@@ -178,7 +194,7 @@ class TestBridge:
                 bound = model.distance(z, x)[0] / s + 1.0 / math.sqrt(s)
                 worst_exact = max(worst_exact, np.linalg.norm(grad) / bound)
                 state = st.make_walk_state(model, z)
-                g = st.bridge_drift(model, state, x, s)
+                g = st.bridge_drift(model, state, x, s, d_anchor=model.boundary_distance(x))
                 worst_surrogate = max(worst_surrogate, np.linalg.norm(g[0]) / bound)
         assert 0 < worst_exact < 4.0
         assert 0 < worst_surrogate < 4.0
@@ -220,7 +236,7 @@ class TestBridge:
                 continue
             checked += 1
             state = st.make_walk_state(model, z)
-            g = st.bridge_drift(model, state, x, s)[0]
+            g = st.bridge_drift(model, state, x, s, d_anchor=model.boundary_distance(x))[0]
             scale = np.linalg.norm(grad) + 1.0 / math.sqrt(s)
             rels.append(np.linalg.norm(g - grad) / scale)
         assert checked >= 12
@@ -244,7 +260,7 @@ class TestBridge:
         assert 0.6 < ratios[0] / ratios[1] < 1.6
 
 
-def two_well_drift(model, state, anchor, remaining, d_anchor=None):
+def two_well_drift(model, state, anchor, remaining, d_anchor):
     """Reference: the reflected drift as an explicit two-well average.
 
     The direct well pulls toward the anchor, the image well toward the
@@ -253,8 +269,6 @@ def two_well_drift(model, state, anchor, remaining, d_anchor=None):
     """
     ell = model.log_frame(state.x, anchor)
     d_z, nu = model.collar_data(state.x)
-    if d_anchor is None:
-        d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = np.einsum("pk,pk->p", ell, nu)
     ell_tan = ell - ell_nu[:, None] * nu
     mirror_gap = d_z + d_anchor
@@ -286,9 +300,8 @@ class TestClosedFormDrift:
         assert np.all(err <= 1e-13 * np.linalg.norm(old, axis=1)), err.max()
         return state, new
 
-    @pytest.mark.parametrize("with_d_anchor", [True, False])
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_matches_two_well_surrogate(self, name, with_d_anchor):
+    def test_matches_two_well_surrogate(self, name):
         model = DRIFT_MODELS[name]()
         rng = np.random.default_rng(151)
         P = 400
@@ -298,17 +311,16 @@ class TestClosedFormDrift:
         anchors = np.concatenate([model.sample_volume(rng, P // 2),
                                   model.sample_collar(rng, P // 4, 0.1),
                                   model.sample_boundary(rng, P // 4)])
-        d_anchor = model.boundary_distance(anchors) if with_d_anchor else None
+        d_anchor = model.boundary_distance(anchors)
         for remaining in (0.3, 0.05, 0.002):
             self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
 
-    @pytest.mark.parametrize("with_d_anchor", [True, False])
-    def test_disk_center_and_boundary_anchor(self, with_d_anchor):
+    def test_disk_center_and_boundary_anchor(self):
         # at the exact center nu = 0; a boundary anchor has d_anchor = 0
         model = disk()
         x = np.array([[0.0, 0.0], [0.0, 0.0], [0.9, 0.0], [0.999, 0.0]])
         anchors = np.array([[0.3, 0.4], [1.0, 0.0], [-0.9, 0.0], [0.0, 1.0]])
-        d_anchor = model.boundary_distance(anchors) if with_d_anchor else None
+        d_anchor = model.boundary_distance(anchors)
         for remaining in (0.5, 0.05):
             state, new = self.assert_matches_two_well(model, x, anchors, remaining, d_anchor)
             _, nu = model.collar_data(state.x)
@@ -358,7 +370,7 @@ class TestTransport:
     def test_flat_transport_is_identity(self):
         model = disk()
         path = st.simulate_path(model, np.array([0.2, 0.1]), 0.05, 50, st.RngStream(53),
-                                anchor=np.array([0.2, 0.1]))
+                                pinned=True)
         U, V = evolve_transport(path)
         assert np.array_equal(U.mat, np.eye(4))
         assert np.array_equal(V.mat, np.eye(4))
@@ -366,7 +378,7 @@ class TestTransport:
     def test_inverse_contract(self):
         model = hemisphere()
         anchor = model.interior_point()
-        path = st.simulate_path(model, anchor, 0.05, 200, st.RngStream(59), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.05, 200, st.RngStream(59), pinned=True)
         U, V = evolve_transport(path)
         assert np.abs((V @ U).mat - np.eye(4)).max() < 1e-8
 
@@ -374,7 +386,7 @@ class TestTransport:
         # tau_{s,t} tau_{0,s} = tau_{0,t} for the ambient frame maps
         model = hemisphere()
         anchor = model.interior_point()
-        path = st.simulate_path(model, anchor, 0.05, 100, st.RngStream(61), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.05, 100, st.RngStream(61), pinned=True)
         u0, u_mid, u_end = path.frames[0], path.frames[50], path.frames[-1]
         lhs = (u_end @ u_mid.T) @ (u_mid @ u0.T)
         rhs = u_end @ u0.T
@@ -427,7 +439,7 @@ class TestFunctional:
     def test_interior_only_flat_path_gives_identity(self):
         model = disk()
         x0 = np.zeros(2)
-        path = st.simulate_path(model, x0, 0.01, 40, st.RngStream(71), anchor=x0)
+        path = st.simulate_path(model, x0, 0.01, 40, st.RngStream(71), pinned=True)
         assert not path.contact.any()
         M = st.evolve_functional(path)
         assert np.array_equal(M.mat, np.eye(4))
@@ -446,7 +458,6 @@ class TestFunctional:
             dlam=np.array([0.0, 0.3, 0.0]),
             nu_frame=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
             shape_coeff=np.array([0.0, 1.0, 0.0]),
-            valid=True,
         )
         M = st.evolve_functional(path)
         expected = np.diag([1.0, 0.0, math.exp(-0.3), 0.0])
@@ -455,7 +466,7 @@ class TestFunctional:
     def test_normal_projection_annihilated_after_every_contact(self):
         model = disk()
         anchor = np.array([1.0, 0.0])
-        path = st.simulate_path(model, anchor, 0.04, 120, st.RngStream(73), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.04, 120, st.RngStream(73), pinned=True)
         hits = np.nonzero(path.contact)[0]
         assert hits.size > 0
         for k in hits:
@@ -487,7 +498,7 @@ class TestFunctional:
             (disk(), np.array([1.0, 0.0])),
             (hemisphere(), geo.model_catalog("hemisphere", dimension=2).boundary_point()),
         ]:
-            path = st.simulate_path(model, anchor, 0.05, 100, st.RngStream(83), anchor=anchor)
+            path = st.simulate_path(model, anchor, 0.05, 100, st.RngStream(83), pinned=True)
             mid = 50
             left = st.evolve_functional(path, stop=mid)
             right = st.evolve_functional(path, start=mid)
@@ -501,7 +512,7 @@ class TestFunctional:
             (disk(), np.array([1.0, 0.0])),
             (hemisphere(), geo.model_catalog("hemisphere", dimension=2).boundary_point()),
         ]:
-            path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(89), anchor=anchor)
+            path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(89), pinned=True)
             M = st.evolve_functional(path)
             assert M.mat[0, 0] == 1.0
             assert np.abs(M.mat[0, 1:]).max() < 1e-14
@@ -529,12 +540,13 @@ class TestFastPathAgainstOperators:
         anchor = m.boundary_point() if anchor_kind == "boundary" else m.interior_point()
         for seed in (3, 4, 5):
             stream = st.RngStream(101, seed)
-            path = st.simulate_path(m, anchor, 0.05, 60, stream, anchor=anchor)
+            path = st.simulate_path(m, anchor, 0.05, 60, stream, pinned=True)
             batch = st.simulate_bridges(m, anchor[None, :], 0.05, 60, stream)
             fast = batch.supertraces()[0]
             slow = path_supertrace(path)
             assert abs(fast - slow) < 1e-9
-            assert abs(batch.lam[0] - path.lam[-1]) < 1e-12
+            # one stepping loop on both sides
+            assert batch.lam[0] == path.lam[-1]
 
 
 class TestFlatSanity:
@@ -598,7 +610,7 @@ class TestAbortSignals:
     def test_orthogonality_abort(self):
         model = hemisphere()
         anchor = model.interior_point()
-        path = st.simulate_path(model, anchor, 0.02, 30, st.RngStream(139), anchor=anchor)
+        path = st.simulate_path(model, anchor, 0.02, 30, st.RngStream(139), pinned=True)
         path.frames[-1][:, 0] *= 1.01  # corrupt the frame
         with pytest.raises(NumericalAbortError):
             evolve_transport(path)
@@ -616,10 +628,11 @@ class TestAbortSignals:
 # ---------------------------------------------------------------------------
 
 
-def single_batch_bridges(model, anchors, t, steps, rng):
+def single_batch_bridges(model, anchors, t, steps, rng, pinned=True):
     """Reference: the untiled stepping loop, one WalkState for the whole batch.
 
-    Returns the batch and the positions it visited, (steps + 1, P, state_dim).
+    Unpinned, the anchors are the starts of free walks.  Returns the batch
+    and the positions it visited, (steps + 1, P, state_dim).
     """
     gen = st._as_generator(rng)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -631,18 +644,18 @@ def single_batch_bridges(model, anchors, t, steps, rng):
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
-    excursion = np.zeros(P)
     positions = np.empty((steps + 1, P, model.state_dim))
     positions[0] = state.x
     for k in range(steps):
         remaining = t - k * h
-        if k == steps - 1:
+        if not pinned:
+            info = st.step_bridge(model, state, remaining, None, h, gen)
+        elif k == steps - 1:
             info = st.snap_to_anchor(model, state, anchors)
         else:
             info = st.step_bridge(model, state, remaining, anchors, h, gen, d_anchor=d_anchor)
         st._jump_update(m, info)
         contacts[info.idx] += 1
-        np.maximum(excursion, model.distance(state.x, anchors), out=excursion)
         positions[k + 1] = state.x
     factor_m = {}
     factor_O = {}
@@ -651,9 +664,8 @@ def single_batch_bridges(model, anchors, t, steps, rng):
         factor_m[spec.name] = m if spec.bounded else None
         factor_O[spec.name] = model.holonomy(frames0, frames, spec)
     batch = st.BridgeBatch(
-        model=model, t=t, steps=steps, anchors=anchors, lam=state.lam.copy(),
-        contacts=contacts, alive=model.simulation_valid(state.x), factor_m=factor_m,
-        factor_O=factor_O, max_excursion=excursion,
+        model=model, t=t, lam=state.lam.copy(), contacts=contacts,
+        alive=model.simulation_valid(state.x), factor_m=factor_m, factor_O=factor_O,
     )
     return batch, positions
 
@@ -671,7 +683,7 @@ def mixed_anchors(model, count, seed):
 
 
 def assert_batches_equal(a, b):
-    for field in ("lam", "contacts", "alive", "max_excursion"):
+    for field in ("lam", "contacts", "alive"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for factors in ("factor_m", "factor_O"):
         fa, fb = getattr(a, factors), getattr(b, factors)
@@ -690,24 +702,32 @@ REGIMES = {"fine": (0.05, 30), "coarse": (0.2, 10)}
 
 
 class TestTiledBridges:
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
     @pytest.mark.parametrize("regime", list(REGIMES))
     @pytest.mark.parametrize("name", list(TILE_MODELS))
-    def test_bitwise_equal_to_single_batch(self, name, regime, monkeypatch):
+    def test_bitwise_equal_to_single_batch(self, name, regime, pinned, monkeypatch):
         model = TILE_MODELS[name]()
         anchors = mixed_anchors(model, 131, 167)
         t, steps = REGIMES[regime]
-        ref, _ = single_batch_bridges(model, anchors, t, steps, st.RngStream(173, 2))
-        assert ref.contacts.sum() > 0
+        ref = single_batch_bridges(model, anchors, t, steps, st.RngStream(173, 2), pinned)
+        assert ref[0].contacts.sum() > 0
         # one tile at the default cap; then 64 rows -> 43, 44, 44; then one
         # 5-row tile, 13 rows -> 4, 4, 5 and 131 rows -> 27 tiles of 4 or 5
         cases = [(st.TILE_ROWS, 131), (64, 131), (5, 5), (5, 13), (5, 131)]
         for tile_rows, P in cases:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            positions = np.empty((steps, P, model.state_dim))
+
+            def record(k, rows, state, info):
+                positions[k, rows] = state.x
+
             tiled = st.simulate_bridges(model, anchors[:P], t, steps, st.RngStream(173, 2),
-                                        track_excursion=True)
-            expected = ref if P == 131 else single_batch_bridges(
-                model, anchors[:P], t, steps, st.RngStream(173, 2))[0]
+                                        pinned=pinned, on_step=record)
+            expected, expected_positions = ref if P == 131 else single_batch_bridges(
+                model, anchors[:P], t, steps, st.RngStream(173, 2), pinned)
             assert_batches_equal(tiled, expected)
+            # the hook sees every tile's rows after every step
+            assert np.array_equal(positions, expected_positions[1:])
 
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
                                                    (64, 131, [43, 44, 44]), (64, 128, [64, 64])])
@@ -730,11 +750,17 @@ class TestBridgePaths:
         assert ref.contacts.sum() > 0
         assert np.abs(positions[-1] - anchors).max() < 1e-9
         assert model.boundary_distance(positions.reshape(-1, model.state_dim)).min() >= -1e-12
-        # the engine's excursion is the largest distance to the anchor along the path
-        batch = st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(277),
-                                    track_excursion=True)
+        # the excursion an on_step hook tracks (as confinement_fraction's does)
+        # is the largest distance to the anchor along the path
+        excursion = np.zeros(60)
+
+        def track(k, rows, state, info):
+            np.maximum(excursion[rows], model.distance(state.x, anchors[rows]),
+                       out=excursion[rows])
+
+        st.simulate_bridges(model, anchors, 0.05, 30, st.RngStream(277), on_step=track)
         dist = np.stack([model.distance(p, anchors) for p in positions])
-        assert np.array_equal(batch.max_excursion, dist.max(axis=0))
+        assert np.array_equal(excursion, dist.max(axis=0))
 
 
 def full_contact_step(model, state, v):
@@ -846,12 +872,10 @@ def broadcast_reflect(model, x, u):
     return x2, u, depth
 
 
-def broadcast_flat_drift(model, x, anchor, remaining, *, d_anchor=None):
+def broadcast_flat_drift(model, x, anchor, remaining, *, d_anchor):
     """Reference: bridge_drift on a flat ball with per-path [:, None] broadcasts."""
     ell = anchor - x
     d_z, nu = broadcast_collar_data(model, x)
-    if d_anchor is None:
-        d_anchor = model.boundary_distance(np.atleast_2d(np.asarray(anchor, dtype=float)))
     ell_nu = geo._rowdot(ell, nu)
     gap = d_z + d_anchor
     rho = np.exp(np.clip((ell_nu - gap) * (ell_nu + gap) / (2.0 * remaining), -60.0, 0.0))
@@ -900,11 +924,11 @@ class TestFlatColumnwise:
         anchors[:10] = inside[:10]  # zero log: the anchor is the point itself
         anchors[-1] = inside[-1]    # the centre, anchored at itself
         state = st.make_walk_state(model, inside)
-        for d_anchor in (None, model.boundary_distance(anchors)):
-            for remaining in (0.3, 0.002):
-                new = st.bridge_drift(model, state, anchors, remaining, d_anchor=d_anchor)
-                old = broadcast_flat_drift(model, inside, anchors, remaining, d_anchor=d_anchor)
-                assert np.array_equal(new, old)
+        d_anchor = model.boundary_distance(anchors)
+        for remaining in (0.3, 0.002):
+            new = st.bridge_drift(model, state, anchors, remaining, d_anchor=d_anchor)
+            old = broadcast_flat_drift(model, inside, anchors, remaining, d_anchor=d_anchor)
+            assert np.array_equal(new, old)
 
 
 def concat_batches(parts):
@@ -920,24 +944,23 @@ def concat_batches(parts):
                 for name, first_value in getattr(first, field).items()}
 
     return st.BridgeBatch(
-        model=first.model, t=first.t, steps=first.steps, anchors=join("anchors"),
-        lam=join("lam"), contacts=join("contacts"), alive=join("alive"),
-        factor_m=join_factors("factor_m"), factor_O=join_factors("factor_O"),
-        max_excursion=join("max_excursion"),
+        model=first.model, t=first.t, lam=join("lam"), contacts=join("contacts"),
+        alive=join("alive"), factor_m=join_factors("factor_m"),
+        factor_O=join_factors("factor_O"),
     )
 
 
 class TestGroupedStreams:
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
     @pytest.mark.parametrize("regime", list(REGIMES))
     @pytest.mark.parametrize("name", list(DRIFT_MODELS))
-    def test_bitwise_equal_to_separate_batches(self, name, regime, monkeypatch):
+    def test_bitwise_equal_to_separate_batches(self, name, regime, pinned, monkeypatch):
         model = DRIFT_MODELS[name]()
         anchors = mixed_anchors(model, 87, 193)
         t, steps = REGIMES[regime]
         streams = [st.RngStream(197, 10 + j) for j in range(3)]
         separate = concat_batches([
-            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], t, steps, s,
-                                track_excursion=True)
+            st.simulate_bridges(model, anchors[29 * j:29 * (j + 1)], t, steps, s, pinned=pinned)
             for j, s in enumerate(streams)
         ])
         assert separate.contacts.sum() > 0
@@ -946,8 +969,7 @@ class TestGroupedStreams:
         for tile_rows in (st.TILE_ROWS, 64, 5):
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
             grouped = st.simulate_bridges(model, anchors, t, steps,
-                                          [s.generator() for s in streams],
-                                          track_excursion=True)
+                                          [s.generator() for s in streams], pinned=pinned)
             assert_batches_equal(grouped, separate)
 
     def test_single_generator_in_a_sequence(self):
@@ -967,19 +989,22 @@ class TestGroupedStreams:
             st.simulate_bridges(model, anchors, 0.05, 10, gens)
         state = st.make_walk_state(model, anchors)
         with pytest.raises(ValueError):
-            st.step_bridge(model, state, 0.05, anchors, 0.005, gens)
+            st.step_bridge(model, state, 0.05, anchors, 0.005, gens,
+                           d_anchor=model.boundary_distance(anchors))
 
     def test_step_bridge_groups(self):
         model = hemisphere()
         anchors = mixed_anchors(model, 24, 227)
         grouped = st.make_walk_state(model, anchors)
         gens = [st.RngStream(229, j).generator() for j in range(2)]
-        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, gens)
+        d_anchor = model.boundary_distance(anchors)
+        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, gens, d_anchor=d_anchor)
         parts = []
         for j in range(2):
-            state = st.make_walk_state(model, anchors[12 * j:12 * (j + 1)])
-            part = st.step_bridge(model, state, 0.05, anchors[12 * j:12 * (j + 1)], 0.01,
-                                  st.RngStream(229, j).generator())
+            rows = slice(12 * j, 12 * (j + 1))
+            state = st.make_walk_state(model, anchors[rows])
+            part = st.step_bridge(model, state, 0.05, anchors[rows], 0.01,
+                                  st.RngStream(229, j).generator(), d_anchor=d_anchor[rows])
             parts.append((state, part.idx + 12 * j))
         assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
         assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
@@ -1112,9 +1137,11 @@ class TestWalkLayout:
     @pytest.mark.parametrize("name", list(FLAT_MODELS))
     def test_flat_walks_keep_c_order(self, name):
         model = FLAT_MODELS[name]()
-        state = st.make_walk_state(model, mixed_anchors(model, 20, 251))
+        anchors = mixed_anchors(model, 20, 251)
+        state = st.make_walk_state(model, anchors)
         assert state.frames is None and state.x.flags.c_contiguous
-        st.step_bridge(model, state, 0.05, mixed_anchors(model, 20, 251), 0.01, st.RngStream(257))
+        st.step_bridge(model, state, 0.05, anchors, 0.01, st.RngStream(257),
+                       d_anchor=model.boundary_distance(anchors))
         assert state.x.flags.c_contiguous
 
 
