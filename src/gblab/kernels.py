@@ -11,19 +11,19 @@ Exact constructions:
 
 * flat disk / ball: eigenexpansion over Bessel (spherical Bessel) modes
   with Neumann zeros, from a mode table built at the first call for a
-  radius and kept for later calls at the same or a larger t.  The disk's
-  zeros of J_m' come from scipy's jnp_zeros; the 3-ball's zeros of j_l'
-  are bracketed by a sign scan at spacing 0.5, which misses none because
-  consecutive zeros lie more than pi apart (DLMF 10.21), then polished by
-  Newton steps and a last bisection to full double precision.  Only these
-  Bessel constructions import scipy.special, so the other models never
-  load it.  The diagonal K0(t; x, x) depends only on rho = |x|:
-  a batch reads it from a Chebyshev table in (rho/r)^2 built on 33, 65,
-  129, ... nodes, until the trailing coefficients are below 1e-14 of the
-  largest.  The table is built once per (model, t) and kept with the mode
-  table, so a later batch at that t costs one Chebyshev evaluation.  A
-  batch smaller than the next grid the table would need (all one-point
-  calls among them) is summed point by point instead;
+  radius and kept for later calls at the same or a larger t.  The zeros
+  of J_m' and j_l' are bracketed by one sign scan of every order at
+  spacing 0.5, which misses none because consecutive zeros lie more than
+  pi apart (DLMF 10.21), then polished by Newton steps and a last
+  bisection to full double precision.  Every Bessel value comes from
+  bessel, a backward recurrence in numpy.  The diagonal K0(t; x, x)
+  depends only on rho = |x|: a batch reads it from a Chebyshev table in
+  (rho/r)^2 built on 33, 65, 129, ... nodes, until the trailing
+  coefficients are below 1e-14 of the largest.  The table is built once
+  per (model, t) and kept with the mode table, so a later batch at that t
+  costs one Chebyshev evaluation.  A batch smaller than the next grid the
+  table would need (all one-point calls among them) is summed point by
+  point instead;
 * interval and circle: method of images / wrapped Gaussian, switching to
   the cosine eigenseries for large times;
 * hemisphere: reflection doubling of the closed-sphere series;
@@ -54,8 +54,9 @@ _CHEB_FIRST_INTERVALS = 32  # the first radial table grid has 33 nodes
 _CHEB_TAIL = 8  # trailing coefficients that must be negligible
 _CHEB_TOL = 1e-14  # ... relative to the largest coefficient
 
-_SCAN_STEP = 0.5  # sign-scan spacing of the 3-ball Neumann zeros
+_SCAN_STEP = 0.5  # sign-scan spacing of the Neumann zeros
 _NEWTON_STEPS = 5  # Newton steps from each bracket's midpoint
+_BESSEL_PASS = 1 << 14  # Bessel values per backward-recurrence pass
 
 _MODE_CACHE: dict = {}
 
@@ -161,20 +162,121 @@ def sphere_kernel(t, dim, radius, gamma):
 
 
 # ---------------------------------------------------------------------------
+# Bessel functions of integer order
+# ---------------------------------------------------------------------------
+
+
+def bessel(order, x, spherical=False):
+    """(J_m(x), J_m'(x)), or (j_m(x), j_m'(x)) with spherical=True, at integer m >= 0, x >= 0.
+
+    order and x broadcast; each element has its own order.  Miller's
+    backward recurrence in the order (DLMF 10.74(iv)): an element starts
+    from f_N = 1, f_{N+1} = 0 at N = max(m, x) + a max(m, x)^(1/3) + 10
+    and recurs f_{k-1} = (2k + s) / x f_k - f_{k+1} (s = 0, or 1 for j)
+    down to k = 0.  Since N > x, J_N(x) > 0, so f is a positive multiple
+    of the Bessel sequence.  It is fixed by J_0 + 2 sum J_2k = 1
+    (DLMF 10.12.4), which counts every term, so N must lie where J_N is
+    below the rounding of that sum (a = 10); or by a least-squares fit of
+    (f_0, f_1) to j_0 = sin x / x and j_1 = (j_0 - cos x) / x
+    (DLMF 10.49.3), which only needs the recurrence to have settled on
+    j (a = 6).  The derivatives are (J_{m-1} - J_{m+1}) / 2 and
+    (m j_{m-1} - (m + 1) j_{m+1}) / (2m + 1) (DLMF 10.6.1, 10.51.2).
+    Below x = 1e-30 the values at x = 0 are exact to rounding.
+
+    Elements run in passes of _BESSEL_PASS, sorted by N, keeping only a
+    few arrays of the pass's size.  Each element's arithmetic depends only
+    on its own (m, x), and rescaling is by powers of two, so no value that
+    does not underflow depends on the rest of the batch.
+    """
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, dtype=float))
+    shape = x.shape
+    m = order.ravel().astype(np.intp)
+    x = x.ravel()
+    val = np.zeros(x.size)
+    der = np.zeros(x.size)
+    tiny = x < 1e-30
+    val[tiny] = m[tiny] == 0
+    der[tiny & (m == 1)] = 1.0 / 3.0 if spherical else 0.5
+    live = np.flatnonzero(~tiny)
+    big = np.maximum(m[live], x[live])
+    top = (big + (6.0 if spherical else 10.0) * np.cbrt(big) + 10.0).astype(np.intp) + 1
+    by_top = np.argsort(-top, kind="stable")
+    live, top = live[by_top], top[by_top]
+    for lo in range(0, live.size, _BESSEL_PASS):
+        idx = live[lo:lo + _BESSEL_PASS]
+        val[idx], der[idx] = _miller(m[idx], x[idx], top[lo:lo + _BESSEL_PASS], spherical)
+    return val.reshape(shape), der.reshape(shape)
+
+
+def _miller(m, x, top, spherical):
+    """bessel's recurrence for one pass, top (each element's N) descending."""
+    n = m.size
+    s = 1.0 if spherical else 0.0
+    K = int(top[0])
+    # rows with top >= k step at k; they form a prefix, as top descends
+    running = np.searchsorted(-top, -np.arange(K + 1), side="right").tolist()
+    by_order = np.argsort(m, kind="stable")
+    first = np.searchsorted(m[by_order], np.arange(K + 2)).tolist()
+    # |f| grows by at most g = (2K + 1) / x + 1 a step; rows past 2^500 are
+    # scaled by 2^-500 at least every 480 / log2(g) steps, so none overflows
+    check = max(1, int(480.0 / math.log2((2 * K + 1) / x.min() + 1.0)))
+    f, fp, fn = np.ones(n), np.zeros(n), np.empty(n)
+    total = (top % 2 == 0).astype(float)  # the even terms of f: f_N = 1
+    val, up, down = np.zeros(n), np.zeros(n), np.zeros(n)
+    c = 0
+    for k in range(K, 0, -1):
+        if running[k] != c:  # rows starting at N = k
+            f[c:running[k]] = 1.0
+            fp[c:running[k]] = 0.0
+            c = running[k]
+            xc = x[:c]
+        new = np.divide(2.0 * k + s, xc, out=fn[:c])
+        new *= f[:c]
+        new -= fp[:c]
+        if k % 2 and not spherical:
+            total[:c] += new
+        lo, mid, hi = first[k - 1], first[k], first[k + 1]
+        if lo < mid:  # m = k - 1
+            rows = by_order[lo:mid]
+            val[rows] = fn[rows]
+            up[rows] = f[rows]
+        if mid < hi:  # m = k
+            rows = by_order[mid:hi]
+            down[rows] = fn[rows]
+        f, fp, fn = fn, f, fp
+        if k % check == 0 or k == 1:  # and before f_0^2 + f_1^2 below
+            over = np.flatnonzero(np.maximum(np.abs(f[:c]), np.abs(fp[:c])) > 2.0**500)
+            if over.size:
+                for a in (f, fp, val, up, down, total):
+                    a[over] *= 2.0**-500
+    if spherical:
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+        norm = (f * f + fp * fp) / (j0 * f + j1 * fp)
+        mf = m.astype(float)
+        der = (mf * down - (mf + 1.0) * up) / (2.0 * mf + 1.0)
+    else:
+        norm = 2.0 * total - f  # J_0 + 2 sum J_2k = 1; total counts f_0 once
+        der = 0.5 * (np.where(m == 0, -up, down) - up)  # J_{-1} = -J_1
+    return val / norm, der / norm
+
+
+# ---------------------------------------------------------------------------
 # Neumann modes of the flat disk and ball
 # ---------------------------------------------------------------------------
 
 
 def _ball_modes(dim, radius, lam_max):
-    """Neumann modes (order, lambda, weight) of the disk (dim 2) or 3-ball series.
+    """Neumann modes of the disk (dim 2) or 3-ball series up to lambda = lam_max.
 
-    weight multiplies exp(-lambda^2 t / 2) R(lambda rho_x) R(lambda rho_y)
-    and the angular factor (cos(m dphi) on the disk, P_l(cos gamma) on the
-    ball) in the kernel sum.  A cached table covering lam_max is reused;
-    otherwise one is built up to lambda * r = max(lam_max * r, 60).  The
-    entry's "diag" maps t to the (node count, coefficients) of the
-    diagonal's converged Chebyshev table (see ball_diag); a new entry
-    starts with none.
+    The entry's "order", "lam" and "weight" list every mode, sorted by
+    order and then lambda; weight multiplies exp(-lambda^2 t / 2)
+    R(lambda rho_x) R(lambda rho_y) and the angular factor (cos(m dphi) on
+    the disk, P_l(cos gamma) on the ball) in the kernel sum.  A cached
+    table covering lam_max is reused; otherwise one is built up to
+    lambda * r = max(lam_max * r, 60).  The entry's "diag" maps t to the
+    (node count, coefficients) of the diagonal's converged Chebyshev table
+    (see ball_diag); a new entry starts with none.
     """
     kind = "disk" if dim == 2 else "ball"
     x_max = lam_max * radius
@@ -189,80 +291,64 @@ def _ball_modes(dim, radius, lam_max):
     cached = _MODE_CACHE.get(key)
     if cached is None or cached["x_max"] < x_max:
         x_max_build = max(x_max, 60.0)
-        orders = (_disk_orders if dim == 2 else _ball3_orders)(radius, x_max_build)
-        cached = {"x_max": x_max_build, "orders": orders, "radius": radius, "diag": {}}
+        order, lam, weight = _ball_orders(dim, radius, x_max_build)
+        cached = {"x_max": x_max_build, "order": order, "lam": lam, "weight": weight,
+                  "radius": radius, "diag": {}}
         _MODE_CACHE[key] = cached
     return cached
 
 
-def _disk_orders(radius, x_max_build):
-    from scipy import special
+def _ball_orders(dim, radius, x_max_build):
+    """(order, lambda, weight) of the disk (dim 2) or 3-ball modes up to lambda r = x_max_build.
 
-    per_order = int(x_max_build / math.pi) + 3
-    orders = []
-    for m in range(0, int(x_max_build) + 2):
-        # the first zero of J_m' is >= m and the zeros lie more than pi apart,
-        # so no more than this many of them can lie below x_max_build
-        count = min(per_order, int((x_max_build - m) / math.pi) + 3)
-        zeros = special.jnp_zeros(m, count)
-        zeros = zeros[zeros <= x_max_build]
-        if zeros.size == 0 and m > 0:
-            break
-        if m == 0:
-            zeros = zeros[zeros > 1e-9]
-        lam = zeros / radius
-        jval = special.jv(m, zeros)
-        norm = (radius**2 / 2.0) * (1.0 - (m / zeros) ** 2) * jval**2
-        weight = (1.0 if m == 0 else 2.0) / (2.0 * math.pi * norm)
-        orders.append((m, lam, weight))
-    return orders
-
-
-def _ball3_orders(radius, x_max_build):
-    from scipy import special
-
-    # The zeros of j_l' lie more than pi apart (DLMF 10.21), so a sign scan
-    # at _SCAN_STEP brackets each of them alone.  Each order's scan starts at
-    # the 0.02 lattice point just below sqrt(l(l+1)): at the first critical
-    # point of j_l, j_l > 0 >= j_l'', which the Bessel ODE
-    # x^2 j'' + 2x j' + (x^2 - l(l+1)) j = 0 allows only for x^2 >= l(l+1).
-    # It ends at the last point of that lattice below x_max_build + 0.5, so
-    # an order whose first zero lies just past x_max_build keeps its (empty)
-    # entry, and the first order without a zero there ends the table.
+    The Neumann zeros are those of J_m' or j_l'.  They lie more than pi
+    apart (DLMF 10.21), so one sign scan of every order at _SCAN_STEP
+    brackets each of them alone.  No zero of J_m' lies below m, and none
+    of j_l' below sqrt(l(l+1)): at the first critical point of R, R > 0 >=
+    R'', which the Bessel ODE x^2 R'' + p x R' + (x^2 - nu^2) R = 0
+    (p = 1, nu^2 = m^2; p = 2, nu^2 = l(l+1)) allows only for x >= nu.  So
+    each order's scan starts at the 0.02 lattice point just below nu and
+    ends at the last point of that lattice below x_max_build + 0.5.
+    """
+    spherical = dim == 3
+    p = 2.0 if spherical else 1.0
+    orders = np.arange(int(x_max_build) + 2)
+    nu2 = orders * (orders + 1.0) if spherical else orders**2.0
     lattice = np.arange(0.2, x_max_build + 0.5, 0.02)
     end = lattice[-1]
-    bracket_orders, bracket_lo, bracket_hi = [], [], []
-    for l in range(0, int(x_max_build) + 2):
-        start = lattice[max(int(np.searchsorted(lattice, math.sqrt(l * (l + 1)))) - 1, 0)]
-        grid = np.append(np.arange(start, end, _SCAN_STEP), end)
-        sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if flips.size == 0 and l > 0:
-            break
-        bracket_orders.append(np.full(flips.size, l))
-        bracket_lo.append(grid[flips])
-        bracket_hi.append(grid[flips + 1])
-    ls = np.concatenate(bracket_orders)
+    start = lattice[np.maximum(np.searchsorted(lattice, np.sqrt(nu2)) - 1, 0)]
+    points = np.maximum(np.ceil((end - start) / _SCAN_STEP).astype(np.intp), 0) + 1
+    ls = np.repeat(orders, points)
+    step = np.arange(ls.size) - np.repeat(np.cumsum(points) - points, points)
+    grid = np.repeat(start, points) + _SCAN_STEP * step
+    grid[np.cumsum(points) - 1] = end
+    sgn = np.sign(bessel(ls, grid, spherical)[1])
+    flips = np.flatnonzero((sgn[:-1] * sgn[1:] < 0) & (ls[:-1] == ls[1:]))
+    ls = ls[flips]
+    nu2 = nu2[ls]
 
     def deriv(x):
-        return special.spherical_jn(ls, x, derivative=True)
+        return bessel(ls, x, spherical)[1]
 
-    def newton_step(x):  # j_l' / j_l'', with j_l'' from the Bessel ODE
-        d = deriv(x)
-        j = special.spherical_jn(ls, x)
-        return d / (-(2.0 / x) * d - (1.0 - ls * (ls + 1) / (x * x)) * j)
+    def newton_step(x):  # R' / R'', with R'' from the Bessel ODE
+        r, d = bessel(ls, x, spherical)
+        return d / (-(p / x) * d - (1.0 - nu2 / (x * x)) * r)
 
-    roots = _polish_roots(deriv, newton_step, np.concatenate(bracket_lo),
-                          np.concatenate(bracket_hi))
-    orders = []
-    for l in range(len(bracket_orders)):
-        zeros = roots[(ls == l) & (roots <= x_max_build)]
-        lam = zeros / radius
-        jval = special.spherical_jn(l, zeros)
-        norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / zeros**2) * jval**2
-        weight = (2 * l + 1) / (4.0 * math.pi * norm)
-        orders.append((l, lam, weight))
-    return orders
+    zeros = _polish_roots(deriv, newton_step, grid[flips], grid[flips + 1])
+    keep = zeros <= x_max_build
+    ls, zeros = ls[keep], zeros[keep]
+    return ls, zeros / radius, _mode_weights(dim, radius, ls, zeros)
+
+
+def _mode_weights(dim, radius, order, zeros):
+    """Weights of the disk's or 3-ball's Neumann modes at the zeros lambda r of R'."""
+    if dim == 2:
+        r = bessel(order, zeros)[0]
+        norm = (radius**2 / 2.0) * (1.0 - (order / zeros) ** 2) * r**2
+        return np.where(order == 0, 1.0, 2.0) / (2.0 * math.pi * norm)
+    r = bessel(order, zeros, spherical=True)[0]
+    norm = (radius**3 / 2.0) * (1.0 - order * (order + 1.0) / zeros**2) * r**2
+    return (2 * order + 1) / (4.0 * math.pi * norm)
 
 
 def _polish_roots(f, newton_step, lo, hi):
@@ -272,7 +358,7 @@ def _polish_roots(f, newton_step, lo, hi):
     bracket midpoints, each clipped to its bracket, come within a few ulps
     of the root; _bisect_roots then settles the last bits on a bracket
     around the Newton point, widened until it holds the sign change of
-    [lo, hi].  On the 3-ball tables the roots are bitwise those that
+    [lo, hi].  On the mode tables the roots are bitwise those that
     _bisect_roots finds on the whole brackets, at a fraction of the calls.
     """
     sign_lo = np.sign(f(lo))
@@ -315,49 +401,57 @@ def _lambda_max(t):
 
 
 def _active_modes(modes, t):
-    """(order, lambda, weight * exp(-lambda^2 t / 2)) of each order's modes above the tail cut."""
-    for order, lam, weight in modes["orders"]:
-        keep = lam * lam * t / 2.0 <= _TAIL_LOG
-        lam = lam[keep]
-        if lam.size:
-            yield order, lam, weight[keep] * np.exp(-lam * lam * t / 2.0)
+    """(order, lambda, weight * exp(-lambda^2 t / 2)) of the modes above the tail cut."""
+    lam = modes["lam"]
+    keep = lam * lam * t / 2.0 <= _TAIL_LOG
+    lam = lam[keep]
+    return modes["order"][keep], lam, modes["weight"][keep] * np.exp(-lam * lam * t / 2.0)
+
+
+def _mode_sum(t, dim, radius, rho_x, rho_y, angular=None):
+    """sum over modes of coeff R(lambda rho_x) R(lambda rho_y) A, per point pair.
+
+    rho_y is rho_x for the diagonal; angular(order, pairs) gives the
+    angular factor A of those pairs, 1 when None.  Pairs are summed in
+    blocks of about _BESSEL_PASS (mode, pair) values.
+    """
+    order, lam, coeff = _active_modes(_ball_modes(dim, radius, _lambda_max(t)), t)
+    out = np.empty(rho_x.shape[0])
+    block = max(1, _BESSEL_PASS // max(order.size, 1))
+    for lo in range(0, out.size, block):
+        pairs = slice(lo, lo + block)
+        rx = bessel(order[:, None], lam[:, None] * rho_x[None, pairs], dim == 3)[0]
+        if rho_y is rho_x:
+            terms = rx * rx
+        else:
+            terms = rx * bessel(order[:, None], lam[:, None] * rho_y[None, pairs], dim == 3)[0]
+        if angular is not None:
+            terms *= angular(order, pairs)
+        out[pairs] = np.einsum("k,kp->p", coeff, terms)
+    return out
 
 
 def disk_kernel(t, radius, x, y):
     """Neumann kernel of the flat disk of the given radius at point pairs (x_p, y_p)."""
-    from scipy import special
-
-    modes = _ball_modes(2, radius, _lambda_max(t))
-    rho_x = np.linalg.norm(x, axis=-1)
-    rho_y = np.linalg.norm(y, axis=-1)
     dphi = np.arctan2(x[:, 1], x[:, 0]) - np.arctan2(y[:, 1], y[:, 0])
-    out = np.full(x.shape[0], 1.0 / (math.pi * radius * radius))
-    for m, lam, coeff in _active_modes(modes, t):
-        jx = special.jv(m, lam[:, None] * rho_x[None, :])
-        jy = special.jv(m, lam[:, None] * rho_y[None, :])
-        ang = np.cos(m * dphi)[None, :] if m > 0 else 1.0
-        out = out + np.einsum("k,kp->p", coeff, jx * jy * (ang if m > 0 else 1.0))
+    out = 1.0 / (math.pi * radius * radius) + _mode_sum(
+        t, 2, radius, np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1),
+        lambda order, pairs: np.cos(order[:, None] * dphi[None, pairs]))
     # eigen-series noise floor: the density is positive
     return np.maximum(out, 0.0)
 
 
 def ball3_kernel(t, radius, volume, x, y):
     """Neumann kernel of the flat 3-ball of the given radius and volume at point pairs."""
-    from scipy import special
-
-    modes = _ball_modes(3, radius, _lambda_max(t))
     rho_x = np.linalg.norm(x, axis=-1)
     rho_y = np.linalg.norm(y, axis=-1)
     denom = np.where(rho_x * rho_y == 0.0, 1.0, rho_x * rho_y)
     cosg = np.clip(np.einsum("pd,pd->p", x, y) / denom, -1.0, 1.0)
     cosg = np.where(rho_x * rho_y == 0.0, 1.0, cosg)
-    out = np.full(x.shape[0], 1.0 / volume)
-    lmax_used = max((entry[0] for entry in modes["orders"]), default=0)
-    legendre = _legendre_table(cosg, lmax_used)
-    for l, lam, coeff in _active_modes(modes, t):
-        jx = special.spherical_jn(l, lam[:, None] * rho_x[None, :])
-        jy = special.spherical_jn(l, lam[:, None] * rho_y[None, :])
-        out = out + np.einsum("k,kp->p", coeff, jx * jy) * legendre[l]
+    lmax = int(_ball_modes(3, radius, _lambda_max(t))["order"].max())
+    legendre = np.array(_legendre_table(cosg, lmax))
+    out = 1.0 / volume + _mode_sum(t, 3, radius, rho_x, rho_y,
+                                   lambda order, pairs: legendre[order, pairs])
     # eigen-series noise floor: the density is positive
     return np.maximum(out, 0.0)
 
@@ -368,19 +462,8 @@ def _ball_diag_series(t, dim, radius, volume, rho):
     On the diagonal the angular factor is cos(0) = P_l(1) = 1, so each
     mode contributes weight * decay * R(lambda rho)^2.
     """
-    from scipy import special
-
-    modes = _ball_modes(dim, radius, _lambda_max(t))
-    if dim == 2:
-        radial = special.jv
-        out = np.full(rho.shape[0], 1.0 / (math.pi * radius * radius))
-    else:
-        radial = special.spherical_jn
-        out = np.full(rho.shape[0], 1.0 / volume)
-    for order, lam, coeff in _active_modes(modes, t):
-        j = radial(order, lam[:, None] * rho[None, :])
-        out = out + np.einsum("k,kp->p", coeff, j * j)
-    return np.maximum(out, 0.0)
+    base = 1.0 / (math.pi * radius * radius) if dim == 2 else 1.0 / volume
+    return np.maximum(base + _mode_sum(t, dim, radius, rho, rho), 0.0)
 
 
 def ball_diag(t, radius, volume, x):

@@ -8,7 +8,8 @@ contraction operators, boundary projections, shape-operator extensions
 (plain and penalized), the parity operator, basis degrees and wedge signs,
 the interior product of a vector with a multivector, a vector as a
 degree-1 multivector, degree components and degree blocks.  Also the
-reference mode tables of the flat disk and 3-ball, built the slow way.
+reference mode tables of the flat disk and 3-ball, built the slow way on
+kernels.bessel or with scipy.special, and the diagonal summed with scipy.
 """
 
 import math
@@ -281,52 +282,70 @@ def penalized_shape_extension(A, nu, eps: float) -> ext.GradedOperator:
     return da + (1.0 / eps) * pi_nor
 
 
-def disk_orders_untrimmed(radius, x_max_build):
-    """The disk mode table with int(x_max / pi) + 3 zeros of J_m' asked of every order."""
-    per_order = int(x_max_build / math.pi) + 3
-    orders = []
-    for m in range(0, int(x_max_build) + 2):
-        zeros = special.jnp_zeros(m, per_order)
-        zeros = zeros[zeros <= x_max_build]
-        if zeros.size == 0 and m > 0:
-            break
-        if m == 0:
-            zeros = zeros[zeros > 1e-9]
-        lam = zeros / radius
-        jval = special.jv(m, zeros)
-        norm = (radius**2 / 2.0) * (1.0 - (m / zeros) ** 2) * jval**2
-        weight = (1.0 if m == 0 else 2.0) / (2.0 * math.pi * norm)
-        orders.append((m, lam, weight))
-    return orders
+def mode_table_dense(dim, radius, x_max_build):
+    """The disk (dim 2) or 3-ball mode table from a 0.02 sign scan and full bisection.
 
-
-def ball3_orders_dense(radius, x_max_build):
-    """The 3-ball mode table from a 0.02 sign scan of j_l' and full bisection of every bracket.
-
-    Each order's scan starts at the grid point just below sqrt(l(l+1)); the
-    first order without a sign change on the grid ends the table.
+    Both run on kernels.bessel.  Each order's scan of R' starts at the
+    grid point just below m (disk) or sqrt(l(l+1)) (3-ball); every
+    bracket is bisected to full precision.
     """
+    spherical = dim == 3
     grid = np.arange(0.2, x_max_build + 0.5, 0.02)
     bracket_orders, bracket_lo = [], []
     for l in range(0, int(x_max_build) + 2):
-        start = max(int(np.searchsorted(grid, math.sqrt(l * (l + 1)))) - 1, 0)
-        sgn = np.sign(special.spherical_jn(l, grid[start:], derivative=True))
+        nu = math.sqrt(l * (l + 1)) if spherical else l
+        start = max(int(np.searchsorted(grid, nu)) - 1, 0)
+        sgn = np.sign(hk.bessel(l, grid[start:], spherical)[1])
         flips = start + np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if flips.size == 0 and l > 0:
-            break
         bracket_orders.append(np.full(flips.size, l))
         bracket_lo.append(flips)
     ls = np.concatenate(bracket_orders)
     flips = np.concatenate(bracket_lo)
-    roots = hk._bisect_roots(
-        lambda x: special.spherical_jn(ls, x, derivative=True), grid[flips], grid[flips + 1]
-    )
-    orders = []
-    for l in range(len(bracket_orders)):
-        zeros = roots[(ls == l) & (roots <= x_max_build)]
-        lam = zeros / radius
-        jval = special.spherical_jn(l, zeros)
-        norm = (radius**3 / 2.0) * (1.0 - l * (l + 1) / zeros**2) * jval**2
-        weight = (2 * l + 1) / (4.0 * math.pi * norm)
-        orders.append((l, lam, weight))
-    return orders
+    roots = hk._bisect_roots(lambda x: hk.bessel(ls, x, spherical)[1],
+                             grid[flips], grid[flips + 1])
+    keep = roots <= x_max_build
+    ls, roots = ls[keep], roots[keep]
+    return ls, roots / radius, hk._mode_weights(dim, radius, ls, roots)
+
+
+def mode_table_scipy(dim, radius, x_max_build):
+    """The disk (dim 2) or 3-ball mode table from scipy.special alone.
+
+    The disk's zeros of J_m' come from jnp_zeros; the 3-ball's from a 0.5
+    sign scan of spherical_jn' (from sqrt(l(l+1)) on) and full bisection.
+    """
+    orders, zeros = [], []
+    for l in range(0, int(x_max_build) + 2):
+        if dim == 2:
+            found = special.jnp_zeros(l, int((x_max_build - l) / math.pi) + 3)
+        else:
+            grid = np.arange(math.sqrt(l * (l + 1)), x_max_build + 0.5, 0.5)
+            sgn = np.sign(special.spherical_jn(l, grid, derivative=True))
+            flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+            found = hk._bisect_roots(lambda x, l=l: special.spherical_jn(l, x, derivative=True),
+                                     grid[flips], grid[flips + 1])
+        found = found[(found <= x_max_build) & (found > 1e-9)]
+        if found.size == 0 and l > 0:
+            break
+        orders.append(np.full(found.size, l))
+        zeros.append(found)
+    ls = np.concatenate(orders)
+    z = np.concatenate(zeros)
+    if dim == 2:
+        norm = (radius**2 / 2.0) * (1.0 - (ls / z) ** 2) * special.jv(ls, z) ** 2
+        weight = np.where(ls == 0, 1.0, 2.0) / (2.0 * math.pi * norm)
+    else:
+        norm = ((radius**3 / 2.0) * (1.0 - ls * (ls + 1.0) / z**2)
+                * special.spherical_jn(ls, z) ** 2)
+        weight = (2 * ls + 1) / (4.0 * math.pi * norm)
+    return ls, z / radius, weight
+
+
+def ball_diag_scipy(table, t, dim, radius, volume, rho):
+    """K0(t; x, x) at radius rho, summed with scipy.special over a mode table's modes."""
+    order, lam, weight = table
+    keep = lam * lam * t / 2.0 <= hk._TAIL_LOG
+    order, lam, weight = order[keep], lam[keep], weight[keep]
+    radial = special.jv(order, lam * rho) if dim == 2 else special.spherical_jn(order, lam * rho)
+    base = 1.0 / (math.pi * radius**2) if dim == 2 else 1.0 / volume
+    return base + np.sum(weight * np.exp(-lam * lam * t / 2.0) * radial**2)

@@ -217,6 +217,21 @@ class TestSupertraceExpectation:
             )
 
 
+    def test_hemisphere_pole_matches_the_closed_sphere(self):
+        # at t = 0.1 the pole of the 2-hemisphere lies 5 sqrt(t) from the
+        # boundary, whose share is about e^{-(pi/2)^2 / 2t} = 4e-6, so E[Str]
+        # there is the closed sphere's chi(S^2) / (4 pi p_{S^2}(t; x, x));
+        # the seed was fixed before the first run, which read 0.0983411 +-
+        # 0.0000104, z = -0.32
+        model = geo.model_catalog("hemisphere", dimension=2)
+        t = 0.1
+        target = 2.0 / (4.0 * math.pi * float(hk.sphere_kernel(t, 2, model.radius, 0.0)))
+        assert target == pytest.approx(0.0983444, abs=5e-8)
+        mean, se = est.supertrace_expectation(model, model.interior_point(), t, 20000,
+                                              RngStream(2019), steps=220)
+        assert abs(mean - target) <= 3.0 * se
+
+
 class TestEstimateChi:
     def test_report_structure_and_determinism(self):
         model = geo.model_catalog("ball", dimension=2)
@@ -235,7 +250,8 @@ class TestEstimateChi:
     def test_multi_chunk_estimate_is_pinned(self, monkeypatch):
         # 30 paths per chunk split 8 base points x 10 bridges into chunks of
         # 3, 3 and 2 anchors, each drawing from its own stream; the pinned
-        # bits were computed before the process pool was removed
+        # bits were computed before the process pool was removed, and the
+        # disk kernel's Bessel values have moved by rounding since
         monkeypatch.setattr(est, "CHUNK_PATHS", 30)
         sizes = []
         chunk = est._chi_chunk
@@ -248,8 +264,9 @@ class TestEstimateChi:
         model = geo.model_catalog("ball", dimension=2)
         rep = est.estimate_chi(model, 0.08, 8, 10, seed=7, steps=40)
         assert sizes == [3, 3, 2]
-        assert rep.estimate.hex() == "0x1.7ba7bae7c4cd8p-1"
-        assert rep.stderr.hex() == "0x1.7f07e9adab713p-2"
+        pinned = [float.fromhex("0x1.7ba7bae7c4cd8p-1"), float.fromhex("0x1.7f07e9adab713p-2")]
+        assert np.all(np.abs(np.subtract([rep.estimate, rep.stderr], pinned))
+                      <= 1e-12 * np.abs(pinned))
 
     def test_zero_characteristic_models_are_exact(self):
         for name, kw in [("cylinder", dict(length=1.0)),
@@ -526,9 +543,10 @@ FIXED_SEED_LOCAL_LIMIT = {
 
 @pytest.mark.parametrize("case", list(FIXED_SEED_LOCAL_LIMIT))
 def test_fixed_seed_local_limit_rows(case, constants2, constants3):
-    # flat stepping is unchanged bit for bit; hemisphere rows moved by up to
-    # 1e-13 relative when the per-step Gram-Schmidt went and the sphere step
-    # took the half-angle form of cos a - 1
+    # hemisphere rows moved by up to 1e-13 relative when the per-step
+    # Gram-Schmidt went and the sphere step took the half-angle form of
+    # cos a - 1; flat stepping is unchanged bit for bit, but the disk and
+    # 3-ball kernels' Bessel values have moved by rounding since
     make, kind = LOCKSTEP_CASES[case]
     model = make()
     point = model.boundary_point() if kind == "boundary" else model.interior_point()
@@ -538,7 +556,4 @@ def test_fixed_seed_local_limit_rows(case, constants2, constants3):
     assert table.point_kind == kind
     rows = [(r["t"], r["value"], r["stderr"]) for r in table.rows]
     pinned = FIXED_SEED_LOCAL_LIMIT[case]
-    if model.needs_frames:
-        assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))
-    else:
-        assert rows == pinned
+    assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))
