@@ -97,14 +97,14 @@ CONFIG_SCHEMA = {
     "workers": (_serial_workers, _ALL, (), None),
     "model": (str, _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
     "model.dimension": (int, _MODEL_EXPERIMENTS, (), None),
-    "model.radius": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.radius": (_positive_float("model.radius"), _MODEL_EXPERIMENTS, (), None),
     "model.aperture": (float, _MODEL_EXPERIMENTS, (), None),
     "model.sphere_dim": (int, _MODEL_EXPERIMENTS, (), None),
     "model.ball_dim": (int, _MODEL_EXPERIMENTS, (), None),
-    "model.sphere_radius": (float, _MODEL_EXPERIMENTS, (), None),
-    "model.ball_radius": (float, _MODEL_EXPERIMENTS, (), None),
-    "model.length": (float, _MODEL_EXPERIMENTS, (), None),
-    "model.circumference": (float, _MODEL_EXPERIMENTS, (), None),
+    "model.sphere_radius": (_positive_float("model.sphere_radius"), _MODEL_EXPERIMENTS, (), None),
+    "model.ball_radius": (_positive_float("model.ball_radius"), _MODEL_EXPERIMENTS, (), None),
+    "model.length": (_positive_float("model.length"), _MODEL_EXPERIMENTS, (), None),
+    "model.circumference": (_positive_float("model.circumference"), _MODEL_EXPERIMENTS, (), None),
     "t": (lambda s: est.check_lifetime(float(s)), ("estimate-chi",), ("estimate-chi",), None),
     "t_sequence": (_list_of("t_sequence", lambda v: est.check_lifetime(float(v))),
                    ("local-limit",), ("local-limit",), None),
@@ -288,11 +288,8 @@ def _run_estimate_chi(cfg):
     model = build_model(cfg)
     _progress(f"estimate-chi: {model!r} t={cfg['t']} base_points={cfg['base_points']} "
               f"bridges={cfg['bridges']}")
-    report = est.estimate_chi(
-        model, cfg["t"], cfg["base_points"], cfg["bridges"], cfg["seed"],
-        steps=cfg.get("steps"), config=cfg,
-    )
-    return report.to_dict()
+    return est.estimate_chi(model, cfg["t"], cfg["base_points"], cfg["bridges"], cfg["seed"],
+                            steps=cfg.get("steps"))
 
 
 def _run_local_limit(cfg):
@@ -300,11 +297,10 @@ def _run_local_limit(cfg):
     point = model.boundary_point() if cfg["point"] == "boundary" else model.interior_point()
     constants = est.calibrate_constants(model.dimension)
     _progress(f"local-limit: {model!r} at {cfg['point']} point, t in {cfg['t_sequence']}")
-    table = est.local_limit_check(
+    return est.local_limit_check(
         model, point, cfg["t_sequence"], cfg["bridges"], cfg["seed"],
         steps=cfg.get("steps"), constants=constants, depth_nodes=cfg["depth_nodes"],
     )
-    return table.to_dict()
 
 
 def _run_calibrate(cfg):

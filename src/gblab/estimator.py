@@ -6,8 +6,10 @@ The estimator evaluates the path-integral identity
 
 by volume Monte Carlo over base points (half of them drawn from the
 COLLAR_FACTOR sqrt(t) boundary collar, where the integrand concentrates)
-and bridge Monte Carlo for the inner expectation.  The identity holds at
-every lifetime t, which the Witten-index constancy check exploits.
+and bridge Monte Carlo for the inner expectation, whose per-point means
+all come from _node_means.  The identity holds at every lifetime t, which
+the Witten-index constancy check exploits.  estimate_chi and
+local_limit_check return the report payloads that the CLI writes.
 
 The analytic side: supertrace integrands built from the curvature and
 shape operators.  In even dimension the bulk field is a multiple of
@@ -288,51 +290,16 @@ def analytic_gb_integrands(model: ManifoldModel, constants: ConstantTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EstimateReport:
-    """One Euler-characteristic estimate with its uncertainty and context."""
+def _node_means(model: ManifoldModel, points, t: float, steps: int, bridges: int, rng):
+    """Per-node mean and standard error of Str(M_t V_t) over `bridges` bridge loops at each point.
 
-    model: str
-    params: dict
-    t: float
-    estimate: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    reference: float
-    base_points: int
-    bridges: int
-    steps: int
-    seed: int
-    validity: dict
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "estimate-chi",
-            "model": self.model,
-            "params": dict(self.params),
-            "t": self.t,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "ci95": [self.ci_low, self.ci_high],
-            "reference": self.reference,
-            "base_points": self.base_points,
-            "bridges": self.bridges,
-            "steps": self.steps,
-            "seed": self.seed,
-            "validity": dict(self.validity),
-            "config": dict(self.config),
-        }
-
-
-def _node_expectations(batch, nodes: int, t: float):
-    """Per-node mean and standard error of Str(M_t V_t); node i owns the i-th equal row block.
-
+    The loops of point i are rows i * bridges to (i + 1) * bridges of one
+    batch; rng is one generator or one per point (see simulate_bridges).
     Every bridge is one sample of the integrand, so none is dropped: raises
     NumericalAbortError when any bridge ended in an invalid state or with a
     non-finite supertrace.
     """
+    batch = simulate_bridges(model, np.repeat(points, bridges, axis=0), t, steps, rng)
     values = batch.supertraces()
     bad = int(np.count_nonzero(~(batch.alive & np.isfinite(values))))
     if bad:
@@ -340,21 +307,17 @@ def _node_expectations(batch, nodes: int, t: float):
             f"{bad} of {values.size} bridges at t={t} ended in an invalid state or with a "
             "non-finite supertrace; refine steps or shrink t"
         )
-    values = values.reshape(nodes, -1)
-    count = values.shape[1]
-    mean = values.sum(axis=1) / count
-    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(count - 1, 1)
-    return mean, np.sqrt(var / count)
+    values = values.reshape(-1, bridges)
+    mean = values.sum(axis=1) / bridges
+    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(bridges - 1, 1)
+    return mean, np.sqrt(var / bridges)
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
                            steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
     steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
-    x = check_point(model, x)
-    anchors = np.broadcast_to(x, (bridges, model.state_dim)).copy()
-    batch = simulate_bridges(model, anchors, t, steps, rng)
-    mean, se = _node_expectations(batch, 1, t)
+    mean, se = _node_means(model, check_point(model, x)[None, :], t, steps, bridges, rng)
     return float(mean[0]), float(se[0])
 
 
@@ -363,11 +326,11 @@ def _stratified_points(model: ManifoldModel, count: int, t: float, rng):
 
     Half the points come from the COLLAR_FACTOR sqrt(t) boundary collar and
     half from the whole volume; once the collar covers 99.9 percent of the
-    volume, all of them come from the whole volume.
+    volume, or its volume rounds to 0, all of them come from the whole volume.
     """
     width = COLLAR_FACTOR * math.sqrt(t)
     v_col = model.collar_volume(width)
-    if v_col >= model.volume * 0.999:
+    if v_col >= model.volume * 0.999 or v_col == 0.0:
         pts = model.sample_volume(rng, count)
         return pts, np.full(count, model.volume)
     n_col = count // 2
@@ -414,28 +377,26 @@ def check_integer(name, value, low, high=math.inf):
 
 
 # Rows of one bridge batch: estimate_chi's chunks and local_limit_check's
-# lockstep batches hold at most this many paths, which bounds the arrays of
-# a batch.  Chunk i of estimate_chi draws from RngStream(seed, i + 1), so
-# its chunking is part of a seed's result.
+# batches hold the loops of at most max(1, CHUNK_PATHS // bridges) points,
+# which bounds the arrays of a batch.  Chunk i of estimate_chi draws from
+# RngStream(seed, i + 1), so its chunking is part of a seed's result.
 CHUNK_PATHS = 250_000
 
 
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream):
     """Per-anchor bridge means of one chunk (deterministic given the stream)."""
-    n_anchor = anchors_block.shape[0]
-    tiled = np.repeat(anchors_block, bridges, axis=0)
-    batch = simulate_bridges(model, tiled, t, steps, stream.generator())
-    return _node_expectations(batch, n_anchor, t)[0]
+    return _node_means(model, anchors_block, t, steps, bridges, stream.generator())[0]
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
-                 steps: int | None = None, config: dict | None = None) -> EstimateReport:
+                 steps: int | None = None) -> dict:
     """Estimate the Euler characteristic from bridge loops at sampled base points.
 
     Every base point contributes an independent unbiased sample
-    Y_i = weight_i * K0(t; x_i, x_i) * mean_i(Str M V); the report carries
-    their mean, standard error and the 95 percent interval next to the
-    model's exact Euler characteristic.
+    Y_i = weight_i * K0(t; x_i, x_i) * mean_i(Str M V).  Returns the
+    estimate-chi report payload: their mean, standard error and 95 percent
+    interval next to the model's exact Euler characteristic, with the
+    run's budget and validity window.
     """
     check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)
@@ -453,32 +414,31 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     samples = weights * kernel_diag * means
     estimate = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(base_points))
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):
+        raise NumericalAbortError(f"the estimate {estimate} +- {stderr} at t={t} is not finite")
     info = hk.kernel_info(model, t)
-    # the identity holds at every t; the window brackets the regime where
-    # the kernel series converges and pinned loops stay local
-    validity = {
-        "kernel": info,
-        "t_min_series": info["t_min"],
-        "t_max_confinement": (0.5 * model.confinement_scale()) ** 2,
-        "step_size": t / steps,
+    return {
+        "experiment": "estimate-chi",
+        "model": model.name,
+        "params": model.params,
+        "t": t,
+        "estimate": estimate,
+        "stderr": stderr,
+        "ci95": [estimate - 1.96 * stderr, estimate + 1.96 * stderr],
+        "reference": float(model.euler_characteristic),
+        "base_points": base_points,
+        "bridges": bridges,
+        "steps": steps,
+        "seed": seed,
+        # the identity holds at every t; the window brackets the regime where
+        # the kernel series converges and pinned loops stay local
+        "validity": {
+            "kernel": info,
+            "t_min_series": info["t_min"],
+            "t_max_confinement": (0.5 * model.confinement_scale()) ** 2,
+            "step_size": t / steps,
+        },
     }
-    report = EstimateReport(
-        model=model.name,
-        params=model.params,
-        t=t,
-        estimate=estimate,
-        stderr=stderr,
-        ci_low=estimate - 1.96 * stderr,
-        ci_high=estimate + 1.96 * stderr,
-        reference=float(model.euler_characteristic),
-        base_points=base_points,
-        bridges=bridges,
-        steps=steps,
-        seed=seed,
-        validity=validity,
-        config=dict(config or {}),
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -486,36 +446,9 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
 # ---------------------------------------------------------------------------
 
 
-def _lockstep_groups(nodes: int, bridges: int):
-    """Node ranges of the fewest equal batches of whole nodes within CHUNK_PATHS rows."""
-    count = -(-nodes // max(1, CHUNK_PATHS // bridges))
-    return [range(i * nodes // count, (i + 1) * nodes // count) for i in range(count)]
-
-
-@dataclass
-class LocalLimitTable:
-    """Scaled supertrace expectations against the analytic integrand."""
-
-    model: str
-    point_kind: str
-    point: list
-    rows: list  # dicts with keys t, value, stderr, analytic, ratio
-    observed_order: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "local-limit",
-            "model": self.model,
-            "point_kind": self.point_kind,
-            "point": self.point,
-            "rows": [dict(r) for r in self.rows],
-            "observed_order": self.observed_order,
-        }
-
-
 def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, seed: int, *,
                       steps: int | None = None, constants: ConstantTable | None = None,
-                      depth_nodes: int = 10) -> LocalLimitTable:
+                      depth_nodes: int = 10) -> dict:
     """Track the kernel-weighted supertrace expectation along shrinking lifetimes.
 
     Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand;
@@ -523,10 +456,10 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     DEPTH_COLLAR_FACTOR sqrt(t) (Gauss-Legendre in the normal direction,
     capped at 0.9 times the confinement scale) and compare with the
     boundary integrand.  The ratio column approaches one as t decreases.
-    Within a lifetime the depth nodes step together, as few lockstep
-    batches of whole nodes as CHUNK_PATHS allows; node j of lifetime it
-    keeps its own stream RngStream(seed, 1000 it + j), so the batching
-    never changes a draw.
+    Within a lifetime consecutive depth nodes step together, as many in
+    one batch as estimate_chi's chunks hold; node j of lifetime it keeps
+    its own stream RngStream(seed, 1000 it + j), so the batching never
+    changes a draw.  Returns the local-limit report payload.
     """
     if len(t_sequence) == 0:
         raise ConfigError("t_sequence must hold at least one lifetime")
@@ -541,6 +474,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     bulk_fn, boundary_fn = analytic_gb_integrands(model, constants)
     analytic = float(boundary_fn(point)[0] if on_boundary else bulk_fn(point)[0])
+    per_batch = max(1, CHUNK_PATHS // bridges)
     rows = []
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         if on_boundary:
@@ -552,18 +486,15 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         else:
             points = [point]
         k0 = [float(hk.heat_kernel_diag(model, t, x[None, :])[0]) for x in points]
-        means = []
-        ses = []
-        for group in _lockstep_groups(len(points), bridges):
-            anchors = np.repeat(np.array([points[j] for j in group]), bridges, axis=0)
-            gens = [RngStream(seed, 1000 * it + j).generator() for j in group]
-            batch = simulate_bridges(model, anchors, t, steps, gens)
-            mean, se = _node_expectations(batch, len(group), t)
+        means, ses = [], []
+        for lo in range(0, len(points), per_batch):
+            block = np.array(points[lo:lo + per_batch])
+            gens = [RngStream(seed, 1000 * it + j).generator() for j in range(lo, lo + len(block))]
+            mean, se = _node_means(model, block, t, steps, bridges, gens)
             means.extend(mean.tolist())
             ses.extend(se.tolist())
         if on_boundary:
-            value = 0.0
-            var = 0.0
+            value = var = 0.0
             for w, k, mean, se in zip(dweights, k0, means, ses):
                 value += w * k * mean
                 var += (w * k * se) ** 2
@@ -572,19 +503,19 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
             value = k0[0] * means[0]
             stderr = k0[0] * ses[0]
         ratio = value / analytic if analytic != 0.0 else None
-        rows.append(
-            {"t": t, "value": value, "stderr": stderr, "analytic": analytic, "ratio": ratio}
-        )
+        rows.append({"t": t, "value": value, "stderr": stderr, "analytic": analytic,
+                     "ratio": ratio})
     order = None
     if all(r["ratio"] is not None for r in rows) and len(rows) >= 3:
         ts = np.array([r["t"] for r in rows])
         errs = np.array([abs(r["ratio"] - 1.0) for r in rows])
         if np.all(errs > 1e-12):
             order = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
-    return LocalLimitTable(
-        model=model.name,
-        point_kind="boundary" if on_boundary else "interior",
-        point=point.tolist(),
-        rows=rows,
-        observed_order=order,
-    )
+    return {
+        "experiment": "local-limit",
+        "model": model.name,
+        "point_kind": "boundary" if on_boundary else "interior",
+        "point": point.tolist(),
+        "rows": rows,
+        "observed_order": order,
+    }

@@ -46,7 +46,7 @@ from . import kernels as hk
 from .errors import ConfigError
 from .exterior import CurvatureTensor
 
-_POLE_EXCLUSION = 1e-6  # samplers keep this far (radians) from the cap apex
+_POLE_EXCLUSION = 1e-6  # samplers keep this far (radians) from the cap apex; apertures exceed it
 SPHERE_TOLERANCE = 1e-9  # relative distance of a valid state from an embedded sphere
 
 
@@ -174,6 +174,22 @@ def _sphere_log(x, y, r):
     return out
 
 
+def _set_sizes(model, sizes):
+    """Set model.volume and model.boundary_area to sizes(), or raise ConfigError.
+
+    Both, and the square of the model's confinement scale, must be finite
+    and > 0; a size whose arithmetic overflows is not finite.
+    """
+    try:
+        model.volume, model.boundary_area = sizes()
+        checked = (model.volume, model.boundary_area, model.confinement_scale() ** 2)
+    except OverflowError:
+        checked = (math.inf,)
+    if not all(math.isfinite(v) and v > 0 for v in checked):
+        raise ConfigError(f"{model.name} volume, boundary area and squared confinement scale "
+                          f"must be finite and > 0, got {checked}")
+
+
 def _rotation_from_pole(phat, axis_index):
     """Batched rotation taking the +axis unit vector onto phat (never antipodal)."""
     P, d = phat.shape
@@ -255,14 +271,18 @@ class ManifoldModel:
     # frame_curvature(), and, in walk coordinates (see the module
     # docstring): geodesic_step(x, u, v), collar_data(x) (boundary distance
     # and inward normal), reflect(x, u, depth, nu) (from collar_data's
-    # depth and normal at x) and log_frame(x, y); then boundary_distance,
-    # distance, the samplers (sample_volume, sample_collar, collar_volume,
+    # depth and normal at x) and log_frame(x, y); then distance, the
+    # samplers (sample_volume, sample_collar, collar_volume,
     # sample_boundary), boundary_point(), interior_point() (a point
     # farthest from the boundary), and the analytic data: heat_kernel_spec(),
     # confinement_scale() and boundary_curvature_parts().  A model whose
     # state embeds round spheres lists them in embedded_spheres.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
+
+    def boundary_distance(self, x):
+        """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
+        return self.collar_data(x)[0]
 
     def simulation_valid(self, x):
         """Rows of x that are states of the model.
@@ -341,8 +361,8 @@ class FlatBall(ManifoldModel):
         self.euler_characteristic = 1
         self.shape_coefficient = 1.0 / self.radius
         n = self.dimension
-        self.volume = math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1)
-        self.boundary_area = 2 * math.pi ** (n / 2) * radius ** (n - 1) / math.gamma(n / 2)
+        _set_sizes(self, lambda: (math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1),
+                                  2 * math.pi ** (n / 2) * radius ** (n - 1) / math.gamma(n / 2)))
         self.factors = (FactorSpec("ball", n, 0.0, slice(0, n), True, False),)
         self._params = {"dimension": dimension, "radius": radius}
 
@@ -351,9 +371,6 @@ class FlatBall(ManifoldModel):
 
     def geodesic_step(self, x, u, v):
         return x + v, u
-
-    def boundary_distance(self, x):
-        return self.radius - np.sqrt(_rowdot(x, x))
 
     def collar_data(self, x):
         rho = np.sqrt(_rowdot(x, x))
@@ -374,8 +391,8 @@ class FlatBall(ManifoldModel):
         return np.linalg.norm(y - x, axis=-1)
 
     def offset_from_boundary(self, z, depth):
-        zhat = _unit_or_zero(z)
-        return zhat * (self.radius - np.asarray(depth))[:, None]
+        # minus the inward normal is the unit radial direction of z
+        return -self.collar_data(z)[1] * (self.radius - np.asarray(depth))[:, None]
 
     # samplers ------------------------------------------------------------
     def sample_volume(self, rng, count):
@@ -443,11 +460,6 @@ class FlatBall(ManifoldModel):
         return [(1.0 / self.radius**2, tan.T @ tan)]
 
 
-def _unit_or_zero(x):
-    norm = np.sqrt(_rowdot(x, x))[..., None]
-    return x / np.maximum(norm, 1e-300)
-
-
 # ---------------------------------------------------------------------------
 # spherical cap (hemisphere when aperture = pi/2)
 # ---------------------------------------------------------------------------
@@ -470,25 +482,24 @@ class SphereCap(ManifoldModel):
             raise ConfigError(f"cap dimension must be 2 or 3, got {dimension}")
         if radius <= 0:
             raise ConfigError(f"cap radius must be positive, got {radius}")
-        if not 0.0 < aperture < math.pi:
-            raise ConfigError(f"cap aperture must lie in (0, pi), got {aperture}")
+        if not _POLE_EXCLUSION < aperture < math.pi:
+            raise ConfigError(f"cap aperture must lie in ({_POLE_EXCLUSION}, pi), got {aperture}")
         self.dimension = int(dimension)
         self.state_dim = self.dimension + 1
         self.radius = float(radius)
         self.aperture = float(aperture)
         self.euler_characteristic = 1
-        self.constant_curvature = 1.0 / radius**2
         self._axis = self.dimension  # index of the symmetry axis coordinate
         n, r, a = self.dimension, self.radius, self.aperture
         if n == 2:
-            self.volume = 2 * math.pi * r**2 * (1 - math.cos(a))
-            self.boundary_area = 2 * math.pi * r * math.sin(a)
+            _set_sizes(self, lambda: (2 * math.pi * r**2 * (1 - math.cos(a)),
+                                      2 * math.pi * r * math.sin(a)))
         else:
-            self.volume = 2 * math.pi * r**3 * (a - math.sin(a) * math.cos(a))
-            self.boundary_area = 4 * math.pi * (r * math.sin(a)) ** 2
-        self.shape_coefficient = math.cos(a) / math.sin(a) / r
-        if abs(a - math.pi / 2) < 1e-15:
-            self.shape_coefficient = 0.0
+            _set_sizes(self, lambda: (2 * math.pi * r**3 * (a - math.sin(a) * math.cos(a)),
+                                      4 * math.pi * (r * math.sin(a)) ** 2))
+        self.constant_curvature = 1.0 / radius**2
+        # the hemisphere's equator is a geodesic: its kernel is exact (see neumann_kernel)
+        self.shape_coefficient = 0.0 if self.is_hemisphere else math.cos(a) / math.sin(a) / r
         self.factors = (FactorSpec("cap", n, self.constant_curvature, slice(0, n), True, True),)
         self.embedded_spheres = ((slice(0, n + 1), self.radius),)
         self._params = {"dimension": dimension, "radius": radius, "aperture": aperture}
@@ -499,9 +510,6 @@ class SphereCap(ManifoldModel):
 
     def frame_curvature(self) -> CurvatureTensor:
         return CurvatureTensor.constant_curvature(self.dimension, self.constant_curvature)
-
-    def colatitude(self, x):
-        return np.arccos(np.minimum(np.maximum(x[..., self._axis] / self.radius, -1.0), 1.0))
 
     def collar_data(self, x):
         """Boundary distance and inward normal, in embedding coordinates.
@@ -536,9 +544,6 @@ class SphereCap(ManifoldModel):
     def geodesic_step(self, x, u, v):
         """Great-circle step along the embedded tangent vectors v, transporting the frames u."""
         return _sphere_step(x, u, v, self.radius)
-
-    def boundary_distance(self, x):
-        return self.radius * (self.aperture - self.colatitude(x))
 
     def reflect(self, x, u, depth, nu):
         """Step back along collar_data's inward normal nu (embedding coordinates) by twice -depth."""
@@ -672,8 +677,7 @@ class FlatCylinder(ManifoldModel):
         self.circumference = float(circumference)
         self.euler_characteristic = 0
         self.shape_coefficient = 0.0  # the boundary circles are geodesics
-        self.volume = self.length * self.circumference
-        self.boundary_area = 2 * self.circumference
+        _set_sizes(self, lambda: (self.length * self.circumference, 2 * self.circumference))
         self.factors = (
             FactorSpec("interval", 1, 0.0, slice(0, 1), True, False),
             FactorSpec("circle", 1, 0.0, slice(1, 2), False, False),
@@ -688,9 +692,6 @@ class FlatCylinder(ManifoldModel):
         out[:, 1] = np.mod(out[:, 1], self.circumference)
         return out, u
 
-    def boundary_distance(self, x):
-        return np.minimum(x[:, 0], self.length - x[:, 0])
-
     def reflect(self, x, u, depth, nu):
         # mirror s at the nearer end, from s itself: exact, unlike s + 2 * penetration
         s = x[:, 0].copy()
@@ -702,7 +703,7 @@ class FlatCylinder(ManifoldModel):
     def collar_data(self, x):
         nu = np.zeros_like(x)
         nu[:, 0] = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
-        return self.boundary_distance(x), nu
+        return np.minimum(x[:, 0], self.length - x[:, 0]), nu
 
     def _dy(self, y1, y2):
         d = y2 - y1
@@ -717,8 +718,7 @@ class FlatCylinder(ManifoldModel):
 
     def offset_from_boundary(self, z, depth):
         out = np.array(z, copy=True)
-        inward = np.where(z[:, 0] < 0.5 * self.length, 1.0, -1.0)
-        out[:, 0] = z[:, 0] + inward * np.asarray(depth)
+        out[:, 0] = z[:, 0] + self.collar_data(z)[1][:, 0] * np.asarray(depth)
         return out
 
     # samplers ------------------------------------------------------------
@@ -804,14 +804,14 @@ class SphereBall(ManifoldModel):
         self.dimension = self.sphere_dim + self.ball_dim
         self.state_dim = self.sphere_dim + 1 + self.ball_dim
         self.euler_characteristic = 2 if sphere_dim % 2 == 0 else 0
-        kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
-        self.kappa_sphere = kappa_s
         l, m = self.sphere_dim, self.ball_dim
         ball = FlatBall(m, ball_radius)
         self._ball = ball
         self.shape_coefficient = ball.shape_coefficient
-        self.volume = _SPHERE_VOLUME[l](sphere_radius) * ball.volume
-        self.boundary_area = _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area
+        _set_sizes(self, lambda: (_SPHERE_VOLUME[l](sphere_radius) * ball.volume,
+                                  _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area))
+        kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
+        self.kappa_sphere = kappa_s
         self.factors = (
             FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
             FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
@@ -871,9 +871,6 @@ class SphereBall(ManifoldModel):
                 ps, u[:, : l + 1, :l], v[:, :w], self.sphere_radius)
         np.add(pb, v[:, w:], out=x2[:, l + 1 :])
         return x2, u2
-
-    def boundary_distance(self, x):
-        return self._ball.boundary_distance(self._split(x)[1])
 
     def reflect(self, x, u, depth, nu):
         ps, pb = self._split(x)
@@ -1028,13 +1025,9 @@ class BoundaryGeometry:
     """Boundary data at one point, in an adapted orthonormal frame.
 
     The adapted frame lists n-1 tangential directions first and the
-    inward normal last; the induced metric is then the identity.
+    inward normal last, so the induced metric is the identity.
     """
 
-    point: np.ndarray
-    tangent_frame: np.ndarray          # (n, n-1) frame components of the tangential basis
-    normal: np.ndarray                 # (n,) frame components of the inward normal
-    induced_metric: np.ndarray         # (n-1, n-1)
     shape_tangential: np.ndarray       # (n-1, n-1)
     ambient_restriction: CurvatureTensor
     gauss_form: CurvatureTensor
@@ -1051,8 +1044,7 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
     nu = model.frame_components(model.initial_frames(z), model.collar_data(z)[1])[0]
     nu = nu / np.linalg.norm(nu)
     n = model.dimension
-    Q = _householder_to_last(nu)
-    # reorder: tangential columns first, normal last (householder already does)
+    Q = _householder_to_last(nu)  # tangential columns first, the normal last
     # the umbilic shape operator a (projection onto the bounded factor - nu nu^T)
     bounded = np.zeros(n)
     bounded[model.bounded_factor.cols] = 1.0
@@ -1068,10 +1060,6 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
             comp += kappa * _kulkarni(proj)
     r_z = CurvatureTensor(n - 1, comp)
     return BoundaryGeometry(
-        point=z[0],
-        tangent_frame=Q[:, : n - 1],
-        normal=nu,
-        induced_metric=np.eye(n - 1),
         shape_tangential=A_tan,
         ambient_restriction=R_tan,
         gauss_form=gauss,

@@ -24,8 +24,9 @@ Exact constructions:
   costs one Chebyshev evaluation.  A batch smaller than the next grid the
   table would need (all one-point calls among them) is summed point by
   point instead;
-* interval and circle: method of images / wrapped Gaussian, switching to
-  the cosine eigenseries for large times;
+* interval and circle: method of images / wrapped Gaussian, exact at
+  every t; the image count grows like sqrt(t) over the period, so a sum
+  that would need more than _MAX_TERMS images a side is refused;
 * hemisphere: reflection doubling of the closed-sphere series;
 * products: product of the factor kernels.
 
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
 
 _TAIL_LOG = 46.0  # truncate series once the exponential factor is below e^-46
 _MAX_DIMLESS_FREQ = 320.0  # largest lambda * r supported by the mode tables
-_SPHERE_MAX_TERMS = 4000  # largest degree the closed-sphere series sums
+_MAX_TERMS = 4000  # largest degree the closed-sphere series sums, and images a side of an image sum
 
 _CHEB_FIRST_INTERVALS = 32  # the first radial table grid has 33 nodes
 _CHEB_TAIL = 8  # trailing coefficients that must be negligible
@@ -70,23 +71,24 @@ def _gauss(t, z):
 # ---------------------------------------------------------------------------
 
 
+def _image_count(t, reach, period):
+    """Images a side that cover sqrt(2 _TAIL_LOG t) + reach at spacing period; at most _MAX_TERMS."""
+    count = (math.sqrt(2.0 * _TAIL_LOG * t) + reach) / period
+    if not count <= _MAX_TERMS:
+        raise SeriesConvergenceError(
+            f"image sum needs {count:.3g} images a side at t={t}, more than {_MAX_TERMS}")
+    return int(math.ceil(count)) + 1
+
+
 def interval_kernel(t, length, a, b):
     """Neumann kernel on [0, length]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     L = float(length)
-    if t <= 4.0 * L * L:
-        reach = math.sqrt(2.0 * _TAIL_LOG * t) + L
-        kmax = int(math.ceil(reach / (2.0 * L))) + 1
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        for k in range(-kmax, kmax + 1):
-            out = out + _gauss(t, a - b + 2 * k * L) + _gauss(t, a + b + 2 * k * L)
-        return out
-    kmax = int(math.ceil(L * math.sqrt(2.0 * _TAIL_LOG / t) / math.pi)) + 1
-    out = np.full(np.broadcast_shapes(a.shape, b.shape), 1.0 / L)
-    for k in range(1, kmax + 1):
-        w = k * math.pi / L
-        out = out + (2.0 / L) * np.cos(w * a) * np.cos(w * b) * math.exp(-w * w * t / 2.0)
+    kmax = _image_count(t, L, 2.0 * L)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(-kmax, kmax + 1):
+        out = out + _gauss(t, a - b + 2 * k * L) + _gauss(t, a + b + 2 * k * L)
     return out
 
 
@@ -94,17 +96,10 @@ def circle_kernel(t, circumference, delta):
     """Heat kernel on a circle as a function of (signed) arc separation."""
     d = np.asarray(delta, dtype=float)
     C = float(circumference)
-    if t <= 4.0 * C * C:
-        kmax = int(math.ceil((math.sqrt(2.0 * _TAIL_LOG * t) + C) / C)) + 1
-        out = np.zeros(d.shape)
-        for k in range(-kmax, kmax + 1):
-            out = out + _gauss(t, d + k * C)
-        return out
-    kmax = int(math.ceil(C * math.sqrt(2.0 * _TAIL_LOG / t) / (2 * math.pi))) + 1
-    out = np.full(d.shape, 1.0 / C)
-    for k in range(1, kmax + 1):
-        w = 2.0 * math.pi * k / C
-        out = out + (2.0 / C) * np.cos(w * d) * math.exp(-w * w * t / 2.0)
+    kmax = _image_count(t, C, C)
+    out = np.zeros(d.shape)
+    for k in range(-kmax, kmax + 1):
+        out = out + _gauss(t, d + k * C)
     return out
 
 
@@ -129,7 +124,7 @@ def sphere_kernel(t, dim, radius, gamma):
     if dim not in (2, 3):
         raise SeriesConvergenceError(f"no sphere series for dimension {dim}")
     lmax = _sphere_lmax(t, radius, dim - 1)
-    if lmax > _SPHERE_MAX_TERMS:
+    if lmax > _MAX_TERMS:
         raise SeriesConvergenceError(
             f"sphere series needs {lmax} terms at t={t}", required_terms=lmax
         )
@@ -541,8 +536,8 @@ def ball_series_t_min(radius):
 
 
 def sphere_series_t_min(radius):
-    """Smallest t the closed-sphere series sums within about _SPHERE_MAX_TERMS terms."""
-    return 2.0 * _TAIL_LOG * radius**2 / _SPHERE_MAX_TERMS**2
+    """Smallest t the closed-sphere series sums within about _MAX_TERMS terms."""
+    return 2.0 * _TAIL_LOG * radius**2 / _MAX_TERMS**2
 
 
 def parametrix(t, dim, d, dx, dy):
@@ -575,9 +570,15 @@ def _check_time(t):
 
 
 def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
-    """K0(t; x, x) for a batch of points."""
+    """K0(t; x, x) for a batch of points; SeriesConvergenceError where it is not finite."""
     _check_time(t)
-    return model.neumann_diag(t, np.atleast_2d(np.asarray(x, dtype=float)))
+    try:
+        diag = model.neumann_diag(t, np.atleast_2d(np.asarray(x, dtype=float)))
+    except OverflowError as exc:
+        raise SeriesConvergenceError(f"heat kernel diagonal overflows at t={t}: {exc}") from exc
+    if not np.isfinite(diag).all():
+        raise SeriesConvergenceError(f"heat kernel diagonal is not finite at t={t}")
+    return diag
 
 
 def neumann_heat_kernel(model: ManifoldModel, t: float, x, y) -> float:

@@ -143,12 +143,12 @@ def test_criterion_4_chi_reproduction(chi_runs):
     ok = True
     for label, spec in CHI_BUDGETS.items():
         report, elapsed = chi_runs[(label, 1)]
-        inside = abs(report.estimate - report.reference) <= 1.96 * report.stderr + 1e-12
-        ok &= inside and report.stderr <= 0.08 and elapsed < 600.0
+        inside = abs(report["estimate"] - report["reference"]) <= 1.96 * report["stderr"] + 1e-12
+        ok &= inside and report["stderr"] <= 0.08 and elapsed < 600.0
         note = " = chi(S2)/2" if label == "ball3" else ""
         details.append(
-            f"{label}: {report.estimate:+.3f}+-{report.stderr:.3f} "
-            f"(ref {report.reference:+.0f}{note}, {elapsed:.0f}s)"
+            f"{label}: {report['estimate']:+.3f}+-{report['stderr']:.3f} "
+            f"(ref {report['reference']:+.0f}{note}, {elapsed:.0f}s)"
         )
     _verdict(4, ok, "chi within 95% interval at stderr <= 0.08; " + "; ".join(details))
 
@@ -159,10 +159,11 @@ def test_criterion_5_witten_index_t_constancy(chi_runs):
     for label in CHI_BUDGETS:
         r1, _ = chi_runs[(label, 1)]
         r2, _ = chi_runs[(label, 2)]
-        gap = abs(r1.estimate - r2.estimate)
-        bound = 1.96 * math.hypot(r1.stderr, r2.stderr) + 1e-12
+        gap = abs(r1["estimate"] - r2["estimate"])
+        bound = 1.96 * math.hypot(r1["stderr"], r2["stderr"]) + 1e-12
         ok &= gap <= bound
-        details.append(f"{label}: |{r1.estimate:.3f} - {r2.estimate:.3f}| = {gap:.3f} <= {bound:.3f}")
+        details.append(f"{label}: |{r1['estimate']:.3f} - {r2['estimate']:.3f}| = {gap:.3f} "
+                       f"<= {bound:.3f}")
     _verdict(5, ok, "estimates at t and 2t agree within combined intervals; " + "; ".join(details))
 
 
@@ -177,13 +178,13 @@ def test_criterion_6_local_limits(constants2):
         hemi, hemi.interior_point(), [0.32, 0.16, 0.08],
         bridges=12_000, seed=1601, steps=200, constants=constants2,
     )
-    r_int = interior.rows[-1]["ratio"]
+    r_int = interior["rows"][-1]["ratio"]
     disk = geo.model_catalog("ball", dimension=2)
     boundary = est.local_limit_check(
         disk, disk.boundary_point(), [0.08, 0.04, 0.02],
         bridges=6_000, seed=1602, steps=250, constants=constants2, depth_nodes=8,
     )
-    r_bdy = boundary.rows[-1]["ratio"]
+    r_bdy = boundary["rows"][-1]["ratio"]
     ok = abs(r_int - 1.0) < 0.1 and abs(r_bdy - 1.0) < 0.15
     _verdict(
         6, ok,

@@ -304,6 +304,15 @@ class TestRangeValidation:
         ("diagnostics", "model.radius", "-5"),
         ("diagnostics", "steps", "40"),
         ("calibrate", "seed", "1"),  # calibrate is deterministic
+        # model sizes: finite and > 0
+        ("estimate-chi", "model.radius", "nan"),
+        ("estimate-chi", "model.radius", "inf"),
+        ("estimate-chi", "model.radius", "-1"),
+        ("local-limit", "model.radius", "0"),
+        ("estimate-chi", "model.length", "nan"),
+        ("estimate-chi", "model.circumference", "inf"),
+        ("estimate-chi", "model.sphere_radius", "nan"),
+        ("estimate-chi", "model.ball_radius", "inf"),
     ])
     def test_out_of_range_exits_two(self, tmp_path, experiment, key, value):
         base = {"estimate-chi": ESTIMATE_SMALL, "local-limit": LOCAL_SMALL,
@@ -315,6 +324,52 @@ class TestRangeValidation:
         error = json.loads(out[0])["error"]
         assert error["kind"] == "validation"
         assert key.split("_")[0] in error["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entries, fragment", [
+        ({"model": "ball", "model.radius": "1e-300"}, "ball volume"),
+        ({"model": "ball", "model.radius": "1e300"}, "ball volume"),
+        ({"model": "hemisphere", "model.radius": "nan"}, "model.radius"),
+        ({"model": "hemisphere", "model.radius": "inf"}, "model.radius"),
+        ({"model": "hemisphere", "model.radius": "1e-300"}, "cap volume"),
+        ({"model": "hemisphere", "model.radius": "1e300"}, "cap volume"),
+        ({"model": "cylinder", "model.length": "nan"}, "model.length"),
+        ({"model": "cylinder", "model.length": "1e300"}, "cylinder volume"),
+        ({"model": "cylinder", "model.circumference": "inf"}, "model.circumference"),
+        ({"model": "sphere-ball", "model.sphere_radius": "nan"}, "model.sphere_radius"),
+        ({"model": "sphere-ball", "model.ball_radius": "inf"}, "model.ball_radius"),
+        ({"model": "sphere-ball", "model.sphere_dim": "2", "model.sphere_radius": "1e-300"},
+         "sphere-ball volume"),
+        ({"model": "cap", "model.aperture": "1e-300"}, "cap aperture"),
+    ])
+    def test_model_without_finite_size_exits_two(self, tmp_path, entries, fragment):
+        # a size that is not finite and > 0, or a cap narrower than the
+        # samplers' pole exclusion, fails validation instead of a later step
+        base = {k: v for k, v in ESTIMATE_SMALL.items() if k != "model.dimension"}
+        code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, {**base, **entries}))])
+        assert code == 2
+        assert len(out) == 1
+        error = json.loads(out[0])["error"]
+        assert error["kind"] == "validation"
+        assert fragment in error["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entries", [
+        {"model": "cap", "model.dimension": "2", "model.aperture": "1.0", "base_points": "200",
+         "bridges": "6", "steps": "100", "seed": "1311"},
+        {"model": "cap", "model.dimension": "3", "model.aperture": "1.0"},
+        {"model": "ball", "model.dimension": "4"},
+    ], ids=["cap2", "cap3", "ball4"])
+    def test_tiny_lifetime_on_a_parametrix_exits_three(self, tmp_path, entries):
+        # at t = 1e-300 the Gaussian parametrix overflows (3-cap, 4-ball) or
+        # the spread of its samples does (2-cap: an infinite stderr, which the
+        # report cannot carry); either is a numerical abort
+        base = {**ESTIMATE_SMALL, "t": "1e-300"}
+        code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, {**base, **entries}))])
+        assert code == 3
+        assert json.loads(out[0])["error"]["kind"] == "numerical"
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -428,8 +483,9 @@ def test_every_accepted_key_is_read(experiment, tmp_path, monkeypatch):
 
 VALID = {
     "model": st.sampled_from([("ball", "2"), ("hemisphere", "2")]),
-    # 1e-6 lies below the disk and sphere series floors: a numerical abort, exit 3
-    "t": st.sampled_from(["0.05", "0.2", "1e-6"]),
+    # 1e-6 lies below the disk and sphere series floors: a numerical abort,
+    # exit 3; so does 1e-300, whose collar volume rounds to 0
+    "t": st.sampled_from(["0.05", "0.2", "1e-6", "1e-300"]),
     "seed": st.one_of(st.integers(0, 3), st.integers(2**64 - 2, 2**64 - 1)),
     "base_points": st.integers(2, 4),
     "bridges": st.integers(1, 3),
@@ -464,7 +520,7 @@ def test_fuzz_estimate_config(cfg, broken, data):
         if broken:
             assert code == 2 and summary["error"]["kind"] == "validation"
         else:
-            assert code == (3 if cfg["t"] == "1e-6" else 0)
+            assert code == (3 if cfg["t"] in ("1e-6", "1e-300") else 0)
         for name in summary.get("files", []):
             jsonschema.validate(json.loads(Path(name).read_text()), SCHEMA)
         assert (code == 0) == bool(summary.get("files"))

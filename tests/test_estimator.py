@@ -238,14 +238,13 @@ class TestEstimateChi:
         kwargs = dict(steps=80)
         r1 = est.estimate_chi(model, 0.08, 24, 60, seed=99, **kwargs)
         r2 = est.estimate_chi(model, 0.08, 24, 60, seed=99, **kwargs)
-        assert r1.estimate == r2.estimate
-        assert r1.stderr == r2.stderr
-        assert r1.reference == 1.0
-        assert abs((r1.ci_high - r1.ci_low) - 2 * 1.96 * r1.stderr) < 1e-12
-        d = r1.to_dict()
-        assert "wall_time_seconds" not in d
-        assert d["ci95"][0] <= d["estimate"] <= d["ci95"][1]
-        assert est.estimate_chi(model, 0.08, 24, 60, seed=100, **kwargs).estimate != r1.estimate
+        assert r1["estimate"] == r2["estimate"]
+        assert r1["stderr"] == r2["stderr"]
+        assert r1["reference"] == 1.0
+        assert abs((r1["ci95"][1] - r1["ci95"][0]) - 2 * 1.96 * r1["stderr"]) < 1e-12
+        assert "wall_time_seconds" not in r1
+        assert r1["ci95"][0] <= r1["estimate"] <= r1["ci95"][1]
+        assert est.estimate_chi(model, 0.08, 24, 60, seed=100, **kwargs)["estimate"] != r1["estimate"]
 
     def test_multi_chunk_estimate_is_pinned(self, monkeypatch):
         # 30 paths per chunk split 8 base points x 10 bridges into chunks of
@@ -265,7 +264,7 @@ class TestEstimateChi:
         rep = est.estimate_chi(model, 0.08, 8, 10, seed=7, steps=40)
         assert sizes == [3, 3, 2]
         pinned = [float.fromhex("0x1.7ba7bae7c4cd8p-1"), float.fromhex("0x1.7f07e9adab713p-2")]
-        assert np.all(np.abs(np.subtract([rep.estimate, rep.stderr], pinned))
+        assert np.all(np.abs(np.subtract([rep["estimate"], rep["stderr"]], pinned))
                       <= 1e-12 * np.abs(pinned))
 
     def test_zero_characteristic_models_are_exact(self):
@@ -273,8 +272,8 @@ class TestEstimateChi:
                          ("sphere-ball", dict(sphere_dim=1, ball_dim=2))]:
             model = geo.model_catalog(name, **kw)
             rep = est.estimate_chi(model, 0.08, 16, 50, seed=3, steps=60)
-            assert rep.estimate == 0.0
-            assert rep.stderr == 0.0
+            assert rep["estimate"] == 0.0
+            assert rep["stderr"] == 0.0
 
     def test_stratified_and_plain_sampling_agree(self):
         # on the unit disk the 3 sqrt(t) collar covers 99.997 % of the area at
@@ -286,15 +285,15 @@ class TestEstimateChi:
         assert np.all(est._stratified_points(model, 50, 0.1, rng)[1] != model.volume)
         r_strat = est.estimate_chi(model, 0.1, 500, 260, seed=31, steps=120)
         r_plain = est.estimate_chi(model, 0.11, 500, 260, seed=32, steps=120)
-        gap = abs(r_strat.estimate - r_plain.estimate)
-        assert gap < 3.0 * math.hypot(r_strat.stderr, r_plain.stderr)
+        gap = abs(r_strat["estimate"] - r_plain["estimate"])
+        assert gap < 3.0 * math.hypot(r_strat["stderr"], r_plain["stderr"])
 
     def test_validity_window_reported(self):
         model = geo.model_catalog("ball", dimension=2)
         rep = est.estimate_chi(model, 0.08, 8, 30, seed=1, steps=40)
-        assert rep.validity["kernel"]["exact"]
-        assert rep.validity["t_min_series"] < 0.08 < 1.0
-        assert rep.validity["t_max_confinement"] > 0.0
+        assert rep["validity"]["kernel"]["exact"]
+        assert rep["validity"]["t_min_series"] < 0.08 < 1.0
+        assert rep["validity"]["t_max_confinement"] > 0.0
 
 
 class TestLocalLimit:
@@ -304,8 +303,8 @@ class TestLocalLimit:
             model, np.array([0.0, 0.0]), [0.04, 0.02], 200, seed=5,
             steps=50, constants=constants2,
         )
-        assert table.point_kind == "interior"
-        for row in table.rows:
+        assert table["point_kind"] == "interior"
+        for row in table["rows"]:
             assert row["value"] == 0.0
             assert row["analytic"] == 0.0
             assert row["ratio"] is None
@@ -316,10 +315,9 @@ class TestLocalLimit:
             model, model.boundary_point(), [0.03], 200, seed=6,
             steps=50, constants=constants2, depth_nodes=4,
         )
-        assert table.point_kind == "boundary"
-        assert table.rows[0]["analytic"] == pytest.approx(1.0 / (2 * math.pi))
-        d = table.to_dict()
-        assert d["rows"][0]["t"] == 0.03
+        assert table["point_kind"] == "boundary"
+        assert table["rows"][0]["analytic"] == pytest.approx(1.0 / (2 * math.pi))
+        assert table["rows"][0]["t"] == 0.03
 
     def test_odd_dimension_boundary_limit_level(self, constants3):
         # the collar-integrated layer at a boundary point of the 3-ball
@@ -331,7 +329,7 @@ class TestLocalLimit:
             model, model.boundary_point(), [0.01], 3000, seed=8,
             steps=250, constants=constants3, depth_nodes=8,
         )
-        row = table.rows[0]
+        row = table["rows"][0]
         assert row["analytic"] == pytest.approx(
             constants3.d_odd * (-2.0), rel=1e-12
         )
@@ -381,7 +379,7 @@ LOCKSTEP_CASES = {
 
 class TestLockstepNodes:
     # the default cap puts all five 40-bridge nodes in one batch; 80 rows
-    # gives batches of 1, 2 and 2 nodes, and 9-row tiles split an 80-row
+    # gives batches of 2, 2 and 1 nodes, and 9-row tiles split an 80-row
     # batch at 35, 44, ..., so the tile of rows 35-43 holds rows of two nodes
     @pytest.mark.parametrize("cap, tile_rows", [(est.CHUNK_PATHS, None), (80, 9)])
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
@@ -397,19 +395,29 @@ class TestLockstepNodes:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
         table = est.local_limit_check(model, point, [0.015, 0.03], 40, 233, steps=24,
                                       constants=constants, depth_nodes=5)
-        assert table.point_kind == kind
-        assert [(r["t"], r["value"], r["stderr"]) for r in table.rows] == ref
+        assert table["point_kind"] == kind
+        assert [(r["t"], r["value"], r["stderr"]) for r in table["rows"]] == ref
         assert any(r[1] != 0.0 for r in ref)
 
     @pytest.mark.parametrize("nodes, bridges, cap, sizes", [
-        (8, 2000, 8000, [4, 4]), (10, 2000, 8000, [3, 3, 4]), (8, 9000, 8000, [1] * 8),
-        (1, 2000, 8000, [1]), (5, 40, 80, [1, 2, 2]), (5, 300, 8000, [5]),
+        (8, 2000, 8000, [4, 4]), (10, 2000, 8000, [4, 4, 2]), (8, 9000, 8000, [1] * 8),
+        (1, 2000, 8000, [1]), (5, 40, 80, [2, 2, 1]), (5, 300, 8000, [5]),
     ])
-    def test_lockstep_groups(self, nodes, bridges, cap, sizes, monkeypatch):
+    def test_lockstep_groups(self, nodes, bridges, cap, sizes, constants2, monkeypatch):
+        # consecutive nodes share a batch, max(1, CHUNK_PATHS // bridges) at most,
+        # and each node brings its own generator
+        batches = []
+
+        def node_means(model, points, t, steps, bridges, rng):
+            batches.append((len(points), len(rng)))
+            return np.zeros(len(points)), np.zeros(len(points))
+
         monkeypatch.setattr(est, "CHUNK_PATHS", cap)
-        groups = est._lockstep_groups(nodes, bridges)
-        assert [len(g) for g in groups] == sizes
-        assert [j for g in groups for j in g] == list(range(nodes))
+        monkeypatch.setattr(est, "_node_means", node_means)
+        model = geo.model_catalog("ball", dimension=2)
+        est.local_limit_check(model, model.boundary_point(), [0.05], bridges, 1, steps=4,
+                              constants=constants2, depth_nodes=nodes)
+        assert batches == [(size, size) for size in sizes]
 
     @pytest.mark.parametrize("nodes, dead, bad_value", [
         (2, [20, 21, 22, 23], None),  # node 1 loses 4 of its 20 bridges
@@ -417,19 +425,21 @@ class TestLockstepNodes:
         (2, [], math.nan),
         (2, [], -math.inf),
     ])
-    def test_any_invalid_bridge_aborts(self, nodes, dead, bad_value):
+    def test_any_invalid_bridge_aborts(self, nodes, dead, bad_value, monkeypatch):
         alive = np.ones(40, dtype=bool)
         alive[dead] = False
         values = np.arange(40.0)
         if bad_value is not None:
             values[7] = bad_value
         batch = SimpleNamespace(alive=alive, supertraces=lambda: values)
+        monkeypatch.setattr(est, "simulate_bridges", lambda *args: batch)
         with pytest.raises(NumericalAbortError, match="of 40 bridges at t=0.01"):
-            est._node_expectations(batch, nodes, 0.01)
+            est._node_means(None, np.zeros((nodes, 2)), 0.01, 4, 40 // nodes, None)
 
-    def test_node_expectations_of_valid_bridges(self):
+    def test_node_means_of_valid_bridges(self, monkeypatch):
         batch = SimpleNamespace(alive=np.ones(40, dtype=bool), supertraces=lambda: np.arange(40.0))
-        mean, se = est._node_expectations(batch, 2, 0.01)
+        monkeypatch.setattr(est, "simulate_bridges", lambda *args: batch)
+        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, None)
         assert mean.tolist() == [9.5, 29.5]
         assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
 
@@ -522,8 +532,8 @@ FIXED_SEED_REPORTS = [
 def test_fixed_seed_reports(model, estimate, stderr):
     # the columnwise rewrite only reorders sums over 3 or 4 terms
     report = est.estimate_chi(model, 0.1, 200, 6, 1311, steps=100)
-    assert report.estimate == pytest.approx(estimate, rel=1e-12, abs=0)
-    assert report.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+    assert report["estimate"] == pytest.approx(estimate, rel=1e-12, abs=0)
+    assert report["stderr"] == pytest.approx(stderr, rel=1e-12, abs=0)
 
 
 # local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
@@ -553,7 +563,7 @@ def test_fixed_seed_local_limit_rows(case, constants2, constants3):
     constants = constants2 if model.dimension == 2 else constants3
     table = est.local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
                                   constants=constants, depth_nodes=4)
-    assert table.point_kind == kind
-    rows = [(r["t"], r["value"], r["stderr"]) for r in table.rows]
+    assert table["point_kind"] == kind
+    rows = [(r["t"], r["value"], r["stderr"]) for r in table["rows"]]
     pinned = FIXED_SEED_LOCAL_LIMIT[case]
     assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))

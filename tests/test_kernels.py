@@ -549,7 +549,8 @@ class TestSmallestTime:
 
 def test_no_run_loads_scipy_special(tmp_path):
     # estimate-chi and local-limit on the disk, the 3-ball and the
-    # hemisphere evaluate every kernel without scipy.special
+    # hemisphere evaluate every kernel without scipy.special, and no
+    # experiment kind loads any part of scipy
     configs = {
         "estimate-chi": "t = 0.1\nbase_points = 4\nbridges = 2\n",
         "local-limit": "point = boundary\nt_sequence = 0.05\nbridges = 4\ndepth_nodes = 2\n",
@@ -564,18 +565,24 @@ def test_no_run_loads_scipy_special(tmp_path):
             cfg.write_text(model + "steps = 4\nseed = 1\n"
                            f"output_dir = {tmp_path / name}\n" + text)
             runs.append((experiment, str(cfg)))
+    for experiment, text in [("calibrate", "dimension = 3\n"),
+                             ("cancellation-suite", "dims = 2,3\ninstances = 2\nseed = 1\n"),
+                             ("diagnostics", "samples = 20\nseed = 1\n")]:
+        cfg = tmp_path / f"{experiment}.cfg"
+        cfg.write_text(text + f"output_dir = {tmp_path / experiment}\n")
+        runs.append((experiment, str(cfg)))
     script = (
         "import sys\n"
         "from gblab import cli\n"
         f"for experiment, cfg in {runs!r}:\n"
         "    assert cli.main([experiment, cfg]) == 0, cfg\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print('scipy.special' in sys.modules, 'scipy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"
     for name in models:
         assert json.loads((tmp_path / name / "local-limit.json").read_text())["rows"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gblab import exterior as ext
 from gblab import geometry as geo
 from gblab import kernels as hk
 from gblab import noise
@@ -504,6 +505,18 @@ class TestFunctional:
             right = st.evolve_functional(path, start=mid)
             full = st.evolve_functional(path)
             assert np.abs((left @ right).mat - full.mat).max() < 1e-8
+
+    def test_off_diagonal_curvature_operator_is_refused(self, monkeypatch):
+        # the interior step exponentiates the diagonal of the curvature
+        # operator, which is all of it on every catalog model; a random
+        # 3-dimensional tensor has off-diagonal entries (a 2-dimensional one
+        # is constant curvature, diagonal again)
+        model = geo.model_catalog("hemisphere", dimension=3)
+        path = st.simulate_path(model, model.interior_point(), 0.01, 10, st.RngStream(97))
+        tensor = ext.CurvatureTensor.random(3, np.random.default_rng(5))
+        monkeypatch.setattr(type(model), "frame_curvature", lambda self: tensor)
+        with pytest.raises(ValueError, match="not diagonal"):
+            st.evolve_functional(path)
 
     def test_degree_zero_block_is_one(self):
         # the degree-0 diagonal of M V is a probability-like mass: exactly
