@@ -309,7 +309,7 @@ def _run_calibrate(cfg):
     payload["experiment"] = "calibrate"
     even = cfg["dimension"] if cfg["dimension"] % 2 == 0 else cfg["dimension"] + 1
     ratio, cv = est.pfaffian_ratio(even)
-    payload["pfaffian_ratios"][str(even)] = ratio
+    payload["pfaffian_ratios"] = {str(even): ratio}
     payload["pfaffian_ratio_cv"] = cv
     return payload
 

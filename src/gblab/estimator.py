@@ -111,7 +111,6 @@ class ConstantTable:
     boundary: dict = field(default_factory=dict)  # (k, l) -> constant, even n
     d_odd: float | None = None                 # odd n
     e_half: float | None = None                # odd n: chi(X) / chi(Z) target 1/2
-    c_pfaffian: dict = field(default_factory=dict)
     family: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     condition: float = 0.0
@@ -123,7 +122,6 @@ class ConstantTable:
             "boundary_constants": {f"k{k}_l{l}": v for (k, l), v in self.boundary.items()},
             "odd_boundary_constant": self.d_odd,
             "boundary_half_ratio": self.e_half,
-            "pfaffian_ratios": {str(k): v for k, v in self.c_pfaffian.items()},
             "family": list(self.family),
             "residuals": list(self.residuals),
             "condition": self.condition,
@@ -238,7 +236,6 @@ def calibrate_constants(n: int, models=None) -> ConstantTable:
         table.bulk = float(sol[0])
         for j, key in enumerate(keys[1:], start=1):
             table.boundary[key] = float(sol[j])
-        table.c_pfaffian[n] = pfaffian_ratio(n)[0]
     else:
         table.d_odd = float(sol[0])
         closed_bulk = calibrate_constants(n - 1).bulk
@@ -477,36 +474,33 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     per_batch = max(1, CHUNK_PATHS // bridges)
     rows = []
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
+        # an interior point is one node of weight 1
+        points, dweights = point[None, :], [1.0]
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
             width = min(DEPTH_COLLAR_FACTOR * math.sqrt(t), 0.9 * model.confinement_scale())
-            depths = 0.5 * width * (nodes + 1.0)
             dweights = 0.5 * width * gl_weights
-            points = [model.offset_from_boundary(point[None, :], np.array([d]))[0] for d in depths]
-        else:
-            points = [point]
+            points = model.offset_from_boundary(np.repeat(points, depth_nodes, axis=0),
+                                                0.5 * width * (nodes + 1.0))
         k0 = [float(hk.heat_kernel_diag(model, t, x[None, :])[0]) for x in points]
         means, ses = [], []
         for lo in range(0, len(points), per_batch):
-            block = np.array(points[lo:lo + per_batch])
+            block = points[lo:lo + per_batch]
             gens = [RngStream(seed, 1000 * it + j).generator() for j in range(lo, lo + len(block))]
             mean, se = _node_means(model, block, t, steps, bridges, gens)
             means.extend(mean.tolist())
             ses.extend(se.tolist())
-        if on_boundary:
-            value = var = 0.0
-            for w, k, mean, se in zip(dweights, k0, means, ses):
-                value += w * k * mean
-                var += (w * k * se) ** 2
-            stderr = math.sqrt(var)
-        else:
-            value = k0[0] * means[0]
-            stderr = k0[0] * ses[0]
+        value = var = 0.0
+        for w, k, mean, se in zip(dweights, k0, means, ses):
+            value += w * k * mean
+            var += (w * k * se) ** 2
+        stderr = math.sqrt(var)
         ratio = value / analytic if analytic != 0.0 else None
         rows.append({"t": t, "value": value, "stderr": stderr, "analytic": analytic,
                      "ratio": ratio})
     order = None
-    if all(r["ratio"] is not None for r in rows) and len(rows) >= 3:
+    # a slope over log t needs at least 3 distinct lifetimes
+    if all(r["ratio"] is not None for r in rows) and len(set(t_sequence)) >= 3:
         ts = np.array([r["t"] for r in rows])
         errs = np.array([abs(r["ratio"] - 1.0) for r in rows])
         if np.all(errs > 1e-12):

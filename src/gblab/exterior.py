@@ -109,11 +109,6 @@ class GradedOperator:
         _check_dimension(n)
         return cls(n, np.eye(1 << n))
 
-    @classmethod
-    def zero(cls, n: int) -> "GradedOperator":
-        _check_dimension(n)
-        return cls(n, np.zeros((1 << n, 1 << n)))
-
     def _require_same(self, other):
         if not isinstance(other, GradedOperator) or other.n != self.n:
             raise DimensionMismatchError("operators act on different algebras")
@@ -121,22 +116,6 @@ class GradedOperator:
     def __matmul__(self, other):
         self._require_same(other)
         return GradedOperator(self.n, self.mat @ other.mat)
-
-    def __add__(self, other):
-        self._require_same(other)
-        return GradedOperator(self.n, self.mat + other.mat)
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return GradedOperator(self.n, self.mat - other.mat)
-
-    def __mul__(self, scalar):
-        return GradedOperator(self.n, self.mat * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GradedOperator(self.n, -self.mat)
 
     def power(self, k: int) -> "GradedOperator":
         return GradedOperator(self.n, np.linalg.matrix_power(self.mat, k))
@@ -167,21 +146,9 @@ def derivation_extend(B) -> GradedOperator:
     return GradedOperator(n, mat)
 
 
-def pair_extend(terms, n: int | None = None) -> GradedOperator:
-    """Paired extension sum(w * (-(DT o DU))) over terms (T, U, w).
-
-    An empty term list yields the zero operator (this is the documented
-    value of the extension of an empty tensor sum, not an error); the
-    dimension must then be passed explicitly.
-    """
-    terms = list(terms)
-    if not terms:
-        if n is None:
-            raise DimensionMismatchError(
-                "pair_extend of an empty list needs an explicit dimension"
-            )
-        return GradedOperator.zero(n)
-    n = _as_matrix(terms[0][0], n).shape[0]
+def pair_extend(terms) -> GradedOperator:
+    """Paired extension sum(w * (-(DT o DU))) over a nonempty list of terms (T, U, w)."""
+    n = _as_matrix(terms[0][0]).shape[0]
     dim = 1 << n
     mat = np.zeros((dim, dim))
     for T, U, w in terms:
@@ -279,16 +246,6 @@ class CurvatureTensor:
         idx = np.asarray(indices, dtype=int)
         comp = self.components[np.ix_(idx, idx, idx, idx)]
         return CurvatureTensor(len(idx), comp)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatchError("curvature sum operands differ in dimension")
-        return CurvatureTensor(self.n, self.components + other.components)
-
-    def __mul__(self, scalar):
-        return CurvatureTensor(self.n, self.components * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def curvature_to_operator(R: CurvatureTensor) -> GradedOperator:

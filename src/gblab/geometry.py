@@ -271,18 +271,34 @@ class ManifoldModel:
     # frame_curvature(), and, in walk coordinates (see the module
     # docstring): geodesic_step(x, u, v), collar_data(x) (boundary distance
     # and inward normal), reflect(x, u, depth, nu) (from collar_data's
-    # depth and normal at x) and log_frame(x, y); then distance, the
-    # samplers (sample_volume, sample_collar, collar_volume,
-    # sample_boundary), boundary_point(), interior_point() (a point
-    # farthest from the boundary), and the analytic data: heat_kernel_spec(),
-    # confinement_scale() and boundary_curvature_parts().  A model whose
-    # state embeds round spheres lists them in embedded_spheres.
+    # depth and normal at x) and log_frame(x, y); then distance, the two
+    # sampling hooks sample_collar(rng, count, width) (uniform on the
+    # points within width of the boundary) and collar_volume(width), with
+    # collar_volume(inf) == volume, boundary_point(), interior_point() (a
+    # point farthest from the boundary), and the analytic data:
+    # heat_kernel_spec(), confinement_scale() and boundary_curvature_parts().
+    # A model whose state embeds round spheres lists them in
+    # embedded_spheres.  boundary_distance, the volume and boundary
+    # samplers and offset_from_boundary derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
 
     def boundary_distance(self, x):
         """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
         return self.collar_data(x)[0]
+
+    def sample_volume(self, rng, count):
+        """Uniform points of the model: the collar of infinite width."""
+        return self.sample_collar(rng, count, math.inf)
+
+    def sample_boundary(self, rng, count):
+        """Uniform points of the boundary: the collar of width 0."""
+        return self.sample_collar(rng, count, 0.0)
+
+    def offset_from_boundary(self, z, depth):
+        """The geodesic from each boundary point z along its inward normal, at its depth."""
+        v = _scale_columns(self.collar_data(z)[1], np.asarray(depth), np.multiply)
+        return self.geodesic_step(z, self.initial_frames(z), v)[0]
 
     def simulation_valid(self, x):
         """Rows of x that are states of the model.
@@ -321,13 +337,14 @@ class ManifoldModel:
         return out
 
     def boundary_data(self, u, nu):
-        """Bounded-factor frame components of inward normals and the umbilic shape coefficient.
+        """Bounded-factor frame components of inward normals.
 
         nu holds collar_data's normals (walk coordinates) at contact points
         and u their frames, so a contact costs no second boundary query.
+        The shape operator there is shape_coefficient times the projection
+        onto the bounded factor minus nu nu^T, one number per model.
         """
-        nu_frame = self.frame_components(u, nu)
-        return nu_frame[:, self.bounded_factor.cols], np.full(nu.shape[0], self.shape_coefficient)
+        return self.frame_components(u, nu)[:, self.bounded_factor.cols]
 
     # --- Neumann heat kernel ---------------------------------------------
     def neumann_kernel(self, t, x, y):
@@ -390,17 +407,7 @@ class FlatBall(ManifoldModel):
     def distance(self, x, y):
         return np.linalg.norm(y - x, axis=-1)
 
-    def offset_from_boundary(self, z, depth):
-        # minus the inward normal is the unit radial direction of z
-        return -self.collar_data(z)[1] * (self.radius - np.asarray(depth))[:, None]
-
     # samplers ------------------------------------------------------------
-    def sample_volume(self, rng, count):
-        n = self.dimension
-        direction = _unit(rng.standard_normal((count, n)))
-        rho = self.radius * rng.random(count) ** (1.0 / n)
-        return direction * rho[:, None]
-
     def sample_collar(self, rng, count, width):
         n = self.dimension
         width = min(width, self.radius)
@@ -414,9 +421,6 @@ class FlatBall(ManifoldModel):
         width = min(width, self.radius)
         inner = (self.radius - width) ** n
         return self.volume * (1.0 - inner / self.radius**n)
-
-    def sample_boundary(self, rng, count):
-        return self.radius * _unit(rng.standard_normal((count, self.dimension)))
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)
@@ -557,11 +561,6 @@ class SphereCap(ManifoldModel):
     def distance(self, x, y):
         return self.radius * _sphere_angle(x, y)
 
-    def offset_from_boundary(self, z, depth):
-        v_amb = _scale_columns(self.collar_data(z)[1], np.asarray(depth), np.multiply)
-        z2, _ = _sphere_step(z, None, v_amb, self.radius)
-        return z2
-
     # samplers ------------------------------------------------------------
     def _sample_theta(self, rng, count, theta_min, theta_max):
         if self.dimension == 2:
@@ -589,10 +588,6 @@ class SphereCap(ManifoldModel):
             [np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1
         )
 
-    def sample_volume(self, rng, count):
-        theta = self._sample_theta(rng, count, _POLE_EXCLUSION, self.aperture)
-        return self._embed(theta, rng, count)
-
     def sample_collar(self, rng, count, width):
         theta_w = max(self.aperture - width / self.radius, _POLE_EXCLUSION)
         theta = self._sample_theta(rng, count, theta_w, self.aperture)
@@ -605,10 +600,6 @@ class SphereCap(ManifoldModel):
             return 2 * math.pi * r**2 * (math.cos(theta_w) - math.cos(a))
         f = lambda th: th - math.sin(th) * math.cos(th)
         return 2 * math.pi * r**3 * (f(a) - f(theta_w))
-
-    def sample_boundary(self, rng, count):
-        theta = np.full(count, self.aperture)
-        return self._embed(theta, rng, count)
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)
@@ -716,17 +707,7 @@ class FlatCylinder(ManifoldModel):
     def distance(self, x, y):
         return np.hypot(y[:, 0] - x[:, 0], self._dy(x[:, 1], y[:, 1]))
 
-    def offset_from_boundary(self, z, depth):
-        out = np.array(z, copy=True)
-        out[:, 0] = z[:, 0] + self.collar_data(z)[1][:, 0] * np.asarray(depth)
-        return out
-
     # samplers ------------------------------------------------------------
-    def sample_volume(self, rng, count):
-        s = rng.uniform(0.0, self.length, size=count)
-        y = rng.uniform(0.0, self.circumference, size=count)
-        return np.stack([s, y], axis=-1)
-
     def sample_collar(self, rng, count, width):
         width = min(width, 0.5 * self.length)
         s = rng.uniform(0.0, width, size=count)
@@ -738,11 +719,6 @@ class FlatCylinder(ManifoldModel):
     def collar_volume(self, width):
         width = min(width, 0.5 * self.length)
         return 2.0 * width * self.circumference
-
-    def sample_boundary(self, rng, count):
-        s = np.where(rng.random(count) < 0.5, 0.0, self.length)
-        y = rng.uniform(0.0, self.circumference, size=count)
-        return np.stack([s, y], axis=-1)
 
     def boundary_point(self):
         return np.array([0.0, 0.0])
@@ -907,18 +883,9 @@ class SphereBall(ManifoldModel):
         db = np.linalg.norm(yb - xb, axis=-1)
         return np.hypot(ds, db)
 
-    def offset_from_boundary(self, z, depth):
-        zs, zb = self._split(z)
-        return np.concatenate([zs, self._ball.offset_from_boundary(zb, depth)], axis=-1)
-
     # samplers ------------------------------------------------------------
     def _sample_sphere(self, rng, count):
         return self.sphere_radius * _unit(rng.standard_normal((count, self.sphere_dim + 1)))
-
-    def sample_volume(self, rng, count):
-        return np.concatenate(
-            [self._sample_sphere(rng, count), self._ball.sample_volume(rng, count)], axis=-1
-        )
 
     def sample_collar(self, rng, count, width):
         return np.concatenate(
@@ -927,11 +894,6 @@ class SphereBall(ManifoldModel):
 
     def collar_volume(self, width):
         return _SPHERE_VOLUME[self.sphere_dim](self.sphere_radius) * self._ball.collar_volume(width)
-
-    def sample_boundary(self, rng, count):
-        return np.concatenate(
-            [self._sample_sphere(rng, count), self._ball.sample_boundary(rng, count)], axis=-1
-        )
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)

@@ -144,12 +144,15 @@ class WalkState:
 
 @dataclass
 class ContactInfo:
-    """The contact rows of one step: every array is indexed like ``idx``."""
+    """The contact rows of one step: every array is indexed like ``idx``.
+
+    The shape operator needs no row: every catalog boundary is umbilic, so
+    the model's one shape_coefficient fixes it at every contact.
+    """
 
     idx: np.ndarray               # (C,) indices of the paths in contact
     dlam: np.ndarray              # (C,) local-time increments
     nu: np.ndarray                # (C, d_bounded) bounded-factor normal components
-    coeff: np.ndarray             # (C,) umbilic shape coefficient
 
 
 def _columns_contiguous(a):
@@ -207,14 +210,14 @@ def _orthonormalize(frames):
 def _finish_step(model, state, x2, u2, depth, nu, idx, dlam):
     """Move the state to (x2, u2) and its boundary data; return the contact rows idx."""
     if idx.size:
-        nu_c, coeff = model.boundary_data(None if u2 is None else u2[idx], nu[idx])
+        nu_c = model.boundary_data(None if u2 is None else u2[idx], nu[idx])
     else:
-        nu_c, coeff = np.empty((0, model.bounded_factor.dim)), np.empty(0)
+        nu_c = np.empty((0, model.bounded_factor.dim))
     state.x = x2
     state.frames = u2
     state.depth = depth
     state.nu = nu
-    return ContactInfo(idx=idx, dlam=dlam, nu=nu_c, coeff=coeff)
+    return ContactInfo(idx=idx, dlam=dlam, nu=nu_c)
 
 
 def _apply_increment(model, state, v):
@@ -326,13 +329,15 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
 # ---------------------------------------------------------------------------
 
 
-def _jump_update(m, info: ContactInfo):
-    """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place."""
+def _jump_update(m, info: ContactInfo, a: float):
+    """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place.
+
+    a is the model's umbilic shape coefficient.
+    """
     idx = info.idx
     if idx.size == 0:
         return
     nu = np.ascontiguousarray(info.nu)  # einsum's summation order follows the layout
-    a = info.coeff
     dl = info.dlam
     sub = m[idx]
     mnu = np.einsum("cij,cj->ci", sub, nu)
@@ -437,7 +442,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
                 else:
                     info = step_bridge(model, state, remaining, anchor, h, noise,
                                        d_anchor=d_rows)
-                _jump_update(m[rows], info)
+                _jump_update(m[rows], info, model.shape_coefficient)
                 contacts[rows][info.idx] += 1
                 if on_step is not None:
                     on_step(k, rows, state, info)
@@ -501,7 +506,6 @@ class PathSample:
     contact: np.ndarray               # (steps,) bool
     dlam: np.ndarray                  # (steps,)
     nu_frame: np.ndarray              # (steps, n) full-frame normal components
-    shape_coeff: np.ndarray           # (steps,)
 
 
 def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
@@ -516,7 +520,6 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
     contact = np.zeros(steps, dtype=bool)
     dlam = np.zeros(steps)
     nu_frame = np.zeros((steps, n))
-    shape_coeff = np.zeros(steps)
     positions[0] = x0
     if frames is not None:
         frames[0] = model.initial_frames(x0[None, :])[0]
@@ -531,19 +534,18 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
             contact[k] = True
             dlam[k] = info.dlam[0]
             nu_frame[k, cols] = info.nu[0]
-            shape_coeff[k] = info.coeff[0]
 
     simulate_bridges(model, x0[None, :], t, steps, rng, pinned=pinned, on_step=record)
     return PathSample(
         model=model, t=t, steps=steps, positions=positions,
         frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
-        shape_coeff=shape_coeff,
     )
 
 
-def _contact_jump_matrix(model, nu, a, dl, mode, eps):
+def _contact_jump_matrix(model, nu, dl, mode, eps):
     """n x n jump factor exp(-A dl) (Pi_tan or penalty) in frame components."""
     n = model.dimension
+    a = model.shape_coefficient
     proj_b = np.zeros((n, n))
     idx = np.arange(n)[model.bounded_factor.cols]
     proj_b[idx, idx] = 1.0
@@ -579,9 +581,7 @@ def evolve_functional(path: PathSample, mode: str = "exact-jump", eps: float | N
     for k in range(start, stop):
         M = M @ interior
         if path.contact[k]:
-            jump = _contact_jump_matrix(
-                model, path.nu_frame[k], path.shape_coeff[k], path.dlam[k], mode, eps
-            )
+            jump = _contact_jump_matrix(model, path.nu_frame[k], path.dlam[k], mode, eps)
             M = M @ ext.algebra_lift(jump).mat
     return ext.GradedOperator(n, M)
 

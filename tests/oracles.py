@@ -220,7 +220,7 @@ def boundary_projections(nu):
             f"normal vector must be unit length, |nu| = {np.linalg.norm(nu):.15f}"
         )
     pi_tan = contraction_operator(nu) @ wedge_operator(nu)
-    return pi_tan, ext.GradedOperator.identity(n) - pi_tan
+    return pi_tan, ext.GradedOperator(n, np.eye(1 << n) - pi_tan.mat)
 
 
 def shape_operator_extension(A, nu) -> ext.GradedOperator:
@@ -279,7 +279,7 @@ def penalized_shape_extension(A, nu, eps: float) -> ext.GradedOperator:
         raise InvariantViolationError(f"penalty parameter must be positive, got {eps}")
     da = shape_operator_extension(A, nu)
     _, pi_nor = boundary_projections(nu)
-    return da + (1.0 / eps) * pi_nor
+    return ext.GradedOperator(da.n, da.mat + (1.0 / eps) * pi_nor.mat)
 
 
 def mode_table_dense(dim, radius, x_max_build):

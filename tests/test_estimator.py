@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,8 +94,8 @@ class TestCalibration:
             est.calibrate_constants(4)
         assert "hemisphere" in str(err.value)
 
-    def test_pfaffian_ratio_two(self, constants2):
-        assert abs(constants2.c_pfaffian[2] + 0.5) < 1e-10
+    def test_pfaffian_ratio_two(self):
+        assert abs(est.pfaffian_ratio(2)[0] + 0.5) < 1e-10
         ratio, cv = est.pfaffian_ratio(4)
         assert cv < 1e-10
 
@@ -334,6 +335,18 @@ class TestLocalLimit:
             constants3.d_odd * (-2.0), rel=1e-12
         )
         assert 0.80 < row["ratio"] < 1.15
+
+    @pytest.mark.parametrize("t_sequence", [[0.04, 0.04, 0.04], [0.04, 0.02, 0.04]])
+    def test_no_observed_order_without_three_distinct_lifetimes(self, constants2, t_sequence):
+        # a slope over log t with fewer than 3 distinct abscissae means nothing
+        model = geo.model_catalog("ball", dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = est.local_limit_check(model, model.boundary_point(), t_sequence, 40,
+                                          seed=9, steps=20, constants=constants2, depth_nodes=2)
+        assert len(table["rows"]) == 3
+        assert all(row["ratio"] is not None for row in table["rows"])
+        assert table["observed_order"] is None
 
 
 def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes):

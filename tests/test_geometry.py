@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -83,9 +84,8 @@ class TestCatalog:
         # on the bounded columns
         u = model.initial_frames(z)
         nu = model.collar_data(z)[1]
-        nu_b, coeff = model.boundary_data(u, nu)
+        nu_b = model.boundary_data(u, nu)
         assert np.array_equal(nu_b, model.frame_components(u, nu)[:, model.bounded_factor.cols])
-        assert np.all(coeff == model.shape_coefficient)
 
 
 def frame_step(model, x, u, xi):
@@ -313,9 +313,8 @@ class TestBoundary:
         rng = RNG(9)
         z = model.sample_boundary(rng, 16)
         u = model.initial_frames(z)
-        nu_b, a = model.boundary_data(u, model.collar_data(z)[1])
+        nu_b = model.boundary_data(u, model.collar_data(z)[1])
         assert np.abs(np.linalg.norm(nu_b, axis=-1) - 1.0).max() < 1e-10
-        assert np.all(np.isfinite(a))
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_interior_point_is_deepest(self, model):
@@ -348,6 +347,51 @@ class TestBoundary:
         z = model.sample_boundary(rng, 8)
         mirrored, _, _ = model.reflect(z, model.initial_frames(z), *model.collar_data(z))
         assert np.abs(mirrored - z).max() < 1e-9
+
+
+# sample_volume(rng, 7) of the per-model samplers it replaced, at seed 2024:
+# (name, params, sha256 of the points' bytes, PCG64 state and has_uint32 after)
+VOLUME_SAMPLES = [
+    ("ball", {'dimension': 1}, "c6746a93a0931b99759e6346652ce38f9748254c515d218a89d0c69b6bbdd186", 325294137605446664650238027523124685848, 0),
+    ("ball", {'dimension': 2}, "86761b10a1ae6a180e48e031230cbcc55e7d8e0103358f4f251d2e28698c8269", 115559893431073921979799044221480519995, 0),
+    ("ball", {'dimension': 3}, "8a41f07162a7c68c881a54da4c918287a5a0e031cb2bad21f4acb2fab030e71c", 301464640639880176722514026754898071714, 0),
+    ("ball", {'dimension': 4}, "dc2a8421485c08f1f6c0e8b4141125f0d273269eb3e66f0632c4c45f131ecc34", 285428837341284386286164645241248397803, 0),
+    ("ball", {'dimension': 2, 'radius': 2.5}, "659c34921293a04e6bfda679750730ebcaf1e70be71f1633b40d580fd54d3b3d", 115559893431073921979799044221480519995, 0),
+    ("hemisphere", {'dimension': 2}, "ee6c6a89a2b60208071ddbe348be710db14f6fa9c363498998a829b63fc37f8f", 325294137605446664650238027523124685848, 0),
+    ("hemisphere", {'dimension': 3}, "356b1e48791f88b04c1134272b16219261f92eea2ea7dbf6cd7d47176ded3234", 262244773524709030991986015855808125320, 0),
+    ("cap", {'dimension': 2, 'aperture': 1.0}, "564444933dcb926fb70463e3ad10b50bd8c8b3a4c892010441240323cb1b1e94", 325294137605446664650238027523124685848, 0),
+    ("cap", {'dimension': 2, 'aperture': 2.5}, "d991920ce1f96fd4d5248a8182a42538b34fcddec58881b32ac2e3ee2e7eb985", 325294137605446664650238027523124685848, 0),
+    ("cap", {'dimension': 3, 'aperture': 0.7}, "3b8db6d199e3e5da9a570eb8493b3e7f6b72871e4a0372b1cad6bfed6ffc9fb9", 262244773524709030991986015855808125320, 0),
+    ("cap", {'dimension': 3, 'radius': 1.5, 'aperture': 0.9}, "4ff15d001a287dbbfe6e6d8b5b2a3f6a227a6c2af22ca93c290fd8154ede4f7a", 262244773524709030991986015855808125320, 0),
+    ("sphere-ball", {'sphere_dim': 1, 'ball_dim': 2}, "e8d5fb815934cc23e5d596ea3abacfd11d7c5694e2c4640b7b8ebf6dca110d53", 285428837341284386286164645241248397803, 0),
+    ("sphere-ball", {'sphere_dim': 1, 'ball_dim': 3, 'ball_radius': 0.5}, "75d00ef850c09158bc4481e5a52a85daf286225a6f07fc44c21540a5f0de5276", 315165607182331462703494434781461463954, 0),
+    ("sphere-ball", {'sphere_dim': 2, 'ball_dim': 1}, "86b0f09a602c078b869507efc5e7d8d82e521bb6e20584b810c3d28f1369db2a", 285428837341284386286164645241248397803, 0),
+    ("sphere-ball", {'sphere_dim': 2, 'ball_dim': 2}, "0430c5b48979efded34bb0fd082db5fccc47601f1a57fe5ad3675b8c786627a3", 315165607182331462703494434781461463954, 0),
+    ("sphere-ball", {'sphere_dim': 3, 'ball_dim': 1}, "efcd7cdfac3ad842b6012a8916557eb50f36ceb6e2dc05967caae0299993248c", 315165607182331462703494434781461463954, 0),
+]
+
+
+class TestDerivedHooks:
+    """The invariants behind the samplers ManifoldModel derives from sample_collar."""
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_infinite_collar_is_the_volume(self, model):
+        assert model.collar_volume(math.inf) == model.volume
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_zero_width_collar_lies_on_the_boundary(self, model):
+        z = model.sample_collar(RNG(5), 64, 0.0)
+        assert np.abs(model.boundary_distance(z)).max() <= 1e-12
+        assert model.simulation_valid(z).all()
+
+    @pytest.mark.parametrize("name, params, digest, state, has_uint32", VOLUME_SAMPLES,
+                             ids=lambda v: str(v)[:40])
+    def test_volume_samples_are_the_per_model_ones(self, name, params, digest, state, has_uint32):
+        rng = RNG(2024)
+        x = geo.model_catalog(name, **params).sample_volume(rng, 7)
+        assert hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest() == digest
+        after = rng.bit_generator.state
+        assert (after["state"]["state"], after["has_uint32"]) == (state, has_uint32)
 
 
 class TestGaussEquation:
@@ -686,9 +730,8 @@ class TestColumnwiseAgainstBroadcast:
         # at the apex the horizontal part is zero and the meridian is -sin(0) e_axis = 0
         assert np.array_equal(nu[-4:], np.zeros((4, x.shape[1])))
         nu_old = broadcast_frame_components(u, -broadcast_meridian_at(model, x, theta))
-        nu_b, coeff = model.boundary_data(u[:-4], nu[:-4])
+        nu_b = model.boundary_data(u[:-4], nu[:-4])
         _close(nu_b, geo._unit(nu_old[:-4]))
-        assert np.all(coeff == model.shape_coefficient)
         # reflect: a point pushed past the boundary steps back along the meridian
         z = model.sample_boundary(RNG(44), 50)
         uz = model.initial_frames(z)

@@ -44,3 +44,16 @@ def test_guard_sees_the_old_dispatch():
     assert DISPATCH.search('point = model.interior_point() if hasattr(model, "interior_point") else None')
     imports = IMPORT.findall("from .geometry import (\n    FlatBall,\n    ManifoldModel,\n)\n")
     assert imports and "FlatBall" in imports[0][1]
+
+
+DERIVED_HOOKS = ("sample_volume", "sample_boundary", "offset_from_boundary", "boundary_distance")
+
+
+def test_models_inherit_the_derived_hooks():
+    # ManifoldModel derives these from sample_collar, collar_data and geodesic_step
+    from gblab import geometry
+
+    classes = geometry.ManifoldModel.__subclasses__()
+    assert sorted(c.__name__ for c in classes) == sorted(MODEL_CLASSES)
+    for cls in classes:
+        assert not set(DERIVED_HOOKS) & set(vars(cls)), cls.__name__

@@ -458,7 +458,6 @@ class TestFunctional:
             contact=np.array([False, True, False]),
             dlam=np.array([0.0, 0.3, 0.0]),
             nu_frame=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
-            shape_coeff=np.array([0.0, 1.0, 0.0]),
         )
         M = st.evolve_functional(path)
         expected = np.diag([1.0, 0.0, math.exp(-0.3), 0.0])
@@ -667,7 +666,7 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True):
             info = st.snap_to_anchor(model, state, anchors)
         else:
             info = st.step_bridge(model, state, remaining, anchors, h, gen, d_anchor=d_anchor)
-        st._jump_update(m, info)
+        st._jump_update(m, info, model.shape_coefficient)
         contacts[info.idx] += 1
         positions[k + 1] = state.x
     factor_m = {}
@@ -788,27 +787,25 @@ def full_contact_step(model, state, v):
         if u2 is not None:
             u2[idx] = ur
         dlam[idx] = 2.0 * np.maximum(depth, 0.0)
-    return (contact, dlam) + full_boundary_data(model, x2, u2, contact)
+    return contact, dlam, full_boundary_data(model, x2, u2, contact)
 
 
 def full_boundary_data(model, x2, u2, contact):
-    """Reference: full-size normal and shape-coefficient arrays, zero off contact."""
+    """Reference: a full-size normal array, zero off contact."""
     nu = np.zeros((x2.shape[0], model.bounded_factor.dim))
-    coeff = np.zeros(x2.shape[0])
     if contact.any():
         idx = np.nonzero(contact)[0]
-        nu[idx], coeff[idx] = model.boundary_data(None if u2 is None else u2[idx],
-                                                  model.collar_data(x2[idx])[1])
-    return nu, coeff
+        nu[idx] = model.boundary_data(None if u2 is None else u2[idx],
+                                      model.collar_data(x2[idx])[1])
+    return nu
 
 
-def full_jump_update(m, contact, dlam, nu, coeff):
+def full_jump_update(m, contact, dlam, nu, a):
     """Reference: the jump update reading contact rows out of full-size arrays."""
     idx = np.nonzero(contact)[0]
     if idx.size == 0:
         return
     nu = nu[idx]
-    a = coeff[idx]
     dl = dlam[idx]
     sub = m[idx]
     mnu = np.einsum("cij,cj->ci", sub, nu)
@@ -829,12 +826,11 @@ class TestContactRows:
         old_state = st.make_walk_state(model, anchors)
         v = model.frame_vector(new_state.frames, xi)
         info = st._apply_increment(model, new_state, v)
-        contact, dlam, nu, coeff = full_contact_step(model, old_state, v)
+        contact, dlam, nu = full_contact_step(model, old_state, v)
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, dlam[contact])
         assert np.array_equal(info.nu, nu[contact])
-        assert np.array_equal(info.coeff, coeff[contact])
         assert np.array_equal(new_state.lam[contact], dlam[contact])
         assert not new_state.lam[~contact].any()
         # the state carries the boundary data of its new points, reflected ones included
@@ -843,8 +839,8 @@ class TestContactRows:
         assert np.array_equal(new_state.nu, nu_walk)
         m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
         m_old = m_new.copy()
-        st._jump_update(m_new, info)
-        full_jump_update(m_old, contact, dlam, nu, coeff)
+        st._jump_update(m_new, info, model.shape_coefficient)
+        full_jump_update(m_old, contact, dlam, nu, model.shape_coefficient)
         assert np.array_equal(m_new, m_old)
 
     @pytest.mark.parametrize("name", list(TILE_MODELS))
@@ -855,19 +851,18 @@ class TestContactRows:
         v = model.log_frame(state.x, anchors)
         x2, u2 = model.geodesic_step(state.x, state.frames, v)
         contact = model.boundary_distance(x2) <= 1e-12
-        nu, coeff = full_boundary_data(model, x2, u2, contact)
+        nu = full_boundary_data(model, x2, u2, contact)
         info = st.snap_to_anchor(model, state, anchors)
         assert contact.any()
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, np.zeros(contact.sum()))
         assert np.array_equal(info.nu, nu[contact])
-        assert np.array_equal(info.coeff, coeff[contact])
 
     def test_no_contact_gives_empty_rows(self):
         model = hemisphere()
         x = np.broadcast_to(model.interior_point(), (7, 3)).copy()
         info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 3)))
-        assert info.idx.size == info.dlam.size == info.coeff.size == 0
+        assert info.idx.size == info.dlam.size == 0
         assert info.nu.shape == (0, model.bounded_factor.dim)
 
 
