@@ -287,16 +287,21 @@ def analytic_gb_integrands(model: ManifoldModel, constants: ConstantTable):
 # ---------------------------------------------------------------------------
 
 
-def _node_means(model: ManifoldModel, points, t: float, steps: int, bridges: int, rng):
+def _node_means(model: ManifoldModel, points, t: float, steps: int, bridges: int, rng, *,
+                paired=False):
     """Per-node mean and standard error of Str(M_t V_t) over `bridges` bridge loops at each point.
 
     The loops of point i are rows i * bridges to (i + 1) * bridges of one
     batch; rng is one generator or one per point (see simulate_bridges).
+    With paired=True (an even bridge count) the loops step as antithetic
+    pairs, and the mean and standard error come from the bridges / 2 pair
+    means, which are independent where the bridges of a pair are not.
     Every bridge is one sample of the integrand, so none is dropped: raises
     NumericalAbortError when any bridge ended in an invalid state or with a
     non-finite supertrace.
     """
-    batch = simulate_bridges(model, np.repeat(points, bridges, axis=0), t, steps, rng)
+    batch = simulate_bridges(model, np.repeat(points, bridges, axis=0), t, steps, rng,
+                             paired=paired)
     values = batch.supertraces()
     bad = int(np.count_nonzero(~(batch.alive & np.isfinite(values))))
     if bad:
@@ -304,17 +309,35 @@ def _node_means(model: ManifoldModel, points, t: float, steps: int, bridges: int
             f"{bad} of {values.size} bridges at t={t} ended in an invalid state or with a "
             "non-finite supertrace; refine steps or shrink t"
         )
-    values = values.reshape(-1, bridges)
-    mean = values.sum(axis=1) / bridges
-    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(bridges - 1, 1)
-    return mean, np.sqrt(var / bridges)
+    values = values.reshape(len(points), -1)
+    if paired:
+        values = (values[:, 0::2] + values[:, 1::2]) / 2.0
+    count = values.shape[1]
+    mean = values.sum(axis=1) / count
+    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(count - 1, 1)
+    return mean, np.sqrt(var / count)
+
+
+def _antithetic(model: ManifoldModel, bridges: int) -> bool:
+    """Whether the bridges of a node step as antithetic pairs.
+
+    Negating a loop's noise turns its outward excursions inward, so the
+    local times of a loop and its mirror are negatively correlated, and the
+    pair mean varies less than that of two independent loops.  Models that
+    carry frames draw independent loops: a loop and its mirror enclose
+    about the same signed area, so their holonomies agree and pairing
+    doubles the holonomy's share of the variance.  An odd count draws
+    independent loops too.
+    """
+    return not model.needs_frames and bridges % 2 == 0
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
                            steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
     steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
-    mean, se = _node_means(model, check_point(model, x)[None, :], t, steps, bridges, rng)
+    mean, se = _node_means(model, check_point(model, x)[None, :], t, steps, bridges, rng,
+                           paired=_antithetic(model, bridges))
     return float(mean[0]), float(se[0])
 
 
@@ -409,8 +432,11 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
         for ci, lo in enumerate(range(0, base_points, chunk_anchors))
     ])
     samples = weights * kernel_diag * means
-    estimate = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(base_points))
+    # samples that overflow the spread make it inf or nan, which the check
+    # below turns into the abort; numpy need not warn about them first
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(samples.mean())
+        stderr = float(samples.std(ddof=1) / math.sqrt(base_points))
     if not (math.isfinite(estimate) and math.isfinite(stderr)):
         raise NumericalAbortError(f"the estimate {estimate} +- {stderr} at t={t} is not finite")
     info = hk.kernel_info(model, t)
@@ -456,7 +482,11 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     Within a lifetime consecutive depth nodes step together, as many in
     one batch as estimate_chi's chunks hold; node j of lifetime it keeps
     its own stream RngStream(seed, 1000 it + j), so the batching never
-    changes a draw.  Returns the local-limit report payload.
+    changes a draw.  On models that carry no frames an even bridge count
+    steps as antithetic pairs (see _antithetic), and each node's mean and
+    stderr come from its bridges / 2 pair means; frame-carrying models and
+    odd counts draw independent bridges.  Returns the local-limit report
+    payload.
     """
     if len(t_sequence) == 0:
         raise ConfigError("t_sequence must hold at least one lifetime")
@@ -472,6 +502,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     bulk_fn, boundary_fn = analytic_gb_integrands(model, constants)
     analytic = float(boundary_fn(point)[0] if on_boundary else bulk_fn(point)[0])
     per_batch = max(1, CHUNK_PATHS // bridges)
+    paired = _antithetic(model, bridges)
     rows = []
     for it, t in enumerate(sorted(t_sequence, reverse=True)):
         # an interior point is one node of weight 1
@@ -487,7 +518,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
         for lo in range(0, len(points), per_batch):
             block = points[lo:lo + per_batch]
             gens = [RngStream(seed, 1000 * it + j).generator() for j in range(lo, lo + len(block))]
-            mean, se = _node_means(model, block, t, steps, bridges, gens)
+            mean, se = _node_means(model, block, t, steps, bridges, gens, paired=paired)
             means.extend(mean.tolist())
             ses.extend(se.tolist())
         value = var = 0.0

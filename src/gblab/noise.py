@@ -1,7 +1,12 @@
 """Standard normals for bridge batches: drawn inline, or ahead in a helper process.
 
 A bridge batch fills every tile-step's noise from a _RowStreams: the
-generators of its row groups, each filling its rows in row order.  Large
+generators of its row groups, each filling its rows in row order.  Paired
+streams fill antithetic pairs: each group draws half its rows' normals, and
+rows 2j and 2j + 1 of the group take draw j and its negation.  The pairing
+lives in _RowStreams.fill alone, so inline fills, the helper's slots and the
+fallback's replay all give the same pairs; a slot still holds one tile's
+rows in row order.  Large
 batches hand those generators to a persistent helper process instead.  The
 helper is forked on first use, blocks on a pipe between batches and exits
 when the pipe reaches EOF (the owner closes it at exit, or dies).  It makes
@@ -62,23 +67,65 @@ _PRODUCED, _CONSUMED, _CANCEL = 0, 1, 2
 
 @dataclass(frozen=True)
 class _RowStreams:
-    """Generators that own consecutive row groups: gens[i] fills rows bounds[i]:bounds[i + 1]."""
+    """Generators that own consecutive row groups: gens[i] fills rows bounds[i]:bounds[i + 1].
+
+    With paired set, every bound is even and each group is filled with
+    antithetic pairs (see fill).
+    """
 
     gens: tuple
     bounds: tuple
+    paired: bool = False
 
     def tile(self, rows: slice) -> "_RowStreams":
         """The groups' parts inside a row tile, with rows counted from the tile's start."""
+        if self.paired and (rows.start % 2 or rows.stop % 2):
+            raise ValueError(f"a tile of rows {rows.start}:{rows.stop} splits an antithetic pair")
         parts = [(g, max(a, rows.start), min(b, rows.stop))
                  for g, a, b in zip(self.gens, self.bounds, self.bounds[1:])]
         parts = [(g, a - rows.start, b - rows.start) for g, a, b in parts if a < b]
         return _RowStreams(tuple(g for g, _, _ in parts),
-                           (0,) + tuple(b for _, _, b in parts))
+                           (0,) + tuple(b for _, _, b in parts), self.paired)
 
     def fill(self, xi):
-        """Fill the rows of xi with standard normals, group by group in row order."""
+        """Fill the rows of xi with standard normals, group by group in row order.
+
+        Paired, a group of r rows draws r / 2 rows of normals, and its rows
+        2j and 2j + 1 hold draw j and -(draw j): the groups draw in row order
+        into the upper half of xi, and _spread_pairs moves the draws down.
+        """
+        if not self.paired:
+            for gen, a, b in zip(self.gens, self.bounds, self.bounds[1:]):
+                gen.standard_normal(out=xi[a:b])
+            return
+        half = xi.shape[0] // 2
         for gen, a, b in zip(self.gens, self.bounds, self.bounds[1:]):
-            gen.standard_normal(out=xi[a:b])
+            gen.standard_normal(out=xi[half + a // 2:half + b // 2])
+        _spread_pairs(xi)
+
+
+def _spread_pairs(xi):
+    """Move draw j from row half + j of xi to row 2j, and its negation to row 2j + 1, in place.
+
+    The draws move in blocks from the first: block [lo, hi) lands on rows
+    [2 lo, 2 hi), below its own draws (2 hi <= half + lo) and so below every
+    draw still to move, which keeps each copy free of overlap and of
+    temporaries; the last draw, in the last row, moves alone.  The copies
+    move whole rows (one void item each), several times faster than
+    strided float copies of a few columns.
+    """
+    half = xi.shape[0] // 2
+    rows = xi.view(np.dtype((np.void, xi.itemsize * xi.shape[1]))).reshape(-1)
+    lo = 0
+    while lo < half - 1:
+        hi = (half + lo) // 2
+        draws = xi[half + lo:half + hi]
+        rows[2 * lo:2 * hi:2] = rows[half + lo:half + hi]
+        np.negative(draws, out=draws)
+        rows[2 * lo + 1:2 * hi:2] = rows[half + lo:half + hi]
+        lo = hi
+    rows[-2] = rows[-1]
+    np.negative(xi[-1], out=xi[-1])
 
 
 @contextlib.contextmanager

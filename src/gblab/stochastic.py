@@ -42,7 +42,12 @@ allocator reuses them.  Tiles and
 groups never change a draw: every step visits the tiles in row order and
 each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
-is bitwise the same as in that separate, untiled batch.
+is bitwise the same as in that separate, untiled batch.  Paired batches
+(paired=True) step antithetic pairs: rows 2j and 2j + 1 take one draw and
+its negation, and each group draws half its rows' normals.  The same
+invariants hold for them, because a tile never splits a pair: groups have
+even sizes and every tile cut falls on an even row, so each tile draws a
+whole number of pairs from each group's stream, in row order.
 
 Which process draws never changes a number either.  A batch of at least
 noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1) (steps for free walks),
@@ -112,10 +117,12 @@ def _as_generator(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
-def _row_streams(rng, rows: int) -> _RowStreams:
+def _row_streams(rng, rows: int, paired: bool = False) -> _RowStreams:
     """One generator for all rows, or G generators splitting them into equal groups.
 
-    A noise source that already has fill(xi) (see noise.batch_noise) passes through.
+    Paired, every group fills antithetic pairs and must have an even row
+    count.  A noise source that already has fill(xi) (see noise.batch_noise)
+    passes through.
     """
     if hasattr(rng, "fill"):
         return rng
@@ -123,7 +130,9 @@ def _row_streams(rng, rows: int) -> _RowStreams:
     if not gens or rows % len(gens):
         raise ValueError(f"{len(gens)} generators cannot split {rows} rows into equal groups")
     size = rows // len(gens)
-    return _RowStreams(tuple(gens), tuple(i * size for i in range(len(gens) + 1)))
+    if paired and size % 2:
+        raise ValueError(f"row groups of {size} rows cannot hold antithetic pairs")
+    return _RowStreams(tuple(gens), tuple(i * size for i in range(len(gens) + 1)), paired)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +412,7 @@ class BridgeBatch:
 
 
 def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *,
-                     pinned=True, on_step=None) -> BridgeBatch:
+                     pinned=True, paired=False, on_step=None) -> BridgeBatch:
     """Simulate reflected Brownian bridge loops pinned at the given anchors, or free walks.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
@@ -411,19 +420,22 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     starts there and takes `steps` free steps.  rng is one generator, or a
     sequence of G generators that split the P rows into G equal contiguous
     groups (ValueError otherwise); group i draws exactly what a separate
-    batch of its rows draws from generator i.  The rows step as lockstep
-    tiles of at most TILE_ROWS paths (see the module docstring).
+    batch of its rows draws from generator i.  With paired=True the rows
+    are antithetic pairs: rows 2j and 2j + 1 step on one draw and its
+    negation, so every group needs an even row count (ValueError otherwise).
+    The rows step as lockstep tiles of at most TILE_ROWS paths (see the
+    module docstring).
     on_step(k, rows, state, info) runs after step k of the tile of the
     batch rows `rows`; info.idx counts from the tile's first row.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
-    streams = _row_streams(rng, P)
+    streams = _row_streams(rng, P, paired)
     h = t / steps
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
-    tiles = _row_tiles(P)
+    tiles = _row_tiles(P, 2 if paired else 1)
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     # per tile: the anchors in walk layout and their boundary distance, or none
     targets = [(None, None)] * len(tiles)
@@ -459,10 +471,16 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     )
 
 
-def _row_tiles(P):
-    """Row slices of the fewest equal tiles of at most TILE_ROWS rows covering P rows."""
-    count = max(1, -(-P // TILE_ROWS))
-    return [slice(i * P // count, (i + 1) * P // count) for i in range(count)]
+def _row_tiles(P, unit=1):
+    """Row slices of the fewest equal tiles of at most TILE_ROWS rows covering P rows.
+
+    Every cut falls on a multiple of unit (2 keeps antithetic pairs whole);
+    a tile holds at least one unit.
+    """
+    units = P // unit
+    count = max(1, -(-units // max(1, TILE_ROWS // unit)))
+    return [slice(i * units // count * unit, (i + 1) * units // count * unit)
+            for i in range(count)]
 
 
 def _join(parts):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -365,9 +366,14 @@ class TestRangeValidation:
     def test_tiny_lifetime_on_a_parametrix_exits_three(self, tmp_path, entries):
         # at t = 1e-300 the Gaussian parametrix overflows (3-cap, 4-ball) or
         # the spread of its samples does (2-cap: an infinite stderr, which the
-        # report cannot carry); either is a numerical abort
+        # report cannot carry); either is a numerical abort, with no numpy
+        # warning printed before it
         base = {**ESTIMATE_SMALL, "t": "1e-300"}
-        code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, {**base, **entries}))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_main(["estimate-chi",
+                                       str(config_file(tmp_path, {**base, **entries}))])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code == 3
         assert json.loads(out[0])["error"]["kind"] == "numerical"
         assert "Traceback" not in err

@@ -350,7 +350,11 @@ class TestLocalLimit:
 
 
 def per_node_rows(model, point, t_sequence, bridges, seed, *, steps, depth_nodes):
-    """Reference: local_limit_check's (t, value, stderr) rows, one bridge batch per node."""
+    """Reference: local_limit_check's (t, value, stderr) rows, one bridge batch per node.
+
+    supertrace_expectation pairs a node's bridges by local_limit_check's
+    rule (est._antithetic), so the flat cases compare paired nodes.
+    """
     point = np.asarray(point, dtype=float)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     rows = []
@@ -421,8 +425,8 @@ class TestLockstepNodes:
         # and each node brings its own generator
         batches = []
 
-        def node_means(model, points, t, steps, bridges, rng):
-            batches.append((len(points), len(rng)))
+        def node_means(model, points, t, steps, bridges, rng, *, paired):
+            batches.append((len(points), len(rng), paired))
             return np.zeros(len(points)), np.zeros(len(points))
 
         monkeypatch.setattr(est, "CHUNK_PATHS", cap)
@@ -430,7 +434,8 @@ class TestLockstepNodes:
         model = geo.model_catalog("ball", dimension=2)
         est.local_limit_check(model, model.boundary_point(), [0.05], bridges, 1, steps=4,
                               constants=constants2, depth_nodes=nodes)
-        assert batches == [(size, size) for size in sizes]
+        # the disk carries no frames and every count is even: pairs throughout
+        assert batches == [(size, size, True) for size in sizes]
 
     @pytest.mark.parametrize("nodes, dead, bad_value", [
         (2, [20, 21, 22, 23], None),  # node 1 loses 4 of its 20 bridges
@@ -445,16 +450,32 @@ class TestLockstepNodes:
         if bad_value is not None:
             values[7] = bad_value
         batch = SimpleNamespace(alive=alive, supertraces=lambda: values)
-        monkeypatch.setattr(est, "simulate_bridges", lambda *args: batch)
+        monkeypatch.setattr(est, "simulate_bridges", lambda *args, **kwargs: batch)
         with pytest.raises(NumericalAbortError, match="of 40 bridges at t=0.01"):
             est._node_means(None, np.zeros((nodes, 2)), 0.01, 4, 40 // nodes, None)
 
     def test_node_means_of_valid_bridges(self, monkeypatch):
         batch = SimpleNamespace(alive=np.ones(40, dtype=bool), supertraces=lambda: np.arange(40.0))
-        monkeypatch.setattr(est, "simulate_bridges", lambda *args: batch)
+        monkeypatch.setattr(est, "simulate_bridges", lambda *args, **kwargs: batch)
         mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, None)
         assert mean.tolist() == [9.5, 29.5]
         assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
+
+    def test_node_means_of_pairs(self, monkeypatch):
+        # the mean and stderr of 20 bridges in pairs come from their 10 pair means
+        batch = SimpleNamespace(alive=np.ones(40, dtype=bool), supertraces=lambda: np.arange(40.0))
+        passed = []
+
+        def simulate(*args, paired):
+            passed.append(paired)
+            return batch
+
+        monkeypatch.setattr(est, "simulate_bridges", simulate)
+        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, None, paired=True)
+        assert passed == [True]
+        assert mean.tolist() == [9.5, 29.5]
+        pair_means = np.arange(0.5, 20.0, 2.0)
+        assert se[0] == pytest.approx(np.std(pair_means, ddof=1) / math.sqrt(10))
 
 
 class TestArgumentRanges:
@@ -550,13 +571,15 @@ def test_fixed_seed_reports(model, estimate, stderr):
 
 
 # local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
-# depth_nodes=4): (t, value, stderr) rows of the batch engine that still
-# offered the varadhan drift and the epsilon jump, before the single bridge law
+# depth_nodes=4): (t, value, stderr) rows.  The hemisphere rows come from the
+# batch engine that still offered the varadhan drift and the epsilon jump,
+# before the single bridge law; the disk and 3-ball rows from the first code
+# that stepped their bridges as antithetic pairs.
 FIXED_SEED_LOCAL_LIMIT = {
-    "disk-boundary": [(0.03, 0.16691994051766088, 0.01852313426570702),
-                      (0.015, 0.19685588138507423, 0.022701400755926575)],
-    "ball3-boundary": [(0.03, 0.07665977597358335, 0.016012906479437976),
-                       (0.015, 0.10068069912685648, 0.018923079715998613)],
+    "disk-boundary": [(0.03, 0.18365765569015957, 0.010574035408861109),
+                      (0.015, 0.1690749457007314, 0.010170879047471203)],
+    "ball3-boundary": [(0.03, 0.09046833818284163, 0.011651633894785874),
+                       (0.015, 0.08394341313988131, 0.007465206338345211)],
     "hemisphere-boundary": [(0.03, 0.140470974294633, 0.0011802620527437912),
                             (0.015, 0.09779094134839281, 0.0007521698560758964)],
     "hemisphere-interior": [(0.03, 0.1591622531366704, 7.485956480193188e-05),
@@ -580,3 +603,107 @@ def test_fixed_seed_local_limit_rows(case, constants2, constants3):
     rows = [(r["t"], r["value"], r["stderr"]) for r in table["rows"]]
     pinned = FIXED_SEED_LOCAL_LIMIT[case]
     assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))
+
+
+# the disk and 3-ball rows above with independent bridges, as pinned before
+# the pairing; the rule is patched off, so these draw exactly as they did
+FIXED_SEED_INDEPENDENT_ROWS = {
+    "disk-boundary": [(0.03, 0.16691994051766088, 0.01852313426570702),
+                      (0.015, 0.19685588138507423, 0.022701400755926575)],
+    "ball3-boundary": [(0.03, 0.07665977597358335, 0.016012906479437976),
+                       (0.015, 0.10068069912685648, 0.018923079715998613)],
+}
+
+
+@pytest.mark.parametrize("case", list(FIXED_SEED_INDEPENDENT_ROWS))
+def test_fixed_seed_rows_of_independent_bridges(case, constants2, constants3, monkeypatch):
+    monkeypatch.setattr(est, "_antithetic", lambda model, bridges: False)
+    make, kind = LOCKSTEP_CASES[case]
+    model = make()
+    constants = constants2 if model.dimension == 2 else constants3
+    table = est.local_limit_check(model, model.boundary_point(), [0.03, 0.015], 60, 307,
+                                  steps=30, constants=constants, depth_nodes=4)
+    rows = [(r["t"], r["value"], r["stderr"]) for r in table["rows"]]
+    pinned = FIXED_SEED_INDEPENDENT_ROWS[case]
+    assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))
+
+
+class TestAntitheticPairs:
+    """Bridges of a node step as antithetic pairs on models without frames, at even counts."""
+
+    @pytest.mark.parametrize("make, bridges, paired", [
+        (lambda: geo.model_catalog("ball", dimension=2), 20, True),
+        (lambda: geo.model_catalog("ball", dimension=2), 21, False),
+        (lambda: geo.model_catalog("ball", dimension=3), 2, True),
+        (lambda: geo.model_catalog("cylinder"), 20, True),
+        (lambda: geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2), 20, True),
+        (lambda: geo.model_catalog("hemisphere", dimension=2), 20, False),
+        (lambda: geo.SphereCap(2, aperture=1.0), 20, False),
+        (lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1), 20, False),
+    ], ids=["disk-even", "disk-odd", "ball3", "cylinder", "sphere1-ball2", "hemisphere",
+            "cap2", "sphere2-ball1"])
+    def test_rule(self, make, bridges, paired):
+        assert est._antithetic(make(), bridges) is paired
+
+    def test_estimate_chi_never_pairs(self, monkeypatch):
+        flags = []
+        node_means = est._node_means
+
+        def spy(*args, **kwargs):
+            flags.append(kwargs.get("paired", False))
+            return node_means(*args, **kwargs)
+
+        monkeypatch.setattr(est, "_node_means", spy)
+        est.estimate_chi(geo.model_catalog("ball", dimension=2), 0.05, 8, 4, 3, steps=10)
+        assert flags == [False]
+
+    def test_paired_and_independent_means_agree(self):
+        # disk boundary depth nodes at 0, 0.5 and 1 sqrt(t): both estimators
+        # are unbiased, and the pairs cut the spread at the boundary anchor
+        model = geo.model_catalog("ball", dimension=2)
+        t = 0.02
+        depths = np.array([0.0, 0.5, 1.0]) * math.sqrt(t)
+        points = model.offset_from_boundary(np.repeat(model.boundary_point()[None, :], 3, axis=0),
+                                            depths)
+        runs = {}
+        for paired in (True, False):
+            gens = [RngStream(653, 10 * paired + j).generator() for j in range(3)]
+            runs[paired] = est._node_means(model, points, t, 60, 2000, gens, paired=paired)
+        (m_p, se_p), (m_i, se_i) = runs[True], runs[False]
+        assert np.all(np.abs(m_p - m_i) <= 3.0 * np.hypot(se_p, se_i))
+        assert se_p[0] < 0.8 * se_i[0]
+
+    def test_paired_stderr_is_calibrated(self):
+        # 100 independent replicates of one paired node at the disk's boundary
+        # anchor: the reported stderr matches the spread of their means
+        model = geo.model_catalog("ball", dimension=2)
+        points = np.repeat(model.boundary_point()[None, :], 100, axis=0)
+        gens = [RngStream(659, j).generator() for j in range(100)]
+        means, ses = est._node_means(model, points, 0.02, 40, 200, gens, paired=True)
+        ratio = math.sqrt(np.mean(ses ** 2)) / np.std(means, ddof=1)
+        assert 0.8 <= ratio <= 1.25
+
+    # (value, stderr) pinned before the pairing existed: supertrace_expectation
+    # at depth 0.05 (t = 0.02, 30 steps, RngStream(641)), then the rows of
+    # local_limit_check(model, boundary point, [0.04, 0.02], bridges, 643,
+    # steps=24, depth_nodes=3)
+    UNPAIRED = {
+        "disk-odd": (21, (0.09505495100627367, 0.01589040102061941),
+                     [(0.1826453766377431, 0.04219191282865672),
+                      (0.18199251064878538, 0.04933803314155008)]),
+        "hemisphere-even": (20, (0.012459796535476625, 0.0009921675613161099),
+                            [(0.16074598915771302, 0.003697414403797124),
+                             (0.11478001631625705, 0.002690332002193192)]),
+    }
+
+    @pytest.mark.parametrize("case", list(UNPAIRED))
+    def test_odd_counts_and_frames_draw_as_before(self, case, constants2):
+        model = geo.model_catalog("ball" if case.startswith("disk") else "hemisphere",
+                                  dimension=2)
+        bridges, expectation, rows = self.UNPAIRED[case]
+        x = model.offset_from_boundary(model.boundary_point()[None, :], np.array([0.05]))[0]
+        assert est.supertrace_expectation(model, x, 0.02, bridges, RngStream(641),
+                                          steps=30) == expectation
+        table = est.local_limit_check(model, model.boundary_point(), [0.04, 0.02], bridges, 643,
+                                      steps=24, constants=constants2, depth_nodes=3)
+        assert [(r["value"], r["stderr"]) for r in table["rows"]] == rows

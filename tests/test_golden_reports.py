@@ -83,8 +83,8 @@ GOLDEN = {
         "estimate-chi.json": "c92b0864a3845effa040cd44deaef92c01beca59759315001684b2ee49f88a1c",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "526bfa68effcb39eddde2e6d46048fe428920545f36b44e072cbdeb500c7725c",
-        "local-limit.json": "1640b44cf8f902409cda332b12e01c9820062f7194ebb6060ca2b8a1bb7a6cee",
+        "local-limit.csv": "d375b8197efd922e7ce223d91f49f68653411bc0d87d0fba91fc50e9ab7b3664",
+        "local-limit.json": "e734e317a6abdaf6657c804f5a96eb0a3d3d4c940ef3f0dda3be3e24084b2de9",
     },
     "local-limit-boundary-cap2": {
         "local-limit.csv": "bc3dc817d8cbb6012814176f8086123c470c47f681e0cafc66a771a8fc6b488d",
@@ -99,8 +99,8 @@ GOLDEN = {
         "local-limit.json": "d1c46964823c24fcdeb0693eb2fa2a303521b90579aff42864728ced3038c03d",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "d3b50932c5c30ac2a019131c2376dda5ed90b1cb9d813fa8ebfd92cf19b8d484",
-        "local-limit.json": "8300ab39c78eda49703f33f11360eb8da65e801a3f41ef5361485725ddb3aceb",
+        "local-limit.csv": "7f36a138db221270223d568cfe810d128c1dfb160f48a9fb4281759720604cfd",
+        "local-limit.json": "074d6406ff9c632721d75fb0e0b0f35d39601bdaf94b4172f4db31bc58b6d319",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "dae1b3c73f6bce53cf473cf74f70ea173a6b84198715d29e69033a592aa9f9c4",

@@ -49,13 +49,13 @@ def assert_same(a, b):
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
-def run(model, x, rng, through_helper, steps=30, pinned=True):
+def run(model, x, rng, through_helper, steps=30, pinned=True, paired=False):
     """One batch drawn inline or through the helper; (batch, the generators)."""
     gens = [rng()] if callable(rng) else [r() for r in rng]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "HELPER_MIN_NORMALS", 0 if through_helper else 10**18)
         batch = st.simulate_bridges(model, x, 0.05, steps, gens if len(gens) > 1 else gens[0],
-                                    pinned=pinned)
+                                    pinned=pinned, paired=paired)
     return batch, gens
 
 
@@ -96,6 +96,19 @@ class TestGeneratorStates:
         makes = [lambda j=j: st.RngStream(431, j).generator() for j in range(4)]
         inline, g_inline = run(model, x, makes, False)
         helped, g_helped = run(model, x, makes, True)
+        assert_same(helped, inline)
+        assert [state_bytes(g) for g in g_helped] == [state_bytes(g) for g in g_inline]
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    def test_paired_groups_end_like_inline(self, pinned, monkeypatch):
+        # four 20-row groups of antithetic pairs over 14-row tiles (cut on
+        # even rows: 12, 26, 40, ...), so groups straddle tiles
+        monkeypatch.setattr(st, "TILE_ROWS", 14)
+        model = disk()
+        x = anchors(model, 80, 425)
+        makes = [lambda j=j: st.RngStream(433, j).generator() for j in range(4)]
+        inline, g_inline = run(model, x, makes, False, pinned=pinned, paired=True)
+        helped, g_helped = run(model, x, makes, True, pinned=pinned, paired=True)
         assert_same(helped, inline)
         assert [state_bytes(g) for g in g_helped] == [state_bytes(g) for g in g_inline]
 
@@ -175,13 +188,22 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("how", ["kill", "stop"])
     def test_helper_lost_mid_batch(self, how, small_ring, monkeypatch):
+        self.lose_helper_mid_batch(how, False, monkeypatch)
+
+    def test_paired_helper_lost_mid_batch(self, small_ring, monkeypatch):
+        # the replay redraws the consumed fills as pairs too
+        self.lose_helper_mid_batch("kill", True, monkeypatch)
+
+    @staticmethod
+    def lose_helper_mid_batch(how, paired, monkeypatch):
         # the ring holds 4 of the batch's 29 x 2 slots, so the stepping
         # overtakes the helper; it is lost at the 7th tile-step
         monkeypatch.setattr(noise, "WAIT_S", 0.5)
         monkeypatch.setattr(st, "TILE_ROWS", 20)
         model = disk()
         x = anchors(model, 40, 499)
-        inline, g_inline = run(model, x, lambda: st.RngStream(503).generator(), False)
+        inline, g_inline = run(model, x, lambda: st.RngStream(503).generator(), False,
+                               paired=paired)
         step = st.step_bridge
         calls = []
 
@@ -198,7 +220,7 @@ class TestLifecycle:
             patch.setattr(noise, "HELPER_MIN_NORMALS", 0)
             gen = st.RngStream(503).generator()
             lost = noise._helper().pid
-            helped = st.simulate_bridges(model, x, 0.05, 30, gen)
+            helped = st.simulate_bridges(model, x, 0.05, 30, gen, paired=paired)
         assert time.monotonic() - started < 5.0
         assert_same(helped, inline)
         assert state_bytes(gen) == state_bytes(g_inline[0])

@@ -640,13 +640,28 @@ class TestAbortSignals:
 # ---------------------------------------------------------------------------
 
 
-def single_batch_bridges(model, anchors, t, steps, rng, pinned=True):
+class PairedNoise:
+    """Reference antithetic noise: each fill draws P / 2 rows d; rows 2j and 2j + 1 get d[j], -d[j]."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def fill(self, xi):
+        d = self.gen.standard_normal((xi.shape[0] // 2, xi.shape[1]))
+        xi[0::2] = d
+        xi[1::2] = -d
+
+
+def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=False):
     """Reference: the untiled stepping loop, one WalkState for the whole batch.
 
-    Unpinned, the anchors are the starts of free walks.  Returns the batch
-    and the positions it visited, (steps + 1, P, state_dim).
+    Unpinned, the anchors are the starts of free walks; paired, the rows
+    step as antithetic pairs (PairedNoise).  Returns the batch and the
+    positions it visited, (steps + 1, P, state_dim).
     """
     gen = st._as_generator(rng)
+    if paired:
+        gen = PairedNoise(gen)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     state = st.make_walk_state(model, anchors)
     frames0 = None if state.frames is None else state.frames.copy()
@@ -683,6 +698,9 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True):
 
 
 TILE_MODELS = {**DRIFT_MODELS, "cap3-aperture1": lambda: geo.SphereCap(3, aperture=1.0)}
+# the paired cases: the flat models the estimator pairs, and one that carries
+# frames (simulate_bridges pairs any model it is asked to)
+PAIRED_MODELS = {name: DRIFT_MODELS[name] for name in ("disk", "ball3", "hemisphere")}
 
 
 def mixed_anchors(model, count, seed):
@@ -741,6 +759,40 @@ class TestTiledBridges:
             # the hook sees every tile's rows after every step
             assert np.array_equal(positions, expected_positions[1:])
 
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("name", list(PAIRED_MODELS))
+    def test_paired_bitwise_equal_to_single_batch(self, name, regime, pinned, monkeypatch):
+        model = PAIRED_MODELS[name]()
+        anchors = mixed_anchors(model, 130, 167)
+        t, steps = REGIMES[regime]
+        ref = single_batch_bridges(model, anchors, t, steps, st.RngStream(173, 2), pinned,
+                                   paired=True)
+        assert ref[0].contacts.sum() > 0
+        # one tile at the default cap; 64 rows -> 42, 44, 44 (independent
+        # rows would be cut at the odd row 43); 9 rows cut 80 rows into ten
+        # tiles of 8 where independent rows are cut at 17, 35, 53 and 71;
+        # 5 rows -> tiles of 1 or 2 pairs
+        cases = [(st.TILE_ROWS, 130), (64, 130), (9, 80), (5, 130)]
+        for tile_rows, P in cases:
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            if tile_rows < P:
+                assert any(rows.start % 2 for rows in st._row_tiles(P))
+            positions = np.empty((steps, P, model.state_dim))
+            starts = set()
+
+            def record(k, rows, state, info):
+                positions[k, rows] = state.x
+                starts.add(rows.start)
+
+            tiled = st.simulate_bridges(model, anchors[:P], t, steps, st.RngStream(173, 2),
+                                        pinned=pinned, paired=True, on_step=record)
+            expected, expected_positions = ref if P == 130 else single_batch_bridges(
+                model, anchors[:P], t, steps, st.RngStream(173, 2), pinned, paired=True)
+            assert all(start % 2 == 0 for start in starts)
+            assert_batches_equal(tiled, expected)
+            assert np.array_equal(positions, expected_positions[1:])
+
     @pytest.mark.parametrize("tile_rows,P,sizes", [(5, 5, [5]), (5, 13, [4, 4, 5]),
                                                    (64, 131, [43, 44, 44]), (64, 128, [64, 64])])
     def test_row_tiles(self, tile_rows, P, sizes, monkeypatch):
@@ -749,6 +801,17 @@ class TestTiledBridges:
         assert [s.stop - s.start for s in tiles] == sizes
         assert tiles[0].start == 0 and tiles[-1].stop == P
         assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+
+    @pytest.mark.parametrize("tile_rows,P,sizes", [(9, 80, [8] * 10), (64, 130, [42, 44, 44]),
+                                                   (5, 6, [2, 4]), (1, 4, [2, 2]),
+                                                   (64, 128, [64, 64])])
+    def test_paired_row_tiles(self, tile_rows, P, sizes, monkeypatch):
+        # cuts on even rows only, at most TILE_ROWS rows but at least one pair per tile
+        monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+        tiles = st._row_tiles(P, 2)
+        assert [s.stop - s.start for s in tiles] == sizes
+        assert tiles[0].start == 0 and tiles[-1].stop == P
+        assert all(a.stop == b.start and a.stop % 2 == 0 for a, b in zip(tiles, tiles[1:]))
 
 
 class TestBridgePaths:
@@ -980,6 +1043,29 @@ class TestGroupedStreams:
                                           [s.generator() for s in streams], pinned=pinned)
             assert_batches_equal(grouped, separate)
 
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("name", list(PAIRED_MODELS))
+    def test_paired_bitwise_equal_to_separate_batches(self, name, regime, pinned, monkeypatch):
+        model = PAIRED_MODELS[name]()
+        anchors = mixed_anchors(model, 84, 193)
+        t, steps = REGIMES[regime]
+        streams = [st.RngStream(197, 10 + j) for j in range(3)]
+        separate = concat_batches([
+            st.simulate_bridges(model, anchors[28 * j:28 * (j + 1)], t, steps, s,
+                                pinned=pinned, paired=True)
+            for j, s in enumerate(streams)
+        ])
+        assert separate.contacts.sum() > 0
+        # 64 rows -> tiles of 42 rows, so the second 28-row group straddles
+        # them; 9 rows -> tiles of 8 or 6, 5 rows -> tiles of 4
+        for tile_rows in (st.TILE_ROWS, 64, 9, 5):
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            grouped = st.simulate_bridges(model, anchors, t, steps,
+                                          [s.generator() for s in streams], pinned=pinned,
+                                          paired=True)
+            assert_batches_equal(grouped, separate)
+
     def test_single_generator_in_a_sequence(self):
         model = disk()
         anchors = mixed_anchors(model, 40, 199)
@@ -1017,6 +1103,45 @@ class TestGroupedStreams:
         assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
         assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
         assert np.array_equal(info.idx, np.concatenate([idx for _, idx in parts]))
+
+
+class TestAntitheticFill:
+    @pytest.mark.parametrize("sizes", [[2], [6, 6], [28, 28, 28], [2000]])
+    def test_odd_rows_negate_even_rows(self, sizes):
+        # each group draws its rows / 2 normals in order into its even rows
+        # and their exact negations into its odd rows
+        rows = sum(sizes)
+        streams = st._row_streams([st.RngStream(601, j) for j in range(len(sizes))], rows,
+                                  paired=True)
+        xi = np.empty((rows, 3))
+        streams.fill(xi)
+        assert np.array_equal(xi[1::2], -xi[0::2])
+        assert np.array_equal(np.signbit(xi[1::2]), ~np.signbit(xi[0::2]))
+        expected = [st.RngStream(601, j).generator() for j in range(len(sizes))]
+        draws = np.concatenate([g.standard_normal((n // 2, 3)) for g, n in zip(expected, sizes)])
+        assert np.array_equal(xi[0::2], draws)
+        # and leaves each generator where those draws left it
+        assert all(np.array_equal(g.standard_normal(4), e.standard_normal(4))
+                   for g, e in zip(streams.gens, expected))
+
+    @pytest.mark.parametrize("pairs", list(range(1, 18)) + [63, 64, 65, 1000])
+    def test_spread_pairs(self, pairs):
+        rows = np.full((2 * pairs, 2), np.nan)
+        rows[pairs:] = np.arange(2.0 * pairs).reshape(pairs, 2) + 1.0
+        draws = rows[pairs:].copy()
+        noise._spread_pairs(rows)
+        assert np.array_equal(rows[0::2], draws)
+        assert np.array_equal(rows[1::2], -draws)
+
+    def test_rejects_odd_groups_and_split_pairs(self):
+        model = disk()
+        with pytest.raises(ValueError, match="antithetic"):
+            st.simulate_bridges(model, np.zeros((5, 2)), 0.05, 10, st.RngStream(1), paired=True)
+        gens = [st.RngStream(2, j).generator() for j in range(2)]
+        with pytest.raises(ValueError, match="antithetic"):
+            st.simulate_bridges(model, np.zeros((6, 2)), 0.05, 10, gens, paired=True)
+        with pytest.raises(ValueError, match="splits an antithetic pair"):
+            st._row_streams(st.RngStream(3), 8, paired=True).tile(slice(0, 3))
 
 
 # ---------------------------------------------------------------------------
