@@ -295,11 +295,10 @@ def _run_estimate_chi(cfg):
 def _run_local_limit(cfg):
     model = build_model(cfg)
     point = model.boundary_point() if cfg["point"] == "boundary" else model.interior_point()
-    constants = est.calibrate_constants(model.dimension)
     _progress(f"local-limit: {model!r} at {cfg['point']} point, t in {cfg['t_sequence']}")
     return est.local_limit_check(
         model, point, cfg["t_sequence"], cfg["bridges"], cfg["seed"],
-        steps=cfg.get("steps"), constants=constants, depth_nodes=cfg["depth_nodes"],
+        steps=cfg.get("steps"), depth_nodes=cfg["depth_nodes"],
     )
 
 

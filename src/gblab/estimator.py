@@ -48,11 +48,9 @@ DEPTH_COLLAR_FACTOR = 5.0  # local-limit depth quadrature width, in units of sqr
 
 def bulk_supertrace(model: ManifoldModel) -> float:
     """Str DR^(n/2) of the model's curvature operator (0 for odd n)."""
-    n = model.dimension
-    if n % 2 != 0:
+    if model.dimension % 2 != 0:
         return 0.0
-    dr = ext.curvature_to_operator(model.frame_curvature())
-    return dr.power(n // 2).supertrace()
+    return ext.pfaffian_supertrace(model.frame_curvature())
 
 
 def boundary_integrand_terms(model: ManifoldModel, z) -> dict:
@@ -91,10 +89,7 @@ def boundary_integrand_terms(model: ManifoldModel, z) -> dict:
 
 def boundary_closed_supertrace(model: ManifoldModel, z) -> float:
     """Str DR_Z^((n-1)/2) of the induced boundary curvature (odd n)."""
-    n = model.dimension
-    bg = boundary_geometry(model, z)
-    dr_z = ext.curvature_to_operator(bg.induced_curvature)
-    return dr_z.power((n - 1) // 2).supertrace()
+    return ext.pfaffian_supertrace(boundary_geometry(model, z).induced_curvature)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ the frame components of contact normals (``boundary_data``) and carry the
 holonomy.
 
 Models are built from one or two isotropic factors (round sphere or cap,
-flat ball, interval, circle); the factor metadata drives the fast
-supertrace assembly in the stochastic engine.  Points of spherical
-factors are stored embedded (which keeps stepping and transport exact).
+flat ball; a 1-sphere is a circle and a 1-ball an interval, so the flat
+cylinder is the sphere-ball product of the two); the factor metadata
+drives the fast supertrace assembly in the stochastic engine.  Points of
+spherical factors are stored embedded (which keeps stepping and
+transport exact).
 Each model also owns its analytic data: its Neumann heat kernel (built
 from the series, table and image functions of the kernels module), the
 kernel's exactness and validity metadata, the confinement scale of its
@@ -177,17 +179,19 @@ def _sphere_log(x, y, r):
 def _set_sizes(model, sizes):
     """Set model.volume and model.boundary_area to sizes(), or raise ConfigError.
 
-    Both, and the square of the model's confinement scale, must be finite
-    and > 0; a size whose arithmetic overflows is not finite.
+    Both, the square of the model's confinement scale and the square of
+    each embedded sphere's radius (which every state check computes) must
+    be finite and > 0; a size whose arithmetic overflows is not finite.
     """
     try:
         model.volume, model.boundary_area = sizes()
-        checked = (model.volume, model.boundary_area, model.confinement_scale() ** 2)
+        checked = (model.volume, model.boundary_area, model.confinement_scale() ** 2,
+                   *(r * r for _, r in model.embedded_spheres))
     except OverflowError:
         checked = (math.inf,)
     if not all(math.isfinite(v) and v > 0 for v in checked):
-        raise ConfigError(f"{model.name} volume, boundary area and squared confinement scale "
-                          f"must be finite and > 0, got {checked}")
+        raise ConfigError(f"{model.name} volume, boundary area, squared confinement scale and "
+                          f"squared sphere radius must be finite and > 0, got {checked}")
 
 
 def _rotation_from_pole(phat, axis_index):
@@ -448,8 +452,9 @@ class FlatBall(ManifoldModel):
         return self.neumann_kernel(t, x, x)
 
     def heat_kernel_spec(self):
-        return {"exact": self.dimension in (1, 2, 3), "kind": "ball",
-                "t_min": hk.ball_series_t_min(self.radius)}
+        # the interval's image sum holds at every t, the disk and ball mode tables from a limit
+        t_min = 0.0 if self.dimension == 1 else hk.ball_series_t_min(self.radius)
+        return {"exact": self.dimension in (1, 2, 3), "kind": "ball", "t_min": t_min}
 
     def confinement_scale(self):
         """Length scale below which pinned loops stay local."""
@@ -495,6 +500,7 @@ class SphereCap(ManifoldModel):
         self.euler_characteristic = 1
         self._axis = self.dimension  # index of the symmetry axis coordinate
         n, r, a = self.dimension, self.radius, self.aperture
+        self.embedded_spheres = ((slice(0, n + 1), self.radius),)
         if n == 2:
             _set_sizes(self, lambda: (2 * math.pi * r**2 * (1 - math.cos(a)),
                                       2 * math.pi * r * math.sin(a)))
@@ -505,7 +511,6 @@ class SphereCap(ManifoldModel):
         # the hemisphere's equator is a geodesic: its kernel is exact (see neumann_kernel)
         self.shape_coefficient = 0.0 if self.is_hemisphere else math.cos(a) / math.sin(a) / r
         self.factors = (FactorSpec("cap", n, self.constant_curvature, slice(0, n), True, True),)
-        self.embedded_spheres = ((slice(0, n + 1), self.radius),)
         self._params = {"dimension": dimension, "radius": radius, "aperture": aperture}
 
     @property
@@ -646,104 +651,6 @@ class SphereCap(ManifoldModel):
 
 
 # ---------------------------------------------------------------------------
-# flat cylinder [0, L] x S^1
-# ---------------------------------------------------------------------------
-
-
-class FlatCylinder(ManifoldModel):
-    """Flat cylinder [0, L] x S^1 with totally geodesic boundary circles.
-
-    State is (s, y) with s the axial coordinate and y arclength around the
-    circle (wrapped modulo the circumference).
-    """
-
-    name = "cylinder"
-
-    def __init__(self, length: float = 1.0, circumference: float = 2 * math.pi):
-        if length <= 0 or circumference <= 0:
-            raise ConfigError("cylinder length and circumference must be positive")
-        self.dimension = 2
-        self.state_dim = 2
-        self.length = float(length)
-        self.circumference = float(circumference)
-        self.euler_characteristic = 0
-        self.shape_coefficient = 0.0  # the boundary circles are geodesics
-        _set_sizes(self, lambda: (self.length * self.circumference, 2 * self.circumference))
-        self.factors = (
-            FactorSpec("interval", 1, 0.0, slice(0, 1), True, False),
-            FactorSpec("circle", 1, 0.0, slice(1, 2), False, False),
-        )
-        self._params = {"length": length, "circumference": circumference}
-
-    def frame_curvature(self) -> CurvatureTensor:
-        return CurvatureTensor.zero(2)
-
-    def geodesic_step(self, x, u, v):
-        out = x + v
-        out[:, 1] = np.mod(out[:, 1], self.circumference)
-        return out, u
-
-    def reflect(self, x, u, depth, nu):
-        # mirror s at the nearer end, from s itself: exact, unlike s + 2 * penetration
-        s = x[:, 0].copy()
-        low = s <= 0.5 * self.length
-        out = x.copy()
-        out[:, 0] = np.where(low, -s, 2 * self.length - s)
-        return out, u, np.where(low, -s, s - self.length)
-
-    def collar_data(self, x):
-        nu = np.zeros_like(x)
-        nu[:, 0] = np.where(x[:, 0] < 0.5 * self.length, 1.0, -1.0)
-        return np.minimum(x[:, 0], self.length - x[:, 0]), nu
-
-    def _dy(self, y1, y2):
-        d = y2 - y1
-        C = self.circumference
-        return (d + 0.5 * C) % C - 0.5 * C
-
-    def log_frame(self, x, y):
-        return np.stack([y[:, 0] - x[:, 0], self._dy(x[:, 1], y[:, 1])], axis=-1)
-
-    def distance(self, x, y):
-        return np.hypot(y[:, 0] - x[:, 0], self._dy(x[:, 1], y[:, 1]))
-
-    # samplers ------------------------------------------------------------
-    def sample_collar(self, rng, count, width):
-        width = min(width, 0.5 * self.length)
-        s = rng.uniform(0.0, width, size=count)
-        top = rng.random(count) < 0.5
-        s = np.where(top, self.length - s, s)
-        y = rng.uniform(0.0, self.circumference, size=count)
-        return np.stack([s, y], axis=-1)
-
-    def collar_volume(self, width):
-        width = min(width, 0.5 * self.length)
-        return 2.0 * width * self.circumference
-
-    def boundary_point(self):
-        return np.array([0.0, 0.0])
-
-    def interior_point(self):
-        """A point of the middle circle s = L/2."""
-        return np.array([0.5 * self.length, 0.0])
-
-    # analytic data ---------------------------------------------------------
-    def neumann_kernel(self, t, x, y):
-        ds = hk.interval_kernel(t, self.length, x[:, 0], y[:, 0])
-        dy = x[:, 1] - y[:, 1]
-        return ds * hk.circle_kernel(t, self.circumference, dy)
-
-    def heat_kernel_spec(self):
-        return {"exact": True, "kind": "cylinder", "t_min": 0.0}
-
-    def confinement_scale(self):
-        return 0.5 * self.length
-
-    def boundary_curvature_parts(self, tan):
-        return [(0.0, np.eye(self.dimension - 1))]
-
-
-# ---------------------------------------------------------------------------
 # product S^l x D^m
 # ---------------------------------------------------------------------------
 
@@ -784,6 +691,7 @@ class SphereBall(ManifoldModel):
         ball = FlatBall(m, ball_radius)
         self._ball = ball
         self.shape_coefficient = ball.shape_coefficient
+        self.embedded_spheres = ((slice(0, l + 1), self.sphere_radius),)
         _set_sizes(self, lambda: (_SPHERE_VOLUME[l](sphere_radius) * ball.volume,
                                   _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area))
         kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
@@ -792,7 +700,6 @@ class SphereBall(ManifoldModel):
             FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
             FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
         )
-        self.embedded_spheres = ((slice(0, l + 1), self.sphere_radius),)
         self._sphere_width = l + 1 if self.needs_frames else 1  # the sphere's walk coordinates
         self._params = {
             "sphere_dim": sphere_dim,
@@ -920,8 +827,11 @@ class SphereBall(ManifoldModel):
         return k_s * self._ball.neumann_diag(t, self._split(x)[1])
 
     def heat_kernel_spec(self):
-        return {"exact": self.ball_dim in (1, 2, 3), "kind": "sphere-ball",
-                "t_min": hk.ball_series_t_min(self.ball_radius)}
+        # each factor's own limit: the circle's image sum holds at every t
+        t_sphere = 0.0 if self.sphere_dim == 1 else hk.sphere_series_t_min(self.sphere_radius)
+        ball = self._ball.heat_kernel_spec()
+        return {"exact": ball["exact"], "kind": "sphere-ball",
+                "t_min": max(t_sphere, ball["t_min"])}
 
     def confinement_scale(self):
         return min(self.ball_radius, math.pi * self.sphere_radius)
@@ -949,7 +859,10 @@ def model_catalog(name: str, **params) -> ManifoldModel:
     Supported names: "ball" (dimension, radius), "hemisphere" (dimension,
     radius), "cap" (dimension, radius, aperture), "sphere-ball"
     (sphere_dim, ball_dim, sphere_radius, ball_radius), "cylinder"
-    (length, circumference).
+    (length, circumference).  The flat cylinder S^1 x [0, L] is the product
+    sphere-ball(1, 1) with sphere radius C / (2 pi) and ball radius L / 2,
+    so its points are the embedded circle point, then the interval
+    coordinate in [-L/2, L/2].
     """
     try:
         if name == "ball":
@@ -974,9 +887,9 @@ def model_catalog(name: str, **params) -> ManifoldModel:
                 **params,
             )
         if name == "cylinder":
-            return FlatCylinder(
-                params.pop("length", 1.0), params.pop("circumference", 2 * math.pi), **params
-            )
+            length = params.pop("length", 1.0)
+            circumference = params.pop("circumference", 2 * math.pi)
+            return SphereBall(1, 1, circumference / (2 * math.pi), length / 2, **params)
     except TypeError as exc:
         raise ConfigError(f"invalid parameters for model {name!r}: {exc}") from exc
     raise ConfigError(f"unknown model name {name!r}")

@@ -24,11 +24,13 @@ Exact constructions:
   costs one Chebyshev evaluation.  A batch smaller than the next grid the
   table would need (all one-point calls among them) is summed point by
   point instead;
-* interval and circle: method of images / wrapped Gaussian, exact at
+* interval and circle (the 1-ball and 1-sphere, and so the cylinder
+  sphere-ball(1, 1)): method of images / wrapped Gaussian, exact at
   every t; the image count grows like sqrt(t) over the period, so a sum
   that would need more than _MAX_TERMS images a side is refused;
 * hemisphere: reflection doubling of the closed-sphere series;
-* products: product of the factor kernels.
+* products: product of the factor kernels, valid from the largest of
+  the factors' t_min.
 
 Other caps and the 4-ball use a Gaussian parametrix and are flagged as
 approximate.

@@ -4,8 +4,9 @@ A point maps to the chart of its sphere factor, then the flat coordinates
 unchanged.  The sphere factor of a spherical cap or of a sphere-ball
 product is charted by the angle phi (dimension 1), the colatitude theta
 and the azimuth phi (dimension 2), or theta and the polar angles phi1,
-phi2 (dimension 3).  Flat balls and the cylinder have no sphere factor:
-their chart is the identity.  The metric is diagonal: r^2, r^2 sin^2 theta,
+phi2 (dimension 3); the cylinder is sphere-ball(1, 1), so its circle is
+charted by phi.  Flat balls have no sphere factor: their chart is the
+identity.  The metric is diagonal: r^2, r^2 sin^2 theta,
 r^2 sin^2 theta sin^2 phi1 on the sphere block and ones on the flat block.
 """
 

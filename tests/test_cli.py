@@ -336,13 +336,15 @@ class TestRangeValidation:
         ({"model": "hemisphere", "model.radius": "1e-300"}, "cap volume"),
         ({"model": "hemisphere", "model.radius": "1e300"}, "cap volume"),
         ({"model": "cylinder", "model.length": "nan"}, "model.length"),
-        ({"model": "cylinder", "model.length": "1e300"}, "cylinder volume"),
+        ({"model": "cylinder", "model.length": "1e300"}, "ball volume"),
         ({"model": "cylinder", "model.circumference": "inf"}, "model.circumference"),
         ({"model": "sphere-ball", "model.sphere_radius": "nan"}, "model.sphere_radius"),
         ({"model": "sphere-ball", "model.ball_radius": "inf"}, "model.ball_radius"),
         ({"model": "sphere-ball", "model.sphere_dim": "2", "model.sphere_radius": "1e-300"},
          "sphere-ball volume"),
         ({"model": "cap", "model.aperture": "1e-300"}, "cap aperture"),
+        # the cylinder's circle is stored embedded: its squared radius must be finite
+        ({"model": "cylinder", "model.circumference": "1e300"}, "sphere-ball volume"),
     ])
     def test_model_without_finite_size_exits_two(self, tmp_path, entries, fragment):
         # a size that is not finite and > 0, or a cap narrower than the

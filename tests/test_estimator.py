@@ -525,7 +525,9 @@ class TestArgumentRanges:
         (geo.SphereCap(3, aperture=1.0), [0.0, 0.0, 0.0, math.inf]),
         (geo.SphereBall(2, 1), [0.0, 0.0, 0.5, 0.2]),
         (geo.SphereBall(2, 1), [0.0, 0.0, 1.0, math.nan]),
-    ], ids=["hemisphere-off", "cap-off", "cap3-inf", "sphere-ball-off", "sphere-ball-nan"])
+        (geo.model_catalog("cylinder"), [0.5, 0.0, 0.25]),
+    ], ids=["hemisphere-off", "cap-off", "cap3-inf", "sphere-ball-off", "sphere-ball-nan",
+            "cylinder-off"])
     def test_point_off_the_sphere_rejected(self, model, point, constants2, constants3):
         # the colatitude clips x_axis / r, so the boundary distance alone
         # would accept a point off the embedded sphere
@@ -538,8 +540,7 @@ class TestArgumentRanges:
     @pytest.mark.parametrize("model, point", [
         (geo.FlatBall(2), [0.3, -0.4]),
         (geo.FlatBall(3, radius=2.0), [0.0, 1.5, 0.0]),
-        (geo.FlatCylinder(), [0.25, 1.0]),
-    ], ids=["disk", "ball3", "cylinder"])
+    ], ids=["disk", "ball3"])
     def test_flat_points_unaffected(self, model, point):
         assert est.check_point(model, point).tolist() == point
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gblab import geometry as geo
+from gblab import kernels as hk
 from gblab.errors import ConfigError
 
 import polar_charts
@@ -61,12 +62,12 @@ class TestCatalog:
     def test_umbilic_boundary(self, model):
         # the shape operator is the umbilic coefficient on the bounded
         # factor's boundary directions and 0 on the other factor's: 1/r on a
-        # ball, cot(alpha)/r on a cap (0 on the hemisphere), 0 on the cylinder
+        # ball, cot(alpha)/r on a cap (0 on the hemisphere); the cylinder's
+        # interval factor has no boundary directions, so its operator is 0
         p = model.params
         expected = {
             "ball": lambda: 1.0 / p["radius"],
             "cap": lambda: 1.0 / math.tan(p["aperture"]) / p["radius"],
-            "cylinder": lambda: 0.0,
             "sphere-ball": lambda: 1.0 / p["ball_radius"],
         }[model.name]()
         assert abs(model.shape_coefficient - expected) < 1e-12
@@ -86,6 +87,24 @@ class TestCatalog:
         nu = model.collar_data(z)[1]
         nu_b = model.boundary_data(u, nu)
         assert np.array_equal(nu_b, model.frame_components(u, nu)[:, model.bounded_factor.cols])
+
+
+@pytest.mark.parametrize("length, circumference", [(1.0, 2 * math.pi), (1.3, 0.7)])
+def test_cylinder_is_circle_times_interval(length, circumference):
+    # the cylinder spelling builds the product S^1 x [0, L]: its sizes,
+    # Euler characteristic and confinement scale, and a kernel diagonal that
+    # is the interval's times the circle's at the interval coordinate + L/2
+    model = geo.model_catalog("cylinder", length=length, circumference=circumference)
+    assert model.volume == pytest.approx(length * circumference, rel=1e-15)
+    assert model.boundary_area == pytest.approx(2 * circumference, rel=1e-15)
+    assert model.euler_characteristic == 0
+    assert model.confinement_scale() == pytest.approx(min(length, circumference) / 2, rel=1e-15)
+    x = np.concatenate([model.sample_volume(RNG(5), 16), model.sample_boundary(RNG(6), 4)])
+    s = x[:, -1] + length / 2
+    for t in (0.01, 0.1, 1.0):
+        ref = hk.interval_kernel(t, length, s, s) * hk.circle_kernel(t, circumference, 0.0)
+        diag = hk.heat_kernel_diag(model, t, x)
+        assert np.abs(diag / ref - 1.0).max() < 1e-14
 
 
 def frame_step(model, x, u, xi):
@@ -222,11 +241,11 @@ SPHERE_MODELS = [
     geo.model_catalog("cap", dimension=3, aperture=1.0),
     geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
     geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2, sphere_radius=2.0),
+    geo.model_catalog("cylinder", length=1.0),
 ]
 FLAT_MODELS = [
     geo.model_catalog("ball", dimension=2),
     geo.model_catalog("ball", dimension=3, radius=2.0),
-    geo.model_catalog("cylinder", length=1.0),
 ]
 
 

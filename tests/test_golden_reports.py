@@ -65,7 +65,7 @@ GOLDEN = {
         "estimate-chi.json": "c1f4baca168197633b21712c2419fa275d998a740a857b589c9f93ab28e02e26",
     },
     "estimate-chi-cylinder": {
-        "estimate-chi.json": "f848ea3a39d138a7947f699b797698ac36fe76e29866dbcefa0da3d6ce152073",
+        "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
     },
     "estimate-chi-disk": {
         "estimate-chi.json": "aee28cd14844a045ca7de7d64cfe73223197bbaf109c520a3f95ab85435255a4",
@@ -80,7 +80,7 @@ GOLDEN = {
         "estimate-chi.json": "8f4cc43680acaeacb59ffdc1f1de48acdeb6f7398df31a514ebaeb71a8ce9aa5",
     },
     "estimate-chi-sphere-ball-2-1": {
-        "estimate-chi.json": "c92b0864a3845effa040cd44deaef92c01beca59759315001684b2ee49f88a1c",
+        "estimate-chi.json": "05f8f54529c36223864cf47c100687ae75f27787b179a5e09386884a42141ab7",
     },
     "local-limit-boundary-ball3": {
         "local-limit.csv": "d375b8197efd922e7ce223d91f49f68653411bc0d87d0fba91fc50e9ab7b3664",
@@ -96,7 +96,7 @@ GOLDEN = {
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
-        "local-limit.json": "d1c46964823c24fcdeb0693eb2fa2a303521b90579aff42864728ced3038c03d",
+        "local-limit.json": "c9dbb73cf59dedd77becf06318fe30cf2244868aed601c8f3123b50ad4f99236",
     },
     "local-limit-boundary-disk": {
         "local-limit.csv": "7f36a138db221270223d568cfe810d128c1dfb160f48a9fb4281759720604cfd",
@@ -132,7 +132,7 @@ GOLDEN = {
     },
     "local-limit-interior-cylinder": {
         "local-limit.csv": "895423dd065ddf6f9a10b957cc26c446ca8f27e879c5ff59f20d6c27394a041e",
-        "local-limit.json": "90c6360d0ac21b15bb05e28dc5d9735e06229d86e1a62523bcccf707e733890c",
+        "local-limit.json": "9f0355c93a1e4c58bf0a9f076d1c30516c4704e165b464b19c37ec7795ab3461",
     },
     "local-limit-interior-disk": {
         "local-limit.csv": "cd3dd685c7a0f3010e2eaccfc16c8449bb610818c3aa35ff9e9323c490956241",

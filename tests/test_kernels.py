@@ -29,6 +29,21 @@ def models_with_exact_kernels():
     ]
 
 
+def cylinder_point(model, s, y):
+    """The cylinder's product coordinates of the point at height s in [0, L] and arclength y."""
+    r = model.sphere_radius
+    return np.array([r * math.cos(y / r), r * math.sin(y / r), s - model.ball_radius])
+
+
+def cylinder_grid(model, ns, ny):
+    """Midpoint grid of ns heights by ny arclengths, and the area of one cell."""
+    length, circumference = 2 * model.ball_radius, 2 * math.pi * model.sphere_radius
+    s = (np.arange(ns) + 0.5) / ns * length
+    y = (np.arange(ny) + 0.5) / ny * circumference
+    pts = np.array([cylinder_point(model, si, yi) for si in s for yi in y])
+    return pts, (length / ns) * (circumference / ny)
+
+
 class TestEquilibrium:
     @pytest.mark.parametrize("model", models_with_exact_kernels(), ids=lambda m: repr(m))
     def test_long_time_limit_is_inverse_volume(self, model):
@@ -101,14 +116,10 @@ class TestNormalization:
     def test_cylinder_mass_is_one(self):
         model = geo.model_catalog("cylinder", length=1.0)
         t = 0.1
-        x = np.array([0.3, 1.0])
-        ns, ny = 160, 160
-        s = (np.arange(ns) + 0.5) / ns * model.length
-        y = (np.arange(ny) + 0.5) / ny * model.circumference
-        S, Y = np.meshgrid(s, y, indexing="ij")
-        pts = np.stack([S.ravel(), Y.ravel()], axis=-1)
+        x = cylinder_point(model, 0.3, 1.0)
+        pts, cell = cylinder_grid(model, 160, 160)
         vals = model.neumann_kernel(t, np.broadcast_to(x, pts.shape).copy(), pts)
-        mass = vals.sum() * (model.length / ns) * (model.circumference / ny)
+        mass = vals.sum() * cell
         assert abs(mass - 1.0) < 1e-3
 
 
@@ -135,16 +146,12 @@ class TestChapmanKolmogorov:
     def test_cylinder_semigroup(self):
         model = geo.model_catalog("cylinder", length=1.0)
         s, t = 0.06, 0.09
-        x = np.array([0.25, 0.4])
-        y = np.array([0.7, 5.0])
-        ns, ny = 128, 128
-        ss = (np.arange(ns) + 0.5) / ns * model.length
-        yy = (np.arange(ny) + 0.5) / ny * model.circumference
-        S, Y = np.meshgrid(ss, yy, indexing="ij")
-        pts = np.stack([S.ravel(), Y.ravel()], axis=-1)
+        x = cylinder_point(model, 0.25, 0.4)
+        y = cylinder_point(model, 0.7, 5.0)
+        pts, cell = cylinder_grid(model, 128, 128)
         k1 = model.neumann_kernel(s, np.broadcast_to(x, pts.shape).copy(), pts)
         k2 = model.neumann_kernel(t, pts, np.broadcast_to(y, pts.shape).copy())
-        acc = (k1 * k2).sum() * (model.length / ns) * (model.circumference / ny)
+        acc = (k1 * k2).sum() * cell
         direct = hk.neumann_heat_kernel(model, s + t, x, y)
         assert abs(acc - direct) < 1e-4 * max(1.0, direct)
 
@@ -179,6 +186,20 @@ class TestValidityAndErrors:
         assert exact["exact"] and exact["valid"]
         approx = hk.kernel_info(geo.model_catalog("cap", dimension=2, aperture=1.0), 0.05)
         assert not approx["exact"]
+
+    def test_each_factor_has_its_own_validity_window(self):
+        # image sums (interval, circle) hold at every t; a product is valid
+        # from the largest limit of its factors
+        interval = hk.kernel_info(geo.model_catalog("ball", dimension=1), 1e-5)
+        assert interval["t_min"] == 0.0 and interval["valid"]
+        sphere2_interval = geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1)
+        assert sphere2_interval.heat_kernel_spec()["t_min"] == hk.sphere_series_t_min(1.0)
+        assert hk.kernel_info(geo.model_catalog("cylinder"), 1e-5)["t_min"] == 0.0
+        for dimension in (2, 3):
+            ball = geo.model_catalog("ball", dimension=dimension)
+            assert ball.heat_kernel_spec()["t_min"] == hk.ball_series_t_min(1.0)
+        circle_disk = geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2, ball_radius=2.0)
+        assert circle_disk.heat_kernel_spec()["t_min"] == hk.ball_series_t_min(2.0)
 
     def test_cap_parametrix_positive(self):
         model = geo.model_catalog("cap", dimension=2, aperture=1.0)

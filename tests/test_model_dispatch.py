@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gblab"
-MODEL_CLASSES = ("FlatBall", "SphereCap", "FlatCylinder", "SphereBall")
+MODEL_CLASSES = ("FlatBall", "SphereCap", "SphereBall")
 DISPATCH = re.compile(r"isinstance\(model|model\.name ==|hasattr\(model")
 IMPORT = re.compile(r"^\s*(from\s+\S+\s+)?import\s+(\([^)]*\)|.*)$", re.MULTILINE)
 

@@ -104,11 +104,11 @@ class TestReflectedWalk:
     def test_local_time_level_matches_half_space_law(self):
         # straight boundary: E[lam_t] from a boundary start must match the
         # half-line value sqrt(2 t / pi); this pins the factor two in the
-        # Skorokhod increment (penetration depth alone gives half of it)
+        # Skorokhod increment (penetration depth alone gives half of it);
+        # the starts lie on the end circle at interval coordinate -L/2
         model = geo.model_catalog("cylinder", length=4.0)
         t, steps, P = 0.04, 2000, 20_000
-        starts = np.zeros((P, 2))
-        starts[:, 1] = 1.0
+        starts = np.tile([math.cos(1.0), math.sin(1.0), -2.0], (P, 1))
         batch = st.simulate_bridges(model, starts, t, steps, st.RngStream(17), pinned=False)
         target = math.sqrt(2 * t / math.pi)
         ratio = batch.lam.mean() / target
