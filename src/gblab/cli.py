@@ -112,7 +112,7 @@ CONFIG_SCHEMA = {
     "bridges": (_integer("bridges", 1), _MODEL_EXPERIMENTS, _MODEL_EXPERIMENTS, None),
     "steps": (_integer("steps", 2), _MODEL_EXPERIMENTS, (), None),
     "point": (_choice("point", ("interior", "boundary")), ("local-limit",), (), "interior"),
-    "depth_nodes": (_integer("depth_nodes", 1), ("local-limit",), (), 10),
+    "depth_nodes": (_integer("depth_nodes", 1, est.MAX_DEPTH_NODES + 1), ("local-limit",), (), 10),
     "dimension": (int, ("calibrate",), ("calibrate",), None),
     # below 2 a dimension has no cancellation case; above MAX_DIMENSION no algebra
     "dims": (_list_of("dims", _integer("dims", 2, ext.MAX_DIMENSION + 1)),

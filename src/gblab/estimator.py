@@ -282,35 +282,46 @@ def analytic_gb_integrands(model: ManifoldModel, constants: ConstantTable):
 # ---------------------------------------------------------------------------
 
 
-def _node_means(model: ManifoldModel, points, t: float, steps: int, bridges: int, rng, *,
-                paired=False):
-    """Per-node mean and standard error of Str(M_t V_t) over `bridges` bridge loops at each point.
+def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, paired=False):
+    """Per-node mean and standard error of Str(M_t V_t) over the bridge loops at each point.
 
-    The loops of point i are rows i * bridges to (i + 1) * bridges of one
-    batch; rng is one generator or one per point (see simulate_bridges).
-    With paired=True (an even bridge count) the loops step as antithetic
-    pairs, and the mean and standard error come from the bridges / 2 pair
+    t is one lifetime for every point or one per point, and bridges one
+    loop count for every point or one per point; the loops of each point
+    are consecutive rows of one batch, in point order.
+    rng is one generator, or one per point that draws its point's rows (see
+    simulate_bridges).  With paired=True (even counts) the loops step as
+    antithetic pairs, and the mean and standard error come from the pair
     means, which are independent where the bridges of a pair are not.
     Every bridge is one sample of the integrand, so none is dropped: raises
     NumericalAbortError when any bridge ended in an invalid state or with a
     non-finite supertrace.
     """
-    batch = simulate_bridges(model, np.repeat(points, bridges, axis=0), t, steps, rng,
-                             paired=paired)
+    counts = np.broadcast_to(bridges, len(points))
+    groups = counts if isinstance(rng, (list, tuple)) else None
+    batch = simulate_bridges(model, np.repeat(points, counts, axis=0),
+                             np.repeat(t, counts) if np.ndim(t) else t, steps, rng,
+                             paired=paired, group_rows=groups)
     values = batch.supertraces()
     bad = int(np.count_nonzero(~(batch.alive & np.isfinite(values))))
     if bad:
+        lifetimes = np.unique(t).tolist() if np.ndim(t) else t
         raise NumericalAbortError(
-            f"{bad} of {values.size} bridges at t={t} ended in an invalid state or with a "
-            "non-finite supertrace; refine steps or shrink t"
+            f"{bad} of {values.size} bridges at t={lifetimes} ended in an invalid state or "
+            "with a non-finite supertrace; refine steps or shrink t"
         )
-    values = values.reshape(len(points), -1)
     if paired:
-        values = (values[:, 0::2] + values[:, 1::2]) / 2.0
-    count = values.shape[1]
-    mean = values.sum(axis=1) / count
-    var = ((values - mean[:, None]) ** 2).sum(axis=1) / max(count - 1, 1)
-    return mean, np.sqrt(var / count)
+        values = (values[0::2] + values[1::2]) / 2.0
+        counts = counts // 2
+    if counts.min() == counts.max():  # one reduction over equal rows
+        rows = values.reshape(len(points), -1)
+        mean = rows.sum(axis=1) / counts
+        var = ((rows - mean[:, None]) ** 2).sum(axis=1)
+    else:
+        segments = np.split(values, np.cumsum(counts)[:-1])
+        mean = np.array([seg.sum() for seg in segments]) / counts
+        var = np.array([((seg - m) ** 2).sum() for seg, m in zip(segments, mean)])
+    var = var / np.maximum(counts - 1, 1)
+    return mean, np.sqrt(var / counts)
 
 
 def _antithetic(model: ManifoldModel, bridges: int) -> bool:
@@ -391,8 +402,9 @@ def check_integer(name, value, low, high=math.inf):
     return value
 
 
-# Rows of one bridge batch: estimate_chi's chunks and local_limit_check's
-# batches hold the loops of at most max(1, CHUNK_PATHS // bridges) points,
+# Rows of one bridge batch: estimate_chi's chunks hold the loops of at most
+# max(1, CHUNK_PATHS // bridges) points, and local_limit_check's batches the
+# consecutive depth nodes whose loops fit in CHUNK_PATHS (one node at least),
 # which bounds the arrays of a batch.  Chunk i of estimate_chi draws from
 # RngStream(seed, i + 1), so its chunking is part of a seed's result.
 CHUNK_PATHS = 250_000
@@ -464,24 +476,106 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
 # ---------------------------------------------------------------------------
 
 
+# Each lifetime of local_limit_check spends depth_nodes * bridges loops in two
+# phases: a pilot of at most 1 / PILOT_SHARE of them, split equally over the
+# depth nodes, measures each node's spread, and the rest goes to the nodes by
+# Neyman allocation.  A pilot needs MIN_UNITS sampling units (loops, or
+# antithetic pairs) per node to measure a spread.
+PILOT_SHARE = 8
+MIN_UNITS = 2
+# Node j of lifetime i draws from RngStream(seed, MAX_DEPTH_NODES * i + j), and
+# its pilot from PILOT_STREAMS plus that id, above every main stream.
+MAX_DEPTH_NODES = 1000
+PILOT_STREAMS = 1 << 63
+
+
+def _node_stream(it: int, j: int, pilot: bool = False) -> int:
+    """Stream id of depth node j of lifetime it, in its main phase or its pilot."""
+    return (PILOT_STREAMS if pilot else 0) + MAX_DEPTH_NODES * it + j
+
+
+def _pilot_loops(nodes: int, bridges: int, unit: int) -> int:
+    """Loops per node of a lifetime's pilot; 0 (no pilot) for one node or too small a budget.
+
+    The pilot takes the largest multiple of unit within bridges / PILOT_SHARE
+    and needs MIN_UNITS units, which leaves the main phase at least
+    PILOT_SHARE - 1 times as many.
+    """
+    pilot = bridges // PILOT_SHARE // unit * unit
+    return pilot if nodes > 1 and pilot >= MIN_UNITS * unit else 0
+
+
+def _neyman_units(total: int, scores, minimum: int) -> np.ndarray:
+    """Sampling units per node that sum to total: minimum each, the rest by Neyman allocation.
+
+    The spare units go to the nodes in proportion to their scores
+    |w_j J_j K0_j| sigma_j (Cochran, Sampling Techniques, 3rd ed., 5.5), or
+    equally when every score is 0, and are rounded by largest remainder.
+    """
+    scores = np.asarray(scores, dtype=float)
+    spare = total - minimum * len(scores)
+    weights = scores if scores.sum() > 0.0 else np.ones(len(scores))
+    share = spare * weights / weights.sum()
+    units = np.floor(share).astype(np.int64)
+    # the largest remainders take what flooring left; ties go to the shallower node
+    units[np.argsort(units - share, kind="stable")[:spare - units.sum()]] += 1
+    return minimum + units
+
+
+def _lockstep_means(model, points, t, steps, counts, seed, streams, paired):
+    """Node means and stderrs of counts[j] loops at points[j] on RngStream(seed, streams[j]).
+
+    t is one lifetime for every node or one per node.  Consecutive nodes
+    step together, as many in one batch as hold at most CHUNK_PATHS loops
+    (one node at least); every node keeps its own stream, so the batching
+    changes no draw.
+    """
+    means, ses = [], []
+    lo = 0
+    while lo < len(points):
+        hi, loops = lo + 1, counts[lo]
+        while hi < len(points) and loops + counts[hi] <= CHUNK_PATHS:
+            loops += counts[hi]
+            hi += 1
+        gens = [RngStream(seed, stream).generator() for stream in streams[lo:hi]]
+        mean, se = _node_means(model, points[lo:hi], t[lo:hi] if np.ndim(t) else t, steps,
+                               counts[lo:hi], gens, paired=paired)
+        means.extend(mean.tolist())
+        ses.extend(se.tolist())
+        lo = hi
+    return np.array(means), np.array(ses)
+
+
 def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, seed: int, *,
                       steps: int | None = None, constants: ConstantTable | None = None,
                       depth_nodes: int = 10) -> dict:
     """Track the kernel-weighted supertrace expectation along shrinking lifetimes.
 
-    Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand;
-    boundary points integrate the same quantity across a collar of depth
-    DEPTH_COLLAR_FACTOR sqrt(t) (Gauss-Legendre in the normal direction,
-    capped at 0.9 times the confinement scale) and compare with the
-    boundary integrand.  The ratio column approaches one as t decreases.
-    Within a lifetime consecutive depth nodes step together, as many in
-    one batch as estimate_chi's chunks hold; node j of lifetime it keeps
-    its own stream RngStream(seed, 1000 it + j), so the batching never
-    changes a draw.  On models that carry no frames an even bridge count
-    steps as antithetic pairs (see _antithetic), and each node's mean and
-    stderr come from its bridges / 2 pair means; frame-carrying models and
-    odd counts draw independent bridges.  Returns the local-limit report
-    payload.
+    Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand,
+    from `bridges` loops.  Boundary points integrate the same quantity
+    across a collar of depth DEPTH_COLLAR_FACTOR sqrt(t) (Gauss-Legendre in
+    the normal direction, capped at 0.9 times the confinement scale, each
+    node weighted by the model's shell_jacobian) and compare with the
+    boundary integrand; there `bridges` is the mean number of loops per
+    node of a lifetime's budget of depth_nodes * bridges loops.  A pilot of
+    at most 1 / PILOT_SHARE of the budget, split equally over the nodes on
+    streams of its own, measures each node's spread sigma_j, and the rest
+    goes to node j in proportion to |w_j J_j K0_j| sigma_j (_neyman_units),
+    each node keeping at least its pilot's count; only these main-phase
+    loops enter the row.  A single node, or a budget whose pilot cannot
+    hold MIN_UNITS sampling units per node, runs no pilot and gives every
+    node `bridges` loops.  The ratio column approaches one as t decreases.
+
+    The pilots of all lifetimes step together, and so do the main-phase
+    nodes of one lifetime: consecutive nodes, as many in one batch as hold
+    at most CHUNK_PATHS loops; node j of lifetime it keeps its own streams
+    (_node_stream), so the batching never changes a draw.  On models that
+    carry no frames an even bridge count steps as antithetic pairs (see
+    _antithetic), every node's count stays even, and each node's mean and
+    stderr come from its pair means; frame-carrying models and odd counts
+    draw independent bridges.  Returns the local-limit report payload;
+    each row lists the main-phase loops of its nodes (node_bridges) and
+    their weighted stderrs (node_stderr).
     """
     if len(t_sequence) == 0:
         raise ConfigError("t_sequence must hold at least one lifetime")
@@ -490,40 +584,58 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     check_integer("seed", seed, 0, 2**64)
     check_integer("bridges", bridges, 1)
     steps = check_integer("steps", LOCAL_LIMIT_STEPS if steps is None else steps, 2)
-    check_integer("depth_nodes", depth_nodes, 1)
+    check_integer("depth_nodes", depth_nodes, 1, MAX_DEPTH_NODES + 1)
     point = check_point(model, point)
     constants = constants or calibrate_constants(model.dimension)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     bulk_fn, boundary_fn = analytic_gb_integrands(model, constants)
     analytic = float(boundary_fn(point)[0] if on_boundary else bulk_fn(point)[0])
-    per_batch = max(1, CHUNK_PATHS // bridges)
     paired = _antithetic(model, bridges)
-    rows = []
-    for it, t in enumerate(sorted(t_sequence, reverse=True)):
-        # an interior point is one node of weight 1
-        points, dweights = point[None, :], [1.0]
+    unit = 2 if paired else 1
+    lifetimes = sorted(t_sequence, reverse=True)
+    # per lifetime: its nodes and their weights w_j J_j K0_j; an interior
+    # point is one node of weight K0
+    layers = []
+    for t in lifetimes:
+        points, scale = point[None, :], np.ones(1)
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
             width = min(DEPTH_COLLAR_FACTOR * math.sqrt(t), 0.9 * model.confinement_scale())
-            dweights = 0.5 * width * gl_weights
-            points = model.offset_from_boundary(np.repeat(points, depth_nodes, axis=0),
-                                                0.5 * width * (nodes + 1.0))
-        k0 = [float(hk.heat_kernel_diag(model, t, x[None, :])[0]) for x in points]
-        means, ses = [], []
-        for lo in range(0, len(points), per_batch):
-            block = points[lo:lo + per_batch]
-            gens = [RngStream(seed, 1000 * it + j).generator() for j in range(lo, lo + len(block))]
-            mean, se = _node_means(model, block, t, steps, bridges, gens, paired=paired)
-            means.extend(mean.tolist())
-            ses.extend(se.tolist())
+            depths = 0.5 * width * (nodes + 1.0)
+            points = model.offset_from_boundary(np.repeat(points, depth_nodes, axis=0), depths)
+            scale = 0.5 * width * gl_weights * model.shell_jacobian(depths)
+        layers.append((points, scale * hk.heat_kernel_diag(model, t, points)))
+    count = len(layers[0][0])
+    pilot = _pilot_loops(count, bridges, unit)
+    if pilot:
+        # the pilots of every lifetime step together, each node on its own stream
+        _, pilot_se = _lockstep_means(
+            model, np.concatenate([points for points, _ in layers]),
+            np.repeat(lifetimes, count), steps, np.full(count * len(lifetimes), pilot), seed,
+            [_node_stream(it, j, pilot=True) for it in range(len(lifetimes))
+             for j in range(count)], paired)
+        pilot_se = pilot_se.reshape(len(lifetimes), count)
+    rows = []
+    for it, (t, (points, scale)) in enumerate(zip(lifetimes, layers)):
+        counts = np.full(count, bridges)
+        if pilot:
+            # every node keeps at least its pilot's loops: a node whose pilot
+            # met no boundary may still touch it, rarely, and a handful of
+            # loops would turn those touches into a heavy-tailed row
+            counts = unit * _neyman_units(count * (bridges - pilot) // unit,
+                                          np.abs(scale) * pilot_se[it], pilot // unit)
+        means, ses = _lockstep_means(model, points, t, steps, counts, seed,
+                                     [_node_stream(it, j) for j in range(count)], paired)
+        node_stderr = np.abs(scale) * ses
         value = var = 0.0
-        for w, k, mean, se in zip(dweights, k0, means, ses):
-            value += w * k * mean
-            var += (w * k * se) ** 2
-        stderr = math.sqrt(var)
+        for k, mean, se in zip(scale, means, node_stderr):
+            value += k * mean
+            var += se ** 2
+        value, stderr = float(value), math.sqrt(var)
         ratio = value / analytic if analytic != 0.0 else None
         rows.append({"t": t, "value": value, "stderr": stderr, "analytic": analytic,
-                     "ratio": ratio})
+                     "ratio": ratio, "node_bridges": counts.tolist(),
+                     "node_stderr": node_stderr.tolist()})
     order = None
     # a slope over log t needs at least 3 distinct lifetimes
     if all(r["ratio"] is not None for r in rows) and len(set(t_sequence)) >= 3:

@@ -278,7 +278,9 @@ class ManifoldModel:
     # depth and normal at x) and log_frame(x, y); then distance, the two
     # sampling hooks sample_collar(rng, count, width) (uniform on the
     # points within width of the boundary) and collar_volume(width), with
-    # collar_volume(inf) == volume, boundary_point(), interior_point() (a
+    # collar_volume(inf) == volume, shell_jacobian(depth) (collar_volume's
+    # derivative over boundary_area: the area of the parallel hypersurface
+    # at each depth per unit boundary area), boundary_point(), interior_point() (a
     # point farthest from the boundary), and the analytic data:
     # heat_kernel_spec(), confinement_scale() and boundary_curvature_parts().
     # A model whose state embeds round spheres lists them in
@@ -425,6 +427,9 @@ class FlatBall(ManifoldModel):
         width = min(width, self.radius)
         inner = (self.radius - width) ** n
         return self.volume * (1.0 - inner / self.radius**n)
+
+    def shell_jacobian(self, depth):
+        return ((self.radius - np.asarray(depth)) / self.radius) ** (self.dimension - 1)
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)
@@ -605,6 +610,10 @@ class SphereCap(ManifoldModel):
             return 2 * math.pi * r**2 * (math.cos(theta_w) - math.cos(a))
         f = lambda th: th - math.sin(th) * math.cos(th)
         return 2 * math.pi * r**3 * (f(a) - f(theta_w))
+
+    def shell_jacobian(self, depth):
+        a = self.aperture
+        return (np.sin(a - np.asarray(depth) / self.radius) / math.sin(a)) ** (self.dimension - 1)
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)
@@ -801,6 +810,9 @@ class SphereBall(ManifoldModel):
 
     def collar_volume(self, width):
         return _SPHERE_VOLUME[self.sphere_dim](self.sphere_radius) * self._ball.collar_volume(width)
+
+    def shell_jacobian(self, depth):
+        return self._ball.shell_jacobian(depth)
 
     def boundary_point(self):
         z = np.zeros(self.state_dim)

@@ -35,14 +35,16 @@ a non-finite coordinate stays non-finite through every later step, and
 the sphere steps renormalize onto their spheres.
 
 simulate_bridges, the one stepping loop, draws its noise from one
-generator or from a sequence of G generators, one stream per equal
-contiguous row group, and steps the batch as equal row tiles of at most
-TILE_ROWS paths, so each step's temporaries stay cache-sized and the
-allocator reuses them.  Tiles and
+generator or from a sequence of G generators, one stream per contiguous
+row group (equal groups, or the sizes the caller gives), and steps the
+batch as equal row tiles of at most TILE_ROWS paths, so each step's
+temporaries stay cache-sized and the allocator reuses them.  Tiles and
 groups never change a draw: every step visits the tiles in row order and
 each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
-is bitwise the same as in that separate, untiled batch.  Paired batches
+is bitwise the same as in that separate, untiled batch, also when each
+path has a lifetime of its own (its step and remaining time are then
+per-row vectors, with the same arithmetic in every row).  Paired batches
 (paired=True) step antithetic pairs: rows 2j and 2j + 1 take one draw and
 its negation, and each group draws half its rows' normals.  The same
 invariants hold for them, because a tile never splits a pair: groups have
@@ -117,9 +119,10 @@ def _as_generator(rng) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
-def _row_streams(rng, rows: int, paired: bool = False) -> _RowStreams:
-    """One generator for all rows, or G generators splitting them into equal groups.
+def _row_streams(rng, rows: int, paired: bool = False, group_rows=None) -> _RowStreams:
+    """One generator for all rows, or G generators splitting them into contiguous groups.
 
+    The groups are equal, or group_rows[i] rows long for generator i.
     Paired, every group fills antithetic pairs and must have an even row
     count.  A noise source that already has fill(xi) (see noise.batch_noise)
     passes through.
@@ -127,12 +130,17 @@ def _row_streams(rng, rows: int, paired: bool = False) -> _RowStreams:
     if hasattr(rng, "fill"):
         return rng
     gens = [_as_generator(r) for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
-    if not gens or rows % len(gens):
-        raise ValueError(f"{len(gens)} generators cannot split {rows} rows into equal groups")
-    size = rows // len(gens)
-    if paired and size % 2:
-        raise ValueError(f"row groups of {size} rows cannot hold antithetic pairs")
-    return _RowStreams(tuple(gens), tuple(i * size for i in range(len(gens) + 1)), paired)
+    if group_rows is None:
+        if not gens or rows % len(gens):
+            raise ValueError(f"{len(gens)} generators cannot split {rows} rows into equal groups")
+        group_rows = [rows // len(gens)] * len(gens)
+    sizes = [int(r) for r in group_rows]
+    if len(sizes) != len(gens) or sum(sizes) != rows or min(sizes, default=0) < 1:
+        raise ValueError(f"{len(gens)} generators cannot split {rows} rows into groups of "
+                         f"{sizes} rows")
+    if paired and any(r % 2 for r in sizes):
+        raise ValueError(f"row groups of {sizes} rows cannot hold antithetic pairs")
+    return _RowStreams(tuple(gens), tuple(np.cumsum([0] + sizes).tolist()), paired)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +224,13 @@ def _orthonormalize(frames):
     return out
 
 
-def _finish_step(model, state, x2, u2, depth, nu, idx, dlam):
-    """Move the state to (x2, u2) and its boundary data; return the contact rows idx."""
+def _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c):
+    """Move the state to (x2, u2) and its boundary data; return the contact rows idx.
+
+    u_c and nu_c are the frames (None without frames) and normals of the rows idx.
+    """
     if idx.size:
-        nu_c = model.boundary_data(None if u2 is None else u2[idx], nu[idx])
+        nu_c = model.boundary_data(u_c, nu_c)
     else:
         nu_c = np.empty((0, model.bounded_factor.dim))
     state.x = x2
@@ -235,20 +246,29 @@ def _apply_increment(model, state, v):
     depth, nu = model.collar_data(x2)
     idx = (depth <= 0.0).nonzero()[0]
     dlam = np.empty(0)
+    u_c = nu_c = None
     if idx.size:
-        x2[idx], ur, penetration = model.reflect(x2[idx], None if u2 is None else u2[idx],
-                                                 depth[idx], nu[idx])
+        # the reflected rows keep their own copies, so nothing is gathered twice
+        x_c, u_c, penetration = model.reflect(x2[idx], None if u2 is None else u2[idx],
+                                              depth[idx], nu[idx])
+        x2[idx] = x_c
         if u2 is not None:
-            u2[idx] = ur
-        depth[idx], nu[idx] = model.collar_data(x2[idx])
+            u2[idx] = u_c
+        depth_c, nu_c = model.collar_data(x_c)
+        depth[idx], nu[idx] = depth_c, nu_c
         # Skorokhod decomposition X = W + nu L: the reflection pushes the step
         # back along the normal by twice its penetration, and that push is dL
         dlam = 2.0 * np.maximum(penetration, 0.0)
         state.lam[idx] += dlam
-    return _finish_step(model, state, x2, u2, depth, nu, idx, dlam)
+    return _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c)
 
 
-def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor):
+def _per_row(a):
+    """A scalar as it is, or a per-row (P,) vector as a (P, 1) column that scales (P, k) rows."""
+    return a[:, None] if isinstance(a, np.ndarray) else a
+
+
+def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
     """Logarithmic heat-kernel drift toward the anchor, in walk coordinates.
 
     A two-well surrogate: the squared-distance gradient toward the anchor
@@ -266,10 +286,11 @@ def bridge_drift(model, state: WalkState, anchor, remaining: float, *, d_anchor)
     image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0)),
     because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
     The boundary distance d_z and the normal nu are the ones the walk state
-    carries for its current point; d_anchor is the anchors' boundary distance.
+    carries for its current point; d_anchor is the anchors' boundary distance,
+    and remaining is one time for every row or one per row.
     """
     ell = model.log_frame(state.x, anchor)
-    drift = ell / remaining
+    drift = ell / _per_row(remaining)
     d_z, nu = state.depth, state.nu
     ell_nu = _rowdot(ell, nu)
     gap = d_z + d_anchor
@@ -296,12 +317,13 @@ def _sub_columns(out, w, nu):
         out[:, k] -= tmp
 
 
-def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng, *,
+def step_bridge(model, state: WalkState, remaining, anchor, h, rng, *,
                 d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor, or a free step.
 
     With anchor None the step is free: the scaled noise alone, no drift.  A
-    bridge step needs the anchors' boundary distance d_anchor.  rng is one
+    bridge step needs the anchors' boundary distance d_anchor.  remaining
+    and h are one time and step for every row, or one per row.  rng is one
     generator, a sequence of G generators that split the rows into G equal
     contiguous groups (ValueError otherwise), or a noise source of
     noise.batch_noise.
@@ -311,10 +333,10 @@ def step_bridge(model, state: WalkState, remaining: float, anchor, h: float, rng
                                                  d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     streams.fill(xi)
-    xi *= math.sqrt(h)
+    xi *= np.sqrt(h)[:, None] if isinstance(h, np.ndarray) else math.sqrt(h)
     if g is None:
         return _apply_increment(model, state, model.frame_vector(state.frames, xi))
-    g *= h
+    g *= _per_row(h)
     # the increment, in the drift's layout: the draws fill C-order rows
     g += model.frame_vector(state.frames, xi)
     return _apply_increment(model, state, g)
@@ -330,7 +352,8 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
     x2, u2 = model.geodesic_step(state.x, state.frames, v)
     depth, nu = model.collar_data(x2)
     idx = (depth <= 1e-12).nonzero()[0]
-    return _finish_step(model, state, x2, u2, depth, nu, idx, np.zeros(idx.size))
+    return _finish_step(model, state, x2, u2, depth, nu, idx, np.zeros(idx.size),
+                        None if u2 is None else u2[idx], nu[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +371,7 @@ def _jump_update(m, info: ContactInfo, a: float):
         return
     nu = np.ascontiguousarray(info.nu)  # einsum's summation order follows the layout
     dl = info.dlam
-    sub = m[idx]
+    sub = np.take(m, idx, axis=0)  # m is C-ordered: take gathers its rows several times faster
     mnu = np.einsum("cij,cj->ci", sub, nu)
     tangential = sub - mnu[:, :, None] * nu[:, None, :]
     decay = np.exp(-a * dl)[:, None, None]
@@ -379,7 +402,7 @@ class BridgeBatch:
     """Final state of a batch of bridge loops (or free walks), ready for supertraces."""
 
     model: ManifoldModel
-    t: float
+    t: float | np.ndarray                # one lifetime, or one per path
     lam: np.ndarray
     contacts: np.ndarray                 # contact-step counts per path
     alive: np.ndarray                    # simulation_valid of the final states
@@ -405,22 +428,33 @@ class BridgeBatch:
             es = _elementary_symmetric(np.ascontiguousarray(B), d)
             acc = np.zeros(P)
             for p in range(d + 1):
-                c = math.exp(-spec.kappa * p * (d - p) * self.t / 2.0)
+                c = _exp(-spec.kappa * p * (d - p) * self.t / 2.0)
                 acc += (-1.0) ** p * c * es[p]
             total *= acc
         return total
 
 
-def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *,
-                     pinned=True, paired=False, on_step=None) -> BridgeBatch:
+def _exp(x):
+    """math.exp of a scalar, or of each entry of an array: a path rounds as in its own batch."""
+    if not isinstance(x, np.ndarray):
+        return math.exp(x)
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([math.exp(v) for v in values.tolist()])[where]
+
+
+def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
+                     pinned=True, paired=False, group_rows=None, on_step=None) -> BridgeBatch:
     """Simulate reflected Brownian bridge loops pinned at the given anchors, or free walks.
 
     anchors: (P, state_dim); each path runs on [0, t] with the fixed step
     t / steps and ends exactly at its anchor, or, with pinned=False, only
-    starts there and takes `steps` free steps.  rng is one generator, or a
-    sequence of G generators that split the P rows into G equal contiguous
-    groups (ValueError otherwise); group i draws exactly what a separate
-    batch of its rows draws from generator i.  With paired=True the rows
+    starts there and takes `steps` free steps.  t is one lifetime for every
+    path or a (P,) array of one per path; a path steps as it would in a
+    batch of its own lifetime.  rng is one generator, or a
+    sequence of G generators that split the P rows into G contiguous
+    groups, equal ones or group_rows[i] rows for generator i (ValueError
+    when they do not split P); group i draws exactly what a separate batch
+    of its rows draws from generator i.  With paired=True the rows
     are antithetic pairs: rows 2j and 2j + 1 step on one draw and its
     negation, so every group needs an even row count (ValueError otherwise).
     The rows step as lockstep tiles of at most TILE_ROWS paths (see the
@@ -430,13 +464,19 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
-    streams = _row_streams(rng, P, paired)
+    streams = _row_streams(rng, P, paired, group_rows)
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        if t.shape != (P,):
+            raise ValueError(f"{t.shape[0]} lifetimes for {P} paths")
     h = t / steps
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
     tiles = _row_tiles(P, 2 if paired else 1)
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
+    # per tile: its lifetimes and steps, scalars when every path shares them
+    clocks = [(t[rows], h[rows]) if np.ndim(t) else (t, h) for rows in tiles]
     # per tile: the anchors in walk layout and their boundary distance, or none
     targets = [(None, None)] * len(tiles)
     if pinned:
@@ -447,12 +487,12 @@ def simulate_bridges(model: ManifoldModel, anchors, t: float, steps: int, rng, *
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
                      noise_steps) as tile_noise:
         for k in range(steps):
-            remaining = t - k * h
-            for rows, state, noise, (anchor, d_rows) in zip(tiles, states, tile_noise, targets):
+            for rows, state, noise, (anchor, d_rows), (t_rows, h_rows) in zip(
+                    tiles, states, tile_noise, targets, clocks):
                 if k == noise_steps:
                     info = snap_to_anchor(model, state, anchor)
                 else:
-                    info = step_bridge(model, state, remaining, anchor, h, noise,
+                    info = step_bridge(model, state, t_rows - k * h_rows, anchor, h_rows, noise,
                                        d_anchor=d_rows)
                 _jump_update(m[rows], info, model.shape_coefficient)
                 contacts[rows][info.idx] += 1

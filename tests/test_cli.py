@@ -279,6 +279,7 @@ class TestRangeValidation:
         ("local-limit", "bridges", "0"),
         ("local-limit", "steps", "1"),
         ("local-limit", "depth_nodes", "0"),
+        ("local-limit", "depth_nodes", "1001"),  # node 1000 would take lifetime 1's stream 0
         ("local-limit", "lam_scale", "0"),
         ("local-limit", "point", "corner"),
         ("cancellation-suite", "seed", "-1"),

@@ -470,6 +470,18 @@ class TestInvariants:
         assert np.abs(back - x).max() < 1e-9
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
+    def test_shell_jacobian_is_the_collar_volume_derivative(self, model):
+        # a central difference of collar_volume over the boundary area, at
+        # depths across [0, 0.9] confinement scales
+        depths = np.linspace(0.0, 0.9, 7) * model.confinement_scale()
+        h = 1e-5 * model.confinement_scale()
+        jac = model.shell_jacobian(depths)
+        assert jac[0] == pytest.approx(1.0, rel=1e-14)
+        for d, j in zip(depths[1:], jac[1:]):
+            slope = (model.collar_volume(d + h) - model.collar_volume(d - h)) / (2 * h)
+            assert j == pytest.approx(slope / model.boundary_area, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_collar_sampler_in_range(self, model):
         rng = RNG(13)
         width = 0.15

@@ -83,76 +83,76 @@ GOLDEN = {
         "estimate-chi.json": "05f8f54529c36223864cf47c100687ae75f27787b179a5e09386884a42141ab7",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "d375b8197efd922e7ce223d91f49f68653411bc0d87d0fba91fc50e9ab7b3664",
-        "local-limit.json": "e734e317a6abdaf6657c804f5a96eb0a3d3d4c940ef3f0dda3be3e24084b2de9",
+        "local-limit.csv": "2905fbaf95845174cfbabf8715b511d8371e6645959ccdf4ace24d3198a8901b",
+        "local-limit.json": "6bc91c2cededdf696be8ed52b7e8b0652366b6517d026945226cf1a5e69dd198",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "bc3dc817d8cbb6012814176f8086123c470c47f681e0cafc66a771a8fc6b488d",
-        "local-limit.json": "7d3fd02a88930a738292545a898b9d48af94ea2076ea106b305bbe7805271d86",
+        "local-limit.csv": "31187c12f14fc2b153312eb4de01403029de452bff2f9318708078aa4592aaea",
+        "local-limit.json": "eaab1906e7a59b70fbfc455fc704b306f5dccc649604602fbf1e707677a33a4d",
     },
     "local-limit-boundary-cap3": {
-        "local-limit.csv": "dffa76a8e0aba7d212eb39a02337ef92c946c7f5d74592112ab814504523e294",
-        "local-limit.json": "6601c07e6343f5116d779a5ab86032f53e1a94103ba4cb36e09f3cbf2b2dfdec",
+        "local-limit.csv": "688d5a4b436d6d1ee16791e177fee39b5bc4c27cd9e130e5a3b5b77bce818ea8",
+        "local-limit.json": "c4dfbda524fc3ea512e8f51150607e61fea02f91ea981c4d545ba5ce3c50b550",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
-        "local-limit.json": "c9dbb73cf59dedd77becf06318fe30cf2244868aed601c8f3123b50ad4f99236",
+        "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "7f36a138db221270223d568cfe810d128c1dfb160f48a9fb4281759720604cfd",
-        "local-limit.json": "074d6406ff9c632721d75fb0e0b0f35d39601bdaf94b4172f4db31bc58b6d319",
+        "local-limit.csv": "175e9969e0a8d95ccd4ddeac69d2fb08a2f23979c26356eb5fd0f5e5aa75409c",
+        "local-limit.json": "aca215b4464e0c778f81528a247c21bbe09eddbe688c9b58bf36ff0519311a4b",
     },
     "local-limit-boundary-hemisphere2": {
-        "local-limit.csv": "dae1b3c73f6bce53cf473cf74f70ea173a6b84198715d29e69033a592aa9f9c4",
-        "local-limit.json": "ba175a64e1108d17af44dc6ad8434ffda8e8734b03124d1aeae54c9a5b20592d",
+        "local-limit.csv": "0b3a778107d000ce006ecafc89e6ed3f834d63eb37c3b42311864a22e1340c4f",
+        "local-limit.json": "aaf6c447986025022d0b55111669a7fd69a974dda141fcc3dde76eac7171d4ce",
     },
     "local-limit-boundary-hemisphere3": {
-        "local-limit.csv": "1af9cd96d315c32e797058db7b5eb3070b6677b2d024dc975a8b7bf3bf2c4774",
-        "local-limit.json": "584e38d7555970cf8d29e6627169f14ba11fb4914d6b09a62ed660374b70f724",
+        "local-limit.csv": "dfd42b043c4b1273b67701d3395bdbaac87065ac33e979d6aa9b0b10f1245bdf",
+        "local-limit.json": "56ec0e4b7961bcdf2164d7dd125b8729f63a23f49d9148575712d4181ac75a07",
     },
     "local-limit-boundary-sphere-ball-1-2": {
         "local-limit.csv": "ef0413c4fa61a741b45f451cdf6101406066f084042921db256ac7e6cd086fb6",
-        "local-limit.json": "abfbe386f1ccd19d767b7902af3ea70eafba68fba02996d1df3cc3cb6c92316f",
+        "local-limit.json": "7d3ecff0dad44b82e8807bc6e43d5f6aaa2aa14a438471c1ff600a89ce2467bb",
     },
     "local-limit-boundary-sphere-ball-2-1": {
-        "local-limit.csv": "abcab02ed03a50a58cf83f6a3808eafc856b9b5a84223458ae4474b6edca95eb",
-        "local-limit.json": "c944c5f108b61de095e8e261048fce6746019ddb455a174afd9a5bfbce4e7c9d",
+        "local-limit.csv": "2f06e87045c0e897c72bbb09523187c8e4088d806cf2373a4cb6e3c4f70d2761",
+        "local-limit.json": "b080d4ab33eb02ae6a97a6486a4c060570cf210914f3ca3c5273516ae8c81e17",
     },
     "local-limit-interior-ball3": {
         "local-limit.csv": "055cb960d692a29b20f7a007394f4542e20ca7766ebea8cea0ec6d40232b5c66",
-        "local-limit.json": "f707a403bd7bb891291f00d790609bb0b8857a0f7949509a2aa78df427f9ceaf",
+        "local-limit.json": "0fed254242d2cb1cef02bd04e53df5ab8348fdda4de3b0806ae3dde53c1203af",
     },
     "local-limit-interior-cap2": {
         "local-limit.csv": "edd08905fc7352e9da110e3db5e02c07e160641de5163293e3209b2d67a74967",
-        "local-limit.json": "88330890e26227b13d3d8ae5856a1f9ce1c4364534fb783777c809bc10914c1c",
+        "local-limit.json": "72b84a2ed736b558921118e9bbd123d0cad11ced5a09b0acacb6ab6f4f4ad522",
     },
     "local-limit-interior-cap3": {
         "local-limit.csv": "a0224eb072ebc9f426f6aa4b5fcebf9896b4d70ca8bc089e031681881ef1f11c",
-        "local-limit.json": "35883e7d0150dbb48617c67c841d3421b2e0600d8fda4015a1836d85735c0269",
+        "local-limit.json": "d2b7f876cec4847e9180952d43cb6e11e8f0a24a20a432a5b20c25281cff7746",
     },
     "local-limit-interior-cylinder": {
         "local-limit.csv": "895423dd065ddf6f9a10b957cc26c446ca8f27e879c5ff59f20d6c27394a041e",
-        "local-limit.json": "9f0355c93a1e4c58bf0a9f076d1c30516c4704e165b464b19c37ec7795ab3461",
+        "local-limit.json": "e98ade29e9ccea003ef0dac38448c3f90f072e59eb18201bd1724e1f020692bc",
     },
     "local-limit-interior-disk": {
         "local-limit.csv": "cd3dd685c7a0f3010e2eaccfc16c8449bb610818c3aa35ff9e9323c490956241",
-        "local-limit.json": "355a9e87a1307f628f9cbda95c0d5197787a1239090852b1b36d47bea670386f",
+        "local-limit.json": "c3e0daf2f0ccbf3e9bb970aaf74a4cddef134950f315297587f125e7f5a8cfc4",
     },
     "local-limit-interior-hemisphere2": {
         "local-limit.csv": "7dfd0c9e630ba25f7f6dddd931eff12b35dfe91fab6c89390e15b35236cd1c9a",
-        "local-limit.json": "dba43d86a65a78773bd29120cdcfe544911f898c4a09f006198fccacaedd287b",
+        "local-limit.json": "32d3e7748972a939b175277e21430eb305e4db17bfb8a8a5b5757ebdf1d1c33f",
     },
     "local-limit-interior-hemisphere3": {
         "local-limit.csv": "ec3e53aaba14ffbcbe0607cc7e9a11c6a44aa102817b10c92b44223fbc0a1e0f",
-        "local-limit.json": "ce7767786fd47d1e5b2aabaf8a82be9b5426ea3148f740187d924a8348ca2d1b",
+        "local-limit.json": "dd35649f80df6a2cc6e3e9ee3f47b4dd9283df43bd5eba6729c84126a753ae1e",
     },
     "local-limit-interior-sphere-ball-1-2": {
         "local-limit.csv": "0099c37ae316f1102cc715ff41f411fe5c26d73252a9b9fc36d045a92637509d",
-        "local-limit.json": "84eda9c35f0283563c6f642827a230cd9f89f5784c2ed6e8cf8cd207bca75764",
+        "local-limit.json": "ddd31679391d65df47e15171706fb2758be6335ceceb0c43b086d8c84753e5df",
     },
     "local-limit-interior-sphere-ball-2-1": {
         "local-limit.csv": "9507271d1890993b1b6059a533c1903deb7cbe4765f76d30d64ff986881a0cf6",
-        "local-limit.json": "be7b98d443fa3a9e3dfc2efaad1f535c3cc290784d61249667f0d6ae9b6a5346",
+        "local-limit.json": "634bd6ca3758934133a7ba86d415dd9138bc2e0a7bd91b11d70749c5fa7d3cea",
     },
 }
 

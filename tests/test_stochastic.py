@@ -1066,6 +1066,69 @@ class TestGroupedStreams:
                                           paired=True)
             assert_batches_equal(grouped, separate)
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
+    @pytest.mark.parametrize("name", list(PAIRED_MODELS))
+    def test_unequal_groups_bitwise_equal_to_separate_batches(self, name, paired, monkeypatch):
+        # the pinned loops of local_limit_check's allocated depth nodes
+        model = PAIRED_MODELS[name]()
+        sizes = [4, 50, 2, 28]
+        anchors = mixed_anchors(model, sum(sizes), 193)
+        t, steps = REGIMES["fine"]
+        streams = [st.RngStream(197, 20 + j) for j in range(len(sizes))]
+        bounds = np.cumsum([0] + sizes)
+        separate = concat_batches([
+            st.simulate_bridges(model, anchors[a:b], t, steps, s, paired=paired)
+            for a, b, s in zip(bounds, bounds[1:], streams)
+        ])
+        assert separate.contacts.sum() > 0
+        # 64 rows -> tiles of 42, inside the 50-row group; 9 rows -> tiles of
+        # 8 or 9 (8 when paired) that cut groups anywhere; 5 rows -> tiles of
+        # 4 or 5, so the 2-row group shares a tile with both neighbours
+        for tile_rows in (st.TILE_ROWS, 64, 9, 5):
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            grouped = st.simulate_bridges(model, anchors, t, steps,
+                                          [s.generator() for s in streams], paired=paired,
+                                          group_rows=sizes)
+            assert_batches_equal(grouped, separate)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
+    @pytest.mark.parametrize("name", list(PAIRED_MODELS))
+    def test_per_row_lifetimes_bitwise_equal_to_separate_batches(self, name, paired,
+                                                                 monkeypatch):
+        # the pilots of local_limit_check: the nodes of several lifetimes in one batch
+        model = PAIRED_MODELS[name]()
+        sizes = [4, 50, 2, 28]
+        lifetimes = [0.08, 0.05, 0.05, 0.02]
+        anchors = mixed_anchors(model, sum(sizes), 193)
+        streams = [st.RngStream(197, 30 + j) for j in range(len(sizes))]
+        bounds = np.cumsum([0] + sizes)
+        parts = [st.simulate_bridges(model, anchors[a:b], t, 30, s, paired=paired)
+                 for a, b, t, s in zip(bounds, bounds[1:], lifetimes, streams)]
+        assert sum(p.contacts.sum() for p in parts) > 0
+        for tile_rows in (st.TILE_ROWS, 9):
+            monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+            grouped = st.simulate_bridges(model, anchors, np.repeat(lifetimes, sizes), 30,
+                                          [s.generator() for s in streams], paired=paired,
+                                          group_rows=sizes)
+            separate = concat_batches(parts)
+            separate.t = grouped.t
+            assert_batches_equal(grouped, separate)
+            assert np.array_equal(grouped.supertraces(),
+                                  np.concatenate([p.supertraces() for p in parts]))
+
+    def test_per_row_lifetimes_need_one_per_path(self):
+        with pytest.raises(ValueError, match="lifetimes"):
+            st.simulate_bridges(disk(), np.zeros((4, 2)), [0.05, 0.02], 10, st.RngStream(1))
+
+    @pytest.mark.parametrize("rows, sizes, paired", [
+        (8, [4, 3], False), (8, [8, 0], False), (8, [2, 2, 4], False), (8, [5, 3], True),
+    ])
+    def test_group_rows_that_do_not_split_raise(self, rows, sizes, paired):
+        anchors = np.broadcast_to(np.array([0.5, 0.0]), (rows, 2)).copy()
+        gens = [st.RngStream(227, j).generator() for j in range(2)]
+        with pytest.raises(ValueError):
+            st.simulate_bridges(disk(), anchors, 0.05, 10, gens, paired=paired, group_rows=sizes)
+
     def test_single_generator_in_a_sequence(self):
         model = disk()
         anchors = mixed_anchors(model, 40, 199)
