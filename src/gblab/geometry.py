@@ -160,16 +160,22 @@ def _sphere_angle(x, y):
 
 
 def _sphere_log(x, y, r):
-    """Ambient log map log_x(y) on the round sphere of radius r, per coordinate."""
-    cosg = _rowdot(x, y) / r**2
-    np.maximum(cosg, -1.0, out=cosg)
-    np.minimum(cosg, 1.0, out=cosg)
+    """Ambient log map log_x(y) on the round sphere of radius r, per coordinate.
+
+    The angle is atan2(|perp|, x . y / r), with perp the part of y normal to
+    x: accurate at every angle, where an arccos of the cosine loses half the
+    digits of a short step.
+    """
+    xy = _rowdot(x, y)
+    cosg = xy / r**2
     perp = [y[:, d] - cosg * x[:, d] for d in range(x.shape[1])]
     norm = perp[0] * perp[0]
     for q in perp[1:]:
         norm += q * q
-    scale = r * np.arccos(cosg)  # then the length over |perp|
-    scale /= np.maximum(np.sqrt(norm), 1e-300)
+    np.sqrt(norm, out=norm)
+    xy /= r
+    scale = r * np.arctan2(norm, xy)  # then the length over |perp|
+    scale /= np.maximum(norm, 1e-300)
     out = np.empty_like(x)
     for d, q in enumerate(perp):
         np.multiply(q, scale, out=out[:, d])

@@ -123,6 +123,20 @@ class TestGeodesics:
         d = model.distance(x, x2)
         assert np.abs(d - np.linalg.norm(xi, axis=-1)).max() < 1e-8
 
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_sphere_log_of_short_and_long_steps(self, radius):
+        # the log map undoes a great-circle step to rounding at every length;
+        # an arccos of x . y / r^2 is 1e-8 off on the short ones
+        rng = RNG(5)
+        x = radius * geo._unit(rng.standard_normal((60, 3)))
+        tangent = rng.standard_normal((60, 3))
+        tangent = geo._unit(tangent - x * (geo._rowdot(tangent, x) / radius**2)[:, None])
+        lengths = radius * np.geomspace(1e-9, 3.0, 60)
+        y, _ = geo._sphere_step(x, None, tangent * lengths[:, None], radius)
+        ell = geo._sphere_log(x, y, radius)
+        assert np.abs(np.linalg.norm(ell, axis=-1) - lengths).max() <= 1e-14 * radius
+        assert np.abs(ell - tangent * lengths[:, None]).max() <= 1e-14 * radius
+
     @pytest.mark.parametrize("model", [
         geo.model_catalog("hemisphere", dimension=2),
         geo.model_catalog("cap", dimension=2, aperture=1.0),
@@ -680,9 +694,10 @@ def broadcast_orthonormalize(frames):
 
 
 def broadcast_sphere_log(x, y, r):
-    cosg = np.clip(geo._rowdot(x, y) / r**2, -1.0, 1.0)
-    perp = y - cosg[:, None] * x
-    return (r * np.arccos(cosg))[:, None] * _unit_or_zero(perp)
+    xy = geo._rowdot(x, y)
+    perp = y - (xy / r**2)[:, None] * x
+    angle = np.arctan2(np.linalg.norm(perp, axis=-1), xy / r)
+    return (r * angle)[:, None] * _unit_or_zero(perp)
 
 
 COLUMNWISE_TOL = 1e-15

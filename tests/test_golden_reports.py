@@ -53,16 +53,16 @@ GOLDEN = {
         "cancellation-suite.json": "f6f7ed096200ea44e6129c0a712cfce016b6af80ff1654d661fb738cb4dc4514",
     },
     "diagnostics": {
-        "diagnostics.json": "09eb0c97c012b3fb5a4a55e8aba51784221d7791622eccc7f9ac023897a1a53c",
+        "diagnostics.json": "26c2b685bca5c6995128cf5dd8f4efce2ccb189cc96fc0a254d720d258641992",
     },
     "estimate-chi-ball3": {
         "estimate-chi.json": "84fcec297fadf31725de423337a59ce2802ad739bf28712061c348c587e1c148",
     },
     "estimate-chi-cap2": {
-        "estimate-chi.json": "94d4ef14c6b2169b6316b316a0c03382f01b6086bd87f58914b519e2d3514963",
+        "estimate-chi.json": "8a5086c8c99045c7e7edcc3a0407d4127ec9050d568de6f2c20d26574117e659",
     },
     "estimate-chi-cap3": {
-        "estimate-chi.json": "c1f4baca168197633b21712c2419fa275d998a740a857b589c9f93ab28e02e26",
+        "estimate-chi.json": "625e4a53f2239cbec3986f6f1a0ecc585c67640df7859fef05eb6f1f803884ec",
     },
     "estimate-chi-cylinder": {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
@@ -71,28 +71,28 @@ GOLDEN = {
         "estimate-chi.json": "aee28cd14844a045ca7de7d64cfe73223197bbaf109c520a3f95ab85435255a4",
     },
     "estimate-chi-hemisphere2": {
-        "estimate-chi.json": "e287f046ca72418e9d7e9656e05b91c74572731d7f036db3eed0a35059ed3384",
+        "estimate-chi.json": "54a6ad89c5ca9840731fa17ea57bbb24154264e83935c41c998ba7c542488d8a",
     },
     "estimate-chi-hemisphere3": {
-        "estimate-chi.json": "a240bd1d91b31985c190c8924e9cc2c48b02400334cf3b56eca9f096df13446f",
+        "estimate-chi.json": "c06907518b10b1447caf17d4e03812b51780f103c4da82455cd78c59047a67da",
     },
     "estimate-chi-sphere-ball-1-2": {
         "estimate-chi.json": "8f4cc43680acaeacb59ffdc1f1de48acdeb6f7398df31a514ebaeb71a8ce9aa5",
     },
     "estimate-chi-sphere-ball-2-1": {
-        "estimate-chi.json": "05f8f54529c36223864cf47c100687ae75f27787b179a5e09386884a42141ab7",
+        "estimate-chi.json": "d97513fa8c9eb47053d24b8d5a4bf25fdd97e72b92c9307b1862850c017b5e4d",
     },
     "local-limit-boundary-ball3": {
         "local-limit.csv": "2905fbaf95845174cfbabf8715b511d8371e6645959ccdf4ace24d3198a8901b",
         "local-limit.json": "6bc91c2cededdf696be8ed52b7e8b0652366b6517d026945226cf1a5e69dd198",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "31187c12f14fc2b153312eb4de01403029de452bff2f9318708078aa4592aaea",
-        "local-limit.json": "eaab1906e7a59b70fbfc455fc704b306f5dccc649604602fbf1e707677a33a4d",
+        "local-limit.csv": "68eb8f67a44d67c047c7401c422dca94becd8c47b2831ce93bbd83a6ce34e3b6",
+        "local-limit.json": "7a4c5a3ed4f1cceab5b3f703dd586ededd7e7c8139f7ed329644a31f37d622e8",
     },
     "local-limit-boundary-cap3": {
-        "local-limit.csv": "688d5a4b436d6d1ee16791e177fee39b5bc4c27cd9e130e5a3b5b77bce818ea8",
-        "local-limit.json": "c4dfbda524fc3ea512e8f51150607e61fea02f91ea981c4d545ba5ce3c50b550",
+        "local-limit.csv": "ca515b20d0cf8982bac7345475f065ce4cd88ada18614d149fb98e41f002726c",
+        "local-limit.json": "7fa77e07b3fd80068fc194eeeb0130732d27981cf54d8ae562228088d1d595e9",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
@@ -103,32 +103,32 @@ GOLDEN = {
         "local-limit.json": "aca215b4464e0c778f81528a247c21bbe09eddbe688c9b58bf36ff0519311a4b",
     },
     "local-limit-boundary-hemisphere2": {
-        "local-limit.csv": "0b3a778107d000ce006ecafc89e6ed3f834d63eb37c3b42311864a22e1340c4f",
-        "local-limit.json": "aaf6c447986025022d0b55111669a7fd69a974dda141fcc3dde76eac7171d4ce",
+        "local-limit.csv": "8a199943c7f40f835a27f3ea058653a3d2d7294f1d48248240ce47222a5adea9",
+        "local-limit.json": "acc36a21222cc8989d87cda44fe48fab604d81840a072573f3ecadd830c5f148",
     },
     "local-limit-boundary-hemisphere3": {
-        "local-limit.csv": "dfd42b043c4b1273b67701d3395bdbaac87065ac33e979d6aa9b0b10f1245bdf",
-        "local-limit.json": "56ec0e4b7961bcdf2164d7dd125b8729f63a23f49d9148575712d4181ac75a07",
+        "local-limit.csv": "c08a0b2778fa905f102ce8858a484ad7ad36119b31667785408037fecdb5d070",
+        "local-limit.json": "c4bdb2ad2b306b88090388348c9302ad556fc8cb731d635cca520156eea206b9",
     },
     "local-limit-boundary-sphere-ball-1-2": {
         "local-limit.csv": "ef0413c4fa61a741b45f451cdf6101406066f084042921db256ac7e6cd086fb6",
         "local-limit.json": "7d3ecff0dad44b82e8807bc6e43d5f6aaa2aa14a438471c1ff600a89ce2467bb",
     },
     "local-limit-boundary-sphere-ball-2-1": {
-        "local-limit.csv": "2f06e87045c0e897c72bbb09523187c8e4088d806cf2373a4cb6e3c4f70d2761",
-        "local-limit.json": "b080d4ab33eb02ae6a97a6486a4c060570cf210914f3ca3c5273516ae8c81e17",
+        "local-limit.csv": "0bcd00dc34e319225f41f268fba114fc122d7582f7b0077dade4633d891628d8",
+        "local-limit.json": "c4d95c8c237c33fb41f6f43c42e74e795f78d61fef42e3cf6be8ef8805f3b79f",
     },
     "local-limit-interior-ball3": {
         "local-limit.csv": "055cb960d692a29b20f7a007394f4542e20ca7766ebea8cea0ec6d40232b5c66",
         "local-limit.json": "0fed254242d2cb1cef02bd04e53df5ab8348fdda4de3b0806ae3dde53c1203af",
     },
     "local-limit-interior-cap2": {
-        "local-limit.csv": "edd08905fc7352e9da110e3db5e02c07e160641de5163293e3209b2d67a74967",
-        "local-limit.json": "72b84a2ed736b558921118e9bbd123d0cad11ced5a09b0acacb6ab6f4f4ad522",
+        "local-limit.csv": "e628ed1a8b24878cd3452fa100066bb4128ccd78d3b3d71027f49811e1ac6e75",
+        "local-limit.json": "a569efbc0d98f95630cbbb5dc9f3948b9d8dbf2687719899a798f1ad5ba3af50",
     },
     "local-limit-interior-cap3": {
-        "local-limit.csv": "a0224eb072ebc9f426f6aa4b5fcebf9896b4d70ca8bc089e031681881ef1f11c",
-        "local-limit.json": "d2b7f876cec4847e9180952d43cb6e11e8f0a24a20a432a5b20c25281cff7746",
+        "local-limit.csv": "3831009328b8c3b46f7dfce4907a096384f7a282cbc32a460aa51c60e08c56c2",
+        "local-limit.json": "33b6498d2895091dca382bb4a38f7fc2206da4a103cb834c879db95a89a701a6",
     },
     "local-limit-interior-cylinder": {
         "local-limit.csv": "895423dd065ddf6f9a10b957cc26c446ca8f27e879c5ff59f20d6c27394a041e",
@@ -139,12 +139,12 @@ GOLDEN = {
         "local-limit.json": "c3e0daf2f0ccbf3e9bb970aaf74a4cddef134950f315297587f125e7f5a8cfc4",
     },
     "local-limit-interior-hemisphere2": {
-        "local-limit.csv": "7dfd0c9e630ba25f7f6dddd931eff12b35dfe91fab6c89390e15b35236cd1c9a",
-        "local-limit.json": "32d3e7748972a939b175277e21430eb305e4db17bfb8a8a5b5757ebdf1d1c33f",
+        "local-limit.csv": "f7b43a8d63309d1d8f519d1c73d7e5e5e509c29eb686355631cf58818313dbd2",
+        "local-limit.json": "1a11ce1eea39f855e2b3aac3b248224154e426fb5bc17cf4f58894de83ce9efd",
     },
     "local-limit-interior-hemisphere3": {
-        "local-limit.csv": "ec3e53aaba14ffbcbe0607cc7e9a11c6a44aa102817b10c92b44223fbc0a1e0f",
-        "local-limit.json": "dd35649f80df6a2cc6e3e9ee3f47b4dd9283df43bd5eba6729c84126a753ae1e",
+        "local-limit.csv": "f662d6141ba9e532d899f2fefa58bf0c417bc67a4e9dc25082e5f5778a809462",
+        "local-limit.json": "85e33aed2916cbabd6936999c2e4faa5b978f2706ac1c52b86a5599700de0547",
     },
     "local-limit-interior-sphere-ball-1-2": {
         "local-limit.csv": "0099c37ae316f1102cc715ff41f411fe5c26d73252a9b9fc36d045a92637509d",
