@@ -2,8 +2,8 @@
 
 Each model supplies exact geometry to the simulation and estimation
 layers: geodesic stepping with parallel frame transport, signed boundary
-distance, Skorokhod reflection with penetration depth, one
-``collar_data`` query for that distance with the inward normal,
+distance, Skorokhod reflection that returns the images' distance and
+normal, one ``collar_data`` query for that distance with the inward normal,
 curvature in orthonormal frame components, uniform volume/collar/boundary
 samplers, and the ground-truth Euler characteristic.  Every catalog
 boundary is umbilic on its bounded factor, so one number per model,
@@ -82,9 +82,14 @@ def _rowdot(a, b):
     return out
 
 
-def _scale_columns(x, w, op):
-    """op(x[:, k], w) for every column k, written into a new array shaped like x."""
-    out = np.empty_like(x)
+def _scale_columns(x, w, op, out=None):
+    """op(x[:, k], w) for every column k (one op for a scalar w), into out or a new array like x.
+
+    Per row, a (P, 1) broadcast over rows of k entries costs several times as much.
+    """
+    out = np.empty_like(x) if out is None else out
+    if np.ndim(w) == 0:
+        return op(x, w, out=out)
     for k in range(x.shape[1]):
         op(x[:, k], w, out=out[:, k])
     return out
@@ -182,6 +187,22 @@ def _sphere_log(x, y, r):
     return out
 
 
+def _mirrored_collar(reach, depth, nu):
+    """Depth and inward normal of the images of points at depth <= 0, stepped back by -2 depth.
+
+    The step runs toward the centre (the ball's origin, the cap's apex) at
+    distance reach from the boundary, along nu carried with it: the image's
+    depth is -depth, or 2 reach + depth with nu reversed past the centre.
+    """
+    depth2 = -depth
+    past = (depth < -reach).nonzero()[0]
+    if past.size:
+        depth2[past] += 2.0 * (reach + depth[past])
+        nu = nu.copy()
+        nu[past] *= -1.0
+    return depth2, nu
+
+
 def _set_sizes(model, sizes):
     """Set model.volume and model.boundary_area to sizes(), or raise ConfigError.
 
@@ -276,22 +297,21 @@ class ManifoldModel:
         return np.einsum("pda,pdb->pab", u0[:, :, c], u[:, :, c])
 
     # --- hooks subclasses must provide -----------------------------------
-    # dimension, state_dim, euler_characteristic, volume, boundary_area,
-    # factors, shape_coefficient (the umbilic shape operator's one number),
-    # frame_curvature(), and, in walk coordinates (see the module
-    # docstring): geodesic_step(x, u, v), collar_data(x) (boundary distance
-    # and inward normal), reflect(x, u, depth, nu) (from collar_data's
-    # depth and normal at x) and log_frame(x, y); then distance, the two
-    # sampling hooks sample_collar(rng, count, width) (uniform on the
-    # points within width of the boundary) and collar_volume(width), with
-    # collar_volume(inf) == volume, shell_jacobian(depth) (collar_volume's
-    # derivative over boundary_area: the area of the parallel hypersurface
-    # at each depth per unit boundary area), boundary_point(), interior_point() (a
-    # point farthest from the boundary), and the analytic data:
-    # heat_kernel_spec(), confinement_scale() and boundary_curvature_parts().
-    # A model whose state embeds round spheres lists them in
-    # embedded_spheres.  boundary_distance, the volume and boundary
-    # samplers and offset_from_boundary derive from these below.
+    # dimension, state_dim, euler_characteristic, volume, boundary_area, factors,
+    # shape_coefficient (the umbilic shape operator's one number), frame_curvature(),
+    # and, in walk coordinates (see the module docstring): geodesic_step(x, u, v),
+    # collar_data(x) (boundary distance and inward normal), reflect(x, u, depth, nu)
+    # (from collar_data's depth and normal at x, to the images, frames, and their
+    # collar_data) and log_frame(x, y); then distance, the two sampling hooks
+    # sample_collar(rng, count, width) (uniform on the points within width of the
+    # boundary) and collar_volume(width), with collar_volume(inf) == volume,
+    # shell_jacobian(depth) (collar_volume's derivative over boundary_area: the area
+    # of the parallel hypersurface at each depth per unit boundary area),
+    # boundary_point(), interior_point() (a point farthest from the boundary), and the
+    # analytic data: heat_kernel_spec(), confinement_scale() and
+    # boundary_curvature_parts().  A model whose state embeds round spheres lists them
+    # in embedded_spheres.  boundary_distance, the volume and boundary samplers and
+    # offset_from_boundary derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
 
@@ -411,7 +431,7 @@ class FlatBall(ManifoldModel):
         # radial mirror image; depth = r - |x| comes from the same |x|
         rho = np.sqrt(_rowdot(x, x))
         x2 = _scale_columns(x, (self.radius + depth) / rho, np.multiply)
-        return x2, u, -depth
+        return x2, u, *_mirrored_collar(self.radius, depth, nu)
 
     def log_frame(self, x, y):
         return y - x
@@ -566,9 +586,15 @@ class SphereCap(ManifoldModel):
         return _sphere_step(x, u, v, self.radius)
 
     def reflect(self, x, u, depth, nu):
-        """Step back along collar_data's inward normal nu (embedding coordinates) by twice -depth."""
+        """Step back along collar_data's inward normal nu (embedding coordinates) by twice -depth.
+
+        The meridian's tangent cos(a) nu - sin(a) x / r at the image is nu carried along.
+        """
         x2, u2 = _sphere_step(x, u, _scale_columns(nu, -2.0 * depth, np.multiply), self.radius)
-        return x2, u2, -depth
+        angle = -2.0 * depth / self.radius
+        nu2 = _scale_columns(nu, np.cos(angle), np.multiply)
+        nu2 -= _scale_columns(x, np.sin(angle) / self.radius, np.multiply)
+        return x2, u2, *_mirrored_collar(self.radius * self.aperture, depth, nu2)
 
     def log_frame(self, x, y):
         """Log map log_x(y) in embedding coordinates."""
@@ -596,13 +622,10 @@ class SphereCap(ManifoldModel):
         r = self.radius
         if self.dimension == 2:
             phi = rng.uniform(0.0, 2 * math.pi, size=count)
-            return r * np.stack(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-            )
+            return r * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                                 np.cos(theta)], axis=-1)
         omega = _unit(rng.standard_normal((count, 3)))
-        return r * np.concatenate(
-            [np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1
-        )
+        return r * np.concatenate([np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1)
 
     def sample_collar(self, rng, count, width):
         theta_w = max(self.aperture - width / self.radius, _POLE_EXCLUSION)
@@ -690,9 +713,8 @@ class SphereBall(ManifoldModel):
         if sphere_dim not in (1, 2, 3):
             raise ConfigError(f"sphere factor dimension must be 1..3, got {sphere_dim}")
         if ball_dim < 1 or sphere_dim + ball_dim > 4:
-            raise ConfigError(
-                f"need ball_dim >= 1 and sphere_dim + ball_dim <= 4, got {sphere_dim}+{ball_dim}"
-            )
+            raise ConfigError(f"need ball_dim >= 1 and sphere_dim + ball_dim <= 4, "
+                              f"got {sphere_dim}+{ball_dim}")
         if sphere_radius <= 0 or ball_radius <= 0:
             raise ConfigError("factor radii must be positive")
         self.sphere_dim = int(sphere_dim)
@@ -711,17 +733,11 @@ class SphereBall(ManifoldModel):
                                   _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area))
         kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
         self.kappa_sphere = kappa_s
-        self.factors = (
-            FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
-            FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
-        )
+        self.factors = (FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
+                        FactorSpec("ball", m, 0.0, slice(l, l + m), True, False))
         self._sphere_width = l + 1 if self.needs_frames else 1  # the sphere's walk coordinates
-        self._params = {
-            "sphere_dim": sphere_dim,
-            "ball_dim": ball_dim,
-            "sphere_radius": sphere_radius,
-            "ball_radius": ball_radius,
-        }
+        self._params = {"sphere_dim": sphere_dim, "ball_dim": ball_dim,
+                        "sphere_radius": sphere_radius, "ball_radius": ball_radius}
 
     def _split(self, x):
         return x[..., : self.sphere_dim + 1], x[..., self.sphere_dim + 1 :]
@@ -771,9 +787,10 @@ class SphereBall(ManifoldModel):
         return x2, u2
 
     def reflect(self, x, u, depth, nu):
+        """The ball factor's mirror image and depth; the normal (0 on the sphere) passes through."""
         ps, pb = self._split(x)
-        pb2, _, penetration = self._ball.reflect(pb, None, depth, None)
-        return np.concatenate([ps, pb2], axis=-1), u, penetration
+        pb2, _, depth2, nu2 = self._ball.reflect(pb, None, depth, nu)
+        return np.concatenate([ps, pb2], axis=-1), u, depth2, nu2
 
     def collar_data(self, x):
         """The ball's distance and normal; the normal is 0 on the sphere block of walk coordinates."""
@@ -810,9 +827,8 @@ class SphereBall(ManifoldModel):
         return self.sphere_radius * _unit(rng.standard_normal((count, self.sphere_dim + 1)))
 
     def sample_collar(self, rng, count, width):
-        return np.concatenate(
-            [self._sample_sphere(rng, count), self._ball.sample_collar(rng, count, width)], axis=-1
-        )
+        return np.concatenate([self._sample_sphere(rng, count),
+                               self._ball.sample_collar(rng, count, width)], axis=-1)
 
     def collar_volume(self, width):
         return _SPHERE_VOLUME[self.sphere_dim](self.sphere_radius) * self._ball.collar_volume(width)
@@ -886,24 +902,15 @@ def model_catalog(name: str, **params) -> ManifoldModel:
         if name == "ball":
             return FlatBall(params.pop("dimension", 2), params.pop("radius", 1.0), **params)
         if name == "hemisphere":
-            return SphereCap(
-                params.pop("dimension", 2), params.pop("radius", 1.0), math.pi / 2, **params
-            )
+            return SphereCap(params.pop("dimension", 2), params.pop("radius", 1.0), math.pi / 2,
+                             **params)
         if name == "cap":
-            return SphereCap(
-                params.pop("dimension", 2),
-                params.pop("radius", 1.0),
-                params.pop("aperture", math.pi / 3),
-                **params,
-            )
+            return SphereCap(params.pop("dimension", 2), params.pop("radius", 1.0),
+                             params.pop("aperture", math.pi / 3), **params)
         if name == "sphere-ball":
-            return SphereBall(
-                params.pop("sphere_dim", 1),
-                params.pop("ball_dim", 2),
-                params.pop("sphere_radius", 1.0),
-                params.pop("ball_radius", 1.0),
-                **params,
-            )
+            return SphereBall(params.pop("sphere_dim", 1), params.pop("ball_dim", 2),
+                              params.pop("sphere_radius", 1.0), params.pop("ball_radius", 1.0),
+                              **params)
         if name == "cylinder":
             length = params.pop("length", 1.0)
             circumference = params.pop("circumference", 2 * math.pi)
@@ -952,10 +959,6 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
         if kappa != 0.0:
             comp += kappa * _kulkarni(proj)
     r_z = CurvatureTensor(n - 1, comp)
-    return BoundaryGeometry(
-        shape_tangential=A_tan,
-        ambient_restriction=R_tan,
-        gauss_form=gauss,
-        induced_curvature=r_z,
-    )
+    return BoundaryGeometry(shape_tangential=A_tan, ambient_restriction=R_tan, gauss_form=gauss,
+                            induced_curvature=r_z)
 

@@ -27,12 +27,12 @@ snaps to the anchor.  Free walks step on the noise alone and never snap.
 
 Each step asks the model for its boundary data once: the walk state
 carries the boundary distance and inward normal of its current point,
-one collar_data call at the new point refreshes them (plus one on the
-reflected rows), and that one call serves the contact test, the
-reflection, the contact normals and the next step's drift.  The validity
-of the states (simulation_valid) is read once, on a batch's final states:
-a non-finite coordinate stays non-finite through every later step, and
-the sphere steps renormalize onto their spheres.
+one collar_data call at the new point refreshes them, and that one call
+serves the contact test, the reflection, the contact normals and the next
+step's drift; reflect returns the reflected rows' distance and normal
+with their points.  The validity of the states (simulation_valid) is read
+once, on a batch's final states: a non-finite coordinate stays non-finite
+through every later step, and the sphere steps renormalize onto their spheres.
 
 simulate_bridges, the one stepping loop, draws its noise from one
 generator or from a sequence of G generators, one stream per contiguous
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior as ext
-from .geometry import ManifoldModel, _rowdot
+from .geometry import ManifoldModel, _rowdot, _scale_columns
 from .noise import _RowStreams, batch_noise
 
 # Row cap of the lockstep tiles simulate_bridges splits a batch into: a
@@ -229,43 +229,43 @@ def _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c):
 
     u_c and nu_c are the frames (None without frames) and normals of the rows idx.
     """
-    if idx.size:
-        nu_c = model.boundary_data(u_c, nu_c)
-    else:
-        nu_c = np.empty((0, model.bounded_factor.dim))
-    state.x = x2
-    state.frames = u2
-    state.depth = depth
-    state.nu = nu
+    state.x, state.frames, state.depth, state.nu = x2, u2, depth, nu
+    nu_c = model.boundary_data(u_c, nu_c) if idx.size else np.empty((0, model.bounded_factor.dim))
     return ContactInfo(idx=idx, dlam=dlam, nu=nu_c)
 
 
+def _take_rows(a, idx):
+    """The rows idx of a: take is several times faster on C-ordered 2-d and 3-d
+    arrays, a[idx] on 1-d ones and on the column-major walks of frame-carrying models."""
+    return a.take(idx, axis=0) if a.ndim > 1 and a.flags.c_contiguous else a[idx]
+
+
 def _apply_increment(model, state, v):
-    """Move every path by the walk-coordinate increment v, reflecting at the boundary."""
+    """Move every path by the walk-coordinate increment v, reflecting at the boundary.
+
+    Each contact row is gathered and scattered once, and reflect returns its
+    new boundary distance and normal, so it needs no second boundary query.
+    """
     x2, u2 = model.geodesic_step(state.x, state.frames, v)
     depth, nu = model.collar_data(x2)
     idx = (depth <= 0.0).nonzero()[0]
     dlam = np.empty(0)
     u_c = nu_c = None
     if idx.size:
-        # the reflected rows keep their own copies, so nothing is gathered twice
-        x_c, u_c, penetration = model.reflect(x2[idx], None if u2 is None else u2[idx],
-                                              depth[idx], nu[idx])
+        depth_c = depth[idx]
+        nu_in = _take_rows(nu, idx)
+        x_c, u_c, depth[idx], nu_c = model.reflect(
+            _take_rows(x2, idx), None if u2 is None else _take_rows(u2, idx), depth_c, nu_in)
         x2[idx] = x_c
         if u2 is not None:
             u2[idx] = u_c
-        depth_c, nu_c = model.collar_data(x_c)
-        depth[idx], nu[idx] = depth_c, nu_c
+        if nu_c is not nu_in:  # a flat image keeps its normal
+            nu[idx] = nu_c
         # Skorokhod decomposition X = W + nu L: the reflection pushes the step
-        # back along the normal by twice its penetration, and that push is dL
-        dlam = 2.0 * np.maximum(penetration, 0.0)
+        # back along the normal by twice its penetration -depth, and that push is dL
+        dlam = -2.0 * depth_c
         state.lam[idx] += dlam
     return _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c)
-
-
-def _per_row(a):
-    """A scalar as it is, or a per-row (P,) vector as a (P, 1) column that scales (P, k) rows."""
-    return a[:, None] if isinstance(a, np.ndarray) else a
 
 
 def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
@@ -290,9 +290,9 @@ def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
     and remaining is one time for every row or one per row.
     """
     ell = model.log_frame(state.x, anchor)
-    drift = ell / _per_row(remaining)
     d_z, nu = state.depth, state.nu
     ell_nu = _rowdot(ell, nu)
+    drift = _scale_columns(ell, remaining, np.divide, out=ell)  # ell is a new array
     gap = d_z + d_anchor
     plus = ell_nu + gap
     rho = ell_nu - gap  # becomes the image weight, in place
@@ -333,10 +333,10 @@ def step_bridge(model, state: WalkState, remaining, anchor, h, rng, *,
                                                  d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     streams.fill(xi)
-    xi *= np.sqrt(h)[:, None] if isinstance(h, np.ndarray) else math.sqrt(h)
+    _scale_columns(xi, np.sqrt(h) if isinstance(h, np.ndarray) else math.sqrt(h), np.multiply, xi)
     if g is None:
         return _apply_increment(model, state, model.frame_vector(state.frames, xi))
-    g *= _per_row(h)
+    _scale_columns(g, h, np.multiply, g)
     # the increment, in the drift's layout: the draws fill C-order rows
     g += model.frame_vector(state.frames, xi)
     return _apply_increment(model, state, g)
@@ -353,7 +353,7 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
     depth, nu = model.collar_data(x2)
     idx = (depth <= 1e-12).nonzero()[0]
     return _finish_step(model, state, x2, u2, depth, nu, idx, np.zeros(idx.size),
-                        None if u2 is None else u2[idx], nu[idx])
+                        None if u2 is None else _take_rows(u2, idx), _take_rows(nu, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +364,26 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
 def _jump_update(m, info: ContactInfo, a: float):
     """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place.
 
-    a is the model's umbilic shape coefficient.
+    a is the model's umbilic shape coefficient.  The contact rows of the
+    (P, d, d) matrices m are gathered and scattered once, as length-C entry
+    columns, on which m - (m nu) nu^T runs as a few (d, d, C) operations: at a
+    few hundred rows an einsum or a (C, d, d) broadcast costs several times more.
     """
     idx = info.idx
     if idx.size == 0:
         return
-    nu = np.ascontiguousarray(info.nu)  # einsum's summation order follows the layout
-    dl = info.dlam
-    sub = np.take(m, idx, axis=0)  # m is C-ordered: take gathers its rows several times faster
-    mnu = np.einsum("cij,cj->ci", sub, nu)
-    tangential = sub - mnu[:, :, None] * nu[:, None, :]
-    decay = np.exp(-a * dl)[:, None, None]
-    m[idx] = decay * tangential
+    d = m.shape[1]
+    rows = m.reshape(m.shape[0], d * d)
+    entries = rows.take(idx, axis=0).T.copy()  # entries[i d + j] is m_ij of every contact
+    sub = entries.reshape(d, d, idx.size)
+    nu = info.nu.T.copy()
+    mnu = sub[:, 0] * nu[0]
+    for j in range(1, d):
+        mnu += sub[:, j] * nu[j]
+    sub -= mnu[:, None, :] * nu
+    if a:
+        entries *= np.exp(-a * info.dlam)
+    rows.T[:, idx] = entries
 
 
 def _elementary_symmetric(B, d):
@@ -499,16 +507,11 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
                 if on_step is not None:
                     on_step(k, rows, state, info)
     frames = None if frames0 is None else _orthonormalize(_join([s.frames for s in states]))
-    factor_m = {}
-    factor_O = {}
-    for spec in model.factors:
-        factor_m[spec.name] = m if spec.bounded else None
-        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
-    return BridgeBatch(
-        model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
-        alive=model.simulation_valid(_join([s.x for s in states])), factor_m=factor_m,
-        factor_O=factor_O,
-    )
+    factor_m = {spec.name: m if spec.bounded else None for spec in model.factors}
+    factor_O = {spec.name: model.holonomy(frames0, frames, spec) for spec in model.factors}
+    return BridgeBatch(model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
+                       alive=model.simulation_valid(_join([s.x for s in states])),
+                       factor_m=factor_m, factor_O=factor_O)
 
 
 def _row_tiles(P, unit=1):
@@ -594,10 +597,8 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
             nu_frame[k, cols] = info.nu[0]
 
     simulate_bridges(model, x0[None, :], t, steps, rng, pinned=pinned, on_step=record)
-    return PathSample(
-        model=model, t=t, steps=steps, positions=positions,
-        frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
-    )
+    return PathSample(model=model, t=t, steps=steps, positions=positions, frames=frames, lam=lam,
+                      contact=contact, dlam=dlam, nu_frame=nu_frame)
 
 
 def _contact_jump_matrix(model, nu, dl, mode, eps):

@@ -920,11 +920,12 @@ class TestAntitheticPairs:
     # steps=24, depth_nodes=3), pinned when the shell Jacobian and the pilot
     # allocation came (without the Jacobian they agree with the rows pinned
     # before within 0.9 combined stderr); the hemisphere's re-pinned when the
-    # sphere log map took its angle from atan2 (a 1e-14 move)
+    # sphere log map took its angle from atan2, the disk's when reflect began
+    # to return the reflected points' boundary data (moves of 1e-14 and 3e-16)
     UNPAIRED = {
         "disk-odd": (21, (0.09505495100627367, 0.01589040102061941),
                      [(0.15188356488177965, 0.02005313511506008),
-                      (0.1580843959557895, 0.024633385382376683)]),
+                      (0.15808439595578946, 0.024633385382376683)]),
         "hemisphere-even": (20, (0.012459796535476608, 0.0009921675613161003),
                             [(0.13934283795503336, 0.0024286085773939764),
                              (0.10616148799036045, 0.0016845433095902312)]),

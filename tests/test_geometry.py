@@ -317,9 +317,13 @@ class TestBoundary:
         d, nu_out = model.collar_data(x_out)
         assert np.all(d < 0)
         assert np.array_equal(d, model.boundary_distance(x_out))
-        x_in, _, depth = model.reflect(x_out, u_out, d, nu_out)
+        x_in, _, depth, nu_in = model.reflect(x_out, u_out, d, nu_out)
         assert np.allclose(depth, 0.01, atol=1e-9)
         assert np.allclose(model.boundary_distance(x_in), 0.01, atol=1e-9)
+        # reflect returns the boundary data of its images, so no second query runs
+        depth_in, nu_query = model.collar_data(x_in)
+        assert np.abs(depth - depth_in).max() < 1e-12
+        assert np.abs(nu_in - nu_query).max() < 1e-12
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_normal_is_distance_gradient(self, model):
@@ -373,13 +377,16 @@ class TestBoundary:
         rng = RNG(11)
         x = model.sample_collar(rng, 16, 0.1)
         d, nu = model.collar_data(x)
-        mirrored, _, depth = model.reflect(x, model.initial_frames(x), d, nu)
+        mirrored, _, depth, nu2 = model.reflect(x, model.initial_frames(x), d, nu)
         assert np.abs(depth + d).max() < 1e-9
         assert np.abs(model.boundary_distance(mirrored) + d).max() < 1e-9
+        assert np.abs(nu2 - model.collar_data(mirrored)[1]).max() < 1e-12
         # mirroring a boundary point is the identity
         z = model.sample_boundary(rng, 8)
-        mirrored, _, _ = model.reflect(z, model.initial_frames(z), *model.collar_data(z))
+        mirrored, _, depth, nu2 = model.reflect(z, model.initial_frames(z), *model.collar_data(z))
         assert np.abs(mirrored - z).max() < 1e-9
+        assert np.abs(depth).max() < 1e-12
+        assert np.abs(nu2 - model.collar_data(z)[1]).max() < 1e-12
 
 
 # sample_volume(rng, 7) of the per-model samplers it replaced, at seed 2024:
@@ -782,7 +789,7 @@ class TestColumnwiseAgainstBroadcast:
         z = model.sample_boundary(RNG(44), 50)
         uz = model.initial_frames(z)
         out, u_out = broadcast_sphere_step(z, uz, -0.01 * broadcast_meridian_at(model, z, colatitude(model, z)), r)
-        x2, u2, depth = model.reflect(out, u_out, *model.collar_data(out))
+        x2, u2, depth, _ = model.reflect(out, u_out, *model.collar_data(out))
         theta_out = colatitude(model, out)
         depth_old = r * (theta_out - model.aperture)
         x_old, u_old = broadcast_sphere_step(

@@ -53,16 +53,16 @@ GOLDEN = {
         "cancellation-suite.json": "f6f7ed096200ea44e6129c0a712cfce016b6af80ff1654d661fb738cb4dc4514",
     },
     "diagnostics": {
-        "diagnostics.json": "26c2b685bca5c6995128cf5dd8f4efce2ccb189cc96fc0a254d720d258641992",
+        "diagnostics.json": "bed01733fa61b02e93935cacd92f0811c9d3838ccf256c408a1bd54d26a5350a",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "84fcec297fadf31725de423337a59ce2802ad739bf28712061c348c587e1c148",
+        "estimate-chi.json": "9baeb9ff34452ad74a4863959ebf72644f4cca900d11f292c242ac2ce906d4b6",
     },
     "estimate-chi-cap2": {
         "estimate-chi.json": "8a5086c8c99045c7e7edcc3a0407d4127ec9050d568de6f2c20d26574117e659",
     },
     "estimate-chi-cap3": {
-        "estimate-chi.json": "625e4a53f2239cbec3986f6f1a0ecc585c67640df7859fef05eb6f1f803884ec",
+        "estimate-chi.json": "1521f42a697723cbb73b299f2372fd6b8f5f320dd6eeca82e233c6ba23d194f7",
     },
     "estimate-chi-cylinder": {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
@@ -74,7 +74,7 @@ GOLDEN = {
         "estimate-chi.json": "54a6ad89c5ca9840731fa17ea57bbb24154264e83935c41c998ba7c542488d8a",
     },
     "estimate-chi-hemisphere3": {
-        "estimate-chi.json": "c06907518b10b1447caf17d4e03812b51780f103c4da82455cd78c59047a67da",
+        "estimate-chi.json": "39674b49ce44339567bd12fde81cf2d437ee414e6dd66dca2ef90b5ac22308c7",
     },
     "estimate-chi-sphere-ball-1-2": {
         "estimate-chi.json": "8f4cc43680acaeacb59ffdc1f1de48acdeb6f7398df31a514ebaeb71a8ce9aa5",
@@ -83,32 +83,32 @@ GOLDEN = {
         "estimate-chi.json": "d97513fa8c9eb47053d24b8d5a4bf25fdd97e72b92c9307b1862850c017b5e4d",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "2905fbaf95845174cfbabf8715b511d8371e6645959ccdf4ace24d3198a8901b",
-        "local-limit.json": "6bc91c2cededdf696be8ed52b7e8b0652366b6517d026945226cf1a5e69dd198",
+        "local-limit.csv": "f8eec2a60c124424c2ffce7cb9c4300f26c0c860ba1956f0915cdd3e5ad75a21",
+        "local-limit.json": "6fabcef8493347ad53c9b2eff4bd7c579b17a20cbdb081d09ba63c02252d8dcd",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "68eb8f67a44d67c047c7401c422dca94becd8c47b2831ce93bbd83a6ce34e3b6",
-        "local-limit.json": "7a4c5a3ed4f1cceab5b3f703dd586ededd7e7c8139f7ed329644a31f37d622e8",
+        "local-limit.csv": "f2fcf102933a13d29f1d1f90919a50a0f0daed005c70a003b5bf6950ce2acccc",
+        "local-limit.json": "3751e7c0a11aa76d626178dbd091fc84b43aa7302f1dc50e7c7d75ebc9cdf429",
     },
     "local-limit-boundary-cap3": {
-        "local-limit.csv": "ca515b20d0cf8982bac7345475f065ce4cd88ada18614d149fb98e41f002726c",
-        "local-limit.json": "7fa77e07b3fd80068fc194eeeb0130732d27981cf54d8ae562228088d1d595e9",
+        "local-limit.csv": "8dd91a7ee057c0b61ba5457c4ca6e35dabff2bffd7ec0f4bf4b0f9cd8a62881c",
+        "local-limit.json": "739a4389a44852b1945e7de4dff0f0d8b66a87665c06b356717984834abd2464",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
         "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "175e9969e0a8d95ccd4ddeac69d2fb08a2f23979c26356eb5fd0f5e5aa75409c",
-        "local-limit.json": "aca215b4464e0c778f81528a247c21bbe09eddbe688c9b58bf36ff0519311a4b",
+        "local-limit.csv": "7e541bf14cc784384f4838d7e076d116a2324ff95c25da975ffe72a803f6f573",
+        "local-limit.json": "256648fbd347135260c59cbaa29ffd5b7457de5700f9126d9f1d9a29703a83ea",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "8a199943c7f40f835a27f3ea058653a3d2d7294f1d48248240ce47222a5adea9",
         "local-limit.json": "acc36a21222cc8989d87cda44fe48fab604d81840a072573f3ecadd830c5f148",
     },
     "local-limit-boundary-hemisphere3": {
-        "local-limit.csv": "c08a0b2778fa905f102ce8858a484ad7ad36119b31667785408037fecdb5d070",
-        "local-limit.json": "c4bdb2ad2b306b88090388348c9302ad556fc8cb731d635cca520156eea206b9",
+        "local-limit.csv": "633baa912222fd76c2ae4a66cc92cb2890f2f9303994d369e4534eda2cf0ff57",
+        "local-limit.json": "0a1f100deebbfd7a145893730bc900c09f227dd990065a8e6c980f22f1b16bd4",
     },
     "local-limit-boundary-sphere-ball-1-2": {
         "local-limit.csv": "ef0413c4fa61a741b45f451cdf6101406066f084042921db256ac7e6cd086fb6",

@@ -839,17 +839,21 @@ class TestBridgePaths:
 
 
 def full_contact_step(model, state, v):
-    """Reference: one increment with full-size contact arrays, zero off contact."""
+    """Reference: one increment with full-size contact arrays, zero off contact.
+
+    The contact normals come from a second boundary query at the reflected points.
+    """
     x2, u2 = model.geodesic_step(state.x, state.frames, v)
-    contact = model.boundary_distance(x2) <= 0.0
+    depth = model.boundary_distance(x2)
+    contact = depth <= 0.0
     dlam = np.zeros(x2.shape[0])
     if contact.any():
         idx = np.nonzero(contact)[0]
-        x2[idx], ur, depth = model.reflect(x2[idx], None if u2 is None else u2[idx],
-                                           *model.collar_data(x2[idx]))
+        x2[idx], ur, _, _ = model.reflect(x2[idx], None if u2 is None else u2[idx],
+                                          *model.collar_data(x2[idx]))
         if u2 is not None:
             u2[idx] = ur
-        dlam[idx] = 2.0 * np.maximum(depth, 0.0)
+        dlam[idx] = -2.0 * depth[idx]
     return contact, dlam, full_boundary_data(model, x2, u2, contact)
 
 
@@ -893,18 +897,24 @@ class TestContactRows:
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, dlam[contact])
-        assert np.array_equal(info.nu, nu[contact])
+        # the contact normals are reflect's, which agree with a second query
+        assert np.abs(info.nu - nu[contact]).max() < 1e-12
         assert np.array_equal(new_state.lam[contact], dlam[contact])
         assert not new_state.lam[~contact].any()
-        # the state carries the boundary data of its new points, reflected ones included
+        # the state carries the boundary data of its new points: the query's
+        # off contact, and reflect's on the reflected rows
         depth, nu_walk = model.collar_data(new_state.x)
-        assert np.array_equal(new_state.depth, depth)
-        assert np.array_equal(new_state.nu, nu_walk)
+        assert np.array_equal(new_state.depth[~contact], depth[~contact])
+        assert np.array_equal(new_state.nu[~contact], nu_walk[~contact])
+        assert np.abs(new_state.depth - depth).max() < 1e-12
+        assert np.abs(new_state.nu - nu_walk).max() < 1e-12
         m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
         m_old = m_new.copy()
         st._jump_update(m_new, info, model.shape_coefficient)
+        nu[contact] = info.nu
         full_jump_update(m_old, contact, dlam, nu, model.shape_coefficient)
-        assert np.array_equal(m_new, m_old)
+        # the same jumps; m nu is summed in column order, not in einsum's
+        assert np.abs(m_new - m_old).max() < 1e-14
 
     @pytest.mark.parametrize("name", list(TILE_MODELS))
     def test_snap_rows(self, name):
@@ -927,6 +937,97 @@ class TestContactRows:
         info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 3)))
         assert info.idx.size == info.dlam.size == 0
         assert info.nu.shape == (0, model.bounded_factor.dim)
+
+
+# the models whose reflections can pass the centre of the boundary (the ball's
+# origin, the cap's apex), with its distance from the boundary
+LONG_STEP_MODELS = {
+    "disk": (disk, 1.0),
+    "ball3": (ball3, 1.0),
+    "cap2-aperture1": (lambda: geo.SphereCap(2, aperture=1.0), 1.0),
+    "sphere-ball-2+1": (lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1), 1.0),
+}
+
+
+class TestCarriedBoundaryData:
+    @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
+    @pytest.mark.parametrize("name", list(LONG_STEP_MODELS))
+    def test_long_steps_carry_the_queried_data(self, name, pinned):
+        # at t = 1 and 2 steps a step crosses more than the radius, and some
+        # reflections pass the centre; the depth and normal the state carries
+        # for reflected rows are those a query at the new point returns
+        make, reach = LONG_STEP_MODELS[name]
+        model = make()
+        anchors = mixed_anchors(model, 600, 421)
+        passed = []
+
+        def check(k, rows, state, info):
+            depth, nu = model.collar_data(state.x)
+            assert np.abs(state.depth - depth).max() < 1e-12
+            assert np.abs(state.nu - nu).max() < 1e-12
+            passed.append(int((info.dlam > 2.0 * reach).sum()))
+
+        st.simulate_bridges(model, anchors, 1.0, 2, st.RngStream(423), pinned=pinned,
+                            on_step=check)
+        assert len(passed) == 2
+        assert passed[0] > 0
+
+    @pytest.mark.parametrize("name", list(LONG_STEP_MODELS))
+    def test_reflection_past_the_centre(self, name):
+        # points beyond the centre's mirror: the image lies past the centre,
+        # at depth 2 reach + depth, and its normal is the reversed one
+        make, reach = LONG_STEP_MODELS[name]
+        model = make()
+        z = model.sample_boundary(np.random.default_rng(427), 40)
+        u = model.initial_frames(z)
+        nu_z = model.collar_data(z)[1]
+        out = np.linspace(0.05, 0.6, 40) * reach
+        push = np.where(np.arange(40) % 2 == 0, out, reach + out)  # short of and past the centre
+        x, ux = model.geodesic_step(z, u, geo._scale_columns(nu_z, -push, np.multiply))
+        depth, nu = model.collar_data(x)
+        assert np.abs(depth + push).max() < 1e-12
+        x2, _, depth2, nu2 = model.reflect(x, ux, depth, nu)
+        query_depth, query_nu = model.collar_data(x2)
+        assert np.abs(depth2 - query_depth).max() < 1e-12
+        assert np.abs(nu2 - query_nu).max() < 1e-12
+        past = push > reach
+        assert np.abs(depth2[past] - (2.0 * reach - push[past])).max() < 1e-12
+        assert np.abs(depth2[~past] - push[~past]).max() < 1e-12
+
+
+JUMP_MODELS = {
+    "disk": disk,
+    "ball3": ball3,
+    "hemisphere": hemisphere,
+    "cap3-aperture2": lambda: geo.SphereCap(3, aperture=2.0),
+    "sphere-ball-2+1": lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+    "sphere-ball-1+2": lambda: geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
+}
+
+
+@pytest.mark.parametrize("name", list(JUMP_MODELS))
+def test_jump_update_is_the_contact_jump_matrix(name):
+    # a batch whose contact rows take jumps of every size (dlam 0 among
+    # them) while the other rows keep their matrices bitwise: each contact
+    # row is multiplied by the bounded block of the general route's jump
+    model = JUMP_MODELS[name]()
+    spec = model.bounded_factor
+    d = spec.dim
+    rng = np.random.default_rng(431)
+    P = 50
+    m = rng.standard_normal((P, d, d))
+    idx = np.sort(rng.choice(P, 23, replace=False))
+    nu = geo._unit(rng.standard_normal((idx.size, d)))
+    dlam = np.concatenate([np.zeros(3), rng.exponential(0.3, idx.size - 3)])
+    before = m.copy()
+    st._jump_update(m, st.ContactInfo(idx=idx, dlam=dlam, nu=nu), model.shape_coefficient)
+    untouched = np.setdiff1d(np.arange(P), idx)
+    assert np.array_equal(m[untouched], before[untouched])
+    for row, nu_b, dl in zip(idx, nu, dlam):
+        nu_frame = np.zeros(model.dimension)
+        nu_frame[spec.cols] = nu_b
+        jump = st._contact_jump_matrix(model, nu_frame, dl, "exact-jump", None)
+        assert np.abs(m[row] - before[row] @ jump[spec.cols, spec.cols]).max() < 1e-13
 
 
 def broadcast_collar_data(model, x):
@@ -980,9 +1081,10 @@ class TestFlatColumnwise:
             assert np.array_equal(d, d_old) and np.array_equal(nu, nu_old)
         centre_nu = model.collar_data(inside[-2:])[1]
         assert np.array_equal(centre_nu, np.zeros((2, model.dimension)))
-        x2, u2, depth = model.reflect(contact, None, *model.collar_data(contact))
+        d_in, nu_in = model.collar_data(contact)
+        x2, u2, depth, nu2 = model.reflect(contact, None, d_in, nu_in)
         x_old, _, depth_old = broadcast_reflect(model, contact, None)
-        assert u2 is None
+        assert u2 is None and nu2 is nu_in  # a step short of the centre keeps its normal
         assert np.array_equal(x2, x_old) and np.array_equal(depth, depth_old)
         assert np.any(depth == 0.0) and np.all(depth >= 0.0)
 
@@ -1259,11 +1361,11 @@ class TestGeometryQueriesPerStep:
             assert full == ["collar_data", "frame_vector", "geodesic_step", "log_frame"]
             on_contacts = sorted(q for q, r in made if r != rows)
             if contacts:
-                # reflect from that query's data, refresh it on the reflected
-                # rows, and take the contact normals' frame components there
+                # reflect from that query's data, which returns the reflected
+                # rows' boundary data too, and take the contact normals' frame
+                # components there; no second collar query
                 assert {r for q, r in made if r != rows} == {contacts}
-                assert on_contacts == ["boundary_data", "collar_data", "frame_components",
-                                       "reflect"]
+                assert on_contacts == ["boundary_data", "frame_components", "reflect"]
             else:
                 assert on_contacts == []
 
