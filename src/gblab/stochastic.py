@@ -295,13 +295,13 @@ def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
     drift = _scale_columns(ell, remaining, np.divide, out=ell)  # ell is a new array
     gap = d_z + d_anchor
     plus = ell_nu + gap
-    rho = ell_nu - gap  # becomes the image weight, in place
+    rho = np.subtract(ell_nu, gap, out=ell_nu)  # becomes the image weight, in place
     rho *= plus
     rho /= 2.0 * remaining
     np.maximum(rho, -60.0, out=rho)
     np.minimum(rho, 0.0, out=rho)
     np.exp(rho, out=rho)
-    pull = rho * plus
+    pull = np.multiply(plus, rho, out=plus)
     rho += 1.0
     rho *= remaining
     pull /= rho
@@ -376,7 +376,7 @@ def _jump_update(m, info: ContactInfo, a: float):
     rows = m.reshape(m.shape[0], d * d)
     entries = rows.take(idx, axis=0).T.copy()  # entries[i d + j] is m_ij of every contact
     sub = entries.reshape(d, d, idx.size)
-    nu = info.nu.T.copy()
+    nu = info.nu.T
     mnu = sub[:, 0] * nu[0]
     for j in range(1, d):
         mnu += sub[:, j] * nu[j]
