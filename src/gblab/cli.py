@@ -152,8 +152,9 @@ def resolve_config(raw: dict, experiment: str | None) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
     if "experiment" in raw and raw["experiment"] != experiment:
-        raise ConfigError(f"config sets experiment = {raw['experiment']!r} but the subcommand "
-                          f"is {experiment!r}")
+        raise ConfigError(
+            f"config sets experiment = {raw['experiment']!r} but the subcommand is {experiment!r}"
+        )
     cfg = {"experiment": experiment}
     for key, value in raw.items():
         if key == "experiment":
@@ -263,8 +264,12 @@ def report_render(payload: dict, outdir: Path, stem: str, formats, cfg: dict) ->
         lines = [f"# gblab {__version__} config_sha256={meta['config_sha256']}"]
         lines.append(",".join(CSV_COLUMNS))
         for row in payload["rows"]:
-            lines.append(",".join(_fmt_float(float(row[c])) if row[c] is not None else "nan"
-                                  for c in CSV_COLUMNS))
+            lines.append(
+                ",".join(
+                    _fmt_float(float(row[c])) if row[c] is not None else "nan"
+                    for c in CSV_COLUMNS
+                )
+            )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     return written

@@ -161,8 +161,9 @@ def _design_row(model: ManifoldModel, keys):
                 vals.append(boundary_integrand_terms(model, z)[key])
         vals = np.array(vals)
         if np.abs(vals - vals[0]).max() > 1e-8 * max(1.0, np.abs(vals[0])):
-            raise CalibrationRankError(f"boundary integrand {key} is not constant on the "
-                                       f"boundary of {model!r}")
+            raise CalibrationRankError(
+                f"boundary integrand {key} is not constant on the boundary of {model!r}"
+            )
         row.append(vals[0] * model.boundary_area)
     return row
 
@@ -220,8 +221,12 @@ def calibrate_constants(n: int, models=None) -> ConstantTable:
         )
     sol, _, _, svals = np.linalg.lstsq(A, rhs, rcond=None)
     residuals = (A @ sol - rhs).tolist()
-    table = ConstantTable(n=n, family=[repr(m) for m in models], residuals=residuals,
-                          condition=float(svals.max() / svals.min()))
+    table = ConstantTable(
+        n=n,
+        family=[repr(m) for m in models],
+        residuals=residuals,
+        condition=float(svals.max() / svals.min()),
+    )
     if n % 2 == 0:
         table.bulk = float(sol[0])
         for j, key in enumerate(keys[1:], start=1):
@@ -265,8 +270,9 @@ def analytic_gb_integrands(model: ManifoldModel, constants: ConstantTable):
 
     def boundary_fn(z):
         z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.array([constants.d_odd * boundary_closed_supertrace(model, z2[i])
-                         for i in range(z2.shape[0])])
+        return np.array(
+            [constants.d_odd * boundary_closed_supertrace(model, z2[i]) for i in range(z2.shape[0])]
+        )
 
     return bulk_fn, boundary_fn
 
@@ -355,7 +361,9 @@ def _stratified_points(model: ManifoldModel, count: int, t: float, rng):
         return pts, np.full(count, model.volume)
     n_col = count // 2
     n_uni = count - n_col
-    pts = np.concatenate([model.sample_volume(rng, n_uni), model.sample_collar(rng, n_col, width)])
+    pts = np.concatenate(
+        [model.sample_volume(rng, n_uni), model.sample_collar(rng, n_col, width)], axis=0
+    )
     in_collar = model.boundary_distance(pts) <= width + 1e-12
     frac_uni = n_uni / count
     frac_col = n_col / count

@@ -85,7 +85,7 @@ def _rowdot(a, b):
 def _scale_columns(x, w, op, out=None):
     """op(x[:, k], w) for every column k (one op for a scalar w), into out or a new array like x.
 
-    Per row, a (P, 1) broadcast over rows of k entries costs several times as much.
+    A (P, 1) broadcast of a per-row w over rows of k entries costs several times as much.
     """
     out = np.empty_like(x) if out is None else out
     if np.ndim(w) == 0:
@@ -167,9 +167,8 @@ def _sphere_angle(x, y):
 def _sphere_log(x, y, r):
     """Ambient log map log_x(y) on the round sphere of radius r, per coordinate.
 
-    The angle is atan2(|perp|, x . y / r), with perp the part of y normal to
-    x: accurate at every angle, where an arccos of the cosine loses half the
-    digits of a short step.
+    The angle atan2(|perp|, x . y / r), perp the part of y normal to x, is
+    accurate at every angle; an arccos of the cosine loses short steps' digits.
     """
     xy = _rowdot(x, y)
     cosg = xy / r**2
@@ -622,10 +621,13 @@ class SphereCap(ManifoldModel):
         r = self.radius
         if self.dimension == 2:
             phi = rng.uniform(0.0, 2 * math.pi, size=count)
-            return r * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                                 np.cos(theta)], axis=-1)
+            return r * np.stack(
+                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+            )
         omega = _unit(rng.standard_normal((count, 3)))
-        return r * np.concatenate([np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1)
+        return r * np.concatenate(
+            [np.sin(theta)[:, None] * omega, np.cos(theta)[:, None]], axis=-1
+        )
 
     def sample_collar(self, rng, count, width):
         theta_w = max(self.aperture - width / self.radius, _POLE_EXCLUSION)
@@ -713,8 +715,9 @@ class SphereBall(ManifoldModel):
         if sphere_dim not in (1, 2, 3):
             raise ConfigError(f"sphere factor dimension must be 1..3, got {sphere_dim}")
         if ball_dim < 1 or sphere_dim + ball_dim > 4:
-            raise ConfigError(f"need ball_dim >= 1 and sphere_dim + ball_dim <= 4, "
-                              f"got {sphere_dim}+{ball_dim}")
+            raise ConfigError(
+                f"need ball_dim >= 1 and sphere_dim + ball_dim <= 4, got {sphere_dim}+{ball_dim}"
+            )
         if sphere_radius <= 0 or ball_radius <= 0:
             raise ConfigError("factor radii must be positive")
         self.sphere_dim = int(sphere_dim)
@@ -733,11 +736,17 @@ class SphereBall(ManifoldModel):
                                   _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area))
         kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
         self.kappa_sphere = kappa_s
-        self.factors = (FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
-                        FactorSpec("ball", m, 0.0, slice(l, l + m), True, False))
+        self.factors = (
+            FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
+            FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
+        )
         self._sphere_width = l + 1 if self.needs_frames else 1  # the sphere's walk coordinates
-        self._params = {"sphere_dim": sphere_dim, "ball_dim": ball_dim,
-                        "sphere_radius": sphere_radius, "ball_radius": ball_radius}
+        self._params = {
+            "sphere_dim": sphere_dim,
+            "ball_dim": ball_dim,
+            "sphere_radius": sphere_radius,
+            "ball_radius": ball_radius,
+        }
 
     def _split(self, x):
         return x[..., : self.sphere_dim + 1], x[..., self.sphere_dim + 1 :]
@@ -827,8 +836,9 @@ class SphereBall(ManifoldModel):
         return self.sphere_radius * _unit(rng.standard_normal((count, self.sphere_dim + 1)))
 
     def sample_collar(self, rng, count, width):
-        return np.concatenate([self._sample_sphere(rng, count),
-                               self._ball.sample_collar(rng, count, width)], axis=-1)
+        return np.concatenate(
+            [self._sample_sphere(rng, count), self._ball.sample_collar(rng, count, width)], axis=-1
+        )
 
     def collar_volume(self, width):
         return _SPHERE_VOLUME[self.sphere_dim](self.sphere_radius) * self._ball.collar_volume(width)
@@ -902,15 +912,24 @@ def model_catalog(name: str, **params) -> ManifoldModel:
         if name == "ball":
             return FlatBall(params.pop("dimension", 2), params.pop("radius", 1.0), **params)
         if name == "hemisphere":
-            return SphereCap(params.pop("dimension", 2), params.pop("radius", 1.0), math.pi / 2,
-                             **params)
+            return SphereCap(
+                params.pop("dimension", 2), params.pop("radius", 1.0), math.pi / 2, **params
+            )
         if name == "cap":
-            return SphereCap(params.pop("dimension", 2), params.pop("radius", 1.0),
-                             params.pop("aperture", math.pi / 3), **params)
+            return SphereCap(
+                params.pop("dimension", 2),
+                params.pop("radius", 1.0),
+                params.pop("aperture", math.pi / 3),
+                **params,
+            )
         if name == "sphere-ball":
-            return SphereBall(params.pop("sphere_dim", 1), params.pop("ball_dim", 2),
-                              params.pop("sphere_radius", 1.0), params.pop("ball_radius", 1.0),
-                              **params)
+            return SphereBall(
+                params.pop("sphere_dim", 1),
+                params.pop("ball_dim", 2),
+                params.pop("sphere_radius", 1.0),
+                params.pop("ball_radius", 1.0),
+                **params,
+            )
         if name == "cylinder":
             length = params.pop("length", 1.0)
             circumference = params.pop("circumference", 2 * math.pi)
@@ -959,6 +978,10 @@ def boundary_geometry(model: ManifoldModel, z) -> BoundaryGeometry:
         if kappa != 0.0:
             comp += kappa * _kulkarni(proj)
     r_z = CurvatureTensor(n - 1, comp)
-    return BoundaryGeometry(shape_tangential=A_tan, ambient_restriction=R_tan, gauss_form=gauss,
-                            induced_curvature=r_z)
+    return BoundaryGeometry(
+        shape_tangential=A_tan,
+        ambient_restriction=R_tan,
+        gauss_form=gauss,
+        induced_curvature=r_z,
+    )
 

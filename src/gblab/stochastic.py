@@ -235,16 +235,19 @@ def _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c):
 
 
 def _take_rows(a, idx):
-    """The rows idx of a: take is several times faster on C-ordered 2-d and 3-d
-    arrays, a[idx] on 1-d ones and on the column-major walks of frame-carrying models."""
+    """The rows idx of a, gathered the way its layout is fastest at.
+
+    take is several times faster on C-ordered 2-d and 3-d arrays, a[idx] on
+    1-d ones and on the column-major walks of frame-carrying models.
+    """
     return a.take(idx, axis=0) if a.ndim > 1 and a.flags.c_contiguous else a[idx]
 
 
 def _apply_increment(model, state, v):
     """Move every path by the walk-coordinate increment v, reflecting at the boundary.
 
-    Each contact row is gathered and scattered once, and reflect returns its
-    new boundary distance and normal, so it needs no second boundary query.
+    Each contact row is gathered and scattered once; reflect returns its new
+    boundary distance and normal, so it needs no second boundary query.
     """
     x2, u2 = model.geodesic_step(state.x, state.frames, v)
     depth, nu = model.collar_data(x2)
@@ -333,7 +336,7 @@ def step_bridge(model, state: WalkState, remaining, anchor, h, rng, *,
                                                  d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     streams.fill(xi)
-    _scale_columns(xi, np.sqrt(h) if isinstance(h, np.ndarray) else math.sqrt(h), np.multiply, xi)
+    _scale_columns(xi, np.sqrt(h), np.multiply, xi)
     if g is None:
         return _apply_increment(model, state, model.frame_vector(state.frames, xi))
     _scale_columns(g, h, np.multiply, g)
@@ -365,9 +368,10 @@ def _jump_update(m, info: ContactInfo, a: float):
     """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place.
 
     a is the model's umbilic shape coefficient.  The contact rows of the
-    (P, d, d) matrices m are gathered and scattered once, as length-C entry
-    columns, on which m - (m nu) nu^T runs as a few (d, d, C) operations: at a
-    few hundred rows an einsum or a (C, d, d) broadcast costs several times more.
+    C-ordered (P, d, d) matrices m are gathered and scattered once, as
+    length-C entry columns, on which m - (m nu) nu^T runs as a few (d, d, C)
+    operations: at a few hundred rows an einsum or a (C, d, d) broadcast
+    costs several times more.
     """
     idx = info.idx
     if idx.size == 0:
@@ -507,11 +511,16 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
                 if on_step is not None:
                     on_step(k, rows, state, info)
     frames = None if frames0 is None else _orthonormalize(_join([s.frames for s in states]))
-    factor_m = {spec.name: m if spec.bounded else None for spec in model.factors}
-    factor_O = {spec.name: model.holonomy(frames0, frames, spec) for spec in model.factors}
-    return BridgeBatch(model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
-                       alive=model.simulation_valid(_join([s.x for s in states])),
-                       factor_m=factor_m, factor_O=factor_O)
+    factor_m = {}
+    factor_O = {}
+    for spec in model.factors:
+        factor_m[spec.name] = m if spec.bounded else None
+        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
+    return BridgeBatch(
+        model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
+        alive=model.simulation_valid(_join([s.x for s in states])), factor_m=factor_m,
+        factor_O=factor_O,
+    )
 
 
 def _row_tiles(P, unit=1):
@@ -597,8 +606,10 @@ def simulate_path(model: ManifoldModel, x0, t: float, steps: int, rng, *,
             nu_frame[k, cols] = info.nu[0]
 
     simulate_bridges(model, x0[None, :], t, steps, rng, pinned=pinned, on_step=record)
-    return PathSample(model=model, t=t, steps=steps, positions=positions, frames=frames, lam=lam,
-                      contact=contact, dlam=dlam, nu_frame=nu_frame)
+    return PathSample(
+        model=model, t=t, steps=steps, positions=positions,
+        frames=frames, lam=lam, contact=contact, dlam=dlam, nu_frame=nu_frame,
+    )
 
 
 def _contact_jump_matrix(model, nu, dl, mode, eps):
