@@ -974,8 +974,9 @@ class TestCarriedBoundaryData:
 
     @pytest.mark.parametrize("name", list(LONG_STEP_MODELS))
     def test_reflection_past_the_centre(self, name):
-        # points beyond the centre's mirror: the image lies past the centre,
-        # at depth 2 reach + depth, and its normal is the reversed one
+        # points pushed out by less and by more than reach: the image lies at
+        # depth -depth, or past the centre at 2 reach + depth with the normal
+        # reversed, and both are what a query at the image returns
         make, reach = LONG_STEP_MODELS[name]
         model = make()
         z = model.sample_boundary(np.random.default_rng(427), 40)
