@@ -75,8 +75,11 @@ the curvature operator during interior evolution, and at every boundary
 contact is multiplied by exp(-DA * dlam) followed by the tangential
 projection (absolute boundary conditions).  All catalog models are
 products of isotropic factors, so the batch engine tracks one small
-n x n matrix per bounded factor and assembles supertraces from
-elementary symmetric polynomials.  The general 2**n-dimensional
+n x n matrix for the bounded factor and assembles supertraces from
+elementary symmetric polynomials.  Their boundaries are umbilic, so a
+jump is the scalar exp(-a dlam) times the projection, and a scalar
+commutes with every projection: the engine projects at each contact and
+multiplies by exp(-a lam) once per path.  The general 2**n-dimensional
 functional of one recorded path is kept in evolve_functional, the
 reference the fast path is checked against on coupled noise; it alone
 also offers the penalty form exp(-(DA + Pi_nor/eps) * dlam) (epsilon
@@ -124,11 +127,8 @@ def _row_streams(rng, rows: int, paired: bool = False, group_rows=None) -> _RowS
 
     The groups are equal, or group_rows[i] rows long for generator i.
     Paired, every group fills antithetic pairs and must have an even row
-    count.  A noise source that already has fill(xi) (see noise.batch_noise)
-    passes through.
+    count.
     """
-    if hasattr(rng, "fill"):
-        return rng
     gens = [_as_generator(r) for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
     if group_rows is None:
         if not gens or rows % len(gens):
@@ -320,22 +320,20 @@ def _sub_columns(out, w, nu):
         out[:, k] -= tmp
 
 
-def step_bridge(model, state: WalkState, remaining, anchor, h, rng, *,
+def step_bridge(model, state: WalkState, remaining, anchor, h, noise, *,
                 d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor, or a free step.
 
     With anchor None the step is free: the scaled noise alone, no drift.  A
     bridge step needs the anchors' boundary distance d_anchor.  remaining
-    and h are one time and step for every row, or one per row.  rng is one
-    generator, a sequence of G generators that split the rows into G equal
-    contiguous groups (ValueError otherwise), or a noise source of
-    noise.batch_noise.
+    and h are one time and step for every row, or one per row.  noise.fill(xi)
+    writes the step's standard normals into xi: noise is a tile's source of
+    noise.batch_noise, or a _row_streams.
     """
-    streams = _row_streams(rng, state.x.shape[0])
     g = None if anchor is None else bridge_drift(model, state, anchor, remaining,
                                                  d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
-    streams.fill(xi)
+    noise.fill(xi)
     _scale_columns(xi, np.sqrt(h), np.multiply, xi)
     if g is None:
         return _apply_increment(model, state, model.frame_vector(state.frames, xi))
@@ -364,14 +362,15 @@ def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
 # ---------------------------------------------------------------------------
 
 
-def _jump_update(m, info: ContactInfo, a: float):
-    """Apply the boundary jumps exp(-DA dlam) Pi_tan to the bounded-factor matrices in place.
+def _jump_update(m, info: ContactInfo):
+    """Multiply the contact rows of the bounded-factor matrices m by I - nu nu^T, in place.
 
-    a is the model's umbilic shape coefficient.  The contact rows of the
-    C-ordered (P, d, d) matrices m are gathered and scattered once, as
-    length-C entry columns, on which m - (m nu) nu^T runs as a few (d, d, C)
-    operations: at a few hundred rows an einsum or a (C, d, d) broadcast
-    costs several times more.
+    That is the jump exp(-DA dlam) Pi_tan = exp(-a dlam) Pi_tan but for its
+    scalar decay, which simulate_bridges applies as one exp(-a lam) per path.
+    The contact rows of the C-ordered (P, d, d) matrices m are gathered and
+    scattered once, as length-C entry columns, on which m - (m nu) nu^T
+    runs as a few (d, d, C) operations: at a few hundred rows an einsum or
+    a (C, d, d) broadcast costs several times more.
     """
     idx = info.idx
     if idx.size == 0:
@@ -385,8 +384,6 @@ def _jump_update(m, info: ContactInfo, a: float):
     for j in range(1, d):
         mnu += sub[:, j] * nu[j]
     sub -= mnu[:, None, :] * nu
-    if a:
-        entries *= np.exp(-a * info.dlam)
     rows.T[:, idx] = entries
 
 
@@ -418,7 +415,7 @@ class BridgeBatch:
     lam: np.ndarray
     contacts: np.ndarray                 # contact-step counts per path
     alive: np.ndarray                    # simulation_valid of the final states
-    factor_m: dict                       # factor name -> (P, d, d) or None
+    m: np.ndarray                        # (P, d, d) functional of the bounded factor
     factor_O: dict                       # factor name -> (P, d, d) or None
 
     def supertraces(self) -> np.ndarray:
@@ -427,7 +424,7 @@ class BridgeBatch:
         total = np.ones(P)
         for spec in self.model.factors:
             d = spec.dim
-            m = self.factor_m.get(spec.name)
+            m = self.m if spec.bounded else None
             O = self.factor_O.get(spec.name)
             if m is None and O is None:
                 B = np.broadcast_to(np.eye(d), (P, d, d))
@@ -506,20 +503,18 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
                 else:
                     info = step_bridge(model, state, t_rows - k * h_rows, anchor, h_rows, noise,
                                        d_anchor=d_rows)
-                _jump_update(m[rows], info, model.shape_coefficient)
+                _jump_update(m[rows], info)
                 contacts[rows][info.idx] += 1
                 if on_step is not None:
                     on_step(k, rows, state, info)
     frames = None if frames0 is None else _orthonormalize(_join([s.frames for s in states]))
-    factor_m = {}
-    factor_O = {}
-    for spec in model.factors:
-        factor_m[spec.name] = m if spec.bounded else None
-        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
+    lam = _join([s.lam for s in states])
+    if model.shape_coefficient:  # every contact's decay, exp(-a lam) in all
+        m *= np.exp(-model.shape_coefficient * lam)[:, None, None]
     return BridgeBatch(
-        model=model, t=t, lam=_join([s.lam for s in states]), contacts=contacts,
-        alive=model.simulation_valid(_join([s.x for s in states])), factor_m=factor_m,
-        factor_O=factor_O,
+        model=model, t=t, lam=lam, contacts=contacts,
+        alive=model.simulation_valid(_join([s.x for s in states])), m=m,
+        factor_O={spec.name: model.holonomy(frames0, frames, spec) for spec in model.factors},
     )
 
 

@@ -56,19 +56,19 @@ GOLDEN = {
         "diagnostics.json": "bed01733fa61b02e93935cacd92f0811c9d3838ccf256c408a1bd54d26a5350a",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "9baeb9ff34452ad74a4863959ebf72644f4cca900d11f292c242ac2ce906d4b6",
+        "estimate-chi.json": "82c4c7d36ca7d515cb137fdf0e8fe2c162e4b5c863e10f13eaa16d16c34168a6",
     },
     "estimate-chi-cap2": {
-        "estimate-chi.json": "8a5086c8c99045c7e7edcc3a0407d4127ec9050d568de6f2c20d26574117e659",
+        "estimate-chi.json": "e010310d1f24f4d25746bc82e3f05b2d38e0db619d5ad131a8cf2a335dfc420a",
     },
     "estimate-chi-cap3": {
-        "estimate-chi.json": "1521f42a697723cbb73b299f2372fd6b8f5f320dd6eeca82e233c6ba23d194f7",
+        "estimate-chi.json": "0704c025b0c13e886d61cb16296523db891decebe1f59b56104a1f7810d86a7d",
     },
     "estimate-chi-cylinder": {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
     },
     "estimate-chi-disk": {
-        "estimate-chi.json": "aee28cd14844a045ca7de7d64cfe73223197bbaf109c520a3f95ab85435255a4",
+        "estimate-chi.json": "cd45085a74b4c70e514bb1d42fa02a4d4d2b644d57fcced422edcf713fad1fa5",
     },
     "estimate-chi-hemisphere2": {
         "estimate-chi.json": "54a6ad89c5ca9840731fa17ea57bbb24154264e83935c41c998ba7c542488d8a",
@@ -83,24 +83,24 @@ GOLDEN = {
         "estimate-chi.json": "d97513fa8c9eb47053d24b8d5a4bf25fdd97e72b92c9307b1862850c017b5e4d",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "f8eec2a60c124424c2ffce7cb9c4300f26c0c860ba1956f0915cdd3e5ad75a21",
-        "local-limit.json": "6fabcef8493347ad53c9b2eff4bd7c579b17a20cbdb081d09ba63c02252d8dcd",
+        "local-limit.csv": "f5db67a5ba4274b6ab5d312fe952de3094100ef5ae9b5a88e421c1e0cfa0e06d",
+        "local-limit.json": "8174d24e28c57c40b2e963ccac9abc051dfa09492e444dc5e45b188126890d11",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "f2fcf102933a13d29f1d1f90919a50a0f0daed005c70a003b5bf6950ce2acccc",
-        "local-limit.json": "3751e7c0a11aa76d626178dbd091fc84b43aa7302f1dc50e7c7d75ebc9cdf429",
+        "local-limit.csv": "8142723478baa98f086235416d1c53e45fde97e51414f49d70745f90582e8276",
+        "local-limit.json": "5e49131edc4c093a78e4141bedf021d8698b72780fa608b3cb725d4991d7e66f",
     },
     "local-limit-boundary-cap3": {
-        "local-limit.csv": "8dd91a7ee057c0b61ba5457c4ca6e35dabff2bffd7ec0f4bf4b0f9cd8a62881c",
-        "local-limit.json": "739a4389a44852b1945e7de4dff0f0d8b66a87665c06b356717984834abd2464",
+        "local-limit.csv": "c7accc25efcafef374d8b4a0dae5f8ce7f49ef88da0fbe063512c1c7e10a5fe5",
+        "local-limit.json": "0e99c25b5944b1e12e6ed3f4c094d8cbc7cac157f66be0be28db740a5836f371",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
         "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "7e541bf14cc784384f4838d7e076d116a2324ff95c25da975ffe72a803f6f573",
-        "local-limit.json": "256648fbd347135260c59cbaa29ffd5b7457de5700f9126d9f1d9a29703a83ea",
+        "local-limit.csv": "9f56eb1fc31991efa5ec9cf8e23ca311f52a2f1f4dfc12ec89c0f8d1dbeeaa06",
+        "local-limit.json": "d81f365c4f61a742c3f14f6e3300909575446a5d33de128e2588a5fd5c21f095",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "8a199943c7f40f835a27f3ea058653a3d2d7294f1d48248240ce47222a5adea9",

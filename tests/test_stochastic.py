@@ -540,13 +540,18 @@ class TestFastPathAgainstOperators:
             ("hemisphere-interior", "interior"),
             ("hemisphere-boundary", "boundary"),
             ("product-boundary", "boundary"),
+            ("cap2-boundary", "boundary"),
         ],
     )
     def test_coupled_noise_agreement(self, model, anchor_kind):
+        # the cap's boundary is curved and it carries frames, so the decay
+        # simulate_bridges defers to the path's end meets the holonomy there
         if model == "disk-boundary":
             m = disk()
         elif model.startswith("hemisphere"):
             m = hemisphere()
+        elif model == "cap2-boundary":
+            m = geo.SphereCap(2, aperture=1.0)
         else:
             m = geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2)
         anchor = m.boundary_point() if anchor_kind == "boundary" else m.interior_point()
@@ -659,13 +664,11 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
     step as antithetic pairs (PairedNoise).  Returns the batch and the
     positions it visited, (steps + 1, P, state_dim).
     """
-    gen = st._as_generator(rng)
-    if paired:
-        gen = PairedNoise(gen)
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    P = anchors.shape[0]
+    gen = PairedNoise(st._as_generator(rng)) if paired else st._row_streams(rng, P)
     state = st.make_walk_state(model, anchors)
     frames0 = None if state.frames is None else state.frames.copy()
-    P = anchors.shape[0]
     h = t / steps
     d_anchor = model.boundary_distance(anchors)
     bounded = model.bounded_factor
@@ -681,18 +684,16 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
             info = st.snap_to_anchor(model, state, anchors)
         else:
             info = st.step_bridge(model, state, remaining, anchors, h, gen, d_anchor=d_anchor)
-        st._jump_update(m, info, model.shape_coefficient)
+        st._jump_update(m, info)
         contacts[info.idx] += 1
         positions[k + 1] = state.x
-    factor_m = {}
-    factor_O = {}
+    if model.shape_coefficient:
+        m *= np.exp(-model.shape_coefficient * state.lam)[:, None, None]
     frames = None if state.frames is None else st._orthonormalize(state.frames)
-    for spec in model.factors:
-        factor_m[spec.name] = m if spec.bounded else None
-        factor_O[spec.name] = model.holonomy(frames0, frames, spec)
+    factor_O = {spec.name: model.holonomy(frames0, frames, spec) for spec in model.factors}
     batch = st.BridgeBatch(
         model=model, t=t, lam=state.lam.copy(), contacts=contacts,
-        alive=model.simulation_valid(state.x), factor_m=factor_m, factor_O=factor_O,
+        alive=model.simulation_valid(state.x), m=m, factor_O=factor_O,
     )
     return batch, positions
 
@@ -713,15 +714,13 @@ def mixed_anchors(model, count, seed):
 
 
 def assert_batches_equal(a, b):
-    for field in ("lam", "contacts", "alive"):
+    for field in ("lam", "contacts", "alive", "m"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    for factors in ("factor_m", "factor_O"):
-        fa, fb = getattr(a, factors), getattr(b, factors)
-        assert fa.keys() == fb.keys()
-        for name in fa:
-            assert (fa[name] is None) == (fb[name] is None), (factors, name)
-            if fa[name] is not None:
-                assert np.array_equal(fa[name], fb[name]), (factors, name)
+    assert a.factor_O.keys() == b.factor_O.keys()
+    for name, O in a.factor_O.items():
+        assert (O is None) == (b.factor_O[name] is None), name
+        if O is not None:
+            assert np.array_equal(O, b.factor_O[name]), name
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
@@ -910,11 +909,37 @@ class TestContactRows:
         assert np.abs(new_state.nu - nu_walk).max() < 1e-12
         m_new = np.random.default_rng(191).standard_normal((120,) + (model.bounded_factor.dim,) * 2)
         m_old = m_new.copy()
-        st._jump_update(m_new, info, model.shape_coefficient)
+        st._jump_update(m_new, info)
         nu[contact] = info.nu
-        full_jump_update(m_old, contact, dlam, nu, model.shape_coefficient)
-        # the same jumps; m nu is summed in column order, not in einsum's
+        full_jump_update(m_old, contact, dlam, nu, 0.0)
+        # the same projections; m nu is summed in column order, not in einsum's
         assert np.abs(m_new - m_old).max() < 1e-14
+
+    @pytest.mark.parametrize("name", ["disk", "ball3"])
+    def test_deferred_decay_is_the_per_contact_jumps(self, name):
+        # simulate_bridges projects at each contact and decays each path once,
+        # by exp(-a lam); the jumps exp(-a dlam) Pi_tan applied contact by
+        # contact, from the rows the on_step hook sees, give the same matrices
+        model = TILE_MODELS[name]()
+        a = model.shape_coefficient
+        d = model.bounded_factor.dim
+        anchors = model.sample_collar(np.random.default_rng(433), 400, 0.1)
+        t, steps = REGIMES["coarse"]
+        m = np.broadcast_to(np.eye(d), (400, d, d)).copy()
+
+        def jump(k, rows, state, info):
+            contact = np.zeros(rows.stop - rows.start, dtype=bool)
+            contact[info.idx] = True
+            dlam = np.zeros(contact.size)
+            dlam[info.idx] = info.dlam
+            nu = np.zeros((contact.size, d))
+            nu[info.idx] = info.nu
+            full_jump_update(m[rows], contact, dlam, nu, a)
+
+        batch = st.simulate_bridges(model, anchors, t, steps, st.RngStream(437), on_step=jump)
+        assert a > 0 and np.count_nonzero(batch.contacts >= 3) > 100
+        err = np.abs(batch.m - m).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(m).max(axis=(1, 2)))
 
     @pytest.mark.parametrize("name", list(TILE_MODELS))
     def test_snap_rows(self, name):
@@ -1010,7 +1035,9 @@ JUMP_MODELS = {
 def test_jump_update_is_the_contact_jump_matrix(name):
     # a batch whose contact rows take jumps of every size (dlam 0 among
     # them) while the other rows keep their matrices bitwise: each contact
-    # row is multiplied by the bounded block of the general route's jump
+    # row is multiplied by its projection, which times the decay
+    # exp(-a dlam) that simulate_bridges defers is the bounded block of the
+    # general route's jump
     model = JUMP_MODELS[name]()
     spec = model.bounded_factor
     d = spec.dim
@@ -1021,14 +1048,15 @@ def test_jump_update_is_the_contact_jump_matrix(name):
     nu = geo._unit(rng.standard_normal((idx.size, d)))
     dlam = np.concatenate([np.zeros(3), rng.exponential(0.3, idx.size - 3)])
     before = m.copy()
-    st._jump_update(m, st.ContactInfo(idx=idx, dlam=dlam, nu=nu), model.shape_coefficient)
+    st._jump_update(m, st.ContactInfo(idx=idx, dlam=dlam, nu=nu))
     untouched = np.setdiff1d(np.arange(P), idx)
     assert np.array_equal(m[untouched], before[untouched])
     for row, nu_b, dl in zip(idx, nu, dlam):
         nu_frame = np.zeros(model.dimension)
         nu_frame[spec.cols] = nu_b
         jump = st._contact_jump_matrix(model, nu_frame, dl, "exact-jump", None)
-        assert np.abs(m[row] - before[row] @ jump[spec.cols, spec.cols]).max() < 1e-13
+        decay = math.exp(-model.shape_coefficient * dl)
+        assert np.abs(decay * m[row] - before[row] @ jump[spec.cols, spec.cols]).max() < 1e-13
 
 
 def broadcast_collar_data(model, x):
@@ -1112,15 +1140,11 @@ def concat_batches(parts):
     def join(field):
         return np.concatenate([getattr(p, field) for p in parts])
 
-    def join_factors(field):
-        return {name: None if first_value is None else
-                np.concatenate([getattr(p, field)[name] for p in parts])
-                for name, first_value in getattr(first, field).items()}
-
+    factor_O = {name: None if O is None else np.concatenate([p.factor_O[name] for p in parts])
+                for name, O in first.factor_O.items()}
     return st.BridgeBatch(
         model=first.model, t=first.t, lam=join("lam"), contacts=join("contacts"),
-        alive=join("alive"), factor_m=join_factors("factor_m"),
-        factor_O=join_factors("factor_O"),
+        alive=join("alive"), m=join("m"), factor_O=factor_O,
     )
 
 
@@ -1247,10 +1271,6 @@ class TestGroupedStreams:
         gens = [st.RngStream(223, j).generator() for j in range(count)]
         with pytest.raises(ValueError):
             st.simulate_bridges(model, anchors, 0.05, 10, gens)
-        state = st.make_walk_state(model, anchors)
-        with pytest.raises(ValueError):
-            st.step_bridge(model, state, 0.05, anchors, 0.005, gens,
-                           d_anchor=model.boundary_distance(anchors))
 
     def test_step_bridge_groups(self):
         model = hemisphere()
@@ -1258,13 +1278,15 @@ class TestGroupedStreams:
         grouped = st.make_walk_state(model, anchors)
         gens = [st.RngStream(229, j).generator() for j in range(2)]
         d_anchor = model.boundary_distance(anchors)
-        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, gens, d_anchor=d_anchor)
+        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, st._row_streams(gens, 24),
+                              d_anchor=d_anchor)
         parts = []
         for j in range(2):
             rows = slice(12 * j, 12 * (j + 1))
             state = st.make_walk_state(model, anchors[rows])
             part = st.step_bridge(model, state, 0.05, anchors[rows], 0.01,
-                                  st.RngStream(229, j).generator(), d_anchor=d_anchor[rows])
+                                  st._row_streams(st.RngStream(229, j), 12),
+                                  d_anchor=d_anchor[rows])
             parts.append((state, part.idx + 12 * j))
         assert np.array_equal(grouped.x, np.concatenate([s.x for s, _ in parts]))
         assert np.array_equal(grouped.frames, np.concatenate([s.frames for s, _ in parts]))
@@ -1439,7 +1461,7 @@ class TestWalkLayout:
         anchors = mixed_anchors(model, 20, 251)
         state = st.make_walk_state(model, anchors)
         assert state.frames is None and state.x.flags.c_contiguous
-        st.step_bridge(model, state, 0.05, anchors, 0.01, st.RngStream(257),
+        st.step_bridge(model, state, 0.05, anchors, 0.01, st._row_streams(st.RngStream(257), 20),
                        d_anchor=model.boundary_distance(anchors))
         assert state.x.flags.c_contiguous
 
@@ -1473,11 +1495,10 @@ class TestLayoutEquivalence:
         old = self.row_major_run(model, anchors, t, steps, monkeypatch)
         assert new.contacts.sum() > 0
         assert np.array_equal(new.contacts, old.contacts)
-        pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces())]
-        for field in ("factor_m", "factor_O"):
-            a, b = getattr(new, field), getattr(old, field)
-            assert a.keys() == b.keys()
-            pairs += [(a[k], b[k]) for k in a if a[k] is not None or b[k] is not None]
+        pairs = [(new.lam, old.lam), (new.supertraces(), old.supertraces()), (new.m, old.m)]
+        assert new.factor_O.keys() == old.factor_O.keys()
+        pairs += [(O, old.factor_O[k]) for k, O in new.factor_O.items()
+                  if O is not None or old.factor_O[k] is not None]
         for a, b in pairs:
             if name in FLAT_MODELS:
                 assert np.array_equal(a, b)
