@@ -12,10 +12,10 @@ of the reflected chain (one step from the boundary then reproduces the
 flat half-space law E[lam] = sqrt(2h/pi) exactly).  The factor 2 is
 fixed: it is the normalization of the local time that the
 absolute-boundary functional runs on, not a tuning knob.
-The transport is exact, so the frames stay orthonormal up to rounding
-(their drift stays below 1e-12 over 20 000 steps) and are never
-re-orthonormalized on the way; simulate_bridges orthonormalizes the final
-frames once, where the holonomy reads them.
+Steps and cap reflections are exact rotations, so frames stay orthonormal
+and sphere points on their spheres up to rounding (both drift below 1e-12
+over 20 000 steps) and are never renormalized on the way; simulate_bridges
+orthonormalizes the final frames once, where the holonomy reads them.
 
 Bridges add the logarithmic heat-kernel drift toward the anchor: a
 two-well surrogate that augments the squared-distance gradient with a
@@ -32,7 +32,7 @@ serves the contact test, the reflection, the contact normals and the next
 step's drift; reflect returns the reflected rows' distance and normal
 with their points.  The validity of the states (simulation_valid) is read
 once, on a batch's final states: a non-finite coordinate stays non-finite
-through every later step, and the sphere steps renormalize onto their spheres.
+through every later step, and the rotations keep every point's radius.
 
 simulate_bridges, the one stepping loop, draws its noise from one
 generator or from a sequence of G generators, one stream per contiguous
@@ -320,21 +320,23 @@ def _sub_columns(out, w, nu):
         out[:, k] -= tmp
 
 
-def step_bridge(model, state: WalkState, remaining, anchor, h, noise, *,
+def step_bridge(model, state: WalkState, remaining, anchor, scales, noise, *,
                 d_anchor=None) -> ContactInfo:
     """One step of the reflected Brownian bridge toward the anchor, or a free step.
 
     With anchor None the step is free: the scaled noise alone, no drift.  A
-    bridge step needs the anchors' boundary distance d_anchor.  remaining
-    and h are one time and step for every row, or one per row.  noise.fill(xi)
+    bridge step needs the anchors' boundary distance d_anchor.  remaining is
+    one time, and scales = (h, sqrt h) the step that scales the drift and its
+    root that scales the noise, for every row or one per row.  noise.fill(xi)
     writes the step's standard normals into xi: noise is a tile's source of
     noise.batch_noise, or a _row_streams.
     """
+    h, root_h = scales
     g = None if anchor is None else bridge_drift(model, state, anchor, remaining,
                                                  d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     noise.fill(xi)
-    _scale_columns(xi, np.sqrt(h), np.multiply, xi)
+    _scale_columns(xi, root_h, np.multiply, xi)
     if g is None:
         return _apply_increment(model, state, model.frame_vector(state.frames, xi))
     _scale_columns(g, h, np.multiply, g)
@@ -479,13 +481,14 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
         if t.shape != (P,):
             raise ValueError(f"{t.shape[0]} lifetimes for {P} paths")
     h = t / steps
+    root = np.sqrt(h)  # scales the noise, as h scales the drift
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
     tiles = _row_tiles(P, 2 if paired else 1)
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
-    # per tile: its lifetimes and steps, scalars when every path shares them
-    clocks = [(t[rows], h[rows]) if np.ndim(t) else (t, h) for rows in tiles]
+    # per tile: its lifetimes, steps and steps' roots, scalars when every path shares them
+    clocks = [(t[rows], h[rows], root[rows]) if np.ndim(t) else (t, h, root) for rows in tiles]
     # per tile: the anchors in walk layout and their boundary distance, or none
     targets = [(None, None)] * len(tiles)
     if pinned:
@@ -496,13 +499,13 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
                      noise_steps) as tile_noise:
         for k in range(steps):
-            for rows, state, noise, (anchor, d_rows), (t_rows, h_rows) in zip(
+            for rows, state, noise, (anchor, d_rows), (t_rows, h_rows, root_rows) in zip(
                     tiles, states, tile_noise, targets, clocks):
                 if k == noise_steps:
                     info = snap_to_anchor(model, state, anchor)
                 else:
-                    info = step_bridge(model, state, t_rows - k * h_rows, anchor, h_rows, noise,
-                                       d_anchor=d_rows)
+                    info = step_bridge(model, state, t_rows - k * h_rows, anchor,
+                                       (h_rows, root_rows), noise, d_anchor=d_rows)
                 _jump_update(m[rows], info)
                 contacts[rows][info.idx] += 1
                 if on_step is not None:

@@ -59,10 +59,10 @@ GOLDEN = {
         "estimate-chi.json": "82c4c7d36ca7d515cb137fdf0e8fe2c162e4b5c863e10f13eaa16d16c34168a6",
     },
     "estimate-chi-cap2": {
-        "estimate-chi.json": "e010310d1f24f4d25746bc82e3f05b2d38e0db619d5ad131a8cf2a335dfc420a",
+        "estimate-chi.json": "0dd3b937d479d078685fd7b2d42dcee3453368968b0712d83569715a22708d60",
     },
     "estimate-chi-cap3": {
-        "estimate-chi.json": "0704c025b0c13e886d61cb16296523db891decebe1f59b56104a1f7810d86a7d",
+        "estimate-chi.json": "01bd4060bf8e51df9341561be05c5ef54d2a5ee0422e7f4251096d0e17d98d7b",
     },
     "estimate-chi-cylinder": {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
@@ -71,28 +71,28 @@ GOLDEN = {
         "estimate-chi.json": "cd45085a74b4c70e514bb1d42fa02a4d4d2b644d57fcced422edcf713fad1fa5",
     },
     "estimate-chi-hemisphere2": {
-        "estimate-chi.json": "54a6ad89c5ca9840731fa17ea57bbb24154264e83935c41c998ba7c542488d8a",
+        "estimate-chi.json": "3e5f365884fe1bf689ddeb73a63d7f76c2e0034790561163e4d51563f2140504",
     },
     "estimate-chi-hemisphere3": {
-        "estimate-chi.json": "39674b49ce44339567bd12fde81cf2d437ee414e6dd66dca2ef90b5ac22308c7",
+        "estimate-chi.json": "df3d939fd830b1ad95414e21045f870e7f4eeb68fb41401efbe8e4c83d31c9b9",
     },
     "estimate-chi-sphere-ball-1-2": {
         "estimate-chi.json": "8f4cc43680acaeacb59ffdc1f1de48acdeb6f7398df31a514ebaeb71a8ce9aa5",
     },
     "estimate-chi-sphere-ball-2-1": {
-        "estimate-chi.json": "d97513fa8c9eb47053d24b8d5a4bf25fdd97e72b92c9307b1862850c017b5e4d",
+        "estimate-chi.json": "e630c8fee42d8ca6bded6fc8e6297be43ead50e221188e7155ed683379988158",
     },
     "local-limit-boundary-ball3": {
         "local-limit.csv": "f5db67a5ba4274b6ab5d312fe952de3094100ef5ae9b5a88e421c1e0cfa0e06d",
         "local-limit.json": "8174d24e28c57c40b2e963ccac9abc051dfa09492e444dc5e45b188126890d11",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "8142723478baa98f086235416d1c53e45fde97e51414f49d70745f90582e8276",
-        "local-limit.json": "5e49131edc4c093a78e4141bedf021d8698b72780fa608b3cb725d4991d7e66f",
+        "local-limit.csv": "cbd572f968cfe50999aae73a3791667d3aa30ddaf300eba420ea6e453bd8a43d",
+        "local-limit.json": "6fa2c76f528e3e885a8f0c775a3fb83e076d97d9426c54e6f3cf5147a6e7b7fd",
     },
     "local-limit-boundary-cap3": {
-        "local-limit.csv": "c7accc25efcafef374d8b4a0dae5f8ce7f49ef88da0fbe063512c1c7e10a5fe5",
-        "local-limit.json": "0e99c25b5944b1e12e6ed3f4c094d8cbc7cac157f66be0be28db740a5836f371",
+        "local-limit.csv": "fdb420abc3b2d3116dc64f287ffbea2674ecad7e1cc8b5f42c62d436bd98e5a2",
+        "local-limit.json": "4a5d9a003ab17457df42fbe9b55e8467fe5fd7b4b81bbaa8509b955f722e2b6f",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
@@ -103,32 +103,32 @@ GOLDEN = {
         "local-limit.json": "d81f365c4f61a742c3f14f6e3300909575446a5d33de128e2588a5fd5c21f095",
     },
     "local-limit-boundary-hemisphere2": {
-        "local-limit.csv": "8a199943c7f40f835a27f3ea058653a3d2d7294f1d48248240ce47222a5adea9",
-        "local-limit.json": "acc36a21222cc8989d87cda44fe48fab604d81840a072573f3ecadd830c5f148",
+        "local-limit.csv": "9bc01c2b2e2036eb4790b4937573f7464f96632bfccca6b1c8baf2516210190b",
+        "local-limit.json": "94c4e081c34b418c19b7055cbc9c374996a693843392e4bc36265f187461449b",
     },
     "local-limit-boundary-hemisphere3": {
-        "local-limit.csv": "633baa912222fd76c2ae4a66cc92cb2890f2f9303994d369e4534eda2cf0ff57",
-        "local-limit.json": "0a1f100deebbfd7a145893730bc900c09f227dd990065a8e6c980f22f1b16bd4",
+        "local-limit.csv": "19de0566d6c575181f637adb1736846f9b14358d55bc48c497ba8acd0af9406e",
+        "local-limit.json": "437e0d3f0d2ed3b63c8d8d2c6b8d2432db578acc40fdbdd187bbebaefb9e6e93",
     },
     "local-limit-boundary-sphere-ball-1-2": {
         "local-limit.csv": "ef0413c4fa61a741b45f451cdf6101406066f084042921db256ac7e6cd086fb6",
         "local-limit.json": "7d3ecff0dad44b82e8807bc6e43d5f6aaa2aa14a438471c1ff600a89ce2467bb",
     },
     "local-limit-boundary-sphere-ball-2-1": {
-        "local-limit.csv": "0bcd00dc34e319225f41f268fba114fc122d7582f7b0077dade4633d891628d8",
-        "local-limit.json": "c4d95c8c237c33fb41f6f43c42e74e795f78d61fef42e3cf6be8ef8805f3b79f",
+        "local-limit.csv": "122603ec7d58681e6a65df807bc69be3e8737d79bd244c5dd4d396e20fc4979d",
+        "local-limit.json": "13252f690dbb7353846cd320c19546c14ee888a61cbbdd1a11eeb53dccb241b9",
     },
     "local-limit-interior-ball3": {
         "local-limit.csv": "055cb960d692a29b20f7a007394f4542e20ca7766ebea8cea0ec6d40232b5c66",
         "local-limit.json": "0fed254242d2cb1cef02bd04e53df5ab8348fdda4de3b0806ae3dde53c1203af",
     },
     "local-limit-interior-cap2": {
-        "local-limit.csv": "e628ed1a8b24878cd3452fa100066bb4128ccd78d3b3d71027f49811e1ac6e75",
-        "local-limit.json": "a569efbc0d98f95630cbbb5dc9f3948b9d8dbf2687719899a798f1ad5ba3af50",
+        "local-limit.csv": "c17dcce081e412aaa1c2351695e488473dc64573a50357885fdfa3100b118422",
+        "local-limit.json": "966a127debee31e34f670ceb1ad469f035bc9768e9c8ef00c840d007f83209eb",
     },
     "local-limit-interior-cap3": {
-        "local-limit.csv": "3831009328b8c3b46f7dfce4907a096384f7a282cbc32a460aa51c60e08c56c2",
-        "local-limit.json": "33b6498d2895091dca382bb4a38f7fc2206da4a103cb834c879db95a89a701a6",
+        "local-limit.csv": "ddb829b1f60ff3d26708536eb6b342c1cad66504ec583261b43c3ec7f40d9839",
+        "local-limit.json": "ef74c5fe2db8f8ebed06c46b3c218a885d9445d59a0715ca124dadb7a0f0f27e",
     },
     "local-limit-interior-cylinder": {
         "local-limit.csv": "895423dd065ddf6f9a10b957cc26c446ca8f27e879c5ff59f20d6c27394a041e",
@@ -139,12 +139,12 @@ GOLDEN = {
         "local-limit.json": "c3e0daf2f0ccbf3e9bb970aaf74a4cddef134950f315297587f125e7f5a8cfc4",
     },
     "local-limit-interior-hemisphere2": {
-        "local-limit.csv": "f7b43a8d63309d1d8f519d1c73d7e5e5e509c29eb686355631cf58818313dbd2",
-        "local-limit.json": "1a11ce1eea39f855e2b3aac3b248224154e426fb5bc17cf4f58894de83ce9efd",
+        "local-limit.csv": "808f99258cfca6089d870838a5fa1bbc4902b6fe73e457caf8bf05a260eae213",
+        "local-limit.json": "1be0718260a418eed00dbe388d88e0d54a923edeee0e1fa4693fec5d72ab129e",
     },
     "local-limit-interior-hemisphere3": {
-        "local-limit.csv": "f662d6141ba9e532d899f2fefa58bf0c417bc67a4e9dc25082e5f5778a809462",
-        "local-limit.json": "85e33aed2916cbabd6936999c2e4faa5b978f2706ac1c52b86a5599700de0547",
+        "local-limit.csv": "843afa38c760d7e70c5abe4279e5ad6dc69609acd4f7eff98fa462b321e7d6cd",
+        "local-limit.json": "4137f37fd6ad85377609f2e43e1afe52435562a4f0aedeb645e2fcff1554810a",
     },
     "local-limit-interior-sphere-ball-1-2": {
         "local-limit.csv": "0099c37ae316f1102cc715ff41f411fe5c26d73252a9b9fc36d045a92637509d",

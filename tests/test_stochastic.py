@@ -393,13 +393,17 @@ class TestTransport:
         rhs = u_end @ u0.T
         assert np.abs(lhs - rhs).max() < 1e-10
 
-    @pytest.mark.parametrize("model", [geo.SphereCap(3, aperture=1.0), hemisphere()],
-                             ids=["cap3-aperture1", "hemisphere"])
+    @pytest.mark.parametrize("model", [geo.SphereCap(3, aperture=1.0), hemisphere(),
+                                       geo.SphereBall(2, 1)],
+                             ids=["cap3-aperture1", "hemisphere", "sphere-ball-2+1"])
     def test_frames_drift_little_without_per_step_orthonormalization(self, model, monkeypatch):
         # the exact transport keeps 20 000 steps of frames orthonormal to
         # 1e-12 with no Gram-Schmidt on the way; the one final pass, where the
-        # holonomy reads them, brings them back to rounding
-        calls = []
+        # holonomy reads them, brings them back to rounding.  The steps are
+        # rotations, so the points stay on their spheres to 1e-12 at every
+        # step with no renormalization either (the final snap to the anchor
+        # would hide a drift, so every step is read)
+        calls, off_sphere = [], []
         orthonormalize = st._orthonormalize
 
         def spy(frames):
@@ -407,10 +411,16 @@ class TestTransport:
             calls.append((frames, out))
             return out
 
+        def radius_drift(k, rows, state, info):
+            off_sphere.append(max(
+                np.abs(np.sqrt(geo._rowdot(state.x[:, block], state.x[:, block])) / r - 1.0).max()
+                for block, r in model.embedded_spheres))
+
         monkeypatch.setattr(st, "_orthonormalize", spy)
         anchors = mixed_anchors(model, 8, 29)
-        st.simulate_bridges(model, anchors, 0.1, 20_000, st.RngStream(31))
-        assert len(calls) == 1
+        st.simulate_bridges(model, anchors, 0.1, 20_000, st.RngStream(31), on_step=radius_drift)
+        assert len(calls) == 1 and len(off_sphere) == 20_000
+        assert max(off_sphere) <= 1e-12
 
         def drift(u):
             gram = np.einsum("pda,pdb->pab", u, u)
@@ -670,6 +680,7 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
     state = st.make_walk_state(model, anchors)
     frames0 = None if state.frames is None else state.frames.copy()
     h = t / steps
+    scales = (h, np.sqrt(h))
     d_anchor = model.boundary_distance(anchors)
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
@@ -679,11 +690,11 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
     for k in range(steps):
         remaining = t - k * h
         if not pinned:
-            info = st.step_bridge(model, state, remaining, None, h, gen)
+            info = st.step_bridge(model, state, remaining, None, scales, gen)
         elif k == steps - 1:
             info = st.snap_to_anchor(model, state, anchors)
         else:
-            info = st.step_bridge(model, state, remaining, anchors, h, gen, d_anchor=d_anchor)
+            info = st.step_bridge(model, state, remaining, anchors, scales, gen, d_anchor=d_anchor)
         st._jump_update(m, info)
         contacts[info.idx] += 1
         positions[k + 1] = state.x
@@ -1020,6 +1031,33 @@ class TestCarriedBoundaryData:
         assert np.abs(depth2[past] - (2.0 * reach - push[past])).max() < 1e-12
         assert np.abs(depth2[~past] - push[~past]).max() < 1e-12
 
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("aperture", [1.0, math.pi / 2, 2.0])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_cap_reflection_is_the_normal_rotation(self, dimension, aperture, radius):
+        # the cap reflects by the rotation in the plane of x and nu; the general
+        # great-circle step along -2 depth nu, its former route, lands on the
+        # same image, frames, depth and normal, at pushes from 0 to nearly the
+        # antipode of the apex: past the apex where the cap is narrow enough
+        model = geo.SphereCap(dimension, radius=radius, aperture=aperture)
+        reach = radius * aperture
+        z = model.sample_boundary(np.random.default_rng(433), 60)
+        nu_z = model.collar_data(z)[1]
+        push = np.linspace(0.0, 0.95, 60) * radius * (math.pi - aperture)
+        x, u = model.geodesic_step(z, model.initial_frames(z),
+                                   geo._scale_columns(nu_z, -push, np.multiply))
+        depth, nu = model.collar_data(x)
+        assert np.abs(depth + push).max() < 1e-12
+        assert np.any(push > reach) == (aperture == 1.0)
+        rotated = model.reflect(x, u, depth, nu)
+        stepped, u_stepped = geo._sphere_step(
+            x, u, geo._scale_columns(nu, -2.0 * depth, np.multiply), radius)
+        angle = -2.0 * depth / radius
+        nu_stepped = nu * np.cos(angle)[:, None] - x * (np.sin(angle) / radius)[:, None]
+        reference = (stepped, u_stepped, *geo._mirrored_collar(reach, depth, nu_stepped))
+        for new, old in zip(rotated, reference):
+            assert np.abs(new - old).max() <= 1e-13
+
 
 JUMP_MODELS = {
     "disk": disk,
@@ -1278,13 +1316,13 @@ class TestGroupedStreams:
         grouped = st.make_walk_state(model, anchors)
         gens = [st.RngStream(229, j).generator() for j in range(2)]
         d_anchor = model.boundary_distance(anchors)
-        info = st.step_bridge(model, grouped, 0.05, anchors, 0.01, st._row_streams(gens, 24),
-                              d_anchor=d_anchor)
+        info = st.step_bridge(model, grouped, 0.05, anchors, (0.01, 0.1),
+                              st._row_streams(gens, 24), d_anchor=d_anchor)
         parts = []
         for j in range(2):
             rows = slice(12 * j, 12 * (j + 1))
             state = st.make_walk_state(model, anchors[rows])
-            part = st.step_bridge(model, state, 0.05, anchors[rows], 0.01,
+            part = st.step_bridge(model, state, 0.05, anchors[rows], (0.01, 0.1),
                                   st._row_streams(st.RngStream(229, j), 12),
                                   d_anchor=d_anchor[rows])
             parts.append((state, part.idx + 12 * j))
@@ -1361,22 +1399,31 @@ class TestGeometryQueriesPerStep:
     def test_one_collar_query_per_step(self, name, monkeypatch):
         model = {"disk": disk, "hemisphere": hemisphere,
                  "sphere-ball-2+1": lambda: geo.SphereBall(2, 1)}[name]()
-        calls, steps_seen = [], []
+        calls, steps_seen, sphere_steps = [], [], []
         spy_on_geometry(model, calls)
-        step = st.step_bridge
+        step, sphere_step = st.step_bridge, geo._sphere_step
 
         def recording(model, state, *args, **kwargs):
             calls.clear()
+            sphere_steps.clear()
             info = step(model, state, *args, **kwargs)
-            steps_seen.append((state.x.shape[0], info.idx.size, list(calls)))
+            steps_seen.append((state.x.shape[0], info.idx.size, list(calls), list(sphere_steps)))
             return info
 
+        def sphere_spy(p, *args):
+            sphere_steps.append(p.shape[0])
+            return sphere_step(p, *args)
+
         monkeypatch.setattr(st, "step_bridge", recording)
+        monkeypatch.setattr(geo, "_sphere_step", sphere_spy)
         st.simulate_bridges(model, mixed_anchors(model, 60, 281), 0.2, 20, st.RngStream(283))
         assert len(steps_seen) == 19
-        assert sum(contacts for _, contacts, _ in steps_seen) > 0
-        for rows, contacts, made in steps_seen:
+        assert sum(contacts for _, contacts, _, _ in steps_seen) > 0
+        for rows, contacts, made, great_circles in steps_seen:
             assert contacts < rows
+            # one great-circle step of the whole batch on a curved model; the
+            # contact rows rotate in reflect without a second one
+            assert great_circles == ([] if name == "disk" else [rows])
             full = sorted(q for q, r in made if r == rows)
             # the drift's log map, the noise mapped into walk coordinates, the
             # step, and one collar query at the new points; no boundary_distance
@@ -1461,7 +1508,8 @@ class TestWalkLayout:
         anchors = mixed_anchors(model, 20, 251)
         state = st.make_walk_state(model, anchors)
         assert state.frames is None and state.x.flags.c_contiguous
-        st.step_bridge(model, state, 0.05, anchors, 0.01, st._row_streams(st.RngStream(257), 20),
+        st.step_bridge(model, state, 0.05, anchors, (0.01, 0.1),
+                       st._row_streams(st.RngStream(257), 20),
                        d_anchor=model.boundary_distance(anchors))
         assert state.x.flags.c_contiguous
 
