@@ -326,10 +326,10 @@ def step_bridge(model, state: WalkState, remaining, anchor, scales, noise, *,
 
     With anchor None the step is free: the scaled noise alone, no drift.  A
     bridge step needs the anchors' boundary distance d_anchor.  remaining is
-    one time, and scales = (h, sqrt h) the step that scales the drift and its
-    root that scales the noise, for every row or one per row.  noise.fill(xi)
-    writes the step's standard normals into xi: noise is a tile's source of
-    noise.batch_noise, or a _row_streams.
+    the time left and scales = (h, sqrt h) the step, which scales the drift,
+    and its root, which scales the noise; each is one value for every row or
+    one per row.  noise.fill(xi) writes the step's standard normals into xi:
+    noise is a tile's source of noise.batch_noise, or a _row_streams.
     """
     h, root_h = scales
     g = None if anchor is None else bridge_drift(model, state, anchor, remaining,
