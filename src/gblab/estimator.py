@@ -325,15 +325,19 @@ def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, pa
 
 
 def _antithetic(model: ManifoldModel, bridges: int) -> bool:
-    """Whether the bridges of a node step as antithetic pairs.
+    """Whether the bridges of a node or base point step as antithetic pairs.
 
-    Negating a loop's noise turns its outward excursions inward, so the
-    local times of a loop and its mirror are negatively correlated, and the
-    pair mean varies less than that of two independent loops.  Models that
-    carry frames draw independent loops: a loop and its mirror enclose
-    about the same signed area, so their holonomies agree and pairing
-    doubles the holonomy's share of the variance.  An odd count draws
-    independent loops too.
+    The one rule of every estimator: the depth nodes of local_limit_check,
+    the point of supertrace_expectation and the base points of
+    estimate_chi.  Negating a loop's noise turns its outward excursions
+    inward, so the local times of a loop and its mirror are negatively
+    correlated, and the pair mean varies less than that of two independent
+    loops.  Where base points dominate the variance the pairs still pay:
+    a pair draws the normals of one loop, so the batch draws half of them.
+    Models that carry frames draw independent loops: a loop and its mirror
+    enclose about the same signed area, so their holonomies agree and
+    pairing doubles the holonomy's share of the variance.  An odd count
+    draws independent loops too.
     """
     return not model.needs_frames and bridges % 2 == 0
 
@@ -412,7 +416,8 @@ CHUNK_PATHS = 250_000
 
 def _chi_chunk(model, anchors_block, t, steps, bridges, stream):
     """Per-anchor bridge means of one chunk (deterministic given the stream)."""
-    return _node_means(model, anchors_block, t, steps, bridges, stream.generator())[0]
+    return _node_means(model, anchors_block, t, steps, bridges, stream.generator(),
+                       paired=_antithetic(model, bridges))[0]
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
@@ -420,10 +425,15 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     """Estimate the Euler characteristic from bridge loops at sampled base points.
 
     Every base point contributes an independent unbiased sample
-    Y_i = weight_i * K0(t; x_i, x_i) * mean_i(Str M V).  Returns the
-    estimate-chi report payload: their mean, standard error and 95 percent
-    interval next to the model's exact Euler characteristic, with the
-    run's budget and validity window.
+    Y_i = weight_i * K0(t; x_i, x_i) * mean_i(Str M V).  On models that
+    carry no frames an even bridge count steps as antithetic pairs (see
+    _antithetic), and mean_i is the mean of the point's pair means: its
+    expectation is unchanged, and the batch draws half the normals, which
+    pays even where the spread of the base points dominates the variance.
+    Frame-carrying models and odd counts draw independent bridges.
+    Returns the estimate-chi report payload: their mean, standard error
+    and 95 percent interval next to the model's exact Euler
+    characteristic, with the run's budget and validity window.
     """
     check_lifetime(t)
     check_integer("seed", seed, 0, 2**64)

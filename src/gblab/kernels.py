@@ -280,8 +280,8 @@ def _ball_modes(dim, radius, lam_max):
     if x_max > _MAX_DIMLESS_FREQ:
         need = int(x_max * x_max / (2 * math.pi))
         raise SeriesConvergenceError(
-            f"{kind} Neumann series needs modes up to lambda*r = {x_max:.1f} "
-            f"(~{need} terms); reduce lambda_max or increase t",
+            f"{kind} Neumann series needs modes up to lambda*r = {x_max:.3g} "
+            f"(~{need:.3g} terms); increase t",
             required_terms=need,
         )
     key = (kind, round(radius, 12))

@@ -27,10 +27,11 @@ wait is bounded and checks that the helper is alive; a helper that dies or
 stalls is killed, and the batch redraws what it has consumed inline and goes
 on inline, so a lost helper changes no number either.
 
-Drawing stays inline for batches below HELPER_MIN_NORMALS normals, for tiles
-whose slot does not fit the ring, in processes that can use only one CPU or
-run other Python threads (fork is unsafe there), and where os.fork or the x86
-store order the counters rely on is missing.  A process forked from the
+Drawing stays inline for batches that draw fewer than HELPER_MIN_NORMALS
+normals (a paired batch draws half its rows' normals), for tiles whose slot
+does not fit the ring, in processes that can use only one CPU or run other
+Python threads (fork is unsafe there), and where os.fork or the x86 store
+order the counters rely on is missing.  A process forked from the
 helper's owner never uses the owner's ring (the owner's pid is checked).
 """
 
@@ -49,11 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A batch of P paths and `steps` steps needs P * n * (steps - 1) normals
-# (P * n * steps for free walks).  From this many on it draws through the
-# helper.  Handing a batch over costs about 1.7 ms (a 20-path, 40-step disk
-# batch: 5.7 ms through the helper, 4.1 ms inline), against 27 ms to draw 1e6
-# Philox normals inline; so the handshake stays under a tenth of the draw it
+# A batch of P paths and `steps` steps draws P * n * (steps - 1) normals
+# (P * n * steps for free walks), half as many when its rows are antithetic
+# pairs.  From this many drawn normals on it draws through the helper.
+# Handing a batch over costs about 1.7 ms (a 20-path, 40-step disk batch:
+# 5.7 ms through the helper, 4.1 ms inline), against 27 ms to draw 1e6 Philox
+# normals inline; so the handshake stays under a tenth of the draw it
 # overlaps, and the many small batches of the tests keep drawing inline.
 HELPER_MIN_NORMALS = 1_000_000
 # The slot area of the ring: 4-8 tile slots on the benchmarks.  More slots ride
@@ -139,7 +141,8 @@ def batch_noise(tiles, n: int, steps: int):
     the inline fills would have left them, also after an exception.
     """
     rows = [t.bounds[-1] for t in tiles]
-    large = sum(rows) * n * steps >= HELPER_MIN_NORMALS and 8 * max(rows) * n <= RING_BYTES
+    drawn = sum(r // 2 if t.paired else r for r, t in zip(rows, tiles)) * n * steps
+    large = drawn >= HELPER_MIN_NORMALS and 8 * max(rows) * n <= RING_BYTES
     # one batch at a time uses the helper; a batch of another thread draws inline
     if not (large and _IN_USE.acquire(blocking=False)):
         yield list(tiles)

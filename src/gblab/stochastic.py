@@ -51,12 +51,13 @@ invariants hold for them, because a tile never splits a pair: groups have
 even sizes and every tile cut falls on an even row, so each tile draws a
 whole number of pairs from each group's stream, in row order.
 
-Which process draws never changes a number either.  A batch of at least
-noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1) (steps for free walks),
-hands its generators to a helper process forked on first use; the helper
-makes the same fill calls in the same order into a shared ring of tile-sized
-slots, step_bridge copies each tile's normals out of its slot, and the
-helper's final generator states are copied back into the caller's generators.  A draw depends only
+Which process draws never changes a number either.  A batch that draws at
+least noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1) (steps for free
+walks) or half that when paired, hands its generators to a helper process
+forked on first use; the helper makes the same fill calls in the same order
+into a shared ring of tile-sized slots, step_bridge copies each tile's
+normals out of its slot, and the helper's final generator states are copied
+back into the caller's generators.  A draw depends only
 on a generator's state and the calls made on it (Philox is counter-based),
 so paths, reports and the generators' end states are bitwise those of an
 inline batch.  Smaller batches and processes with one usable CPU draw inline

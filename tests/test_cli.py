@@ -382,6 +382,21 @@ class TestRangeValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_tiny_lifetime_on_the_disk_names_what_to_change(self, tmp_path):
+        # the disk series would need modes up to lambda r ~ 1e151: the message
+        # gives that number in three digits and asks for a larger t, the one
+        # knob a config has
+        base = {**ESTIMATE_SMALL, "t": "1e-300"}
+        code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, base))])
+        assert code == 3
+        error = json.loads(out[0])["error"]
+        assert error["kind"] == "numerical"
+        assert len(error["message"]) < 200
+        assert "lambda_max" not in error["message"]
+        assert "increase t" in error["message"]
+        assert error["required_terms"] > 10**300
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("experiment, base, spoil", [
         # 1 of 50 bridges: under the 5 % the former resample limit let through
         ("estimate-chi", {**ESTIMATE_SMALL, "bridges": "25"}, "alive"),

@@ -250,8 +250,8 @@ class TestEstimateChi:
     def test_multi_chunk_estimate_is_pinned(self, monkeypatch):
         # 30 paths per chunk split 8 base points x 10 bridges into chunks of
         # 3, 3 and 2 anchors, each drawing from its own stream; the pinned
-        # bits were computed before the process pool was removed, and the
-        # disk kernel's Bessel values have moved by rounding since
+        # bits were re-pinned when estimate_chi began to step antithetic
+        # pairs on models without frames
         monkeypatch.setattr(est, "CHUNK_PATHS", 30)
         sizes = []
         chunk = est._chi_chunk
@@ -264,7 +264,7 @@ class TestEstimateChi:
         model = geo.model_catalog("ball", dimension=2)
         rep = est.estimate_chi(model, 0.08, 8, 10, seed=7, steps=40)
         assert sizes == [3, 3, 2]
-        pinned = [float.fromhex("0x1.7ba7bae7c4cd8p-1"), float.fromhex("0x1.7f07e9adab713p-2")]
+        pinned = [float.fromhex("0x1.8394bc3121f52p-1"), float.fromhex("0x1.84c33d57d8961p-2")]
         assert np.all(np.abs(np.subtract([rep["estimate"], rep["stderr"]], pinned))
                       <= 1e-12 * np.abs(pinned))
 
@@ -774,14 +774,15 @@ class TestArgumentRanges:
 # columnwise rewrite; the rest from the batch engine that still offered the
 # varadhan drift and the epsilon jump, before the single bridge law.  The two
 # caps of aperture 1.0 and 2.0 were re-pinned when the sphere log map took its
-# angle from atan2 instead of a clipped arccos (a 1e-12 move).
+# angle from atan2 instead of a clipped arccos (a 1e-12 move), the disk and the
+# 3-ball when estimate_chi began to step their bridges as antithetic pairs.
 FIXED_SEED_REPORTS = [
     (geo.SphereCap(2), 1.0220240117420898, 0.023585802570662524),
     (geo.SphereCap(3), 1.0358830227238778, 0.09823019522709776),
     (geo.SphereCap(2, aperture=1.0), 0.9246448746903415, 0.04316596943022878),
     (geo.SphereBall(2, 1), 2.0205478262269385, 0.233120458925288),
-    (geo.FlatBall(2), 0.9410465724070326, 0.08802060326477812),
-    (geo.FlatBall(3), 0.893501175825788, 0.0783973528885926),
+    (geo.FlatBall(2), 0.9410792450812573, 0.08459368682907749),
+    (geo.FlatBall(3), 0.9141542412717221, 0.07709392171052885),
     (geo.SphereCap(3, aperture=2.0), 1.1096606204470303, 0.14127213384220644),
     (geo.SphereBall(2, 2), 2.210005519510819, 0.19202432993657312),
 ]
@@ -876,7 +877,18 @@ class TestAntitheticPairs:
     def test_rule(self, make, bridges, paired):
         assert est._antithetic(make(), bridges) is paired
 
-    def test_estimate_chi_never_pairs(self, monkeypatch):
+    @pytest.mark.parametrize("make, bridges, paired", [
+        (lambda: geo.model_catalog("ball", dimension=2), 4, True),
+        (lambda: geo.model_catalog("ball", dimension=2), 3, False),
+        (lambda: geo.model_catalog("ball", dimension=3), 4, True),
+        (lambda: geo.model_catalog("ball", dimension=3), 5, False),
+        (lambda: geo.model_catalog("cylinder"), 4, True),
+        (lambda: geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2), 4, True),
+        (lambda: geo.model_catalog("hemisphere", dimension=2), 4, False),
+        (lambda: geo.SphereCap(3, aperture=1.0), 4, False),
+    ], ids=["disk-even", "disk-odd", "ball3-even", "ball3-odd", "cylinder", "sphere1-ball2",
+            "hemisphere", "cap3"])
+    def test_estimate_chi_follows_the_rule(self, make, bridges, paired, monkeypatch):
         flags = []
         node_means = est._node_means
 
@@ -885,8 +897,29 @@ class TestAntitheticPairs:
             return node_means(*args, **kwargs)
 
         monkeypatch.setattr(est, "_node_means", spy)
-        est.estimate_chi(geo.model_catalog("ball", dimension=2), 0.05, 8, 4, 3, steps=10)
-        assert flags == [False]
+        est.estimate_chi(make(), 0.05, 8, bridges, 3, steps=10)
+        assert flags == [paired]
+
+    @pytest.mark.parametrize("dimension", [2, 3], ids=["disk", "ball3"])
+    def test_paired_and_independent_estimates_agree(self, dimension, monkeypatch):
+        # 40 seeds of estimate_chi with paired bridges and with independent
+        # ones: both are unbiased, and the root mean square of the paired
+        # run's reported stderrs matches the spread of its estimates
+        model = geo.model_catalog("ball", dimension=dimension)
+        runs = {}
+        for paired in (True, False):
+            with monkeypatch.context() as patch:
+                if not paired:
+                    patch.setattr(est, "_antithetic", lambda model, bridges: False)
+                reports = [est.estimate_chi(model, 0.1, 40, 8, seed, steps=20)
+                           for seed in range(40)]
+            runs[paired] = (np.array([r["estimate"] for r in reports]),
+                            np.array([r["stderr"] for r in reports]))
+        (est_p, se_p), (est_i, _) = runs[True], runs[False]
+        combined = math.hypot(est_p.std(ddof=1), est_i.std(ddof=1)) / math.sqrt(len(est_p))
+        assert abs(est_p.mean() - est_i.mean()) <= 3.0 * combined
+        ratio = math.sqrt(np.mean(se_p ** 2)) / est_p.std(ddof=1)
+        assert 0.8 <= ratio <= 1.25
 
     def test_paired_and_independent_means_agree(self):
         # disk boundary depth nodes at 0, 0.5 and 1 sqrt(t): both estimators

@@ -56,7 +56,7 @@ GOLDEN = {
         "diagnostics.json": "bed01733fa61b02e93935cacd92f0811c9d3838ccf256c408a1bd54d26a5350a",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "82c4c7d36ca7d515cb137fdf0e8fe2c162e4b5c863e10f13eaa16d16c34168a6",
+        "estimate-chi.json": "88f0e0c0a492d1e7d4a73a9f457583f5d7ca44b7016c2d98ada3fd9683776ac7",
     },
     "estimate-chi-cap2": {
         "estimate-chi.json": "0dd3b937d479d078685fd7b2d42dcee3453368968b0712d83569715a22708d60",
@@ -68,7 +68,7 @@ GOLDEN = {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
     },
     "estimate-chi-disk": {
-        "estimate-chi.json": "cd45085a74b4c70e514bb1d42fa02a4d4d2b644d57fcced422edcf713fad1fa5",
+        "estimate-chi.json": "02ce6f282914e8e4d8883872836fefe4c608a308f9a9123dad19486e6b6ee9c3",
     },
     "estimate-chi-hemisphere2": {
         "estimate-chi.json": "3e5f365884fe1bf689ddeb73a63d7f76c2e0034790561163e4d51563f2140504",

@@ -144,6 +144,25 @@ class TestLifecycle:
             patch.setattr(noise, "HELPER_MIN_NORMALS", 0)
             assert_same(st.simulate_bridges(model, x, 0.05, 500, st.RngStream(1)), inline)
 
+    def test_threshold_counts_the_normals_a_paired_batch_draws(self, monkeypatch):
+        real = noise._RingReader
+        made = []
+        monkeypatch.setattr(noise, "_RingReader", lambda *args: made.append(1) or real(*args))
+        model = disk()
+        x = anchors(model, 1000, 449)
+        # 1 000 paired rows draw 500 x 2 normals per step: x 999 steps they
+        # are just under the threshold (though their rows hold twice that),
+        # x 1 000 they reach it
+        assert 500 * 2 * 999 < noise.HELPER_MIN_NORMALS <= 500 * 2 * 1000
+        inline = st.simulate_bridges(model, x, 0.05, 1000, st.RngStream(1), paired=True)
+        assert made == []
+        st.simulate_bridges(model, x, 0.05, 1001, st.RngStream(1), paired=True)
+        assert made == [1]
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+            assert_same(st.simulate_bridges(model, x, 0.05, 1000, st.RngStream(1), paired=True),
+                        inline)
+
     def test_forked_child_never_uses_the_parents_ring(self):
         model = disk()
         x = anchors(model, 30, 457)
