@@ -385,6 +385,11 @@ class ManifoldModel:
         """
         return self.frame_components(u, nu)[:, self.bounded_factor.cols]
 
+    def bridge_step(self, state, anchor, remaining, scales, xi, d_anchor):
+        """The step of stochastic.step_bridge on the standard normals xi."""
+        from .stochastic import general_step  # which imports this module
+        return general_step(self, state, anchor, remaining, scales, xi, d_anchor)
+
     # --- Neumann heat kernel ---------------------------------------------
     def neumann_kernel(self, t, x, y):
         """K0(t; x_p, y_p) of point pairs; this default is the Gaussian parametrix."""
@@ -435,13 +440,47 @@ class FlatBall(ManifoldModel):
         return self.radius - rho, nu
 
     def reflect(self, x, u, depth, nu):
-        # radial mirror image; depth = r - |x| comes from the same |x|
+        # radial mirror image; depth = r - |x| comes from the same |x|, and so
+        # does the normal where nu is None
         rho = np.sqrt(_rowdot(x, x))
         x2 = _scale_columns(x, (self.radius + depth) / rho, np.multiply)
+        nu = _scale_columns(x, -rho, np.divide) if nu is None else nu
         return x2, u, *_mirrored_collar(self.radius, depth, nu)
 
     def log_frame(self, x, y):
         return y - x
+
+    def bridge_step(self, state, anchor, remaining, scales, xi, d_anchor):
+        """general_step in closed form, equal to it to rounding: one update per row.
+
+        ell . nu = |x| - a . x / |x| gives x2 = alpha x + beta a + sqrt(h) xi, beta = h / s,
+        alpha = 1 - beta + h image_pull / |x| (x + sqrt(h) xi free).  The walks carry |x|
+        instead of nu, and reflect forms the contact rows' normals.
+        """
+        from . import stochastic as st  # which imports this module
+        (h, root_h), x = scales, state.x
+        rho = np.sqrt(_rowdot(x, x)) if state.norm is None else state.norm  # |x|
+        x2 = _scale_columns(xi, root_h, np.multiply, xi)
+        if anchor is None:
+            x2 += x
+        else:
+            inv = 1.0 / np.maximum(rho, 1e-300 * self.radius)  # keeps alpha x = 0 at the centre
+            ell_nu = _rowdot(anchor, x)
+            ell_nu *= inv
+            np.subtract(rho, ell_nu, out=ell_nu)
+            alpha = st.image_pull(ell_nu, state.depth + d_anchor, remaining)
+            alpha *= h
+            alpha *= inv
+            beta = h / remaining
+            alpha += 1.0 - beta
+            x2 += _scale_columns(x, alpha, np.multiply)
+            x2 += _scale_columns(anchor, beta, np.multiply)
+        rho = _rowdot(x2, x2)
+        np.sqrt(rho, out=rho)
+        info = st._apply_increment(self, state, x2, None, self.radius - rho, None)
+        rho[info.idx] = np.abs(self.radius + (self.radius - rho[info.idx]))  # the images' |x|
+        state.norm = rho
+        return info
 
     def distance(self, x, y):
         return np.linalg.norm(y - x, axis=-1)

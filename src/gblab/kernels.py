@@ -278,11 +278,11 @@ def _ball_modes(dim, radius, lam_max):
     kind = "disk" if dim == 2 else "ball"
     x_max = lam_max * radius
     if x_max > _MAX_DIMLESS_FREQ:
-        need = int(x_max * x_max / (2 * math.pi))
+        need = x_max * x_max / (2 * math.pi)  # inf once t is too small for lam_max to exist
         raise SeriesConvergenceError(
             f"{kind} Neumann series needs modes up to lambda*r = {x_max:.3g} "
             f"(~{need:.3g} terms); increase t",
-            required_terms=need,
+            required_terms=int(need) if math.isfinite(need) else None,
         )
     key = (kind, round(radius, 12))
     cached = _MODE_CACHE.get(key)

@@ -21,16 +21,17 @@ Bridges add the logarithmic heat-kernel drift toward the anchor: a
 two-well surrogate that augments the squared-distance gradient with a
 single boundary image, so the drift satisfies the Neumann condition at
 the boundary and reduces to the exact Euclidean bridge drift away from
-it.  The drift and the increment are built in walk coordinates, so a
-curved step never projects onto its frame and back.  The final step
-snaps to the anchor.  Free walks step on the noise alone and never snap.
+it (image_pull holds its image weight for every model).  The drift and
+the increment are built in walk coordinates, so a curved step never
+projects onto its frame and back.  The final step snaps to the anchor.
+Free walks step on the noise alone and never snap.
 
-Each step asks the model for its boundary data once: the walk state
-carries the boundary distance and inward normal of its current point,
-one collar_data call at the new point refreshes them, and that one call
-serves the contact test, the reflection, the contact normals and the next
-step's drift; reflect returns the reflected rows' distance and normal
-with their points.  The validity of the states (simulation_valid) is read
+Each step, the model's bridge_step, asks for its boundary data once.  In
+general_step the walk state carries the distance and inward normal of its
+point, and one collar_data call at the new point serves the contact test,
+the reflection, the contact normals and the next drift.  A flat ball's
+closed form x2 = alpha x + beta a + sqrt(h) xi carries |x| instead and
+forms normals on the contact rows alone.  Validity (simulation_valid) is read
 once, on a batch's final states: a non-finite coordinate stays non-finite
 through every later step, and the rotations keep every point's radius.
 
@@ -157,7 +158,8 @@ class WalkState:
     frames: np.ndarray | None     # (P, state_dim, n) laid out (state_dim, n, P), or None
     lam: np.ndarray               # (P,)
     depth: np.ndarray             # (P,) boundary distance of x
-    nu: np.ndarray                # (P, w) inward normal at x, in walk coordinates
+    nu: np.ndarray | None         # (P, w) inward normal at x, in walk coordinates, or None
+    norm: np.ndarray | None = None  # (P,) |x|, which a flat ball's steps carry instead of nu
 
 
 @dataclass
@@ -230,7 +232,7 @@ def _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c):
 
     u_c and nu_c are the frames (None without frames) and normals of the rows idx.
     """
-    state.x, state.frames, state.depth, state.nu = x2, u2, depth, nu
+    state.x, state.frames, state.depth, state.nu, state.norm = x2, u2, depth, nu, None
     nu_c = model.boundary_data(u_c, nu_c) if idx.size else np.empty((0, model.bounded_factor.dim))
     return ContactInfo(idx=idx, dlam=dlam, nu=nu_c)
 
@@ -244,26 +246,25 @@ def _take_rows(a, idx):
     return a.take(idx, axis=0) if a.ndim > 1 and a.flags.c_contiguous else a[idx]
 
 
-def _apply_increment(model, state, v):
-    """Move every path by the walk-coordinate increment v, reflecting at the boundary.
+def _apply_increment(model, state, x2, u2, depth, nu):
+    """Move the state to the stepped points x2 (frames u2), reflecting at the boundary.
 
-    Each contact row is gathered and scattered once; reflect returns its new
-    boundary distance and normal, so it needs no second boundary query.
+    depth and nu are the boundary data of x2.  Each contact row is gathered
+    and scattered once; reflect returns its new boundary distance and normal,
+    so it needs no second boundary query, and forms the normals where nu is None.
     """
-    x2, u2 = model.geodesic_step(state.x, state.frames, v)
-    depth, nu = model.collar_data(x2)
     idx = (depth <= 0.0).nonzero()[0]
     dlam = np.empty(0)
     u_c = nu_c = None
     if idx.size:
         depth_c = depth[idx]
-        nu_in = _take_rows(nu, idx)
+        nu_in = None if nu is None else _take_rows(nu, idx)
         x_c, u_c, depth[idx], nu_c = model.reflect(
             _take_rows(x2, idx), None if u2 is None else _take_rows(u2, idx), depth_c, nu_in)
         x2[idx] = x_c
         if u2 is not None:
             u2[idx] = u_c
-        if nu_c is not nu_in:  # a flat image keeps its normal
+        if nu_c is not nu_in and nu is not None:  # a flat image keeps its normal
             nu[idx] = nu_c
         # Skorokhod decomposition X = W + nu L: the reflection pushes the step
         # back along the normal by twice its penetration -depth, and that push is dL
@@ -276,28 +277,32 @@ def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
     """Logarithmic heat-kernel drift toward the anchor, in walk coordinates.
 
     A two-well surrogate: the squared-distance gradient toward the anchor
-    plus a pull toward a boundary image of the anchor, Gaussian-weighted
-    by the two squared distances, so the drift satisfies the Neumann
-    condition on the boundary and
-    reduces to the direct drift in the deep interior.  The image sits
-    across the tangent plane of the nearest boundary point at normal
-    separation g = d_z + d_anchor; the tangent-plane image (rather than the
-    exact geodesic mirror) slightly overweights the image pull for convex
-    boundaries, which empirically matches the mean-curvature enhancement
-    of the true reflected kernel.  With ell the log map, nu the inward
-    normal, ell_nu = ell . nu and s the remaining time, the two-well
+    plus a pull toward a boundary image of the anchor, Gaussian-weighted by
+    the two squared distances, so the drift satisfies the Neumann condition
+    on the boundary and reduces to the direct drift in the deep interior.
+    The image sits across the tangent plane of the nearest boundary point at
+    normal separation g = d_z + d_anchor; the tangent-plane image (rather
+    than the exact geodesic mirror) slightly overweights the image pull for
+    convex boundaries, which empirically matches the mean-curvature
+    enhancement of the true reflected kernel.  With ell the log map, nu the
+    inward normal, ell_nu = ell . nu and s the remaining time, the two-well
     average is exactly ell / s - rho (ell_nu + g) / ((1 + rho) s) nu, with
-    image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0)),
-    because |nu| = 1 (or nu = 0 at the center of a ball, where ell_nu = 0).
-    The boundary distance d_z and the normal nu are the ones the walk state
-    carries for its current point; d_anchor is the anchors' boundary distance,
-    and remaining is one time for every row or one per row.
+    image weight rho = exp(clip((ell_nu - g)(ell_nu + g) / 2s, -60, 0))
+    (image_pull), because |nu| = 1, or nu = 0 and ell_nu = 0 at a ball's
+    centre.  d_z and nu are the ones the walk state carries for its point;
+    d_anchor is the anchors' boundary distance, and remaining is one time
+    for every row or one per row.
     """
     ell = model.log_frame(state.x, anchor)
-    d_z, nu = state.depth, state.nu
+    nu = state.nu
     ell_nu = _rowdot(ell, nu)
     drift = _scale_columns(ell, remaining, np.divide, out=ell)  # ell is a new array
-    gap = d_z + d_anchor
+    drift -= _scale_columns(nu, image_pull(ell_nu, state.depth + d_anchor, remaining), np.multiply)
+    return drift
+
+
+def image_pull(ell_nu, gap, remaining):
+    """bridge_drift's pull rho (ell_nu + g) / ((1 + rho) s) along -nu; overwrites ell_nu."""
     plus = ell_nu + gap
     rho = np.subtract(ell_nu, gap, out=ell_nu)  # becomes the image weight, in place
     rho *= plus
@@ -309,16 +314,7 @@ def bridge_drift(model, state: WalkState, anchor, remaining, *, d_anchor):
     rho += 1.0
     rho *= remaining
     pull /= rho
-    _sub_columns(drift, pull, nu)
-    return drift
-
-
-def _sub_columns(out, w, nu):
-    """out[:, k] -= w * nu[:, k] for every column k, in place."""
-    tmp = np.empty_like(w)
-    for k in range(out.shape[1]):
-        np.multiply(w, nu[:, k], out=tmp)
-        out[:, k] -= tmp
+    return pull
 
 
 def step_bridge(model, state: WalkState, remaining, anchor, scales, noise, *,
@@ -330,20 +326,24 @@ def step_bridge(model, state: WalkState, remaining, anchor, scales, noise, *,
     the time left and scales = (h, sqrt h) the step, which scales the drift,
     and its root, which scales the noise; each is one value for every row or
     one per row.  noise.fill(xi) writes the step's standard normals into xi:
-    noise is a tile's source of noise.batch_noise, or a _row_streams.
+    noise is a tile's source of noise.batch_noise, or a _row_streams.  The
+    model's bridge_step (general_step or its closed form) moves the walks.
     """
-    h, root_h = scales
-    g = None if anchor is None else bridge_drift(model, state, anchor, remaining,
-                                                 d_anchor=d_anchor)
     xi = np.empty((state.x.shape[0], model.dimension))
     noise.fill(xi)
-    _scale_columns(xi, root_h, np.multiply, xi)
-    if g is None:
-        return _apply_increment(model, state, model.frame_vector(state.frames, xi))
-    _scale_columns(g, h, np.multiply, g)
-    # the increment, in the drift's layout: the draws fill C-order rows
-    g += model.frame_vector(state.frames, xi)
-    return _apply_increment(model, state, g)
+    return model.bridge_step(state, anchor, remaining, scales, xi, d_anchor)
+
+
+def general_step(model, state: WalkState, anchor, remaining, scales, xi, d_anchor) -> ContactInfo:
+    """step_bridge's step for any model: bridge_drift, the increment h drift + U sqrt(h) xi,
+    the geodesic step, one collar_data query at the new points and the reflection."""
+    h, root_h = scales
+    v = model.frame_vector(state.frames, _scale_columns(xi, root_h, np.multiply, xi))
+    if anchor is not None:  # the increment, in the drift's layout: the draws fill C-order rows
+        g = bridge_drift(model, state, anchor, remaining, d_anchor=d_anchor)
+        v = np.add(_scale_columns(g, h, np.multiply, g), v, out=g)
+    x2, u2 = model.geodesic_step(state.x, state.frames, v)
+    return _apply_increment(model, state, x2, u2, *model.collar_data(x2))
 
 
 def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
@@ -372,8 +372,9 @@ def _jump_update(m, info: ContactInfo):
     scalar decay, which simulate_bridges applies as one exp(-a lam) per path.
     The contact rows of the C-ordered (P, d, d) matrices m are gathered and
     scattered once, as length-C entry columns, on which m - (m nu) nu^T
-    runs as a few (d, d, C) operations: at a few hundred rows an einsum or
-    a (C, d, d) broadcast costs several times more.
+    runs as a few (d, d, C) operations.  Against (C, d, d) broadcasts they
+    measured 20-25 % faster at 400 rows, level at 200 and 5-25 % slower at
+    30-120 (BENCH_flat_step.json); benchmark steps hold 50-400 contact rows.
     """
     idx = info.idx
     if idx.size == 0:

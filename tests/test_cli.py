@@ -397,6 +397,17 @@ class TestRangeValidation:
         assert error["required_terms"] > 10**300
         assert "Traceback" not in err
 
+    def test_smallest_lifetime_on_the_disk_names_the_series(self, tmp_path):
+        # at t = 5e-324 no term count can be estimated: the error leaves it out
+        base = {**ESTIMATE_SMALL, "t": "5e-324"}
+        code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, base))])
+        assert code == 3
+        error = json.loads(out[0])["error"]
+        assert error["kind"] == "numerical"
+        assert "disk Neumann series" in error["message"] and "increase t" in error["message"]
+        assert "required_terms" not in error
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("experiment, base, spoil", [
         # 1 of 50 bridges: under the 5 % the former resample limit let through
         ("estimate-chi", {**ESTIMATE_SMALL, "bridges": "25"}, "alive"),

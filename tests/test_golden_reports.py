@@ -56,7 +56,7 @@ GOLDEN = {
         "diagnostics.json": "bed01733fa61b02e93935cacd92f0811c9d3838ccf256c408a1bd54d26a5350a",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "88f0e0c0a492d1e7d4a73a9f457583f5d7ca44b7016c2d98ada3fd9683776ac7",
+        "estimate-chi.json": "eb948580c880d7c686686afccf75c52eb20c3277cad65172b0d28105fc01bf10",
     },
     "estimate-chi-cap2": {
         "estimate-chi.json": "0dd3b937d479d078685fd7b2d42dcee3453368968b0712d83569715a22708d60",
@@ -68,7 +68,7 @@ GOLDEN = {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
     },
     "estimate-chi-disk": {
-        "estimate-chi.json": "02ce6f282914e8e4d8883872836fefe4c608a308f9a9123dad19486e6b6ee9c3",
+        "estimate-chi.json": "123929e485d273d7fc8b34f239185db9029328722df0ad8b7d6de75a6c233897",
     },
     "estimate-chi-hemisphere2": {
         "estimate-chi.json": "3e5f365884fe1bf689ddeb73a63d7f76c2e0034790561163e4d51563f2140504",
@@ -83,8 +83,8 @@ GOLDEN = {
         "estimate-chi.json": "e630c8fee42d8ca6bded6fc8e6297be43ead50e221188e7155ed683379988158",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "f5db67a5ba4274b6ab5d312fe952de3094100ef5ae9b5a88e421c1e0cfa0e06d",
-        "local-limit.json": "8174d24e28c57c40b2e963ccac9abc051dfa09492e444dc5e45b188126890d11",
+        "local-limit.csv": "bd3bf725ec5d8bfbc19b613c509f5b382abc7e47c61af56c344aba076e52a6d3",
+        "local-limit.json": "662864cf42c00469fb95de8652a2cf835c3d257d69563b4a703035621c1988e4",
     },
     "local-limit-boundary-cap2": {
         "local-limit.csv": "cbd572f968cfe50999aae73a3791667d3aa30ddaf300eba420ea6e453bd8a43d",
@@ -99,8 +99,8 @@ GOLDEN = {
         "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "9f56eb1fc31991efa5ec9cf8e23ca311f52a2f1f4dfc12ec89c0f8d1dbeeaa06",
-        "local-limit.json": "d81f365c4f61a742c3f14f6e3300909575446a5d33de128e2588a5fd5c21f095",
+        "local-limit.csv": "51db123d0de37b241788a1401a34f3360330abaeea8d79f760b1797cf909e793",
+        "local-limit.json": "c52d8c436f57d9d4e0feda28af4ce8c6624a5178701dca5469e970953cc81301",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "9bc01c2b2e2036eb4790b4937573f7464f96632bfccca6b1c8baf2516210190b",

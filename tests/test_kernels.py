@@ -293,6 +293,18 @@ class TestRadialDiagonal:
             hk.heat_kernel_diag(model, 5e-5, x)
         assert err.value.required_terms > 0
 
+    @pytest.mark.parametrize("dimension, series", [(2, "disk"), (3, "ball")])
+    def test_smallest_time_names_the_series(self, dimension, series):
+        # at t = 5e-324 lambda_max overflows to inf: the guard still raises its
+        # own error, naming the series and the remedy, without a term count
+        model = geo.model_catalog("ball", dimension=dimension)
+        x = model.sample_volume(np.random.default_rng(9), 4)
+        with pytest.raises(SeriesConvergenceError) as err:
+            hk.heat_kernel_diag(model, 5e-324, x)
+        assert f"{series} Neumann series" in str(err.value)
+        assert "increase t" in str(err.value)
+        assert err.value.required_terms is None
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("model", models_with_exact_kernels()[:4], ids=lambda m: repr(m))
     def test_invalid_time_raises(self, model, t):

@@ -902,7 +902,8 @@ class TestContactRows:
         new_state = st.make_walk_state(model, anchors)
         old_state = st.make_walk_state(model, anchors)
         v = model.frame_vector(new_state.frames, xi)
-        info = st._apply_increment(model, new_state, v)
+        x2, u2 = model.geodesic_step(new_state.x, new_state.frames, v)
+        info = st._apply_increment(model, new_state, x2, u2, *model.collar_data(x2))
         contact, dlam, nu = full_contact_step(model, old_state, v)
         assert 0 < info.idx.size < 120
         assert np.array_equal(info.idx, np.flatnonzero(contact))
@@ -970,7 +971,8 @@ class TestContactRows:
     def test_no_contact_gives_empty_rows(self):
         model = hemisphere()
         x = np.broadcast_to(model.interior_point(), (7, 3)).copy()
-        info = st._apply_increment(model, st.make_walk_state(model, x), np.zeros((7, 3)))
+        state = st.make_walk_state(model, x)
+        info = st._apply_increment(model, state, state.x, state.frames, *model.collar_data(x))
         assert info.idx.size == info.dlam.size == 0
         assert info.nu.shape == (0, model.bounded_factor.dim)
 
@@ -1000,7 +1002,14 @@ class TestCarriedBoundaryData:
         def check(k, rows, state, info):
             depth, nu = model.collar_data(state.x)
             assert np.abs(state.depth - depth).max() < 1e-12
-            assert np.abs(state.nu - nu).max() < 1e-12
+            # a flat ball's steps carry |x| in place of the normal; the snap's
+            # query carries the normal again
+            carries_norm = isinstance(model, geo.FlatBall) and not (pinned and k == 1)
+            assert (state.nu is None) == carries_norm == (state.norm is not None)
+            if carries_norm:
+                assert np.abs(state.norm - np.sqrt(geo._rowdot(state.x, state.x))).max() < 1e-12
+            else:
+                assert np.abs(state.nu - nu).max() < 1e-12
             passed.append(int((info.dlam > 2.0 * reach).sum()))
 
         st.simulate_bridges(model, anchors, 1.0, 2, st.RngStream(423), pinned=pinned,
@@ -1169,6 +1178,90 @@ class TestFlatColumnwise:
             new = st.bridge_drift(model, state, anchors, remaining, d_anchor=d_anchor)
             old = broadcast_flat_drift(model, inside, anchors, remaining, d_anchor=d_anchor)
             assert np.array_equal(new, old)
+
+
+# ---------------------------------------------------------------------------
+# the flat ball's closed-form step against the general step
+# ---------------------------------------------------------------------------
+
+
+def general_flat_step(model, state, anchor, remaining, scales, xi, d_anchor):
+    """Reference: the general step from a copy of the state that carries collar_data's normal.
+
+    It is the chain every model without a closed form takes: the drift,
+    the frame vector, the geodesic step, one collar query and the reflection.
+    """
+    ref = st.WalkState(x=state.x.copy(), frames=None, lam=state.lam.copy(),
+                       depth=state.depth.copy(), nu=model.collar_data(state.x)[1])
+    return ref, st.general_step(model, ref, anchor, remaining, scales, xi.copy(), d_anchor)
+
+
+def compare_with_general_steps(model):
+    """Make every bridge_step of model check itself against the general step.
+
+    Returns the list that collects, per step, the contact rows and the
+    number of reflections that passed the centre.
+    """
+    closed = model.bridge_step
+    seen = []
+
+    def compared(state, anchor, remaining, scales, xi, d_anchor):
+        ref, expected = general_flat_step(model, state, anchor, remaining, scales, xi, d_anchor)
+        info = closed(state, anchor, remaining, scales, xi, d_anchor)
+        assert np.array_equal(info.idx, expected.idx)
+        for new, old in [(state.x, ref.x), (state.depth, ref.depth), (state.lam, ref.lam),
+                         (info.dlam, expected.dlam), (info.nu, expected.nu)]:
+            if anchor is None:  # a free step is the same arithmetic
+                assert np.array_equal(new, old)
+            else:
+                assert np.abs(new - old).max(initial=0.0) <= 1e-12
+        seen.append((info.idx.size, int((info.dlam > 2.0 * model.radius).sum())))
+        return info
+
+    model.bridge_step = compared
+    return seen
+
+
+class TestFlatClosedForm:
+    @pytest.mark.parametrize("lifetimes", ["scalar", "per-row"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
+    @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_general_step(self, n, pinned, paired, lifetimes):
+        # every step, from the state the closed form reached, against the general
+        # step on the same normals: tiles, groups and pairs draw as before.  Some
+        # loops start exactly at the centre, where the state's normal is 0
+        model = geo.FlatBall(n)
+        sizes = [24, 36, 60]
+        anchors = mixed_anchors(model, sum(sizes), 443)
+        anchors[::10] = 0.0
+        t = 0.2 if lifetimes == "scalar" else np.repeat([0.2, 0.08, 0.02], sizes)
+        seen = compare_with_general_steps(model)
+        st.simulate_bridges(model, anchors, t, 12, [st.RngStream(449, j) for j in range(3)],
+                            pinned=pinned, paired=paired, group_rows=sizes)
+        assert len(seen) == (11 if pinned else 12)
+        assert sum(contacts for contacts, _ in seen) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reflections_past_the_centre(self, n):
+        # at t = 1 and 3 steps a step crosses more than the radius
+        model = geo.FlatBall(n)
+        seen = compare_with_general_steps(model)
+        st.simulate_bridges(model, mixed_anchors(model, 600, 421), 1.0, 3, st.RngStream(423))
+        assert sum(passed for _, passed in seen) > 0
+
+    def test_centre_start(self):
+        # |x| = 0: no image pull, so the first step is beta a + sqrt(h) xi
+        model = disk()
+        anchors = np.array([[0.3, 0.4], [1.0, 0.0], [0.0, 0.0], [-0.2, 0.0]])
+        state = st.make_walk_state(model, np.zeros((4, 2)))
+        assert not state.nu.any()
+        xi = np.random.default_rng(457).standard_normal((4, 2))
+        ref, expected = general_flat_step(model, state, anchors, 0.05, (0.01, 0.1), xi,
+                                          model.boundary_distance(anchors))
+        model.bridge_step(state, anchors, 0.05, (0.01, 0.1), xi, model.boundary_distance(anchors))
+        assert np.abs(state.x - ref.x).max() <= 1e-15
+        assert np.abs(state.norm - np.linalg.norm(ref.x, axis=1)).max() <= 1e-15
 
 
 def concat_batches(parts):
@@ -1421,14 +1514,19 @@ class TestGeometryQueriesPerStep:
         assert sum(contacts for _, contacts, _, _ in steps_seen) > 0
         for rows, contacts, made, great_circles in steps_seen:
             assert contacts < rows
+            # each quantity is asked for at most once per step
+            assert len({q for q, _ in made}) == len(made)
             # one great-circle step of the whole batch on a curved model; the
             # contact rows rotate in reflect without a second one
             assert great_circles == ([] if name == "disk" else [rows])
             full = sorted(q for q, r in made if r == rows)
             # the drift's log map, the noise mapped into walk coordinates, the
             # step, and one collar query at the new points; no boundary_distance
-            # and no frame_components on the whole batch
-            assert full == ["collar_data", "frame_vector", "geodesic_step", "log_frame"]
+            # and no frame_components on the whole batch.  The disk's closed form
+            # asks for none of them: its step is x2 = alpha x + beta a + sqrt(h) xi,
+            # its distance R - |x2|, and it forms normals on contact rows only
+            assert full == ([] if name == "disk" else
+                            ["collar_data", "frame_vector", "geodesic_step", "log_frame"])
             on_contacts = sorted(q for q, r in made if r != rows)
             if contacts:
                 # reflect from that query's data, which returns the reflected
