@@ -28,7 +28,8 @@ cylinder is the sphere-ball product of the two); the factor metadata
 drives the fast supertrace assembly in the stochastic engine.  Points of
 spherical factors are stored embedded (which keeps stepping and
 transport exact).
-Each model also owns its analytic data: its Neumann heat kernel (built
+Each model also owns its analytic data: the diagonal K0(t; x, x) of its
+Neumann heat kernel, the one kernel value the path integral needs (built
 from the series, table and image functions of the kernels module), the
 kernel's exactness and validity metadata, the confinement scale of its
 pinned loops, and the curvature of its boundary.
@@ -391,14 +392,9 @@ class ManifoldModel:
         return general_step(self, state, anchor, remaining, scales, xi, d_anchor)
 
     # --- Neumann heat kernel ---------------------------------------------
-    def neumann_kernel(self, t, x, y):
-        """K0(t; x_p, y_p) of point pairs; this default is the Gaussian parametrix."""
-        return hk.parametrix(t, self.dimension, self.distance(x, y),
-                             self.boundary_distance(x), self.boundary_distance(y))
-
     def neumann_diag(self, t, x):
-        """K0(t; x_p, x_p) of a batch of points."""
-        return self.neumann_kernel(t, x, x)
+        """K0(t; x_p, x_p) of a batch of points; this default is the Gaussian parametrix."""
+        return hk.parametrix(t, self.dimension, self.boundary_distance(x))
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +509,13 @@ class FlatBall(ManifoldModel):
         return np.zeros(self.state_dim)
 
     # analytic data ---------------------------------------------------------
-    def neumann_kernel(self, t, x, y):
+    def neumann_diag(self, t, x):
         r = self.radius
         if self.dimension == 1:
-            return hk.interval_kernel(t, 2 * r, x[:, 0] + r, y[:, 0] + r)
-        if self.dimension == 2:
-            return hk.disk_kernel(t, r, x, y)
-        if self.dimension == 3:
-            return hk.ball3_kernel(t, r, self.volume, x, y)
-        return super().neumann_kernel(t, x, y)
-
-    def neumann_diag(self, t, x):
+            return hk.interval_kernel(t, 2 * r, x[:, 0] + r, x[:, 0] + r)
         if self.dimension in (2, 3):
-            return hk.ball_diag(t, self.radius, self.volume, x)
-        return self.neumann_kernel(t, x, x)
+            return hk.ball_diag(t, r, self.volume, x)
+        return super().neumann_diag(t, x)
 
     def heat_kernel_spec(self):
         # the interval's image sum holds at every t, the disk and ball mode tables from a limit
@@ -585,7 +574,7 @@ class SphereCap(ManifoldModel):
             _set_sizes(self, lambda: (2 * math.pi * r**3 * (a - math.sin(a) * math.cos(a)),
                                       4 * math.pi * (r * math.sin(a)) ** 2))
         self.constant_curvature = 1.0 / radius**2
-        # the hemisphere's equator is a geodesic: its kernel is exact (see neumann_kernel)
+        # the hemisphere's equator is a geodesic: its kernel is exact (see neumann_diag)
         self.shape_coefficient = 0.0 if self.is_hemisphere else math.cos(a) / math.sin(a) / r
         self.factors = (FactorSpec("cap", n, self.constant_curvature, slice(0, n), True, True),)
         self._params = {"dimension": dimension, "radius": radius, "aperture": aperture}
@@ -715,21 +704,10 @@ class SphereCap(ManifoldModel):
         return z
 
     # analytic data ---------------------------------------------------------
-    def neumann_kernel(self, t, x, y):
-        if not self.is_hemisphere:
-            return super().neumann_kernel(t, x, y)
-        # reflection doubling: the closed-sphere kernel plus its mirror image
-        n, r = self.dimension, self.radius
-        gamma = self.distance(x, y) / r
-        y_mirror = y.copy()
-        y_mirror[:, self._axis] *= -1.0
-        gamma_m = self.distance(x, y_mirror) / r
-        return hk.sphere_kernel(t, n, r, gamma) + hk.sphere_kernel(t, n, r, gamma_m)
-
     def neumann_diag(self, t, x):
         if not self.is_hemisphere:
-            return self.neumann_kernel(t, x, x)
-        # doubling: diagonal plus the mirrored-point term
+            return super().neumann_diag(t, x)
+        # reflection doubling: the closed-sphere diagonal plus the mirrored-point term
         n, r = self.dimension, self.radius
         gamma_m = 2.0 * self.boundary_distance(x) / r
         return hk.sphere_kernel(t, n, r, np.zeros(x.shape[0])) + hk.sphere_kernel(t, n, r, gamma_m)
@@ -915,13 +893,6 @@ class SphereBall(ManifoldModel):
         return z
 
     # analytic data ---------------------------------------------------------
-    def neumann_kernel(self, t, x, y):
-        xs, xb = self._split(x)
-        ys, yb = self._split(y)
-        gamma = _sphere_angle(xs, ys)
-        return (hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, gamma)
-                * self._ball.neumann_kernel(t, xb, yb))
-
     def neumann_diag(self, t, x):
         k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(x.shape[0]))
         return k_s * self._ball.neumann_diag(t, self._split(x)[1])

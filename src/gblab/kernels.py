@@ -1,11 +1,13 @@
-"""Neumann heat kernels for the catalog models.
+"""Diagonals K0(t; x, x) of the catalog models' Neumann heat kernels.
 
 Each model in geometry.py picks its own construction from the pure
-series, table and image functions here; heat_kernel_diag,
-neumann_heat_kernel and kernel_info check t and call into the model.
-All kernels are transition densities of normally reflected Brownian
-motion (generator = half the Laplacian), so they integrate to one against
-the Riemannian volume and approach 1/volume as t grows.
+series, table and image functions here; heat_kernel_diag and kernel_info
+check t and call into the model.  The path integral needs only the
+diagonal, so no model exposes the kernel at point pairs; that reference
+lives with the tests (tests/oracles.py).  All kernels are transition
+densities of normally reflected Brownian motion (generator = half the
+Laplacian), so they integrate to one against the Riemannian volume and
+approach 1/volume as t grows.
 
 Exact constructions:
 
@@ -32,7 +34,8 @@ Exact constructions:
 * products: product of the factor kernels, valid from the largest of
   the factors' t_min.
 
-Other caps and the 4-ball use a Gaussian parametrix and are flagged as
+Other caps and the 4-ball use the diagonal of a Gaussian parametrix,
+(2 pi t)^(-n/2) (1 + exp(-2 d^2 / t)) at depth d, and are flagged as
 approximate.
 """
 
@@ -269,11 +272,12 @@ def _ball_modes(dim, radius, lam_max):
     The entry's "order", "lam" and "weight" list every mode, sorted by
     order and then lambda; weight multiplies exp(-lambda^2 t / 2)
     R(lambda rho_x) R(lambda rho_y) and the angular factor (cos(m dphi) on
-    the disk, P_l(cos gamma) on the ball) in the kernel sum.  A cached
-    table covering lam_max is reused; otherwise one is built up to
-    lambda * r = max(lam_max * r, 60).  The entry's "diag" maps t to the
-    (node count, coefficients) of the diagonal's converged Chebyshev table
-    (see ball_diag); a new entry starts with none.
+    the disk, P_l(cos gamma) on the ball) in the kernel sum.  A table
+    cached for exactly this radius and covering lam_max is reused;
+    otherwise one is built up to lambda * r = max(lam_max * r, 60).  The
+    entry's "diag" maps t to the (node count, coefficients) of the
+    diagonal's converged Chebyshev table (see ball_diag); a new entry
+    starts with none.
     """
     kind = "disk" if dim == 2 else "ball"
     x_max = lam_max * radius
@@ -284,13 +288,12 @@ def _ball_modes(dim, radius, lam_max):
             f"(~{need:.3g} terms); increase t",
             required_terms=int(need) if math.isfinite(need) else None,
         )
-    key = (kind, round(radius, 12))
+    key = (kind, radius)
     cached = _MODE_CACHE.get(key)
     if cached is None or cached["x_max"] < x_max:
         x_max_build = max(x_max, 60.0)
         order, lam, weight = _ball_orders(dim, radius, x_max_build)
-        cached = {"x_max": x_max_build, "order": order, "lam": lam, "weight": weight,
-                  "radius": radius, "diag": {}}
+        cached = {"x_max": x_max_build, "order": order, "lam": lam, "weight": weight, "diag": {}}
         _MODE_CACHE[key] = cached
     return cached
 
@@ -405,52 +408,16 @@ def _active_modes(modes, t):
     return modes["order"][keep], lam, modes["weight"][keep] * np.exp(-lam * lam * t / 2.0)
 
 
-def _mode_sum(t, dim, radius, rho_x, rho_y, angular=None):
-    """sum over modes of coeff R(lambda rho_x) R(lambda rho_y) A, per point pair.
-
-    rho_y is rho_x for the diagonal; angular(order, pairs) gives the
-    angular factor A of those pairs, 1 when None.  Pairs are summed in
-    blocks of about _BESSEL_PASS (mode, pair) values.
-    """
+def _mode_sum(t, dim, radius, rho):
+    """sum over modes of coeff R(lambda rho)^2, per radius, in blocks of about _BESSEL_PASS terms."""
     order, lam, coeff = _active_modes(_ball_modes(dim, radius, _lambda_max(t)), t)
-    out = np.empty(rho_x.shape[0])
+    out = np.empty(rho.shape[0])
     block = max(1, _BESSEL_PASS // max(order.size, 1))
     for lo in range(0, out.size, block):
-        pairs = slice(lo, lo + block)
-        rx = bessel(order[:, None], lam[:, None] * rho_x[None, pairs], dim == 3)[0]
-        if rho_y is rho_x:
-            terms = rx * rx
-        else:
-            terms = rx * bessel(order[:, None], lam[:, None] * rho_y[None, pairs], dim == 3)[0]
-        if angular is not None:
-            terms *= angular(order, pairs)
-        out[pairs] = np.einsum("k,kp->p", coeff, terms)
+        points = slice(lo, lo + block)
+        r = bessel(order[:, None], lam[:, None] * rho[None, points], dim == 3)[0]
+        out[points] = np.einsum("k,kp->p", coeff, r * r)
     return out
-
-
-def disk_kernel(t, radius, x, y):
-    """Neumann kernel of the flat disk of the given radius at point pairs (x_p, y_p)."""
-    dphi = np.arctan2(x[:, 1], x[:, 0]) - np.arctan2(y[:, 1], y[:, 0])
-    out = 1.0 / (math.pi * radius * radius) + _mode_sum(
-        t, 2, radius, np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1),
-        lambda order, pairs: np.cos(order[:, None] * dphi[None, pairs]))
-    # eigen-series noise floor: the density is positive
-    return np.maximum(out, 0.0)
-
-
-def ball3_kernel(t, radius, volume, x, y):
-    """Neumann kernel of the flat 3-ball of the given radius and volume at point pairs."""
-    rho_x = np.linalg.norm(x, axis=-1)
-    rho_y = np.linalg.norm(y, axis=-1)
-    denom = np.where(rho_x * rho_y == 0.0, 1.0, rho_x * rho_y)
-    cosg = np.clip(np.einsum("pd,pd->p", x, y) / denom, -1.0, 1.0)
-    cosg = np.where(rho_x * rho_y == 0.0, 1.0, cosg)
-    lmax = int(_ball_modes(3, radius, _lambda_max(t))["order"].max())
-    legendre = np.array(_legendre_table(cosg, lmax))
-    out = 1.0 / volume + _mode_sum(t, 3, radius, rho_x, rho_y,
-                                   lambda order, pairs: legendre[order, pairs])
-    # eigen-series noise floor: the density is positive
-    return np.maximum(out, 0.0)
 
 
 def _ball_diag_series(t, dim, radius, volume, rho):
@@ -460,7 +427,8 @@ def _ball_diag_series(t, dim, radius, volume, rho):
     mode contributes weight * decay * R(lambda rho)^2.
     """
     base = 1.0 / (math.pi * radius * radius) if dim == 2 else 1.0 / volume
-    return np.maximum(base + _mode_sum(t, dim, radius, rho, rho), 0.0)
+    # eigen-series noise floor: the density is positive
+    return np.maximum(base + _mode_sum(t, dim, radius, rho), 0.0)
 
 
 def ball_diag(t, radius, volume, x):
@@ -523,15 +491,6 @@ def _lobatto_coefficients(vals):
     return coeffs
 
 
-def _legendre_table(x, lmax):
-    table = [np.ones_like(x)]
-    if lmax >= 1:
-        table.append(x.copy())
-    for l in range(1, lmax):
-        table.append(((2 * l + 1) * x * table[l] - l * table[l - 1]) / (l + 1))
-    return table
-
-
 def ball_series_t_min(radius):
     """Smallest t whose disk or 3-ball mode table stays below _MAX_DIMLESS_FREQ."""
     return 2.0 * _TAIL_LOG * (radius / _MAX_DIMLESS_FREQ) ** 2
@@ -542,16 +501,15 @@ def sphere_series_t_min(radius):
     return 2.0 * _TAIL_LOG * radius**2 / _MAX_TERMS**2
 
 
-def parametrix(t, dim, d, dx, dy):
-    """Gaussian parametrix with a single boundary image (approximate).
+def parametrix(t, dim, depth):
+    """Diagonal of the Gaussian parametrix with a single boundary image (approximate).
 
-    d is the distance between the points of each pair, dx and dy their
-    distances to the boundary.
+    depth is each point's distance to the boundary; its image lies at
+    twice that distance.  The float power raises OverflowError when
+    (2 pi t)^(-dim/2) is not a double.
     """
-    tan_sq = np.maximum(d**2 - (dx - dy) ** 2, 0.0)
-    image_sq = tan_sq + (dx + dy) ** 2
     pref = (2.0 * math.pi * t) ** (-dim / 2.0)
-    return pref * (np.exp(-(d**2) / (2 * t)) + np.exp(-image_sq / (2 * t)))
+    return pref * (1.0 + np.exp(-(depth + depth) ** 2 / (2 * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +524,10 @@ def kernel_info(model: ManifoldModel, t: float) -> dict:
     return info
 
 
-def _check_time(t):
-    if not (t > 0 and math.isfinite(t)):
-        raise SeriesConvergenceError(f"heat kernel requires a finite t > 0, got t={t}")
-
-
 def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
     """K0(t; x, x) for a batch of points; SeriesConvergenceError where it is not finite."""
-    _check_time(t)
+    if not (t > 0 and math.isfinite(t)):
+        raise SeriesConvergenceError(f"heat kernel requires a finite t > 0, got t={t}")
     try:
         diag = model.neumann_diag(t, np.atleast_2d(np.asarray(x, dtype=float)))
     except OverflowError as exc:
@@ -581,11 +535,3 @@ def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:
     if not np.isfinite(diag).all():
         raise SeriesConvergenceError(f"heat kernel diagonal is not finite at t={t}")
     return diag
-
-
-def neumann_heat_kernel(model: ManifoldModel, t: float, x, y) -> float:
-    """Neumann heat kernel K0(t; x, y) of a single point pair."""
-    _check_time(t)
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(model.neumann_kernel(t, x, y)[0])

@@ -9,7 +9,9 @@ contraction operators, boundary projections, shape-operator extensions
 the interior product of a vector with a multivector, a vector as a
 degree-1 multivector, degree components and degree blocks.  Also the
 reference mode tables of the flat disk and 3-ball, built the slow way on
-kernels.bessel or with scipy.special, and the diagonal summed with scipy.
+kernels.bessel or with scipy.special, the diagonal summed with scipy, and
+every model's Neumann heat kernel at point pairs, the reference of the
+models' diagonals.
 """
 
 import math
@@ -349,3 +351,58 @@ def ball_diag_scipy(table, t, dim, radius, volume, rho):
     radial = special.jv(order, lam * rho) if dim == 2 else special.spherical_jn(order, lam * rho)
     base = 1.0 / (math.pi * radius**2) if dim == 2 else 1.0 / volume
     return base + np.sum(weight * np.exp(-lam * lam * t / 2.0) * radial**2)
+
+
+def pair_kernel(model, t, x, y):
+    """The model's Neumann heat kernel K0(t; x_p, y_p) at the point pairs, rows of x and y.
+
+    Flat balls: the interval's image sum, and the disk's and 3-ball's mode
+    series with the angular factors cos(m dphi) and P_l(cos gamma).
+    Hemispheres: the closed-sphere series plus its mirror image.  Products:
+    the product of the factor kernels.  Other caps and balls: the Gaussian
+    parametrix with one boundary image, whose value at (x, x) is
+    kernels.parametrix's bit for bit, since the distance of x from x is 0.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if isinstance(model, geo.SphereBall):
+        (xs, xb), (ys, yb) = model._split(x), model._split(y)
+        gamma = geo._sphere_angle(xs, ys)
+        return (hk.sphere_kernel(t, model.sphere_dim, model.sphere_radius, gamma)
+                * pair_kernel(model._ball, t, xb, yb))
+    if isinstance(model, geo.FlatBall) and model.dimension == 1:
+        r = model.radius
+        return hk.interval_kernel(t, 2 * r, x[:, 0] + r, y[:, 0] + r)
+    if isinstance(model, geo.FlatBall) and model.dimension in (2, 3):
+        return ball_pair_series(model, t, x, y)
+    if isinstance(model, geo.SphereCap) and model.is_hemisphere:
+        n, r = model.dimension, model.radius
+        mirror = y.copy()
+        mirror[:, model._axis] *= -1.0
+        return (hk.sphere_kernel(t, n, r, model.distance(x, y) / r)
+                + hk.sphere_kernel(t, n, r, model.distance(x, mirror) / r))
+    d, dx, dy = model.distance(x, y), model.boundary_distance(x), model.boundary_distance(y)
+    image_sq = np.maximum(d**2 - (dx - dy) ** 2, 0.0) + (dx + dy) ** 2
+    pref = (2.0 * math.pi * t) ** (-model.dimension / 2.0)
+    return pref * (np.exp(-(d**2) / (2 * t)) + np.exp(-image_sq / (2 * t)))
+
+
+def ball_pair_series(model, t, x, y):
+    """The flat disk's or 3-ball's Neumann mode series at point pairs, on kernels' mode table."""
+    dim = model.dimension
+    order, lam, coeff = hk._active_modes(hk._ball_modes(dim, model.radius, hk._lambda_max(t)), t)
+    order, lam = order[:, None], lam[:, None]
+    rho_x, rho_y = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+    if dim == 2:
+        base = 1.0 / (math.pi * model.radius**2)
+        dphi = np.arctan2(x[:, 1], x[:, 0]) - np.arctan2(y[:, 1], y[:, 0])
+        angular = np.cos(order * dphi)
+    else:
+        base = 1.0 / model.volume
+        both = rho_x * rho_y
+        cosg = np.clip(np.einsum("pd,pd->p", x, y) / np.where(both == 0.0, 1.0, both), -1.0, 1.0)
+        angular = special.eval_legendre(order, np.where(both == 0.0, 1.0, cosg))
+    rx = hk.bessel(order, lam * rho_x, dim == 3)[0]
+    ry = hk.bessel(order, lam * rho_y, dim == 3)[0]
+    # eigen-series noise floor: the density is positive
+    return np.maximum(base + np.einsum("k,kp->p", coeff, rx * ry * angular), 0.0)

@@ -27,8 +27,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "gblab"
 
 ALLOWED = {
-    # entry points of the public API that nothing inside the package calls
-    "kernels.neumann_heat_kernel",
     # wrap points of the benchmark tracer (perfbench/tracer.py)
     "estimator.supertrace_expectation",
 }

@@ -5,12 +5,11 @@ import pytest
 
 from gblab import exterior as ext
 from gblab import geometry as geo
-from gblab import kernels as hk
 from gblab import noise
 from gblab import stochastic as st
 from gblab.errors import NumericalAbortError
 
-from oracles import boundary_projections, evolve_transport, path_supertrace
+from oracles import boundary_projections, evolve_transport, pair_kernel, path_supertrace
 
 
 def disk():
@@ -188,8 +187,8 @@ class TestBridge:
                 zm[0, a] -= eps
                 if model.boundary_distance(zp)[0] < 0 or model.boundary_distance(zm)[0] < 0:
                     break
-                kp = hk.neumann_heat_kernel(model, s, zp[0], x[0])
-                km = hk.neumann_heat_kernel(model, s, zm[0], x[0])
+                kp = pair_kernel(model, s, zp, x)[0]
+                km = pair_kernel(model, s, zm, x)[0]
                 grad[a] = (math.log(kp) - math.log(km)) / (2 * eps)
             else:
                 bound = model.distance(z, x)[0] / s + 1.0 / math.sqrt(s)
@@ -227,8 +226,8 @@ class TestBridge:
                 if model.boundary_distance(zp)[0] < 0 or model.boundary_distance(zm)[0] < 0:
                     usable = False
                     break
-                kp = hk.neumann_heat_kernel(model, s, zp[0], x[0])
-                km = hk.neumann_heat_kernel(model, s, zm[0], x[0])
+                kp = pair_kernel(model, s, zp, x)[0]
+                km = pair_kernel(model, s, zm, x)[0]
                 if kp < 1e-10 or km < 1e-10:
                     usable = False
                     break
