@@ -238,43 +238,24 @@ def calibrate_constants(n: int, models=None) -> ConstantTable:
     return table
 
 
-def analytic_gb_integrands(model: ManifoldModel, constants: ConstantTable):
-    """Pointwise bulk and boundary integrand fields under the calibrated constants.
+def local_integrand(model: ManifoldModel, constants: ConstantTable, point, *,
+                    on_boundary: bool) -> float:
+    """The calibrated local Gauss-Bonnet integrand at a point of the model.
 
-    Returns (bulk_fn, boundary_fn); integrating the first over the model
-    and the second over its boundary recovers the Euler characteristic.
+    On the boundary it is the boundary field, inside the bulk field, which
+    is constant on every catalog model and zero in odd dimension.
+    Integrating the bulk field over the model and the boundary field over
+    its boundary recovers the Euler characteristic.
     """
     n = model.dimension
     if constants is None or constants.n != n:
         raise CalibrationRankError(f"constants for dimension {n} are required")
-    if n % 2 == 0:
-        bulk_value = constants.bulk * bulk_supertrace(model)
-
-        def bulk_fn(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.full(x.shape[0], bulk_value)
-
-        def boundary_fn(z):
-            z2 = np.atleast_2d(np.asarray(z, dtype=float))
-            out = np.zeros(z2.shape[0])
-            for i in range(z2.shape[0]):
-                terms = boundary_integrand_terms(model, z2[i])
-                out[i] = sum(constants.boundary[key] * val for key, val in terms.items())
-            return out
-
-        return bulk_fn, boundary_fn
-
-    def bulk_fn(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.zeros(x.shape[0])
-
-    def boundary_fn(z):
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.array(
-            [constants.d_odd * boundary_closed_supertrace(model, z2[i]) for i in range(z2.shape[0])]
-        )
-
-    return bulk_fn, boundary_fn
+    if not on_boundary:
+        return 0.0 if n % 2 else float(constants.bulk * bulk_supertrace(model))
+    if n % 2:
+        return float(constants.d_odd * boundary_closed_supertrace(model, point))
+    terms = boundary_integrand_terms(model, point)
+    return float(sum(constants.boundary[key] * val for key, val in terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +579,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     point = check_point(model, point)
     constants = constants or calibrate_constants(model.dimension)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
-    bulk_fn, boundary_fn = analytic_gb_integrands(model, constants)
-    analytic = float(boundary_fn(point)[0] if on_boundary else bulk_fn(point)[0])
+    analytic = local_integrand(model, constants, point, on_boundary=on_boundary)
     paired = _antithetic(model, bridges)
     unit = 2 if paired else 1
     lifetimes = sorted(t_sequence, reverse=True)

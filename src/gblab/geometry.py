@@ -436,9 +436,10 @@ class FlatBall(ManifoldModel):
         return self.radius - rho, nu
 
     def reflect(self, x, u, depth, nu):
-        # radial mirror image; depth = r - |x| comes from the same |x|, and so
-        # does the normal where nu is None
-        rho = np.sqrt(_rowdot(x, x))
+        # radial mirror image.  A contact row has r <= |x|, so depth = r - |x|
+        # and r - depth = |x| are exact up to |x| = 2 r (Sterbenz's lemma):
+        # the norm comes from the depth, and so does the normal where nu is None
+        rho = self.radius - depth
         x2 = _scale_columns(x, (self.radius + depth) / rho, np.multiply)
         nu = _scale_columns(x, -rho, np.divide) if nu is None else nu
         return x2, u, *_mirrored_collar(self.radius, depth, nu)
@@ -474,7 +475,7 @@ class FlatBall(ManifoldModel):
         rho = _rowdot(x2, x2)
         np.sqrt(rho, out=rho)
         info = st._apply_increment(self, state, x2, None, self.radius - rho, None)
-        rho[info.idx] = np.abs(self.radius + (self.radius - rho[info.idx]))  # the images' |x|
+        rho[info.idx] = self.radius - state.depth[info.idx]  # the images' |x|
         state.norm = rho
         return info
 
@@ -707,10 +708,10 @@ class SphereCap(ManifoldModel):
     def neumann_diag(self, t, x):
         if not self.is_hemisphere:
             return super().neumann_diag(t, x)
-        # reflection doubling: the closed-sphere diagonal plus the mirrored-point term
+        # reflection doubling: the closed-sphere diagonal (one value) plus the mirrored-point term
         n, r = self.dimension, self.radius
         gamma_m = 2.0 * self.boundary_distance(x) / r
-        return hk.sphere_kernel(t, n, r, np.zeros(x.shape[0])) + hk.sphere_kernel(t, n, r, gamma_m)
+        return hk.sphere_kernel(t, n, r, np.zeros(1)) + hk.sphere_kernel(t, n, r, gamma_m)
 
     def heat_kernel_spec(self):
         return {"exact": self.is_hemisphere, "kind": "cap",
@@ -894,7 +895,7 @@ class SphereBall(ManifoldModel):
 
     # analytic data ---------------------------------------------------------
     def neumann_diag(self, t, x):
-        k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(x.shape[0]))
+        k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(1))  # one value
         return k_s * self._ball.neumann_diag(t, self._split(x)[1])
 
     def heat_kernel_spec(self):

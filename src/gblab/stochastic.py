@@ -108,16 +108,14 @@ TILE_ROWS = 16_384
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: (seed, stream, counter) fixes all draws."""
+    """Counter-based random stream: (seed, stream) keys Philox, whose counter starts at 0."""
 
     seed: int
     stream: int = 0
-    counter: int = 0
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        bitgen = np.random.Philox(counter=np.array([self.counter, 0, 0, 0], dtype=np.uint64), key=key)
-        return np.random.Generator(bitgen)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -491,11 +489,10 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     # per tile: its lifetimes, steps and steps' roots, scalars when every path shares them
     clocks = [(t[rows], h[rows], root[rows]) if np.ndim(t) else (t, h, root) for rows in tiles]
-    # per tile: the anchors in walk layout and their boundary distance, or none
+    # per tile: the anchors in walk layout and their depth (the start states'), or none
     targets = [(None, None)] * len(tiles)
     if pinned:
-        d_anchor = model.boundary_distance(anchors)
-        targets = [(_walk_rows(model, anchors[rows]), d_anchor[rows]) for rows in tiles]
+        targets = [(_walk_rows(model, anchors[rows]), s.depth) for rows, s in zip(tiles, states)]
     noise_steps = steps - 1 if pinned else steps
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,

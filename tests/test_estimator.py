@@ -119,10 +119,11 @@ class TestAnalyticIntegrands:
     )
     def test_two_dim_integrals_recover_chi(self, name, kw, constants2):
         model = geo.model_catalog(name, **kw)
-        bulk_fn, boundary_fn = est.analytic_gb_integrands(model, constants2)
-        x = model.sample_volume(np.random.default_rng(0), 4)
+        x = model.sample_volume(np.random.default_rng(0), 4)[0]
         z = model.boundary_point()
-        total = bulk_fn(x)[0] * model.volume + boundary_fn(z[None, :])[0] * model.boundary_area
+        total = (est.local_integrand(model, constants2, x, on_boundary=False) * model.volume
+                 + est.local_integrand(model, constants2, z, on_boundary=True)
+                 * model.boundary_area)
         assert abs(total - model.euler_characteristic) < 1e-10
 
     @pytest.mark.parametrize(
@@ -136,24 +137,24 @@ class TestAnalyticIntegrands:
     )
     def test_three_dim_integrals_recover_chi(self, name, kw, constants3):
         model = geo.model_catalog(name, **kw)
-        bulk_fn, boundary_fn = est.analytic_gb_integrands(model, constants3)
-        z = model.boundary_point()
-        assert bulk_fn(model.boundary_point()[None, :])[0] == 0.0
-        total = boundary_fn(z[None, :])[0] * model.boundary_area
+        assert est.local_integrand(model, constants3, model.interior_point(),
+                                   on_boundary=False) == 0.0
+        total = (est.local_integrand(model, constants3, model.boundary_point(), on_boundary=True)
+                 * model.boundary_area)
         assert abs(total - model.euler_characteristic) < 1e-10
 
     def test_disk_boundary_integrand_is_geodesic_curvature_over_two_pi(self, constants2):
         model = geo.model_catalog("ball", dimension=2)
-        _, boundary_fn = est.analytic_gb_integrands(model, constants2)
         # unit circle: geodesic curvature one
-        assert abs(boundary_fn(model.boundary_point()[None, :])[0] - 1.0 / (2 * math.pi)) < 1e-12
+        value = est.local_integrand(model, constants2, model.boundary_point(), on_boundary=True)
+        assert abs(value - 1.0 / (2 * math.pi)) < 1e-12
 
     def test_hemisphere_bulk_integrand_is_gauss_curvature_over_two_pi(self, constants2):
         model = geo.model_catalog("hemisphere", dimension=2)
-        bulk_fn, boundary_fn = est.analytic_gb_integrands(model, constants2)
-        x = model.interior_point()
-        assert abs(bulk_fn(x[None, :])[0] - 1.0 / (2 * math.pi)) < 1e-12
-        assert abs(boundary_fn(model.boundary_point()[None, :])[0]) < 1e-12
+        bulk = est.local_integrand(model, constants2, model.interior_point(), on_boundary=False)
+        assert abs(bulk - 1.0 / (2 * math.pi)) < 1e-12
+        assert abs(est.local_integrand(model, constants2, model.boundary_point(),
+                                       on_boundary=True)) < 1e-12
 
     def test_totally_geodesic_kills_shape_terms(self):
         # every boundary monomial with a shape factor vanishes pointwise on
@@ -191,10 +192,12 @@ class TestAnalyticIntegrands:
 
     def test_missing_constants_rejected(self, constants2):
         model = geo.model_catalog("ball", dimension=3)
-        with pytest.raises(CalibrationRankError):
-            est.analytic_gb_integrands(model, constants2)
-        with pytest.raises(CalibrationRankError):
-            est.analytic_gb_integrands(model, None)
+        for on_boundary, point in ((False, model.interior_point()),
+                                   (True, model.boundary_point())):
+            with pytest.raises(CalibrationRankError):
+                est.local_integrand(model, constants2, point, on_boundary=on_boundary)
+            with pytest.raises(CalibrationRankError):
+                est.local_integrand(model, None, point, on_boundary=on_boundary)
 
 
 class TestSupertraceExpectation:
@@ -620,9 +623,9 @@ class TestNeymanAllocation:
         # the pilots of both lifetimes step first, in one batch
         streams = []
 
-        def recording(seed, stream=0, counter=0):
+        def recording(seed, stream=0):
             streams.append(stream)
-            return RngStream(seed, stream, counter)
+            return RngStream(seed, stream)
 
         monkeypatch.setattr(est, "RngStream", recording)
         model = geo.model_catalog("ball", dimension=2)

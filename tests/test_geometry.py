@@ -389,6 +389,61 @@ class TestBoundary:
         assert np.abs(nu2 - model.collar_data(z)[1]).max() < 1e-12
 
 
+class TestFlatContactNorm:
+    """FlatBall.reflect reads |x| = r - depth, where depth = r - |x| <= 0 on contact rows.
+
+    Up to |x| = 2 r the subtraction r - |x| is exact (Sterbenz's lemma), so
+    r - depth is the fresh norm bit for bit; past 2 r (a step longer than
+    the radius) they differ by rounding.
+    """
+
+    @staticmethod
+    def fresh_norm_reflect(model, x, depth):
+        """Images, depths and normals of reflect with |x| taken anew from the rows."""
+        rho = np.sqrt(geo._rowdot(x, x))
+        x2 = geo._scale_columns(x, (model.radius + depth) / rho, np.multiply)
+        nu = geo._scale_columns(x, -rho, np.divide)
+        return (x2, *geo._mirrored_collar(model.radius, depth, nu))
+
+    @staticmethod
+    def rows(rng, dimension, radius, lo, hi, count=200):
+        """Rows with lo r <= |x| <= hi r, both ends among them, on an axis and at random."""
+        direction = geo._unit(rng.standard_normal((count, dimension)))
+        direction[:4] = np.eye(dimension)[0]
+        x = direction * (radius * rng.uniform(lo, hi, count))[:, None]
+        x[0, 0], x[1, 0] = lo * radius, hi * radius
+        rho = np.sqrt(geo._rowdot(x, x))
+        return x[(rho >= lo * radius) & (rho <= hi * radius)]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_exact_within_twice_the_radius(self, dimension):
+        rng = RNG(40 + dimension)
+        for radius in 10.0 ** rng.uniform(-3.0, 3.0, 25):
+            model = geo.FlatBall(dimension, radius)
+            x = self.rows(rng, dimension, radius, 1.0, 2.0)
+            depth = model.collar_data(x)[0]
+            assert np.all(depth <= 0.0)
+            x2, u2, depth2, nu2 = model.reflect(x, None, depth, None)
+            for got, want in zip((x2, depth2, nu2), self.fresh_norm_reflect(model, x, depth)):
+                assert np.array_equal(got, want)
+            # the images' |x| that FlatBall.bridge_step reads, r minus their
+            # depth, is |r + depth| bit for bit
+            assert np.array_equal(radius - depth2, np.abs(radius + depth))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_rounding_past_twice_the_radius(self, dimension):
+        rng = RNG(50 + dimension)
+        for radius in 10.0 ** rng.uniform(-3.0, 3.0, 25):
+            model = geo.FlatBall(dimension, radius)
+            x = self.rows(rng, dimension, radius, 2.0, 10.0)
+            depth = model.collar_data(x)[0]
+            x2, u2, depth2, nu2 = model.reflect(x, None, depth, None)
+            want_x2, want_depth2, want_nu2 = self.fresh_norm_reflect(model, x, depth)
+            assert np.array_equal(depth2, want_depth2)
+            np.testing.assert_allclose(x2, want_x2, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(nu2, want_nu2, rtol=1e-15, atol=0.0)
+
+
 # sample_volume(rng, 7) of the per-model samplers it replaced, at seed 2024:
 # (name, params, sha256 of the points' bytes, PCG64 state and has_uint32 after)
 VOLUME_SAMPLES = [

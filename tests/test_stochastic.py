@@ -35,9 +35,13 @@ class TestRngStream:
         b = st.RngStream(seed=123, stream=1).generator().standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_counter_advances_reproducibly(self):
-        s = st.RngStream(seed=9, stream=2, counter=5)
-        assert np.array_equal(s.generator().standard_normal(8), s.generator().standard_normal(8))
+    def test_counter_starts_at_zero(self):
+        # (seed, stream) keys the generator, and Philox's counter starts at 0
+        s = st.RngStream(seed=9, stream=2)
+        key = np.array([9, 2], dtype=np.uint64)
+        zero = np.random.Philox(counter=np.zeros(4, dtype=np.uint64), key=key)
+        assert np.array_equal(s.generator().standard_normal(8),
+                              np.random.Generator(zero).standard_normal(8))
 
     def test_path_reproducibility(self):
         model = disk()
@@ -1535,6 +1539,40 @@ class TestGeometryQueriesPerStep:
                 assert on_contacts == ["boundary_data", "frame_components", "reflect"]
             else:
                 assert on_contacts == []
+
+    @pytest.mark.parametrize("name", ["disk", "hemisphere", "sphere-ball-2+1"])
+    def test_held_boundary_data_is_reused(self, name, monkeypatch):
+        # the anchors' depth is the start states' depth, so a pinned batch
+        # makes no boundary_distance call; a flat contact takes |x| from the
+        # depth it is passed, so FlatBall.reflect forms no norm
+        model = {"disk": disk, "hemisphere": hemisphere,
+                 "sphere-ball-2+1": lambda: geo.SphereBall(2, 1)}[name]()
+        rowdots, flat_reflects, inside = [], [], []
+        rowdot, flat_reflect = geo._rowdot, geo.FlatBall.reflect
+
+        def rowdot_spy(a, b):
+            if inside:
+                rowdots.append(a.shape)
+            return rowdot(a, b)
+
+        def reflect_spy(self, x, *args):
+            flat_reflects.append(x.shape[0])
+            inside.append(True)
+            try:
+                return flat_reflect(self, x, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(geo, "_rowdot", rowdot_spy)
+        monkeypatch.setattr(geo.FlatBall, "reflect", reflect_spy)
+        calls = []
+        spy_on_geometry(model, calls)
+        st.simulate_bridges(model, mixed_anchors(model, 60, 281), 0.2, 20, st.RngStream(283))
+        assert "boundary_distance" not in {q for q, _ in calls}
+        assert any(q == "reflect" for q, _ in calls)
+        # the hemisphere rotates its contacts; the ball factors mirror them
+        assert (len(flat_reflects) > 0) == (name != "hemisphere")
+        assert rowdots == []
 
 
 # ---------------------------------------------------------------------------
