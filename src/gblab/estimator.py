@@ -242,8 +242,8 @@ def local_integrand(model: ManifoldModel, constants: ConstantTable, point, *,
                     on_boundary: bool) -> float:
     """The calibrated local Gauss-Bonnet integrand at a point of the model.
 
-    On the boundary it is the boundary field, inside the bulk field, which
-    is constant on every catalog model and zero in odd dimension.
+    With on_boundary it is the boundary field, otherwise the bulk field,
+    which is constant on every catalog model and zero in odd dimension.
     Integrating the bulk field over the model and the boundary field over
     its boundary recovers the Euler characteristic.
     """

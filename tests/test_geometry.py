@@ -423,7 +423,7 @@ class TestFlatContactNorm:
             x = self.rows(rng, dimension, radius, 1.0, 2.0)
             depth = model.collar_data(x)[0]
             assert np.all(depth <= 0.0)
-            x2, u2, depth2, nu2 = model.reflect(x, None, depth, None)
+            x2, _, depth2, nu2 = model.reflect(x, None, depth, None)
             for got, want in zip((x2, depth2, nu2), self.fresh_norm_reflect(model, x, depth)):
                 assert np.array_equal(got, want)
             # the images' |x| that FlatBall.bridge_step reads, r minus their
@@ -437,7 +437,7 @@ class TestFlatContactNorm:
             model = geo.FlatBall(dimension, radius)
             x = self.rows(rng, dimension, radius, 2.0, 10.0)
             depth = model.collar_data(x)[0]
-            x2, u2, depth2, nu2 = model.reflect(x, None, depth, None)
+            x2, _, depth2, nu2 = model.reflect(x, None, depth, None)
             want_x2, want_depth2, want_nu2 = self.fresh_norm_reflect(model, x, depth)
             assert np.array_equal(depth2, want_depth2)
             np.testing.assert_allclose(x2, want_x2, rtol=1e-15, atol=0.0)
