@@ -335,12 +335,15 @@ def _run_cancellation_suite(cfg):
 
 
 def _run_diagnostics(cfg):
+    """The stochastic property battery; a check that finds nothing to measure fails."""
     seed = cfg["seed"]
     samples = cfg["samples"]
     checks = []
 
-    disk = geo.model_catalog("ball", dimension=2)
-    z = np.broadcast_to(np.array([1.0, 0.0]), (samples, 2)).copy()
+    # E lam_t ~ sqrt(2t/pi) from a boundary point, lifted by the boundary's curvature: the
+    # slope reads 0.52 on the unit disk (E lam 11 % high at t = 0.1), 0.50 on this one.
+    disk = geo.model_catalog("ball", dimension=2, radius=10.0)
+    z = np.broadcast_to(np.array([10.0, 0.0]), (samples, 2)).copy()
     ts = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
     total_steps = 2000
     marks = {int(round(total_steps * ti / ts[-1])): i for i, ti in enumerate(ts)}
@@ -352,17 +355,15 @@ def _run_diagnostics(cfg):
 
     st.simulate_bridges(disk, z, ts[-1], total_steps, st.RngStream(seed, 1), pinned=False,
                         on_step=record)
-    means = np.array([row.mean() for row in lam_at])
-    slope = float(np.polyfit(np.log(ts), np.log(means), 1)[0])
+    slope = float(np.polyfit(np.log(ts), np.log(lam_at.mean(axis=1)), 1)[0])
     checks.append({"name": "local_time_exponent", "value": slope,
                    "target": 0.5, "tolerance": 0.05, "passed": abs(slope - 0.5) < 0.05})
 
     hemi = geo.model_catalog("hemisphere", dimension=2)
-    anchor = hemi.interior_point()
+    anchors = np.broadcast_to(hemi.interior_point(), (samples, 3)).copy()
     hol_means = []
     hol_ts = [1e-3, 1e-2, 1e-1]
     for i, t in enumerate(hol_ts):
-        anchors = np.broadcast_to(anchor, (samples, 3)).copy()
         batch = st.simulate_bridges(hemi, anchors, t, 150, st.RngStream(seed, 10 + i))
         O = batch.factor_O["cap"]
         hol_means.append(float(np.linalg.norm(O - np.eye(2), axis=(1, 2)).mean()))
@@ -370,36 +371,38 @@ def _run_diagnostics(cfg):
     checks.append({"name": "holonomy_slope", "value": hslope,
                    "target": 1.0, "tolerance": 0.2, "passed": abs(hslope - 1.0) < 0.2})
 
+    # the widest lifetime lets about a tenth of the loops leave the ball, the narrowest none
+    unit_disk = geo.model_catalog("ball", dimension=2)
     rho = 0.4
     x = np.array([0.3, 0.0])
     fracs = [
-        st.confinement_fraction(disk, x, rho, tt, samples, st.RngStream(seed, 20 + i))
-        for i, tt in enumerate([rho**2 / 6.0, rho**2 / 25.0, rho**2 / 100.0])
+        st.confinement_fraction(unit_disk, x, rho, tt, samples, st.RngStream(seed, 20 + i))
+        for i, tt in enumerate([rho**2 / 2.0, rho**2 / 8.0, rho**2 / 100.0])
     ]
     margin = 2.0 * math.sqrt(0.25 / samples)
-    conf_ok = fracs[1] >= fracs[0] - margin and fracs[2] >= fracs[1] - margin
-    checks.append({"name": "confinement_monotone", "value": fracs,
-                   "target": "nondecreasing as t decreases", "passed": bool(conf_ok)})
+    conf_ok = (fracs[1] >= fracs[0] - margin and fracs[2] >= fracs[1] - margin
+               and fracs[0] < 0.999 and fracs[2] > 0.999)
+    checks.append({"name": "confinement_monotone", "value": fracs, "passed": bool(conf_ok),
+                   "target": "nondecreasing as t falls, < 0.999 at rho^2/2, > 0.999 at rho^2/100"})
 
-    gaps_ok = True
+    # A penalty jump keeps exp(-dlam / eps) of the normal part the exact jump removes, and
+    # every factor is a contraction, so the gap is at most their sum over the contacts.  A
+    # small dlam breaks a fixed bound: a gap falling to < 1e-2 at eps = 1e-3 fails 15 % of seeds.
     gap_sets = []
     pseed = 0
     while len(gap_sets) < 3 and pseed < 30:
-        path = st.simulate_path(disk, np.array([1.0, 0.0]), 0.04, 150,
+        path = st.simulate_path(unit_disk, np.array([1.0, 0.0]), 0.04, 150,
                                 st.RngStream(seed, 30 + pseed))
         pseed += 1
-        if path.contact.sum() < 3:
-            # the comparison needs boundary contacts with positive local time
-            continue
-        M_exact = st.evolve_functional(path, mode="exact-jump")
-        gaps = []
-        for eps_val in (1e-1, 1e-2, 1e-3):
-            M_eps = st.evolve_functional(path, mode="epsilon", eps=eps_val)
-            gaps.append(float(np.linalg.norm(M_eps.mat - M_exact.mat, 2)))
-        gap_sets.append(gaps)
-        gaps_ok = gaps_ok and gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-2
-    checks.append({"name": "epsilon_jump_convergence", "value": gap_sets,
-                   "target": "monotone gap, < 1e-2 at eps = 1e-3", "passed": bool(gaps_ok)})
+        dlam = path.dlam[path.contact]  # a free path's contacts all have dlam > 0
+        if dlam.size >= 3:
+            M_exact = st.evolve_functional(path, mode="exact-jump").mat
+            gap_sets.append([[float(np.linalg.norm(
+                st.evolve_functional(path, mode="epsilon", eps=e).mat - M_exact, 2)),
+                float(np.exp(-dlam / e).sum())] for e in (1e-1, 1e-2, 1e-3)])
+    eps_ok = len(gap_sets) == 3 and all(g <= b + 1e-12 for s in gap_sets for g, b in s)
+    checks.append({"name": "epsilon_jump_convergence", "value": gap_sets, "passed": bool(eps_ok),
+                   "target": "[gap, bound] at eps = 0.1, 0.01, 0.001, 3 paths with >= 3 contacts"})
 
     passed = all(c["passed"] for c in checks)
     _progress(f"diagnostics: {'all checks passed' if passed else 'CHECK FAILURES'}")

@@ -178,11 +178,6 @@ def _columns_contiguous(a):
     return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
 
 
-def _walk_rows(model: ManifoldModel, x):
-    """Rows of points in the layout the walks of the model keep (see make_walk_state)."""
-    return _columns_contiguous(x) if model.needs_frames else x
-
-
 def make_walk_state(model: ManifoldModel, x0) -> WalkState:
     """Walks starting at x0.
 
@@ -489,10 +484,11 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
     # per tile: its lifetimes, steps and steps' roots, scalars when every path shares them
     clocks = [(t[rows], h[rows], root[rows]) if np.ndim(t) else (t, h, root) for rows in tiles]
-    # per tile: the anchors in walk layout and their depth (the start states'), or none
+    # per tile: its anchors and their depth, or none.  They are its start state's arrays,
+    # which no step writes into: every step gives the state fresh ones.
     targets = [(None, None)] * len(tiles)
     if pinned:
-        targets = [(_walk_rows(model, anchors[rows]), s.depth) for rows, s in zip(tiles, states)]
+        targets = [(s.x, s.depth) for s in states]
     noise_steps = steps - 1 if pinned else steps
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,

@@ -5,19 +5,23 @@ Monte Carlo budgets are pilot-tuned so every statistical criterion meets
 its stderr target within the runtime caps; all random seeds are fixed.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from gblab import cli
 from gblab import estimator as est
 from gblab import exterior as ext
 from gblab import geometry as geo
-from gblab import stochastic as st
-from gblab.stochastic import RngStream
 
 from oracles import degree_block, gauss_equation_check
+
+SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
 
 
 def _verdict(num, passed, detail):
@@ -213,85 +217,29 @@ def test_criterion_7_calibration_sanity(constants2, constants3):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: stochastic property suite
+# criterion 8: the stochastic property battery (the diagnostics experiment)
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_stochastic_properties():
+def test_criterion_8_stochastic_properties(tmp_path, capsys):
     started = time.perf_counter()
-    disk = geo.model_catalog("ball", dimension=2)
-
-    # local-time exponent
-    z = np.broadcast_to(np.array([1.0, 0.0]), (6000, 2)).copy()
-    ts = np.array([1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1])
-    total_steps = 2500
-    marks = {int(round(total_steps * ti / ts[-1])): i for i, ti in enumerate(ts)}
-    lam_at = np.empty((len(ts), 6000))
-
-    def record(k, rows, state, info):
-        if k + 1 in marks:
-            lam_at[marks[k + 1], rows] = state.lam
-
-    st.simulate_bridges(disk, z, ts[-1], total_steps, RngStream(1801), pinned=False,
-                        on_step=record)
-    means = lam_at.mean(axis=1)
-    slope_lam = float(np.polyfit(np.log(ts), np.log(means), 1)[0])
-    ok_lam = abs(slope_lam - 0.5) < 0.05
-
-    # holonomy bound slope
-    hemi = geo.model_catalog("hemisphere", dimension=2)
-    anchor = hemi.interior_point()
-    hol = []
-    hol_ts = [1e-3, 1e-2, 1e-1]
-    for i, t in enumerate(hol_ts):
-        anchors = np.broadcast_to(anchor, (1500, 3)).copy()
-        batch = st.simulate_bridges(hemi, anchors, t, 150, RngStream(1802, i))
-        O = batch.factor_O["cap"]
-        hol.append(float(np.linalg.norm(O - np.eye(2), axis=(1, 2)).mean()))
-    slope_hol = float(np.polyfit(np.log(hol_ts), np.log(hol), 1)[0])
-    ok_hol = abs(slope_hol - 1.0) < 0.2
-
-    # confinement monotone in t (the widest lifetime leaks out of the ball)
-    rho = 0.4
-    x = np.array([0.3, 0.0])
-    fracs = [
-        st.confinement_fraction(disk, x, rho, t, 3000, RngStream(1803, i))
-        for i, t in enumerate([rho**2 / 2.0, rho**2 / 8.0, rho**2 / 100.0])
-    ]
-    margin = 2.0 * math.sqrt(0.25 / 3000)
-    ok_conf = (
-        fracs[1] >= fracs[0] - margin
-        and fracs[2] >= fracs[1] - margin
-        and fracs[0] < 0.999  # the sequence is nontrivial
-        and fracs[2] > 0.999
-    )
-
-    # epsilon-jump convergence with monotone gap (on contacting paths)
-    ok_eps = True
-    final_gaps = []
-    pseed = 0
-    while len(final_gaps) < 3 and pseed < 30:
-        path = st.simulate_path(disk, np.array([1.0, 0.0]), 0.04, 150, RngStream(1804, pseed))
-        pseed += 1
-        if path.contact.sum() < 3:
-            continue
-        M_exact = st.evolve_functional(path, mode="exact-jump")
-        gaps = [
-            float(np.linalg.norm(st.evolve_functional(path, mode="epsilon", eps=e).mat
-                                 - M_exact.mat, 2))
-            for e in (1e-1, 1e-2, 1e-3)
-        ]
-        final_gaps.append(gaps[-1])
-        ok_eps &= gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-2
-    ok_eps &= len(final_gaps) == 3
+    out = tmp_path / "out"
+    config = tmp_path / "diagnostics.cfg"
+    config.write_text(f"samples = 6000\nseed = 1801\noutput_dir = {out}\n", encoding="utf-8")
+    code = cli.run(config, "diagnostics")
+    capsys.readouterr()  # the summary line, which the report repeats
+    report = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, SCHEMA)
     elapsed = time.perf_counter() - started
-    ok = ok_lam and ok_hol and ok_conf and ok_eps and elapsed < 300.0
+    value = {c["name"]: c["value"] for c in report["checks"]}
     _verdict(
-        8, ok,
-        f"local-time exponent {slope_lam:.3f} (0.5 +- 0.05); holonomy slope "
-        f"{slope_hol:.3f} (~1); confinement fractions {[f'{f:.4f}' for f in fracs]} "
-        f"monotone as t decreases; epsilon gaps monotone with final "
-        f"{max(final_gaps):.1e} < 1e-2; runtime {elapsed:.0f}s < 300s",
+        8, code == 0 and report["passed"] and elapsed < 300.0,
+        f"gblab diagnostics at 6000 samples: local-time exponent "
+        f"{value['local_time_exponent']:.3f} (0.5 +- 0.05); holonomy slope "
+        f"{value['holonomy_slope']:.3f} (1 +- 0.2); confinement fractions "
+        f"{[f'{f:.4f}' for f in value['confinement_monotone']]} nondecreasing as t "
+        f"decreases; epsilon gaps within their bounds on "
+        f"{len(value['epsilon_jump_convergence'])} paths; runtime {elapsed:.0f}s < 300s",
     )
 
 

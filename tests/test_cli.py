@@ -222,6 +222,28 @@ class TestCalibrateAndSuites:
                 "confinement_monotone", "epsilon_jump_convergence"} <= names
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("guard", ["confinement_monotone", "epsilon_jump_convergence"])
+    def test_diagnostics_guards_fire(self, tmp_path, capsys, monkeypatch, guard):
+        # no loop leaving the ball, or no path touching the boundary, fails the check
+        if guard == "confinement_monotone":
+            monkeypatch.setattr(cli.st, "confinement_fraction", lambda *args: 1.0)
+        else:
+            simulate_path = cli.st.simulate_path
+
+            def no_contacts(*args, **kwargs):
+                path = simulate_path(*args, **kwargs)
+                path.contact[:] = False
+                return path
+
+            monkeypatch.setattr(cli.st, "simulate_path", no_contacts)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"samples = 20\nseed = 11\noutput_dir = {out}\n")
+        assert cli.run(cfg, "diagnostics") == 0
+        assert json.loads(capsys.readouterr().out.strip())["passed"] is False
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert {c["name"]: c["passed"] for c in report["checks"]}[guard] is False
+        assert report["passed"] is False
+
 
 class TestMainEntry:
     def test_main_runs_subcommand(self, tmp_path, capsys):
