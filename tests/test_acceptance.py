@@ -238,7 +238,8 @@ def test_criterion_8_stochastic_properties(tmp_path, capsys):
         f"{value['local_time_exponent']:.3f} (0.5 +- 0.05); holonomy slope "
         f"{value['holonomy_slope']:.3f} (1 +- 0.2); confinement fractions "
         f"{[f'{f:.4f}' for f in value['confinement_monotone']]} nondecreasing as t "
-        f"decreases; epsilon gaps within their bounds on "
+        f"decreases; epsilon gaps within their bounds and falling to "
+        f"{max(s[-1][0] for s in value['epsilon_jump_convergence']):.1e} < 1e-2 on "
         f"{len(value['epsilon_jump_convergence'])} paths; runtime {elapsed:.0f}s < 300s",
     )
 

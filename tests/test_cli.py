@@ -222,12 +222,15 @@ class TestCalibrateAndSuites:
                 "confinement_monotone", "epsilon_jump_convergence"} <= names
         assert report["passed"] is True
 
-    @pytest.mark.parametrize("guard", ["confinement_monotone", "epsilon_jump_convergence"])
+    @pytest.mark.parametrize("guard", ["confinement_monotone", "epsilon_jump_convergence",
+                                       "epsilon_penalty_not_converging"])
     def test_diagnostics_guards_fire(self, tmp_path, capsys, monkeypatch, guard):
-        # no loop leaving the ball, or no path touching the boundary, fails the check
+        # no loop leaving the ball, no path touching the boundary, or a penalty that does not
+        # reach the exact jump as eps falls fails the check
+        check = guard if guard == "confinement_monotone" else "epsilon_jump_convergence"
         if guard == "confinement_monotone":
             monkeypatch.setattr(cli.st, "confinement_fraction", lambda *args: 1.0)
-        else:
+        elif guard == "epsilon_jump_convergence":
             simulate_path = cli.st.simulate_path
 
             def no_contacts(*args, **kwargs):
@@ -236,12 +239,19 @@ class TestCalibrateAndSuites:
                 return path
 
             monkeypatch.setattr(cli.st, "simulate_path", no_contacts)
+        else:
+            evolve = cli.st.evolve_functional
+
+            def slow_penalty(path, mode="exact-jump", eps=None, **kwargs):
+                return evolve(path, mode, None if eps is None else 1e3 * eps, **kwargs)
+
+            monkeypatch.setattr(cli.st, "evolve_functional", slow_penalty)
         out = tmp_path / "out"
         cfg = write_config(tmp_path, f"samples = 20\nseed = 11\noutput_dir = {out}\n")
         assert cli.run(cfg, "diagnostics") == 0
         assert json.loads(capsys.readouterr().out.strip())["passed"] is False
         report = json.loads((out / "diagnostics.json").read_text())
-        assert {c["name"]: c["passed"] for c in report["checks"]}[guard] is False
+        assert {c["name"]: c["passed"] for c in report["checks"]}[check] is False
         assert report["passed"] is False
 
 

@@ -53,7 +53,7 @@ GOLDEN = {
         "cancellation-suite.json": "f6f7ed096200ea44e6129c0a712cfce016b6af80ff1654d661fb738cb4dc4514",
     },
     "diagnostics": {
-        "diagnostics.json": "feffd9537a71288d82566d99290d7dc0b0ef59d50fa81ac6b8a8e2eead432ea8",
+        "diagnostics.json": "f21ff25d270acd9c36502a23eaf29de4d3cf10ada829dbdeeadeb5d89c0a7c9d",
     },
     "estimate-chi-ball3": {
         "estimate-chi.json": "eb948580c880d7c686686afccf75c52eb20c3277cad65172b0d28105fc01bf10",
