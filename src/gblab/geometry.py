@@ -322,6 +322,9 @@ class ManifoldModel:
     # offset_from_boundary derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
+    # the precision walks step in (the stochastic module's "walk precision"): float64
+    # until a model shows that its steps stay valid in less
+    walk_dtype = np.float64
 
     def boundary_distance(self, x):
         """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
@@ -406,6 +409,9 @@ class FlatBall(ManifoldModel):
     """Flat disk/ball of radius r in R^n; boundary is the round sphere."""
 
     name = "ball"
+    # the closed-form step runs about twice as fast in float32, and stays exact where it
+    # matters: reflect forms |x| = r - depth by Sterbenz's lemma, which holds in any format
+    walk_dtype = np.float32
 
     def __init__(self, dimension: int, radius: float = 1.0):
         if dimension < 1 or dimension > 4:
@@ -432,16 +438,18 @@ class FlatBall(ManifoldModel):
     def collar_data(self, x):
         rho = np.sqrt(_rowdot(x, x))
         # negate rho (P values), not x (P * n values)
-        nu = _scale_columns(x, -np.maximum(rho, 1e-300), np.divide)
+        nu = _scale_columns(x, -np.maximum(rho, np.finfo(rho.dtype).tiny), np.divide)
         return self.radius - rho, nu
 
     def reflect(self, x, u, depth, nu):
         # radial mirror image.  A contact row has r <= |x|, so depth = r - |x|
         # and r - depth = |x| are exact up to |x| = 2 r (Sterbenz's lemma):
-        # the norm comes from the depth, and so does the normal where nu is None
+        # the norm comes from the depth
         rho = self.radius - depth
         x2 = _scale_columns(x, (self.radius + depth) / rho, np.multiply)
-        nu = _scale_columns(x, -rho, np.divide) if nu is None else nu
+        if nu is None:  # from the points in float64, so |nu| = 1 to its rounding in any walk
+            nu = x.astype(float)
+            _scale_columns(nu, -np.sqrt(_rowdot(nu, nu)), np.divide, nu)
         return x2, u, *_mirrored_collar(self.radius, depth, nu)
 
     def log_frame(self, x, y):
@@ -461,7 +469,8 @@ class FlatBall(ManifoldModel):
         if anchor is None:
             x2 += x
         else:
-            inv = 1.0 / np.maximum(rho, 1e-300 * self.radius)  # keeps alpha x = 0 at the centre
+            # keeps alpha x = 0 at the centre, in the walk's precision
+            inv = 1.0 / np.maximum(rho, np.finfo(rho.dtype).tiny * self.radius)
             ell_nu = _rowdot(anchor, x)
             ell_nu *= inv
             np.subtract(rho, ell_nu, out=ell_nu)

@@ -12,7 +12,10 @@ helper is forked on first use, blocks on a pipe between batches and exits
 when the pipe reaches EOF (the owner closes it at exit, or dies).  It makes
 the same fill calls in the same order (by step, then tile, then row group)
 into a shared-memory ring of tile-sized slots, one slot per tile-step, and
-the stepping copies each tile's normals out of its slot.  At the end of the
+the stepping copies each tile's normals out of its slot.  The slots hold
+float64 draws, as every fill does, and the copy rounds them to the walk
+precision of the array it fills (float32 on a flat ball's walks), so the
+same seed draws the same numbers in either precision.  At the end of the
 batch the helper's final generator states are copied into the caller's
 generators.  A draw depends only on a generator's state and the calls made
 on it, never on the process that makes them (Philox is counter-based, and
@@ -95,7 +98,14 @@ class _RowStreams:
         Paired, a group of r rows draws r / 2 rows of normals, and its rows
         2j and 2j + 1 hold draw j and -(draw j): the groups draw in row order
         into the upper half of xi, and _spread_pairs moves the draws down.
+        The draws are float64: an xi of another precision takes them rounded,
+        through a float64 scratch array.
         """
+        if xi.dtype != np.float64:
+            scratch = np.empty(xi.shape)
+            self.fill(scratch)
+            np.copyto(xi, scratch)
+            return
         if not self.paired:
             for gen, a, b in zip(self.gens, self.bounds, self.bounds[1:]):
                 gen.standard_normal(out=xi[a:b])
@@ -177,7 +187,7 @@ class _RingReader:
         j = self.done
         if self.helper is not None and (self.helper.counters[_PRODUCED] > j or self._wait(j)):
             start = (j % self.slots) * self.slot
-            np.copyto(xi, self.helper.data[start:start + xi.size].reshape(xi.shape))
+            np.copyto(xi, self.helper.data[start:start + xi.size].reshape(xi.shape))  # rounds to xi
             self.helper.counters[_CONSUMED] = j + 1
         else:
             self.tiles[j % len(self.tiles)].fill(xi)

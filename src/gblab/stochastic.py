@@ -35,6 +35,24 @@ forms normals on the contact rows alone.  Validity (simulation_valid) is read
 once, on a batch's final states: a non-finite coordinate stays non-finite
 through every later step, and the rotations keep every point's radius.
 
+Walk precision.  A model names the precision its walks step in,
+walk_dtype: float64, but float32 on a flat ball, whose closed-form step
+runs about twice as fast in it and whose reflection stays exact (|x| =
+r - depth by Sterbenz's lemma, in any binary format).  simulate_bridges is
+the one place that rounds to it: each tile's start state and anchors, the
+step h and its root, and the remaining time, which is formed in float64
+and rounded once per step.  The step functions follow the precision of
+their inputs.  Python floats are weak scalars under numpy's promotion
+rules (NEP 50) and keep a float32 step in float32, where a float64 numpy
+scalar or array would silently promote it back.  The draws do not change:
+they are float64, and the copy into the step's noise array rounds them.
+What leaves the walk is float64: each dlam = -2 depth, summed into lam;
+the contact rows' normals, formed from the contact points in float64, so
+|nu| = 1 to float64 rounding and I - nu nu^T stays a projection; and m,
+the contact counts, the supertraces and every reduction.  The snap decides
+its contacts from the anchors' float64 depth, because a boundary anchor
+rounded to float32 lies about 6e-8 r inside or outside the boundary.
+
 simulate_bridges, the one stepping loop, draws its noise from one
 generator or from a sequence of G generators, one stream per contiguous
 row group (equal groups, or the sizes the caller gives), and steps the
@@ -261,7 +279,7 @@ def _apply_increment(model, state, x2, u2, depth, nu):
             nu[idx] = nu_c
         # Skorokhod decomposition X = W + nu L: the reflection pushes the step
         # back along the normal by twice its penetration -depth, and that push is dL
-        dlam = -2.0 * depth_c
+        dlam = np.multiply(depth_c, -2.0, dtype=float)  # summed into lam in float64
         state.lam[idx] += dlam
     return _finish_step(model, state, x2, u2, depth, nu, idx, dlam, u_c, nu_c)
 
@@ -319,10 +337,11 @@ def step_bridge(model, state: WalkState, remaining, anchor, scales, noise, *,
     the time left and scales = (h, sqrt h) the step, which scales the drift,
     and its root, which scales the noise; each is one value for every row or
     one per row.  noise.fill(xi) writes the step's standard normals into xi:
-    noise is a tile's source of noise.batch_noise, or a _row_streams.  The
-    model's bridge_step (general_step or its closed form) moves the walks.
+    noise is a tile's source of noise.batch_noise, or a _row_streams, and
+    rounds its float64 draws to xi's walk precision.  The model's
+    bridge_step (general_step or its closed form) moves the walks.
     """
-    xi = np.empty((state.x.shape[0], model.dimension))
+    xi = np.empty((state.x.shape[0], model.dimension), dtype=state.x.dtype)
     noise.fill(xi)
     return model.bridge_step(state, anchor, remaining, scales, xi, d_anchor)
 
@@ -339,16 +358,21 @@ def general_step(model, state: WalkState, anchor, remaining, scales, xi, d_ancho
     return _apply_increment(model, state, x2, u2, *model.collar_data(x2))
 
 
-def snap_to_anchor(model, state: WalkState, anchor) -> ContactInfo:
+def snap_to_anchor(model, state: WalkState, anchor, d_anchor) -> ContactInfo:
     """Deterministic final bridge step: land exactly on the anchor.
 
     An anchor lying on the boundary counts as a (zero-local-time) contact,
     so the functional receives its final tangential projection there.
+    d_anchor is the anchors' float64 depth, from before they were rounded
+    to the walk precision, because a boundary anchor rounded to float32
+    lies up to about 6e-8 of the radius off the boundary.  The boundary
+    query at the snapped points runs in float64, so the contact normals
+    leave the walk in float64.
     """
     v = model.log_frame(state.x, anchor)
     x2, u2 = model.geodesic_step(state.x, state.frames, v)
-    depth, nu = model.collar_data(x2)
-    idx = (depth <= 1e-12).nonzero()[0]
+    depth, nu = model.collar_data(x2.astype(float, copy=False))
+    idx = (d_anchor <= 1e-12).nonzero()[0]
     return _finish_step(model, state, x2, u2, depth, nu, idx, np.zeros(idx.size),
                         None if u2 is None else _take_rows(u2, idx), _take_rows(nu, idx))
 
@@ -477,30 +501,39 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
             raise ValueError(f"{t.shape[0]} lifetimes for {P} paths")
     h = t / steps
     root = np.sqrt(h)  # scales the noise, as h scales the drift
+    dtype = model.walk_dtype
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
     tiles = _row_tiles(P, 2 if paired else 1)
     states = [make_walk_state(model, anchors[rows]) for rows in tiles]
-    # per tile: its lifetimes, steps and steps' roots, scalars when every path shares them
-    clocks = [(t[rows], h[rows], root[rows]) if np.ndim(t) else (t, h, root) for rows in tiles]
-    # per tile: its anchors and their depth, or none.  They are its start state's arrays,
-    # which no step writes into: every step gives the state fresh ones.
-    targets = [(None, None)] * len(tiles)
+    depths = [s.depth for s in states]  # float64: they decide the snap's contacts
+    for s in states:
+        _round_walk(s, dtype)
+    # per tile: its lifetimes and steps in float64, which form the remaining time, and
+    # the steps and their roots in the walk precision; scalars when every path shares them
+    walk_scales = _rounded(h, dtype), _rounded(root, dtype)
+    clocks = [(t[rows], h[rows], tuple(v[rows] for v in walk_scales)) if np.ndim(t)
+              else (t, h, walk_scales)
+              for rows in tiles]
+    # per tile: its anchors and their depth in the walk precision, and that depth in
+    # float64; or none.  They are its start state's arrays, which no step writes into:
+    # every step gives the state fresh ones.
+    targets = [(None, None, None)] * len(tiles)
     if pinned:
-        targets = [(s.x, s.depth) for s in states]
+        targets = [(s.x, s.depth, d) for s, d in zip(states, depths)]
     noise_steps = steps - 1 if pinned else steps
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
     with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
                      noise_steps) as tile_noise:
         for k in range(steps):
-            for rows, state, noise, (anchor, d_rows), (t_rows, h_rows, root_rows) in zip(
+            for rows, state, noise, (anchor, d_rows, d_snap), (t_rows, h_rows, scales) in zip(
                     tiles, states, tile_noise, targets, clocks):
                 if k == noise_steps:
-                    info = snap_to_anchor(model, state, anchor)
+                    info = snap_to_anchor(model, state, anchor, d_snap)
                 else:
-                    info = step_bridge(model, state, t_rows - k * h_rows, anchor,
-                                       (h_rows, root_rows), noise, d_anchor=d_rows)
+                    info = step_bridge(model, state, _rounded(t_rows - k * h_rows, dtype),
+                                       anchor, scales, noise, d_anchor=d_rows)
                 _jump_update(m[rows], info)
                 contacts[rows][info.idx] += 1
                 if on_step is not None:
@@ -514,6 +547,22 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
         alive=model.simulation_valid(_join([s.x for s in states])), m=m,
         factor_O={spec.name: model.holonomy(frames0, frames, spec) for spec in model.factors},
     )
+
+
+def _round_walk(state: WalkState, dtype):
+    """Round a walk's point and boundary data to the walk precision dtype, in place.
+
+    lam stays float64, and a float64 walk keeps its arrays.
+    """
+    state.x = state.x.astype(dtype, copy=False)
+    state.depth = state.depth.astype(dtype, copy=False)
+    if state.nu is not None:
+        state.nu = state.nu.astype(dtype, copy=False)
+
+
+def _rounded(value, dtype):
+    """A clock value in the walk precision: a scalar stays a scalar, a float64 array itself."""
+    return value.astype(dtype, copy=False) if isinstance(value, np.ndarray) else dtype(value)
 
 
 def _row_tiles(P, unit=1):

@@ -11,10 +11,17 @@ libm): a different numpy build may change them without any change here.
 """
 
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gblab import cli
+from gblab import estimator as est
+from gblab import geometry as geo
 
 MODELS = {
     "disk": "model = ball\nmodel.dimension = 2\n",
@@ -53,10 +60,10 @@ GOLDEN = {
         "cancellation-suite.json": "f6f7ed096200ea44e6129c0a712cfce016b6af80ff1654d661fb738cb4dc4514",
     },
     "diagnostics": {
-        "diagnostics.json": "f21ff25d270acd9c36502a23eaf29de4d3cf10ada829dbdeeadeb5d89c0a7c9d",
+        "diagnostics.json": "3d2629705649efd99aab24104f5ce143dbd2d307517e86d56a87ca1b922a5916",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "eb948580c880d7c686686afccf75c52eb20c3277cad65172b0d28105fc01bf10",
+        "estimate-chi.json": "e842be523f25c2ff3db0e7c4b9c3fe6a7d9cb217eab3e845f2b4ba51a0863d97",
     },
     "estimate-chi-cap2": {
         "estimate-chi.json": "0dd3b937d479d078685fd7b2d42dcee3453368968b0712d83569715a22708d60",
@@ -68,7 +75,7 @@ GOLDEN = {
         "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
     },
     "estimate-chi-disk": {
-        "estimate-chi.json": "123929e485d273d7fc8b34f239185db9029328722df0ad8b7d6de75a6c233897",
+        "estimate-chi.json": "32efcbb14536ea0b0b514ff787d3d489c564b3880d4611e97c2ca9704a98b5c1",
     },
     "estimate-chi-hemisphere2": {
         "estimate-chi.json": "3e5f365884fe1bf689ddeb73a63d7f76c2e0034790561163e4d51563f2140504",
@@ -83,8 +90,8 @@ GOLDEN = {
         "estimate-chi.json": "e630c8fee42d8ca6bded6fc8e6297be43ead50e221188e7155ed683379988158",
     },
     "local-limit-boundary-ball3": {
-        "local-limit.csv": "bd3bf725ec5d8bfbc19b613c509f5b382abc7e47c61af56c344aba076e52a6d3",
-        "local-limit.json": "662864cf42c00469fb95de8652a2cf835c3d257d69563b4a703035621c1988e4",
+        "local-limit.csv": "41b3d620c839b8485f806ee8eb87eccf35d7e81dc55bf1bc2eb5caf84aa1c29e",
+        "local-limit.json": "684e041fd2cbc266d44e6534439c964f703cad997790d12c1438828b89080eef",
     },
     "local-limit-boundary-cap2": {
         "local-limit.csv": "cbd572f968cfe50999aae73a3791667d3aa30ddaf300eba420ea6e453bd8a43d",
@@ -99,8 +106,8 @@ GOLDEN = {
         "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
     },
     "local-limit-boundary-disk": {
-        "local-limit.csv": "51db123d0de37b241788a1401a34f3360330abaeea8d79f760b1797cf909e793",
-        "local-limit.json": "c52d8c436f57d9d4e0feda28af4ce8c6624a5178701dca5469e970953cc81301",
+        "local-limit.csv": "b1c233ee8146b7205fb4ebef57c59facca4a11d3d0b5dfe14f45c49fac8a9d96",
+        "local-limit.json": "d19493a0c8a51b159ca4432c1e3f0ad14a8d03721fb9ec39eda50c54bdd18b79",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "9bc01c2b2e2036eb4790b4937573f7464f96632bfccca6b1c8baf2516210190b",
@@ -177,3 +184,80 @@ def test_report_bytes_are_pinned(name, tmp_path, capsys):
 
 def test_every_config_is_pinned():
     assert sorted(GOLDEN) == sorted(CONFIGS)
+
+
+# ---------------------------------------------------------------------------
+# flat walks in float32 against float64
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload_config(name):
+    """The quick (small) config of a benchmark workload at benchmark seed 1."""
+    workloads = _workloads()
+    workload = workloads.WORKLOADS[name]
+    settings = workloads.config_settings(workload, ROOT, 1, 0, Path("out"), small=True)
+    return workload.experiment, workloads.config_text(settings)
+
+
+FLAT_RUNS = {
+    **{name: CONFIGS[name] for name in CONFIGS if name.endswith(("-disk", "-ball3"))},
+    **{f"workload-{name}": _workload_config(name)
+       for name in ("chi-disk", "chi-ball3-points", "local-limit-disk")},
+}
+
+
+def flat_run(experiment, text, directory, monkeypatch):
+    """The JSON report of one config and the contact counts of its bridge batches, in order."""
+    contacts = []
+    simulate = est.simulate_bridges
+
+    def recording(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        contacts.append(batch.contacts.copy())
+        return batch
+
+    path = directory / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(est, "simulate_bridges", recording)
+        assert cli.run(path, experiment, output_dir=directory / "reports") == 0
+    report = json.loads((directory / "reports" / f"{experiment}.json").read_text())
+    return report, np.concatenate(contacts)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_RUNS))
+def test_float32_walks_agree_with_float64(name, tmp_path, monkeypatch):
+    # the same draws, rounded: every estimate and local-limit row moves by at
+    # most 1e-2 of its stderr, and the walks touch the boundary on the same
+    # steps on at least 99 % of the paths
+    experiment, text = FLAT_RUNS[name]
+    assert geo.FlatBall.walk_dtype == np.float32
+    (tmp_path / "32").mkdir()
+    (tmp_path / "64").mkdir()
+    report, contacts = flat_run(experiment, text, tmp_path / "32", monkeypatch)
+    monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+    exact, exact_contacts = flat_run(experiment, text, tmp_path / "64", monkeypatch)
+    if experiment == "estimate-chi":
+        rows, exact_rows = [report], [exact]
+        keys = ("estimate", "stderr")
+    else:
+        rows, exact_rows = report["rows"], exact["rows"]
+        keys = ("value", "stderr")
+        assert [r["node_bridges"] for r in rows] == [r["node_bridges"] for r in exact_rows]
+    for row, exact_row in zip(rows, exact_rows, strict=True):
+        for key in keys:
+            assert abs(row[key] - exact_row[key]) <= 1e-2 * exact_row["stderr"], key
+    # the interior runs' loops start at the centre, and do not reach the boundary
+    assert contacts.shape == exact_contacts.shape and (contacts.sum() > 0) != ("interior" in name)
+    assert np.mean(contacts == exact_contacts) >= 0.99

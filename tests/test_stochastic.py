@@ -12,6 +12,15 @@ from gblab.errors import NumericalAbortError
 from oracles import boundary_projections, evolve_transport, pair_kernel, path_supertrace
 
 
+F32_EPS = float(np.finfo(np.float32).eps)  # the ulp of 1 in float32, a flat walk's precision
+
+
+@pytest.fixture
+def float64_walks(monkeypatch):
+    """Flat balls walk in float64: for the tests of the step arithmetic, to 1e-12."""
+    monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+
+
 def disk():
     return geo.model_catalog("ball", dimension=2)
 
@@ -131,7 +140,9 @@ class TestBridge:
         model = disk()
         anchor = np.array([0.3, -0.2])
         path = st.simulate_path(model, anchor, 0.05, 80, st.RngStream(29), pinned=True)
-        assert np.abs(path.positions[-1] - anchor).max() < 1e-12
+        # a float32 walk: the anchor rounds by half an ulp of |a| <= r, and the snap
+        # x + (a - x) by at most 1.5 ulps of r, since |x| and |a - x| stay below 2 r
+        assert np.abs(path.positions[-1] - anchor).max() <= 2 * F32_EPS * model.radius
 
     def test_sphere_endpoint_snaps_to_anchor(self):
         model = hemisphere()
@@ -599,7 +610,7 @@ class PairedNoise:
     def __init__(self, gen):
         self.gen = gen
 
-    def fill(self, xi):
+    def fill(self, xi):  # assigning rounds the float64 draws to xi's precision
         d = self.gen.standard_normal((xi.shape[0] // 2, xi.shape[1]))
         xi[0::2] = d
         xi[1::2] = -d
@@ -609,28 +620,34 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
     """Reference: the untiled stepping loop, one WalkState for the whole batch.
 
     Unpinned, the anchors are the starts of free walks; paired, the rows
-    step as antithetic pairs (PairedNoise).  Returns the batch and the
-    positions it visited, (steps + 1, P, state_dim).
+    step as antithetic pairs (PairedNoise).  The walk steps in the model's
+    walk precision: its state, anchors, step, root and remaining time are
+    rounded to it, and the snap reads the anchors' float64 depth.  Returns
+    the batch and the positions it visited, (steps + 1, P, state_dim).
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
+    dtype = model.walk_dtype
     gen = PairedNoise(st._as_generator(rng)) if paired else st._row_streams(rng, P)
     state = st.make_walk_state(model, anchors)
+    st._round_walk(state, dtype)
     frames0 = None if state.frames is None else state.frames.copy()
     h = t / steps
-    scales = (h, np.sqrt(h))
-    d_anchor = model.boundary_distance(anchors)
+    scales = (dtype(h), dtype(np.sqrt(h)))
+    d_snap = model.boundary_distance(anchors)
+    d_anchor = d_snap.astype(dtype)
+    anchors = anchors.astype(dtype)
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
     positions = np.empty((steps + 1, P, model.state_dim))
     positions[0] = state.x
     for k in range(steps):
-        remaining = t - k * h
+        remaining = dtype(t - k * h)
         if not pinned:
             info = st.step_bridge(model, state, remaining, None, scales, gen)
         elif k == steps - 1:
-            info = st.snap_to_anchor(model, state, anchors)
+            info = st.snap_to_anchor(model, state, anchors, d_snap)
         else:
             info = st.step_bridge(model, state, remaining, anchors, scales, gen, d_anchor=d_anchor)
         st._jump_update(m, info)
@@ -771,8 +788,14 @@ class TestBridgePaths:
         anchors = mixed_anchors(model, 60, 271)
         ref, positions = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(277))
         assert ref.contacts.sum() > 0
-        assert np.abs(positions[-1] - anchors).max() < 1e-9
-        assert model.boundary_distance(positions.reshape(-1, model.state_dim)).min() >= -1e-12
+        closure, outside = 1e-9, 1e-12
+        if model.walk_dtype == np.float32:
+            # float32 points: the closure as in test_flat_endpoint_snaps_to_anchor, and a
+            # point the walk finds inside (a rounded anchor, an image) has a float32 |x|
+            # of n + 1 roundings, and an image one more for its scale factor
+            closure, outside = 2 * F32_EPS * model.radius, 4 * F32_EPS * model.radius
+        assert np.abs(positions[-1] - anchors).max() <= closure
+        assert model.boundary_distance(positions.reshape(-1, model.state_dim)).min() >= -outside
         # the excursion an on_step hook tracks (as confinement_fraction's does)
         # is the largest distance to the anchor along the path
         excursion = np.zeros(60)
@@ -900,7 +923,7 @@ class TestContactRows:
         x2, u2 = model.geodesic_step(state.x, state.frames, v)
         contact = model.boundary_distance(x2) <= 1e-12
         nu = full_boundary_data(model, x2, u2, contact)
-        info = st.snap_to_anchor(model, state, anchors)
+        info = st.snap_to_anchor(model, state, anchors, model.boundary_distance(anchors))
         assert contact.any()
         assert np.array_equal(info.idx, np.flatnonzero(contact))
         assert np.array_equal(info.dlam, np.zeros(contact.sum()))
@@ -926,6 +949,7 @@ LONG_STEP_MODELS = {
 
 
 class TestCarriedBoundaryData:
+    @pytest.mark.usefixtures("float64_walks")
     @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
     @pytest.mark.parametrize("name", list(LONG_STEP_MODELS))
     def test_long_steps_carry_the_queried_data(self, name, pinned):
@@ -1160,6 +1184,7 @@ def compare_with_general_steps(model):
     return seen
 
 
+@pytest.mark.usefixtures("float64_walks")
 class TestFlatClosedForm:
     @pytest.mark.parametrize("lifetimes", ["scalar", "per-row"])
     @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
@@ -1479,7 +1504,9 @@ class TestGeometryQueriesPerStep:
     def test_held_boundary_data_is_reused(self, name, monkeypatch):
         # the anchors' depth is the start states' depth, so a pinned batch
         # makes no boundary_distance call; a flat contact takes |x| from the
-        # depth it is passed, so FlatBall.reflect forms no norm
+        # depth it is passed.  Only where FlatBall.reflect forms the normals, on
+        # a flat ball's own walks, does it take one norm: in float64, of the
+        # contact points, since the float32 walk's |x| would leave |nu| - 1 at 6e-8
         model = {"disk": disk, "hemisphere": hemisphere,
                  "sphere-ball-2+1": lambda: geo.SphereBall(2, 1)}[name]()
         rowdots, flat_reflects, inside = [], [], []
@@ -1487,7 +1514,7 @@ class TestGeometryQueriesPerStep:
 
         def rowdot_spy(a, b):
             if inside:
-                rowdots.append(a.shape)
+                rowdots.append((a.shape, a.dtype))
             return rowdot(a, b)
 
         def reflect_spy(self, x, *args):
@@ -1507,7 +1534,8 @@ class TestGeometryQueriesPerStep:
         assert any(q == "reflect" for q, _ in calls)
         # the hemisphere rotates its contacts; the ball factors mirror them
         assert (len(flat_reflects) > 0) == (name != "hemisphere")
-        assert rowdots == []
+        normals = [((c, 2), np.float64) for c in flat_reflects] if name == "disk" else []
+        assert rowdots == normals
 
 
 # ---------------------------------------------------------------------------
@@ -1630,19 +1658,107 @@ class TestStartStateKept:
     @pytest.mark.parametrize("name", list(LAYOUT_MODELS) + list(FLAT_MODELS))
     def test_read_only_start_state(self, name, mode, monkeypatch):
         model = {**LAYOUT_MODELS, **FLAT_MODELS}[name]()
-        make = st.make_walk_state
+        round_walk = st._round_walk
 
-        def read_only_state(model, x0):
-            state = make(model, x0)
+        def read_only_state(state, dtype):  # the start state, in the walk precision
+            round_walk(state, dtype)
             state.x.flags.writeable = state.depth.flags.writeable = False
-            return state
 
-        monkeypatch.setattr(st, "make_walk_state", read_only_state)
+        monkeypatch.setattr(st, "_round_walk", read_only_state)
         monkeypatch.setattr(st, "TILE_ROWS", 5)
         batch = st.simulate_bridges(model, mixed_anchors(model, 30, 271), 0.05, 12,
                                     st.RngStream(277), pinned=mode != "free",
                                     paired=mode == "paired")
         assert batch.contacts.sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# the walk precision: flat balls step in float32
+# ---------------------------------------------------------------------------
+
+
+PRECISION_MODELS = {"disk": disk, "ball3": ball3}
+
+
+class TestWalkPrecision:
+    """Flat walks step in float32; lam, m and the contact rows leave them in float64."""
+
+    @pytest.mark.parametrize("lifetimes", ["scalar", "per-row"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
+    @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
+    @pytest.mark.parametrize("name", list(PRECISION_MODELS))
+    def test_steps_stay_float32(self, name, pinned, paired, lifetimes, monkeypatch):
+        # a float64 numpy scalar (a root, a lifetime) would promote the step to
+        # float64 silently where its results are written into float32 arrays, so
+        # no scaling or image pull of a step may mix the two precisions
+        model = PRECISION_MODELS[name]()
+        assert model.walk_dtype == np.float32
+        mixed, steps = [], []
+        scale, pull = geo._scale_columns, st.image_pull
+
+        def scale_spy(x, w, op, out=None):
+            if np.result_type(x, w) != x.dtype:
+                mixed.append(("_scale_columns", x.dtype, np.result_type(w)))
+            return scale(x, w, op, out)
+
+        def pull_spy(ell_nu, gap, remaining):
+            if np.result_type(ell_nu, gap, remaining) != np.float32:
+                mixed.append(("image_pull", ell_nu.dtype, gap.dtype, np.result_type(remaining)))
+            return pull(ell_nu, gap, remaining)
+
+        def check(k, rows, state, info):
+            if k < 11:  # the steps; the snap's boundary query runs in float64
+                assert state.x.dtype == state.depth.dtype == state.norm.dtype == np.float32
+            assert state.lam.dtype == info.dlam.dtype == info.nu.dtype == np.float64
+            norms = np.sqrt(geo._rowdot(info.nu, info.nu))
+            assert np.abs(norms - 1.0).max(initial=0.0) <= 4e-16
+            steps.append(info.idx.size)
+
+        monkeypatch.setattr(geo, "_scale_columns", scale_spy)
+        monkeypatch.setattr(st, "image_pull", pull_spy)
+        sizes = [24, 36, 60]
+        anchors = mixed_anchors(model, sum(sizes), 443)
+        t = 0.2 if lifetimes == "scalar" else np.repeat([0.2, 0.08, 0.02], sizes)
+        batch = st.simulate_bridges(model, anchors, t, 12,
+                                    [st.RngStream(449, j) for j in range(3)], pinned=pinned,
+                                    paired=paired, group_rows=sizes, on_step=check)
+        assert len(steps) == 12 and sum(steps) > 0
+        assert batch.m.dtype == batch.lam.dtype == np.float64
+        assert mixed == []
+
+    @pytest.mark.parametrize("name", list(PRECISION_MODELS))
+    def test_boundary_anchors_keep_their_snap_contact(self, name, monkeypatch):
+        # an anchor on the boundary rounds to float32 up to 6e-8 r off it, inside
+        # or out; the snap reads the anchors' float64 depth, so every such loop
+        # ends in a contact and takes its final projection, as in float64
+        model = PRECISION_MODELS[name]()
+        anchors = model.sample_boundary(np.random.default_rng(461), 64)
+        assert np.abs(model.boundary_distance(anchors)).max() <= 1e-15
+        snapped = []
+
+        def last(k, rows, state, info):
+            if k == 39:
+                snapped.append(info.idx)
+
+        batch = st.simulate_bridges(model, anchors, 0.05, 40, st.RngStream(463), on_step=last)
+        assert np.array_equal(snapped[0], np.arange(64))
+        assert np.abs(model.boundary_distance(anchors.astype(np.float32))).max() > 1e-12
+        monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+        exact = st.simulate_bridges(model, anchors, 0.05, 40, st.RngStream(463))
+        assert np.array_equal(batch.contacts, exact.contacts)
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
+    @pytest.mark.parametrize("name", list(PRECISION_MODELS))
+    def test_walks_from_the_centre_stay_valid(self, name, pinned):
+        # the centre guards are the walk precision's smallest normal number,
+        # where 1e-300 rounds to 0 in float32 and |x| = 0 divides by it
+        model = PRECISION_MODELS[name]()
+        centre = np.zeros((2, model.dimension), dtype=np.float32)
+        assert not model.collar_data(centre)[1].any()
+        anchors = np.zeros((32, model.dimension))
+        batch = st.simulate_bridges(model, anchors, 0.1, 20, st.RngStream(467), pinned=pinned)
+        assert batch.alive.all()
+        assert np.isfinite(batch.supertraces()).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1675,4 +1791,9 @@ class TestLayoutEquivalenceThroughHelper(TestLayoutEquivalence):
 
 @pytest.mark.usefixtures("through_helper")
 class TestContactRowsThroughHelper(TestContactRows):
+    pass
+
+
+@pytest.mark.usefixtures("through_helper")
+class TestWalkPrecisionThroughHelper(TestWalkPrecision):
     pass
