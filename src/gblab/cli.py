@@ -394,8 +394,10 @@ def _run_diagnostics(cfg):
         path = st.simulate_path(unit_disk, np.array([1.0, 0.0]), 0.04, 150,
                                 st.RngStream(seed, 30 + pseed))
         pseed += 1
-        dlam = path.dlam[path.contact]  # a free path's contacts all have dlam > 0
-        if dlam.size >= 3:
+        dlam = path.dlam[path.contact]
+        # a contact exactly on the boundary, which a float32 walk can reach, has dlam = 0
+        # and so no eps scale: such a path is not measured
+        if dlam.size >= 3 and dlam.min() > 0:
             M_exact = st.evolve_functional(path, mode="exact-jump").mat
             gap_sets.append([[float(np.linalg.norm(
                 st.evolve_functional(path, mode="epsilon", eps=e).mat - M_exact, 2)),

@@ -322,9 +322,7 @@ class ManifoldModel:
     # offset_from_boundary derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
-    # the precision walks step in (the stochastic module's "walk precision"): float64
-    # until a model shows that its steps stay valid in less
-    walk_dtype = np.float64
+    walk_dtype = np.float64  # see the stochastic module's "walk precision"
 
     def boundary_distance(self, x):
         """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
@@ -409,9 +407,7 @@ class FlatBall(ManifoldModel):
     """Flat disk/ball of radius r in R^n; boundary is the round sphere."""
 
     name = "ball"
-    # the closed-form step runs about twice as fast in float32, and stays exact where it
-    # matters: reflect forms |x| = r - depth by Sterbenz's lemma, which holds in any format
-    walk_dtype = np.float32
+    walk_dtype = np.float32  # its closed-form step runs about twice as fast in float32
 
     def __init__(self, dimension: int, radius: float = 1.0):
         if dimension < 1 or dimension > 4:

@@ -168,7 +168,10 @@ def _row_streams(rng, rows: int, paired: bool = False, group_rows=None) -> _RowS
 
 @dataclass
 class WalkState:
-    """Batched state of reflected walks: positions, frames, local time and boundary data."""
+    """Batched state of reflected walks: positions, frames, local time and boundary data.
+
+    x, depth, nu and norm are in the model's walk precision; lam is float64.
+    """
 
     x: np.ndarray                 # (P, state_dim); column-major when frames are carried
     frames: np.ndarray | None     # (P, state_dim, n) laid out (state_dim, n, P), or None
@@ -187,8 +190,8 @@ class ContactInfo:
     """
 
     idx: np.ndarray               # (C,) indices of the paths in contact
-    dlam: np.ndarray              # (C,) local-time increments
-    nu: np.ndarray                # (C, d_bounded) bounded-factor normal components
+    dlam: np.ndarray              # (C,) local-time increments, float64
+    nu: np.ndarray                # (C, d_bounded) bounded-factor normal components, float64
 
 
 def _columns_contiguous(a):
@@ -364,10 +367,8 @@ def snap_to_anchor(model, state: WalkState, anchor, d_anchor) -> ContactInfo:
     An anchor lying on the boundary counts as a (zero-local-time) contact,
     so the functional receives its final tangential projection there.
     d_anchor is the anchors' float64 depth, from before they were rounded
-    to the walk precision, because a boundary anchor rounded to float32
-    lies up to about 6e-8 of the radius off the boundary.  The boundary
-    query at the snapped points runs in float64, so the contact normals
-    leave the walk in float64.
+    to the walk precision (see the module docstring), and the boundary
+    query at the snapped points runs in float64.
     """
     v = model.log_frame(state.x, anchor)
     x2, u2 = model.geodesic_step(state.x, state.frames, v)

@@ -255,6 +255,30 @@ class TestCalibrateAndSuites:
         assert report["passed"] is False
 
 
+    def test_diagnostics_skip_paths_with_a_zero_contact(self, tmp_path, capsys, monkeypatch):
+        # a contact exactly on the boundary (dlam = 0) gives the epsilon check no eps
+        # scale; the first path with three contacts gets one, and the check measures
+        # three other paths
+        simulate_path = cli.st.simulate_path
+        zeroed = []
+
+        def touching(*args, **kwargs):
+            path = simulate_path(*args, **kwargs)
+            if not zeroed and path.contact.sum() >= 3:
+                zeroed.append(np.flatnonzero(path.contact)[0])
+                path.dlam[zeroed[0]] = 0.0
+            return path
+
+        monkeypatch.setattr(cli.st, "simulate_path", touching)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"samples = 20\nseed = 11\noutput_dir = {out}\n")
+        assert cli.run(cfg, "diagnostics") == 0
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert len(zeroed) == 1 and report["passed"] is True
+        eps = {c["name"]: c for c in report["checks"]}["epsilon_jump_convergence"]
+        assert len(eps["value"]) == 3
+
+
 class TestMainEntry:
     def test_main_runs_subcommand(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ESTIMATE_CFG.format(out=tmp_path / "out"))
