@@ -324,6 +324,10 @@ class ManifoldModel:
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
     walk_dtype = np.float64  # see the stochastic module's "walk precision"
 
+    def walk_precision(self, h):
+        """The precision of a batch of walks on the steps h (one, or one per path)."""
+        return self.walk_dtype
+
     def boundary_distance(self, x):
         """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
         return self.collar_data(x)[0]
@@ -408,6 +412,9 @@ class FlatBall(ManifoldModel):
 
     name = "ball"
     walk_dtype = np.float32  # its closed-form step runs about twice as fast in float32
+    # the largest rounding u r over a step's root sqrt(h) measured harmless in float32:
+    # the diagnostics battery's disk walks, r = 10 at h = 4e-5, read 9.4e-5
+    WALK_ROUNDING = 1e-4
 
     def __init__(self, dimension: int, radius: float = 1.0):
         if dimension < 1 or dimension > 4:
@@ -430,6 +437,21 @@ class FlatBall(ManifoldModel):
 
     def geodesic_step(self, x, u, v):
         return x + v, u
+
+    def walk_precision(self, h):
+        """walk_dtype where its rounding was measured harmless, float64 elsewhere.
+
+        A rounded coordinate is off by up to u r (u = 2**-24 in float32), and a
+        shorter step does not shrink that: walk_dtype needs u r <= WALK_ROUNDING
+        sqrt(h) at the batch's shortest step.  With 2**-40 <= r <= 2**40 and every
+        sqrt(h) <= 2**16 r, each squared coordinate is a normal float32 number.
+        """
+        r, u = self.radius, np.finfo(self.walk_dtype).eps / 2.0
+        shortest, longest = math.sqrt(np.min(h)), math.sqrt(np.max(h))
+        if (2.0**-40 <= r <= 2.0**40 and longest <= 2.0**16 * r
+                and u * r <= self.WALK_ROUNDING * shortest):
+            return self.walk_dtype
+        return np.float64
 
     def collar_data(self, x):
         rho = np.sqrt(_rowdot(x, x))
@@ -465,8 +487,10 @@ class FlatBall(ManifoldModel):
         if anchor is None:
             x2 += x
         else:
-            # keeps alpha x = 0 at the centre, in the walk's precision
-            inv = 1.0 / np.maximum(rho, np.finfo(rho.dtype).tiny * self.radius)
+            # keeps alpha x = 0 at the centre: |x| below sqrt(tiny) r lies within rounding of
+            # it, and the guard is a normal number whose reciprocal times h image_pull stays
+            # finite, at every radius the walk precision takes
+            inv = 1.0 / np.maximum(rho, math.sqrt(np.finfo(rho.dtype).tiny) * self.radius)
             ell_nu = _rowdot(anchor, x)
             ell_nu *= inv
             np.subtract(rho, ell_nu, out=ell_nu)

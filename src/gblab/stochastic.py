@@ -38,7 +38,15 @@ through every later step, and the rotations keep every point's radius.
 Walk precision.  A model names the precision its walks step in,
 walk_dtype: float64, but float32 on a flat ball, whose closed-form step
 runs about twice as fast in it and whose reflection stays exact (|x| =
-r - depth by Sterbenz's lemma, in any binary format).  simulate_bridges is
+r - depth by Sterbenz's lemma, in any binary format).  A float32 walk
+rounds each coordinate by up to u r (u = 2**-24), however short its steps,
+so a flat batch steps in float32 only where that was measured harmless
+(FlatBall.walk_precision): u r at most 1e-4 of the shortest step's root
+sqrt(h), which the diagnostics battery's disk walks reach (r = 10, h =
+4e-5), and a radius and steps whose squared coordinates are normal float32
+numbers; any other batch steps in float64.  The precision belongs to the
+batch, so a path keeps its bits in another batch of its lifetime only
+when that batch steps in the same precision.  simulate_bridges is
 the one place that rounds to it: each tile's start state and anchors, the
 step h and its root, and the remaining time, which is formed in float64
 and rounded once per step.  The step functions follow the precision of
@@ -61,7 +69,8 @@ temporaries stay cache-sized and the allocator reuses them.  Tiles and
 groups never change a draw: every step visits the tiles in row order and
 each tile fills its rows group by group, so every group takes exactly the
 numbers its own stream gives a separate batch of its rows, and every path
-is bitwise the same as in that separate, untiled batch, also when each
+is bitwise the same as in that separate, untiled batch (when it steps in
+the same walk precision), also when each
 path has a lifetime of its own (its step and remaining time are then
 per-row vectors, with the same arithmetic in every row).  Paired batches
 (paired=True) step antithetic pairs: rows 2j and 2j + 1 take one draw and
@@ -170,7 +179,7 @@ def _row_streams(rng, rows: int, paired: bool = False, group_rows=None) -> _RowS
 class WalkState:
     """Batched state of reflected walks: positions, frames, local time and boundary data.
 
-    x, depth, nu and norm are in the model's walk precision; lam is float64.
+    x, depth and norm are in the batch's walk precision; lam is float64.
     """
 
     x: np.ndarray                 # (P, state_dim); column-major when frames are carried
@@ -481,7 +490,8 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     t / steps and ends exactly at its anchor, or, with pinned=False, only
     starts there and takes `steps` free steps.  t is one lifetime for every
     path or a (P,) array of one per path; a path steps as it would in a
-    batch of its own lifetime.  rng is one generator, or a
+    batch of its own lifetime and walk precision (model.walk_precision of
+    the batch's steps).  rng is one generator, or a
     sequence of G generators that split the P rows into G contiguous
     groups, equal ones or group_rows[i] rows for generator i (ValueError
     when they do not split P); group i draws exactly what a separate batch
@@ -502,7 +512,7 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
             raise ValueError(f"{t.shape[0]} lifetimes for {P} paths")
     h = t / steps
     root = np.sqrt(h)  # scales the noise, as h scales the drift
-    dtype = model.walk_dtype
+    dtype = model.walk_precision(h)
     bounded = model.bounded_factor
     m = np.broadcast_to(np.eye(bounded.dim), (P, bounded.dim, bounded.dim)).copy()
     contacts = np.zeros(P, dtype=np.int64)
@@ -557,8 +567,6 @@ def _round_walk(state: WalkState, dtype):
     """
     state.x = state.x.astype(dtype, copy=False)
     state.depth = state.depth.astype(dtype, copy=False)
-    if state.nu is not None:
-        state.nu = state.nu.astype(dtype, copy=False)
 
 
 def _rounded(value, dtype):

@@ -210,11 +210,9 @@ def _workload_config(name):
     return workload.experiment, workloads.config_text(settings)
 
 
-FLAT_RUNS = {
-    **{name: CONFIGS[name] for name in CONFIGS if name.endswith(("-disk", "-ball3"))},
-    **{f"workload-{name}": _workload_config(name)
-       for name in ("chi-disk", "chi-ball3-points", "local-limit-disk")},
-}
+FLAT_WORKLOADS = ("chi-disk", "chi-ball3-points", "local-limit-disk")
+FLAT_RUNS = ([name for name in CONFIGS if name.endswith(("-disk", "-ball3"))]
+             + [f"workload-{name}" for name in FLAT_WORKLOADS])
 
 
 def flat_run(experiment, text, directory, monkeypatch):
@@ -241,7 +239,8 @@ def test_float32_walks_agree_with_float64(name, tmp_path, monkeypatch):
     # the same draws, rounded: every estimate and local-limit row moves by at
     # most 1e-3 of its stderr, and the walks touch the boundary on the same
     # steps on at least 99 % of the paths
-    experiment, text = FLAT_RUNS[name]
+    workload = name.removeprefix("workload-")
+    experiment, text = CONFIGS[name] if name in CONFIGS else _workload_config(workload)
     assert geo.FlatBall.walk_dtype == np.float32
     (tmp_path / "32").mkdir()
     (tmp_path / "64").mkdir()

@@ -627,7 +627,7 @@ def single_batch_bridges(model, anchors, t, steps, rng, pinned=True, paired=Fals
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     P = anchors.shape[0]
-    dtype = model.walk_dtype
+    dtype = model.walk_precision(t / steps)
     gen = PairedNoise(st._as_generator(rng)) if paired else st._row_streams(rng, P)
     state = st.make_walk_state(model, anchors)
     st._round_walk(state, dtype)
@@ -789,7 +789,7 @@ class TestBridgePaths:
         ref, positions = single_batch_bridges(model, anchors, 0.05, 30, st.RngStream(277))
         assert ref.contacts.sum() > 0
         closure, outside = 1e-9, 1e-12
-        if model.walk_dtype == np.float32:
+        if model.walk_precision(0.05 / 30) == np.float32:
             # float32 points: the closure as in test_flat_endpoint_snaps_to_anchor, and a
             # point the walk finds inside (a rounded anchor, an image) has a float32 |x|
             # of n + 1 roundings, and an image one more for its scale factor
@@ -1747,18 +1747,52 @@ class TestWalkPrecision:
         exact = st.simulate_bridges(model, anchors, 0.05, 40, st.RngStream(463))
         assert np.array_equal(batch.contacts, exact.contacts)
 
+    @pytest.mark.parametrize("radius", [1.0, 0.2, 1e-3])
     @pytest.mark.parametrize("pinned", [True, False], ids=["bridges", "free"])
     @pytest.mark.parametrize("name", list(PRECISION_MODELS))
-    def test_walks_from_the_centre_stay_valid(self, name, pinned):
-        # the centre guards are the walk precision's smallest normal number,
-        # where 1e-300 rounds to 0 in float32 and |x| = 0 divides by it
-        model = PRECISION_MODELS[name]()
+    def test_walks_from_the_centre_stay_valid(self, name, pinned, radius):
+        # the centre guards are normal numbers of the walk precision, where
+        # 1e-300 rounds to 0 in float32 and |x| = 0 divides by it; below r =
+        # 0.25, tiny * r is subnormal in float32 and its reciprocal overflows
+        model = geo.FlatBall(PRECISION_MODELS[name]().dimension, radius)
+        t = 0.1 * radius**2
+        assert model.walk_precision(t / 20) == np.float32
         centre = np.zeros((2, model.dimension), dtype=np.float32)
         assert not model.collar_data(centre)[1].any()
         anchors = np.zeros((32, model.dimension))
-        batch = st.simulate_bridges(model, anchors, 0.1, 20, st.RngStream(467), pinned=pinned)
+        batch = st.simulate_bridges(model, anchors, t, 20, st.RngStream(467), pinned=pinned)
         assert batch.alive.all()
         assert np.isfinite(batch.supertraces()).all()
+
+    def test_float32_only_where_measured(self):
+        # u r <= 1e-4 sqrt(h) at the shortest step, and a radius and steps whose
+        # squared coordinates are normal float32 numbers; float64 elsewhere
+        disk2 = geo.FlatBall(2)
+        assert disk2.walk_precision(0.01 / 300) == np.float32  # chi-ball3-points' steps
+        assert geo.FlatBall(2, 10.0).walk_precision(0.1 / 2500) == np.float32  # the battery's
+        assert disk2.walk_precision(2.0) == np.float32
+        assert disk2.walk_precision(1e-10 / 250) == np.float64
+        assert disk2.walk_precision(np.array([0.1, 1e-10]) / 250) == np.float64
+        assert geo.FlatBall(2, 1e20).walk_precision(1e18) == np.float64
+        assert geo.FlatBall(2, 1e-20).walk_precision(1e-42) == np.float64
+        assert disk2.walk_precision(2.0**34) == np.float64
+        cap = geo.model_catalog("cap", dimension=2, aperture=1.0)
+        assert cap.walk_precision(1e-12) == np.float64
+
+    @pytest.mark.parametrize("radius, t", [(1e20, 1e38), (1.0, 1e-10)],
+                             ids=["large-radius", "short-steps"])
+    def test_walks_outside_the_range_step_in_float64(self, radius, t, monkeypatch):
+        # a disk of radius 1e20 overflows float32 squares (|x|^2 > 3.4e38), and
+        # at t = 1e-10 a float32 coordinate's rounding is about 10 % of a step:
+        # both batches step in float64, bit for bit as float64 flat walks
+        model = geo.FlatBall(2, radius)
+        anchors = model.sample_collar(np.random.default_rng(479), 64, 3.0 * math.sqrt(t))
+        batch = st.simulate_bridges(model, anchors, t, 250, st.RngStream(487))
+        assert batch.alive.all() and batch.contacts.sum() > 0
+        monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+        exact = st.simulate_bridges(model, anchors, t, 250, st.RngStream(487))
+        assert np.array_equal(batch.contacts, exact.contacts)
+        assert np.array_equal(batch.lam, exact.lam) and np.array_equal(batch.m, exact.m)
 
 
 # ---------------------------------------------------------------------------
