@@ -263,13 +263,15 @@ def local_integrand(model: ManifoldModel, constants: ConstantTable, point, *,
 # ---------------------------------------------------------------------------
 
 
-def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, paired=False):
+def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, paired=False,
+                group_points=None):
     """Per-node mean and standard error of Str(M_t V_t) over the bridge loops at each point.
 
     t is one lifetime for every point or one per point, and bridges one
     loop count for every point or one per point; the loops of each point
     are consecutive rows of one batch, in point order.
-    rng is one generator, or one per point that draws its point's rows (see
+    rng is one generator, or a list of generators, generator i drawing the
+    rows of the next group_points[i] points (one point each by default; see
     simulate_bridges).  With paired=True (even counts) the loops step as
     antithetic pairs, and the mean and standard error come from the pair
     means, which are independent where the bridges of a pair are not.
@@ -278,7 +280,10 @@ def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, pa
     non-finite supertrace.
     """
     counts = np.broadcast_to(bridges, len(points))
-    groups = counts if isinstance(rng, (list, tuple)) else None
+    groups = None
+    if isinstance(rng, (list, tuple)):
+        sizes = np.ones(len(rng), dtype=np.int64) if group_points is None else group_points
+        groups = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
     batch = simulate_bridges(model, np.repeat(points, counts, axis=0),
                              np.repeat(t, counts) if np.ndim(t) else t, steps, rng,
                              paired=paired, group_rows=groups)
@@ -321,6 +326,26 @@ def _antithetic(model: ManifoldModel, bridges: int) -> bool:
     draws independent loops too.
     """
     return not model.needs_frames and bridges % 2 == 0
+
+
+# The second stream of estimate_chi's chunk ci is RngStream(seed, HALF_STREAMS + ci + 1),
+# above every chunk stream ci + 1 and the point stream 0.
+HALF_STREAMS = 1 << 62
+
+
+def _chunk_streams(model: ManifoldModel, ci: int, points: int) -> list:
+    """(stream id, base points) of each stream of estimate_chi's chunk ci, in point order.
+
+    The loops of a chunk's base points draw from RngStream(seed, ci + 1).
+    On models that carry frames a chunk of two or more points draws the
+    loops of its second half from a stream of their own, so its batch holds
+    two row groups that simulate_bridges can step in two processes (see the
+    stochastic module); flat batches are never split, and flat chunks keep
+    one stream.  Like _antithetic, this decides how a chunk's loops are drawn.
+    """
+    if not model.needs_frames or points < 2:
+        return [(ci + 1, points)]
+    return [(ci + 1, points - points // 2), (HALF_STREAMS + ci + 1, points // 2)]
 
 
 def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng, *,
@@ -391,14 +416,17 @@ def check_integer(name, value, low, high=math.inf):
 # max(1, CHUNK_PATHS // bridges) points, and local_limit_check's batches the
 # consecutive depth nodes whose loops fit in CHUNK_PATHS (one node at least),
 # which bounds the arrays of a batch.  Chunk i of estimate_chi draws from
-# RngStream(seed, i + 1), so its chunking is part of a seed's result.
+# its _chunk_streams, so its chunking is part of a seed's result.
 CHUNK_PATHS = 250_000
 
 
-def _chi_chunk(model, anchors_block, t, steps, bridges, stream):
-    """Per-anchor bridge means of one chunk (deterministic given the stream)."""
-    return _node_means(model, anchors_block, t, steps, bridges, stream.generator(),
-                       paired=_antithetic(model, bridges))[0]
+def _chi_chunk(model, anchors_block, t, steps, bridges, seed, ci):
+    """Per-anchor bridge means of chunk ci (deterministic given the seed)."""
+    streams = _chunk_streams(model, ci, len(anchors_block))
+    return _node_means(model, anchors_block, t, steps, bridges,
+                       [RngStream(seed, stream).generator() for stream, _ in streams],
+                       paired=_antithetic(model, bridges),
+                       group_points=[points for _, points in streams])[0]
 
 
 def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int, seed: int, *,
@@ -411,7 +439,9 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     _antithetic), and mean_i is the mean of the point's pair means: its
     expectation is unchanged, and the batch draws half the normals, which
     pays even where the spread of the base points dominates the variance.
-    Frame-carrying models and odd counts draw independent bridges.
+    Frame-carrying models and odd counts draw independent bridges, and on
+    frame-carrying models each half of a chunk's base points draws from a
+    stream of its own (_chunk_streams).
     Returns the estimate-chi report payload: their mean, standard error
     and 95 percent interval next to the model's exact Euler
     characteristic, with the run's budget and validity window.
@@ -426,7 +456,7 @@ def estimate_chi(model: ManifoldModel, t: float, base_points: int, bridges: int,
     kernel_diag = hk.heat_kernel_diag(model, t, pts)
     chunk_anchors = max(1, CHUNK_PATHS // bridges)
     means = np.concatenate([
-        _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, RngStream(seed, ci + 1))
+        _chi_chunk(model, pts[lo:lo + chunk_anchors], t, steps, bridges, seed, ci)
         for ci, lo in enumerate(range(0, base_points, chunk_anchors))
     ])
     samples = weights * kernel_diag * means

@@ -1,4 +1,5 @@
-"""Standard normals for bridge batches: drawn inline, or ahead in a helper process.
+"""Standard normals for bridge batches, drawn inline or ahead in a helper process, and the
+helper's step jobs.
 
 A bridge batch fills every tile-step's noise from a _RowStreams: the
 generators of its row groups, each filling its rows in row order.  Paired
@@ -36,6 +37,20 @@ does not fit the ring, in processes that can use only one CPU or run other
 Python threads (fork is unsafe there), and where os.fork or the x86 store
 order the counters rely on is missing.  A process forked from the
 helper's owner never uses the owner's ring (the owner's pid is checked).
+
+The helper takes a second kind of job, a step job (helper_job): a function
+and its arguments, here the stepping of a batch's trailing row groups with
+the generators those groups own.  It runs the function with every draw
+inline, counts its steps in the produced counter and replies with the value
+and the generators' end states, which are copied into the caller's
+generators; until then the caller never touches them.  The job draws only
+from those generators, which reach the helper in the caller's states, so its
+value is bitwise the one the caller gets by running the function itself;
+the caller does so when the helper is lost, meets an error or cannot be
+sent the job.  The wait for the reply gives up after WAIT_S without a step.
+Between jobs the helper blocks on its pipe; it holds _IN_USE for good, so
+it never splits or rings a batch of its own.  One batch at a time uses the
+helper, with either kind of job.
 """
 
 from __future__ import annotations
@@ -65,7 +80,7 @@ HELPER_MIN_NORMALS = 1_000_000
 # out longer scheduling gaps, but every slot the stepping reads stays in its
 # resident set (1 MiB added about 1.5 MB to the benchmarks' peak RSS).
 RING_BYTES = 768 << 10
-WAIT_S = 10.0             # the longest wait for the helper before drawing inline
+WAIT_S = 10.0             # the longest wait for the helper's next slot or step
 _HEADER = 64              # bytes before the slots: the counters, one cache line
 _PRODUCED, _CONSUMED, _CANCEL = 0, 1, 2
 
@@ -180,7 +195,7 @@ class _RingReader:
         self.gens = list({id(g): g for t in tiles for g in t.gens}.values())
         self.slot = max(t.bounds[-1] for t in tiles) * n
         self.slots = max(1, min(count, helper.data.size // self.slot))
-        if not helper.start((self.gens, tiles, n, count, self.slot, self.slots)):
+        if not helper.start((_produce, (self.gens, tiles, n, count, self.slot, self.slots))):
             self._drop()
 
     def fill(self, xi):
@@ -234,6 +249,80 @@ class _RingReader:
             tile.fill(scratch[:tile.bounds[-1] * self.n].reshape(-1, self.n))
 
 
+@contextlib.contextmanager
+def helper_job(work, args, gens, normals: int):
+    """Run work(*args, on_step=...) in the helper while the caller goes on with its own rows.
+
+    work steps rows whose draws all come from the generators gens, and
+    normals is what the whole batch draws.  Yields a function that returns
+    work(*args): the helper's value, with the generators' end states copied
+    into gens; or, when the helper is lost or meets an error or the job
+    cannot be pickled, the value of work(*args) run inline on the untouched
+    gens.  Yields None, and the job
+    stays with the caller, for batches under HELPER_MIN_NORMALS normals,
+    while another batch uses the helper and where no helper can run.  If the
+    caller raises before taking the value, the job is cancelled and gens
+    stay at their start.
+    """
+    if normals < HELPER_MIN_NORMALS or not _IN_USE.acquire(blocking=False):
+        yield None
+        return
+    job = None
+    try:
+        helper = _helper()
+        if helper is not None:
+            job = _StepJob(helper, work, args, gens)
+        yield None if job is None else job.result
+    finally:
+        if job is not None:
+            job.close()
+        _IN_USE.release()
+
+
+class _StepJob:
+    """One step job sent to the helper; run inline if the helper is lost."""
+
+    def __init__(self, helper, work, args, gens):
+        self.helper = helper
+        self.work = work
+        self.args = args
+        self.gens = gens
+        try:
+            sent = helper.start((_step, (work, args, gens, np.geterr())))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            sent = None  # a model that cannot be pickled, a local class say, steps here
+        if not sent:
+            self.helper = None
+            if sent is False:
+                _discard(helper)
+
+    def result(self):
+        reply = self._reply()
+        if reply is None:
+            return self.work(*self.args)
+        value, states = reply
+        for gen, state in zip(self.gens, states):
+            gen.bit_generator.state = state
+        return value
+
+    def _reply(self):
+        """The helper's reply, read once; None if it failed, was cancelled or the helper is lost."""
+        helper, self.helper = self.helper, None
+        if helper is None:
+            return None
+        reply = helper.reply()
+        if reply is _LOST:
+            _discard(helper)
+            return None
+        return reply
+
+    def close(self):
+        """Cancel a job whose value was never taken, and read its reply."""
+        if self.helper is not None:
+            self.helper.counters[_CANCEL] = 1
+            self._reply()
+
+
 class _Helper:
     """The forked helper process, its two pipes (jobs in, replies out) and its ring."""
 
@@ -256,7 +345,7 @@ class _Helper:
         os.close(replies_out)
 
     def start(self, job) -> bool:
-        """Reset the counters and send a batch; the helper is idle on its pipe."""
+        """Reset the counters and send a job, (function, arguments); the helper is idle on its pipe."""
         self.counters[_PRODUCED] = self.counters[_CONSUMED] = self.counters[_CANCEL] = 0
         try:
             _send(self.jobs, job)
@@ -271,10 +360,17 @@ class _Helper:
             return False
 
     def reply(self):
-        """The helper's reply to the current batch, or _LOST if it died or stalled."""
+        """The helper's reply to the current job, or _LOST if it died or stalled.
+
+        It stalls when the produced counter stands still for WAIT_S.
+        """
+        produced = self.counters[_PRODUCED]
         deadline = time.monotonic() + WAIT_S
         while not select.select([self.replies], [], [], 0.05)[0]:
-            if time.monotonic() > deadline or not self.alive():
+            if self.counters[_PRODUCED] != produced:
+                produced = self.counters[_PRODUCED]
+                deadline = time.monotonic() + WAIT_S
+            elif time.monotonic() > deadline or not self.alive():
                 return _LOST
         try:
             return _receive(self.replies)
@@ -327,13 +423,14 @@ def _receive(fd):
 
 
 def _serve(jobs, replies, counters, data, owner):
-    """The helper's loop: one reply per batch until the jobs pipe reaches EOF."""
+    """The helper's loop: one reply per job until the jobs pipe reaches EOF."""
+    _IN_USE.acquire(blocking=False)  # the helper's own batches draw inline and never split
     while True:
         try:
-            job = _receive(jobs)
+            task, args = _receive(jobs)
         except EOFError:
             return
-        _send(replies, _produce(counters, data, owner, *job))
+        _send(replies, task(counters, data, owner, *args))
 
 
 def _produce(counters, data, owner, gens, tiles, n, count, slot, slots):
@@ -348,6 +445,25 @@ def _produce(counters, data, owner, gens, tiles, n, count, slot, slots):
         tile.fill(data[start:start + tile.bounds[-1] * n].reshape(-1, n))
         counters[_PRODUCED] = j + 1
     return [g.bit_generator.state for g in gens]
+
+
+class _Cancelled(Exception):
+    """The owner cancelled a step job, or is gone."""
+
+
+def _step(counters, data, owner, work, args, gens, errors):
+    """Run a step job: (its value, the generators' end states), or None if it failed or was cancelled."""
+    def progress(k, rows, state, info):
+        counters[_PRODUCED] = k + 1
+        if counters[_CANCEL] or os.getppid() != owner:
+            raise _Cancelled
+
+    try:
+        with np.errstate(**errors):
+            value = work(*args, on_step=progress)
+    except Exception:  # the caller runs the job itself and meets the error there
+        return None
+    return value, [g.bit_generator.state for g in gens]
 
 
 _HELPER = None

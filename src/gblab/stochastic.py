@@ -79,17 +79,29 @@ invariants hold for them, because a tile never splits a pair: groups have
 even sizes and every tile cut falls on an even row, so each tile draws a
 whole number of pairs from each group's stream, in row order.
 
-Which process draws never changes a number either.  A batch that draws at
-least noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1) (steps for free
-walks) or half that when paired, hands its generators to a helper process
-forked on first use; the helper makes the same fill calls in the same order
-into a shared ring of tile-sized slots, step_bridge copies each tile's
-normals out of its slot, and the helper's final generator states are copied
-back into the caller's generators.  A draw depends only
-on a generator's state and the calls made on it (Philox is counter-based),
-so paths, reports and the generators' end states are bitwise those of an
-inline batch.  Smaller batches and processes with one usable CPU draw inline
-(see the noise module).
+Which process draws or steps a row never changes a number either.  A batch
+that draws at least noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1)
+(steps for free walks) or half that when paired, uses a helper process
+forked on first use.  A flat batch hands it its generators: the helper makes
+the same fill calls in the same order into a shared ring of tile-sized
+slots, step_bridge copies each tile's normals out of its slot, and the
+helper's final generator states are copied back into the caller's
+generators.  A batch of a frame-carrying model with two or more row groups
+and no on_step hook is split instead, at the group boundary nearest its
+middle row that no generator straddles: the helper steps the trailing
+groups with their own generators while this process steps the leading
+ones, both drawing inline, and the two halves are joined in row order.  A
+hemisphere row-step costs about four times its draws, so the ring, which
+overlaps only the draws, leaves the second CPU mostly idle; a flat row-step
+costs about 0.6 times its draws, and split flat batches ran 10-34 % slower
+than ringed ones (BENCH_split_steps.json).  A draw
+depends only on a generator's state and the calls made on it (Philox is
+counter-based), and a group takes exactly the numbers its own stream gives
+a separate batch of its rows, so paths, reports and the generators' end
+states are bitwise those of a one-process, inline batch; a split batch that
+raises leaves the trailing groups' generators at their start.  Smaller
+batches and processes with one usable CPU draw and step inline (see the
+noise module).
 
 Walks of models that carry frames keep x and the frames column-major (the
 logical shapes (P, d) and (P, d, k) laid out as (d, P) and (d, k, P)), because
@@ -118,6 +130,7 @@ path step by step through the on_step hook of a one-row simulate_bridges.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,7 +138,7 @@ import numpy as np
 
 from . import exterior as ext
 from .geometry import ManifoldModel, _rowdot, _scale_columns
-from .noise import _RowStreams, batch_noise
+from .noise import _RowStreams, batch_noise, helper_job
 
 # Row cap of the lockstep tiles simulate_bridges splits a batch into: a
 # memory layout that keeps each step's temporaries cache-sized and reused,
@@ -498,8 +511,9 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     of its rows draws from generator i.  With paired=True the rows
     are antithetic pairs: rows 2j and 2j + 1 step on one draw and its
     negation, so every group needs an even row count (ValueError otherwise).
-    The rows step as lockstep tiles of at most TILE_ROWS paths (see the
-    module docstring).
+    The rows step as lockstep tiles of at most TILE_ROWS paths, and a
+    large batch of a frame-carrying model steps its trailing row groups in
+    the noise helper (see the module docstring).
     on_step(k, rows, state, info) runs after step k of the tile of the
     batch rows `rows`; info.idx counts from the tile's first row.
     """
@@ -510,6 +524,44 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
         t = np.asarray(t, dtype=float)
         if t.shape != (P,):
             raise ValueError(f"{t.shape[0]} lifetimes for {P} paths")
+    cut = _half_cut(streams) if model.needs_frames and on_step is None else None
+    if cut is None:
+        return _step_rows(model, anchors, t, steps, streams, pinned, on_step)
+    lead, trail = slice(0, cut), slice(cut, P)
+    trailing = streams.tile(trail)
+    drawn = (P // 2 if paired else P) * model.dimension * (steps - 1 if pinned else steps)
+    with helper_job(_step_rows, (model, anchors[trail], t[trail] if np.ndim(t) else t, steps,
+                                 trailing, pinned), trailing.gens, drawn) as stepped:
+        if stepped is None:
+            return _step_rows(model, anchors, t, steps, streams, pinned)
+        parts = [_step_rows(model, anchors[lead], t[lead] if np.ndim(t) else t, steps,
+                            streams.tile(lead), pinned),
+                 stepped()]
+    factor_O = {}
+    for name, first in parts[0].factor_O.items():
+        factor_O[name] = None if first is None else np.concatenate([first, parts[1].factor_O[name]])
+    return BridgeBatch(
+        model=model, t=t, factor_O=factor_O,
+        **{field: np.concatenate([getattr(p, field) for p in parts])
+           for field in ("lam", "contacts", "alive", "m")})
+
+
+def _half_cut(streams: _RowStreams):
+    """The row group boundary nearest the middle row that no generator straddles, or None.
+
+    A generator that owns groups on both sides of a cut would draw for them
+    in another order in two processes, so no such cut is taken.
+    """
+    last = {id(g): i for i, g in enumerate(streams.gens)}
+    reach = itertools.accumulate((last[id(g)] for g in streams.gens), max)
+    cuts = [b for i, (r, b) in enumerate(zip(reach, streams.bounds[1:-1])) if r == i]
+    return min(cuts, key=lambda b: abs(2 * b - streams.bounds[-1]), default=None)
+
+
+def _step_rows(model, anchors, t, steps, streams: _RowStreams, pinned, on_step=None):
+    """simulate_bridges' stepping loop in this process, over the rows of streams."""
+    P = anchors.shape[0]
+    paired = streams.paired
     h = t / steps
     root = np.sqrt(h)  # scales the noise, as h scales the drift
     dtype = model.walk_precision(h)

@@ -1,10 +1,10 @@
 """The noise helper process: bitwise-equal batches and its life cycle.
 
-Every test here makes bridge batches draw through the helper (the size
-threshold is patched to 0) and compares them with the same batch drawn
-inline: paths, supertraces and the caller's generators' final states must
-match bit for bit, also when the helper is killed, stalls, or the batch
-raises part way.
+Every test here makes bridge batches draw or step through the helper (the
+size threshold is patched to 0) and compares them with the same batch drawn
+and stepped inline: paths, supertraces and the caller's generators' final
+states must match bit for bit, also when the helper is killed, stalls,
+fails, or the batch raises part way.
 """
 
 import os
@@ -44,8 +44,13 @@ def state_bytes(gen):
 
 
 def assert_same(a, b):
-    for field in ("lam", "contacts", "alive"):
+    for field in ("lam", "contacts", "alive", "m"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.factor_O.keys() == b.factor_O.keys()
+    for name, O in a.factor_O.items():
+        assert (O is None) == (b.factor_O[name] is None), name
+        if O is not None:
+            assert np.array_equal(O, b.factor_O[name]), name
     assert np.array_equal(a.supertraces(), b.supertraces())
 
 
@@ -323,6 +328,248 @@ class TestLifecycle:
         pid = int(done.stdout.split()[-1])
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# frame-carrying models, whose grouped batches the helper steps in part
+SPLIT_MODELS = {
+    "hemisphere2": lambda: geo.model_catalog("hemisphere", dimension=2),
+    "cap3-aperture1": lambda: geo.SphereCap(3, aperture=1.0),
+    "sphere-ball-2-1": lambda: geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+}
+# uneven groups, the shape of local_limit_check's allocated depth nodes: the
+# cut nearest row 42 falls after the second group, at row 54
+SIZES = [4, 50, 2, 28]
+
+
+def grouped(model, x, seed, t=0.05, steps=30, sizes=SIZES, **kwargs):
+    """One batch of len(sizes) row groups on streams of their own; (batch, the generators)."""
+    gens = [st.RngStream(seed, j).generator() for j in range(len(sizes))]
+    return st.simulate_bridges(model, x, t, steps, gens, group_rows=sizes, **kwargs), gens
+
+
+@pytest.fixture
+def replies(monkeypatch):
+    """The replies the helper sends this process, in order."""
+    seen = []
+    reply = noise._Helper.reply
+    monkeypatch.setattr(noise._Helper, "reply", lambda self: seen.append(reply(self)) or seen[-1])
+    return seen
+
+
+@pytest.fixture
+def step_jobs(monkeypatch):
+    """Counts the step jobs batches hand to the helper."""
+    made = []
+    job = noise._StepJob
+    monkeypatch.setattr(noise, "_StepJob", lambda *args: made.append(1) or job(*args))
+    return made
+
+
+class FailsInTheHelper(geo.SphereCap):
+    """A hemisphere whose reflection raises in every process but the one that made it."""
+
+    def __init__(self, owner):
+        super().__init__(2)
+        self.owner = owner
+
+    def reflect(self, *args):
+        if os.getpid() != self.owner:
+            raise FloatingPointError("injected in the helper")
+        return super().reflect(*args)
+
+
+class TestSplitBatches:
+    """Batches whose trailing row groups the helper steps, against the one-process batch."""
+
+    @staticmethod
+    def split_and_whole(model, x, seed, replies, **kwargs):
+        """(split batch, its generators), (one-process batch, its generators); checks the split ran."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "HELPER_MIN_NORMALS", 10**18)
+            whole = grouped(model, x, seed, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+            split = grouped(model, x, seed, **kwargs)
+        # one reply, the helper's value and its generators' end states
+        assert len(replies) == 1 and isinstance(replies[0], tuple)
+        assert noise._HELPER.counters[noise._PRODUCED] == kwargs.get("steps", 30)
+        return split, whole
+
+    @staticmethod
+    def assert_equal(split, whole):
+        (a, gens_a), (b, gens_b) = split, whole
+        assert b.contacts.sum() > 0
+        assert_same(a, b)
+        assert [state_bytes(g) for g in gens_a] == [state_bytes(g) for g in gens_b]
+
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "free"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["independent", "paired"])
+    @pytest.mark.parametrize("tile_rows", [st.TILE_ROWS, 9, 5])
+    @pytest.mark.parametrize("name", list(SPLIT_MODELS))
+    def test_bitwise_equal_to_one_process(self, name, tile_rows, paired, pinned, replies,
+                                          monkeypatch):
+        # 9 and 5 rows cut the groups anywhere, so tiles straddle the split
+        monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
+        model = SPLIT_MODELS[name]()
+        x = anchors(model, sum(SIZES), 601)
+        self.assert_equal(*self.split_and_whole(model, x, 607, replies, pinned=pinned,
+                                                paired=paired))
+
+    @pytest.mark.parametrize("name", list(SPLIT_MODELS))
+    def test_per_row_lifetimes(self, name, replies, monkeypatch):
+        # the pilots of local_limit_check: the nodes of several lifetimes in one batch
+        monkeypatch.setattr(st, "TILE_ROWS", 9)
+        model = SPLIT_MODELS[name]()
+        x = anchors(model, sum(SIZES), 613)
+        t = np.repeat([0.08, 0.05, 0.05, 0.02], SIZES)
+        split, whole = self.split_and_whole(model, x, 617, replies, t=t)
+        self.assert_equal(split, whole)
+        assert np.array_equal(split[0].t, t)
+
+    @pytest.mark.parametrize("how", ["kill", "stop"])
+    def test_helper_lost_during_a_step_job(self, how, monkeypatch):
+        # the helper dies, or stalls and is killed, just after it is sent the
+        # job: the caller steps the trailing groups itself on its own generators
+        monkeypatch.setattr(noise, "WAIT_S", 0.5)
+        model = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(model, sum(SIZES), 619)
+        whole = grouped(model, x, 631)
+        start = noise._Helper.start
+        lost = []
+
+        def losing(self, job):
+            sent = start(self, job)
+            lost.append(self.pid)
+            os.kill(self.pid, signal.SIGKILL if how == "kill" else signal.SIGSTOP)
+            return sent
+
+        monkeypatch.setattr(noise._Helper, "start", losing)
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        started = time.monotonic()
+        split = grouped(model, x, 631)
+        assert time.monotonic() - started < 5.0
+        assert len(lost) == 1
+        self.assert_equal(split, whole)
+        assert noise._HELPER is None or noise._HELPER.pid != lost[0]
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(lost[0], 0)
+
+    def test_helper_that_fails_leaves_the_job_to_the_caller(self, replies, monkeypatch):
+        # the helper meets an error the caller does not: it replies None, stays
+        # up, and the caller steps the trailing groups itself
+        model = FailsInTheHelper(os.getpid())
+        x = anchors(model, sum(SIZES), 641)
+        whole = grouped(model, x, 643)
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        helper = noise._helper()
+        split = grouped(model, x, 643)
+        assert replies == [None]
+        self.assert_equal(split, whole)
+        assert noise._HELPER is helper and helper.alive()
+
+    def test_model_that_cannot_be_pickled_steps_in_one_process(self, replies, monkeypatch):
+        class LocalCap(geo.SphereCap):  # a local class: pickle cannot find it by name
+            pass
+
+        model = LocalCap(2)
+        x = anchors(model, sum(SIZES), 649)
+        whole = grouped(model, x, 651)
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        helper = noise._helper()
+        split = grouped(model, x, 651)
+        assert replies == []
+        self.assert_equal(split, whole)
+        assert noise._HELPER is helper and helper.alive()
+
+    def test_exception_in_the_callers_rows_cancels_the_job(self, monkeypatch):
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        model = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(model, sum(SIZES), 647)
+        helper = noise._helper()  # forked before reflect fails in this process
+        reflect = type(model).reflect
+        calls = []
+
+        def failing(self, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("injected")
+            return reflect(self, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(model), "reflect", failing)
+            with pytest.raises(FloatingPointError):
+                grouped(model, x, 653, steps=200)
+        # the helper stopped between steps and still serves; the next batch is whole
+        assert noise._HELPER is helper and helper.alive()
+        assert helper.counters[noise._CANCEL] == 1
+        split = grouped(model, x, 659)
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 10**18)
+        self.assert_equal(split, grouped(model, x, 659))
+        assert noise._HELPER is helper
+
+    def test_trailing_generators_stay_at_their_start_after_an_exception(self, monkeypatch):
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        model = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(model, sum(SIZES), 661)
+        noise._helper()
+        gens = [st.RngStream(673, j).generator() for j in range(len(SIZES))]
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(st, "step_bridge", failing)
+            with pytest.raises(FloatingPointError):
+                st.simulate_bridges(model, x, 0.05, 30, gens, group_rows=SIZES)
+        fresh = [st.RngStream(673, j).generator() for j in range(len(SIZES))]
+        assert [state_bytes(g) for g in gens[2:]] == [state_bytes(g) for g in fresh[2:]]
+
+    def test_which_batches_split(self, step_jobs, monkeypatch):
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        hemisphere = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(hemisphere, sum(SIZES), 677)
+        grouped(hemisphere, x, 683)
+        assert step_jobs == [1]
+        # flat batches keep the ring
+        flat = disk()
+        grouped(flat, anchors(flat, sum(SIZES), 677), 683)
+        # one row group
+        st.simulate_bridges(hemisphere, x, 0.05, 30, st.RngStream(683))
+        # an on_step hook
+        grouped(hemisphere, x, 683, on_step=lambda *args: None)
+        # one generator owning groups on both sides of every cut
+        gen = st.RngStream(683).generator()
+        st.simulate_bridges(hemisphere, x, 0.05, 30, [gen, gen, gen, gen], group_rows=SIZES)
+        assert step_jobs == [1]
+
+    def test_threshold_keeps_small_batches_in_one_process(self, step_jobs):
+        # 1 000 hemisphere rows draw 1 000 x 2 normals per step: x 499 steps
+        # they are just under the threshold, x 500 they reach it
+        model = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(model, 1000, 691)
+        assert 1000 * 2 * 499 < noise.HELPER_MIN_NORMALS <= 1000 * 2 * 500
+        gens = [st.RngStream(701, j).generator() for j in range(2)]
+        st.simulate_bridges(model, x, 0.05, 500, gens)
+        assert step_jobs == []
+        st.simulate_bridges(model, x, 0.05, 501, gens)
+        assert step_jobs == [1]
+
+    def test_no_cut_where_a_generator_straddles_it(self, replies):
+        # generator a owns groups 0 and 2, so the cuts at rows 4 and 54 would
+        # hand part of its draws to each process; the cut falls at row 56
+        model = SPLIT_MODELS["hemisphere2"]()
+        x = anchors(model, sum(SIZES), 709)
+        outcomes = []
+        for through_helper in (False, True):
+            a, b, c = (st.RngStream(719, j).generator() for j in range(3))
+            streams = st._row_streams([a, b, a, c], sum(SIZES), group_rows=SIZES)
+            assert st._half_cut(streams) == 56
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(noise, "HELPER_MIN_NORMALS", 0 if through_helper else 10**18)
+                batch = st.simulate_bridges(model, x, 0.05, 30, [a, b, a, c], group_rows=SIZES)
+            outcomes.append((batch, [a, b, c]))
+        assert len(replies) == 1 and isinstance(replies[0], tuple)
+        self.assert_equal(*outcomes[::-1])
 
 
 def wait_bounded(pid, seconds):
