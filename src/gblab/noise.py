@@ -29,7 +29,9 @@ cost 0.4-0.55 ms on a 2-CPU VM, longer than drawing a slot.  Between batches
 the helper blocks on its pipe and the owner never waits on the ring.  Every
 wait is bounded and checks that the helper is alive; a helper that dies or
 stalls is killed, and the batch redraws what it has consumed inline and goes
-on inline, so a lost helper changes no number either.
+on inline, so a lost helper changes no number either.  A wait for a reply
+that an exception cuts short kills the helper too, because its reply, left
+unread, would answer the next job.
 
 Drawing stays inline for batches that draw fewer than HELPER_MIN_NORMALS
 normals (a paired batch draws half its rows' normals), for tiles whose slot
@@ -178,9 +180,11 @@ def batch_noise(tiles, n: int, steps: int):
         ring = None if helper is None else _RingReader(helper, tiles, n, steps * len(tiles))
         yield list(tiles) if ring is None else [ring] * len(tiles)
     finally:
-        if ring is not None:
-            ring.close()
-        _IN_USE.release()
+        try:
+            if ring is not None:
+                ring.close()
+        finally:
+            _IN_USE.release()
 
 
 class _RingReader:
@@ -274,9 +278,11 @@ def helper_job(work, args, gens, normals: int):
             job = _StepJob(helper, work, args, gens)
         yield None if job is None else job.result
     finally:
-        if job is not None:
-            job.close()
-        _IN_USE.release()
+        try:
+            if job is not None:
+                job.close()
+        finally:
+            _IN_USE.release()
 
 
 class _StepJob:
@@ -362,20 +368,25 @@ class _Helper:
     def reply(self):
         """The helper's reply to the current job, or _LOST if it died or stalled.
 
-        It stalls when the produced counter stands still for WAIT_S.
+        It stalls when the produced counter stands still for WAIT_S.  A wait
+        cut short by an exception (an interrupt, say) discards the helper,
+        whose unread reply would otherwise answer the next job.
         """
         produced = self.counters[_PRODUCED]
         deadline = time.monotonic() + WAIT_S
-        while not select.select([self.replies], [], [], 0.05)[0]:
-            if self.counters[_PRODUCED] != produced:
-                produced = self.counters[_PRODUCED]
-                deadline = time.monotonic() + WAIT_S
-            elif time.monotonic() > deadline or not self.alive():
-                return _LOST
         try:
+            while not select.select([self.replies], [], [], 0.05)[0]:
+                if self.counters[_PRODUCED] != produced:
+                    produced = self.counters[_PRODUCED]
+                    deadline = time.monotonic() + WAIT_S
+                elif time.monotonic() > deadline or not self.alive():
+                    return _LOST
             return _receive(self.replies)
         except (EOFError, OSError):
             return _LOST
+        except BaseException:
+            _discard(self)
+            raise
 
     def close_pipes(self):
         for fd in (self.jobs, self.replies):

@@ -287,6 +287,38 @@ class TestLifecycle:
         assert noise._HELPER is helper
         assert helper.counters[noise._PRODUCED] == helper.counters[noise._CONSUMED] == 29 * 2
 
+    @pytest.mark.parametrize("name, cancelled", [("disk", False), ("hemisphere2", False),
+                                                 ("hemisphere2", True)],
+                             ids=["ring", "split", "split-cancelled"])
+    def test_interrupt_while_waiting_for_a_reply(self, name, cancelled, monkeypatch):
+        # an unread reply would answer the next job: the helper is discarded,
+        # and the batch lock released; cancelled, the caller's rows raise
+        # first and the interrupt cuts the wait for the cancelled job's reply
+        model = disk() if name == "disk" else SPLIT_MODELS[name]()
+        x = anchors(model, sum(SIZES), 727)
+        whole = grouped(model, x, 733)
+        monkeypatch.setattr(noise, "HELPER_MIN_NORMALS", 0)
+        interrupted = noise._helper()
+        select = noise.select.select
+
+        def interrupting(*args):
+            raise KeyboardInterrupt
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(noise.select, "select", interrupting)
+            if cancelled:
+                patch.setattr(st, "step_bridge", failing)
+            with pytest.raises(KeyboardInterrupt):
+                grouped(model, x, 739)
+        assert noise.select.select is select and not noise._IN_USE.locked()
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(interrupted.pid, 0)
+        helped = grouped(model, x, 733)
+        TestSplitBatches.assert_equal(helped, whole)
+
     def test_concurrent_batches_from_threads(self):
         # one batch at a time uses the helper; the others draw inline meanwhile
         model = disk()
