@@ -262,11 +262,10 @@ def helper_job(work, args, gens, normals: int):
     work(*args): the helper's value, with the generators' end states copied
     into gens; or, when the helper is lost or meets an error or the job
     cannot be pickled, the value of work(*args) run inline on the untouched
-    gens.  Yields None, and the job
-    stays with the caller, for batches under HELPER_MIN_NORMALS normals,
-    while another batch uses the helper and where no helper can run.  If the
-    caller raises before taking the value, the job is cancelled and gens
-    stay at their start.
+    gens.  Yields None, and the job stays with the caller, for batches under
+    HELPER_MIN_NORMALS normals, while another batch uses the helper and
+    where no helper can run.  If the caller raises before taking the value,
+    the job is cancelled and gens stay at their start.
     """
     if normals < HELPER_MIN_NORMALS or not _IN_USE.acquire(blocking=False):
         yield None
