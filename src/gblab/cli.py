@@ -437,11 +437,7 @@ def run(config_path, experiment: str | None = None, output_dir=None) -> int:
         print(canonical_json({"error": {"kind": "validation", "message": str(exc)}}))
         return 2
     except (NumericalAbortError, SeriesConvergenceError) as exc:
-        detail = {"kind": "numerical", "message": str(exc)}
-        terms = getattr(exc, "required_terms", None)
-        if terms is not None:
-            detail["required_terms"] = terms
-        print(canonical_json({"error": detail}))
+        print(canonical_json({"error": {"kind": "numerical", "message": str(exc)}}))
         return 3
     except GblabError as exc:
         print(canonical_json({"error": {"kind": "validation", "message": str(exc)}}))

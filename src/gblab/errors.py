@@ -14,15 +14,7 @@ class InvariantViolationError(GblabError):
 
 
 class SeriesConvergenceError(GblabError):
-    """An eigenfunction series cannot reach the requested accuracy.
-
-    Carries ``required_terms``, the estimated number of modes that the
-    truncated series would need.
-    """
-
-    def __init__(self, message, required_terms=None):
-        super().__init__(message)
-        self.required_terms = required_terms
+    """An eigenfunction series cannot reach the requested accuracy."""
 
 
 class NumericalAbortError(GblabError):

@@ -270,8 +270,8 @@ def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, pa
     t is one lifetime for every point or one per point, and bridges one
     loop count for every point or one per point; the loops of each point
     are consecutive rows of one batch, in point order.
-    rng is one generator, or a list of generators, generator i drawing the
-    rows of the next group_points[i] points (one point each by default; see
+    rng is a list of generators, generator i drawing the rows of the next
+    group_points[i] points (one point each by default; see
     simulate_bridges).  With paired=True (even counts) the loops step as
     antithetic pairs, and the mean and standard error come from the pair
     means, which are independent where the bridges of a pair are not.
@@ -280,10 +280,8 @@ def _node_means(model: ManifoldModel, points, t, steps: int, bridges, rng, *, pa
     non-finite supertrace.
     """
     counts = np.broadcast_to(bridges, len(points))
-    groups = None
-    if isinstance(rng, (list, tuple)):
-        sizes = np.ones(len(rng), dtype=np.int64) if group_points is None else group_points
-        groups = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+    sizes = np.ones(len(rng), dtype=np.int64) if group_points is None else group_points
+    groups = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
     batch = simulate_bridges(model, np.repeat(points, counts, axis=0),
                              np.repeat(t, counts) if np.ndim(t) else t, steps, rng,
                              paired=paired, group_rows=groups)
@@ -352,7 +350,7 @@ def supertrace_expectation(model: ManifoldModel, x, t: float, bridges: int, rng,
                            steps: int | None = None):
     """Monte Carlo mean and standard error of Str(M_t V_t) at one base point."""
     steps = check_integer("steps", DEFAULT_STEPS if steps is None else steps, 2)
-    mean, se = _node_means(model, check_point(model, x)[None, :], t, steps, bridges, rng,
+    mean, se = _node_means(model, check_point(model, x)[None, :], t, steps, bridges, [rng],
                            paired=_antithetic(model, bridges))
     return float(mean[0]), float(se[0])
 
@@ -568,8 +566,7 @@ def _lockstep_means(model, points, t, steps, counts, seed, streams, paired):
 
 
 def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, seed: int, *,
-                      steps: int | None = None, constants: ConstantTable | None = None,
-                      depth_nodes: int = 10) -> dict:
+                      steps: int | None = None, depth_nodes: int = 10) -> dict:
     """Track the kernel-weighted supertrace expectation along shrinking lifetimes.
 
     Interior points compare K0(t;x,x) E[Str M V] with the bulk integrand,
@@ -607,7 +604,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     steps = check_integer("steps", LOCAL_LIMIT_STEPS if steps is None else steps, 2)
     check_integer("depth_nodes", depth_nodes, 1, MAX_DEPTH_NODES + 1)
     point = check_point(model, point)
-    constants = constants or calibrate_constants(model.dimension)
+    constants = calibrate_constants(model.dimension)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     analytic = local_integrand(model, constants, point, on_boundary=on_boundary)
     paired = _antithetic(model, bridges)

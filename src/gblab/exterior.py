@@ -211,14 +211,14 @@ class CurvatureTensor:
         return cls(h.shape[0], comp)
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator, terms: int = 3) -> "CurvatureTensor":
+    def random(cls, n: int, rng: np.random.Generator) -> "CurvatureTensor":
         comp = np.zeros((n, n, n, n))
-        for _ in range(terms):
+        for _ in range(3):
             h = rng.standard_normal((n, n))
             comp += cls.from_symmetric_generator(h).components
-        return cls(n, comp / math.sqrt(terms))
+        return cls(n, comp / math.sqrt(3))
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         r = self.components
         scale = max(1.0, float(np.abs(r).max()))
         checks = {
@@ -230,7 +230,7 @@ class CurvatureTensor:
             ).max(),
         }
         for name, dev in checks.items():
-            if dev > tol * scale:
+            if dev > 1e-12 * scale:
                 raise InvariantViolationError(
                     f"curvature tensor violates {name}: deviation {dev:.3e}"
                 )

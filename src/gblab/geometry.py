@@ -70,8 +70,8 @@ class FactorSpec:
     needs_frame: bool
 
 
-def _unit(v, axis=-1):
-    norm = np.linalg.norm(v, axis=axis, keepdims=True)
+def _unit(v):
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / np.where(norm == 0.0, 1.0, norm)
 
 

@@ -130,9 +130,7 @@ def sphere_kernel(t, dim, radius, gamma):
         raise SeriesConvergenceError(f"no sphere series for dimension {dim}")
     lmax = _sphere_lmax(t, radius, dim - 1)
     if lmax > _MAX_TERMS:
-        raise SeriesConvergenceError(
-            f"sphere series needs {lmax} terms at t={t}", required_terms=lmax
-        )
+        raise SeriesConvergenceError(f"sphere series needs {lmax} terms at t={t}")
     if dim == 2:
         x = np.cos(gamma)
         out = np.zeros(gamma.shape)
@@ -283,11 +281,8 @@ def _ball_modes(dim, radius, lam_max):
     x_max = lam_max * radius
     if x_max > _MAX_DIMLESS_FREQ:
         need = x_max * x_max / (2 * math.pi)  # inf once t is too small for lam_max to exist
-        raise SeriesConvergenceError(
-            f"{kind} Neumann series needs modes up to lambda*r = {x_max:.3g} "
-            f"(~{need:.3g} terms); increase t",
-            required_terms=int(need) if math.isfinite(need) else None,
-        )
+        raise SeriesConvergenceError(f"{kind} Neumann series needs modes up to lambda*r = "
+                                     f"{x_max:.3g} (~{need:.3g} terms); increase t")
     key = (kind, radius)
     cached = _MODE_CACHE.get(key)
     if cached is None or cached["x_max"] < x_max:

@@ -1,5 +1,5 @@
 """Standard normals for bridge batches, drawn inline or ahead in a helper process, and the
-helper's step jobs.
+helper's jobs.
 
 A bridge batch fills every tile-step's noise from a _RowStreams: the
 generators of its row groups, each filling its rows in row order.  Paired
@@ -40,19 +40,20 @@ Python threads (fork is unsafe there), and where os.fork or the x86 store
 order the counters rely on is missing.  A process forked from the
 helper's owner never uses the owner's ring (the owner's pid is checked).
 
-The helper takes a second kind of job, a step job (helper_job): a function
-and its arguments, here the stepping of a batch's trailing row groups with
-the generators those groups own.  It runs the function with every draw
-inline, counts its steps in the produced counter and replies with the value
-and the generators' end states, which are copied into the caller's
-generators; until then the caller never touches them.  The job draws only
-from those generators, which reach the helper in the caller's states, so its
-value is bitwise the one the caller gets by running the function itself;
-the caller does so when the helper is lost, meets an error or cannot be
-sent the job.  The wait for the reply gives up after WAIT_S without a step.
-Between jobs the helper blocks on its pipe; it holds _IN_USE for good, so
-it never splits or rings a batch of its own.  One batch at a time uses the
-helper, with either kind of job.
+The helper runs one kind of job (_Job, sent through helper_job): a task and
+its arguments, whose reply is the task's value and the end states of the
+generators it drew from, or None when it failed or was cancelled.  The
+ring is the task _produce, whose value is None.  The other task, _step,
+steps a batch's trailing row groups with the generators those groups own:
+it runs a function with every draw inline and counts its steps in the
+produced counter.  Until the reply is read the caller never touches the
+job's generators, which reach the helper in the caller's states, so a step
+job's value is bitwise the one the caller gets by running the function
+itself; the caller does so when the helper is lost, meets an error or
+cannot be sent the job.  The wait for a reply gives up after WAIT_S
+without a step or a slot.  Between jobs the helper blocks on its pipe; it
+holds _IN_USE for good, so it never splits or rings a batch of its own.
+One batch at a time uses the helper, with one job.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class _RowStreams:
     gens: tuple
     bounds: tuple
     paired: bool = False
+
+    def normals(self, n: int, steps: int) -> int:
+        """The normals its rows draw in `steps` fills of n columns: half as many when paired."""
+        return self.bounds[-1] // (2 if self.paired else 1) * n * steps
 
     def tile(self, rows: slice) -> "_RowStreams":
         """The groups' parts inside a row tile, with rows counted from the tile's start."""
@@ -158,93 +163,75 @@ def _spread_pairs(xi):
 
 
 @contextlib.contextmanager
-def batch_noise(tiles, n: int, steps: int):
-    """The noise sources of one batch: one per tile, each with fill(xi).
+def batch_noise(streams: _RowStreams, tiles, n: int, steps: int):
+    """The noise sources of one batch: one per row tile, each with fill(xi).
 
-    tiles are the _RowStreams of the batch's row tiles; every step fills
-    them in order, steps times, with (rows, n) arrays.  The sources are the
-    tiles themselves (inline), or one reader of the helper's ring that hands
-    out the slots in that order.  On exit the tiles' generators stand where
-    the inline fills would have left them, also after an exception.
+    streams fill the batch's rows and tiles are the row slices of its tiles;
+    every step fills the tiles in order, steps times, with (rows, n) arrays.
+    The sources are the tiles' parts of streams (inline), or one reader of
+    the helper's ring that hands out the slots in that order.  On exit the
+    generators stand where inline fills leave them, also after an exception.
     """
-    rows = [t.bounds[-1] for t in tiles]
-    drawn = sum(r // 2 if t.paired else r for r, t in zip(rows, tiles)) * n * steps
-    large = drawn >= HELPER_MIN_NORMALS and 8 * max(rows) * n <= RING_BYTES
-    # one batch at a time uses the helper; a batch of another thread draws inline
-    if not (large and _IN_USE.acquire(blocking=False)):
-        yield list(tiles)
-        return
-    ring = None
-    try:
-        helper = _helper()
-        ring = None if helper is None else _RingReader(helper, tiles, n, steps * len(tiles))
-        yield list(tiles) if ring is None else [ring] * len(tiles)
-    finally:
+    parts = [streams.tile(rows) for rows in tiles]
+    count = steps * len(parts)
+    slot = max(part.bounds[-1] for part in parts) * n
+    # tiles whose slot does not fit the ring draw inline
+    drawn = streams.normals(n, steps) if 8 * slot <= RING_BYTES else 0
+    with helper_job(_produce, (parts, n, count, slot), streams.gens, drawn) as job:
+        if job is None or job.helper is None:
+            yield parts
+            return
+        ring = _RingReader(job, parts, n, count, slot)
         try:
-            if ring is not None:
-                ring.close()
+            yield [ring] * len(parts)
         finally:
-            _IN_USE.release()
+            ring.close()
 
 
 class _RingReader:
-    """One batch's slots, read in fill order; falls back to inline fills if the helper is lost."""
+    """The slots of one batch's _produce job, read in fill order; inline once the helper is lost."""
 
-    def __init__(self, helper, tiles, n, count):
-        self.helper = helper
+    def __init__(self, job, tiles, n, count, slot):
+        self.job = job
         self.tiles = tiles
         self.n = n
         self.count = count
         self.done = 0
-        self.gens = list({id(g): g for t in tiles for g in t.gens}.values())
-        self.slot = max(t.bounds[-1] for t in tiles) * n
-        self.slots = max(1, min(count, helper.data.size // self.slot))
-        if not helper.start((_produce, (self.gens, tiles, n, count, self.slot, self.slots))):
-            self._drop()
+        self.slot = slot
+        self.slots = _ring_slots(job.helper.data, slot, count)
 
     def fill(self, xi):
         j = self.done
-        if self.helper is not None and (self.helper.counters[_PRODUCED] > j or self._wait(j)):
+        helper = self.job.helper
+        if helper is not None and (helper.counters[_PRODUCED] > j or self._wait(j)):
             start = (j % self.slots) * self.slot
-            np.copyto(xi, self.helper.data[start:start + xi.size].reshape(xi.shape))  # rounds to xi
-            self.helper.counters[_CONSUMED] = j + 1
+            np.copyto(xi, helper.data[start:start + xi.size].reshape(xi.shape))  # rounds to xi
+            helper.counters[_CONSUMED] = j + 1
         else:
             self.tiles[j % len(self.tiles)].fill(xi)
         self.done = j + 1
 
     def _wait(self, j):
         """Spin until slot j is produced; False (now inline) if the helper died or stalled."""
-        counters = self.helper.counters
+        helper = self.job.helper
         deadline = time.monotonic() + WAIT_S
         spins = 0
-        while counters[_PRODUCED] <= j:
+        while helper.counters[_PRODUCED] <= j:
             spins += 1
-            if spins % 1024 == 0 and (time.monotonic() > deadline or not self.helper.alive()):
-                self._drop()
+            if spins % 1024 == 0 and (time.monotonic() > deadline or not helper.alive()):
+                _discard(helper)  # its reply is never read
+                self.job.helper = None
+                self._replay()
                 return False
             os.sched_yield()  # a helper that shares this CPU runs at once
         return True
 
     def close(self):
         """Take the helper's final generator states, or redraw the consumed fills inline."""
-        if self.helper is None:
-            return
-        if self.done < self.count:
-            self.helper.counters[_CANCEL] = 1
-        reply = self.helper.reply()
-        if reply is _LOST:
-            self._drop()
-        elif self.done == self.count:
-            for gen, state in zip(self.gens, reply):
-                gen.bit_generator.state = state
-        else:
-            self._replay()
-
-    def _drop(self):
-        """Give up the helper: the caller's generators catch up on the fills consumed so far."""
-        _discard(self.helper)
-        self.helper = None
-        self._replay()
+        if self.job.helper is not None:  # else it was lost, and the fills consumed redrawn then
+            if self.done < self.count:  # an exception cut the batch short
+                self.job.cancel()  # the helper's end states are ahead of the fills consumed
+            self.job.result(self._replay)
 
     def _replay(self):
         scratch = np.empty(self.slot)
@@ -254,78 +241,71 @@ class _RingReader:
 
 
 @contextlib.contextmanager
-def helper_job(work, args, gens, normals: int):
-    """Run work(*args, on_step=...) in the helper while the caller goes on with its own rows.
+def helper_job(task, args, gens, normals: int):
+    """A _Job that runs task(counters, data, owner, *args) in the helper, or None.
 
-    work steps rows whose draws all come from the generators gens, and
-    normals is what the whole batch draws.  Yields a function that returns
-    work(*args): the helper's value, with the generators' end states copied
-    into gens; or, when the helper is lost or meets an error or the job
-    cannot be pickled, the value of work(*args) run inline on the untouched
-    gens.  Yields None, and the job stays with the caller, for batches under
-    HELPER_MIN_NORMALS normals, while another batch uses the helper and
-    where no helper can run.  If the caller raises before taking the value,
-    the job is cancelled and gens stay at their start.
+    The task draws only from the generators gens, and normals is what the
+    whole batch draws.  Yields None, and the work stays with the caller,
+    for batches under HELPER_MIN_NORMALS normals, while another batch uses
+    the helper and where no helper can run.  This is the one place that
+    claims the helper: one batch at a time uses it, and a batch of another
+    thread gets None.  On exit a job whose reply was never read is
+    cancelled, and its gens stay where they were.
     """
     if normals < HELPER_MIN_NORMALS or not _IN_USE.acquire(blocking=False):
         yield None
         return
-    job = None
     try:
         helper = _helper()
-        if helper is not None:
-            job = _StepJob(helper, work, args, gens)
-        yield None if job is None else job.result
-    finally:
+        job = None if helper is None else _Job(helper, task, args, gens)
         try:
-            if job is not None:
-                job.close()
+            yield job
         finally:
-            _IN_USE.release()
+            if job is not None:
+                job.cancel()
+    finally:
+        _IN_USE.release()
 
 
-class _StepJob:
-    """One step job sent to the helper; run inline if the helper is lost."""
+class _Job:
+    """One job sent to the helper, with the generators gens that its task draws from.
 
-    def __init__(self, helper, work, args, gens):
-        self.helper = helper
-        self.work = work
-        self.args = args
+    helper is None once the reply is read, and when the helper was lost or
+    never got the job.
+    """
+
+    def __init__(self, helper, task, args, gens):
         self.gens = gens
         try:
-            sent = helper.start((_step, (work, args, gens, np.geterr())))
+            sent = helper.start((task, args, gens, np.geterr()))
         except (pickle.PicklingError, AttributeError, TypeError):
-            sent = None  # a model that cannot be pickled, a local class say, steps here
-        if not sent:
-            self.helper = None
-            if sent is False:
-                _discard(helper)
+            sent = False  # a model that cannot be pickled, a local class say, steps here
+        self.helper = helper if sent else None
 
-    def result(self):
+    def result(self, fallback):
+        """The task's value, with gens at the helper's end states; or fallback() run here.
+
+        fallback runs on the untouched gens when the task failed or was
+        cancelled, or the helper is lost or never got the job.
+        """
         reply = self._reply()
         if reply is None:
-            return self.work(*self.args)
+            return fallback()
         value, states = reply
         for gen, state in zip(self.gens, states):
             gen.bit_generator.state = state
         return value
 
-    def _reply(self):
-        """The helper's reply, read once; None if it failed, was cancelled or the helper is lost."""
-        helper, self.helper = self.helper, None
-        if helper is None:
-            return None
-        reply = helper.reply()
-        if reply is _LOST:
-            _discard(helper)
-            return None
-        return reply
-
-    def close(self):
-        """Cancel a job whose value was never taken, and read its reply."""
+    def cancel(self):
+        """Cancel a job whose reply was never read, and read it; gens stay as they are."""
         if self.helper is not None:
             self.helper.counters[_CANCEL] = 1
             self._reply()
+
+    def _reply(self):
+        """The helper's reply, read once; None if the task failed or was cancelled, or no helper."""
+        helper, self.helper = self.helper, None
+        return None if helper is None else helper.reply()
 
 
 class _Helper:
@@ -350,11 +330,12 @@ class _Helper:
         os.close(replies_out)
 
     def start(self, job) -> bool:
-        """Reset the counters and send a job, (function, arguments); the helper is idle on its pipe."""
+        """Send a job to the idle helper, counters reset; False, and the helper discarded, if lost."""
         self.counters[_PRODUCED] = self.counters[_CONSUMED] = self.counters[_CANCEL] = 0
         try:
             _send(self.jobs, job)
         except OSError:
+            _discard(self)
             return False
         return True
 
@@ -365,11 +346,11 @@ class _Helper:
             return False
 
     def reply(self):
-        """The helper's reply to the current job, or _LOST if it died or stalled.
+        """The helper's reply to the current job; None, and the helper discarded, if it died or stalled.
 
         It stalls when the produced counter stands still for WAIT_S.  A wait
-        cut short by an exception (an interrupt, say) discards the helper,
-        whose unread reply would otherwise answer the next job.
+        cut short by an exception (an interrupt, say) discards the helper
+        too, whose unread reply would otherwise answer the next job.
         """
         produced = self.counters[_PRODUCED]
         deadline = time.monotonic() + WAIT_S
@@ -379,10 +360,11 @@ class _Helper:
                     produced = self.counters[_PRODUCED]
                     deadline = time.monotonic() + WAIT_S
                 elif time.monotonic() > deadline or not self.alive():
-                    return _LOST
+                    raise TimeoutError
             return _receive(self.replies)
-        except (EOFError, OSError):
-            return _LOST
+        except (EOFError, OSError):  # TimeoutError is an OSError
+            _discard(self)
+            return None
         except BaseException:
             _discard(self)
             raise
@@ -433,52 +415,59 @@ def _receive(fd):
 
 
 def _serve(jobs, replies, counters, data, owner):
-    """The helper's loop: one reply per job until the jobs pipe reaches EOF."""
+    """The helper's loop: one reply per job, (value, gens' end states) or None, until EOF."""
     _IN_USE.acquire(blocking=False)  # the helper's own batches draw inline and never split
     while True:
         try:
-            task, args = _receive(jobs)
+            task, args, gens, errors = _receive(jobs)
         except EOFError:
             return
-        _send(replies, task(counters, data, owner, *args))
+        try:
+            with np.errstate(**errors):
+                reply = task(counters, data, owner, *args), [g.bit_generator.state for g in gens]
+        except Exception:  # cancelled, or an error the caller meets when it runs the job itself
+            reply = None
+        _send(replies, reply)
 
 
-def _produce(counters, data, owner, gens, tiles, n, count, slot, slots):
-    """Fill the batch's slots in fill order; the final generator states, or None if cancelled."""
+class _Cancelled(Exception):
+    """The owner cancelled the job, or is gone."""
+
+
+def _check_cancel(counters, owner):
+    if counters[_CANCEL] or os.getppid() != owner:
+        raise _Cancelled
+
+
+def _ring_slots(data, slot: int, count: int) -> int:
+    """How many of a batch's count tile slots, of slot floats each, the ring data holds."""
+    return max(1, min(count, data.size // slot))
+
+
+def _produce(counters, data, owner, tiles, n, count, slot):
+    """Fill the batch's slots in fill order, waiting while the ring is full."""
+    slots = _ring_slots(data, slot, count)
     for j in range(count):
-        while j - counters[_CONSUMED] >= slots:  # the ring is full
-            if counters[_CANCEL] or os.getppid() != owner:
-                return None
+        while j - counters[_CONSUMED] >= slots:
+            _check_cancel(counters, owner)
             os.sched_yield()
         tile = tiles[j % len(tiles)]
         start = (j % slots) * slot
         tile.fill(data[start:start + tile.bounds[-1] * n].reshape(-1, n))
         counters[_PRODUCED] = j + 1
-    return [g.bit_generator.state for g in gens]
 
 
-class _Cancelled(Exception):
-    """The owner cancelled a step job, or is gone."""
-
-
-def _step(counters, data, owner, work, args, gens, errors):
-    """Run a step job: (its value, the generators' end states), or None if it failed or was cancelled."""
+def _step(counters, data, owner, work, args):
+    """work(*args), its steps counted in the produced counter; stops between steps if cancelled."""
     def progress(k, rows, state, info):
         counters[_PRODUCED] = k + 1
-        if counters[_CANCEL] or os.getppid() != owner:
-            raise _Cancelled
+        _check_cancel(counters, owner)
 
-    try:
-        with np.errstate(**errors):
-            value = work(*args, on_step=progress)
-    except Exception:  # the caller runs the job itself and meets the error there
-        return None
-    return value, [g.bit_generator.state for g in gens]
+    return work(*args, on_step=progress)
 
 
 _HELPER = None
 _IN_USE = threading.Lock()
-_LOST = object()  # the reply of a helper that died or stalled
 
 
 def _helper():

@@ -80,28 +80,28 @@ even sizes and every tile cut falls on an even row, so each tile draws a
 whole number of pairs from each group's stream, in row order.
 
 Which process draws or steps a row never changes a number either.  A batch
-that draws at least noise.HELPER_MIN_NORMALS normals, P * n * (steps - 1)
-(steps for free walks) or half that when paired, uses a helper process
-forked on first use.  A flat batch hands it its generators: the helper makes
-the same fill calls in the same order into a shared ring of tile-sized
-slots, step_bridge copies each tile's normals out of its slot, and the
-helper's final generator states are copied back into the caller's
-generators.  A batch of a frame-carrying model with two or more row groups
-and no on_step hook is split instead, at the group boundary nearest its
-middle row that no generator straddles: the helper steps the trailing
-groups with their own generators while this process steps the leading
-ones, both drawing inline, and the two halves are joined in row order.  A
-hemisphere row-step costs about four times its draws, so the ring, which
-overlaps only the draws, leaves the second CPU mostly idle; a flat row-step
-costs about 0.6 times its draws, and split flat batches ran 10-34 % slower
-than ringed ones (BENCH_split_steps.json).  A draw
-depends only on a generator's state and the calls made on it (Philox is
-counter-based), and a group takes exactly the numbers its own stream gives
-a separate batch of its rows, so paths, reports and the generators' end
-states are bitwise those of a one-process, inline batch; a split batch that
-raises leaves the trailing groups' generators at their start.  Smaller
-batches and processes with one usable CPU draw and step inline (see the
-noise module).
+that draws at least noise.HELPER_MIN_NORMALS normals (_RowStreams.normals:
+P * n * (steps - 1), steps for free walks, or half that when paired) sends
+one job to a helper process forked on first use.  A flat batch's job draws:
+the helper makes the same fill calls in the same order into a shared ring
+of tile-sized slots, step_bridge copies each tile's normals out of its
+slot, and the helper's final generator states are copied back into the
+caller's generators.  A batch of a frame-carrying model with two or more
+row groups and no on_step hook is split instead, at the group boundary
+nearest its middle row (each group owns its generator, so none draws in
+both processes): the helper steps the trailing groups while this process
+steps the leading ones, both drawing inline, and every BridgeBatch field of
+the two halves is joined in row order.  A hemisphere row-step costs about
+four times its draws, so the ring, which overlaps only the draws, leaves
+the second CPU mostly idle; a flat row-step costs about 0.6 times its
+draws, and split flat batches ran 10-34 % slower than ringed ones
+(BENCH_split_steps.json).  A draw depends only on a generator's state and
+the calls made on it (Philox is counter-based), and a group takes exactly
+the numbers its own stream gives a separate batch of its rows, so paths,
+reports and the generators' end states are bitwise those of a one-process,
+inline batch; a split batch that raises leaves the trailing groups'
+generators at their start.  Smaller batches and processes with one usable
+CPU draw and step inline (see the noise module).
 
 Walks of models that carry frames keep x and the frames column-major (the
 logical shapes (P, d) and (P, d, k) laid out as (d, P) and (d, k, P)), because
@@ -130,15 +130,14 @@ path step by step through the on_step hook of a one-row simulate_bridges.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import exterior as ext
 from .geometry import ManifoldModel, _rowdot, _scale_columns
-from .noise import _RowStreams, batch_noise, helper_job
+from .noise import _RowStreams, _step, batch_noise, helper_job
 
 # Row cap of the lockstep tiles simulate_bridges splits a batch into: a
 # memory layout that keeps each step's temporaries cache-sized and reused,
@@ -163,13 +162,15 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def _row_streams(rng, rows: int, paired: bool = False, group_rows=None) -> _RowStreams:
-    """One generator for all rows, or G generators splitting them into contiguous groups.
+    """One generator for all rows, or G distinct generators splitting them into contiguous groups.
 
     The groups are equal, or group_rows[i] rows long for generator i.
     Paired, every group fills antithetic pairs and must have an even row
     count.
     """
     gens = [_as_generator(r) for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    if len({id(g) for g in gens}) < len(gens):
+        raise ValueError("a generator is given for two row groups")
     if group_rows is None:
         if not gens or rows % len(gens):
             raise ValueError(f"{len(gens)} generators cannot split {rows} rows into equal groups")
@@ -504,13 +505,14 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     starts there and takes `steps` free steps.  t is one lifetime for every
     path or a (P,) array of one per path; a path steps as it would in a
     batch of its own lifetime and walk precision (model.walk_precision of
-    the batch's steps).  rng is one generator, or a
-    sequence of G generators that split the P rows into G contiguous
-    groups, equal ones or group_rows[i] rows for generator i (ValueError
-    when they do not split P); group i draws exactly what a separate batch
-    of its rows draws from generator i.  With paired=True the rows
-    are antithetic pairs: rows 2j and 2j + 1 step on one draw and its
-    negation, so every group needs an even row count (ValueError otherwise).
+    the batch's steps).  rng is one generator, or a sequence of G
+    distinct generators that split the P rows into G contiguous groups,
+    equal ones or group_rows[i] rows for generator i (ValueError when they
+    do not split P or a generator repeats); group i draws exactly what a
+    separate batch of its rows draws from generator i.  With paired=True
+    the rows are antithetic pairs: rows 2j and 2j + 1 step on one draw and
+    its negation, so every group needs an even row count (ValueError
+    otherwise).
     The rows step as lockstep tiles of at most TILE_ROWS paths, and a
     large batch of a frame-carrying model steps its trailing row groups in
     the noise helper (see the module docstring).
@@ -527,35 +529,32 @@ def simulate_bridges(model: ManifoldModel, anchors, t, steps: int, rng, *,
     cut = _half_cut(streams) if model.needs_frames and on_step is None else None
     if cut is None:
         return _step_rows(model, anchors, t, steps, streams, pinned, on_step)
-    lead, trail = slice(0, cut), slice(cut, P)
-    trailing = streams.tile(trail)
-    drawn = (P // 2 if paired else P) * model.dimension * (steps - 1 if pinned else steps)
-    with helper_job(_step_rows, (model, anchors[trail], t[trail] if np.ndim(t) else t, steps,
-                                 trailing, pinned), trailing.gens, drawn) as stepped:
-        if stepped is None:
+    lead, trail = [(model, anchors[rows], t[rows] if np.ndim(t) else t, steps,
+                    streams.tile(rows), pinned) for rows in (slice(0, cut), slice(cut, P))]
+    drawn = streams.normals(model.dimension, steps - 1 if pinned else steps)
+    with helper_job(_step, (_step_rows, trail), streams.gens[streams.bounds.index(cut):],
+                    drawn) as job:
+        if job is None:
             return _step_rows(model, anchors, t, steps, streams, pinned)
-        parts = [_step_rows(model, anchors[lead], t[lead] if np.ndim(t) else t, steps,
-                            streams.tile(lead), pinned),
-                 stepped()]
-    factor_O = {}
-    for name, first in parts[0].factor_O.items():
-        factor_O[name] = None if first is None else np.concatenate([first, parts[1].factor_O[name]])
-    return BridgeBatch(
-        model=model, t=t, factor_O=factor_O,
-        **{field: np.concatenate([getattr(p, field) for p in parts])
-           for field in ("lam", "contacts", "alive", "m")})
+        halves = _step_rows(*lead), job.result(lambda: _step_rows(*trail))
+    return BridgeBatch(**{field.name: _joined(*(getattr(half, field.name) for half in halves))
+                          for field in fields(BridgeBatch)})
 
 
 def _half_cut(streams: _RowStreams):
-    """The row group boundary nearest the middle row that no generator straddles, or None.
+    """The row group boundary nearest the middle row, or None for one group."""
+    return min(streams.bounds[1:-1], key=lambda b: abs(2 * b - streams.bounds[-1]), default=None)
 
-    A generator that owns groups on both sides of a cut would draw for them
-    in another order in two processes, so no such cut is taken.
+
+def _joined(lead, trail):
+    """A BridgeBatch field of a split batch from its values in the two halves.
+
+    Arrays, and the arrays of a dict, join in row order; anything else (the
+    model, a shared lifetime, None) is the leading half's.
     """
-    last = {id(g): i for i, g in enumerate(streams.gens)}
-    reach = itertools.accumulate((last[id(g)] for g in streams.gens), max)
-    cuts = [b for i, (r, b) in enumerate(zip(reach, streams.bounds[1:-1])) if r == i]
-    return min(cuts, key=lambda b: abs(2 * b - streams.bounds[-1]), default=None)
+    if isinstance(lead, dict):
+        return {key: _joined(value, trail[key]) for key, value in lead.items()}
+    return np.concatenate([lead, trail]) if isinstance(lead, np.ndarray) else lead
 
 
 def _step_rows(model, anchors, t, steps, streams: _RowStreams, pinned, on_step=None):
@@ -587,8 +586,7 @@ def _step_rows(model, anchors, t, steps, streams: _RowStreams, pinned, on_step=N
         targets = [(s.x, s.depth, d) for s, d in zip(states, depths)]
     noise_steps = steps - 1 if pinned else steps
     frames0 = _join([s.frames for s in states]).copy() if model.needs_frames else None
-    with batch_noise([streams.tile(rows) for rows in tiles], model.dimension,
-                     noise_steps) as tile_noise:
+    with batch_noise(streams, tiles, model.dimension, noise_steps) as tile_noise:
         for k in range(steps):
             for rows, state, noise, (anchor, d_rows, d_snap), (t_rows, h_rows, scales) in zip(
                     tiles, states, tile_noise, targets, clocks):

@@ -176,17 +176,17 @@ def test_criterion_5_witten_index_t_constancy(chi_runs):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_6_local_limits(constants2):
+def test_criterion_6_local_limits():
     hemi = geo.model_catalog("hemisphere", dimension=2)
     interior = est.local_limit_check(
         hemi, hemi.interior_point(), [0.32, 0.16, 0.08],
-        bridges=12_000, seed=1601, steps=200, constants=constants2,
+        bridges=12_000, seed=1601, steps=200,
     )
     r_int = interior["rows"][-1]["ratio"]
     disk = geo.model_catalog("ball", dimension=2)
     boundary = est.local_limit_check(
         disk, disk.boundary_point(), [0.08, 0.04, 0.02],
-        bridges=6_000, seed=1602, steps=250, constants=constants2, depth_nodes=8,
+        bridges=6_000, seed=1602, steps=250, depth_nodes=8,
     )
     r_bdy = boundary["rows"][-1]["ratio"]
     ok = abs(r_int - 1.0) < 0.1 and abs(r_bdy - 1.0) < 0.15

@@ -142,7 +142,7 @@ class TestRunEstimate:
         assert code == 3
         err = json.loads(capsys.readouterr().out.strip())
         assert err["error"]["kind"] == "numerical"
-        assert err["error"]["required_terms"] > 0
+        assert "terms); increase t" in err["error"]["message"]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env-out"
@@ -440,8 +440,8 @@ class TestRangeValidation:
 
     def test_tiny_lifetime_on_the_disk_names_what_to_change(self, tmp_path):
         # the disk series would need modes up to lambda r ~ 1e151: the message
-        # gives that number in three digits and asks for a larger t, the one
-        # knob a config has
+        # gives that number and the term count in three digits and asks for a
+        # larger t, the one knob a config has
         base = {**ESTIMATE_SMALL, "t": "1e-300"}
         code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, base))])
         assert code == 3
@@ -450,18 +450,17 @@ class TestRangeValidation:
         assert len(error["message"]) < 200
         assert "lambda_max" not in error["message"]
         assert "increase t" in error["message"]
-        assert error["required_terms"] > 10**300
+        assert "(~1.46e+301 terms)" in error["message"]
         assert "Traceback" not in err
 
     def test_smallest_lifetime_on_the_disk_names_the_series(self, tmp_path):
-        # at t = 5e-324 no term count can be estimated: the error leaves it out
+        # at t = 5e-324 no term count can be estimated
         base = {**ESTIMATE_SMALL, "t": "5e-324"}
         code, out, err = run_main(["estimate-chi", str(config_file(tmp_path, base))])
         assert code == 3
         error = json.loads(out[0])["error"]
         assert error["kind"] == "numerical"
         assert "disk Neumann series" in error["message"] and "increase t" in error["message"]
-        assert "required_terms" not in error
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("experiment, base, spoil", [

@@ -303,11 +303,10 @@ class TestEstimateChi:
 
 
 class TestLocalLimit:
-    def test_flat_interior_rows(self, constants2):
+    def test_flat_interior_rows(self):
         model = geo.model_catalog("ball", dimension=2)
         table = est.local_limit_check(
-            model, np.array([0.0, 0.0]), [0.04, 0.02], 200, seed=5,
-            steps=50, constants=constants2,
+            model, np.array([0.0, 0.0]), [0.04, 0.02], 200, seed=5, steps=50,
         )
         assert table["point_kind"] == "interior"
         for row in table["rows"]:
@@ -315,11 +314,10 @@ class TestLocalLimit:
             assert row["analytic"] == 0.0
             assert row["ratio"] is None
 
-    def test_boundary_point_detection(self, constants2):
+    def test_boundary_point_detection(self):
         model = geo.model_catalog("ball", dimension=2)
         table = est.local_limit_check(
-            model, model.boundary_point(), [0.03], 200, seed=6,
-            steps=50, constants=constants2, depth_nodes=4,
+            model, model.boundary_point(), [0.03], 200, seed=6, steps=50, depth_nodes=4,
         )
         assert table["point_kind"] == "boundary"
         assert table["rows"][0]["analytic"] == pytest.approx(1.0 / (2 * math.pi))
@@ -332,8 +330,7 @@ class TestLocalLimit:
         # at this layer thickness, so the band is generous)
         model = geo.model_catalog("ball", dimension=3)
         table = est.local_limit_check(
-            model, model.boundary_point(), [0.01], 3000, seed=8,
-            steps=250, constants=constants3, depth_nodes=8,
+            model, model.boundary_point(), [0.01], 3000, seed=8, steps=250, depth_nodes=8,
         )
         row = table["rows"][0]
         assert row["analytic"] == pytest.approx(
@@ -342,13 +339,13 @@ class TestLocalLimit:
         assert 0.80 < row["ratio"] < 1.15
 
     @pytest.mark.parametrize("t_sequence", [[0.04, 0.04, 0.04], [0.04, 0.02, 0.04]])
-    def test_no_observed_order_without_three_distinct_lifetimes(self, constants2, t_sequence):
+    def test_no_observed_order_without_three_distinct_lifetimes(self, t_sequence):
         # a slope over log t with fewer than 3 distinct abscissae means nothing
         model = geo.model_catalog("ball", dimension=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = est.local_limit_check(model, model.boundary_point(), t_sequence, 40,
-                                          seed=9, steps=20, constants=constants2, depth_nodes=2)
+                                          seed=9, steps=20, depth_nodes=2)
         assert len(table["rows"]) == 3
         assert all(row["ratio"] is not None for row in table["rows"])
         assert table["observed_order"] is None
@@ -413,18 +410,16 @@ class TestLockstepNodes:
     # batches inside nodes
     @pytest.mark.parametrize("cap, tile_rows", [(est.CHUNK_PATHS, None), (80, 9)])
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
-    def test_equal_to_per_node_loop(self, case, cap, tile_rows, constants2, constants3,
-                                    monkeypatch):
+    def test_equal_to_per_node_loop(self, case, cap, tile_rows, monkeypatch):
         make, kind = LOCKSTEP_CASES[case]
         model = make()
         point = model.boundary_point() if kind == "boundary" else model.interior_point()
-        constants = constants2 if model.dimension == 2 else constants3
         ref = per_node_rows(model, point, [0.03, 0.015], 40, 233, steps=24, depth_nodes=5)
         monkeypatch.setattr(est, "CHUNK_PATHS", cap)
         if tile_rows is not None:
             monkeypatch.setattr(st, "TILE_ROWS", tile_rows)
         table = est.local_limit_check(model, point, [0.015, 0.03], 40, 233, steps=24,
-                                      constants=constants, depth_nodes=5)
+                                      depth_nodes=5)
         assert table["point_kind"] == kind
         assert [(r["t"], r["value"], r["stderr"], r["node_bridges"])
                 for r in table["rows"]] == ref
@@ -446,7 +441,7 @@ class TestLockstepNodes:
         (5, 30, 1, 8000, [], 0, [5], 30),  # a 3-loop pilot cannot hold two pairs
         ])
     def test_lockstep_groups(self, nodes, bridges, lifetimes, cap, pilot_sizes, pilot, main_sizes,
-                             main, constants2, monkeypatch):
+                             main, monkeypatch):
         # consecutive nodes share a batch of at most CHUNK_PATHS loops, one
         # node at least, and each node brings its own generator; the fake
         # pilot measures no spread, so the main phase splits equally
@@ -461,7 +456,7 @@ class TestLockstepNodes:
         model = geo.model_catalog("ball", dimension=2)
         table = est.local_limit_check(model, model.boundary_point(),
                                       [0.05, 0.04, 0.03][:lifetimes], bridges, 1, steps=4,
-                                      constants=constants2, depth_nodes=nodes)
+                                      depth_nodes=nodes)
         # the disk carries no frames and every count is even: pairs throughout
         assert batches == ([(size, size, True, {pilot}) for size in pilot_sizes]
                            + [(size, size, True, {main}) for size in main_sizes] * lifetimes)
@@ -482,12 +477,12 @@ class TestLockstepNodes:
         batch = SimpleNamespace(alive=alive, supertraces=lambda: values)
         monkeypatch.setattr(est, "simulate_bridges", lambda *args, **kwargs: batch)
         with pytest.raises(NumericalAbortError, match="of 40 bridges at t=0.01"):
-            est._node_means(None, np.zeros((nodes, 2)), 0.01, 4, 40 // nodes, None)
+            est._node_means(None, np.zeros((nodes, 2)), 0.01, 4, 40 // nodes, [None] * nodes)
 
     def test_node_means_of_valid_bridges(self, monkeypatch):
         batch = SimpleNamespace(alive=np.ones(40, dtype=bool), supertraces=lambda: np.arange(40.0))
         monkeypatch.setattr(est, "simulate_bridges", lambda *args, **kwargs: batch)
-        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, None)
+        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, [None] * 2)
         assert mean.tolist() == [9.5, 29.5]
         assert se[0] == pytest.approx(np.std(np.arange(20.0), ddof=1) / math.sqrt(20))
 
@@ -501,7 +496,7 @@ class TestLockstepNodes:
             return batch
 
         monkeypatch.setattr(est, "simulate_bridges", simulate)
-        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, None, paired=True)
+        mean, se = est._node_means(None, np.zeros((2, 2)), 0.01, 4, 20, [None] * 2, paired=True)
         assert passed == [True]
         assert mean.tolist() == [9.5, 29.5]
         pair_means = np.arange(0.5, 20.0, 2.0)
@@ -565,12 +560,12 @@ class TestNeymanAllocation:
         assert est._pilot_loops(nodes, bridges, unit) == pilot
 
     @pytest.mark.parametrize("bridges, unit", [(100, 2), (101, 1)])
-    def test_allocated_counts(self, bridges, unit, constants2):
+    def test_allocated_counts(self, bridges, unit):
         # paired (even bridges on the disk) every count is even; every node
         # keeps its pilot's count; the main phase spends the budget the pilot left
         model = geo.model_catalog("ball", dimension=2)
         table = est.local_limit_check(model, model.boundary_point(), [0.04, 0.02], bridges, 17,
-                                      steps=12, constants=constants2, depth_nodes=6)
+                                      steps=12, depth_nodes=6)
         pilot = est._pilot_loops(6, bridges, unit)
         assert pilot > 0
         for row in table["rows"]:
@@ -589,21 +584,21 @@ class TestNeymanAllocation:
         assert table["rows"][0]["node_bridges"] == [40 - pilot] * 4
         assert table["rows"][0]["value"] == 0.0
 
-    def test_deterministic_in_the_seed(self, constants2):
+    def test_deterministic_in_the_seed(self):
         model = geo.model_catalog("ball", dimension=2)
         runs = [est.local_limit_check(model, model.boundary_point(), [0.03], 80, seed, steps=12,
-                                      constants=constants2, depth_nodes=5)["rows"]
+                                      depth_nodes=5)["rows"]
                 for seed in (23, 23, 24)]
         assert runs[0] == runs[1]
         assert runs[0][0]["node_bridges"] != runs[2][0]["node_bridges"]
 
-    def test_no_pilot_draw_reaches_a_row(self, constants2, monkeypatch):
+    def test_no_pilot_draw_reaches_a_row(self, monkeypatch):
         # given the allocation, the rows do not depend on the pilot's draws:
         # moved to other streams, the pilot measures other spreads, and with
         # the first allocation held the rows stay bitwise the same
         model = geo.model_catalog("ball", dimension=2)
         args = (model, model.boundary_point(), [0.04, 0.02], 80, 29)
-        kwargs = {"steps": 12, "constants": constants2, "depth_nodes": 5}
+        kwargs = {"steps": 12, "depth_nodes": 5}
         neyman_units = est._neyman_units
         scores, moved = [], []
 
@@ -625,7 +620,7 @@ class TestNeymanAllocation:
         assert len(moved) == len(scores) == 2
         assert all(a != b for a, b in zip(moved, scores))
 
-    def test_streams_of_a_run(self, constants2, monkeypatch):
+    def test_streams_of_a_run(self, monkeypatch):
         # node j of lifetime it: main stream 1000 it + j, pilot 2**63 + 1000 it + j;
         # the pilots of both lifetimes step first, in one batch
         streams = []
@@ -637,7 +632,7 @@ class TestNeymanAllocation:
         monkeypatch.setattr(est, "RngStream", recording)
         model = geo.model_catalog("ball", dimension=2)
         est.local_limit_check(model, model.boundary_point(), [0.04, 0.02], 40, 31, steps=6,
-                              constants=constants2, depth_nodes=3)
+                              depth_nodes=3)
         main = [1000 * it + j for it in range(2) for j in range(3)]
         pilot = [2**63 + s for s in main]
         assert streams == pilot + main
@@ -653,15 +648,14 @@ class TestNeymanAllocation:
         # every main id stays below 2**63, and every pilot id is a uint64
         assert max(main) < est.PILOT_STREAMS <= min(pilot) and max(pilot) < 2**64
 
-    def test_most_depth_nodes(self, constants2):
+    def test_most_depth_nodes(self):
         # MAX_DEPTH_NODES nodes run, one more is rejected (see TestArgumentRanges)
         model = geo.model_catalog("ball", dimension=2)
         table = est.local_limit_check(model, model.boundary_point(), [0.05, 0.04], 2, 37,
-                                      steps=2, constants=constants2,
-                                      depth_nodes=est.MAX_DEPTH_NODES)
+                                      steps=2, depth_nodes=est.MAX_DEPTH_NODES)
         assert [len(r["node_bridges"]) for r in table["rows"]] == [est.MAX_DEPTH_NODES] * 2
 
-    def test_one_kernel_call_per_lifetime(self, constants2, monkeypatch):
+    def test_one_kernel_call_per_lifetime(self, monkeypatch):
         calls = []
         diag = hk.heat_kernel_diag
 
@@ -672,24 +666,24 @@ class TestNeymanAllocation:
         monkeypatch.setattr(hk, "heat_kernel_diag", spy)
         model = geo.model_catalog("ball", dimension=2)
         est.local_limit_check(model, model.boundary_point(), [0.04, 0.02], 40, 41, steps=6,
-                              constants=constants2, depth_nodes=7)
+                              depth_nodes=7)
         assert calls == [(0.04, 7), (0.02, 7)]
 
-    def test_node_diagnostics(self, constants2):
+    def test_node_diagnostics(self):
         # an interior row lists its one node; a boundary row's node stderrs
         # add in quadrature to its stderr
         model = geo.model_catalog("hemisphere", dimension=2)
-        interior = est.local_limit_check(model, model.interior_point(), [0.03], 30, 43, steps=8,
-                                         constants=constants2)["rows"][0]
+        interior = est.local_limit_check(model, model.interior_point(), [0.03], 30, 43,
+                                         steps=8)["rows"][0]
         assert interior["node_bridges"] == [30]
         assert interior["node_stderr"] == [interior["stderr"]]
         boundary = est.local_limit_check(model, model.boundary_point(), [0.03], 30, 43, steps=8,
-                                         constants=constants2, depth_nodes=4)["rows"][0]
+                                         depth_nodes=4)["rows"][0]
         assert len(boundary["node_bridges"]) == len(boundary["node_stderr"]) == 4
         assert math.hypot(*boundary["node_stderr"]) == pytest.approx(boundary["stderr"],
                                                                       rel=1e-12)
 
-    def test_stderr_is_calibrated(self, constants2, monkeypatch):
+    def test_stderr_is_calibrated(self, monkeypatch):
         # 160 replicate seeds of a small disk boundary row: the reported
         # stderr matches the spread of the values, and the mean agrees with
         # the equal split's
@@ -698,8 +692,7 @@ class TestNeymanAllocation:
 
         def values():
             rows = [est.local_limit_check(model, model.boundary_point(), [0.02], 96, 4000 + s,
-                                          steps=12, constants=constants2,
-                                          depth_nodes=4)["rows"][0]
+                                          steps=12, depth_nodes=4)["rows"][0]
                     for s in range(replicates)]
             return (np.array([r["value"] for r in rows]), np.array([r["stderr"] for r in rows]))
 
@@ -729,11 +722,11 @@ class TestArgumentRanges:
         {"seed": -3}, {"seed": 2**64}, {"bridges": 0}, {"steps": 1}, {"steps": 0},
         {"depth_nodes": 0}, {"depth_nodes": est.MAX_DEPTH_NODES + 1},
     ])
-    def test_local_limit_check_rejects(self, kwargs, constants2):
+    def test_local_limit_check_rejects(self, kwargs):
         model = geo.model_catalog("ball", dimension=2)
         args = {"t_sequence": [0.05], "bridges": 4, "seed": 1, "steps": 4, **kwargs}
         with pytest.raises(ConfigError):
-            est.local_limit_check(model, model.boundary_point(), constants=constants2, **args)
+            est.local_limit_check(model, model.boundary_point(), **args)
 
     @pytest.mark.parametrize("steps", [0, 1, 2.0])
     def test_supertrace_expectation_rejects(self, steps):
@@ -745,11 +738,11 @@ class TestArgumentRanges:
 
     @pytest.mark.parametrize("point", [[2.0, 0.0], [math.nan, 0.0], [0.3, 0.0, 0.0]],
                              ids=["outside", "nan", "wrong-length"])
-    def test_off_model_point_rejected(self, point, constants2):
+    def test_off_model_point_rejected(self, point):
         # outside the unit disk, not finite, or not a point of the plane
         model = geo.model_catalog("ball", dimension=2)
         with pytest.raises(ConfigError):
-            est.local_limit_check(model, point, [0.05], 4, 1, steps=4, constants=constants2)
+            est.local_limit_check(model, point, [0.05], 4, 1, steps=4)
         with pytest.raises(ConfigError):
             est.supertrace_expectation(model, point, 0.01, 4, RngStream(1), steps=4)
 
@@ -762,12 +755,11 @@ class TestArgumentRanges:
         (geo.model_catalog("cylinder"), [0.5, 0.0, 0.25]),
     ], ids=["hemisphere-off", "cap-off", "cap3-inf", "sphere-ball-off", "sphere-ball-nan",
             "cylinder-off"])
-    def test_point_off_the_sphere_rejected(self, model, point, constants2, constants3):
+    def test_point_off_the_sphere_rejected(self, model, point):
         # the colatitude clips x_axis / r, so the boundary distance alone
         # would accept a point off the embedded sphere
-        constants = constants2 if model.dimension == 2 else constants3
         with pytest.raises(ConfigError, match="off a sphere factor"):
-            est.local_limit_check(model, point, [0.05], 50, 1, steps=20, constants=constants)
+            est.local_limit_check(model, point, [0.05], 50, 1, steps=20)
         with pytest.raises(ConfigError, match="off a sphere factor"):
             est.supertrace_expectation(model, point, 0.01, 4, RngStream(1), steps=4)
 
@@ -835,7 +827,7 @@ FIXED_SEED_LOCAL_LIMIT = {
 
 
 @pytest.mark.parametrize("case", list(FIXED_SEED_LOCAL_LIMIT))
-def test_fixed_seed_local_limit_rows(case, constants2, constants3):
+def test_fixed_seed_local_limit_rows(case):
     # hemisphere rows moved by up to 1e-13 relative when the per-step
     # Gram-Schmidt went and the sphere step took the half-angle form of
     # cos a - 1; flat stepping is unchanged bit for bit, but the disk and
@@ -843,9 +835,8 @@ def test_fixed_seed_local_limit_rows(case, constants2, constants3):
     make, kind = LOCKSTEP_CASES[case]
     model = make()
     point = model.boundary_point() if kind == "boundary" else model.interior_point()
-    constants = constants2 if model.dimension == 2 else constants3
     table = est.local_limit_check(model, point, [0.03, 0.015], 60, 307, steps=30,
-                                  constants=constants, depth_nodes=4)
+                                  depth_nodes=4)
     assert table["point_kind"] == kind
     rows = [(r["t"], r["value"], r["stderr"]) for r in table["rows"]]
     pinned = FIXED_SEED_LOCAL_LIMIT[case]
@@ -866,13 +857,12 @@ FIXED_SEED_INDEPENDENT_ROWS = {
 
 
 @pytest.mark.parametrize("case", list(FIXED_SEED_INDEPENDENT_ROWS))
-def test_fixed_seed_rows_of_independent_bridges(case, constants2, constants3, monkeypatch):
+def test_fixed_seed_rows_of_independent_bridges(case, monkeypatch):
     monkeypatch.setattr(est, "_antithetic", lambda model, bridges: False)
     make, kind = LOCKSTEP_CASES[case]
     model = make()
-    constants = constants2 if model.dimension == 2 else constants3
     table = est.local_limit_check(model, model.boundary_point(), [0.03, 0.015], 60, 307,
-                                  steps=30, constants=constants, depth_nodes=4)
+                                  steps=30, depth_nodes=4)
     rows = [(r["t"], r["value"], r["stderr"]) for r in table["rows"]]
     pinned = FIXED_SEED_INDEPENDENT_ROWS[case]
     assert np.all(np.abs(np.subtract(rows, pinned)) <= 1e-12 * np.abs(pinned))
@@ -1022,7 +1012,7 @@ class TestAntitheticPairs:
     }
 
     @pytest.mark.parametrize("case", list(UNPAIRED))
-    def test_odd_counts_and_frames_draw_as_before(self, case, constants2):
+    def test_odd_counts_and_frames_draw_as_before(self, case):
         model = geo.model_catalog("ball" if case.startswith("disk") else "hemisphere",
                                   dimension=2)
         bridges, expectation, rows = self.UNPAIRED[case]
@@ -1030,5 +1020,5 @@ class TestAntitheticPairs:
         assert est.supertrace_expectation(model, x, 0.02, bridges, RngStream(641),
                                           steps=30) == expectation
         table = est.local_limit_check(model, model.boundary_point(), [0.04, 0.02], bridges, 643,
-                                      steps=24, constants=constants2, depth_nodes=3)
+                                      steps=24, depth_nodes=3)
         assert [(r["value"], r["stderr"]) for r in table["rows"]] == rows

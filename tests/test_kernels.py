@@ -178,8 +178,7 @@ class TestValidityAndErrors:
         model = geo.model_catalog("ball", dimension=2)
         with pytest.raises(SeriesConvergenceError) as err:
             hk.heat_kernel_diag(model, 5e-5, np.array([[0.2, 0.1]]))
-        assert err.value.required_terms is not None
-        assert err.value.required_terms > 0
+        assert "terms); increase t" in str(err.value)
 
     def test_kernel_info_flags(self):
         exact = hk.kernel_info(geo.model_catalog("ball", dimension=2), 0.05)
@@ -301,19 +300,18 @@ class TestRadialDiagonal:
         x = model.sample_volume(np.random.default_rng(9), 200)
         with pytest.raises(SeriesConvergenceError) as err:
             hk.heat_kernel_diag(model, 5e-5, x)
-        assert err.value.required_terms > 0
+        assert "terms); increase t" in str(err.value)
 
     @pytest.mark.parametrize("dimension, series", [(2, "disk"), (3, "ball")])
     def test_smallest_time_names_the_series(self, dimension, series):
         # at t = 5e-324 lambda_max overflows to inf: the guard still raises its
-        # own error, naming the series and the remedy, without a term count
+        # own error, naming the series and the remedy
         model = geo.model_catalog("ball", dimension=dimension)
         x = model.sample_volume(np.random.default_rng(9), 4)
         with pytest.raises(SeriesConvergenceError) as err:
             hk.heat_kernel_diag(model, 5e-324, x)
         assert f"{series} Neumann series" in str(err.value)
         assert "increase t" in str(err.value)
-        assert err.value.required_terms is None
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("model", models_with_exact_kernels()[:4], ids=lambda m: repr(m))
@@ -598,7 +596,7 @@ class TestSmallestTime:
         model = geo.model_catalog("ball", dimension=dim)
         with pytest.raises(SeriesConvergenceError) as err:
             hk.heat_kernel_diag(model, 0.99 * hk.ball_series_t_min(1.0), np.zeros((1, dim)))
-        assert err.value.required_terms > 0
+        assert "terms); increase t" in str(err.value)
 
 
 def test_no_run_loads_scipy_special(tmp_path):

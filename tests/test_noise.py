@@ -7,6 +7,7 @@ states must match bit for bit, also when the helper is killed, stalls,
 fails, or the batch raises part way.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -44,14 +45,21 @@ def state_bytes(gen):
 
 
 def assert_same(a, b):
-    for field in ("lam", "contacts", "alive", "m"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert a.factor_O.keys() == b.factor_O.keys()
-    for name, O in a.factor_O.items():
-        assert (O is None) == (b.factor_O[name] is None), name
-        if O is not None:
-            assert np.array_equal(O, b.factor_O[name]), name
+    """Every BridgeBatch field of a and b is equal bit for bit, and so are their supertraces."""
+    for field in dataclasses.fields(st.BridgeBatch):
+        assert_same_value(getattr(a, field.name), getattr(b, field.name), field.name)
     assert np.array_equal(a.supertraces(), b.supertraces())
+
+
+def assert_same_value(x, y, name):
+    if isinstance(x, dict):
+        assert x.keys() == y.keys(), name
+        for key, value in x.items():
+            assert_same_value(value, y[key], f"{name}[{key}]")
+    elif isinstance(x, np.ndarray):
+        assert isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y), name
+    else:
+        assert x is y or x == y, name
 
 
 def run(model, x, rng, through_helper, steps=30, pinned=True, paired=False):
@@ -116,20 +124,6 @@ class TestGeneratorStates:
         helped, g_helped = run(model, x, makes, True, pinned=pinned, paired=True)
         assert_same(helped, inline)
         assert [state_bytes(g) for g in g_helped] == [state_bytes(g) for g in g_inline]
-
-    def test_one_generator_for_several_groups(self):
-        # the same generator object owns two groups: it draws for both, in row order
-        model = disk()
-        x = anchors(model, 40, 433)
-        outcomes = []
-        for through_helper in (False, True):
-            gen = st.RngStream(439).generator()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(noise, "HELPER_MIN_NORMALS", 0 if through_helper else 10**18)
-                batch = st.simulate_bridges(model, x, 0.05, 20, [gen, gen])
-            outcomes.append((batch, state_bytes(gen)))
-        assert_same(outcomes[1][0], outcomes[0][0])
-        assert outcomes[1][1] == outcomes[0][1]
 
 
 class TestLifecycle:
@@ -390,10 +384,16 @@ def replies(monkeypatch):
 
 @pytest.fixture
 def step_jobs(monkeypatch):
-    """Counts the step jobs batches hand to the helper."""
+    """Counts the step jobs (_step tasks) batches send to the helper."""
     made = []
-    job = noise._StepJob
-    monkeypatch.setattr(noise, "_StepJob", lambda *args: made.append(1) or job(*args))
+    job = noise._Job
+
+    def counting(helper, task, *args):
+        if task is noise._step:
+            made.append(1)
+        return job(helper, task, *args)
+
+    monkeypatch.setattr(noise, "_Job", counting)
     return made
 
 
@@ -569,9 +569,6 @@ class TestSplitBatches:
         st.simulate_bridges(hemisphere, x, 0.05, 30, st.RngStream(683))
         # an on_step hook
         grouped(hemisphere, x, 683, on_step=lambda *args: None)
-        # one generator owning groups on both sides of every cut
-        gen = st.RngStream(683).generator()
-        st.simulate_bridges(hemisphere, x, 0.05, 30, [gen, gen, gen, gen], group_rows=SIZES)
         assert step_jobs == [1]
 
     def test_threshold_keeps_small_batches_in_one_process(self, step_jobs):
@@ -586,22 +583,11 @@ class TestSplitBatches:
         st.simulate_bridges(model, x, 0.05, 501, gens)
         assert step_jobs == [1]
 
-    def test_no_cut_where_a_generator_straddles_it(self, replies):
-        # generator a owns groups 0 and 2, so the cuts at rows 4 and 54 would
-        # hand part of its draws to each process; the cut falls at row 56
-        model = SPLIT_MODELS["hemisphere2"]()
-        x = anchors(model, sum(SIZES), 709)
-        outcomes = []
-        for through_helper in (False, True):
-            a, b, c = (st.RngStream(719, j).generator() for j in range(3))
-            streams = st._row_streams([a, b, a, c], sum(SIZES), group_rows=SIZES)
-            assert st._half_cut(streams) == 56
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(noise, "HELPER_MIN_NORMALS", 0 if through_helper else 10**18)
-                batch = st.simulate_bridges(model, x, 0.05, 30, [a, b, a, c], group_rows=SIZES)
-            outcomes.append((batch, [a, b, c]))
-        assert len(replies) == 1 and isinstance(replies[0], tuple)
-        self.assert_equal(*outcomes[::-1])
+    def test_cut_at_the_group_boundary_nearest_the_middle_row(self):
+        # SIZES bound their groups at rows 4, 54 and 56; row 54 is nearest row 42
+        gens = [st.RngStream(719, j) for j in range(len(SIZES))]
+        assert st._half_cut(st._row_streams(gens, sum(SIZES), group_rows=SIZES)) == 54
+        assert st._half_cut(st._row_streams(st.RngStream(719), sum(SIZES))) is None
 
 
 def wait_bounded(pid, seconds):

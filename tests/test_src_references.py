@@ -1,4 +1,4 @@
-"""Code in src/gblab has a caller in src/gblab.
+"""Code in src/gblab has a caller in src/gblab, and an optional parameter one that sets it.
 
 Code that only tests call belongs in tests/ (see tests/oracles.py and
 tests/polar_charts.py).  This test parses every module of the package,
@@ -17,6 +17,15 @@ attribute chain rooted at a name that ``import`` or an absolute
 a package method of that name.  Dunder methods
 are called by Python itself and are not checked.  ALLOWED lists the
 deliberate exceptions.
+
+The parameter scan fails on an optional parameter (one with a default) of a
+top-level function or method that no call in the package sets, by keyword
+or by position; a default that every caller keeps belongs in the code.
+Calls match by name as above, ``ClassName(...)`` calls ``__init__``, the
+first parameter of a method (not of a static method) is its instance or
+class, and a call with ``*args`` or ``**kwargs`` counts as setting every
+parameter.  ALLOWED_PARAMETERS lists the deliberate exceptions, each with
+its reason.
 """
 
 import ast
@@ -29,6 +38,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gblab"
 ALLOWED = {
     # wrap points of the benchmark tracer (perfbench/tracer.py)
     "estimator.supertrace_expectation",
+}
+
+ALLOWED_PARAMETERS = {
+    "cli.main.argv": "the console script calls main() and argparse reads sys.argv",
+    "estimator.calibrate_constants.models": "the guard-rail families tests calibrate on",
+    "stochastic.simulate_path.pinned": "the reference route tests compare bridge batches with",
+    "stochastic.evolve_functional.start": "the reference route tests compare bridge batches with",
+    "stochastic.evolve_functional.stop": "the reference route tests compare bridge batches with",
+    "estimator.supertrace_expectation.steps": "a tracer wrap point (see ALLOWED) has no src caller",
 }
 
 
@@ -165,6 +183,86 @@ def test_allowed_names_exist(name):
     defined = {qualname for module, text in package_sources().items()
                for qualname, _ in definitions(module, ast.parse(text))}
     assert name in defined
+
+
+def call_name(call: ast.Call):
+    """The name a call is matched by: f of f(...) and of x.f(...); None for other callees."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return call.func.attr if isinstance(call.func, ast.Attribute) else None
+
+
+def optional_parameters(module: str, tree: ast.Module):
+    """(qualified name, name its calls go by, position or None, parameter) of each default.
+
+    The position counts the arguments a call passes before it: the first
+    parameter of a method is its instance or class.  A keyword-only
+    parameter has no position.
+    """
+    for qualname, node in definitions(module, tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner = qualname.split(".")[1] if qualname.count(".") == 2 else None
+        if node.name.startswith("__") and node.name != "__init__":
+            continue
+        called_as = owner if node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if owner is not None and not static else 0
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield f"{qualname}.{arg.arg}", called_as, i - skip, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{qualname}.{arg.arg}", called_as, None, arg.arg
+
+
+def unset_parameters(sources: dict) -> list:
+    """Qualified names of the optional parameters no call in the sources sets."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def sets(call, position, name):
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        keywords = {k.arg for k in call.keywords}
+        if None in keywords or name in keywords:
+            return True
+        return position is not None and len(call.args) > position
+
+    return [qualname for module, tree in trees.items()
+            for qualname, called_as, position, name in optional_parameters(module, tree)
+            if not any(call_name(c) == called_as and sets(c, position, name) for c in calls)]
+
+
+def test_every_optional_parameter_is_set():
+    found = [name for name in unset_parameters(package_sources())
+             if name not in ALLOWED_PARAMETERS]
+    assert not found, f"optional parameters that no call in src/gblab sets: {found}"
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED_PARAMETERS))
+def test_allowed_parameters_exist(name):
+    # a parameter deleted from the package leaves the list too
+    assert name in unset_parameters(package_sources())
+
+
+def test_scan_sees_an_unset_parameter():
+    sources = {
+        "a": "def f(x, y=1, *, z=2, w=3):\n    return x\n\n\n"
+             "class Box:\n    def __init__(self, size=0, fill=None):\n        self.size = size\n\n"
+             "    def get(self, key, default=None):\n        return default\n\n"
+             "    @staticmethod\n    def make(kind=None):\n        return kind\n\n\n"
+             "def g(a=1, b=2):\n    return a\n",
+        "b": "from .a import Box, f, g\n\n\n"
+             "VALUE = f(1, 2, w=4), Box(3).get('k'), Box.make(1), g(*[1])\n",
+    }
+    # y by position, w by keyword, size by position through Box(...), kind by
+    # position of a static method, a and b through *args; z, fill and default
+    # are never set (get's one argument is its key)
+    assert unset_parameters(sources) == ["a.f.z", "a.Box.__init__.fill", "a.Box.get.default"]
 
 
 def test_scan_sees_an_unused_definition():

@@ -1350,6 +1350,13 @@ class TestGroupedStreams:
         with pytest.raises(ValueError):
             st.simulate_bridges(disk(), anchors, 0.05, 10, gens, paired=paired, group_rows=sizes)
 
+    def test_one_generator_for_two_groups_raises(self):
+        # a row group owns its generator, so no generator draws in two processes
+        anchors = np.broadcast_to(np.array([0.5, 0.0]), (8, 2)).copy()
+        gen = st.RngStream(439).generator()
+        with pytest.raises(ValueError, match="two row groups"):
+            st.simulate_bridges(disk(), anchors, 0.05, 10, [gen, gen])
+
     def test_single_generator_in_a_sequence(self):
         model = disk()
         anchors = mixed_anchors(model, 40, 199)
