@@ -30,9 +30,9 @@ spherical factors are stored embedded (which keeps stepping and
 transport exact).
 Each model also owns its analytic data: the diagonal K0(t; x, x) of its
 Neumann heat kernel, the one kernel value the path integral needs (built
-from the series, table and image functions of the kernels module), the
-kernel's exactness and validity metadata, the confinement scale of its
-pinned loops, and the curvature of its boundary.
+from the series, table and image functions of the kernels module), whether
+that diagonal is exact, the confinement scale of its pinned loops, and the
+curvature of its boundary.
 
 All models are immutable and all operations are pure, so one instance can
 serve every batch and call of a run.
@@ -316,10 +316,10 @@ class ManifoldModel:
     # shell_jacobian(depth) (collar_volume's derivative over boundary_area: the area
     # of the parallel hypersurface at each depth per unit boundary area),
     # boundary_point(), interior_point() (a point farthest from the boundary), and the
-    # analytic data: heat_kernel_spec(), confinement_scale() and
-    # boundary_curvature_parts().  A model whose state embeds round spheres lists them
-    # in embedded_spheres.  boundary_distance, the volume and boundary samplers and
-    # offset_from_boundary derive from these below.
+    # analytic data: exact_kernel (False where neumann_diag is the parametrix),
+    # confinement_scale() and boundary_curvature_parts().  A model whose state embeds
+    # round spheres lists them in embedded_spheres.  boundary_distance, the volume and
+    # boundary samplers and offset_from_boundary derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
     walk_dtype = np.float64  # see the stochastic module's "walk precision"
@@ -547,10 +547,9 @@ class FlatBall(ManifoldModel):
             return hk.ball_diag(t, r, self.volume, x)
         return super().neumann_diag(t, x)
 
-    def heat_kernel_spec(self):
-        # the interval's image sum holds at every t, the disk and ball mode tables from a limit
-        t_min = 0.0 if self.dimension == 1 else hk.ball_series_t_min(self.radius)
-        return {"exact": self.dimension in (1, 2, 3), "kind": "ball", "t_min": t_min}
+    @property
+    def exact_kernel(self) -> bool:
+        return self.dimension < 4
 
     def confinement_scale(self):
         """Length scale below which pinned loops stay local."""
@@ -742,9 +741,9 @@ class SphereCap(ManifoldModel):
         gamma_m = 2.0 * self.boundary_distance(x) / r
         return hk.sphere_kernel(t, n, r, np.zeros(1)) + hk.sphere_kernel(t, n, r, gamma_m)
 
-    def heat_kernel_spec(self):
-        return {"exact": self.is_hemisphere, "kind": "cap",
-                "t_min": hk.sphere_series_t_min(self.radius)}
+    @property
+    def exact_kernel(self) -> bool:
+        return self.is_hemisphere
 
     def confinement_scale(self):
         return self.radius * min(self.aperture, math.pi / 2)
@@ -927,12 +926,9 @@ class SphereBall(ManifoldModel):
         k_s = hk.sphere_kernel(t, self.sphere_dim, self.sphere_radius, np.zeros(1))  # one value
         return k_s * self._ball.neumann_diag(t, self._split(x)[1])
 
-    def heat_kernel_spec(self):
-        # each factor's own limit: the circle's image sum holds at every t
-        t_sphere = 0.0 if self.sphere_dim == 1 else hk.sphere_series_t_min(self.sphere_radius)
-        ball = self._ball.heat_kernel_spec()
-        return {"exact": ball["exact"], "kind": "sphere-ball",
-                "t_min": max(t_sphere, ball["t_min"])}
+    @property
+    def exact_kernel(self) -> bool:
+        return self._ball.exact_kernel
 
     def confinement_scale(self):
         return min(self.ball_radius, math.pi * self.sphere_radius)

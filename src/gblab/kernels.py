@@ -1,10 +1,10 @@
 """Diagonals K0(t; x, x) of the catalog models' Neumann heat kernels.
 
 Each model in geometry.py picks its own construction from the pure
-series, table and image functions here; heat_kernel_diag and kernel_info
-check t and call into the model.  The path integral needs only the
-diagonal, so no model exposes the kernel at point pairs; that reference
-lives with the tests (tests/oracles.py).  All kernels are transition
+series, table and image functions here; heat_kernel_diag checks t and
+calls into the model.  The path integral needs only the diagonal, so no
+model exposes the kernel at point pairs; that reference lives with the
+tests (tests/oracles.py).  All kernels are transition
 densities of normally reflected Brownian motion (generator = half the
 Laplacian), so they integrate to one against the Riemannian volume and
 approach 1/volume as t grows.
@@ -31,12 +31,12 @@ Exact constructions:
   every t; the image count grows like sqrt(t) over the period, so a sum
   that would need more than _MAX_TERMS images a side is refused;
 * hemisphere: reflection doubling of the closed-sphere series;
-* products: product of the factor kernels, valid from the largest of
-  the factors' t_min.
+* products: product of the factor kernels.
 
-Other caps and the 4-ball use the diagonal of a Gaussian parametrix,
-(2 pi t)^(-n/2) (1 + exp(-2 d^2 / t)) at depth d, and are flagged as
-approximate.
+A series that cannot reach its tail at t refuses with
+SeriesConvergenceError.  Other caps and the 4-ball use the diagonal of a
+Gaussian parametrix, (2 pi t)^(-n/2) (1 + exp(-2 d^2 / t)) at depth d;
+their models' exact_kernel is False.
 """
 
 from __future__ import annotations
@@ -486,16 +486,6 @@ def _lobatto_coefficients(vals):
     return coeffs
 
 
-def ball_series_t_min(radius):
-    """Smallest t whose disk or 3-ball mode table stays below _MAX_DIMLESS_FREQ."""
-    return 2.0 * _TAIL_LOG * (radius / _MAX_DIMLESS_FREQ) ** 2
-
-
-def sphere_series_t_min(radius):
-    """Smallest t the closed-sphere series sums within about _MAX_TERMS terms."""
-    return 2.0 * _TAIL_LOG * radius**2 / _MAX_TERMS**2
-
-
 def parametrix(t, dim, depth):
     """Diagonal of the Gaussian parametrix with a single boundary image (approximate).
 
@@ -510,13 +500,6 @@ def parametrix(t, dim, depth):
 # ---------------------------------------------------------------------------
 # model entry points
 # ---------------------------------------------------------------------------
-
-
-def kernel_info(model: ManifoldModel, t: float) -> dict:
-    """Exactness and validity metadata for the model's kernel at time t."""
-    info = model.heat_kernel_spec()
-    info["valid"] = t >= info["t_min"]
-    return info
 
 
 def heat_kernel_diag(model: ManifoldModel, t: float, x) -> np.ndarray:

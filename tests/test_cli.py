@@ -302,6 +302,13 @@ LOCAL_SMALL = {"model": "ball", "model.dimension": "2", "point": "boundary",
                "t_sequence": "0.06", "bridges": "4", "steps": "4", "depth_nodes": "2", "seed": "1"}
 
 
+# two parametrix models, and the budget of their tiny-lifetime readings
+CAP2 = {"model": "cap", "model.dimension": "2", "model.aperture": "1.0"}
+TINY_T_BUDGET = {"base_points": "200", "bridges": "6", "steps": "100", "seed": "1311"}
+CAP2_BUDGET = {**CAP2, **TINY_T_BUDGET}
+BALL4_BUDGET = {"model": "ball", "model.dimension": "4", **TINY_T_BUDGET}
+
+
 def config_file(directory, entries):
     path = Path(directory) / "run.cfg"
     lines = [f"{k} = {v}" for k, v in entries.items()]
@@ -463,6 +470,36 @@ class TestRangeValidation:
         assert "disk Neumann series" in error["message"] and "increase t" in error["message"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment, entries", [
+        ("estimate-chi", {**CAP2_BUDGET, "t": "1e-15"}),
+        ("estimate-chi", {**CAP2_BUDGET, "t": "1e-30"}),
+        ("estimate-chi", {**BALL4_BUDGET, "t": "1e-8"}),
+        ("estimate-chi", {**BALL4_BUDGET, "t": "1e-12"}),
+        ("local-limit", {**CAP2, "point": "boundary", "t_sequence": "1e-30", "bridges": "40",
+                         "steps": "100", "seed": "1311"}),
+    ], ids=["cap2-1e-15", "cap2-1e-30", "ball4-1e-8", "ball4-1e-12", "local-limit-cap2-1e-30"])
+    def test_result_lost_to_rounding_exits_three(self, tmp_path, experiment, entries):
+        # on the parametrix models K0 ~ t^(-n/2) multiplies loops that cancel
+        # to rounding: the result stays finite, and only its stderr, below
+        # 2^n eps |w K0|, shows that it measures rounding
+        code, out, err = run_main([experiment, str(config_file(tmp_path, entries))])
+        assert code == 3
+        error = json.loads(out[0])["error"]
+        assert error["kind"] == "numerical"
+        assert "rounding" in error["message"] and "increase t" in error["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entries", [{**CAP2_BUDGET, "t": "1e-14"}, {**BALL4_BUDGET, "t": "1e-7"}],
+                             ids=["cap2-1e-14", "ball4-1e-7"])
+    def test_resolved_tiny_lifetime_runs(self, tmp_path, entries):
+        # one decade above the refusals the check stays quiet: cap2 reads 0.897 +- 0.084
+        code, out, _ = run_main(["estimate-chi", str(config_file(tmp_path, entries))])
+        assert code == 0, out
+        report = json.loads((tmp_path / "out" / "estimate-chi.json").read_text())
+        assert abs(report["estimate"] - report["reference"]) < 4.0 * report["stderr"]
+        assert report["validity"]["exact_kernel"] is False
+
     @pytest.mark.parametrize("experiment, base, spoil", [
         # 1 of 50 bridges: under the 5 % the former resample limit let through
         ("estimate-chi", {**ESTIMATE_SMALL, "bridges": "25"}, "alive"),
@@ -522,6 +559,24 @@ def test_report_keys_match_schema(tmp_path, experiment, base):
     assert set(report) == declared
     for row in report.get("rows", []):
         assert set(row) == row_keys
+
+
+@pytest.mark.parametrize("spoil", ["t_min_series", "no exact_kernel", "t_max_confinement 0"])
+def test_schema_pins_validity(tmp_path, spoil):
+    # validity holds exactly a boolean exact_kernel and a t_max_confinement > 0
+    code, out, _ = run_main(["estimate-chi", str(config_file(tmp_path, ESTIMATE_SMALL))])
+    assert code == 0, out
+    report = json.loads((tmp_path / "out" / "estimate-chi.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    validity = report["validity"]
+    if spoil == "t_min_series":
+        validity["t_min_series"] = 0.0
+    elif spoil == "no exact_kernel":
+        del validity["exact_kernel"]
+    else:
+        validity["t_max_confinement"] = 0.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, SCHEMA)
 
 
 # a small value for every key that some experiment, but not every one, accepts

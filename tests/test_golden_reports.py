@@ -70,31 +70,31 @@ GOLDEN = {
         "diagnostics.json": "3d2629705649efd99aab24104f5ce143dbd2d307517e86d56a87ca1b922a5916",
     },
     "estimate-chi-ball3": {
-        "estimate-chi.json": "e842be523f25c2ff3db0e7c4b9c3fe6a7d9cb217eab3e845f2b4ba51a0863d97",
+        "estimate-chi.json": "f044a5f9564853765242959bcb3d6599f55caa901975047f984dbfdc3b2766cc",
     },
     "estimate-chi-cap2": {
-        "estimate-chi.json": "31d073720aff464a6e64a84417e52f79d092b61649e9cdbd83adf0237b44cb9d",
+        "estimate-chi.json": "4477890271dcaf3c26c0cc0b888f1294a94fc169e9f8ccb9c2f03832e51db5d9",
     },
     "estimate-chi-cap3": {
-        "estimate-chi.json": "13b74383f0b8b99b3c6a09c12e67231cd3b0972b5ecfcc3577cc4dc07e0e434b",
+        "estimate-chi.json": "dd6210f2e321dc2d9a06538133f8d3a1b49d9aaa0e86e5ca4afd5734b6d81686",
     },
     "estimate-chi-cylinder": {
-        "estimate-chi.json": "d20a5b7f2d1a9f637d7329d150e22ac05adb27bcd33017c7fc3f6b36d71de545",
+        "estimate-chi.json": "11592e2bbcad41ad184440742785867bfa178df19c52450ab1808206c920c031",
     },
     "estimate-chi-disk": {
-        "estimate-chi.json": "32efcbb14536ea0b0b514ff787d3d489c564b3880d4611e97c2ca9704a98b5c1",
+        "estimate-chi.json": "99ae99e04c02004b66221aa8f1aff87e82c34adc49ee3686aad5e4e6c1b110e0",
     },
     "estimate-chi-hemisphere2": {
-        "estimate-chi.json": "2ad4dff1b8d6dbad2759292639ca9e3a16cfed1f91f643dce1039358d566785a",
+        "estimate-chi.json": "47f89fa33662ea982ccb75c1478b563fe798e7cb50bc334d2ffae90e4a465085",
     },
     "estimate-chi-hemisphere3": {
-        "estimate-chi.json": "a29afc5e9cd69f14c038c95249f753e6b5540edaad23e6d754b2b79cab9db419",
+        "estimate-chi.json": "552b39d73e2f4cc413761f6f453337c06e7a6a708d35a03ea9c93e084fd7ec8d",
     },
     "estimate-chi-sphere-ball-1-2": {
-        "estimate-chi.json": "8f4cc43680acaeacb59ffdc1f1de48acdeb6f7398df31a514ebaeb71a8ce9aa5",
+        "estimate-chi.json": "9ec2c127f01e7f80126fe2c00e0bc7ccbf6afde7054c0250e6a6d9064ee70568",
     },
     "estimate-chi-sphere-ball-2-1": {
-        "estimate-chi.json": "765ac4c60b5ec31aa8ec7ab44fc56a41f432a0c97d0f39627b22f4caaf2fdfa8",
+        "estimate-chi.json": "878d022899a2494ebd838d7f11e26da084ccb00190cfabb2c0ce4aaf0f3ea393",
     },
     "local-limit-boundary-ball3": {
         "local-limit.csv": "41b3d620c839b8485f806ee8eb87eccf35d7e81dc55bf1bc2eb5caf84aa1c29e",

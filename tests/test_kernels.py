@@ -180,25 +180,40 @@ class TestValidityAndErrors:
             hk.heat_kernel_diag(model, 5e-5, np.array([[0.2, 0.1]]))
         assert "terms); increase t" in str(err.value)
 
-    def test_kernel_info_flags(self):
-        exact = hk.kernel_info(geo.model_catalog("ball", dimension=2), 0.05)
-        assert exact["exact"] and exact["valid"]
-        approx = hk.kernel_info(geo.model_catalog("cap", dimension=2, aperture=1.0), 0.05)
-        assert not approx["exact"]
+    @pytest.mark.parametrize("name, params, exact", [
+        ("ball", {"dimension": 2}, True),
+        ("ball", {"dimension": 3}, True),
+        ("ball", {"dimension": 4}, False),
+        ("hemisphere", {"dimension": 2}, True),
+        ("hemisphere", {"dimension": 3}, True),
+        ("cap", {"dimension": 2, "aperture": 1.0}, False),
+        ("cap", {"dimension": 3, "aperture": 2.0}, False),
+        ("cylinder", {}, True),
+        ("sphere-ball", {"sphere_dim": 1, "ball_dim": 2}, True),
+        ("sphere-ball", {"sphere_dim": 2, "ball_dim": 1}, True),
+    ])
+    def test_exact_kernel_flags(self, name, params, exact):
+        # the nine golden catalog variants and the 4-ball, whose diagonal is
+        # the parametrix like the non-hemisphere caps'
+        assert geo.model_catalog(name, **params).exact_kernel is exact
 
-    def test_each_factor_has_its_own_validity_window(self):
-        # image sums (interval, circle) hold at every t; a product is valid
-        # from the largest limit of its factors
-        interval = hk.kernel_info(geo.model_catalog("ball", dimension=1), 1e-5)
-        assert interval["t_min"] == 0.0 and interval["valid"]
+    def test_each_factor_series_refuses_below_its_own_limit(self):
+        # image sums (interval, circle) hold at every t; a product's series
+        # refuses below the limit of its own factor, the closed 2-sphere's
+        # sum of _MAX_TERMS degrees or the disk's table up to _MAX_DIMLESS_FREQ
+        for model in (geo.model_catalog("ball", dimension=1), geo.model_catalog("cylinder")):
+            x = model.sample_volume(np.random.default_rng(2), 4)
+            assert np.isfinite(hk.heat_kernel_diag(model, 1e-5, x)).all()
         sphere2_interval = geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1)
-        assert sphere2_interval.heat_kernel_spec()["t_min"] == hk.sphere_series_t_min(1.0)
-        assert hk.kernel_info(geo.model_catalog("cylinder"), 1e-5)["t_min"] == 0.0
-        for dimension in (2, 3):
-            ball = geo.model_catalog("ball", dimension=dimension)
-            assert ball.heat_kernel_spec()["t_min"] == hk.ball_series_t_min(1.0)
+        x = sphere2_interval.interior_point()[None, :]
+        sphere_limit = 2.0 * hk._TAIL_LOG / hk._MAX_TERMS**2
+        assert np.isfinite(hk.heat_kernel_diag(sphere2_interval, 1.01 * sphere_limit, x)).all()
+        with pytest.raises(SeriesConvergenceError, match="sphere series"):
+            hk.heat_kernel_diag(sphere2_interval, 0.99 * sphere_limit, x)
         circle_disk = geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2, ball_radius=2.0)
-        assert circle_disk.heat_kernel_spec()["t_min"] == hk.ball_series_t_min(2.0)
+        disk_limit = 2.0 * hk._TAIL_LOG * (2.0 / hk._MAX_DIMLESS_FREQ) ** 2
+        with pytest.raises(SeriesConvergenceError, match="disk Neumann series"):
+            hk.heat_kernel_diag(circle_disk, 0.99 * disk_limit, circle_disk.interior_point()[None, :])
 
     def test_cap_parametrix_positive(self):
         model = geo.model_catalog("cap", dimension=2, aperture=1.0)
@@ -290,7 +305,7 @@ class TestRadialDiagonal:
                             model.sample_boundary(rng, 4)])
         vals = hk.heat_kernel_diag(model, t, x)
         ref = pair_kernel(model, t, x, x)
-        if hk.kernel_info(model, t)["exact"]:
+        if model.exact_kernel:
             assert np.abs(vals / ref - 1.0).max() < 2e-15
         else:
             assert np.array_equal(vals, ref)
@@ -570,7 +585,8 @@ class TestModeTables:
 
 
 class TestSmallestTime:
-    # ball_series_t_min(1) asks for the largest tables, lambda r = 320
+    # at T_MIN the unit disk and 3-ball ask for their largest tables, lambda r = 320
+    T_MIN = 2.0 * hk._TAIL_LOG * (1.0 / hk._MAX_DIMLESS_FREQ) ** 2
 
     @pytest.fixture(scope="class")
     def scipy_tables(self):
@@ -581,7 +597,7 @@ class TestSmallestTime:
         # largest deviations 5.0e-15 (disk) and 6.2e-15 (3-ball) relative
         monkeypatch.setattr(hk, "_MODE_CACHE", {})
         model = geo.model_catalog("ball", dimension=dim)
-        t = hk.ball_series_t_min(1.0)
+        t = self.T_MIN
         for rho in (0.0, 0.3, 0.9, 0.99, 1.0):
             x = np.zeros((1, dim))
             x[0, -1] = rho
@@ -595,7 +611,7 @@ class TestSmallestTime:
     def test_below_it_the_series_refuses(self, dim):
         model = geo.model_catalog("ball", dimension=dim)
         with pytest.raises(SeriesConvergenceError) as err:
-            hk.heat_kernel_diag(model, 0.99 * hk.ball_series_t_min(1.0), np.zeros((1, dim)))
+            hk.heat_kernel_diag(model, 0.99 * self.T_MIN, np.zeros((1, dim)))
         assert "terms); increase t" in str(err.value)
 
 
