@@ -587,13 +587,15 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     across a collar of depth DEPTH_COLLAR_FACTOR sqrt(t) (Gauss-Legendre in
     the normal direction, capped at 0.9 times the confinement scale, each
     node weighted by the model's shell_jacobian) and compare with the
-    boundary integrand; there `bridges` is the mean number of loops per
-    node of a lifetime's budget of depth_nodes * bridges loops.  A pilot of
-    at most 1 / PILOT_SHARE of the budget, split equally over the nodes on
-    streams of its own, measures each node's spread sigma_j, and the rest
-    goes to node j in proportion to |w_j J_j K0_j| sigma_j (_neyman_units),
-    each node keeping at least its pilot's count; only these main-phase
-    loops enter the row.  A single node, or a budget whose pilot cannot
+    boundary integrand, after subtracting the bulk integrand's share of the
+    collar, the bulk integrand times the node weights before K0 (bulk_share,
+    0 on flat and odd-dimensional models); there `bridges` is the mean
+    number of loops per node of a lifetime's budget of depth_nodes * bridges
+    loops.  A pilot of at most 1 / PILOT_SHARE of the budget, split equally
+    over the nodes on streams of its own, measures each node's spread
+    sigma_j, and the rest goes to node j in proportion to |w_j J_j K0_j|
+    sigma_j (_neyman_units), each node keeping at least its pilot's count;
+    only these main-phase loops enter the row.  A single node, or a budget whose pilot cannot
     hold MIN_UNITS sampling units per node, runs no pilot and gives every
     node `bridges` loops.  The ratio column approaches one as t decreases.
 
@@ -620,33 +622,34 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     constants = calibrate_constants(model.dimension)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     analytic = local_integrand(model, constants, point, on_boundary=on_boundary)
+    bulk = local_integrand(model, constants, point, on_boundary=False)
     paired = _antithetic(model, bridges)
     unit = 2 if paired else 1
     lifetimes = sorted(t_sequence, reverse=True)
-    # per lifetime: its nodes and their weights w_j J_j K0_j; an interior
-    # point is one node of weight K0
+    # per lifetime: its nodes, their weights w_j J_j and those times K0_j;
+    # an interior point is one node of weight 1
     layers = []
     for t in lifetimes:
-        points, scale = point[None, :], np.ones(1)
+        points, weights = point[None, :], np.ones(1)
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
             width = min(DEPTH_COLLAR_FACTOR * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             points = model.offset_from_boundary(np.repeat(points, depth_nodes, axis=0), depths)
-            scale = 0.5 * width * gl_weights * model.shell_jacobian(depths)
-        layers.append((points, scale * hk.heat_kernel_diag(model, t, points)))
+            weights = 0.5 * width * gl_weights * model.shell_jacobian(depths)
+        layers.append((points, weights, weights * hk.heat_kernel_diag(model, t, points)))
     count = len(layers[0][0])
     pilot = _pilot_loops(count, bridges, unit)
     if pilot:
         # the pilots of every lifetime step together, each node on its own stream
         _, pilot_se = _lockstep_means(
-            model, np.concatenate([points for points, _ in layers]),
+            model, np.concatenate([points for points, _, _ in layers]),
             np.repeat(lifetimes, count), steps, np.full(count * len(lifetimes), pilot), seed,
             [_node_stream(it, j, pilot=True) for it in range(len(lifetimes))
              for j in range(count)], paired)
         pilot_se = pilot_se.reshape(len(lifetimes), count)
     rows = []
-    for it, (t, (points, scale)) in enumerate(zip(lifetimes, layers)):
+    for it, (t, (points, weights, scale)) in enumerate(zip(lifetimes, layers)):
         counts = np.full(count, bridges)
         if pilot:
             # every node keeps at least its pilot's loops: a node whose pilot
@@ -662,14 +665,19 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
             value += k * mean
             var += se ** 2
         value, stderr = float(value), math.sqrt(var)
+        # a vanishing bulk integrand (flat, odd n) may be -0.0: its share reads 0.0
+        share = bulk * float(weights.sum()) if on_boundary and bulk else 0.0
         ratio = None
         if analytic != 0.0:
             # where the integrand vanishes (odd interior rows) loops cancel to rounding
             _check_resolved(model, t, stderr, float(np.abs(scale).sum()))
-            ratio = value / analytic
-        rows.append({"t": t, "value": value, "stderr": stderr, "analytic": analytic,
-                     "ratio": ratio, "node_bridges": counts.tolist(),
-                     "node_stderr": node_stderr.tolist()})
+            ratio = (value - share) / analytic
+        row = {"t": t, "value": value, "stderr": stderr, "analytic": analytic,
+               "ratio": ratio, "node_bridges": counts.tolist(),
+               "node_stderr": node_stderr.tolist()}
+        if on_boundary:
+            row["bulk_share"] = share
+        rows.append(row)
     order = None
     # a slope over log t needs at least 3 distinct lifetimes
     if all(r["ratio"] is not None for r in rows) and len(set(t_sequence)) >= 3:

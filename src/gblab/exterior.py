@@ -186,10 +186,6 @@ class CurvatureTensor:
         raise AttributeError("CurvatureTensor is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "CurvatureTensor":
-        return cls(n, np.zeros((n, n, n, n)))
-
-    @classmethod
     def constant_curvature(cls, n: int, kappa: float) -> "CurvatureTensor":
         """Round-space tensor R_ijkl = kappa (d_ik d_jl - d_il d_jk)."""
         eye = np.eye(n)

@@ -166,13 +166,6 @@ def _sphere_step(p, u, v_amb, r):
     return p2, u2
 
 
-def _sphere_angle(x, y):
-    """Angle between points of equal norm as 2 atan2(|x - y|, |x + y|): exactly 0 at x = y."""
-    d = x - y
-    s = x + y
-    return 2.0 * np.arctan2(np.sqrt(_rowdot(d, d)), np.sqrt(_rowdot(s, s)))
-
-
 def _sphere_log(x, y, r):
     """Ambient log map log_x(y) on the round sphere of radius r, per coordinate.
 
@@ -305,28 +298,46 @@ class ManifoldModel:
         return np.einsum("pda,pdb->pab", u0[:, :, c], u[:, :, c])
 
     # --- hooks subclasses must provide -----------------------------------
-    # dimension, state_dim, euler_characteristic, volume, boundary_area, factors,
-    # shape_coefficient (the umbilic shape operator's one number), frame_curvature(),
-    # and, in walk coordinates (see the module docstring): geodesic_step(x, u, v),
-    # collar_data(x) (boundary distance and inward normal), reflect(x, u, depth, nu)
-    # (from collar_data's depth and normal at x, to the images, frames, and their
-    # collar_data) and log_frame(x, y); then distance, the two sampling hooks
-    # sample_collar(rng, count, width) (uniform on the points within width of the
-    # boundary) and collar_volume(width), with collar_volume(inf) == volume,
-    # shell_jacobian(depth) (collar_volume's derivative over boundary_area: the area
-    # of the parallel hypersurface at each depth per unit boundary area),
+    # dimension, state_dim, euler_characteristic, volume, boundary_area, factors
+    # (whose kappa values fix the curvature), shape_coefficient (the umbilic shape
+    # operator's one number), and, in walk coordinates (see the module docstring):
+    # geodesic_step(x, u, v), collar_data(x) (boundary distance and inward normal),
+    # reflect(x, u, depth, nu) (from collar_data's depth and normal at x, to the
+    # images, frames, and their collar_data) and log_frame(x, y); then the two
+    # sampling hooks sample_collar(rng, count, width) (uniform on the points within
+    # width of the boundary) and collar_volume(width), with collar_volume(inf) ==
+    # volume, shell_jacobian(depth) (collar_volume's derivative over boundary_area:
+    # the area of the parallel hypersurface at each depth per unit boundary area),
     # boundary_point(), interior_point() (a point farthest from the boundary), and the
     # analytic data: exact_kernel (False where neumann_diag is the parametrix),
     # confinement_scale() and boundary_curvature_parts().  A model whose state embeds
-    # round spheres lists them in embedded_spheres.  boundary_distance, the volume and
-    # boundary samplers and offset_from_boundary derive from these below.
+    # round spheres lists them in embedded_spheres.  frame_curvature, distance,
+    # boundary_distance, the volume and boundary samplers and offset_from_boundary
+    # derive from these below.
 
     embedded_spheres = ()  # (state columns, radius) of each factor stored as an embedded sphere
-    walk_dtype = np.float64  # see the stochastic module's "walk precision"
 
     def walk_precision(self, h):
-        """The precision of a batch of walks on the steps h (one, or one per path)."""
-        return self.walk_dtype
+        """The precision of a batch of walks on the steps h (one, or one per path).
+
+        See the stochastic module's "walk precision".
+        """
+        return np.float64
+
+    def frame_curvature(self) -> CurvatureTensor:
+        """Curvature in frame components: each factor's constant-curvature block."""
+        n = self.dimension
+        comp = np.zeros((n, n, n, n))
+        for f in self.factors:
+            if f.kappa != 0.0:
+                comp[f.cols, f.cols, f.cols, f.cols] = CurvatureTensor.constant_curvature(
+                    f.dim, f.kappa).components
+        return CurvatureTensor(n, comp)
+
+    def distance(self, x, y):
+        """Geodesic distance between the rows of x and y: the length of log_frame's vector."""
+        v = self.log_frame(x, y)
+        return np.sqrt(_rowdot(v, v))
 
     def boundary_distance(self, x):
         """Signed distance of each row of x from the boundary (positive inside): collar_data's."""
@@ -411,7 +422,6 @@ class FlatBall(ManifoldModel):
     """Flat disk/ball of radius r in R^n; boundary is the round sphere."""
 
     name = "ball"
-    walk_dtype = np.float32  # its closed-form step runs about twice as fast in float32
     # the largest rounding u r over a step's root sqrt(h) measured harmless in float32:
     # the diagnostics battery's disk walks, r = 10 at h = 4e-5, read 9.4e-5
     WALK_ROUNDING = 1e-4
@@ -432,25 +442,23 @@ class FlatBall(ManifoldModel):
         self.factors = (FactorSpec("ball", n, 0.0, slice(0, n), True, False),)
         self._params = {"dimension": dimension, "radius": radius}
 
-    def frame_curvature(self) -> CurvatureTensor:
-        return CurvatureTensor.zero(self.dimension)
-
     def geodesic_step(self, x, u, v):
         return x + v, u
 
     def walk_precision(self, h):
-        """walk_dtype where its rounding was measured harmless, float64 elsewhere.
+        """float32 where its rounding was measured harmless, float64 elsewhere.
 
-        A rounded coordinate is off by up to u r (u = 2**-24 in float32), and a
-        shorter step does not shrink that: walk_dtype needs u r <= WALK_ROUNDING
-        sqrt(h) at the batch's shortest step.  With 2**-40 <= r <= 2**40 and every
-        sqrt(h) <= 2**16 r, each squared coordinate is a normal float32 number.
+        The closed-form step runs about twice as fast in float32.  A rounded
+        coordinate is off by up to u r (u = 2**-24 in float32), and a shorter step
+        does not shrink that: float32 needs u r <= WALK_ROUNDING sqrt(h) at the
+        batch's shortest step.  With 2**-40 <= r <= 2**40 and every sqrt(h) <= 2**16 r,
+        each squared coordinate is a normal float32 number.
         """
-        r, u = self.radius, np.finfo(self.walk_dtype).eps / 2.0
+        r, u = self.radius, np.finfo(np.float32).eps / 2.0
         shortest, longest = math.sqrt(np.min(h)), math.sqrt(np.max(h))
         if (2.0**-40 <= r <= 2.0**40 and longest <= 2.0**16 * r
                 and u * r <= self.WALK_ROUNDING * shortest):
-            return self.walk_dtype
+            return np.float32
         return np.float64
 
     def collar_data(self, x):
@@ -507,9 +515,6 @@ class FlatBall(ManifoldModel):
         rho[info.idx] = self.radius - state.depth[info.idx]  # the images' |x|
         state.norm = rho
         return info
-
-    def distance(self, x, y):
-        return np.linalg.norm(y - x, axis=-1)
 
     # samplers ------------------------------------------------------------
     def sample_collar(self, rng, count, width):
@@ -602,18 +607,14 @@ class SphereCap(ManifoldModel):
         else:
             _set_sizes(self, lambda: (2 * math.pi * r**3 * (a - math.sin(a) * math.cos(a)),
                                       4 * math.pi * (r * math.sin(a)) ** 2))
-        self.constant_curvature = 1.0 / radius**2
         # the hemisphere's equator is a geodesic: its kernel is exact (see neumann_diag)
         self.shape_coefficient = 0.0 if self.is_hemisphere else math.cos(a) / math.sin(a) / r
-        self.factors = (FactorSpec("cap", n, self.constant_curvature, slice(0, n), True, True),)
+        self.factors = (FactorSpec("cap", n, 1.0 / radius**2, slice(0, n), True, True),)
         self._params = {"dimension": dimension, "radius": radius, "aperture": aperture}
 
     @property
     def is_hemisphere(self) -> bool:
         return abs(self.aperture - math.pi / 2) < 1e-12
-
-    def frame_curvature(self) -> CurvatureTensor:
-        return CurvatureTensor.constant_curvature(self.dimension, self.constant_curvature)
 
     def collar_data(self, x):
         """Boundary distance and inward normal, in embedding coordinates.
@@ -672,9 +673,6 @@ class SphereCap(ManifoldModel):
     def log_frame(self, x, y):
         """Log map log_x(y) in embedding coordinates."""
         return _sphere_log(x, y, self.radius)
-
-    def distance(self, x, y):
-        return self.radius * _sphere_angle(x, y)
 
     # samplers ------------------------------------------------------------
     def _sample_theta(self, rng, count, theta_min, theta_max):
@@ -797,10 +795,8 @@ class SphereBall(ManifoldModel):
         self.embedded_spheres = ((slice(0, l + 1), self.sphere_radius),)
         _set_sizes(self, lambda: (_SPHERE_VOLUME[l](sphere_radius) * ball.volume,
                                   _SPHERE_VOLUME[l](sphere_radius) * ball.boundary_area))
-        kappa_s = 0.0 if sphere_dim == 1 else 1.0 / sphere_radius**2
-        self.kappa_sphere = kappa_s
         self.factors = (
-            FactorSpec("sphere", l, kappa_s, slice(0, l), False, l >= 2),
+            FactorSpec("sphere", l, 0.0 if l == 1 else 1.0 / sphere_radius**2, slice(0, l), False, l >= 2),
             FactorSpec("ball", m, 0.0, slice(l, l + m), True, False),
         )
         self._sphere_width = l + 1 if self.needs_frames else 1  # the sphere's walk coordinates
@@ -813,14 +809,6 @@ class SphereBall(ManifoldModel):
 
     def _split(self, x):
         return x[..., : self.sphere_dim + 1], x[..., self.sphere_dim + 1 :]
-
-    def frame_curvature(self) -> CurvatureTensor:
-        n, l = self.dimension, self.sphere_dim
-        comp = np.zeros((n, n, n, n))
-        if self.kappa_sphere != 0.0:
-            block = CurvatureTensor.constant_curvature(l, self.kappa_sphere).components
-            comp[:l, :l, :l, :l] = block
-        return CurvatureTensor(n, comp)
 
     def _circle_tangent(self, ps):
         """Oriented unit tangent of the S^1 factor (only when l == 1)."""
@@ -887,13 +875,6 @@ class SphereBall(ManifoldModel):
             out[:, :w] = _sphere_log(xs, ys, r)
         return out
 
-    def distance(self, x, y):
-        xs, xb = self._split(x)
-        ys, yb = self._split(y)
-        ds = self.sphere_radius * _sphere_angle(xs, ys)
-        db = np.linalg.norm(yb - xb, axis=-1)
-        return np.hypot(ds, db)
-
     # samplers ------------------------------------------------------------
     def _sample_sphere(self, rng, count):
         return self.sphere_radius * _unit(rng.standard_normal((count, self.sphere_dim + 1)))
@@ -938,7 +919,7 @@ class SphereBall(ManifoldModel):
         n, l = self.dimension, self.sphere_dim
         Ps = np.zeros((n, n))
         Ps[:l, :l] = np.eye(l)
-        parts = [(self.kappa_sphere, tan.T @ Ps @ tan)]
+        parts = [(self.factors[0].kappa, tan.T @ Ps @ tan)]
         if self.ball_dim >= 3:
             Pb = np.eye(n) - Ps
             parts.append((1.0 / self.ball_radius**2, tan.T @ Pb @ tan))

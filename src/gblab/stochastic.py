@@ -35,21 +35,21 @@ forms normals on the contact rows alone.  Validity (simulation_valid) is read
 once, on a batch's final states: a non-finite coordinate stays non-finite
 through every later step, and the rotations keep every point's radius.
 
-Walk precision.  A model names the precision its walks step in,
-walk_dtype: float64, but float32 on a flat ball, whose closed-form step
-runs about twice as fast in it and whose reflection stays exact (|x| =
-r - depth by Sterbenz's lemma, in any binary format).  A float32 walk
-rounds each coordinate by up to u r (u = 2**-24), however short its steps,
-so a flat batch steps in float32 only where that was measured harmless
-(FlatBall.walk_precision): u r at most 1e-4 of the shortest step's root
-sqrt(h), which the diagnostics battery's disk walks reach (r = 10, h =
-4e-5), and a radius and steps whose squared coordinates are normal float32
-numbers; any other batch steps in float64.  The precision belongs to the
-batch, so a path keeps its bits in another batch of its lifetime only
-when that batch steps in the same precision.  simulate_bridges is
-the one place that rounds to it: each tile's start state and anchors, the
-step h and its root, and the remaining time, which is formed in float64
-and rounded once per step.  The step functions follow the precision of
+Walk precision.  A model names the precision a batch of its walks steps
+in, walk_precision: float64, but float32 on a flat ball, whose
+closed-form step runs about twice as fast in it and whose reflection stays
+exact (|x| = r - depth by Sterbenz's lemma, in any binary format).  A
+float32 walk rounds each coordinate by up to u r (u = 2**-24), however
+short its steps, so a flat batch steps in float32 only where that was
+measured harmless (FlatBall.walk_precision): u r at most 1e-4 of the
+shortest step's root sqrt(h), which the diagnostics battery's disk walks
+reach (r = 10, h = 4e-5), and a radius and steps whose squared
+coordinates are normal float32 numbers; any other batch steps in float64.
+The precision belongs to the batch, so a path keeps its bits in another
+batch of its lifetime only when that batch steps in the same precision.
+simulate_bridges is the one place that rounds to it: each tile's start
+state and anchors, the step h and its root, and the remaining time, which
+is formed in float64 and rounded once per step.  The step functions follow the precision of
 their inputs.  Python floats are weak scalars under numpy's promotion
 rules (NEP 50) and keep a float32 step in float32, where a float64 numpy
 scalar or array would silently promote it back.  The draws do not change:
@@ -728,18 +728,16 @@ def _contact_jump_matrix(model, nu, dl, mode, eps):
     return decay @ (np.eye(n) - (1.0 - keep) * np.outer(nu, nu))
 
 
-def evolve_functional(path: PathSample, mode: str = "exact-jump", eps: float | None = None,
-                      start: int = 0, stop: int | None = None) -> ext.GradedOperator:
-    """Multiplicative functional over [start, stop] as a graded operator.
+def evolve_functional(path: PathSample, mode: str = "exact-jump",
+                      eps: float | None = None) -> ext.GradedOperator:
+    """Multiplicative functional of the whole path as a graded operator.
 
     Interior evolution multiplies by the exponential of minus half the
     curvature operator per step; boundary contacts multiply by the
-    algebra lift of the contact jump.  Evolving consecutive windows and
-    composing reproduces the full-interval operator (multiplicativity).
+    algebra lift of the contact jump.
     """
     if mode == "epsilon" and (eps is None or eps <= 0):
         raise ValueError("epsilon mode requires a positive eps")
-    stop = path.steps if stop is None else stop
     model = path.model
     n = model.dimension
     h = path.t / path.steps
@@ -749,7 +747,7 @@ def evolve_functional(path: PathSample, mode: str = "exact-jump", eps: float | N
         raise ValueError(f"the curvature operator of {model!r} is not diagonal")
     interior = np.diag(np.exp(-0.5 * h * np.diag(dr)))
     M = np.eye(1 << n)
-    for k in range(start, stop):
+    for k in range(path.steps):
         M = M @ interior
         if path.contact[k]:
             jump = _contact_jump_matrix(model, path.nu_frame[k], path.dlam[k], mode, eps)

@@ -353,6 +353,12 @@ def ball_diag_scipy(table, t, dim, radius, volume, rho):
     return base + np.sum(weight * np.exp(-lam * lam * t / 2.0) * radial**2)
 
 
+def chord_angle(x, y):
+    """Angle between points of equal norm as 2 atan2(|x - y|, |x + y|): exactly 0 at x = y."""
+    d, s = x - y, x + y
+    return 2.0 * np.arctan2(np.sqrt(geo._rowdot(d, d)), np.sqrt(geo._rowdot(s, s)))
+
+
 def pair_kernel(model, t, x, y):
     """The model's Neumann heat kernel K0(t; x_p, y_p) at the point pairs, rows of x and y.
 
@@ -361,13 +367,14 @@ def pair_kernel(model, t, x, y):
     Hemispheres: the closed-sphere series plus its mirror image.  Products:
     the product of the factor kernels.  Other caps and balls: the Gaussian
     parametrix with one boundary image, whose value at (x, x) is
-    kernels.parametrix's bit for bit, since the distance of x from x is 0.
+    kernels.parametrix's bit for bit, since the distance of x from x is 0
+    (sphere distances come from chord_angle, which is exactly 0 there).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if isinstance(model, geo.SphereBall):
         (xs, xb), (ys, yb) = model._split(x), model._split(y)
-        gamma = geo._sphere_angle(xs, ys)
+        gamma = chord_angle(xs, ys)
         return (hk.sphere_kernel(t, model.sphere_dim, model.sphere_radius, gamma)
                 * pair_kernel(model._ball, t, xb, yb))
     if isinstance(model, geo.FlatBall) and model.dimension == 1:
@@ -379,9 +386,13 @@ def pair_kernel(model, t, x, y):
         n, r = model.dimension, model.radius
         mirror = y.copy()
         mirror[:, model._axis] *= -1.0
-        return (hk.sphere_kernel(t, n, r, model.distance(x, y) / r)
-                + hk.sphere_kernel(t, n, r, model.distance(x, mirror) / r))
-    d, dx, dy = model.distance(x, y), model.boundary_distance(x), model.boundary_distance(y)
+        return (hk.sphere_kernel(t, n, r, chord_angle(x, y))
+                + hk.sphere_kernel(t, n, r, chord_angle(x, mirror)))
+    if isinstance(model, geo.SphereCap):
+        d = model.radius * chord_angle(x, y)
+    else:
+        d = model.distance(x, y)
+    dx, dy = model.boundary_distance(x), model.boundary_distance(y)
     image_sq = np.maximum(d**2 - (dx - dy) ** 2, 0.0) + (dx + dy) ** 2
     pref = (2.0 * math.pi * t) ** (-model.dimension / 2.0)
     return pref * (np.exp(-(d**2) / (2 * t)) + np.exp(-image_sq / (2 * t)))

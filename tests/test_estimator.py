@@ -682,6 +682,34 @@ class TestNeymanAllocation:
         assert math.hypot(*boundary["node_stderr"]) == pytest.approx(boundary["stderr"],
                                                                       rel=1e-12)
 
+    @pytest.mark.parametrize("aperture", [1.0, 2.0])
+    def test_cap_boundary_ratio_subtracts_the_bulk_share(self, aperture):
+        # a curved collar holds the bulk integrand's share besides the boundary
+        # term; without subtracting it these ratios read 1.60 and -0.16
+        model = geo.SphereCap(2, aperture=aperture)
+        row = est.local_limit_check(model, model.boundary_point(), [0.01], 1000, 5, steps=100,
+                                    depth_nodes=8)["rows"][0]
+        assert abs(row["ratio"] - 1.0) <= 0.1
+        assert row["bulk_share"] > 0.0
+
+    def test_bulk_share_is_the_bulk_integrand_times_the_node_weights(self):
+        # the hemisphere's boundary integrand is 0: its rows hold the bulk share
+        model = geo.model_catalog("hemisphere", dimension=2)
+        constants = est.calibrate_constants(2)
+        bulk = est.local_integrand(model, constants, model.interior_point(), on_boundary=False)
+        row = est.local_limit_check(model, model.boundary_point(), [0.02], 40, 7, steps=10,
+                                    depth_nodes=4)["rows"][0]
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        width = est.DEPTH_COLLAR_FACTOR * math.sqrt(0.02)
+        jacobian = model.shell_jacobian(0.5 * width * (nodes + 1.0))
+        assert row["ratio"] is None
+        assert row["bulk_share"] == pytest.approx(bulk * np.sum(0.5 * width * weights * jacobian),
+                                                  rel=1e-14)
+        flat = geo.model_catalog("ball", dimension=2)
+        row = est.local_limit_check(flat, flat.boundary_point(), [0.02], 40, 7, steps=10,
+                                    depth_nodes=4)["rows"][0]
+        assert row["bulk_share"] == 0.0
+
     def test_stderr_is_calibrated(self, monkeypatch):
         # 160 replicate seeds of a small disk boundary row: the reported
         # stderr matches the spread of the values, and the mean agrees with

@@ -9,7 +9,7 @@ from gblab import kernels as hk
 from gblab.errors import ConfigError
 
 import polar_charts
-from oracles import gauss_equation_check
+from oracles import chord_angle, gauss_equation_check
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -145,10 +145,38 @@ class TestGeodesics:
         geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
     ], ids=lambda m: repr(m))
     def test_distance_to_itself_is_zero(self, model):
-        # the sphere angle 2 atan2(|x - y|, |x + y|) is exactly 0 at x = y,
-        # where an arccos of x . y / r^2 leaves up to 3e-8 on a fifth of the points
+        # exactly 0 on flat balls and circles; on a 2- or 3-sphere the log map
+        # leaves its rounding, where an arccos of x . y / r^2 left up to 3e-8
         x = model.sample_volume(RNG(5), 2000)
-        assert np.array_equal(model.distance(x, x), np.zeros(2000))
+        d = model.distance(x, x)
+        if any(f.needs_frame for f in model.factors):
+            assert np.abs(d).max() <= 1e-15
+        else:
+            assert np.array_equal(d, np.zeros(2000))
+
+    @pytest.mark.parametrize("model", catalog_models() + [
+        geo.model_catalog("cap", dimension=2, radius=2.5, aperture=2.0),
+        geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1, sphere_radius=0.3),
+    ], ids=lambda m: repr(m))
+    def test_distance_is_the_closed_form(self, model):
+        # |x - y| on a ball, r times the chord angle on a sphere, and their
+        # hypotenuse on a product, over near and far pairs
+        rng = RNG(7)
+        x = model.sample_volume(rng, 400)
+        u = model.initial_frames(x)
+        near, _ = frame_step(model, x[:200], None if u is None else u[:200],
+                             1e-3 * rng.standard_normal((200, model.dimension)))
+        y = np.concatenate([near, model.sample_volume(rng, 200)])
+        if isinstance(model, geo.FlatBall):
+            exact, r = np.linalg.norm(x - y, axis=-1), model.radius
+        elif isinstance(model, geo.SphereCap):
+            exact, r = model.radius * chord_angle(x, y), model.radius
+        else:
+            (xs, xb), (ys, yb) = model._split(x), model._split(y)
+            exact = np.hypot(model.sphere_radius * chord_angle(xs, ys),
+                             np.linalg.norm(xb - yb, axis=-1))
+            r = max(model.sphere_radius, model.ball_radius)
+        assert np.abs(model.distance(x, y) - exact).max() <= 1e-14 * r
 
     @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: repr(m))
     def test_log_inverts_step(self, model):

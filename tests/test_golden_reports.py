@@ -98,39 +98,39 @@ GOLDEN = {
     },
     "local-limit-boundary-ball3": {
         "local-limit.csv": "41b3d620c839b8485f806ee8eb87eccf35d7e81dc55bf1bc2eb5caf84aa1c29e",
-        "local-limit.json": "684e041fd2cbc266d44e6534439c964f703cad997790d12c1438828b89080eef",
+        "local-limit.json": "ae5a9130790aa1f59be06fd77c15add99d3136d0658407c97d0b5e71094ee3c1",
     },
     "local-limit-boundary-cap2": {
-        "local-limit.csv": "cbd572f968cfe50999aae73a3791667d3aa30ddaf300eba420ea6e453bd8a43d",
-        "local-limit.json": "6fa2c76f528e3e885a8f0c775a3fb83e076d97d9426c54e6f3cf5147a6e7b7fd",
+        "local-limit.csv": "8fde30e0b56b65cd0942011a4eccb269d53b7b18ea9fe78f37b854a5e766741c",
+        "local-limit.json": "ba9467dc42732f7211ddd18557d15e6ace0300418b44c0b7e65098fb5cebbb97",
     },
     "local-limit-boundary-cap3": {
         "local-limit.csv": "fdb420abc3b2d3116dc64f287ffbea2674ecad7e1cc8b5f42c62d436bd98e5a2",
-        "local-limit.json": "4a5d9a003ab17457df42fbe9b55e8467fe5fd7b4b81bbaa8509b955f722e2b6f",
+        "local-limit.json": "3c60e379795976a8587798dbb25ce808a21b3e2cf23a82378cd47611b481583a",
     },
     "local-limit-boundary-cylinder": {
         "local-limit.csv": "2e78084aa15b178d3878cc059d351f3f1b90c2e76c4de95858296393401dfe42",
-        "local-limit.json": "9d713f12f0eaf549e7e3b7f1f9b956d364ccc1bac69a9dd46e2286c85e86a616",
+        "local-limit.json": "d8e9ad66d66c335c6cac7876497454ab4eb9d00dfa7cb7c0b9a76bb4a95ee939",
     },
     "local-limit-boundary-disk": {
         "local-limit.csv": "b1c233ee8146b7205fb4ebef57c59facca4a11d3d0b5dfe14f45c49fac8a9d96",
-        "local-limit.json": "d19493a0c8a51b159ca4432c1e3f0ad14a8d03721fb9ec39eda50c54bdd18b79",
+        "local-limit.json": "888ed1a5e36cfccb9be9fc88ef469ec6d3476a094d22f787b9495e8a4cf15675",
     },
     "local-limit-boundary-hemisphere2": {
         "local-limit.csv": "9bc01c2b2e2036eb4790b4937573f7464f96632bfccca6b1c8baf2516210190b",
-        "local-limit.json": "94c4e081c34b418c19b7055cbc9c374996a693843392e4bc36265f187461449b",
+        "local-limit.json": "24d210b9df9dc6bee4053fc9b50931eaf3c32007578bf7ccdba80e98d16da4d7",
     },
     "local-limit-boundary-hemisphere3": {
         "local-limit.csv": "19de0566d6c575181f637adb1736846f9b14358d55bc48c497ba8acd0af9406e",
-        "local-limit.json": "437e0d3f0d2ed3b63c8d8d2c6b8d2432db578acc40fdbdd187bbebaefb9e6e93",
+        "local-limit.json": "8a7187f9cc2478a847307cb25c28bdf46e02f731deb8c5a776cb7e6fc16449fc",
     },
     "local-limit-boundary-sphere-ball-1-2": {
         "local-limit.csv": "ef0413c4fa61a741b45f451cdf6101406066f084042921db256ac7e6cd086fb6",
-        "local-limit.json": "7d3ecff0dad44b82e8807bc6e43d5f6aaa2aa14a438471c1ff600a89ce2467bb",
+        "local-limit.json": "e97d6b6f5f36887fc7228442a9cf2bdd258b9d2986fb8694a5079dab99b47849",
     },
     "local-limit-boundary-sphere-ball-2-1": {
         "local-limit.csv": "122603ec7d58681e6a65df807bc69be3e8737d79bd244c5dd4d396e20fc4979d",
-        "local-limit.json": "13252f690dbb7353846cd320c19546c14ee888a61cbbdd1a11eeb53dccb241b9",
+        "local-limit.json": "a5845193fdf1ad69486001e1dac937e55926698176e23cd64ab6f5e95ab36db0",
     },
     "local-limit-interior-ball3": {
         "local-limit.csv": "055cb960d692a29b20f7a007394f4542e20ca7766ebea8cea0ec6d40232b5c66",
@@ -252,11 +252,11 @@ def test_float32_walks_agree_with_float64(name, tmp_path, monkeypatch):
     # steps on at least 99 % of the paths
     workload = name.removeprefix("workload-")
     experiment, text = CONFIGS[name] if name in CONFIGS else _workload_config(workload)
-    assert geo.FlatBall.walk_dtype == np.float32
+    assert geo.FlatBall(2).walk_precision(1e-4) == np.float32
     (tmp_path / "32").mkdir()
     (tmp_path / "64").mkdir()
     report, contacts = flat_run(experiment, text, tmp_path / "32", monkeypatch)
-    monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+    monkeypatch.setattr(geo.FlatBall, "walk_precision", lambda self, h: np.float64)
     exact, exact_contacts = flat_run(experiment, text, tmp_path / "64", monkeypatch)
     if experiment == "estimate-chi":
         rows, exact_rows = [report], [exact]

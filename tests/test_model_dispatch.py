@@ -46,7 +46,8 @@ def test_guard_sees_the_old_dispatch():
     assert imports and "FlatBall" in imports[0][1]
 
 
-DERIVED_HOOKS = ("sample_volume", "sample_boundary", "offset_from_boundary", "boundary_distance")
+DERIVED_HOOKS = ("sample_volume", "sample_boundary", "offset_from_boundary", "boundary_distance",
+                 "distance", "frame_curvature")
 
 
 def test_models_inherit_the_derived_hooks():

@@ -44,8 +44,6 @@ ALLOWED_PARAMETERS = {
     "cli.main.argv": "the console script calls main() and argparse reads sys.argv",
     "estimator.calibrate_constants.models": "the guard-rail families tests calibrate on",
     "stochastic.simulate_path.pinned": "the reference route tests compare bridge batches with",
-    "stochastic.evolve_functional.start": "the reference route tests compare bridge batches with",
-    "stochastic.evolve_functional.stop": "the reference route tests compare bridge batches with",
     "estimator.supertrace_expectation.steps": "a tracer wrap point (see ALLOWED) has no src caller",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ F32_EPS = float(np.finfo(np.float32).eps)  # the ulp of 1 in float32, a flat wal
 @pytest.fixture
 def float64_walks(monkeypatch):
     """Flat balls walk in float64: for the tests of the step arithmetic, to 1e-12."""
-    monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+    monkeypatch.setattr(geo.FlatBall, "walk_precision", lambda self, h: np.float64)
 
 
 def disk():
@@ -426,6 +427,17 @@ class TestTransport:
         assert drift(after) <= 1e-14
 
 
+def window(path, start, stop):
+    """The steps [start, stop) of a recorded path as a path of their own."""
+    steps = stop - start
+    frames = None if path.frames is None else path.frames[start:stop + 1]
+    return dataclasses.replace(
+        path, t=path.t * steps / path.steps, steps=steps,
+        positions=path.positions[start:stop + 1], frames=frames,
+        lam=path.lam[start:stop + 1], contact=path.contact[start:stop],
+        dlam=path.dlam[start:stop], nu_frame=path.nu_frame[start:stop])
+
+
 class TestFunctional:
     def test_interior_only_flat_path_gives_identity(self):
         model = disk()
@@ -460,7 +472,7 @@ class TestFunctional:
         hits = np.nonzero(path.contact)[0]
         assert hits.size > 0
         for k in hits:
-            M = st.evolve_functional(path, stop=k + 1)
+            M = st.evolve_functional(window(path, 0, k + 1))
             _, pi_nor = boundary_projections(path.nu_frame[k])
             assert np.abs((M @ pi_nor).mat).max() < 1e-10
 
@@ -471,8 +483,8 @@ class TestFunctional:
         ]:
             path = st.simulate_path(model, anchor, 0.05, 100, st.RngStream(83), pinned=True)
             mid = 50
-            left = st.evolve_functional(path, stop=mid)
-            right = st.evolve_functional(path, start=mid)
+            left = st.evolve_functional(window(path, 0, mid))
+            right = st.evolve_functional(window(path, mid, path.steps))
             full = st.evolve_functional(path)
             assert np.abs((left @ right).mat - full.mat).max() < 1e-8
 
@@ -1699,7 +1711,6 @@ class TestWalkPrecision:
         # float64 silently where its results are written into float32 arrays, so
         # no scaling or image pull of a step may mix the two precisions
         model = PRECISION_MODELS[name]()
-        assert model.walk_dtype == np.float32
         mixed, steps = [], []
         scale, pull = geo._scale_columns, st.image_pull
 
@@ -1726,6 +1737,7 @@ class TestWalkPrecision:
         sizes = [24, 36, 60]
         anchors = mixed_anchors(model, sum(sizes), 443)
         t = 0.2 if lifetimes == "scalar" else np.repeat([0.2, 0.08, 0.02], sizes)
+        assert model.walk_precision(np.divide(t, 12)) == np.float32
         batch = st.simulate_bridges(model, anchors, t, 12,
                                     [st.RngStream(449, j) for j in range(3)], pinned=pinned,
                                     paired=paired, group_rows=sizes, on_step=check)
@@ -1750,7 +1762,7 @@ class TestWalkPrecision:
         batch = st.simulate_bridges(model, anchors, 0.05, 40, st.RngStream(463), on_step=last)
         assert np.array_equal(snapped[0], np.arange(64))
         assert np.abs(model.boundary_distance(anchors.astype(np.float32))).max() > 1e-12
-        monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+        monkeypatch.setattr(geo.FlatBall, "walk_precision", lambda self, h: np.float64)
         exact = st.simulate_bridges(model, anchors, 0.05, 40, st.RngStream(463))
         assert np.array_equal(batch.contacts, exact.contacts)
 
@@ -1796,7 +1808,7 @@ class TestWalkPrecision:
         anchors = model.sample_collar(np.random.default_rng(479), 64, 3.0 * math.sqrt(t))
         batch = st.simulate_bridges(model, anchors, t, 250, st.RngStream(487))
         assert batch.alive.all() and batch.contacts.sum() > 0
-        monkeypatch.setattr(geo.FlatBall, "walk_dtype", np.float64)
+        monkeypatch.setattr(geo.FlatBall, "walk_precision", lambda self, h: np.float64)
         exact = st.simulate_bridges(model, anchors, t, 250, st.RngStream(487))
         assert np.array_equal(batch.contacts, exact.contacts)
         assert np.array_equal(batch.lam, exact.lam) and np.array_equal(batch.m, exact.m)
