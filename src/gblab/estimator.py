@@ -595,9 +595,10 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     over the nodes on streams of its own, measures each node's spread
     sigma_j, and the rest goes to node j in proportion to |w_j J_j K0_j|
     sigma_j (_neyman_units), each node keeping at least its pilot's count;
-    only these main-phase loops enter the row.  A single node, or a budget whose pilot cannot
-    hold MIN_UNITS sampling units per node, runs no pilot and gives every
-    node `bridges` loops.  The ratio column approaches one as t decreases.
+    only these main-phase loops enter the row.  A single node, or a budget
+    whose pilot cannot hold MIN_UNITS sampling units per node, runs no pilot
+    and gives every node `bridges` loops.  The ratio column approaches one
+    as t decreases.
 
     The pilots of all lifetimes step together, and so do the main-phase
     nodes of one lifetime: consecutive nodes, as many in one batch as hold
@@ -622,22 +623,24 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
     constants = calibrate_constants(model.dimension)
     on_boundary = abs(float(model.boundary_distance(point[None, :])[0])) < 1e-9
     analytic = local_integrand(model, constants, point, on_boundary=on_boundary)
-    bulk = local_integrand(model, constants, point, on_boundary=False)
+    bulk = local_integrand(model, constants, point, on_boundary=False) if on_boundary else 0.0
     paired = _antithetic(model, bridges)
     unit = 2 if paired else 1
     lifetimes = sorted(t_sequence, reverse=True)
-    # per lifetime: its nodes, their weights w_j J_j and those times K0_j;
-    # an interior point is one node of weight 1
+    # per lifetime: its nodes, the bulk share of their collar and their
+    # weights w_j J_j K0_j; an interior point is one node of weight K0
     layers = []
     for t in lifetimes:
-        points, weights = point[None, :], np.ones(1)
+        points, share, weights = point[None, :], 0.0, np.ones(1)
         if on_boundary:
             nodes, gl_weights = np.polynomial.legendre.leggauss(depth_nodes)
             width = min(DEPTH_COLLAR_FACTOR * math.sqrt(t), 0.9 * model.confinement_scale())
             depths = 0.5 * width * (nodes + 1.0)
             points = model.offset_from_boundary(np.repeat(points, depth_nodes, axis=0), depths)
             weights = 0.5 * width * gl_weights * model.shell_jacobian(depths)
-        layers.append((points, weights, weights * hk.heat_kernel_diag(model, t, points)))
+            # a vanishing bulk integrand (flat, odd n) may be -0.0: its share reads 0.0
+            share = bulk * float(weights.sum()) if bulk else 0.0
+        layers.append((points, share, weights * hk.heat_kernel_diag(model, t, points)))
     count = len(layers[0][0])
     pilot = _pilot_loops(count, bridges, unit)
     if pilot:
@@ -649,7 +652,7 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
              for j in range(count)], paired)
         pilot_se = pilot_se.reshape(len(lifetimes), count)
     rows = []
-    for it, (t, (points, weights, scale)) in enumerate(zip(lifetimes, layers)):
+    for it, (t, (points, share, scale)) in enumerate(zip(lifetimes, layers)):
         counts = np.full(count, bridges)
         if pilot:
             # every node keeps at least its pilot's loops: a node whose pilot
@@ -665,8 +668,6 @@ def local_limit_check(model: ManifoldModel, point, t_sequence, bridges: int, see
             value += k * mean
             var += se ** 2
         value, stderr = float(value), math.sqrt(var)
-        # a vanishing bulk integrand (flat, odd n) may be -0.0: its share reads 0.0
-        share = bulk * float(weights.sum()) if on_boundary and bulk else 0.0
         ratio = None
         if analytic != 0.0:
             # where the integrand vanishes (odd interior rows) loops cancel to rounding

@@ -49,11 +49,12 @@ The precision belongs to the batch, so a path keeps its bits in another
 batch of its lifetime only when that batch steps in the same precision.
 simulate_bridges is the one place that rounds to it: each tile's start
 state and anchors, the step h and its root, and the remaining time, which
-is formed in float64 and rounded once per step.  The step functions follow the precision of
-their inputs.  Python floats are weak scalars under numpy's promotion
-rules (NEP 50) and keep a float32 step in float32, where a float64 numpy
-scalar or array would silently promote it back.  The draws do not change:
-they are float64, and the copy into the step's noise array rounds them.
+is formed in float64 and rounded once per step.  The step functions
+follow the precision of their inputs.  Python floats are weak scalars
+under numpy's promotion rules (NEP 50) and keep a float32 step in
+float32, where a float64 numpy scalar or array would silently promote it
+back.  The draws do not change: they are float64, and the copy into the
+step's noise array rounds them.
 What leaves the walk is float64: each dlam = -2 depth, summed into lam;
 the contact rows' normals, formed from the contact points in float64, so
 |nu| = 1 to float64 rounding and I - nu nu^T stays a projection; and m,

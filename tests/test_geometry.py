@@ -138,19 +138,22 @@ class TestGeodesics:
         assert np.abs(ell - tangent * lengths[:, None]).max() <= 1e-14 * radius
 
     @pytest.mark.parametrize("model", [
+        geo.model_catalog("ball", dimension=2, radius=3.0),
         geo.model_catalog("hemisphere", dimension=2),
-        geo.model_catalog("cap", dimension=2, aperture=1.0),
+        geo.model_catalog("cap", dimension=2, radius=2.5, aperture=1.0),
         geo.model_catalog("cap", dimension=3, aperture=1.0),
-        geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1),
+        geo.model_catalog("sphere-ball", sphere_dim=2, ball_dim=1, sphere_radius=0.3),
         geo.model_catalog("sphere-ball", sphere_dim=1, ball_dim=2),
     ], ids=lambda m: repr(m))
     def test_distance_to_itself_is_zero(self, model):
-        # exactly 0 on flat balls and circles; on a 2- or 3-sphere the log map
-        # leaves its rounding, where an arccos of x . y / r^2 left up to 3e-8
+        # exactly 0 on flat balls and circles; on a 2- or 3-sphere of radius r
+        # the log map leaves its rounding, where an arccos of x . y / r^2 left
+        # up to 3e-8
         x = model.sample_volume(RNG(5), 2000)
         d = model.distance(x, x)
-        if any(f.needs_frame for f in model.factors):
-            assert np.abs(d).max() <= 1e-15
+        radii = [1.0 / math.sqrt(f.kappa) for f in model.factors if f.needs_frame]
+        if radii:
+            assert np.abs(d).max() <= 1e-15 * max(radii)
         else:
             assert np.array_equal(d, np.zeros(2000))
 
